@@ -32,10 +32,11 @@ from .errors import (
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, _parse_family, load_group
 from .lemmas import run_lemma_suite
 from .report import build_report, canonical_json
-from .subgroups import Subgroup
+from .subgroups import Subgroup, enumerate_subgroups
 from .verifier import DEFAULT_CLIQUE_CAP, K_MAX, K_MIN, pair_table, verify_group
 
 DEFAULT_K_RANGE = (2, 4)
+CACHE_OFF = "off"
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,32 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    return value
+
+
 def _resolve_spec(token: str) -> GroupSpec:
-    """Catalog name first, then a family string, then a spec file path."""
+    """Catalog name, then a family string or product of them, then a spec file."""
     if token in CATALOG:
         return catalog_spec(token)
+    # family strings reach beyond the bundled catalog, e.g. C30, D15 or C3xC3
+    names = token.split("x")
     try:
-        _parse_family(token)
+        for name in names:
+            _parse_family(name)
     except UnknownFamily:
         pass
     else:
-        # family strings reach beyond the bundled catalog, e.g. C30 or D15
-        return GroupSpec(kind="named", name=token)
+        factors = tuple(GroupSpec(kind="named", name=name) for name in names)
+        if len(factors) == 1:
+            return factors[0]
+        return GroupSpec(kind="product", factors=factors)
     path = Path(token)
     if path.exists():
         try:
@@ -119,11 +135,18 @@ def _load_group(cfg: RunConfig) -> FiniteGroup:
     return g
 
 
+def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[list[Subgroup], str]:
+    """The lattice and its cache status; ``--cache-dir off`` reads and writes nothing."""
+    if cache_dir == CACHE_OFF:
+        return enumerate_subgroups(g), CACHE_OFF
+    return cached_subgroups(g, cache_dir)
+
+
 def _prepare(cfg: RunConfig) -> tuple[FiniteGroup, list[Subgroup], str, str]:
     g = _load_group(cfg)
     assert g.spec is not None
     digest = spec_hash(g.spec)
-    subs, cache_status = cached_subgroups(g, cfg.cache_dir)
+    subs, cache_status = _subgroups(g, cfg.cache_dir)
     return g, subs, digest, cache_status
 
 
@@ -273,7 +296,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     print(f"{'name':<12} {'order':>5} {'subgroups':>9}")
     for name in catalog_names():
         g = load_catalog_group(name, args.max_order)
-        subs, _ = cached_subgroups(g, args.cache_dir)
+        subs, _ = _subgroups(g, args.cache_dir)
         print(f"{name:<12} {g.n:>5} {len(subs):>9}")
     return 0
 
@@ -282,17 +305,17 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--group",
         required=True,
-        help="catalog name, family name (e.g. D15), or path to a groupspec-v1 file",
+        help="catalog name, family name (e.g. D15 or C3xC3), or path to a groupspec-v1 file",
     )
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    sp.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sp.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP)
+    sp.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     sp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     sp.add_argument(
         "--report", default=None, help="write the JSON report here instead of stdout"
     )
-    sp.add_argument("--max-cliques", type=int, default=DEFAULT_CLIQUE_CAP)
-    sp.add_argument("--max-census", type=int, default=DEFAULT_CENSUS_CAP)
+    sp.add_argument("--max-cliques", type=_positive_int, default=DEFAULT_CLIQUE_CAP)
+    sp.add_argument("--max-census", type=_positive_int, default=DEFAULT_CENSUS_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cat = sub.add_parser("catalog", help="bundled groups with orders and lattice sizes")
     cat.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    cat.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
+    cat.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP)
     return p
 
 

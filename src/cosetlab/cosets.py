@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bitset import bits_tuple, lowest_bit
 from .errors import ConsistencyError, EmptyCosetList, ParentMismatch
 from .subgroups import Subgroup, _subgroup_from_mask, intersect_all
@@ -73,17 +75,42 @@ def coset_of(x: int, h: Subgroup) -> LeftCoset:
     return LeftCoset(h, lowest_bit(m), m)
 
 
-def left_cosets(h: Subgroup) -> list[LeftCoset]:
-    """The coset partition of the parent group, sorted by representative."""
-    n = h.parent.n
-    covered = 0
-    out = []
-    for x in range(n):
-        if covered >> x & 1:
-            continue
-        m = coset_mask(x, h)
-        covered |= m
-        out.append(LeftCoset(h, x, m))
+def coset_labels(h: Subgroup) -> np.ndarray:
+    """Read-only array whose entry x is the position of x*H in left_cosets(h).
+
+    Cosets are numbered by their minimal element, which for x*H is the
+    smallest entry of row x of the Cayley table over the columns of H.
+    Built once per subgroup.
+    """
+    if h._coset_labels is None:
+        mins = h.parent.np_table[:, h.elements].min(axis=1)
+        reps, labels = np.unique(mins, return_inverse=True)
+        if len(reps) != h.index:
+            raise ConsistencyError("coset count differs from the subgroup index")
+        labels.flags.writeable = False
+        object.__setattr__(h, "_coset_labels", labels)
+    return h._coset_labels
+
+
+def left_cosets(h: Subgroup) -> tuple[LeftCoset, ...]:
+    """The coset partition of the parent group, sorted by representative.
+
+    Built once per subgroup from its coset labelling.
+    """
+    if h._left_cosets is None:
+        masks = [0] * h.index
+        for x, c in enumerate(coset_labels(h).tolist()):
+            masks[c] |= 1 << x
+        cosets = tuple(LeftCoset(h, lowest_bit(m), m) for m in masks)
+        object.__setattr__(h, "_left_cosets", cosets)
+    return h._left_cosets
+
+
+def meeting_matrix(h: Subgroup, k: Subgroup) -> np.ndarray:
+    """Boolean matrix whose entry (a, b) says the a-th coset of H meets the b-th of K."""
+    _pair_parent(h, k)
+    out = np.zeros((h.index, k.index), dtype=bool)
+    out[coset_labels(h), coset_labels(k)] = True
     return out
 
 
@@ -136,15 +163,10 @@ def promote(p: ProductSet) -> Subgroup:
 
 
 def cosets_of_k_in_product(h: Subgroup, k: Subgroup) -> int:
-    """How many left cosets of K tile H*K, counted by direct partition."""
-    _pair_parent(h, k)
-    remaining = _product_mask(h, k)
-    count = 0
-    while remaining:
-        x = lowest_bit(remaining)
-        remaining &= ~coset_mask(x, k)
-        count += 1
-    return count
+    """How many left cosets of K tile H*K, counted over the products h*k."""
+    parent = _pair_parent(h, k)
+    products = parent.np_table[np.ix_(h.elements, k.elements)]
+    return len(np.unique(coset_labels(k)[products]))
 
 
 def disjointable(h: Subgroup, k: Subgroup) -> bool:
@@ -178,7 +200,6 @@ def coset_meet(cosets: Sequence[LeftCoset]) -> Optional[LeftCoset]:
 
 
 def touching_count(h: Subgroup, k: Subgroup) -> int:
-    """How many cosets of H intersect K, by direct scan over the partition."""
+    """How many cosets of H intersect K, counted over the elements of K."""
     _pair_parent(h, k)
-    kmask = k.mask
-    return sum(1 for c in left_cosets(h) if c.mask & kmask)
+    return len(np.unique(coset_labels(h)[list(k.elements)]))

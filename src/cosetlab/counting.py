@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cosets import left_cosets
+from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
 from .subgroups import Subgroup, intersect_all
 
@@ -111,38 +111,19 @@ def _closed_forms(gi: Subgroup, gj: Subgroup, gk: Subgroup) -> dict:
     }
 
 
-def _meeting_matrix(rows: list[int], cols: list[int]) -> np.ndarray:
-    out = np.zeros((len(rows), len(cols)), dtype=bool)
-    for a, ma in enumerate(rows):
-        for b, mb in enumerate(cols):
-            if ma & mb:
-                out[a, b] = True
-    return out
-
-
 def _enumerate_counts(gi: Subgroup, gj: Subgroup, gk: Subgroup) -> dict:
-    ci = [c.mask for c in left_cosets(gi)]
-    cj = [c.mask for c in left_cosets(gj)]
-    ck = [c.mask for c in left_cosets(gk)]
-    mij = _meeting_matrix(ci, cj)
-    mik = _meeting_matrix(ci, ck)
-    mjk = _meeting_matrix(cj, ck)
-    shape = (len(ci), len(cj), len(ck))
+    mij = meeting_matrix(gi, gj)
+    mik = meeting_matrix(gi, gk)
+    mjk = meeting_matrix(gj, gk)
+    shape = (gi.index, gj.index, gk.index)
 
     tij = np.broadcast_to(mij[:, :, None], shape)
     tik = np.broadcast_to(mik[:, None, :], shape)
     tjk = np.broadcast_to(mjk[None, :, :], shape)
 
-    meet_all = 0
-    for a, ma in enumerate(ci):
-        row = mij[a]
-        for b, mb in enumerate(cj):
-            if not row[b]:
-                continue
-            mab = ma & mb
-            for mc in ck:
-                if mab & mc:
-                    meet_all += 1
+    # A coset triple has a common point x exactly when it is x's label triple.
+    li, lj, lk = coset_labels(gi), coset_labels(gj), coset_labels(gk)
+    meet_all = len(np.unique((li * shape[1] + lj) * shape[2] + lk))
 
     return {
         "total": shape[0] * shape[1] * shape[2],

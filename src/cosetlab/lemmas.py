@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .bitset import full_mask, iter_bits, lowest_bit
+import numpy as np
+
+from .bitset import full_mask
 from .cosets import (
-    _closed_under_mul,
-    _product_mask,
-    coset_mask,
+    coset_labels,
     cosets_of_k_in_product,
     disjointable,
     left_cosets,
+    meeting_matrix,
     product_set,
     promote,
     touching_count,
@@ -119,11 +120,8 @@ def _check_pair(
     tag = f"{g.label}: |H|={h.order} |K|={k.order}"
 
     p = product_set(h, k)
-    kh = _product_mask(k, h)
-    closed = _closed_under_mul(g, p.mask)
-    stats["L2.1.i"].record(
-        closed == (p.mask == kh) and p.is_subgroup == closed, tag
-    )
+    commute = p.mask == product_set(k, h).mask
+    stats["L2.1.i"].record(p.is_subgroup == commute, tag)
 
     stats["L2.1.ii"].record(
         cosets_of_k_in_product(h, k) == h.order // overlap, tag
@@ -132,32 +130,20 @@ def _check_pair(
     if math.gcd(h.index, k.index) == 1:
         stats["L2.1.iii"].record(p.mask == full, tag)
 
-    h_cosets = left_cosets(h)
-    k_cosets = left_cosets(k)
-    scan_found = False
-    for a in h_cosets:
-        for b in k_cosets:
-            if a.mask & b.mask == 0:
-                scan_found = True
-                break
-        if scan_found:
-            break
-    stats["L2.1.iv"].record(disjointable(h, k) == scan_found, tag)
+    meets = meeting_matrix(h, k)
+    stats["L2.1.iv"].record(disjointable(h, k) == (not meets.all()), tag)
 
-    if p.mask == kh:
-        m = promote(p)
-        for a in h_cosets:
-            am = coset_mask(a.rep, m)
-            for b in k_cosets:
-                if a.mask & b.mask == 0:
-                    stats["L2.1.v"].record(
-                        am & coset_mask(b.rep, m) == 0, tag
-                    )
+    if commute:
+        # Cosets of M = HK either coincide or are disjoint, so aM and bM are
+        # disjoint exactly when a and b carry different M-labels.
+        m_labels = coset_labels(promote(p))
+        h_reps = m_labels[[c.rep for c in left_cosets(h)]]
+        k_reps = m_labels[[c.rep for c in left_cosets(k)]]
+        separated = h_reps[:, None] != k_reps[None, :]
+        for ok in separated[~meets].tolist():
+            stats["L2.1.v"].record(ok, tag)
 
-    meeting = sum(
-        1 for a in h_cosets for b in k_cosets if a.mask & b.mask
-    )
-    stats["L3.2"].record(meeting == n // overlap, tag)
+    stats["L3.2"].record(int(np.count_nonzero(meets)) == n // overlap, tag)
 
     stats["L3.3"].record(touching_count(h, k) == k.order // overlap, tag)
 
@@ -206,31 +192,25 @@ def _nested_instances(
     g2: Subgroup,
     h2: Subgroup,
     stats: dict[str, LemmaStats],
-) -> int:
+) -> None:
     """Check separation of distinct H1-cosets inside one G1-coset against H2 cosets.
 
     Requires H1&H2 == G1&G2 elementwise (the caller filters).  For distinct
     cosets A = a*H1 and B inside a single G1-coset and any b in B, the claim
     is that A misses b*H2 entirely.
     """
-    count = 0
     tag = f"{g.label}: |G1|={g1.order} |H1|={h1.order} |G2|={g2.order} |H2|={h2.order}"
-    for big in left_cosets(g1):
-        parts = []
-        remaining = big.mask
-        while remaining:
-            x = lowest_bit(remaining)
-            pm = coset_mask(x, h1)
-            parts.append(pm)
-            remaining &= ~pm
-        for am in parts:
-            for bm in parts:
-                if am == bm:
-                    continue
-                for b_elem in iter_bits(bm):
-                    stats["R3.1"].record(am & coset_mask(b_elem, h2) == 0, tag)
-                    count += 1
-    return count
+    h1_labels = coset_labels(h1)
+    g1_labels = coset_labels(g1)
+    big_of = np.empty(h1.index, dtype=g1_labels.dtype)
+    big_of[h1_labels] = g1_labels  # the G1-coset holding each H1-coset
+    # Row A, column b: an instance when A lies in b's G1-coset but is not b*H1.
+    instances = (big_of[:, None] == g1_labels) & (
+        np.arange(h1.index)[:, None] != h1_labels
+    )
+    misses = ~meeting_matrix(h1, h2)[:, coset_labels(h2)]
+    for ok in misses[instances].tolist():
+        stats["R3.1"].record(ok, tag)
 
 
 def _containment_lists(subs: Sequence[Subgroup]) -> list[list[int]]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+from . import __version__
+
 REPORT_FORMAT = "cosetlab-report-v1"
-TOOL_VERSION = "0.1.0"
 
 _GCD_MATRIX = {
     "type": "array",
@@ -208,7 +209,7 @@ def build_report(
 ) -> dict:
     doc: dict[str, Any] = {
         "format": REPORT_FORMAT,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "config": config,
         "group": group,
     }

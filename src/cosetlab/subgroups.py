@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
 from .bitset import bits_tuple, mask_of
 from .errors import NotAGroup, ParentMismatch, SubgroupCountCapExceeded
@@ -22,6 +22,9 @@ class Subgroup:
     elements: tuple[int, ...]
     order: int
     index: int
+    # Coset labelling and coset list, each built at most once by cosetlab.cosets.
+    _coset_labels: Any = field(default=None, init=False, repr=False)
+    _left_cosets: Any = field(default=None, init=False, repr=False)
 
     def contains(self, x: int) -> bool:
         return bool(self.mask >> x & 1)

@@ -156,13 +156,8 @@ def candidate_cliques(
     return out
 
 
-def _coset_data(sub: Subgroup) -> list[tuple[int, int]]:
-    return [(c.rep, c.mask) for c in left_cosets(sub)]
-
-
 def _search_reps(
     ordered: Sequence[Subgroup],
-    coset_lists: Sequence[list[tuple[int, int]]],
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """Backtracking over coset choices; slot 0 is pinned to the subgroup itself.
 
@@ -178,8 +173,9 @@ def _search_reps(
 
     def place(slot: int) -> bool:
         nonlocal examined
-        for rep, mask in coset_lists[slot]:
+        for coset in left_cosets(ordered[slot]):
             examined += 1
+            mask = coset.mask
             ok = True
             for prev in range(slot):
                 if masks[prev] & mask:
@@ -187,7 +183,7 @@ def _search_reps(
                     break
             if not ok:
                 continue
-            reps[slot] = rep
+            reps[slot] = coset.rep
             masks[slot] = mask
             if slot + 1 == k or place(slot + 1):
                 return True
@@ -221,11 +217,7 @@ def _search_with_count(
         if s.parent is not parent:
             raise ParentMismatch("search subgroups belong to different groups")
     order = sorted(range(len(subgroups)), key=lambda t: -subgroups[t].order)
-    ordered = [subgroups[t] for t in order]
-    coset_lists: list[list[tuple[int, int]]] = [[]]
-    for sub in ordered[1:]:
-        coset_lists.append(_coset_data(sub))
-    found, examined = _search_reps(ordered, coset_lists)
+    found, examined = _search_reps([subgroups[t] for t in order])
     if found is None:
         return None, examined
 

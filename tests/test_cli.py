@@ -144,6 +144,37 @@ def test_family_string_beyond_catalog(capsys, tmp_path):
     assert len(doc["subgroups"]) == 8  # divisors of 30
 
 
+def test_product_token_beyond_catalog(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "subgroups", "--group", "C3xC3", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    doc = json.loads(out)
+    validate_report(doc)
+    assert doc["group"]["order"] == 9
+    assert len(doc["subgroups"]) == 6  # trivial, four of order 3, whole group
+
+
+def test_cache_dir_off_writes_nothing(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "verify", "--group", "C6", "--cache-dir", "off")
+    assert code == 0
+    doc = json.loads(out)
+    validate_report(doc)
+    assert doc["runtime"]["cache_status"] == "off"
+    assert not (tmp_path / "off").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--max-order", "--max-cliques", "--max-census"])
+def test_non_positive_counts_exit_2(capsys, tmp_path, flag):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--group", "C6", "--cache-dir", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_census_c6(capsys, tmp_path):
     code, out, err = run(capsys, "census", "--group", "C6", "--cache-dir", str(tmp_path))
     assert code == 0

@@ -35,6 +35,12 @@ def test_left_cosets_partition(lattice, name):
             # canonical rep is the smallest member and lies inside
             assert c.mask >> c.rep & 1
         assert seen == full_mask(g.n)
+        # labels index the set-oracle cosets, ordered like left_cosets
+        oracle = sorted(all_left_cosets(g, frozenset(s.elements)), key=min)
+        assert [frozenset(bits_tuple(c.mask)) for c in cosets] == oracle
+        labels = cl.coset_labels(s)
+        for x in range(g.n):
+            assert labels[x] == next(i for i, c in enumerate(oracle) if x in c)
 
 
 @pytest.mark.parametrize("name", ["S3", "Q8", "A4"])

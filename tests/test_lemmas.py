@@ -38,6 +38,27 @@ def test_suite_green_and_complete(lattice, name):
     assert res.triple_mode == "exhaustive"
 
 
+def test_s4_checked_counts_frozen(lattice):
+    # how many instances each law checks on S4, frozen so that a rewrite of
+    # a law cannot silently change its coverage
+    g, subs = lattice("S4")
+    res = cl.run_lemma_suite(g, subs, seed=0)
+    assert {lid: st.checked for lid, st in res.stats.items()} == {
+        "L2.1.i": 900,
+        "L2.1.ii": 900,
+        "L2.1.iii": 113,
+        "L2.1.iv": 900,
+        "L2.1.v": 22406,
+        "L3.2": 5860,
+        "L3.3": 900,
+        "R3.1": 191736,
+        "E3.1": 4960,
+        "E3.2": 907,
+        "E3.4": 4960,
+    }
+    assert res.failures == 0
+
+
 def test_modes_switch_to_sampled(lattice):
     g, subs = lattice("S4")
     res = cl.run_lemma_suite(

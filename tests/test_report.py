@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+import cosetlab
 from cosetlab.report import (
     REPORT_FORMAT,
     REPORT_SCHEMA,
@@ -24,6 +25,10 @@ def _minimal():
 
 def test_minimal_report_validates():
     validate_report(_minimal())
+
+
+def test_tool_version_is_package_version():
+    assert _minimal()["tool_version"] == cosetlab.__version__
 
 
 def test_format_constant_enforced():
