@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -18,7 +19,9 @@ from .subgroups import (
     subgroup_from_elements,
 )
 
-LATTICE_FORMAT = "cosetlab-lattice-v1"
+# Names the enumeration algorithm too: a file written under another tag is
+# discarded and recomputed, never trusted.
+LATTICE_FORMAT = "cosetlab-lattice-v2"
 DEFAULT_CACHE_DIR = ".cosetlab-cache"
 
 log = logging.getLogger("cosetlab.cache")
@@ -64,7 +67,15 @@ def store_lattice(g: FiniteGroup, subgroups: list[Subgroup], cache_dir: Path | s
     )
     path = lattice_path(cache_dir, digest)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # Written beside the target and renamed over it, so a failed write never
+    # leaves a truncated lattice behind.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
-from .bitset import bits_tuple, mask_of
+from .bitset import bits_tuple, full_mask, mask_of
 from .errors import NotAGroup, ParentMismatch, SubgroupCountCapExceeded
 from .groups import FiniteGroup
 
@@ -96,33 +96,55 @@ def intersect_all(subgroups: Sequence[Subgroup]) -> Subgroup:
     return acc
 
 
-def close_generators(g: FiniteGroup, generators: Iterable[int]) -> int:
-    """Bitmask of the subgroup generated by the given elements."""
+def close_generators(
+    g: FiniteGroup, generators: Iterable[int], start: Optional[int] = None
+) -> int:
+    """Bitmask of the subgroup generated by the given elements and ``start``.
+
+    ``start`` is the mask of a subgroup S already known (default: the trivial
+    subgroup).  The result is grown as a union of left cosets xS: each new
+    coset enters whole, and its elements times each generator give the next
+    coset representatives, beginning from s*q for s in S.  A union of left
+    cosets of S that contains S and is closed under right multiplication by
+    the generators is the subgroup they generate together with S, so S's own
+    generators are never needed.  Once more than half of g is reached the
+    result can only be g itself, which is returned at once.
+    """
     mul = g.mul
-    mask = 1 << g.identity
-    frontier = [g.identity]
     gens = list(generators)
+    mask = 1 << g.identity if start is None else start
+    base = bits_tuple(mask)
+    size = len(base)
+    frontier = [mul[s][q] for s in base for q in gens]
     while frontier:
         nxt = []
-        for z in frontier:
-            row = mul[z]
-            for q in gens:
-                w = row[q]
-                if not mask >> w & 1:
-                    mask |= 1 << w
-                    nxt.append(w)
+        for x in frontier:
+            if mask >> x & 1:
+                continue
+            size += len(base)
+            if 2 * size > g.n:
+                # more than half the group: no proper subgroup is that large
+                return full_mask(g.n)
+            row = mul[x]
+            for s in base:
+                w = row[s]
+                mask |= 1 << w
+                wrow = mul[w]
+                for q in gens:
+                    nxt.append(wrow[q])
         frontier = nxt
     return mask
 
 
-def _cyclic_mask(g: FiniteGroup, x: int) -> int:
-    mul = g.mul
-    mask = 1 << g.identity
-    y = x
-    while not mask >> y & 1:
-        mask |= 1 << y
-        y = mul[y][x]
-    return mask
+def _is_prime_power(k: int) -> bool:
+    if k < 2:
+        return False
+    p = 2
+    while k % p:
+        p += 1
+    while k % p == 0:
+        k //= p
+    return k == 1
 
 
 def enumerate_subgroups(
@@ -130,39 +152,66 @@ def enumerate_subgroups(
 ) -> list[Subgroup]:
     """Every subgroup of g, sorted by (order, element tuple).
 
-    Seeds with all cyclic subgroups, then repeatedly closes each known
-    subgroup together with one extra element until no new element set
-    appears.  Each subgroup keeps the short generator list it was first
-    reached by, so the closure work stays near |H| * |gens| per attempt.
+    Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 9).  Seeds with every cyclic
+    subgroup, then extends each known subgroup H to <H, y> for y drawn from
+    a fixed list that holds one generator of each cyclic subgroup of
+    prime-power order.  y is skipped when it lies in H, or in the double
+    coset H y' H of an earlier candidate y' for this H, because
+    <H, h y' h'> = <H, y'>; so H costs one closure per double coset that
+    holds a listed generator.  Each <H, y> is closed from H's mask by
+    ``close_generators``, not from the identity.
+
+    Complete for two reasons.  Every subgroup K is generated by its
+    elements of prime-power order (x is a product of powers of itself of
+    prime-power order), so by the listed generators y_1, ..., y_m that lie
+    in K.  And the chain <y_1> <= <y_1, y_2> <= ... <= K passes only
+    through queued subgroups: <y_1> is a seed, and from a queued H the next
+    generator y is either inside H, or a candidate for H, or in the double
+    coset of an earlier candidate for H, which gives the same <H, y>.
     """
-    n = g.n
-    found: dict[int, tuple[int, ...]] = {}
+    found: dict[int, tuple[int, ...]] = {}  # mask -> generators
     queue: deque[int] = deque()
 
-    for x in range(n):
-        m = _cyclic_mask(g, x)
-        if m not in found:
-            found[m] = (x,)
-            queue.append(m)
-            if len(found) > max_subgroups:
-                raise SubgroupCountCapExceeded(
-                    f"more than {max_subgroups} subgroups in {g.label}"
-                )
+    def add(mask: int, gens: tuple[int, ...]) -> None:
+        if mask in found:
+            return
+        found[mask] = gens
+        queue.append(mask)
+        if len(found) > max_subgroups:
+            raise SubgroupCountCapExceeded(
+                f"more than {max_subgroups} subgroups in {g.label}"
+            )
 
+    prime_power_gens: list[int] = []
+    for x in range(g.n):
+        m = close_generators(g, (x,))
+        if m not in found and _is_prime_power(m.bit_count()):
+            prime_power_gens.append(x)
+        add(m, (x,))
+
+    mul = g.mul
     while queue:
         mask = queue.popleft()
         gens = found[mask]
-        for x in range(n):
-            if mask >> x & 1:
+        base = bits_tuple(mask)
+        covered = mask  # H and the double cosets H y H of earlier candidates
+        for y in prime_power_gens:
+            if covered >> y & 1:
                 continue
-            new_mask = close_generators(g, gens + (x,))
-            if new_mask not in found:
-                found[new_mask] = gens + (x,)
-                queue.append(new_mask)
-                if len(found) > max_subgroups:
-                    raise SubgroupCountCapExceeded(
-                        f"more than {max_subgroups} subgroups in {g.label}"
-                    )
+            # the left cosets x H of H y H, reached by left multiplication
+            # with the generators of H
+            stack = [y]
+            while stack:
+                x = stack.pop()
+                if covered >> x & 1:
+                    continue
+                row = mul[x]
+                for h in base:
+                    covered |= 1 << row[h]
+                for t in gens:
+                    stack.append(mul[t][x])
+            add(close_generators(g, (y,), mask), gens + (y,))
 
     subs = [_subgroup_from_mask(g, m) for m in found]
     subs.sort(key=lambda s: s.sort_key)

@@ -3,6 +3,8 @@
 Everything here recomputes quantities with a deliberately different
 algorithm from the library (plain sets and nested loops, no bitmasks, no
 closed forms) so that agreement between the two is meaningful evidence.
+The one exception is ``reference_subgroups``, the library's previous
+lattice enumerator, kept on bitmasks so it can run on every catalog group.
 """
 
 from __future__ import annotations
@@ -48,6 +50,51 @@ def brute_subgroups(g: FiniteGroup) -> set[frozenset[int]]:
         for gens in combinations(elems, r):
             found.add(set_closure(g, frozenset(gens)))
     return found
+
+
+def reference_subgroups(g: FiniteGroup) -> list[int]:
+    """Every subgroup mask, sorted like ``enumerate_subgroups``'s output.
+
+    The enumerator the library used before cyclic extension: seed with every
+    cyclic subgroup, then close each known subgroup's generators together
+    with each element outside it, re-closing from the identity every time,
+    until no new element set appears.
+    """
+
+    def close(gens: tuple[int, ...]) -> int:
+        mask = 1 << g.identity
+        frontier = [g.identity]
+        while frontier:
+            nxt = []
+            for z in frontier:
+                for q in gens:
+                    w = g.op(z, q)
+                    if not mask >> w & 1:
+                        mask |= 1 << w
+                        nxt.append(w)
+            frontier = nxt
+        return mask
+
+    found: dict[int, tuple[int, ...]] = {}
+    for x in range(g.n):
+        found.setdefault(close((x,)), (x,))
+    queue = list(found)
+    while queue:
+        mask = queue.pop()
+        gens = found[mask]
+        for x in range(g.n):
+            if mask >> x & 1:
+                continue
+            new = close(gens + (x,))
+            if new not in found:
+                found[new] = gens + (x,)
+                queue.append(new)
+
+    def key(mask: int) -> tuple[int, list[int]]:
+        elems = [x for x in range(g.n) if mask >> x & 1]
+        return len(elems), elems
+
+    return sorted(found, key=key)
 
 
 def coset_set(g: FiniteGroup, sub: frozenset[int], x: int) -> frozenset[int]:

@@ -197,3 +197,15 @@ def test_acceptance_7_report_determinism(tmp_path):
             lem.append(json.dumps(strip_volatile(json.loads(out.read_text())), sort_keys=True))
         assert lem[0] == lem[1]
         state["detail"] = "verify cold==warm==jobs4 and lemmas seed-stable"
+
+
+def test_acceptance_8_lattices_beyond_catalog():
+    with verdict("acceptance-8 subgroup counts beyond the catalog") as state:
+        want = {"A6": 501, "S6": 1455}
+        t0 = time.perf_counter()
+        for name, count in want.items():
+            g = cl.load_group(cl.GroupSpec(kind="named", name=name))
+            assert len(cl.enumerate_subgroups(g)) == count, name
+        elapsed = time.perf_counter() - t0
+        counts = " and ".join(f"{name} {count}" for name, count in want.items())
+        state["detail"] = f"{counts} subgroups in {elapsed:.1f}s"

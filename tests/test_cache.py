@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
@@ -7,6 +8,7 @@ import pytest
 
 import cosetlab as cl
 from cosetlab.cache import (
+    LATTICE_FORMAT,
     cache_lattice,
     cached_subgroups,
     lattice_path,
@@ -85,6 +87,60 @@ def test_wrong_format_tag_is_corrupt(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheCorrupt, match="format"):
         load_lattice(g, tmp_path)
+
+
+def test_lattice_from_older_algorithm_is_recomputed(tmp_path):
+    g = cl.load_catalog_group("S4")
+    subs = cl.enumerate_subgroups(g)
+    path = lattice_path(tmp_path, spec_hash(g.spec))
+    # an intact v1 file, laid out and checksummed as the v1 writer did,
+    # holding one subgroup too few
+    payload = {
+        "format": "cosetlab-lattice-v1",
+        "spec_hash": spec_hash(g.spec),
+        "order": g.n,
+        "subgroups": [list(s.elements) for s in subs[:-1]],
+    }
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+    got, status = cached_subgroups(g, tmp_path)
+    assert status == "cold"
+    assert [s.elements for s in got] == [s.elements for s in subs]
+    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v2"
+    assert cached_subgroups(g, tmp_path)[1] == "warm"
+
+
+@pytest.mark.parametrize("fail", ["dumps", "write_text"])
+def test_failed_write_keeps_previous_lattice(tmp_path, monkeypatch, fail):
+    g = cl.load_catalog_group("C12")
+    subs = cl.enumerate_subgroups(g)
+    path = store_lattice(g, subs, tmp_path)
+    before = path.read_bytes()
+
+    if fail == "dumps":
+        def broken(*args, **kwargs):
+            raise ValueError("cannot serialize")
+
+        monkeypatch.setattr(json, "dumps", broken)
+        expected = ValueError
+    else:
+        real_write_text = type(path).write_text
+
+        def broken(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(path), "write_text", broken)
+        expected = OSError
+    with pytest.raises(expected):
+        store_lattice(g, subs[:-1], tmp_path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    assert [s.elements for s in load_lattice(g, tmp_path)] == [s.elements for s in subs]
 
 
 def test_missing_file_returns_none(tmp_path):

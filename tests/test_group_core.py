@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab.errors import GroupSpecError, NotAGroup, OrderCapExceeded, UnknownFamily
+from cosetlab.errors import (
+    GroupSpecError,
+    NotAGroup,
+    OrderCapExceeded,
+    SubgroupCountCapExceeded,
+    UnknownFamily,
+)
 from cosetlab.groups import load_group
 
-from helpers import brute_subgroups, is_subgroup_set
+from helpers import brute_subgroups, is_subgroup_set, reference_subgroups
 
 # Lattice sizes from the literature; these freeze the enumeration output.
 KNOWN_SUBGROUP_COUNTS = {
@@ -58,6 +66,47 @@ def test_enumeration_matches_brute_force(lattice, name):
     assert {frozenset(s.elements) for s in subs} == brute
     for elems in brute:
         assert is_subgroup_set(g, elems)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in cl.catalog_names() if cl.load_catalog_group(n).n <= 120]
+)
+def test_enumeration_matches_reference(lattice, name):
+    g, subs = lattice(name)
+    assert [s.mask for s in subs] == reference_subgroups(g)
+
+
+SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}
+
+
+@given(
+    factors=st.lists(st.sampled_from(sorted(SMALL_FACTORS)), min_size=2, max_size=3).filter(
+        lambda fs: math.prod(SMALL_FACTORS[f] for f in fs) <= 72
+    )
+)
+@settings(max_examples=15, deadline=None)
+def test_enumeration_matches_reference_on_products(factors):
+    spec = cl.GroupSpec(
+        kind="product", factors=tuple(cl.GroupSpec(kind="named", name=f) for f in factors)
+    )
+    g = load_group(spec)
+    assert [s.mask for s in cl.enumerate_subgroups(g)] == reference_subgroups(g)
+
+
+def test_frozen_counts_beyond_catalog():
+    c2_6 = cl.GroupSpec(
+        kind="product", factors=tuple(cl.GroupSpec(kind="named", name="C2") for _ in range(6))
+    )
+    assert len(cl.enumerate_subgroups(load_group(c2_6))) == 2825
+    d30 = cl.GroupSpec(kind="named", name="D30")
+    assert len(cl.enumerate_subgroups(load_group(d30))) == 80
+
+
+def test_subgroup_cap():
+    g = cl.load_catalog_group("S4")
+    with pytest.raises(SubgroupCountCapExceeded):
+        cl.enumerate_subgroups(g, max_subgroups=29)
+    assert len(cl.enumerate_subgroups(g, max_subgroups=30)) == 30
 
 
 def test_nonassociative_loop_rejected():
