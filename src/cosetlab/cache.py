@@ -10,14 +10,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import CacheCorrupt
+from .errors import CacheCorrupt, CacheStale
 from .groups import FiniteGroup, GroupSpec
-from .subgroups import (
-    DEFAULT_SUBGROUP_CAP,
-    Subgroup,
-    enumerate_subgroups,
-    subgroup_from_elements,
-)
+from .subgroups import Subgroup, enumerate_subgroups, subgroup_from_elements
 
 # Names the enumeration algorithm too: a file written under another tag is
 # discarded and recomputed, never trusted.
@@ -80,7 +75,10 @@ def store_lattice(g: FiniteGroup, subgroups: list[Subgroup], cache_dir: Path | s
 
 
 def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgroup]]:
-    """Read a cached lattice back; None when absent, CacheCorrupt when damaged."""
+    """Read a cached lattice back; None when absent, CacheCorrupt when damaged.
+
+    An intact file under another format tag raises CacheStale, a CacheCorrupt.
+    """
     digest = spec_hash(_require_spec(g))
     path = lattice_path(cache_dir, digest)
     if not path.exists():
@@ -89,8 +87,12 @@ def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgrou
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheCorrupt(f"{path}: unreadable ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != LATTICE_FORMAT:
-        raise CacheCorrupt(f"{path}: wrong format tag")
+    if not isinstance(payload, dict) or "format" not in payload:
+        raise CacheCorrupt(f"{path}: no format tag")
+    if payload["format"] != LATTICE_FORMAT:
+        raise CacheStale(
+            f"{path}: format tag {payload['format']!r}, expected {LATTICE_FORMAT!r}"
+        )
     expected = payload.get("checksum")
     body = {k: payload.get(k) for k in ("format", "spec_hash", "order", "subgroups")}
     if _payload_checksum(body) != expected:
@@ -104,37 +106,30 @@ def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgrou
     return subs
 
 
-def cached_subgroups(
-    g: FiniteGroup,
-    cache_dir: Path | str,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-) -> tuple[list[Subgroup], str]:
+def cached_subgroups(g: FiniteGroup, cache_dir: Path | str) -> tuple[list[Subgroup], str]:
     """Lattice from cache when intact, else recomputed and stored.
 
-    Corrupt cache entries are logged and silently replaced; they never fail
+    Stale and corrupt cache entries are logged and replaced; they never fail
     the caller.
     """
     try:
         cached = load_lattice(g, cache_dir)
+    except CacheStale as exc:
+        log.info("recomputing lattice cached under another format: %s", exc)
+        cached = None
     except CacheCorrupt as exc:
         log.warning("discarding corrupt lattice cache: %s", exc)
         cached = None
     if cached is not None:
         return cached, "warm"
-    subs = enumerate_subgroups(g, max_subgroups=max_subgroups)
+    subs = enumerate_subgroups(g)
     store_lattice(g, subs, cache_dir)
     return subs, "cold"
 
 
-def cache_lattice(
-    g: FiniteGroup,
-    cache_dir: Path | str,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-) -> CacheRecord:
+def cache_lattice(g: FiniteGroup, cache_dir: Path | str) -> CacheRecord:
     """Ensure the lattice for this group is cached; report what happened."""
-    subs, status = cached_subgroups(g, cache_dir, max_subgroups=max_subgroups)
+    subs, status = cached_subgroups(g, cache_dir)
     digest = spec_hash(_require_spec(g))
     return CacheRecord(
         path=lattice_path(cache_dir, digest),

@@ -47,6 +47,10 @@ class CacheCorrupt(CosetlabError):
     """A cache file failed its checksum or shape checks."""
 
 
+class CacheStale(CacheCorrupt):
+    """An intact cache file written under another format tag."""
+
+
 class ConsistencyError(CosetlabError):
     """Two independent computations of the same quantity disagree.
 

@@ -204,9 +204,7 @@ class FiniteGroup:
         self._np_table = None
 
 
-def _validate_table(
-    arr: np.ndarray, label: str, assoc_exhaustive_cap: int, seed: int
-) -> tuple[int, list[int]]:
+def _validate_table(arr: np.ndarray, label: str, seed: int) -> tuple[int, list[int]]:
     """Check the group axioms on a candidate table; return (identity, inverses)."""
     n = arr.shape[0]
     rng = np.arange(n)
@@ -232,7 +230,7 @@ def _validate_table(
         bad = int(np.nonzero(arr[inv_vec, rng] != ident)[0][0])
         raise NotAGroup(f"{label}: element {bad} has no two-sided inverse")
 
-    if n <= assoc_exhaustive_cap:
+    if n <= ASSOC_EXHAUSTIVE_CAP:
         block = max(1, (1 << 21) // max(1, n * n))
         for lo in range(0, n, block):
             rows = arr[lo : lo + block]
@@ -257,14 +255,10 @@ def _validate_table(
 
 
 def _finish_group(
-    mul: list[list[int]],
-    label: str,
-    spec: Optional[GroupSpec],
-    assoc_exhaustive_cap: int,
-    seed: int,
+    mul: list[list[int]], label: str, spec: Optional[GroupSpec], seed: int
 ) -> FiniteGroup:
     arr = np.asarray(mul, dtype=np.int64)
-    ident, inv = _validate_table(arr, label, assoc_exhaustive_cap, seed)
+    ident, inv = _validate_table(arr, label, seed)
     g = FiniteGroup(len(mul), mul, ident, inv, label, spec)
     g._np_table = arr
     return g
@@ -403,7 +397,6 @@ def direct_product(
     b: FiniteGroup,
     order_cap: int = DEFAULT_ORDER_CAP,
     *,
-    assoc_exhaustive_cap: int = ASSOC_EXHAUSTIVE_CAP,
     seed: int = 0,
 ) -> FiniteGroup:
     """Componentwise product with pair (x, y) encoded as x * |b| + y."""
@@ -417,19 +410,18 @@ def direct_product(
         fb = b.spec.factors if b.spec.kind == "product" else (b.spec,)
         spec = GroupSpec(kind="product", factors=fa + fb)
     label = f"{a.label}x{b.label}"
-    return _finish_group(_product_rows(a, b), label, spec, assoc_exhaustive_cap, seed)
+    return _finish_group(_product_rows(a, b), label, spec, seed)
 
 
 def load_group(
     spec: GroupSpec,
     order_cap: int = DEFAULT_ORDER_CAP,
     *,
-    assoc_exhaustive_cap: int = ASSOC_EXHAUSTIVE_CAP,
     seed: int = 0,
 ) -> FiniteGroup:
     """Build and validate the group a spec describes.
 
-    Associativity is checked exhaustively up to ``assoc_exhaustive_cap``
+    Associativity is checked exhaustively up to ``ASSOC_EXHAUSTIVE_CAP``
     elements and on 10*n^2 seeded random triples above that.
     """
     spec.validate()
@@ -437,30 +429,24 @@ def load_group(
         if spec.order > order_cap:  # type: ignore[operator]
             raise OrderCapExceeded(f"order {spec.order} exceeds cap {order_cap}")
         rows = [list(r) for r in spec.table]  # type: ignore[union-attr]
-        return _finish_group(
-            rows, f"cayley{spec.order}", spec, assoc_exhaustive_cap, seed
-        )
+        return _finish_group(rows, f"cayley{spec.order}", spec, seed)
     if spec.kind == "perm":
         elems = _perm_closure(spec.degree, spec.generators, order_cap)  # type: ignore[arg-type]
         rows = _rows_from_perms(elems)
-        return _finish_group(
-            rows, f"perm{spec.degree}:{len(elems)}", spec, assoc_exhaustive_cap, seed
-        )
+        return _finish_group(rows, f"perm{spec.degree}:{len(elems)}", spec, seed)
     if spec.kind == "named":
         fam, num = _parse_family(spec.name)  # type: ignore[arg-type]
         rows, n = _named_rows(fam, num, order_cap)
         if n > order_cap:
             raise OrderCapExceeded(f"{spec.name} has order {n} > cap {order_cap}")
-        return _finish_group(rows, spec.name, spec, assoc_exhaustive_cap, seed)
+        return _finish_group(rows, spec.name, spec, seed)
     if spec.kind == "product":
         parts = [
-            load_group(f, order_cap, assoc_exhaustive_cap=assoc_exhaustive_cap, seed=seed)
+            load_group(f, order_cap, seed=seed)
             for f in spec.factors  # type: ignore[union-attr]
         ]
         acc = parts[0]
         for part in parts[1:]:
-            acc = direct_product(
-                acc, part, order_cap, assoc_exhaustive_cap=assoc_exhaustive_cap, seed=seed
-            )
+            acc = direct_product(acc, part, order_cap, seed=seed)
         return acc
     raise GroupSpecError(f"unknown spec kind {spec.kind!r}")

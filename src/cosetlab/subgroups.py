@@ -26,12 +26,6 @@ class Subgroup:
     _coset_labels: Any = field(default=None, init=False, repr=False)
     _left_cosets: Any = field(default=None, init=False, repr=False)
 
-    def contains(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.mask & ~other.mask == 0
-
     @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.order, self.elements)

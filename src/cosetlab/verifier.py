@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bitset import lowest_bit
+from .bitset import full_mask, lowest_bit
 from .cosets import coset_mask, disjointable, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
@@ -124,35 +124,37 @@ def candidate_cliques(
     bounds work done, not only output size.
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
-    m = len(subs)
     if pair_stats is None:
         pair_stats = pair_table(g, subs)
-    compat = [[False] * m for _ in range(m)]
+    # rows[i] has bit j set when positions i and j pass both bars
+    rows = [0] * len(subs)
     for st in pair_stats:
-        ok = st.gcd_index < k and st.disjointable
-        compat[st.i][st.j] = ok
-        compat[st.j][st.i] = ok
+        if st.gcd_index < k and st.disjointable:
+            rows[st.i] |= 1 << st.j
+            rows[st.j] |= 1 << st.i
 
     out: list[tuple[int, ...]] = []
     visited = 0
 
-    def extend(prefix: tuple[int, ...], start: int) -> None:
+    def extend(prefix: tuple[int, ...], cand: int) -> None:
+        # cand: positions compatible with every prefix entry, none below the last
         nonlocal visited
-        for j in range(start, m):
-            row = compat[j]
-            if all(row[p] for p in prefix):
-                visited += 1
-                if visited > max_cliques:
-                    raise CliqueCapExceeded(
-                        f"clique search in {g.label} passed {max_cliques} prefixes"
-                    )
-                cur = prefix + (j,)
-                if len(cur) == k:
-                    out.append(cur)
-                else:
-                    extend(cur, j)
+        while cand:
+            low = cand & -cand
+            j = low.bit_length() - 1
+            visited += 1
+            if visited > max_cliques:
+                raise CliqueCapExceeded(
+                    f"clique search in {g.label} passed {max_cliques} prefixes"
+                )
+            cur = prefix + (j,)
+            if len(cur) == k:
+                out.append(cur)
+            else:
+                extend(cur, cand & rows[j])
+            cand ^= low
 
-    extend((), 0)
+    extend((), full_mask(len(subs)))
     return out
 
 
@@ -169,27 +171,20 @@ def _search_reps(
     examined = 1  # the pinned slot
     first_mask = ordered[0].mask
     reps = [lowest_bit(first_mask)] + [0] * (k - 1)
-    masks = [first_mask] + [0] * (k - 1)
 
-    def place(slot: int) -> bool:
+    def place(slot: int, used: int) -> bool:
+        # used: union of the cosets placed in slots before this one
         nonlocal examined
         for coset in left_cosets(ordered[slot]):
             examined += 1
-            mask = coset.mask
-            ok = True
-            for prev in range(slot):
-                if masks[prev] & mask:
-                    ok = False
-                    break
-            if not ok:
+            if used & coset.mask:
                 continue
             reps[slot] = coset.rep
-            masks[slot] = mask
-            if slot + 1 == k or place(slot + 1):
+            if slot + 1 == k or place(slot + 1, used | coset.mask):
                 return True
         return False
 
-    if k == 1 or place(1):
+    if k == 1 or place(1, first_mask):
         return tuple(reps), examined
     return None, examined
 
@@ -244,24 +239,20 @@ def _search_with_count(
     return violation, examined
 
 
-# Worker-side state for the process pool, set once per worker by _init_worker.
-_POOL_CTX: Optional[dict] = None
+# Worker-side lattice for the process pool, set once per worker by _init_worker.
+_POOL_SUBS: Optional[list[Subgroup]] = None
 
 
-def _init_worker(payload) -> None:
-    global _POOL_CTX
-    n, mul, identity, inv, label, element_sets = payload
-    group = FiniteGroup(n, mul, identity, inv, label)
-    subs = [
-        subgroup_from_elements(group, elems, validate=False) for elems in element_sets
+def _init_worker(g: FiniteGroup, element_sets: list[tuple[int, ...]]) -> None:
+    global _POOL_SUBS
+    _POOL_SUBS = [
+        subgroup_from_elements(g, elems, validate=False) for elems in element_sets
     ]
-    _POOL_CTX = {"subs": subs}
 
 
 def _pool_task(clique: tuple[int, ...]) -> tuple[Optional[Violation], int]:
-    assert _POOL_CTX is not None
-    subs = [_POOL_CTX["subs"][i] for i in clique]
-    return _search_with_count(subs)
+    assert _POOL_SUBS is not None
+    return _search_with_count([_POOL_SUBS[i] for i in clique])
 
 
 def verify_group(
@@ -291,17 +282,11 @@ def verify_group(
 
     results: list[tuple[Optional[Violation], int]]
     if jobs > 1 and len(cliques) > 1:
-        payload = (
-            g.n,
-            g.mul,
-            g.identity,
-            g.inv,
-            g.label,
-            [s.elements for s in subs],
-        )
         chunk = max(1, len(cliques) // (jobs * 8))
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(payload,)
+            max_workers=jobs,
+            initializer=_init_worker,
+            initargs=(g, [s.elements for s in subs]),
         ) as pool:
             results = list(pool.map(_pool_task, cliques, chunksize=chunk))
     else:

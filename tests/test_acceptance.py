@@ -6,11 +6,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import cosetlab as cl
 from cosetlab.report import strip_volatile
@@ -154,6 +156,14 @@ def test_acceptance_6_disjointable_oracle():
 
 def test_acceptance_7_report_determinism(tmp_path):
     with verdict("acceptance-7 byte-identical reports") as state:
+        # the subprocesses import the same cosetlab package as this process,
+        # installed or not
+        env = dict(os.environ)
+        package_root = str(Path(cl.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+
         def run_cli(out_name: str, *extra: str) -> dict:
             out = tmp_path / out_name
             proc = subprocess.run(
@@ -165,6 +175,7 @@ def test_acceptance_7_report_determinism(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             return json.loads(out.read_text())
@@ -192,6 +203,7 @@ def test_acceptance_7_report_determinism(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             lem.append(json.dumps(strip_volatile(json.loads(out.read_text())), sort_keys=True))

@@ -89,7 +89,7 @@ def test_wrong_format_tag_is_corrupt(tmp_path):
         load_lattice(g, tmp_path)
 
 
-def test_lattice_from_older_algorithm_is_recomputed(tmp_path):
+def test_lattice_from_older_algorithm_is_recomputed(tmp_path, caplog):
     g = cl.load_catalog_group("S4")
     subs = cl.enumerate_subgroups(g)
     path = lattice_path(tmp_path, spec_hash(g.spec))
@@ -105,9 +105,16 @@ def test_lattice_from_older_algorithm_is_recomputed(tmp_path):
     payload["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-    got, status = cached_subgroups(g, tmp_path)
+    with caplog.at_level(logging.INFO, logger="cosetlab.cache"):
+        got, status = cached_subgroups(g, tmp_path)
     assert status == "cold"
     assert [s.elements for s in got] == [s.elements for s in subs]
+    # an older format is stale, not damage: logged at INFO, not as corrupt
+    [record] = caplog.records
+    assert record.levelno == logging.INFO
+    assert "cosetlab-lattice-v1" in record.message
+    assert "cosetlab-lattice-v2" in record.message
+    assert "corrupt" not in record.message
     assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v2"
     assert cached_subgroups(g, tmp_path)[1] == "warm"
 

@@ -55,6 +55,15 @@ def test_candidate_clique_counts_frozen(lattice):
         for k in (2, 3, 4)
     }
     assert counts == {2: 0, 3: 14, 4: 199}
+    # k -> (candidate cliques, tuples examined, smallest max_cliques that passes)
+    frozen = {3: (14, 254, 94), 4: (199, 2974, 462), 5: (1913, 50528, 3738)}
+    for k, (cliques, examined, cap) in frozen.items():
+        rep = cl.verify_group(g, k, subgroups=subs, pair_stats=stats, max_cliques=cap)
+        assert (rep.candidate_clique_count, rep.tuples_examined) == (cliques, examined)
+        with pytest.raises(CliqueCapExceeded):
+            cl.candidate_cliques(
+                g, k, subgroups=subs, pair_stats=stats, max_cliques=cap - 1
+            )
 
 
 def test_forced_search_on_index_two_pair(lattice):
