@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 clean, 1 finding (disjoint family at k <= 4, or a failed law),
-2 bad input (unknown group, malformed spec, table not a group), 3 resource
-cap hit (order, subgroup count, clique count, census size).
+2 bad input (unknown group, malformed spec, table not a group, a --cache-dir
+or --report path that cannot be written), 3 resource cap hit (order, subgroup
+count, clique count, census size).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -301,6 +303,28 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+def _path_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why --cache-dir or --report cannot be written, found before any work."""
+    if args.cache_dir != CACHE_OFF:
+        # the cache directory is created on demand, so the nearest part of
+        # the path that exists must be a directory
+        cache = Path(args.cache_dir)
+        nearest = next((p for p in (cache, *cache.parents) if p.exists()), None)
+        if nearest is not None and not nearest.is_dir():
+            return f"--cache-dir {args.cache_dir}: {nearest} is not a directory"
+    report = getattr(args, "report", None)
+    if report is not None:
+        target = Path(report)
+        parent = target.parent
+        if target.is_dir():
+            return f"--report {report}: is a directory"
+        if not parent.is_dir():
+            return f"--report {report}: no directory {parent}"
+        if not os.access(parent, os.W_OK):
+            return f"--report {report}: directory {parent} is not writable"
+    return None
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--group",
@@ -360,6 +384,10 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _path_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         if args.command == "catalog":
             return cmd_catalog(args)

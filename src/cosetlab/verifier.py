@@ -11,10 +11,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .bitset import full_mask, lowest_bit
-from .cosets import coset_mask, disjointable, left_cosets
+from .cosets import coset_mask, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
 from .subgroups import Subgroup, enumerate_subgroups, subgroup_from_elements
@@ -94,19 +96,63 @@ class VerificationReport:
         return "confirmed" if self.k <= 4 else "no violations found"
 
 
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Index gcd and disjointability for every pair of lattice positions.
+
+    Two symmetric m x m matrices over the lattice order: ``gcd[i, j]`` is
+    gcd(index i, index j) and ``disjointable[i, j]`` says some coset of
+    subgroup i misses some coset of subgroup j.  Iterating yields the
+    unordered pairs i <= j as ``PairStats``, read from the matrices.
+    """
+
+    gcd: np.ndarray
+    disjointable: np.ndarray
+
+    @property
+    def side(self) -> int:
+        return len(self.gcd)
+
+    def __len__(self) -> int:
+        return self.side * (self.side + 1) // 2
+
+    def __iter__(self) -> Iterator[PairStats]:
+        for i in range(self.side):
+            gcds = self.gcd[i, i:].tolist()
+            flags = self.disjointable[i, i:].tolist()
+            for j, (d, ok) in enumerate(zip(gcds, flags), start=i):
+                yield PairStats(i, j, d, ok)
+
+    def rows(self, k: int) -> list[int]:
+        """Bitmask per position: bit j set when the pair passes gcd < k and is disjointable."""
+        packed = np.packbits(
+            (self.gcd < k) & self.disjointable, axis=1, bitorder="little"
+        )
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def pair_table(
     g: FiniteGroup, subgroups: Optional[Sequence[Subgroup]] = None
-) -> list[PairStats]:
-    """Index gcd and disjointability for every unordered subgroup pair."""
+) -> PairTable:
+    """Index gcd and disjointability for every subgroup pair.
+
+    Disjointability is the rule of ``cosets.disjointable``, |H||K| / |H&K|
+    < |G|, in integer form |H||K| < |G| |H&K|.  All intersection orders
+    come from one product of the 0/1 element-membership rows; a float64
+    product of 0/1 rows is exact while the group order is below 2**53.
+    """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
-    out = []
-    for i, h in enumerate(subs):
-        for j in range(i, len(subs)):
-            k = subs[j]
-            out.append(
-                PairStats(i, j, math.gcd(h.index, k.index), disjointable(h, k))
-            )
-    return out
+    index = np.array([s.index for s in subs], dtype=np.int64)
+    order = np.array([s.order for s in subs], dtype=np.int64)
+    nbytes = (g.n + 7) // 8
+    packed = np.frombuffer(
+        b"".join(s.mask.to_bytes(nbytes, "little") for s in subs), dtype=np.uint8
+    ).reshape(len(subs), nbytes)
+    member = np.unpackbits(packed, axis=1, count=g.n, bitorder="little")
+    member = member.astype(np.float64)
+    inter = (member @ member.T).astype(np.int64)
+    inter *= g.n
+    return PairTable(np.gcd.outer(index, index), np.outer(order, order) < inter)
 
 
 def candidate_cliques(
@@ -114,24 +160,26 @@ def candidate_cliques(
     k: int,
     *,
     subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[Sequence[PairStats]] = None,
+    pair_stats: Optional[PairTable] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> list[tuple[int, ...]]:
     """Size-k subgroup multisets whose pairs all have gcd < k and are disjointable.
 
     Emitted in lexicographic order over sorted lattice positions.  Every
     multiset prefix the search visits counts against the cap, so the cap
-    bounds work done, not only output size.
+    bounds work done, not only output size.  A given ``pair_stats`` must
+    have been built over ``subgroups``; one of another size raises
+    ValueError.
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     if pair_stats is None:
         pair_stats = pair_table(g, subs)
+    elif pair_stats.side != len(subs):
+        raise ValueError(
+            f"pair table covers {pair_stats.side} subgroups, lattice has {len(subs)}"
+        )
     # rows[i] has bit j set when positions i and j pass both bars
-    rows = [0] * len(subs)
-    for st in pair_stats:
-        if st.gcd_index < k and st.disjointable:
-            rows[st.i] |= 1 << st.j
-            rows[st.j] |= 1 << st.i
+    rows = pair_stats.rows(k)
 
     out: list[tuple[int, ...]] = []
     visited = 0
@@ -260,7 +308,7 @@ def verify_group(
     k: int,
     *,
     subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[Sequence[PairStats]] = None,
+    pair_stats: Optional[PairTable] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
     jobs: int = 1,
     cache_status: str = "disabled",
@@ -275,9 +323,8 @@ def verify_group(
         raise ValueError(f"k must lie in [{K_MIN}, {K_MAX}]")
     t0 = time.perf_counter()
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
-    stats = pair_stats if pair_stats is not None else pair_table(g, subs)
     cliques = candidate_cliques(
-        g, k, subgroups=subs, pair_stats=stats, max_cliques=max_cliques
+        g, k, subgroups=subs, pair_stats=pair_stats, max_cliques=max_cliques
     )
 
     results: list[tuple[Optional[Violation], int]]

@@ -5,13 +5,27 @@ algorithm from the library (plain sets and nested loops, no bitmasks, no
 closed forms) so that agreement between the two is meaningful evidence.
 The one exception is ``reference_subgroups``, the library's previous
 lattice enumerator, kept on bitmasks so it can run on every catalog group.
+``small_products`` is the hypothesis strategy for random direct products.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
+from hypothesis import strategies as st
+
 from cosetlab import FiniteGroup, Subgroup
+
+# Named groups with their orders, the factors of random direct products.
+SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}
+
+
+def small_products():
+    """Hypothesis strategy: two or three factor names whose product has order <= 72."""
+    return st.lists(st.sampled_from(sorted(SMALL_FACTORS)), min_size=2, max_size=3).filter(
+        lambda fs: math.prod(SMALL_FACTORS[f] for f in fs) <= 72
+    )
 
 
 def set_closure(g: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:

@@ -226,6 +226,35 @@ def test_report_flag_writes_file(capsys, tmp_path):
     assert doc["runtime"]["report_path"] == str(target)
 
 
+def test_unwritable_report_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(
+        capsys,
+        "verify", "--group", "C6", "--cache-dir", str(tmp_path / "cache"),
+        "--report", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and str(target) in lines[0]
+    # checked before the group is built: no cache was written either
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_dir_naming_a_file_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("keep")
+    for cache_dir in (blocker, blocker / "sub"):
+        code, out, err = run(capsys, "verify", "--group", "C6", "--cache-dir", str(cache_dir))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and str(cache_dir) in lines[0]
+    assert blocker.read_text() == "keep"
+
+
 def test_reports_identical_across_cache_and_jobs(capsys, tmp_path):
     def stripped(*argv):
         code, out, _ = run(capsys, *argv)

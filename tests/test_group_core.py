@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,7 @@ from cosetlab.errors import (
 )
 from cosetlab.groups import load_group
 
-from helpers import brute_subgroups, is_subgroup_set, reference_subgroups
+from helpers import brute_subgroups, is_subgroup_set, reference_subgroups, small_products
 
 # Lattice sizes from the literature; these freeze the enumeration output.
 KNOWN_SUBGROUP_COUNTS = {
@@ -76,14 +74,7 @@ def test_enumeration_matches_reference(lattice, name):
     assert [s.mask for s in subs] == reference_subgroups(g)
 
 
-SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}
-
-
-@given(
-    factors=st.lists(st.sampled_from(sorted(SMALL_FACTORS)), min_size=2, max_size=3).filter(
-        lambda fs: math.prod(SMALL_FACTORS[f] for f in fs) <= 72
-    )
-)
+@given(factors=small_products())
 @settings(max_examples=15, deadline=None)
 def test_enumeration_matches_reference_on_products(factors):
     spec = cl.GroupSpec(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,10 @@ from cosetlab.bitset import bits_tuple
 from cosetlab.errors import CliqueCapExceeded
 from cosetlab.verifier import OPEN_RANGE_NOTE
 
-from helpers import pairwise_disjoint
+from helpers import pairwise_disjoint, small_products
 
 VERIFY_GROUPS = ["C6", "C12", "S3", "S4", "D6", "Q8", "A4", "C2xC2xC2", "S3xC2"]
+C2_6 = "C2xC2xC2xC2xC2xC2"
 
 
 def clique_oracle(g, subs, stats, k):
@@ -36,6 +38,61 @@ def test_pair_table_values(lattice, name):
         h, k = subs[ps.i], subs[ps.j]
         assert ps.gcd_index == math.gcd(h.index, k.index)
         assert ps.disjointable == cl.disjointable(h, k)
+
+
+def assert_table_matches_pairs(subs, table):
+    """Both matrices against the per-pair route, over every ordered pair."""
+    m = len(subs)
+    assert table.gcd.shape == table.disjointable.shape == (m, m)
+    assert (table.gcd == table.gcd.T).all()
+    assert (table.disjointable == table.disjointable.T).all()
+    for i, h in enumerate(subs):
+        for j, k in enumerate(subs):
+            assert table.gcd[i, j] == math.gcd(h.index, k.index)
+            assert table.disjointable[i, j] == cl.disjointable(h, k)
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "D30"])
+def test_pair_matrices_match_per_pair_route(lattice, name):
+    g, subs = lattice(name)
+    assert_table_matches_pairs(subs, cl.pair_table(g, subs))
+
+
+@given(factors=small_products())
+@settings(max_examples=15, deadline=None)
+def test_pair_matrices_match_per_pair_route_on_products(lattice, factors):
+    g, subs = lattice("x".join(factors))
+    assert_table_matches_pairs(subs, cl.pair_table(g, subs))
+
+
+# group -> (m, pairs, disjointable pairs, {k: pairs with gcd < k that are
+# disjointable}), all over unordered pairs i <= j
+PAIR_COUNTS = {
+    "S4": (30, 465, 376, {2: 0, 3: 50, 4: 107, 5: 209, 6: 209}),
+    "S5": (156, 12246, 11694, {2: 0, 3: 359, 4: 629, 5: 1049, 6: 2544}),
+    "D30": (80, 3240, 2830, {2: 0, 3: 162, 4: 453, 5: 458, 6: 948}),
+    C2_6: (2825, 3991725, 2505487, {2: 0, 3: 23562, 4: 23562, 5: 635502, 6: 635502}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
+def test_pair_table_counts_frozen(lattice, name):
+    g, subs = lattice(name)
+    table = cl.pair_table(g, subs)
+    upper = np.triu(np.ones((len(subs), len(subs)), dtype=bool))
+    by_k = {
+        k: int((upper & (table.gcd < k) & table.disjointable).sum()) for k in range(2, 7)
+    }
+    got = (len(subs), len(table), int((upper & table.disjointable).sum()), by_k)
+    assert got == PAIR_COUNTS[name]
+
+
+@pytest.mark.parametrize("entry", [cl.candidate_cliques, cl.verify_group])
+def test_pair_table_from_another_lattice_rejected(lattice, entry):
+    g, subs = lattice("S4")
+    stale = cl.pair_table(*lattice("S3"))
+    with pytest.raises(ValueError, match="pair table covers 6 subgroups"):
+        entry(g, 3, subgroups=subs, pair_stats=stale)
 
 
 @pytest.mark.parametrize("name", VERIFY_GROUPS)
@@ -151,6 +208,16 @@ def test_verify_confirms_catalog_groups(lattice, name):
         assert rep.violations == []
         if rep.candidate_clique_count:
             assert rep.tuples_examined >= rep.candidate_clique_count
+
+
+def test_verify_pinned_on_largest_lattice(lattice):
+    # C2^6, 2825 subgroups: the largest lattice the suite verifies
+    g, subs = lattice(C2_6)
+    stats = cl.pair_table(g, subs)
+    for k, want in {3: (23562, 379512), 4: (23562, 117810)}.items():
+        rep = cl.verify_group(g, k, subgroups=subs, pair_stats=stats)
+        assert (rep.candidate_clique_count, rep.tuples_examined) == want
+        assert rep.status == "confirmed"
 
 
 def test_verify_k_out_of_range(lattice):
