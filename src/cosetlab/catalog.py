@@ -50,6 +50,4 @@ def catalog_spec(name: str) -> GroupSpec:
 
 @lru_cache(maxsize=None)
 def load_catalog_group(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    g = load_group(catalog_spec(name), order_cap)
-    # Catalog entries keep their catalog name as the label.
-    return FiniteGroup(g.n, g.mul, g.identity, g.inv, name, g.spec)
+    return load_group(catalog_spec(name), order_cap)

@@ -14,15 +14,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
 from .catalog import CATALOG, catalog_names, catalog_spec, load_catalog_group
 from .counting import DEFAULT_CENSUS_CAP, census
 from .errors import (
+    CensusCapExceeded,
     CliqueCapExceeded,
     CounterOverflow,
     GroupSpecError,
@@ -39,40 +39,6 @@ from .verifier import DEFAULT_CLIQUE_CAP, K_MAX, K_MIN, pair_table, verify_group
 
 DEFAULT_K_RANGE = (2, 4)
 CACHE_OFF = "off"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, with the volatile knobs kept separate.
-
-    jobs, cache_dir and report_path cannot change any computed number, so
-    echo_dict leaves them out of the report's config block; they surface in
-    the runtime block instead.
-    """
-
-    command: str
-    group: str
-    k_min: int = DEFAULT_K_RANGE[0]
-    k_max: int = DEFAULT_K_RANGE[1]
-    seed: int = 0
-    max_order: int = DEFAULT_ORDER_CAP
-    max_cliques: int = DEFAULT_CLIQUE_CAP
-    max_census: int = DEFAULT_CENSUS_CAP
-    jobs: int = 1
-    cache_dir: str = DEFAULT_CACHE_DIR
-    report_path: Optional[str] = None
-
-    def echo_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "group": self.group,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "seed": self.seed,
-            "max_order": self.max_order,
-            "max_cliques": self.max_cliques,
-            "max_census": self.max_census,
-        }
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -129,14 +95,6 @@ def _resolve_spec(token: str) -> GroupSpec:
     )
 
 
-def _load_group(cfg: RunConfig) -> FiniteGroup:
-    spec = _resolve_spec(cfg.group)
-    g = load_group(spec, cfg.max_order, seed=cfg.seed)
-    if cfg.group in CATALOG:
-        g = FiniteGroup(g.n, g.mul, g.identity, g.inv, cfg.group, g.spec)
-    return g
-
-
 def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[list[Subgroup], str]:
     """The lattice and its cache status; ``--cache-dir off`` reads and writes nothing."""
     if cache_dir == CACHE_OFF:
@@ -144,55 +102,19 @@ def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[list[Subgroup], str]:
     return cached_subgroups(g, cache_dir)
 
 
-def _prepare(cfg: RunConfig) -> tuple[FiniteGroup, list[Subgroup], str, str]:
-    g = _load_group(cfg)
-    assert g.spec is not None
-    digest = spec_hash(g.spec)
-    subs, cache_status = _subgroups(g, cfg.cache_dir)
-    return g, subs, digest, cache_status
-
-
-def _group_block(g: FiniteGroup, digest: str, subgroup_count: int) -> dict:
-    return {
-        "label": g.label,
-        "order": g.n,
-        "spec_hash": digest,
-        "subgroup_count": subgroup_count,
-    }
-
-
-def _runtime_block(cfg: RunConfig, cache_status: str, t0: float) -> dict:
-    return {
-        "elapsed_seconds": round(time.perf_counter() - t0, 6),
-        "cache_status": cache_status,
-        "cache_dir": cfg.cache_dir,
-        "jobs": cfg.jobs,
-        "report_path": cfg.report_path,
-    }
-
-
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    text = canonical_json(doc)
-    if cfg.report_path:
-        Path(cfg.report_path).write_text(text)
-        print(f"report written to {cfg.report_path}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    g, subs, digest, cache_status = _prepare(cfg)
+def cmd_verify(
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+) -> tuple[dict, int]:
     stats = pair_table(g, subs)
     reports = []
-    for k in range(cfg.k_min, cfg.k_max + 1):
+    for k in range(args.k[0], args.k[1] + 1):
         rep = verify_group(
             g,
             k,
             subgroups=subs,
             pair_stats=stats,
-            max_cliques=cfg.max_cliques,
-            jobs=cfg.jobs,
+            max_cliques=args.max_cliques,
+            jobs=args.jobs,
             cache_status=cache_status,
         )
         reports.append(rep)
@@ -202,20 +124,14 @@ def cmd_verify(cfg: RunConfig) -> int:
             f" {rep.tuples_examined} tuples examined)",
             file=sys.stderr,
         )
-    doc = build_report(
-        config=cfg.echo_dict(),
-        group=_group_block(g, digest, len(subs)),
-        verifications=[r.stable_dict() for r in reports],
-        runtime=_runtime_block(cfg, cache_status, t0),
-    )
-    _emit(doc, cfg)
-    return 1 if any(r.violations and r.k <= 4 for r in reports) else 0
+    code = 1 if any(r.violations and r.k <= 4 for r in reports) else 0
+    return {"verifications": [r.stable_dict() for r in reports]}, code
 
 
-def cmd_lemmas(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    g, subs, digest, cache_status = _prepare(cfg)
-    result = run_lemma_suite(g, subs, seed=cfg.seed, census_cap=cfg.max_census)
+def cmd_lemmas(
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+) -> tuple[dict, int]:
+    result = run_lemma_suite(g, subs, seed=args.seed, census_cap=args.max_census)
     for lid, st in result.stats.items():
         if st.failed:
             print(f"{g.label} {lid}: {st.failed}/{st.checked} FAILED", file=sys.stderr)
@@ -226,32 +142,23 @@ def cmd_lemmas(cfg: RunConfig) -> int:
         f" {result.nested_quadruples_run} nested instances)",
         file=sys.stderr,
     )
-    doc = build_report(
-        config=cfg.echo_dict(),
-        group=_group_block(g, digest, len(subs)),
-        lemmas=result.to_json_dict(),
-        runtime=_runtime_block(cfg, cache_status, t0),
-    )
-    _emit(doc, cfg)
-    return 1 if result.failures else 0
+    return {"lemmas": result.to_json_dict()}, 1 if result.failures else 0
 
 
-def cmd_census(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    g, subs, digest, cache_status = _prepare(cfg)
+def cmd_census(
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+) -> tuple[dict, int]:
     m = len(subs)
     n_triples = math.comb(m + 2, 3)
-    if n_triples > cfg.max_census:
-        print(
+    if n_triples > args.max_census:
+        raise CensusCapExceeded(
             f"{g.label}: {n_triples} subgroup triples exceed"
-            f" --max-census {cfg.max_census}",
-            file=sys.stderr,
+            f" --max-census {args.max_census}"
         )
-        return 3
     entries = []
     enumerated = 0
     for i, j, t in combinations_with_replacement(range(m), 3):
-        c = census(subs[i], subs[j], subs[t], max_census=cfg.max_census)
+        c = census(subs[i], subs[j], subs[t], max_census=args.max_census)
         enumerated += c.enumerated
         entries.append(
             {
@@ -270,28 +177,60 @@ def cmd_census(cfg: RunConfig) -> int:
         f" {enumerated} enumerated exactly",
         file=sys.stderr,
     )
-    doc = build_report(
-        config=cfg.echo_dict(),
-        group=_group_block(g, digest, len(subs)),
-        census=entries,
-        runtime=_runtime_block(cfg, cache_status, t0),
-    )
-    _emit(doc, cfg)
-    return 0
+    return {"census": entries}, 0
 
 
-def cmd_subgroups(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    g, subs, digest, cache_status = _prepare(cfg)
+def cmd_subgroups(
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+) -> tuple[dict, int]:
     print(f"{g.label}: {len(subs)} subgroups", file=sys.stderr)
+    return {"subgroups": [list(s.elements) for s in subs]}, 0
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Load the group and its lattice, run the command's work, write the report.
+
+    ``args.work`` is a cmd_* function above; it returns its report blocks and
+    exit code.  config echoes only the flags that can change a computed number;
+    jobs, cache dir and report path go to the volatile runtime block.
+    """
+    t0 = time.perf_counter()
+    g = load_group(_resolve_spec(args.group), args.max_order, seed=args.seed)
+    subs, cache_status = _subgroups(g, args.cache_dir)
+    blocks, code = args.work(args, g, subs, cache_status)
     doc = build_report(
-        config=cfg.echo_dict(),
-        group=_group_block(g, digest, len(subs)),
-        subgroups=[list(s.elements) for s in subs],
-        runtime=_runtime_block(cfg, cache_status, t0),
+        config={
+            "command": args.command,
+            "group": args.group,
+            "k_min": args.k[0],
+            "k_max": args.k[1],
+            "seed": args.seed,
+            "max_order": args.max_order,
+            "max_cliques": args.max_cliques,
+            "max_census": args.max_census,
+        },
+        group={
+            "label": g.label,
+            "order": g.n,
+            "spec_hash": spec_hash(g.spec),
+            "subgroup_count": len(subs),
+        },
+        runtime={
+            "elapsed_seconds": round(time.perf_counter() - t0, 6),
+            "cache_status": cache_status,
+            "cache_dir": args.cache_dir,
+            "jobs": args.jobs,
+            "report_path": args.report,
+        },
+        **blocks,
     )
-    _emit(doc, cfg)
-    return 0
+    text = canonical_json(doc)
+    if args.report:
+        Path(args.report).write_text(text)
+        print(f"report written to {args.report}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -325,7 +264,9 @@ def _path_problem(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(
+    sp: argparse.ArgumentParser, work: Callable[..., tuple[dict, int]]
+) -> None:
     sp.add_argument(
         "--group",
         required=True,
@@ -340,6 +281,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--max-cliques", type=_positive_int, default=DEFAULT_CLIQUE_CAP)
     sp.add_argument("--max-census", type=_positive_int, default=DEFAULT_CENSUS_CAP)
+    # only verify takes --k; the others echo the default range in their config
+    sp.set_defaults(work=work, k=DEFAULT_K_RANGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="exhaustive disjoint-coset-family search")
-    _add_common(v)
+    _add_common(v, cmd_verify)
     v.add_argument(
         "--k",
         type=_parse_k_range,
@@ -360,26 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     le = sub.add_parser("lemmas", help="run every counting law on one group")
-    _add_common(le)
+    _add_common(le, cmd_lemmas)
 
     ce = sub.add_parser("census", help="triple censuses over the subgroup lattice")
-    _add_common(ce)
+    _add_common(ce, cmd_census)
 
     sg = sub.add_parser("subgroups", help="list the subgroup lattice")
-    _add_common(sg)
+    _add_common(sg, cmd_subgroups)
 
     cat = sub.add_parser("catalog", help="bundled groups with orders and lattice sizes")
     cat.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     cat.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP)
     return p
-
-
-_HANDLERS = {
-    "verify": cmd_verify,
-    "lemmas": cmd_lemmas,
-    "census": cmd_census,
-    "subgroups": cmd_subgroups,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -391,20 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "catalog":
             return cmd_catalog(args)
-        cfg = RunConfig(
-            command=args.command,
-            group=args.group,
-            k_min=args.k[0] if hasattr(args, "k") else DEFAULT_K_RANGE[0],
-            k_max=args.k[1] if hasattr(args, "k") else DEFAULT_K_RANGE[1],
-            seed=args.seed,
-            max_order=args.max_order,
-            max_cliques=args.max_cliques,
-            max_census=args.max_census,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            report_path=args.report,
-        )
-        return _HANDLERS[args.command](cfg)
+        return _run(args)
     except (GroupSpecError, UnknownFamily, NotAGroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -412,6 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         OrderCapExceeded,
         SubgroupCountCapExceeded,
         CliqueCapExceeded,
+        CensusCapExceeded,
         CounterOverflow,
     ) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitset import bits_tuple, lowest_bit
+from .bitset import lowest_bit
 from .errors import ConsistencyError, EmptyCosetList, ParentMismatch
-from .subgroups import Subgroup, _subgroup_from_mask, intersect_all
+from .subgroups import Subgroup, _closed_under_mul, _subgroup_from_mask, intersect_all
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,14 +19,6 @@ class LeftCoset:
     subgroup: Subgroup
     rep: int
     mask: int
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return bits_tuple(self.mask)
-
-    @property
-    def size(self) -> int:
-        return self.subgroup.order
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -50,14 +42,6 @@ class ProductSet:
     right: Subgroup
     mask: int
     is_subgroup: bool
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return bits_tuple(self.mask)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
 
 
 def coset_mask(x: int, h: Subgroup) -> int:
@@ -129,17 +113,6 @@ def _product_mask(h: Subgroup, k: Subgroup) -> int:
         for b in k_elems:
             m |= 1 << row[b]
     return m
-
-
-def _closed_under_mul(parent, mask: int) -> bool:
-    elems = bits_tuple(mask)
-    mul = parent.mul
-    for a in elems:
-        row = mul[a]
-        for b in elems:
-            if not mask >> row[b] & 1:
-                return False
-    return True
 
 
 def product_set(h: Subgroup, k: Subgroup) -> ProductSet:

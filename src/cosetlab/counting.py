@@ -215,7 +215,6 @@ class TripleDiagnostics:
     r_pair: tuple[RValue, RValue, RValue]
     r_triple: RValue
     pivot_bounds_ok: bool
-    pivot_bound_count: int
     divisibility_ok: bool
     common_gcd: Optional[int]
     scaled_divisibility_ok: Optional[bool]
@@ -256,7 +255,6 @@ def check_triple_inequalities(
     triple_r = r_value(subs)
 
     bounds_ok = True
-    count = 0
     for a in range(3):
         for b in range(3):
             for c in range(3):
@@ -266,7 +264,6 @@ def check_triple_inequalities(
                 ac = (subs[a].mask & subs[c].mask).bit_count()
                 left = ab // triple_order
                 right = subs[a].order // ac
-                count += 1
                 if left > right:
                     bounds_ok = False
 
@@ -293,7 +290,6 @@ def check_triple_inequalities(
         r_pair=pair_r,
         r_triple=triple_r,
         pivot_bounds_ok=bounds_ok,
-        pivot_bound_count=count,
         divisibility_ok=div_ok,
         common_gcd=common,
         scaled_divisibility_ok=scaled_ok,

@@ -39,6 +39,10 @@ class CliqueCapExceeded(CosetlabError):
     """Candidate-clique enumeration visited more multisets than the cap."""
 
 
+class CensusCapExceeded(CosetlabError):
+    """A census run would cover more subgroup triples than the cap."""
+
+
 class CounterOverflow(CosetlabError):
     """A census counter left the unsigned 64-bit range."""
 

@@ -47,6 +47,13 @@ class GroupSpec:
         """Structural checks only; group axioms are checked by load_group."""
         if self.kind not in _SPEC_KINDS:
             raise GroupSpecError(f"unknown spec kind {self.kind!r}")
+        for key in ("order", "degree"):
+            v = getattr(self, key)
+            # bool is a subclass of int, but true and false are no sizes
+            if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+                raise GroupSpecError(f"{key} must be an integer, got {v!r}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise GroupSpecError(f"name must be a string, got {self.name!r}")
         if self.kind == "cayley":
             if self.order is None or self.table is None:
                 raise GroupSpecError("cayley spec needs order and table")

@@ -49,6 +49,17 @@ def _subgroup_from_mask(parent: FiniteGroup, mask: int) -> Subgroup:
     return Subgroup(parent, mask, elems, len(elems), parent.n // len(elems))
 
 
+def _closed_under_mul(parent: FiniteGroup, mask: int) -> bool:
+    elems = bits_tuple(mask)
+    mul = parent.mul
+    for a in elems:
+        row = mul[a]
+        for b in elems:
+            if not mask >> row[b] & 1:
+                return False
+    return True
+
+
 def subgroup_from_elements(
     parent: FiniteGroup, elements: Iterable[int], *, validate: bool = True
 ) -> Subgroup:
@@ -57,24 +68,11 @@ def subgroup_from_elements(
     if validate:
         if not mask >> parent.identity & 1:
             raise NotAGroup("subgroup candidate lacks the identity")
-        mul = parent.mul
-        elems = bits_tuple(mask)
-        for a in elems:
-            row = mul[a]
-            for b in elems:
-                if not mask >> row[b] & 1:
-                    raise NotAGroup(f"set not closed: {a}*{b} escapes")
-        if parent.n % len(elems) != 0:
+        if not _closed_under_mul(parent, mask):
+            raise NotAGroup("set not closed under multiplication")
+        if parent.n % mask.bit_count() != 0:
             raise NotAGroup("subgroup order does not divide the group order")
     return _subgroup_from_mask(parent, mask)
-
-
-def trivial_subgroup(g: FiniteGroup) -> Subgroup:
-    return _subgroup_from_mask(g, 1 << g.identity)
-
-
-def full_subgroup(g: FiniteGroup) -> Subgroup:
-    return _subgroup_from_mask(g, (1 << g.n) - 1)
 
 
 def intersect(h: Subgroup, k: Subgroup) -> Subgroup:

@@ -113,6 +113,27 @@ def test_invalid_spec_fields_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "cayley", "order": "2", "table": [[0, 1], [1, 0]]},
+        {"kind": "cayley", "order": True, "table": [[0]]},
+        {"kind": "perm", "degree": "3", "generators": [[1, 2, 0]]},
+        {"kind": "perm", "degree": 3.0, "generators": [[1, 2, 0]]},
+        {"kind": "named", "name": 5},
+    ],
+    ids=["order-str", "order-bool", "degree-str", "degree-float", "name-int"],
+)
+def test_spec_field_of_wrong_type_exits_2(capsys, tmp_path, fields):
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps({"format": "groupspec-v1", **fields}))
+    code, out, err = run(capsys, "subgroups", "--group", str(p), "--cache-dir", "off")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_nongroup_table_exits_2(capsys, tmp_path):
     p = tmp_path / "loop.json"
     p.write_text(
@@ -190,7 +211,7 @@ def test_census_cap_exits_3(capsys, tmp_path):
         "census", "--group", "C6", "--max-census", "5", "--cache-dir", str(tmp_path),
     )
     assert code == 3
-    assert "exceed" in err
+    assert err == "resource limit: C6: 20 subgroup triples exceed --max-census 5\n"
 
 
 def test_subgroups_q8(capsys, tmp_path):

@@ -151,6 +151,16 @@ def test_s3_permutation_ids(lattice):
     assert bits_tuple(c.mask) == (1, 2, 5)
 
 
+def test_subgroup_from_elements_validates(lattice):
+    g, subs = lattice("S3")
+    with pytest.raises(NotAGroup, match="identity"):
+        cl.subgroup_from_elements(g, [1, 2])
+    with pytest.raises(NotAGroup, match="closed"):
+        cl.subgroup_from_elements(g, [0, 3])  # (1,2,0) squared is (2,0,1) = 4
+    a3 = next(s for s in subs if s.order == 3)
+    assert cl.subgroup_from_elements(g, [0, 3, 4]) == a3
+
+
 def test_dihedral_convention_order_2n():
     for m in (3, 5, 12):
         g = cl.load_catalog_group(f"D{m}")
@@ -167,6 +177,11 @@ def test_q8_has_unique_involution():
     g = cl.load_catalog_group("Q8")
     orders = sorted(g.element_order(x) for x in range(8))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_catalog_groups_are_labelled_by_their_names():
+    for name, spec in cl.CATALOG.items():
+        assert load_group(spec).label == name
 
 
 def test_alternating_and_symmetric_orders():
