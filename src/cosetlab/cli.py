@@ -103,7 +103,7 @@ def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[list[Subgroup], str]:
 
 
 def cmd_verify(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
 ) -> tuple[dict, int]:
     stats = pair_table(g, subs)
     reports = []
@@ -115,7 +115,6 @@ def cmd_verify(
             pair_stats=stats,
             max_cliques=args.max_cliques,
             jobs=args.jobs,
-            cache_status=cache_status,
         )
         reports.append(rep)
         print(
@@ -129,7 +128,7 @@ def cmd_verify(
 
 
 def cmd_lemmas(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
 ) -> tuple[dict, int]:
     result = run_lemma_suite(g, subs, seed=args.seed, census_cap=args.max_census)
     for lid, st in result.stats.items():
@@ -146,7 +145,7 @@ def cmd_lemmas(
 
 
 def cmd_census(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
 ) -> tuple[dict, int]:
     m = len(subs)
     n_triples = math.comb(m + 2, 3)
@@ -181,7 +180,7 @@ def cmd_census(
 
 
 def cmd_subgroups(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup], cache_status: str
+    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
 ) -> tuple[dict, int]:
     print(f"{g.label}: {len(subs)} subgroups", file=sys.stderr)
     return {"subgroups": [list(s.elements) for s in subs]}, 0
@@ -197,7 +196,7 @@ def _run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     g = load_group(_resolve_spec(args.group), args.max_order, seed=args.seed)
     subs, cache_status = _subgroups(g, args.cache_dir)
-    blocks, code = args.work(args, g, subs, cache_status)
+    blocks, code = args.work(args, g, subs)
     doc = build_report(
         config={
             "command": args.command,

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
-from .subgroups import Subgroup, intersect_all
+from .subgroups import Subgroup
 
 DEFAULT_CENSUS_CAP = 10**6
 _U64_MAX = 2**64 - 1
@@ -36,22 +37,33 @@ class RValue:
         return tuple(s.index for s in self.subgroups)
 
 
+def _r_from_order(subgroups: Sequence[Subgroup], meet_order: int) -> RValue:
+    """The r-value of a tuple whose intersection has ``meet_order`` elements."""
+    index = subgroups[0].parent.n // meet_order
+    lcm = math.lcm(*(s.index for s in subgroups))
+    q, rem = divmod(index, lcm)
+    if rem:
+        # Each index divides the intersection index, so the lcm must too.
+        raise ConsistencyError(f"intersection index {index} not divisible by lcm {lcm}")
+    return RValue(tuple(subgroups), index, lcm, q)
+
+
 def r_value(subgroups: Sequence[Subgroup]) -> RValue:
     if len(subgroups) not in (2, 3):
         raise ValueError("r_value takes two or three subgroups")
     parent = subgroups[0].parent
+    meet = subgroups[0].mask
     for s in subgroups[1:]:
         if s.parent is not parent:
             raise ParentMismatch("subgroups belong to different groups")
-    meet = intersect_all(list(subgroups))
-    lcm = math.lcm(*(s.index for s in subgroups))
-    q, rem = divmod(meet.index, lcm)
-    if rem:
-        # Each index divides the intersection index, so the lcm must too.
-        raise ConsistencyError(
-            f"intersection index {meet.index} not divisible by lcm {lcm}"
-        )
-    return RValue(tuple(subgroups), meet.index, lcm, q)
+        meet &= s.mask
+    return _r_from_order(subgroups, meet.bit_count())
+
+
+def _meet_orders(gi: Subgroup, gj: Subgroup, gk: Subgroup) -> tuple[int, int, int, int]:
+    """|Gi&Gj|, |Gi&Gk|, |Gj&Gk| and |Gi&Gj&Gk|, each a popcount of ANDed masks."""
+    ij, ik, jk = gi.mask & gj.mask, gi.mask & gk.mask, gj.mask & gk.mask
+    return ij.bit_count(), ik.bit_count(), jk.bit_count(), (ij & gk.mask).bit_count()
 
 
 @dataclass(frozen=True)
@@ -77,29 +89,18 @@ class TripleCensus:
 
 def _closed_forms(gi: Subgroup, gj: Subgroup, gk: Subgroup) -> dict:
     n = gi.parent.n
-    subs = (gi, gj, gk)
-    idx = [s.index for s in subs]
-    pair_idx = {}
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        mask = subs[a].mask & subs[b].mask
-        pair_idx[(a, b)] = n // mask.bit_count()
-    meet_mask = gi.mask & gj.mask & gk.mask
-    meet_index = n // meet_mask.bit_count()
+    idx = (gi.index, gj.index, gk.index)
+    o_ij, o_ik, o_jk, o_all = _meet_orders(gi, gj, gk)
+    p_ij, p_ik, p_jk = n // o_ij, n // o_ik, n // o_jk
 
     total = _checked(idx[0] * idx[1] * idx[2], "census total")
     s_pair = tuple(
-        _checked(pair_idx[(a, b)] * idx[c], "pair slice")
-        for (a, b), c in (((0, 1), 2), ((0, 2), 1), ((1, 2), 0))
+        _checked(v, "pair slice") for v in (p_ij * idx[2], p_ik * idx[1], p_jk * idx[0])
     )
     # Pivot orders: share subgroup i, then j, then k.
     pp = []
-    for (a, b), (c, d), pivot in (
-        ((0, 1), (0, 2), 0),
-        ((0, 1), (1, 2), 1),
-        ((0, 2), (1, 2), 2),
-    ):
-        num = pair_idx[(a, b)] * pair_idx[(c, d)]
-        q, rem = divmod(num, idx[pivot])
+    for num, pivot in ((p_ij * p_ik, idx[0]), (p_ij * p_jk, idx[1]), (p_ik * p_jk, idx[2])):
+        q, rem = divmod(num, pivot)
         if rem:
             raise ConsistencyError("pair-pair closed form is not integral")
         pp.append(_checked(q, "pair-pair slice"))
@@ -107,39 +108,42 @@ def _closed_forms(gi: Subgroup, gj: Subgroup, gk: Subgroup) -> dict:
         "total": total,
         "s_pair": s_pair,
         "s_pair_pair": tuple(pp),
-        "meet_all": _checked(meet_index, "common-point count"),
+        "meet_all": _checked(n // o_all, "common-point count"),
     }
 
 
 def _enumerate_counts(gi: Subgroup, gj: Subgroup, gk: Subgroup) -> dict:
-    mij = meeting_matrix(gi, gj)
-    mik = meeting_matrix(gi, gk)
-    mjk = meeting_matrix(gj, gk)
-    shape = (gi.index, gj.index, gk.index)
+    """Count the coset triples from the three meeting matrices.
 
-    tij = np.broadcast_to(mij[:, :, None], shape)
-    tik = np.broadcast_to(mik[:, None, :], shape)
-    tjk = np.broadcast_to(mjk[None, :, :], shape)
+    With 0/1 matrices Mij (a x b), Mik (a x c) and Mjk (b x c), the triples
+    where ij and ik meet number rowsum(Mij) . rowsum(Mik), and those where
+    all three pairs meet sum((Mij @ Mjk) * Mik); the disjoint count is the
+    same product over the complements.  Integer matrices keep the products
+    exact, and off the BLAS threads.
+    """
+    mij = meeting_matrix(gi, gj).astype(np.int64)
+    mik = meeting_matrix(gi, gk).astype(np.int64)
+    mjk = meeting_matrix(gj, gk).astype(np.int64)
+    a, b, c = gi.index, gj.index, gk.index
+    row_ij, col_ij = mij.sum(axis=1), mij.sum(axis=0)
+    row_ik, col_ik = mik.sum(axis=1), mik.sum(axis=0)
+    row_jk, col_jk = mjk.sum(axis=1), mjk.sum(axis=0)
 
     # A coset triple has a common point x exactly when it is x's label triple.
     li, lj, lk = coset_labels(gi), coset_labels(gj), coset_labels(gk)
-    meet_all = len(np.unique((li * shape[1] + lj) * shape[2] + lk))
+    meet_all = len(np.unique((li * b + lj) * c + lk))
 
     return {
-        "total": shape[0] * shape[1] * shape[2],
-        "s_pair": (
-            int(np.count_nonzero(tij)),
-            int(np.count_nonzero(tik)),
-            int(np.count_nonzero(tjk)),
-        ),
+        "total": a * b * c,
+        "s_pair": (int(row_ij.sum()) * c, int(row_ik.sum()) * b, int(row_jk.sum()) * a),
         "s_pair_pair": (
-            int(np.count_nonzero(tij & tik)),
-            int(np.count_nonzero(tij & tjk)),
-            int(np.count_nonzero(tik & tjk)),
+            int(row_ij @ row_ik),
+            int(col_ij @ row_jk),
+            int(col_ik @ col_jk),
         ),
-        "s_triple": int(np.count_nonzero(tij & tik & tjk)),
+        "s_triple": int(((mij @ mjk) * mik).sum()),
         "meet_all": meet_all,
-        "n_disjoint": int(np.count_nonzero(~tij & ~tik & ~tjk)),
+        "n_disjoint": int((((1 - mij) @ (1 - mjk)) * (1 - mik)).sum()),
     }
 
 
@@ -160,18 +164,10 @@ def census(
         raise ParentMismatch("census subgroups belong to different groups")
     closed = _closed_forms(gi, gj, gk)
     if closed["total"] > max_census:
-        return TripleCensus(
-            total=closed["total"],
-            s_pair=closed["s_pair"],
-            s_pair_pair=closed["s_pair_pair"],
-            s_triple=None,
-            meet_all=closed["meet_all"],
-            n_disjoint=None,
-            enumerated=False,
-        )
+        return TripleCensus(**closed, s_triple=None, n_disjoint=None, enumerated=False)
 
     enum = _enumerate_counts(gi, gj, gk)
-    for key in ("total", "s_pair", "s_pair_pair", "meet_all"):
+    for key in closed:
         if closed[key] != enum[key]:
             raise ConsistencyError(
                 f"census {key}: closed form {closed[key]} != enumeration {enum[key]}"
@@ -186,15 +182,7 @@ def census(
     )
     if incl_excl != enum["n_disjoint"]:
         raise ConsistencyError("inclusion-exclusion disagrees with the disjoint count")
-    return TripleCensus(
-        total=enum["total"],
-        s_pair=enum["s_pair"],
-        s_pair_pair=enum["s_pair_pair"],
-        s_triple=enum["s_triple"],
-        meet_all=enum["meet_all"],
-        n_disjoint=enum["n_disjoint"],
-        enumerated=True,
-    )
+    return TripleCensus(**enum, enumerated=True)
 
 
 def r_strict_upper(d: int, r_ij: int, r_ik: int, r_jk: int) -> int:
@@ -244,47 +232,31 @@ def check_triple_inequalities(
     if gj.parent is not parent or gk.parent is not parent:
         raise ParentMismatch("subgroups belong to different groups")
     n = parent.n
-    triple_mask = gi.mask & gj.mask & gk.mask
-    triple_order = triple_mask.bit_count()
+    o_ij, o_ik, o_jk, o_all = _meet_orders(gi, gj, gk)
+    # The order of the pair that leaves out position c, for c = 0, 1, 2.
+    pair_without = (o_jk, o_ik, o_ij)
 
     pair_r = (
-        r_value((gi, gj)),
-        r_value((gi, gk)),
-        r_value((gj, gk)),
+        _r_from_order((gi, gj), o_ij),
+        _r_from_order((gi, gk), o_ik),
+        _r_from_order((gj, gk), o_jk),
     )
-    triple_r = r_value(subs)
+    triple_r = _r_from_order(subs, o_all)
 
-    bounds_ok = True
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                if len({a, b, c}) != 3:
-                    continue
-                ab = (subs[a].mask & subs[b].mask).bit_count()
-                ac = (subs[a].mask & subs[c].mask).bit_count()
-                left = ab // triple_order
-                right = subs[a].order // ac
-                if left > right:
-                    bounds_ok = False
+    bounds_ok = all(
+        pair_without[c] // o_all <= subs[a].order // pair_without[b]
+        for a, b, c in permutations(range(3))
+    )
+    div_ok = all(triple_r.intersection_index % (n // o) == 0 for o in pair_without)
 
-    div_ok = True
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        pair_index = n // (subs[a].mask & subs[b].mask).bit_count()
-        if triple_r.intersection_index % pair_index:
-            div_ok = False
-
-    g01 = math.gcd(subs[0].index, subs[1].index)
-    g02 = math.gcd(subs[0].index, subs[2].index)
-    g12 = math.gcd(subs[1].index, subs[2].index)
-    common = g01 if g01 == g02 == g12 else None
+    gcds = {math.gcd(subs[a].index, subs[b].index) for a, b in ((0, 1), (0, 2), (1, 2))}
+    common = gcds.pop() if len(gcds) == 1 else None
     scaled_ok: Optional[bool] = None
     if common is not None:
-        scaled_ok = True
-        qs = tuple(s.index // common for s in subs)
-        pair_by_other = {2: pair_r[0], 1: pair_r[1], 0: pair_r[2]}
-        for other in (0, 1, 2):
-            if (qs[other] * triple_r.r) % pair_by_other[other].r:
-                scaled_ok = False
+        # pair_r runs ij, ik, jk, so pair_r[2 - c] is the pair without c.
+        scaled_ok = all(
+            (subs[c].index // common * triple_r.r) % pair_r[2 - c].r == 0 for c in range(3)
+        )
     return TripleDiagnostics(
         indices=tuple(s.index for s in subs),
         r_pair=pair_r,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bitset import full_mask
 from .cosets import (
+    _product_mask,
     coset_labels,
     cosets_of_k_in_product,
     disjointable,
@@ -119,21 +120,26 @@ def _check_pair(
     overlap = (h.mask & k.mask).bit_count()
     tag = f"{g.label}: |H|={h.order} |K|={k.order}"
 
-    p = product_set(h, k)
-    commute = p.mask == product_set(k, h).mask
-    stats["L2.1.i"].record(p.is_subgroup == commute, tag)
+    # product_set raises when its closure test and HK = KH disagree.
+    try:
+        p = product_set(h, k)
+        stats["L2.1.i"].record(True, tag)
+    except ConsistencyError as exc:
+        p = None
+        stats["L2.1.i"].record(False, f"{tag}: {exc}")
 
     stats["L2.1.ii"].record(
         cosets_of_k_in_product(h, k) == h.order // overlap, tag
     )
 
     if math.gcd(h.index, k.index) == 1:
-        stats["L2.1.iii"].record(p.mask == full, tag)
+        hk = p.mask if p is not None else _product_mask(h, k)
+        stats["L2.1.iii"].record(hk == full, tag)
 
     meets = meeting_matrix(h, k)
     stats["L2.1.iv"].record(disjointable(h, k) == (not meets.all()), tag)
 
-    if commute:
+    if p is not None and p.is_subgroup:
         # Cosets of M = HK either coincide or are disjoint, so aM and bM are
         # disjoint exactly when a and b carry different M-labels.
         m_labels = coset_labels(promote(p))

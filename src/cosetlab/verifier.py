@@ -8,7 +8,6 @@ question is open and hits would be genuine discoveries.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -66,8 +65,6 @@ class VerificationReport:
     candidate_clique_count: int
     tuples_examined: int
     violations: list[Violation]
-    elapsed_seconds: float
-    cache_status: str
     note: Optional[str] = None
 
     @property
@@ -311,7 +308,6 @@ def verify_group(
     pair_stats: Optional[PairTable] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
     jobs: int = 1,
-    cache_status: str = "disabled",
 ) -> VerificationReport:
     """Exhaustively search one group for disjoint k-families below the gcd bar.
 
@@ -321,7 +317,6 @@ def verify_group(
     """
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"k must lie in [{K_MIN}, {K_MAX}]")
-    t0 = time.perf_counter()
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     cliques = candidate_cliques(
         g, k, subgroups=subs, pair_stats=pair_stats, max_cliques=max_cliques
@@ -366,7 +361,5 @@ def verify_group(
         candidate_clique_count=len(cliques),
         tuples_examined=examined_total,
         violations=violations,
-        elapsed_seconds=time.perf_counter() - t0,
-        cache_status=cache_status,
         note=OPEN_RANGE_NOTE if k >= 5 and not violations else None,
     )

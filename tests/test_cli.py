@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from cosetlab.cli import main
-from cosetlab.report import strip_volatile, validate_report
+from cosetlab.report import canonical_json, strip_volatile, validate_report
 
 NONASSOC_LOOP = [
     [0, 1, 2, 3, 4],
@@ -287,3 +288,21 @@ def test_reports_identical_across_cache_and_jobs(capsys, tmp_path):
     warm = stripped(*base)
     jobs4 = stripped(*base, "--jobs", "4")
     assert cold == warm == jobs4
+
+
+PINNED_REPORTS = {
+    "census --group S4": "742a848ffa3323f0fdb4b64b6438e08e05b5033d2f53b06996dd21caae6c9e71",
+    "census --group D12": "10c83f65c16b116b837d08589e93a3f47973b5fcaa95aad696c1fd85cfb39eab",
+    "lemmas --group S4 --seed 0": "369a50c02753cb6b5a1a086ef7debbcc78c7382024043ed26ce7403ac4380074",
+    "lemmas --group S5 --seed 0": "90b51eb97e1eda775c08881348304647b6e5c58b9f3b4f2c0f29ddea7fcd64c6",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_REPORTS))
+def test_report_answers_pinned(capsys, command):
+    # sha256 of the canonical report without its runtime block: a rewrite
+    # of the counting or lemma layers must not change a single answer
+    code, out, _ = run(capsys, *command.split(), "--cache-dir", "off")
+    assert code == 0
+    text = canonical_json(strip_volatile(json.loads(out)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_REPORTS[command]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -12,7 +13,7 @@ from cosetlab.errors import CounterOverflow, ParentMismatch
 
 from helpers import triple_census_brute
 
-CENSUS_GROUPS = ["C6", "C12", "S3", "Q8", "C2xC2", "D4"]
+CENSUS_GROUPS = ["C6", "C12", "S3", "Q8", "C2xC2", "D4", "A4", "S3xC2"]
 
 
 def _by_order(subs, order):
@@ -118,6 +119,23 @@ def test_census_cap_skips_enumeration(lattice):
     assert c.s_pair == full.s_pair
     assert c.s_pair_pair == full.s_pair_pair
     assert c.meet_all == full.meet_all
+
+
+def test_census_memory_below_one_byte_per_triple(lattice):
+    # The census works from three index x index meeting matrices, never
+    # from an array over all coset triples.
+    g, subs = lattice("S5")
+    trivial = _by_order(subs, 1)
+    cap = 2 * 10**6
+    cl.census(trivial, trivial, trivial, max_census=cap)  # builds the coset labels
+    tracemalloc.start()
+    try:
+        c = cl.census(trivial, trivial, trivial, max_census=cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.enumerated and c.total == 120**3
+    assert peak < c.total
 
 
 def test_pairwise_slack_occurs(lattice):

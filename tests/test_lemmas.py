@@ -59,6 +59,23 @@ def test_s4_checked_counts_frozen(lattice):
     assert res.failures == 0
 
 
+def test_product_set_disagreement_recorded_as_l21i_failure(lattice, monkeypatch):
+    # A closure test that always says no contradicts HK = KH on every
+    # commuting pair; the suite must record that, not raise.
+    g, subs = lattice("S3")
+    clean = cl.run_lemma_suite(g, subs)
+    monkeypatch.setattr("cosetlab.cosets._closed_under_mul", lambda parent, mask: False)
+    res = cl.run_lemma_suite(g, subs)
+    assert res.stats["L2.1.i"].failed > 0
+    assert "disagrees" in res.stats["L2.1.i"].examples[0]
+    # only L2.1.v, which needs HK as a subgroup, is skipped on failed pairs
+    for lid in cl.LEMMA_IDS:
+        if lid not in ("L2.1.i", "L2.1.v"):
+            assert res.stats[lid].failed == 0, lid
+            assert res.stats[lid].checked == clean.stats[lid].checked, lid
+    assert res.stats["L2.1.v"].checked < clean.stats["L2.1.v"].checked
+
+
 def test_modes_switch_to_sampled(lattice):
     g, subs = lattice("S4")
     res = cl.run_lemma_suite(
