@@ -72,7 +72,8 @@ class GroupSpec:
             if self.degree < 1:
                 raise GroupSpecError("degree must be positive")
             for p in self.generators:
-                if sorted(p) != list(range(self.degree)):
+                # the length test first: a huge degree must not build a huge range
+                if len(p) != self.degree or sorted(p) != list(range(self.degree)):
                     raise GroupSpecError(f"{p!r} is not a permutation of degree {self.degree}")
         elif self.kind == "named":
             if not self.name:
@@ -352,6 +353,8 @@ def _named_rows(
     if fam == "Q":
         return _q8_rows(), 8
     if fam == "D":
+        if 2 * num > order_cap:
+            raise OrderCapExceeded(f"D{num} has order {2 * num} > cap {order_cap}")
         rot = tuple((i + 1) % num for i in range(num))
         refl = tuple((num - i) % num for i in range(num))
         elems = _perm_closure(num, [rot, refl], order_cap)
@@ -384,19 +387,8 @@ def _named_rows(
 def _product_rows(a: FiniteGroup, b: FiniteGroup) -> list[list[int]]:
     # Element id of the pair (x, y) is x * |b| + y.
     nb = b.n
-    rows = []
-    for xa in range(a.n):
-        row_a = a.mul[xa]
-        for xb in range(nb):
-            row_b = b.mul[xb]
-            out = [0] * (a.n * nb)
-            for ya in range(a.n):
-                base = row_a[ya] * nb
-                pos = ya * nb
-                for yb in range(nb):
-                    out[pos + yb] = base + row_b[yb]
-            rows.append(out)
-    return rows
+    rows = a.np_table[:, None, :, None] * nb + b.np_table[None, :, None, :]
+    return rows.reshape(a.n * nb, a.n * nb).tolist()
 
 
 def direct_product(

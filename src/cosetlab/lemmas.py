@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,11 +58,16 @@ class LemmaStats:
     examples: list[str] = field(default_factory=list)
 
     def record(self, ok: bool, desc: str = "") -> None:
-        self.checked += 1
-        if not ok:
-            self.failed += 1
-            if len(self.examples) < 5:
-                self.examples.append(desc)
+        self._count(1, 0 if ok else 1, desc)
+
+    def tally(self, oks: np.ndarray, desc: str = "") -> None:
+        """Record every entry of a boolean outcome array under one tag."""
+        self._count(oks.size, oks.size - int(np.count_nonzero(oks)), desc)
+
+    def _count(self, checked: int, failed: int, desc: str) -> None:
+        self.checked += checked
+        self.failed += failed
+        self.examples += [desc] * min(failed, 5 - len(self.examples))
 
 
 @dataclass
@@ -146,8 +151,7 @@ def _check_pair(
         h_reps = m_labels[[c.rep for c in left_cosets(h)]]
         k_reps = m_labels[[c.rep for c in left_cosets(k)]]
         separated = h_reps[:, None] != k_reps[None, :]
-        for ok in separated[~meets].tolist():
-            stats["L2.1.v"].record(ok, tag)
+        stats["L2.1.v"].tally(separated[~meets], tag)
 
     stats["L3.2"].record(int(np.count_nonzero(meets)) == n // overlap, tag)
 
@@ -172,7 +176,12 @@ def _check_triple(
         # against the intersection index, so reaching here means it held.
         stats["L3.2"].record(True, tag)
 
-    diag = check_triple_inequalities(gi, gj, gk)
+    # check_triple_inequalities raises when an r-value is not integral.
+    try:
+        diag = check_triple_inequalities(gi, gj, gk)
+    except ConsistencyError as exc:
+        stats["E3.4"].record(False, f"{tag}: {exc}")
+        return
     stats["E3.1"].record(diag.pivot_bounds_ok, tag)
     stats["E3.4"].record(
         diag.divisibility_ok and diag.scaled_divisibility_ok in (None, True), tag
@@ -215,17 +224,21 @@ def _nested_instances(
         np.arange(h1.index)[:, None] != h1_labels
     )
     misses = ~meeting_matrix(h1, h2)[:, coset_labels(h2)]
-    for ok in misses[instances].tolist():
-        stats["R3.1"].record(ok, tag)
+    stats["R3.1"].tally(misses[instances], tag)
 
 
-def _containment_lists(subs: Sequence[Subgroup]) -> list[list[int]]:
-    out: list[list[int]] = []
-    for i, big in enumerate(subs):
-        out.append(
-            [j for j, small in enumerate(subs) if small.mask & ~big.mask == 0]
-        )
-    return out
+def _instances(
+    exhaustive: bool, every: Iterable, draw: Callable[[], object], sample_target: int
+) -> tuple[str, list, int]:
+    """The instances one law family runs on, with its mode and draw count.
+
+    Exhaustive families run on ``every``; the others on ``sample_target``
+    calls of ``draw``.  Instances that are None are left out either way.
+    """
+    if exhaustive:
+        return "exhaustive", [x for x in every if x is not None], 0
+    drawn = (draw() for _ in range(sample_target))
+    return "sampled", [x for x in drawn if x is not None], sample_target
 
 
 def run_lemma_suite(
@@ -252,73 +265,62 @@ def run_lemma_suite(
     full = full_mask(g.n)
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
-    samples = 0
+    contained = [
+        [j for j, small in enumerate(subs) if small.mask & ~big.mask == 0] for big in subs
+    ]
+    proper = [
+        [j for j in contained[i] if subs[j].order < big.order] for i, big in enumerate(subs)
+    ]
 
-    if m * m <= exhaustive_pair_limit:
-        pair_mode = "exhaustive"
-        pairs_run = 0
-        for h in subs:
-            for k in subs:
-                _check_pair(g, h, k, stats, full)
-                pairs_run += 1
-    else:
-        pair_mode = "sampled"
-        pairs_run = sample_target
-        for _ in range(sample_target):
-            h = subs[rng.randrange(m)]
-            k = subs[rng.randrange(m)]
-            _check_pair(g, h, k, stats, full)
-            samples += 1
+    def nested(i1: int, j1: int, i2: int, j2: int) -> Optional[tuple[Subgroup, ...]]:
+        """(G1, H1, G2, H2), or None unless H1 & H2 == G1 & G2 elementwise."""
+        g1, h1, g2, h2 = subs[i1], subs[j1], subs[i2], subs[j2]
+        return (g1, h1, g2, h2) if h1.mask & h2.mask == g1.mask & g2.mask else None
 
-    triple_total = math.comb(m + 2, 3)
-    if triple_total <= exhaustive_triple_limit:
-        triple_mode = "exhaustive"
-        triples_run = 0
-        for i, j, t in combinations_with_replacement(range(m), 3):
-            _check_triple(subs[i], subs[j], subs[t], stats, census_cap)
-            triples_run += 1
-    else:
-        triple_mode = "sampled"
-        triples_run = sample_target
-        for _ in range(sample_target):
-            i, j, t = sorted(rng.randrange(m) for _ in range(3))
-            _check_triple(subs[i], subs[j], subs[t], stats, census_cap)
-            samples += 1
+    def draw_nested() -> Optional[tuple[Subgroup, ...]]:
+        i1 = rng.randrange(m)
+        if not proper[i1]:
+            return None
+        j1 = rng.choice(proper[i1])
+        i2 = rng.randrange(m)
+        return nested(i1, j1, i2, rng.choice(contained[i2]))
 
-    contained = _containment_lists(subs)
-    nested_run = 0
-    if g.n <= nested_order_limit:
-        nested_mode = "exhaustive"
-        for i1, g1 in enumerate(subs):
-            proper = [j for j in contained[i1] if subs[j].order < g1.order]
-            for j1 in proper:
-                h1 = subs[j1]
-                for i2, g2 in enumerate(subs):
-                    need = g1.mask & g2.mask
-                    for j2 in contained[i2]:
-                        h2 = subs[j2]
-                        if h1.mask & h2.mask != need:
-                            continue
-                        _nested_instances(g, g1, h1, g2, h2, stats)
-                        nested_run += 1
-    else:
-        nested_mode = "sampled"
-        for _ in range(sample_target):
-            i1 = rng.randrange(m)
-            g1 = subs[i1]
-            proper = [j for j in contained[i1] if subs[j].order < g1.order]
-            if not proper:
-                samples += 1
-                continue
-            h1 = subs[rng.choice(proper)]
-            i2 = rng.randrange(m)
-            g2 = subs[i2]
-            h2 = subs[rng.choice(contained[i2])]
-            samples += 1
-            if h1.mask & h2.mask != g1.mask & g2.mask:
-                continue
-            _nested_instances(g, g1, h1, g2, h2, stats)
-            nested_run += 1
+    # One rng serves pairs, then triples, then nested quadruples, in that
+    # order, so a seed names the same samples in every report.
+    pair_mode, pairs, samples = _instances(
+        m * m <= exhaustive_pair_limit,
+        product(subs, repeat=2),
+        lambda: (subs[rng.randrange(m)], subs[rng.randrange(m)]),
+        sample_target,
+    )
+    for h, k in pairs:
+        _check_pair(g, h, k, stats, full)
+
+    triple_mode, triples, drawn = _instances(
+        math.comb(m + 2, 3) <= exhaustive_triple_limit,
+        combinations_with_replacement(subs, 3),
+        lambda: tuple(subs[i] for i in sorted(rng.randrange(m) for _ in range(3))),
+        sample_target,
+    )
+    samples += drawn
+    for gi, gj, gk in triples:
+        _check_triple(gi, gj, gk, stats, census_cap)
+
+    nested_mode, quadruples, drawn = _instances(
+        g.n <= nested_order_limit,
+        (
+            nested(i1, j1, i2, j2)
+            for i1 in range(m)
+            for j1 in proper[i1]
+            for i2 in range(m)
+            for j2 in contained[i2]
+        ),
+        draw_nested,
+        sample_target,
+    )
+    samples += drawn
+    for g1, h1, g2, h2 in quadruples:
+        _nested_instances(g, g1, h1, g2, h2, stats)
 
     return LemmaSuiteResult(
         group_label=g.label,
@@ -327,9 +329,9 @@ def run_lemma_suite(
         pair_mode=pair_mode,
         triple_mode=triple_mode,
         nested_mode=nested_mode,
-        pairs_run=pairs_run,
-        triples_run=triples_run,
-        nested_quadruples_run=nested_run,
+        pairs_run=len(pairs),
+        triples_run=len(triples),
+        nested_quadruples_run=len(quadruples),
         samples=samples,
         seed=seed,
         stats=stats,

@@ -295,6 +295,7 @@ PINNED_REPORTS = {
     "census --group D12": "10c83f65c16b116b837d08589e93a3f47973b5fcaa95aad696c1fd85cfb39eab",
     "lemmas --group S4 --seed 0": "369a50c02753cb6b5a1a086ef7debbcc78c7382024043ed26ce7403ac4380074",
     "lemmas --group S5 --seed 0": "90b51eb97e1eda775c08881348304647b6e5c58b9f3b4f2c0f29ddea7fcd64c6",
+    "lemmas --group A5 --seed 3": "3958ea3f36d3300bb36ebef1d251164eb5cdf109a5f8ff5b1c7f0745c4fb17fc",
 }
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from cosetlab.errors import (
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
-from cosetlab.groups import load_group
+from cosetlab.groups import GroupSpec, direct_product, load_group
 
 from helpers import brute_subgroups, is_subgroup_set, reference_subgroups, small_products
 
@@ -213,6 +215,40 @@ def test_perm_closure_order_cap():
     )
     with pytest.raises(OrderCapExceeded):
         load_group(spec, 10)
+
+
+def _traced_peak(fn, exc):
+    """Peak traced allocation, in bytes, of ``fn()``, which must raise ``exc``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(exc):
+            fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dihedral_order_cap_checked_before_building():
+    # D5000 has order 10000; refusing it must not build 5000-point permutations
+    spec = GroupSpec(kind="named", name="D5000")
+    assert _traced_peak(lambda: load_group(spec), OrderCapExceeded) < 1_000_000
+
+
+def test_perm_spec_degree_mismatch_rejected_without_building_range():
+    doc = {"format": "groupspec-v1", "kind": "perm", "degree": 10**7, "generators": [[1, 0]]}
+    assert _traced_peak(lambda: GroupSpec.from_dict(doc), GroupSpecError) < 1_000_000
+
+
+def test_product_table_is_componentwise():
+    # the pair (x, y) is x * |b| + y, multiplied factor by factor
+    a, b = cl.load_catalog_group("S3"), cl.load_catalog_group("D4")
+    g = direct_product(a, b)
+    nb = b.n
+    for xa in range(a.n):
+        for xb in range(nb):
+            for ya in range(a.n):
+                for yb in range(nb):
+                    assert g.op(xa * nb + xb, ya * nb + yb) == a.op(xa, ya) * nb + b.op(xb, yb)
 
 
 def test_cayley_order_cap():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import cosetlab as cl
+from cosetlab.errors import ConsistencyError
 from cosetlab.lemmas import LemmaStats
 
 
@@ -76,6 +78,21 @@ def test_product_set_disagreement_recorded_as_l21i_failure(lattice, monkeypatch)
     assert res.stats["L2.1.v"].checked < clean.stats["L2.1.v"].checked
 
 
+def test_r_value_disagreement_recorded_as_e34_failure(lattice, monkeypatch):
+    # A failed r-value integrality check is an E3.4 failure of that triple,
+    # which then skips E3.1 and E3.2; it must not escape the suite.
+    def not_integral(subgroups, meet_order):
+        raise ConsistencyError("intersection index not divisible by lcm")
+
+    g, subs = lattice("S3")
+    monkeypatch.setattr("cosetlab.counting._r_from_order", not_integral)
+    res = cl.run_lemma_suite(g, subs)
+    assert res.stats["E3.4"].failed > 0
+    assert "not divisible" in res.stats["E3.4"].examples[0]
+    assert res.stats["E3.1"].checked == 0
+    assert res.stats["E3.2"].checked == 0
+
+
 def test_modes_switch_to_sampled(lattice):
     g, subs = lattice("S4")
     res = cl.run_lemma_suite(
@@ -116,3 +133,15 @@ def test_stats_example_cap():
     assert st.checked == 9
     assert st.failed == 9
     assert len(st.examples) == 5
+
+
+def test_stats_tally_counts_whole_array():
+    st = LemmaStats()
+    st.record(False, "single")
+    st.tally(np.array([True, False, False, True]), "array")
+    assert (st.checked, st.failed) == (5, 3)
+    assert st.examples == ["single", "array", "array"]
+    st.tally(np.array([False] * 6), "more")
+    st.tally(np.array([], dtype=bool), "empty")
+    assert (st.checked, st.failed) == (11, 9)
+    assert st.examples == ["single", "array", "array", "more", "more"]
