@@ -90,6 +90,27 @@ def left_cosets(h: Subgroup) -> tuple[LeftCoset, ...]:
     return h._left_cosets
 
 
+def double_coset_reps(h: Subgroup, k: Subgroup) -> tuple[LeftCoset, ...]:
+    """One left coset of K per double coset H x K: the one holding its least element.
+
+    Left multiplication by H permutes the left cosets of K, and its orbits
+    are the double cosets.  Cosets are numbered by their least element, so
+    an orbit's least label, taken over the products h*r for h in H and r a
+    coset representative, marks the coset kept.  Built once per pair and
+    kept on K.
+    """
+    _pair_parent(h, k)
+    if k._double_coset_reps is None:
+        object.__setattr__(k, "_double_coset_reps", {})
+    memo = k._double_coset_reps
+    if h.mask not in memo:
+        cosets = left_cosets(k)
+        moved = h.parent.np_table[np.ix_(h.elements, [c.rep for c in cosets])]
+        orbit_min = coset_labels(k)[moved].min(axis=0).tolist()
+        memo[h.mask] = tuple(c for i, c in enumerate(cosets) if orbit_min[i] == i)
+    return memo[h.mask]
+
+
 def meeting_matrix(h: Subgroup, k: Subgroup) -> np.ndarray:
     """Boolean matrix whose entry (a, b) says the a-th coset of H meets the b-th of K."""
     _pair_parent(h, k)

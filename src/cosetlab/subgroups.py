@@ -22,9 +22,11 @@ class Subgroup:
     elements: tuple[int, ...]
     order: int
     index: int
-    # Coset labelling and coset list, each built at most once by cosetlab.cosets.
+    # Coset labelling and coset list, each built at most once by cosetlab.cosets,
+    # and its double-coset picks keyed by the mask of the acting subgroup.
     _coset_labels: Any = field(default=None, init=False, repr=False)
     _left_cosets: Any = field(default=None, init=False, repr=False)
+    _double_coset_reps: Any = field(default=None, init=False, repr=False)
 
     @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .bitset import full_mask, lowest_bit
-from .cosets import coset_mask, left_cosets
+from .cosets import coset_mask, double_coset_reps, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
 from .subgroups import Subgroup, enumerate_subgroups, subgroup_from_elements
@@ -134,20 +134,19 @@ def pair_table(
     """Index gcd and disjointability for every subgroup pair.
 
     Disjointability is the rule of ``cosets.disjointable``, |H||K| / |H&K|
-    < |G|, in integer form |H||K| < |G| |H&K|.  All intersection orders
-    come from one product of the 0/1 element-membership rows; a float64
-    product of 0/1 rows is exact while the group order is below 2**53.
+    < |G|, in integer form |H||K| < |G| |H&K|.  Intersection orders are
+    popcounts of the ANDed element masks, summed over their 64-bit words.
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     index = np.array([s.index for s in subs], dtype=np.int64)
     order = np.array([s.order for s in subs], dtype=np.int64)
-    nbytes = (g.n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(s.mask.to_bytes(nbytes, "little") for s in subs), dtype=np.uint8
-    ).reshape(len(subs), nbytes)
-    member = np.unpackbits(packed, axis=1, count=g.n, bitorder="little")
-    member = member.astype(np.float64)
-    inter = (member @ member.T).astype(np.int64)
+    nwords = (g.n + 63) // 64
+    words = np.frombuffer(
+        b"".join(s.mask.to_bytes(8 * nwords, "little") for s in subs), dtype="<u8"
+    ).reshape(len(subs), nwords)
+    inter = np.zeros((len(subs), len(subs)), dtype=np.int64)
+    for w in words.T:
+        inter += np.bitwise_count(np.bitwise_and.outer(w, w))
     inter *= g.n
     return PairTable(np.gcd.outer(index, index), np.outer(order, order) < inter)
 
@@ -160,67 +159,88 @@ def candidate_cliques(
     pair_stats: Optional[PairTable] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> list[tuple[int, ...]]:
-    """Size-k subgroup multisets whose pairs all have gcd < k and are disjointable.
+    """Size-k subgroup multisets that pass the gcd bar and two disjointness bars.
 
-    Emitted in lexicographic order over sorted lattice positions.  Every
-    multiset prefix the search visits counts against the cap, so the cap
-    bounds work done, not only output size.  A given ``pair_stats`` must
-    have been built over ``subgroups``; one of another size raises
-    ValueError.
+    Every pair has index gcd < k, every pair is disjointable, and the orders
+    sum to at most |G|.  The last two hold for any k pairwise disjoint
+    cosets, one per subgroup, since such cosets are disjoint subsets of G;
+    so no multiset left out can hold such a family.  Emitted in
+    lexicographic order over sorted lattice positions.  Every multiset
+    prefix that passes the order-sum bar counts against the cap, so the cap
+    bounds work done, not only output size.  The order-sum bar stops at the
+    first position too large to complete the prefix, which relies on the
+    positions ascending by order; ``subgroups`` out of that order raise
+    ValueError.  A given ``pair_stats`` must have been built over
+    ``subgroups``; one of another size raises ValueError.
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
+    order = [s.order for s in subs]
+    if any(a > b for a, b in zip(order, order[1:])):
+        raise ValueError("subgroups must be sorted by non-decreasing order")
     if pair_stats is None:
         pair_stats = pair_table(g, subs)
     elif pair_stats.side != len(subs):
         raise ValueError(
             f"pair table covers {pair_stats.side} subgroups, lattice has {len(subs)}"
         )
-    # rows[i] has bit j set when positions i and j pass both bars
+    # rows[i] has bit j set when positions i and j pass both pair bars
     rows = pair_stats.rows(k)
 
     out: list[tuple[int, ...]] = []
     visited = 0
 
-    def extend(prefix: tuple[int, ...], cand: int) -> None:
-        # cand: positions compatible with every prefix entry, none below the last
+    def extend(prefix: tuple[int, ...], osum: int, cand: int) -> None:
+        # cand: positions compatible with every prefix entry, none below the last;
+        # osum: the prefix's order sum
         nonlocal visited
+        left = k - len(prefix)
         while cand:
             low = cand & -cand
             j = low.bit_length() - 1
+            # every later pick has order >= order[j], and so has every later j
+            if osum + order[j] * left > g.n:
+                break
             visited += 1
             if visited > max_cliques:
                 raise CliqueCapExceeded(
                     f"clique search in {g.label} passed {max_cliques} prefixes"
                 )
             cur = prefix + (j,)
-            if len(cur) == k:
+            if left == 1:
                 out.append(cur)
             else:
-                extend(cur, cand & rows[j])
+                extend(cur, osum + order[j], cand & rows[j])
             cand ^= low
 
-    extend((), full_mask(len(subs)))
+    extend((), 0, full_mask(len(subs)))
     return out
 
 
 def _search_reps(
     ordered: Sequence[Subgroup],
 ) -> tuple[Optional[tuple[int, ...]], int]:
-    """Backtracking over coset choices; slot 0 is pinned to the subgroup itself.
+    """Backtracking over coset choices, with slots 0 and 1 normalized.
 
     Any disjoint family can be left-translated so its first coset contains
-    the identity, so pinning loses nothing.  Returns the reps found (in the
+    the identity, so slot 0 is pinned to the subgroup H0 itself.  Left
+    multiplication by any h in H0 then still fixes slot 0 and maps the
+    slot-1 coset x H1 to h x H1, so slot 1 tries one coset per double coset
+    H0 x H1.  Neither pin loses a family.  Returns the reps found (in the
     given slot order) and the number of coset placements attempted.
     """
     k = len(ordered)
     examined = 1  # the pinned slot
     first_mask = ordered[0].mask
     reps = [lowest_bit(first_mask)] + [0] * (k - 1)
+    if k == 1:
+        return tuple(reps), examined
+    choices = [double_coset_reps(ordered[0], ordered[1])]
+    choices += [left_cosets(s) for s in ordered[2:]]
 
     def place(slot: int, used: int) -> bool:
         # used: union of the cosets placed in slots before this one
         nonlocal examined
-        for coset in left_cosets(ordered[slot]):
+        for coset in choices[slot - 1]:
             examined += 1
             if used & coset.mask:
                 continue
@@ -229,7 +249,7 @@ def _search_reps(
                 return True
         return False
 
-    if k == 1 or place(1, first_mask):
+    if place(1, first_mask):
         return tuple(reps), examined
     return None, examined
 

@@ -16,6 +16,7 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 
 from cosetlab import FiniteGroup, Subgroup
+from cosetlab.cosets import coset_mask
 
 # Named groups with their orders, the factors of random direct products.
 SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}
@@ -174,3 +175,19 @@ def pairwise_disjoint(sets: list[frozenset[int]]) -> bool:
         if a & b:
             return False
     return True
+
+
+def exists_disjoint_family(g: FiniteGroup, subs: list[Subgroup]) -> bool:
+    """Whether some pairwise disjoint cosets exist, one per listed subgroup.
+
+    Plain backtracking in the given slot order over every coset of every
+    slot: no pinned slot, no double cosets, no reordering.
+    """
+    cosets = [sorted({coset_mask(x, s) for x in range(g.n)}) for s in subs]
+
+    def place(slot: int, used: int) -> bool:
+        if slot == len(subs):
+            return True
+        return any(not used & c and place(slot + 1, used | c) for c in cosets[slot])
+
+    return place(0, 0)

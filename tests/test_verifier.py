@@ -13,20 +13,35 @@ from cosetlab.bitset import bits_tuple
 from cosetlab.errors import CliqueCapExceeded
 from cosetlab.verifier import OPEN_RANGE_NOTE
 
-from helpers import pairwise_disjoint, small_products
+from helpers import exists_disjoint_family, pairwise_disjoint, small_products
 
 VERIFY_GROUPS = ["C6", "C12", "S3", "S4", "D6", "Q8", "A4", "C2xC2xC2", "S3xC2"]
 C2_6 = "C2xC2xC2xC2xC2xC2"
 
 
-def clique_oracle(g, subs, stats, k):
-    """All nondecreasing index multisets whose pairs pass both bars."""
-    comp = {(ps.i, ps.j): ps.gcd_index < k and ps.disjointable for ps in stats}
+def clique_oracle(subs, stats, k):
+    """All nondecreasing index multisets whose pairs pass both pair bars.
+
+    Grown one position at a time over plain index lists and a set of
+    compatible pairs; no order-sum bar.
+    """
+    comp = {(ps.i, ps.j) for ps in stats if ps.gcd_index < k and ps.disjointable}
     out = []
-    for combo in combinations_with_replacement(range(len(subs)), k):
-        if all(comp[(combo[a], combo[b])] for a in range(k) for b in range(a + 1, k)):
-            out.append(combo)
+
+    def grow(prefix):
+        if len(prefix) == k:
+            out.append(tuple(prefix))
+            return
+        for j in range(prefix[-1] if prefix else 0, len(subs)):
+            if all((i, j) in comp for i in prefix):
+                grow(prefix + [j])
+
+    grow([])
     return out
+
+
+def within_order(g, subs, clique):
+    return sum(subs[i].order for i in clique) <= g.n
 
 
 @pytest.mark.parametrize("name", ["C6", "S3", "Q8"])
@@ -101,19 +116,17 @@ def test_candidate_cliques_match_oracle(lattice, name, k):
     g, subs = lattice(name)
     stats = cl.pair_table(g, subs)
     got = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats)
-    assert got == clique_oracle(g, subs, stats, k)
+    assert got == [c for c in clique_oracle(subs, stats, k) if within_order(g, subs, c)]
 
 
 def test_candidate_clique_counts_frozen(lattice):
     g, subs = lattice("S4")
     stats = cl.pair_table(g, subs)
-    counts = {
-        k: len(cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats))
-        for k in (2, 3, 4)
-    }
+    # pair bars only
+    counts = {k: len(clique_oracle(subs, stats, k)) for k in (2, 3, 4)}
     assert counts == {2: 0, 3: 14, 4: 199}
     # k -> (candidate cliques, tuples examined, smallest max_cliques that passes)
-    frozen = {3: (14, 254, 94), 4: (199, 2974, 462), 5: (1913, 50528, 3738)}
+    frozen = {3: (4, 44, 72), 4: (0, 0, 65), 5: (720, 11088, 1309)}
     for k, (cliques, examined, cap) in frozen.items():
         rep = cl.verify_group(g, k, subgroups=subs, pair_stats=stats, max_cliques=cap)
         assert (rep.candidate_clique_count, rep.tuples_examined) == (cliques, examined)
@@ -121,6 +134,38 @@ def test_candidate_clique_counts_frozen(lattice):
             cl.candidate_cliques(
                 g, k, subgroups=subs, pair_stats=stats, max_cliques=cap - 1
             )
+
+
+def test_candidate_cliques_need_sorted_lattice(lattice):
+    # the order-sum bar stops at the first position too large, which is
+    # only sound while positions ascend by order
+    g, subs = lattice("S4")
+    with pytest.raises(ValueError, match="non-decreasing order"):
+        cl.candidate_cliques(g, 3, subgroups=subs[::-1])
+
+
+SMALL_CATALOG = sorted(n for n in cl.CATALOG if cl.load_catalog_group(n).n <= 24)
+
+
+@pytest.mark.parametrize(
+    "name, ks",
+    [pytest.param(n, (2, 3, 4, 5), id=n) for n in SMALL_CATALOG]
+    + [pytest.param("S4", (6,), id="S4-k6")],
+)
+def test_order_bar_and_search_against_plain_backtracking(lattice, name, ks):
+    # every pair-bar clique goes through a backtracking search with no
+    # pinning: the ones the order-sum bar drops hold no disjoint family, and
+    # on the ones it keeps the library search agrees
+    g, subs = lattice(name)
+    stats = cl.pair_table(g, subs)
+    for k in ks:
+        for clique in clique_oracle(subs, stats, k):
+            family = [subs[i] for i in clique]
+            exists = exists_disjoint_family(g, family)
+            if within_order(g, subs, clique):
+                assert (cl.search_disjoint_tuple(family) is not None) == exists, clique
+            else:
+                assert not exists, clique
 
 
 def test_forced_search_on_index_two_pair(lattice):
@@ -210,14 +255,45 @@ def test_verify_confirms_catalog_groups(lattice, name):
             assert rep.tuples_examined >= rep.candidate_clique_count
 
 
+@pytest.mark.parametrize("name", ["S3xC2", "D4", "A4"])
+def test_search_matches_plain_backtracking(lattice, name):
+    # every subgroup triple, with no bars: both finds and misses occur
+    g, subs = lattice(name)
+    found = set()
+    for triple in combinations_with_replacement(subs, 3):
+        exists = exists_disjoint_family(g, list(triple))
+        v = cl.search_disjoint_tuple(list(triple))
+        assert (v is not None) == exists
+        found.add(exists)
+        if v is not None:
+            cosets = [
+                frozenset(bits_tuple(cl.coset_of(r, s).mask))
+                for r, s in zip(v.coset_reps, triple)
+            ]
+            assert pairwise_disjoint(cosets)
+    assert found == {True, False}
+
+
 def test_verify_pinned_on_largest_lattice(lattice):
     # C2^6, 2825 subgroups: the largest lattice the suite verifies
     g, subs = lattice(C2_6)
     stats = cl.pair_table(g, subs)
-    for k, want in {3: (23562, 379512), 4: (23562, 117810)}.items():
+    for k in (3, 4):
         rep = cl.verify_group(g, k, subgroups=subs, pair_stats=stats)
-        assert (rep.candidate_clique_count, rep.tuples_examined) == want
+        assert (rep.candidate_clique_count, rep.tuples_examined) == (0, 0)
         assert rep.status == "confirmed"
+
+
+@pytest.mark.parametrize("name", [C2_6, "A6"])
+def test_verify_open_range_without_cliques(lattice, name):
+    # the order-sum bar leaves no candidate clique at k = 5, 6 on these
+    # lattices, well inside the default clique cap
+    g, subs = lattice(name)
+    stats = cl.pair_table(g, subs)
+    for k in (5, 6):
+        rep = cl.verify_group(g, k, subgroups=subs, pair_stats=stats)
+        assert (rep.candidate_clique_count, rep.tuples_examined) == (0, 0)
+        assert rep.status == "no violations found"
 
 
 def test_verify_k_out_of_range(lattice):
@@ -238,12 +314,12 @@ def test_clique_cap_counts_prefixes(lattice):
 
 
 def test_verify_k5_reports_open_range(lattice):
-    # C6 at k=5: one proper subgroup repeated can pair with itself or the
-    # trivial subgroup, giving exactly four candidate multisets, none of
-    # which can produce five pairwise disjoint cosets
+    # C6 at k=5: four multisets pass the pair bars (a proper subgroup five
+    # times, or four times with the trivial subgroup), but each has order
+    # sum above 6, so none is a candidate and the verdict is still open
     g, subs = lattice("C6")
     rep = cl.verify_group(g, 5, subgroups=subs)
-    assert rep.candidate_clique_count == 4
+    assert rep.candidate_clique_count == 0
     assert rep.violations == []
     assert rep.status == "no violations found"
     assert rep.note == OPEN_RANGE_NOTE
