@@ -21,16 +21,7 @@ from typing import Callable, Optional, Sequence
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
 from .catalog import CATALOG, catalog_names, catalog_spec, load_catalog_group
 from .counting import DEFAULT_CENSUS_CAP, census
-from .errors import (
-    CensusCapExceeded,
-    CliqueCapExceeded,
-    CounterOverflow,
-    GroupSpecError,
-    NotAGroup,
-    OrderCapExceeded,
-    SubgroupCountCapExceeded,
-    UnknownFamily,
-)
+from .errors import BadInput, CensusCapExceeded, GroupSpecError, ResourceLimit, UnknownFamily
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, _parse_family, load_group
 from .lemmas import run_lemma_suite
 from .report import build_report, canonical_json
@@ -190,8 +181,10 @@ def _run(args: argparse.Namespace) -> int:
     """Load the group and its lattice, run the command's work, write the report.
 
     ``args.work`` is a cmd_* function above; it returns its report blocks and
-    exit code.  config echoes only the flags that can change a computed number;
-    jobs, cache dir and report path go to the volatile runtime block.
+    exit code.  config echoes the command, the group token and every k, seed
+    and cap value, the defaults of flags the command does not take included,
+    so all reports have the same keys; jobs, cache dir and report path go to
+    the volatile runtime block.
     """
     t0 = time.perf_counter()
     g = load_group(_resolve_spec(args.group), args.max_order, seed=args.seed)
@@ -266,6 +259,19 @@ def _path_problem(args: argparse.Namespace) -> Optional[str]:
 def _add_common(
     sp: argparse.ArgumentParser, work: Callable[..., tuple[dict, int]]
 ) -> None:
+    """The flags every work command reads, and the defaults of all the rest.
+
+    A flag only some commands take is added after this call without its own
+    default, so argparse copies it from here; the commands without the flag
+    echo the same default, and every report keeps the same keys.
+    """
+    sp.set_defaults(
+        work=work,
+        k=DEFAULT_K_RANGE,
+        jobs=1,
+        max_cliques=DEFAULT_CLIQUE_CAP,
+        max_census=DEFAULT_CENSUS_CAP,
+    )
     sp.add_argument(
         "--group",
         required=True,
@@ -273,15 +279,10 @@ def _add_common(
     )
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP)
-    sp.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     sp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     sp.add_argument(
         "--report", default=None, help="write the JSON report here instead of stdout"
     )
-    sp.add_argument("--max-cliques", type=_positive_int, default=DEFAULT_CLIQUE_CAP)
-    sp.add_argument("--max-census", type=_positive_int, default=DEFAULT_CENSUS_CAP)
-    # only verify takes --k; the others echo the default range in their config
-    sp.set_defaults(work=work, k=DEFAULT_K_RANGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,16 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--k",
         type=_parse_k_range,
-        default=DEFAULT_K_RANGE,
         metavar="MIN..MAX",
         help=f"family sizes to check, within [{K_MIN}, {K_MAX}] (default 2..4)",
     )
+    v.add_argument("--jobs", type=_positive_int, help="worker processes")
+    v.add_argument("--max-cliques", type=_positive_int)
 
-    le = sub.add_parser("lemmas", help="run every counting law on one group")
-    _add_common(le, cmd_lemmas)
-
-    ce = sub.add_parser("census", help="triple censuses over the subgroup lattice")
-    _add_common(ce, cmd_census)
+    for name, help_text, work in (
+        ("lemmas", "run every counting law on one group", cmd_lemmas),
+        ("census", "triple censuses over the subgroup lattice", cmd_census),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        _add_common(sp, work)
+        sp.add_argument("--max-census", type=_positive_int)
 
     sg = sub.add_parser("subgroups", help="list the subgroup lattice")
     _add_common(sg, cmd_subgroups)
@@ -326,16 +330,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "catalog":
             return cmd_catalog(args)
         return _run(args)
-    except (GroupSpecError, UnknownFamily, NotAGroup) as exc:
+    except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        OrderCapExceeded,
-        SubgroupCountCapExceeded,
-        CliqueCapExceeded,
-        CensusCapExceeded,
-        CounterOverflow,
-    ) as exc:
+    except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
 

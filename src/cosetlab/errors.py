@@ -7,19 +7,27 @@ class CosetlabError(Exception):
     """Base class for errors raised by this package."""
 
 
-class GroupSpecError(CosetlabError):
+class BadInput(CosetlabError):
+    """Input the user can fix; the CLI exits 2."""
+
+
+class ResourceLimit(CosetlabError):
+    """A configured cap stopped the work; the CLI exits 3."""
+
+
+class GroupSpecError(BadInput):
     """A group spec is structurally invalid (bad fields, bad JSON shape)."""
 
 
-class NotAGroup(CosetlabError):
+class NotAGroup(BadInput):
     """A multiplication table violates one of the group axioms."""
 
 
-class OrderCapExceeded(CosetlabError):
+class OrderCapExceeded(ResourceLimit):
     """A construction grew past the configured order cap."""
 
 
-class UnknownFamily(CosetlabError):
+class UnknownFamily(BadInput):
     """A named-family string does not denote a supported family."""
 
 
@@ -31,19 +39,19 @@ class EmptyCosetList(CosetlabError):
     """An operation that needs at least one coset got an empty list."""
 
 
-class SubgroupCountCapExceeded(CosetlabError):
+class SubgroupCountCapExceeded(ResourceLimit):
     """Subgroup enumeration found more subgroups than the configured cap."""
 
 
-class CliqueCapExceeded(CosetlabError):
+class CliqueCapExceeded(ResourceLimit):
     """Candidate-clique enumeration visited more multisets than the cap."""
 
 
-class CensusCapExceeded(CosetlabError):
+class CensusCapExceeded(ResourceLimit):
     """A census run would cover more subgroup triples than the cap."""
 
 
-class CounterOverflow(CosetlabError):
+class CounterOverflow(ResourceLimit):
     """A census counter left the unsigned 64-bit range."""
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,6 +20,7 @@ from .errors import (
 DEFAULT_ORDER_CAP = 2000
 ASSOC_EXHAUSTIVE_CAP = 256
 ASSOC_SAMPLES_PER_N2 = 10
+ASSOC_SAMPLE_BLOCK = 1 << 18
 GROUPSPEC_FORMAT = "groupspec-v1"
 
 _NAMED_RE = re.compile(r"^([ACDS])([0-9]+)$")
@@ -250,15 +252,19 @@ def _validate_table(arr: np.ndarray, label: str, seed: int) -> tuple[int, list[i
                     f"{label}: associativity fails at ({a + lo}, {b}, {c})"
                 )
     else:
+        # drawn and checked a block at a time, so memory stays flat in n
         gen = np.random.Generator(np.random.PCG64(seed))
-        triples = gen.integers(0, n, size=(ASSOC_SAMPLES_PER_N2 * n * n, 3))
-        a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-        if not (arr[arr[a, b], c] == arr[a, arr[b, c]]).all():
-            bad = int(np.nonzero(arr[arr[a, b], c] != arr[a, arr[b, c]])[0][0])
-            raise NotAGroup(
-                f"{label}: associativity fails at sampled triple "
-                f"({int(a[bad])}, {int(b[bad])}, {int(c[bad])})"
-            )
+        total = ASSOC_SAMPLES_PER_N2 * n * n
+        for lo in range(0, total, ASSOC_SAMPLE_BLOCK):
+            size = min(ASSOC_SAMPLE_BLOCK, total - lo)
+            a, b, c = gen.integers(0, n, size=(size, 3)).T
+            bad = np.flatnonzero(arr[arr[a, b], c] != arr[a, arr[b, c]])
+            if len(bad):
+                t = bad[0]
+                raise NotAGroup(
+                    f"{label}: associativity fails at sampled triple "
+                    f"({int(a[t])}, {int(b[t])}, {int(c[t])})"
+                )
     return ident, [int(v) for v in inv_vec]
 
 
@@ -281,13 +287,34 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
+def _perm_order(p: tuple[int, ...]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    seen = bytearray(len(p))
+    order = 1
+    for start in range(len(p)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 def _perm_closure(
     degree: int, generators: Sequence[tuple[int, ...]], order_cap: int
 ) -> list[tuple[int, ...]]:
+    gens = [tuple(p) for p in generators]
+    # a group is at least as large as any element's order, so a generator of
+    # large order is refused before any degree-point permutation is stored
+    for q in gens:
+        if _perm_order(q) > order_cap:
+            raise OrderCapExceeded(f"a generator has order above cap {order_cap}")
     ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
-    gens = [tuple(p) for p in generators]
     while frontier:
         nxt = []
         for p in frontier:

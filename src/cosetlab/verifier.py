@@ -216,44 +216,6 @@ def candidate_cliques(
     return out
 
 
-def _search_reps(
-    ordered: Sequence[Subgroup],
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """Backtracking over coset choices, with slots 0 and 1 normalized.
-
-    Any disjoint family can be left-translated so its first coset contains
-    the identity, so slot 0 is pinned to the subgroup H0 itself.  Left
-    multiplication by any h in H0 then still fixes slot 0 and maps the
-    slot-1 coset x H1 to h x H1, so slot 1 tries one coset per double coset
-    H0 x H1.  Neither pin loses a family.  Returns the reps found (in the
-    given slot order) and the number of coset placements attempted.
-    """
-    k = len(ordered)
-    examined = 1  # the pinned slot
-    first_mask = ordered[0].mask
-    reps = [lowest_bit(first_mask)] + [0] * (k - 1)
-    if k == 1:
-        return tuple(reps), examined
-    choices = [double_coset_reps(ordered[0], ordered[1])]
-    choices += [left_cosets(s) for s in ordered[2:]]
-
-    def place(slot: int, used: int) -> bool:
-        # used: union of the cosets placed in slots before this one
-        nonlocal examined
-        for coset in choices[slot - 1]:
-            examined += 1
-            if used & coset.mask:
-                continue
-            reps[slot] = coset.rep
-            if slot + 1 == k or place(slot + 1, used | coset.mask):
-                return True
-        return False
-
-    if place(1, first_mask):
-        return tuple(reps), examined
-    return None, examined
-
-
 def search_disjoint_tuple(subgroups: Sequence[Subgroup]) -> Optional[Violation]:
     """Find any family of pairwise disjoint cosets, one per given subgroup.
 
@@ -270,27 +232,51 @@ def search_disjoint_tuple(subgroups: Sequence[Subgroup]) -> Optional[Violation]:
 def _search_with_count(
     subgroups: Sequence[Subgroup],
 ) -> tuple[Optional[Violation], int]:
+    """Backtracking over coset choices, with two slots normalized.
+
+    Slots are filled largest subgroup first (ties in the caller's order),
+    and each representative goes straight into its caller's slot.  Any
+    disjoint family can be left-translated so its first coset contains the
+    identity, so the first slot is pinned to its subgroup H0 itself.  Left
+    multiplication by any h in H0 then still fixes that coset and maps the
+    second slot's coset x H1 to h x H1, so the second slot tries one coset
+    per double coset H0 x H1.  Neither pin loses a family.  Returns the
+    family, if any, and the number of coset placements attempted.
+    """
     if not subgroups:
         raise ValueError("search needs at least one subgroup")
     parent = subgroups[0].parent
     for s in subgroups[1:]:
         if s.parent is not parent:
             raise ParentMismatch("search subgroups belong to different groups")
-    order = sorted(range(len(subgroups)), key=lambda t: -subgroups[t].order)
-    found, examined = _search_reps([subgroups[t] for t in order])
-    if found is None:
-        return None, examined
+    k = len(subgroups)
+    slots = sorted(range(k), key=lambda t: -subgroups[t].order)
+    first, *rest = (subgroups[t] for t in slots)
+    choices = [double_coset_reps(first, rest[0])] if rest else []
+    choices += [left_cosets(s) for s in rest[1:]]
+    reps = [0] * k
+    reps[slots[0]] = lowest_bit(first.mask)
+    examined = 1  # the pinned slot
 
-    # undo the search permutation so reps line up with the caller's slots
-    reps = [0] * len(subgroups)
-    for slot, t in enumerate(order):
-        reps[t] = found[slot]
+    def place(slot: int, used: int) -> bool:
+        # used: union of the cosets placed in the slots before this one
+        nonlocal examined
+        for coset in choices[slot - 1]:
+            examined += 1
+            if used & coset.mask:
+                continue
+            reps[slots[slot]] = coset.rep
+            if slot + 1 == k or place(slot + 1, used | coset.mask):
+                return True
+        return False
+
+    if k > 1 and not place(1, first.mask):
+        return None, examined
     masks = [coset_mask(rep, sub) for rep, sub in zip(reps, subgroups)]
-    for a in range(len(masks)):
-        for b in range(a + 1, len(masks)):
+    for a in range(k):
+        for b in range(a + 1, k):
             if masks[a] & masks[b]:
                 raise ConsistencyError("search returned a non-disjoint family")
-    k = len(subgroups)
     gcds = tuple(
         tuple(math.gcd(subgroups[a].index, subgroups[b].index) for b in range(k))
         for a in range(k)

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+from cosetlab import cli, errors
 from cosetlab.cli import main
 from cosetlab.report import canonical_json, strip_volatile, validate_report
 
@@ -190,11 +192,77 @@ def test_cache_dir_off_writes_nothing(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flag", ["--jobs", "--max-order", "--max-cliques", "--max-census"])
 def test_non_positive_counts_exit_2(capsys, tmp_path, flag):
+    command = "census" if flag == "--max-census" else "verify"
     for value in ("0", "-1"):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--group", "C6", "--cache-dir", str(tmp_path), flag, value])
+            main([command, "--group", "C6", "--cache-dir", str(tmp_path), flag, value])
         assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("verify", "--max-census"),
+        ("lemmas", "--jobs"),
+        ("lemmas", "--max-cliques"),
+        ("census", "--jobs"),
+        ("census", "--max-cliques"),
+        ("subgroups", "--jobs"),
+        ("subgroups", "--max-cliques"),
+        ("subgroups", "--max-census"),
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(capsys, tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "S3", "--cache-dir", str(tmp_path), flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "exc_type, code",
+    [
+        (errors.GroupSpecError, 2),
+        (errors.UnknownFamily, 2),
+        (errors.NotAGroup, 2),
+        (errors.OrderCapExceeded, 3),
+        (errors.SubgroupCountCapExceeded, 3),
+        (errors.CliqueCapExceeded, 3),
+        (errors.CensusCapExceeded, 3),
+        (errors.CounterOverflow, 3),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_mapped_errors_exit_codes(capsys, monkeypatch, exc_type, code):
+    def fail(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "load_group", fail)
+    got, out, err = run(capsys, "subgroups", "--group", "S3", "--cache-dir", "off")
+    assert got == code
+    assert out == ""
+    assert err == {2: "error: boom\n", 3: "resource limit: boom\n"}[code]
+
+
+def test_perm_generator_of_large_order_refused_before_closure(capsys, tmp_path):
+    # a 5000-cycle has order 5000 > the default cap 2000; refusing it must
+    # not store thousands of 5000-point permutations first
+    p = tmp_path / "cycle.json"
+    cycle = list(range(1, 5000)) + [0]
+    doc = {"format": "groupspec-v1", "kind": "perm", "degree": 5000, "generators": [cycle]}
+    p.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--group", str(p), "--cache-dir", "off")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ")
+    assert peak < 2_000_000
 
 
 def test_census_c6(capsys, tmp_path):
@@ -296,13 +364,16 @@ PINNED_REPORTS = {
     "lemmas --group S4 --seed 0": "369a50c02753cb6b5a1a086ef7debbcc78c7382024043ed26ce7403ac4380074",
     "lemmas --group S5 --seed 0": "90b51eb97e1eda775c08881348304647b6e5c58b9f3b4f2c0f29ddea7fcd64c6",
     "lemmas --group A5 --seed 3": "3958ea3f36d3300bb36ebef1d251164eb5cdf109a5f8ff5b1c7f0745c4fb17fc",
+    # tuples_examined depends on the slot order among subgroups of equal order
+    "verify --group A4xA4 --k 2..5": "9b82e7fa3b0a4da6dac46157b7dce529a2831b85ada3a772198620b8b47796e1",
+    "verify --group D30 --k 2..6": "df0faa936ffe3ef21378751083586118f6e5f7c23bf0553b88bc08811fcecd18",
 }
 
 
 @pytest.mark.parametrize("command", list(PINNED_REPORTS))
 def test_report_answers_pinned(capsys, command):
     # sha256 of the canonical report without its runtime block: a rewrite
-    # of the counting or lemma layers must not change a single answer
+    # of the counting, lemma or search layers must not change a single answer
     code, out, _ = run(capsys, *command.split(), "--cache-dir", "off")
     assert code == 0
     text = canonical_json(strip_volatile(json.loads(out)))

@@ -234,6 +234,20 @@ def test_dihedral_order_cap_checked_before_building():
     assert _traced_peak(lambda: load_group(spec), OrderCapExceeded) < 1_000_000
 
 
+def test_sampled_associativity_check_in_bounded_memory():
+    # C600 is above the exhaustive cap, so 3.6M triples are sampled; they
+    # are drawn and checked in blocks, not held at once
+    spec = GroupSpec(kind="named", name="C600")
+    tracemalloc.start()
+    try:
+        g = load_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 600
+    assert peak < 64_000_000
+
+
 def test_perm_spec_degree_mismatch_rejected_without_building_range():
     doc = {"format": "groupspec-v1", "kind": "perm", "degree": 10**7, "generators": [[1, 0]]}
     assert _traced_peak(lambda: GroupSpec.from_dict(doc), GroupSpecError) < 1_000_000
