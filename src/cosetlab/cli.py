@@ -14,13 +14,12 @@ import math
 import os
 import sys
 import time
-from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
 from .catalog import CATALOG, catalog_names, catalog_spec, load_catalog_group
-from .counting import DEFAULT_CENSUS_CAP, census
+from .counting import DEFAULT_CENSUS_CAP, lattice_census
 from .errors import BadInput, CensusCapExceeded, GroupSpecError, ResourceLimit, UnknownFamily
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, _parse_family, load_group
 from .lemmas import run_lemma_suite
@@ -145,23 +144,33 @@ def cmd_census(
             f"{g.label}: {n_triples} subgroup triples exceed"
             f" --max-census {args.max_census}"
         )
+    orders = [s.order for s in subs]
     entries = []
     enumerated = 0
-    for i, j, t in combinations_with_replacement(range(m), 3):
-        c = census(subs[i], subs[j], subs[t], max_census=args.max_census)
-        enumerated += c.enumerated
-        entries.append(
-            {
-                "subgroup_orders": [subs[i].order, subs[j].order, subs[t].order],
-                "total": c.total,
-                "s_pair": list(c.s_pair),
-                "s_pair_pair": list(c.s_pair_pair),
-                "s_triple": c.s_triple,
-                "meet_all": c.meet_all,
-                "n_disjoint": c.n_disjoint,
-                "enumerated": c.enumerated,
-            }
-        )
+    for pc in lattice_census(subs, max_census=args.max_census):
+        for t, total, s_pair, s_pair_pair, s_triple, meet_all, n_disjoint, exact in zip(
+            range(pc.j, m),
+            pc.total.tolist(),
+            pc.s_pair.tolist(),
+            pc.s_pair_pair.tolist(),
+            pc.s_triple.tolist(),
+            pc.meet_all.tolist(),
+            pc.n_disjoint.tolist(),
+            pc.enumerated.tolist(),
+        ):
+            enumerated += exact
+            entries.append(
+                {
+                    "subgroup_orders": [orders[pc.i], orders[pc.j], orders[t]],
+                    "total": total,
+                    "s_pair": s_pair,
+                    "s_pair_pair": s_pair_pair,
+                    "s_triple": s_triple if exact else None,
+                    "meet_all": meet_all,
+                    "n_disjoint": n_disjoint if exact else None,
+                    "enumerated": exact,
+                }
+            )
     print(
         f"{g.label}: {len(entries)} subgroup triples censused,"
         f" {enumerated} enumerated exactly",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -183,6 +183,186 @@ def census(
     if incl_excl != enum["n_disjoint"]:
         raise ConsistencyError("inclusion-exclusion disagrees with the disjoint count")
     return TripleCensus(**enum, enumerated=True)
+
+
+@dataclass(frozen=True)
+class PairCensus:
+    """Census of the subgroup triples (i, j, t) for one pair i <= j and every t >= j.
+
+    Every array runs over t = j, ..., m-1; ``s_pair`` and ``s_pair_pair``
+    have one column per named pair, in the order of ``TripleCensus``.
+    ``s_triple`` and ``n_disjoint`` hold 0 where ``enumerated`` is False.
+    """
+
+    i: int
+    j: int
+    total: np.ndarray
+    s_pair: np.ndarray
+    s_pair_pair: np.ndarray
+    s_triple: np.ndarray
+    meet_all: np.ndarray
+    n_disjoint: np.ndarray
+    enumerated: np.ndarray
+
+
+def _check_pair(i: int, j: int, closed: dict, enum: dict, exact: np.ndarray) -> None:
+    """The checks of ``census`` on the enumerated triples (i, j, j + t).
+
+    A failure raises ConsistencyError naming the first failing triple.
+    """
+    fails = {
+        key: (closed[key] != enum[key]).reshape(len(exact), -1).any(axis=1) for key in closed
+    }
+    fails["s_triple"] = enum["s_triple"] < enum["meet_all"]
+    incl_excl = (
+        enum["total"]
+        - enum["s_pair"].sum(axis=1)
+        + enum["s_pair_pair"].sum(axis=1)
+        - enum["s_triple"]
+    )
+    fails["n_disjoint"] = incl_excl != enum["n_disjoint"]
+    bad = np.logical_or.reduce(list(fails.values())) & exact
+    if not bad.any():
+        return
+    t = int(np.argmax(bad))
+    key = next(k for k, f in fails.items() if f[t])
+    if key in closed:
+        why = f"closed form {closed[key][t].tolist()} != enumeration {enum[key][t].tolist()}"
+    elif key == "s_triple":
+        why = "three pairwise meets undercount the common points"
+    else:
+        why = "inclusion-exclusion disagrees with the disjoint count"
+    raise ConsistencyError(f"census triple ({i}, {j}, {j + t}) {key}: {why}")
+
+
+def lattice_census(
+    subs: Sequence[Subgroup], *, max_census: int = DEFAULT_CENSUS_CAP
+) -> Iterator[PairCensus]:
+    """The census of every subgroup triple of a lattice, one pair i <= j at a time.
+
+    Pairs come in ``combinations_with_replacement`` order, so the triples
+    (i, j, t) do too.  Both routes of ``census`` run on whole arrays and
+    are compared triple by triple; a disagreement raises ConsistencyError
+    naming the first failing triple.
+
+    Closed forms come from the intersection orders, ``B @ B.T`` over the
+    0/1 element-membership rows and ``(B[i] & B[j]) @ B[j:].T``.  The
+    enumeration numbers every coset of the lattice: coset c of subgroup t
+    is column ``off[t] + c``, with ``off`` the running sum of the indices
+    and C their total.  Subgroup i's row block is the index_i x C 0/1
+    matrix of which cosets meet which, so the meeting matrix Mjt of ``census``
+    is the t-th column segment of j's block.  Per pair, the counts for every
+    t >= j at once are sums per column segment: ``s_triple`` of the products
+    of the Mit and Mjt rows of the meeting pairs of i and j, ``n_disjoint``
+    of the same product as in ``census`` over the complement blocks.  Pair
+    counts are dot products of the blocks' row and column sums.  A triple
+    above ``max_census`` gets closed forms only, as in ``census``.  A few
+    arrays of at most |G| x C entries are held at once, O(max index x C)
+    memory, and no array over coset triples is built.  Counts are int64, so
+    the group order must stay below 2**21.
+    """
+    m = len(subs)
+    if m == 0:
+        return
+    parent = subs[0].parent
+    if any(s.parent is not parent for s in subs):
+        raise ParentMismatch("census subgroups belong to different groups")
+    n = parent.n
+    if n**3 > np.iinfo(np.int64).max:
+        raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
+
+    member = np.zeros((m, n), dtype=np.int64)
+    for s, row in zip(subs, member):
+        row[list(s.elements)] = 1
+    pair_meet = member @ member.T
+    index = n // member.sum(axis=1)
+    off = np.concatenate(([0], np.cumsum(index)))
+    labels = np.stack([coset_labels(s) for s in subs])
+    glabels = labels + off[:m, None]
+
+    def block(i: int, t0: int) -> np.ndarray:
+        """Subgroup i's row block over the cosets of subgroups t0, ..., m-1."""
+        out = np.zeros((index[i], off[m] - off[t0]), dtype=np.int64)
+        out[labels[i], glabels[t0:] - off[t0]] = 1
+        return out
+
+    # Per subgroup: the column sums of its block (how many of its cosets meet
+    # each coset) and its row sums per segment (index_i x m).
+    col_sums = np.empty((m, off[m]), dtype=np.int64)
+    row_sums = []
+    for i in range(m):
+        b = block(i, 0)
+        col_sums[i] = b.sum(axis=0)
+        row_sums.append(np.add.reduceat(b, off[:m], axis=1))
+    nonzero = np.add.reduceat(col_sums, off[:m], axis=1)  # nnz of every Mit
+
+    for i in range(m):
+        a = int(index[i])
+        mi = block(i, 0)
+        ni = 1 - mi
+        for j in range(i, m):
+            b = int(index[j])
+            c = index[j:]
+            p_ij = n // pair_meet[i, j]
+            p_it, p_jt = n // pair_meet[i, j:], n // pair_meet[j, j:]
+            total = a * b * c
+            # Pivot orders: share subgroup i, then j, then t.
+            pp, rem = np.divmod(
+                np.stack([p_ij * p_it, p_ij * p_jt, p_it * p_jt], axis=1),
+                np.stack([np.full_like(c, a), np.full_like(c, b), c], axis=1),
+            )
+            if rem.any():
+                raise ConsistencyError("pair-pair closed form is not integral")
+            closed = {
+                "total": total,
+                "s_pair": np.stack([p_ij * c, p_it * b, p_jt * a], axis=1),
+                "s_pair_pair": pp,
+                "meet_all": n // ((member[i] & member[j]) @ member[j:].T),
+            }
+            enumerated = total <= max_census
+            s_triple = np.zeros_like(total)
+            n_disjoint = np.zeros_like(total)
+            if enumerated.any():
+                # The first enumerated t; the columns from its segment on.
+                t0 = j + int(np.argmax(enumerated))
+                c0, seg = off[t0], off[t0:m] - off[t0]
+                mjt, mit = block(j, t0), mi[:, c0:]
+                # Coset x of i meets coset y of j exactly when some point has
+                # labels (x, y), so at most n pairs meet; the sum of the
+                # products of their rows is sum((Mij @ Mjt) * Mit) at n x C
+                # cost in place of a x b x C.
+                pair_key = labels[i] * b + labels[j]
+                xs, ys = np.divmod(np.unique(pair_key), b)
+                s_triple[t0 - j :] = np.add.reduceat((mit[xs] * mjt[ys]).sum(axis=0), seg)
+                n_disjoint[t0 - j :] = np.add.reduceat(
+                    ((ni[:, off[j] : off[j] + b] @ (1 - mjt)) * ni[:, c0:]).sum(axis=0), seg
+                )
+                # A coset triple has a common point x exactly when it is x's label triple.
+                keys = np.sort(pair_key * c[:, None] + labels[j:], axis=1)
+                meet_all = 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
+                rows_i, rows_j = row_sums[i], row_sums[j]
+                cols_i, cols_j = col_sums[i, off[j] :], col_sums[j, off[j] :]
+                enum = {
+                    "total": total,
+                    "s_pair": np.stack(
+                        [nonzero[i, j] * c, nonzero[i, j:] * b, nonzero[j, j:] * a], axis=1
+                    ),
+                    "s_pair_pair": np.stack(
+                        [
+                            rows_i[:, j] @ rows_i[:, j:],
+                            cols_i[:b] @ rows_j[:, j:],
+                            np.add.reduceat(cols_i * cols_j, off[j:m] - off[j]),
+                        ],
+                        axis=1,
+                    ),
+                    "s_triple": s_triple,
+                    "meet_all": meet_all,
+                    "n_disjoint": n_disjoint,
+                }
+                _check_pair(i, j, closed, enum, enumerated)
+            yield PairCensus(
+                i, j, **closed, s_triple=s_triple, n_disjoint=n_disjoint, enumerated=enumerated
+            )
 
 
 def r_strict_upper(d: int, r_ij: int, r_ik: int, r_jk: int) -> int:

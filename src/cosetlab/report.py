@@ -8,6 +8,8 @@ other blocks are deterministic functions of the inputs and the seed.
 from __future__ import annotations
 
 import json
+import operator
+from itertools import chain
 from typing import Any, Optional
 
 from . import __version__
@@ -188,7 +190,78 @@ REPORT_SCHEMA = {
 }
 
 
+def _entry_template(enumerated: bool) -> str:
+    """One census entry as ``json.dumps(..., sort_keys=True, indent=2)`` writes
+    it inside the top-level census list; a capped entry has null s_triple and
+    n_disjoint."""
+    triple = "[\n        %d,\n        %d,\n        %d\n      ]"
+    nullable = "%d" if enumerated else "null"
+    fields = {
+        "enumerated": "true" if enumerated else "false",
+        "meet_all": "%d",
+        "n_disjoint": nullable,
+        "s_pair": triple,
+        "s_pair_pair": triple,
+        "s_triple": nullable,
+        "subgroup_orders": triple,
+        "total": "%d",
+    }
+    body = ",\n".join(f'      "{key}": {value}' for key, value in fields.items())
+    return "    {\n" + body + "\n    }"
+
+
+_ENTRY_TEMPLATES = {True: _entry_template(True), False: _entry_template(False)}
+_ENTRY_KEYS = frozenset(_CENSUS_ENTRY["properties"])
+_CENSUS_SLOT = '\n  "census": []'
+
+
+def _census_text(entries: list) -> Optional[str]:
+    """The census list rendered from the entry templates, or None when some
+    entry is not of the fixed shape: eight keys, ints and lists of three ints,
+    with null for s_triple and n_disjoint exactly when enumerated is false.
+
+    Each check runs over the whole block at once.  %d would also take bools
+    and floats, which JSON writes differently, so every value must be an int.
+    """
+    if not all(type(e) is dict and e.keys() == _ENTRY_KEYS for e in entries):
+        return None
+    lists = [e[key] for e in entries for key in ("s_pair", "s_pair_pair", "subgroup_orders")]
+    if set(map(type, lists)) != {list} or set(map(len, lists)) != {3}:
+        return None
+    exact = [e["enumerated"] for e in entries]
+    if set(map(type, exact)) != {bool}:
+        return None
+    if not all(e["s_triple"] is e["n_disjoint"] is None for e, x in zip(entries, exact) if not x):
+        return None
+    rows = [
+        (e["meet_all"], e["n_disjoint"], *e["s_pair"], *e["s_pair_pair"], e["s_triple"],
+         *e["subgroup_orders"], e["total"])
+        if x
+        else (e["meet_all"], *e["s_pair"], *e["s_pair_pair"], *e["subgroup_orders"], e["total"])
+        for e, x in zip(entries, exact)
+    ]
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    body = ",\n".join(map(operator.mod, map(_ENTRY_TEMPLATES.get, exact), rows))
+    return '\n  "census": [\n' + body + "\n  ]"
+
+
 def canonical_json(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
+
+    With ``indent`` set, the json module encodes in pure Python.  A census
+    block can run to tens of thousands of entries of one fixed shape, so it
+    is written from a template and spliced in at its sorted position, in
+    place of the emptied list.  The census key's line is the only one that
+    starts with two spaces and ``"census"``: nested keys are indented
+    further, and JSON strings hold no raw newline.
+    """
+    census = doc.get("census")
+    if type(census) is list and census:
+        text = _census_text(census)
+        if text is not None:
+            rest = json.dumps({**doc, "census": []}, sort_keys=True, indent=2)
+            return rest.replace(_CENSUS_SLOT, text, 1) + "\n"
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -361,6 +361,9 @@ def test_reports_identical_across_cache_and_jobs(capsys, tmp_path):
 PINNED_REPORTS = {
     "census --group S4": "742a848ffa3323f0fdb4b64b6438e08e05b5033d2f53b06996dd21caae6c9e71",
     "census --group D12": "10c83f65c16b116b837d08589e93a3f47973b5fcaa95aad696c1fd85cfb39eab",
+    "census --group A5": "60eda24506c7451b87638282be59d754bfa9008eb730adc51ef04de00ccc9f4f",
+    # 12 of the 20 triples are enumerated, 8 capped
+    "census --group C6 --max-census 20": "47b0a5b34cc3e395fd17c66f8489aa808c5775b338dc2ce94ac899f93cdaaa48",
     "lemmas --group S4 --seed 0": "369a50c02753cb6b5a1a086ef7debbcc78c7382024043ed26ce7403ac4380074",
     "lemmas --group S5 --seed 0": "90b51eb97e1eda775c08881348304647b6e5c58b9f3b4f2c0f29ddea7fcd64c6",
     "lemmas --group A5 --seed 3": "3958ea3f36d3300bb36ebef1d251164eb5cdf109a5f8ff5b1c7f0745c4fb17fc",

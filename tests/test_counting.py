@@ -217,3 +217,69 @@ def test_census_counts_are_monotone(lattice, data):
     assert c.meet_all <= c.s_triple
     assert c.n_disjoint <= c.total
     assert c.total == subs[i].index * subs[j].index * subs[k].index
+
+
+# Every catalog group of order <= 24, and A5.
+ORACLE_GROUPS = [
+    name for name in cl.catalog_names() if cl.load_catalog_group(name).n <= 24
+] + ["A5"]
+
+
+def _lattice_entries(subs, cap):
+    """The lattice census flattened to one TripleCensus per triple, in
+    combinations_with_replacement order."""
+    out = []
+    for pc in cl.lattice_census(subs, max_census=cap):
+        for t in range(len(pc.total)):
+            exact = bool(pc.enumerated[t])
+            out.append(
+                cl.TripleCensus(
+                    total=int(pc.total[t]),
+                    s_pair=tuple(pc.s_pair[t].tolist()),
+                    s_pair_pair=tuple(pc.s_pair_pair[t].tolist()),
+                    s_triple=int(pc.s_triple[t]) if exact else None,
+                    meet_all=int(pc.meet_all[t]),
+                    n_disjoint=int(pc.n_disjoint[t]) if exact else None,
+                    enumerated=exact,
+                )
+            )
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,cap",
+    [(name, cl.counting.DEFAULT_CENSUS_CAP) for name in ORACLE_GROUPS] + [("S4", 500)],
+)
+def test_lattice_census_matches_per_triple_census(lattice, name, cap):
+    # census() is the independent per-triple route; at a cap of 500 S4 mixes
+    # enumerated and capped triples
+    g, subs = lattice(name)
+    got = _lattice_entries(subs, cap)
+    want = [
+        cl.census(subs[i], subs[j], subs[t], max_census=cap)
+        for i, j, t in combinations_with_replacement(range(len(subs)), 3)
+    ]
+    assert got == want
+    if cap == 500:
+        assert 0 < sum(c.enumerated for c in got) < len(got)
+
+
+def test_lattice_census_names_first_failing_triple(lattice, monkeypatch):
+    # merging the trivial subgroup's cosets in pairs breaks every count of the
+    # enumeration through it, so the first triple (0, 0, 0) fails first
+    g, subs = lattice("C6")
+    true_labels = cl.counting.coset_labels
+
+    def merged(h):
+        return true_labels(h) // 2 if h.order == 1 else true_labels(h)
+
+    monkeypatch.setattr(cl.counting, "coset_labels", merged)
+    with pytest.raises(cl.ConsistencyError, match=r"census triple \(0, 0, 0\)"):
+        list(cl.lattice_census(subs))
+
+
+def test_lattice_census_parent_check(lattice):
+    _, subs6 = lattice("C6")
+    _, subs12 = lattice("C12")
+    with pytest.raises(ParentMismatch):
+        list(cl.lattice_census([subs6[0], subs12[0]]))

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetlab
+from cosetlab.cli import main
 from cosetlab.report import (
     REPORT_FORMAT,
     REPORT_SCHEMA,
@@ -14,6 +19,8 @@ from cosetlab.report import (
     strip_volatile,
     validate_report,
 )
+
+from test_cli import PINNED_REPORTS
 
 
 def _minimal():
@@ -105,3 +112,95 @@ def test_violation_entries_validate():
 def test_schema_is_itself_valid_draft7():
     jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
     assert REPORT_SCHEMA["properties"]["format"]["const"] == REPORT_FORMAT
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_count = st.integers(-(2**70), 2**70)
+_triple = st.lists(_count, min_size=3, max_size=3)
+
+
+@st.composite
+def census_entries(draw):
+    """A census entry of the fixed shape, enumerated or capped, or now and
+    then one of another shape, which the template cannot write."""
+    exact = draw(st.booleans())
+    entry = {
+        "subgroup_orders": draw(_triple),
+        "total": draw(_count),
+        "s_pair": draw(_triple),
+        "s_pair_pair": draw(_triple),
+        "s_triple": draw(_count) if exact else None,
+        "meet_all": draw(_count),
+        "n_disjoint": draw(_count) if exact else None,
+        "enumerated": exact,
+    }
+    if draw(st.integers(0, 9)) == 0:
+        key = draw(st.sampled_from(sorted(entry)))
+        entry[key] = draw(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.floats(allow_nan=False),
+                _count,
+                st.lists(_count, max_size=4),
+                st.tuples(_count, _count, _count),
+            )
+        )
+        if draw(st.booleans()):
+            del entry[key]
+    return entry
+
+
+@st.composite
+def report_documents(draw):
+    label = draw(st.text(min_size=1, max_size=8))  # non-ASCII escapes included
+    doc = build_report(
+        config={"command": "census", "group": label, "seed": draw(_count)},
+        group={"label": label, "order": 1, "spec_hash": draw(st.text(max_size=8))},
+        census=draw(st.lists(census_entries(), max_size=6)),
+        subgroups=draw(st.none() | st.lists(st.lists(_count, max_size=3), max_size=3)),
+        runtime=draw(st.none() | st.fixed_dictionaries({"cache_dir": st.text(max_size=8)})),
+    )
+    if draw(st.booleans()):
+        doc["a\u00e9 key"] = draw(st.text(max_size=8))  # sorts before census
+    return doc
+
+
+@given(doc=report_documents())
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_equals_indented_dumps(doc):
+    assert canonical_json(doc) == _json_dumps(doc)
+
+
+def test_canonical_json_empty_and_capped_census():
+    doc = _minimal()
+    doc["group"]["label"] = "S\u2084 \u00d7 C\u2082"
+    doc["census"] = []
+    assert canonical_json(doc) == _json_dumps(doc)
+    doc["census"] = [
+        {
+            "subgroup_orders": [1, 2, 2],
+            "total": 27,
+            "s_pair": [18, 18, 18],
+            "s_pair_pair": [12, 12, 12],
+            "s_triple": None,
+            "meet_all": 6,
+            "n_disjoint": None,
+            "enumerated": False,
+        }
+    ]
+    assert '"s_triple": null' in canonical_json(doc)
+    assert canonical_json(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("command", list(PINNED_REPORTS))
+def test_canonical_json_equals_indented_dumps_on_pinned_reports(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*command.split(), "--cache-dir", "off"]) == 0
+    doc = json.loads(out.getvalue())
+    assert out.getvalue() == _json_dumps(doc)
+    assert canonical_json(doc) == _json_dumps(doc)
