@@ -109,7 +109,8 @@ def cmd_verify(
         reports.append(rep)
         print(
             f"{g.label} k={rep.k}: {rep.status}"
-            f" ({rep.candidate_clique_count} candidate cliques,"
+            f" ({rep.candidate_clique_count} candidate cliques"
+            f" in {rep.clique_orbits} orbits,"
             f" {rep.tuples_examined} tuples examined)",
             file=sys.stderr,
         )

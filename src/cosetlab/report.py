@@ -46,6 +46,7 @@ _VERIFICATION = {
         "subgroup_count",
         "status",
         "candidate_cliques",
+        "clique_orbits",
         "tuples_examined",
         "violations",
     ],
@@ -56,6 +57,7 @@ _VERIFICATION = {
         "subgroup_count": {"type": "integer", "minimum": 1},
         "status": {"type": "string"},
         "candidate_cliques": {"type": "integer", "minimum": 0},
+        "clique_orbits": {"type": "integer", "minimum": 0},
         "tuples_examined": {"type": "integer", "minimum": 0},
         "violations": {"type": "array", "items": _VIOLATION},
         "note": {"type": "string"},

@@ -8,8 +8,10 @@ question is open and hits would be genuine discoveries.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -18,7 +20,12 @@ from .bitset import full_mask, lowest_bit
 from .cosets import coset_mask, double_coset_reps, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
-from .subgroups import Subgroup, enumerate_subgroups, subgroup_from_elements
+from .subgroups import (
+    Subgroup,
+    close_generators,
+    enumerate_subgroups,
+    subgroup_from_elements,
+)
 
 DEFAULT_CLIQUE_CAP = 10**6
 K_MIN = 2
@@ -63,6 +70,7 @@ class VerificationReport:
     k: int
     subgroup_count: int
     candidate_clique_count: int
+    clique_orbits: int
     tuples_examined: int
     violations: list[Violation]
     note: Optional[str] = None
@@ -78,6 +86,7 @@ class VerificationReport:
             "group_order": self.group_order,
             "subgroup_count": self.subgroup_count,
             "candidate_cliques": self.candidate_clique_count,
+            "clique_orbits": self.clique_orbits,
             "tuples_examined": self.tuples_examined,
             "violations": [v.to_json_dict() for v in self.violations],
             "status": self.status,
@@ -290,6 +299,122 @@ def _search_with_count(
     return violation, examined
 
 
+def _generating_set(g: FiniteGroup) -> list[int]:
+    """A small generating set of g: element ids scanned upward, each kept
+    when it lies outside the subgroup generated by those kept before it."""
+    gens: list[int] = []
+    mask = close_generators(g, ())
+    full = full_mask(g.n)
+    for x in range(g.n):
+        if mask == full:
+            break
+        if not mask >> x & 1:
+            gens.append(x)
+            mask = close_generators(g, (x,), mask)
+    return gens
+
+
+def conjugation_action(
+    g: FiniteGroup, subgroups: Sequence[Subgroup]
+) -> list[np.ndarray]:
+    """The action of g on lattice positions by conjugation, one permutation
+    per element of ``_generating_set(g)``.
+
+    For generator x, entry i of its permutation is the position of
+    x^-1 H_i x.  Each element h goes to x^-1 h x through the Cayley table,
+    the 0/1 membership rows are moved along, packed to bytes and looked up
+    among the packed rows of the lattice.  An image missing from the
+    lattice, or found at a position of another order, raises
+    ConsistencyError.
+    """
+    m, table = len(subgroups), g.np_table
+    member = np.zeros((m, g.n), dtype=bool)
+    member[
+        np.repeat(np.arange(m), [s.order for s in subgroups]),
+        np.fromiter((e for s in subgroups for e in s.elements), dtype=np.int64),
+    ] = True
+    position = {
+        row.tobytes(): i
+        for i, row in enumerate(np.packbits(member, axis=1, bitorder="little"))
+    }
+    order = np.array([s.order for s in subgroups], dtype=np.int64)
+    perms = []
+    for x in _generating_set(g):
+        image = np.zeros_like(member)
+        image[:, table[table[g.inv[x]], x]] = member
+        packed = np.packbits(image, axis=1, bitorder="little")
+        try:
+            perm = np.array([position[row.tobytes()] for row in packed], dtype=np.int64)
+        except KeyError:
+            raise ConsistencyError(
+                f"a conjugate of a subgroup of {g.label} is missing from its lattice"
+            ) from None
+        if (order[perm] != order).any():
+            raise ConsistencyError("conjugation changed a subgroup order")
+        perms.append(perm)
+    return perms
+
+
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """int64 keys of the rows of a 2-D array with entries in [0, base):
+    equal exactly when the rows are equal, and ascending with the rows in
+    lexicographic order.  Columns are folded in as key * base + column;
+    before that could pass 2^62 the keys are replaced by their ranks, so no
+    lattice size overflows."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every key lies below bound
+    for col in rows.T:
+        if bound > (1 << 62) // base:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * base + col
+        bound *= base
+    return key
+
+
+def clique_orbit_labels(
+    perms: Sequence[np.ndarray], cliques: Sequence[tuple[int, ...]]
+) -> np.ndarray:
+    """Orbit label of each clique under simultaneous conjugation.
+
+    ``perms`` act on lattice positions (``conjugation_action``) and
+    ``cliques`` is a non-empty list of sorted position tuples in
+    lexicographic order, as ``candidate_cliques`` returns them.  Entry i is
+    the least clique index in the orbit of clique i, so representatives are
+    the i with label i, whatever generating set the perms come from.  Conjugation keeps index
+    gcds, disjointability and orders, so an image that is not a candidate
+    clique raises ConsistencyError.
+    """
+    n = len(cliques)
+    k = len(cliques[0])
+    rows = np.fromiter(chain.from_iterable(cliques), np.int64, n * k).reshape(n, k)
+    images = [np.sort(p[rows], axis=1) for p in perms]
+    stacked = np.concatenate([rows, *images])
+    keys = _row_keys(stacked, int(stacked.max()) + 1)
+    own = keys[:n]
+    steps = []
+    for t in range(len(images)):
+        image_keys = keys[n * (t + 1) : n * (t + 2)]
+        at = np.minimum(np.searchsorted(own, image_keys), n - 1)
+        if (own[at] != image_keys).any():
+            raise ConsistencyError("a conjugate of a candidate clique is not a candidate")
+        back = np.empty_like(at)
+        back[at] = np.arange(n)
+        steps += [at, back]
+    # min-label propagation along both directions of every generator, then
+    # pointer jumping, to a fixpoint: labels end constant on each orbit and
+    # equal to an index in it that is its own label, so the least one
+    label = np.arange(n)
+    while True:
+        new = label
+        for step in steps:
+            new = np.minimum(new, label[step])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 # Worker-side lattice for the process pool, set once per worker by _init_worker.
 _POOL_SUBS: Optional[list[Subgroup]] = None
 
@@ -306,6 +431,66 @@ def _pool_task(clique: tuple[int, ...]) -> tuple[Optional[Violation], int]:
     return _search_with_count([_POOL_SUBS[i] for i in clique])
 
 
+def search_orbits(
+    g: FiniteGroup,
+    subgroups: Sequence[Subgroup],
+    cliques: Sequence[tuple[int, ...]],
+    *,
+    jobs: int = 1,
+) -> tuple[dict[int, Violation], int, int]:
+    """Search one clique per conjugacy orbit; the orbit of a find in full.
+
+    Conjugation by any x maps a disjoint family a_i H_i to the disjoint
+    family (x a_i x^-1)(x H_i x^-1), so every clique in one orbit of g
+    acting by simultaneous conjugation has the same verdict.  ``cliques``
+    must be a set of sorted position tuples in lexicographic order that is
+    closed under conjugation, as ``candidate_cliques`` returns.  The least
+    clique of each orbit is searched, serially or in a pool of at most
+    min(jobs, orbits, CPUs) workers.  When it yields a family, every other
+    clique of its orbit is searched too, and must yield one.  Returns the
+    family of every clique that has one, keyed by clique index in
+    ascending order, exactly as a search of each clique gives it; the
+    number of orbits; and the coset placements over the representatives.
+    """
+    if not cliques:
+        return {}, 0, 0
+    labels = clique_orbit_labels(conjugation_action(g, subgroups), cliques)
+    reps = np.flatnonzero(labels == np.arange(len(cliques))).tolist()
+
+    results: list[tuple[Optional[Violation], int]]
+    workers = min(jobs, len(reps), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(g, [s.elements for s in subgroups]),
+        ) as pool:
+            results = list(
+                pool.map(
+                    _pool_task,
+                    [cliques[r] for r in reps],
+                    chunksize=max(1, len(reps) // (workers * 8)),
+                )
+            )
+    else:
+        results = [
+            _search_with_count([subgroups[i] for i in cliques[r]]) for r in reps
+        ]
+
+    found: dict[int, Violation] = {}
+    for r, (violation, _) in zip(reps, results):
+        if violation is None:
+            continue
+        found[r] = violation
+        for c in np.flatnonzero(labels == r).tolist()[1:]:
+            member, _ = _search_with_count([subgroups[i] for i in cliques[c]])
+            if member is None:
+                raise ConsistencyError("conjugate cliques got different verdicts")
+            found[c] = member
+    examined = sum(e for _, e in results)
+    return dict(sorted(found.items())), len(reps), examined
+
+
 def verify_group(
     g: FiniteGroup,
     k: int,
@@ -317,9 +502,10 @@ def verify_group(
 ) -> VerificationReport:
     """Exhaustively search one group for disjoint k-families below the gcd bar.
 
-    The clique list is deterministic, searches run per clique in that order,
-    and results merge positionally, so reports are identical across worker
-    counts.
+    The clique list is deterministic and ``search_orbits`` returns the
+    families in clique order, so reports are identical across worker
+    counts.  ``tuples_examined`` counts the coset placements over one
+    clique per conjugacy orbit.
     """
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"k must lie in [{K_MIN}, {K_MAX}]")
@@ -327,37 +513,16 @@ def verify_group(
     cliques = candidate_cliques(
         g, k, subgroups=subs, pair_stats=pair_stats, max_cliques=max_cliques
     )
-
-    results: list[tuple[Optional[Violation], int]]
-    if jobs > 1 and len(cliques) > 1:
-        chunk = max(1, len(cliques) // (jobs * 8))
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(g, [s.elements for s in subs]),
-        ) as pool:
-            results = list(pool.map(_pool_task, cliques, chunksize=chunk))
-    else:
-        results = [
-            _search_with_count([subs[i] for i in clique]) for clique in cliques
+    found, orbits, examined = search_orbits(g, subs, cliques, jobs=jobs)
+    violations = list(found.values())
+    for violation in violations:
+        off_diag = [
+            violation.gcd_matrix[a][b] for a in range(k) for b in range(k) if a != b
         ]
-
-    violations: list[Violation] = []
-    examined_total = 0
-    for violation, examined in results:
-        examined_total += examined
-        if violation is not None:
-            off_diag = [
-                violation.gcd_matrix[a][b]
-                for a in range(k)
-                for b in range(k)
-                if a != b
-            ]
-            if any(v >= k for v in off_diag):
-                raise ConsistencyError(
-                    "candidate clique contained a pair at or above the gcd bar"
-                )
-            violations.append(violation)
+        if any(v >= k for v in off_diag):
+            raise ConsistencyError(
+                "candidate clique contained a pair at or above the gcd bar"
+            )
 
     return VerificationReport(
         group_label=g.label,
@@ -365,7 +530,8 @@ def verify_group(
         k=k,
         subgroup_count=len(subs),
         candidate_clique_count=len(cliques),
-        tuples_examined=examined_total,
+        clique_orbits=orbits,
+        tuples_examined=examined,
         violations=violations,
         note=OPEN_RANGE_NOTE if k >= 5 and not violations else None,
     )

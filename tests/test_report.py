@@ -92,6 +92,7 @@ def test_violation_entries_validate():
             "subgroup_count": 30,
             "status": "confirmed",
             "candidate_cliques": 3,
+            "clique_orbits": 1,
             "tuples_examined": 17,
             "violations": [
                 {
@@ -104,6 +105,10 @@ def test_violation_entries_validate():
         }
     ]
     validate_report(doc)
+    orbits = doc["verifications"][0].pop("clique_orbits")
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(doc)
+    doc["verifications"][0]["clique_orbits"] = orbits
     doc["verifications"][0]["violations"][0]["extra"] = 1
     with pytest.raises(jsonschema.ValidationError):
         validate_report(doc)

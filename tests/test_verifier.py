@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+import os
+from dataclasses import replace
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -9,9 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
+from cosetlab import verifier
 from cosetlab.bitset import bits_tuple
 from cosetlab.errors import CliqueCapExceeded
-from cosetlab.verifier import OPEN_RANGE_NOTE
+from cosetlab.verifier import (
+    OPEN_RANGE_NOTE,
+    _row_keys,
+    _search_with_count,
+    clique_orbit_labels,
+    conjugation_action,
+    search_orbits,
+)
 
 from helpers import exists_disjoint_family, pairwise_disjoint, small_products
 
@@ -125,8 +135,9 @@ def test_candidate_clique_counts_frozen(lattice):
     # pair bars only
     counts = {k: len(clique_oracle(subs, stats, k)) for k in (2, 3, 4)}
     assert counts == {2: 0, 3: 14, 4: 199}
-    # k -> (candidate cliques, tuples examined, smallest max_cliques that passes)
-    frozen = {3: (4, 44, 72), 4: (0, 0, 65), 5: (720, 11088, 1309)}
+    # k -> (candidate cliques, tuples examined over one clique per
+    # conjugacy orbit, smallest max_cliques that passes)
+    frozen = {3: (4, 11, 72), 4: (0, 0, 65), 5: (720, 705, 1309)}
     for k, (cliques, examined, cap) in frozen.items():
         rep = cl.verify_group(g, k, subgroups=subs, pair_stats=stats, max_cliques=cap)
         assert (rep.candidate_clique_count, rep.tuples_examined) == (cliques, examined)
@@ -335,12 +346,145 @@ def test_note_absent_below_k5(lattice):
 
 
 def test_parallel_matches_serial(lattice):
-    g, subs = lattice("S4")
+    # D12 leaves 8 and 64 clique orbits at k = 3, 5, so jobs=2 runs the pool
+    g, subs = lattice("D12")
     stats = cl.pair_table(g, subs)
-    for k in (3, 4):
+    for k in (3, 5):
         a = cl.verify_group(g, k, subgroups=subs, pair_stats=stats, jobs=1)
         b = cl.verify_group(g, k, subgroups=subs, pair_stats=stats, jobs=2)
+        assert a.clique_orbits > 1
         assert a.stable_dict() == b.stable_dict()
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_orbits_and_cpus(lattice, monkeypatch):
+    # a huge --jobs must never ask the pool for that many processes
+    g, subs = lattice("D12")
+    serial = cl.verify_group(g, 5, subgroups=subs).stable_dict()
+    assert serial["clique_orbits"] == 64
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verifier, "_POOL_SUBS", None)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    for cpus, workers in ((4, 4), (1000, 64)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rep = cl.verify_group(g, 5, subgroups=subs, jobs=10**6)
+        assert RecordingPool.sizes[-1] == workers
+        assert rep.stable_dict() == serial
+    # one CPU, or an unknown count, runs serially
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cl.verify_group(g, 5, subgroups=subs, jobs=10**6).stable_dict() == serial
+    assert len(RecordingPool.sizes) == 2
+
+
+ORBIT_ORACLE_CASES = [
+    pytest.param(n, range(2, 7), id=n) for n in sorted(cl.CATALOG)
+] + [pytest.param(n, range(2, 6), id=n) for n in ("D30", "S3xS3xC2")]
+
+
+@pytest.mark.parametrize("name, ks", ORBIT_ORACLE_CASES)
+def test_orbit_search_matches_search_of_every_clique(lattice, name, ks):
+    # the oracle searches each candidate clique on its own
+    g, subs = lattice(name)
+    stats = cl.pair_table(g, subs)
+    for k in ks:
+        cliques = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats)
+        full = [_search_with_count([subs[i] for i in c]) for c in cliques]
+        expected = [v for v, _ in full if v is not None]
+        rep = cl.verify_group(g, k, subgroups=subs, pair_stats=stats)
+        assert rep.candidate_clique_count == len(cliques)
+        assert rep.violations == expected
+        assert rep.status == replace(rep, violations=expected).status
+        assert rep.clique_orbits <= len(cliques)
+        assert rep.tuples_examined <= sum(e for _, e in full)
+
+
+@pytest.mark.parametrize("name", ["S3xC2", "D4", "A4"])
+def test_orbit_search_find_path(lattice, name):
+    # no candidate clique in reach holds a family, but the unbarred subgroup
+    # triples are closed under conjugation and hold finds and misses, so
+    # every found orbit is searched member by member
+    g, subs = lattice(name)
+    triples = list(combinations_with_replacement(range(len(subs)), 3))
+    found, orbits, _ = search_orbits(g, subs, triples)
+    direct = {}
+    for c, triple in enumerate(triples):
+        family = [subs[i] for i in triple]
+        assert (c in found) == exists_disjoint_family(g, family), triple
+        v, _ = _search_with_count(family)
+        if v is not None:
+            direct[c] = v
+    assert list(found.items()) == list(direct.items())
+    assert 0 < len(found) < len(triples)
+    assert orbits < len(triples)
+
+
+def brute_conjugacy_classes(g, subs):
+    """Classes of lattice positions, conjugating by every element."""
+    position = {frozenset(s.elements): i for i, s in enumerate(subs)}
+    mul, inv = g.mul, g.inv
+    return {
+        frozenset(
+            position[frozenset(mul[mul[inv[x]][h]][x] for h in s.elements)]
+            for x in range(g.n)
+        )
+        for s in subs
+    }
+
+
+def action_classes(g, subs):
+    perms = conjugation_action(g, subs)
+    labels = clique_orbit_labels(perms, [(i,) for i in range(len(subs))])
+    return {frozenset(np.flatnonzero(labels == r).tolist()) for r in set(labels.tolist())}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in cl.CATALOG if cl.load_catalog_group(n).n <= 120)
+)
+def test_lattice_orbits_are_conjugacy_classes(lattice, name):
+    g, subs = lattice(name)
+    assert action_classes(g, subs) == brute_conjugacy_classes(g, subs)
+
+
+# conjugacy classes of subgroups, as in the literature
+CLASS_COUNTS = {"S4": 11, "S5": 19, "A5": 9, "A6": 22, "D4": 8, "Q8": 6}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_COUNTS))
+def test_lattice_orbit_counts_pinned(lattice, name):
+    g, subs = lattice(name)
+    assert len(action_classes(g, subs)) == CLASS_COUNTS[name]
+
+
+def test_row_keys_past_int64():
+    # 2825 positions at k = 6 pass 2^63 as plain base-m numbers, so the keys
+    # fall back to ranks; they must still order rows lexicographically
+    base = 2825
+    rows = np.array(
+        sorted(product([0, 1, 1400, base - 2, base - 1], repeat=6)), dtype=np.int64
+    )
+    keys = _row_keys(np.concatenate([rows, rows[::-1]]), base)
+    n = len(rows)
+    assert (np.diff(keys[:n]) > 0).all()
+    assert (keys[n:] == keys[:n][::-1]).all()
 
 
 @given(data=st.data())
