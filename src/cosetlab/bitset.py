@@ -1,8 +1,10 @@
-"""Element sets as unbounded int bitmasks, one bit per element id."""
+"""Element sets as bits, one per element id: int masks, or rows of 64-bit words."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -33,3 +35,18 @@ def lowest_bit(mask: int) -> int:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+def packed(rows: np.ndarray) -> np.ndarray:
+    """Bool rows (r x n) as zero-padded little-endian uint64 words (r x ceil(n / 64)):
+    row i read as one little-endian integer is the int mask of row i."""
+    padded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 64)))
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def meet_orders(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """len(a) x len(b) int64 popcounts of ANDed word rows, one word column at a time."""
+    out = np.zeros((len(a), len(b)), dtype=np.int64)
+    for wa, wb in zip(a.T, b.T):
+        out += np.bitwise_count(np.bitwise_and.outer(wa, wb))
+    return out

@@ -47,14 +47,22 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
+def _int_from(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{value} is not at least {low}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_from(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_from(text, 0)
 
 
 def _resolve_spec(token: str) -> GroupSpec:
@@ -287,7 +295,9 @@ def _add_common(
         required=True,
         help="catalog name, family name (e.g. D15 or C3xC3), or path to a groupspec-v1 file",
     )
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    sp.add_argument(
+        "--seed", type=_non_negative_int, default=0, help="seed for sampled checks"
+    )
     sp.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP)
     sp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     sp.add_argument(

@@ -9,9 +9,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .bitset import meet_orders, packed
 from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
-from .subgroups import Subgroup
+from .subgroups import Subgroup, membership
 
 DEFAULT_CENSUS_CAP = 10**6
 _U64_MAX = 2**64 - 1
@@ -245,8 +246,8 @@ def lattice_census(
     are compared triple by triple; a disagreement raises ConsistencyError
     naming the first failing triple.
 
-    Closed forms come from the intersection orders, ``B @ B.T`` over the
-    0/1 element-membership rows and ``(B[i] & B[j]) @ B[j:].T``.  The
+    Closed forms come from the intersection orders: ``meet_orders`` of the
+    packed membership rows W, and of ``W[i] & W[j]`` against ``W[j:]``.  The
     enumeration numbers every coset of the lattice: coset c of subgroup t
     is column ``off[t] + c``, with ``off`` the running sum of the indices
     and C their total.  Subgroup i's row block is the index_i x C 0/1
@@ -271,11 +272,9 @@ def lattice_census(
     if n**3 > np.iinfo(np.int64).max:
         raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
 
-    member = np.zeros((m, n), dtype=np.int64)
-    for s, row in zip(subs, member):
-        row[list(s.elements)] = 1
-    pair_meet = member @ member.T
-    index = n // member.sum(axis=1)
+    w = packed(membership(subs))
+    pair_meet = meet_orders(w, w)
+    index = n // pair_meet.diagonal()
     off = np.concatenate(([0], np.cumsum(index)))
     labels = np.stack([coset_labels(s) for s in subs])
     glabels = labels + off[:m, None]
@@ -317,7 +316,7 @@ def lattice_census(
                 "total": total,
                 "s_pair": np.stack([p_ij * c, p_it * b, p_jt * a], axis=1),
                 "s_pair_pair": pp,
-                "meet_all": n // ((member[i] & member[j]) @ member[j:].T),
+                "meet_all": n // meet_orders(w[i : i + 1] & w[j], w[j:])[0],
             }
             enumerated = total <= max_census
             s_triple = np.zeros_like(total)

@@ -28,6 +28,11 @@ _SPEC_KINDS = ("cayley", "perm", "named", "product")
 _SPEC_FIELDS = ("kind", "order", "table", "degree", "generators", "name", "factors")
 
 
+def _is_int(v: object) -> bool:
+    # bool is a subclass of int, but true and false are no sizes or element ids
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Declarative recipe for building a finite group.
@@ -51,8 +56,7 @@ class GroupSpec:
             raise GroupSpecError(f"unknown spec kind {self.kind!r}")
         for key in ("order", "degree"):
             v = getattr(self, key)
-            # bool is a subclass of int, but true and false are no sizes
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+            if v is not None and not _is_int(v):
                 raise GroupSpecError(f"{key} must be an integer, got {v!r}")
         if self.name is not None and not isinstance(self.name, str):
             raise GroupSpecError(f"name must be a string, got {self.name!r}")
@@ -66,7 +70,7 @@ class GroupSpec:
                 raise GroupSpecError("table must be order x order")
             for row in self.table:
                 for v in row:
-                    if not isinstance(v, int) or not 0 <= v < n:
+                    if not _is_int(v) or not 0 <= v < n:
                         raise GroupSpecError(f"table entry {v!r} outside [0, {n})")
         elif self.kind == "perm":
             if self.degree is None or self.generators is None:
@@ -75,7 +79,11 @@ class GroupSpec:
                 raise GroupSpecError("degree must be positive")
             for p in self.generators:
                 # the length test first: a huge degree must not build a huge range
-                if len(p) != self.degree or sorted(p) != list(range(self.degree)):
+                if (
+                    len(p) != self.degree
+                    or not all(map(_is_int, p))
+                    or sorted(p) != list(range(self.degree))
+                ):
                     raise GroupSpecError(f"{p!r} is not a permutation of degree {self.degree}")
         elif self.kind == "named":
             if not self.name:
@@ -132,7 +140,7 @@ class GroupSpec:
                 raise GroupSpecError(f"{key} must be a list of lists")
             out = []
             for row in v:
-                if not isinstance(row, (list, tuple)) or not all(isinstance(x, int) for x in row):
+                if not isinstance(row, (list, tuple)) or not all(map(_is_int, row)):
                     raise GroupSpecError(f"{key} must be a list of integer lists")
                 out.append(tuple(row))
             return tuple(out)
@@ -352,24 +360,6 @@ def _parse_family(name: str) -> tuple[str, int]:
     raise UnknownFamily(f"{name!r}: unsupported member of family {fam!r}")
 
 
-def _q8_rows() -> list[list[int]]:
-    # Elements 0..7 are +1, -1, +i, -i, +j, -j, +k, -k.
-    unit_mul = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    units = ["1", "i", "j", "k"]
-    ids = {(s, u): units.index(u) * 2 + (0 if s > 0 else 1) for s in (1, -1) for u in units}
-    rows = [[0] * 8 for _ in range(8)]
-    for (s1, u1), a in ids.items():
-        for (s2, u2), b in ids.items():
-            s, u = unit_mul[(u1, u2)]
-            rows[a][b] = ids[(s1 * s2 * s, u)]
-    return rows
-
-
 def _named_rows(
     fam: str, num: int, order_cap: int
 ) -> tuple[list[list[int]], int]:
@@ -378,7 +368,11 @@ def _named_rows(
             raise OrderCapExceeded(f"C{num} exceeds order cap {order_cap}")
         return _cyclic_rows(num), num
     if fam == "Q":
-        return _q8_rows(), 8
+        # Elements 0..7 are +1, -1, +i, -i, +j, -j, +k, -k, generated by left
+        # multiplication with +i and with +j.  Each left multiplication maps
+        # +1 to its own element, so the sorted closure keeps these ids.
+        by_i, by_j = (2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)
+        return _rows_from_perms(_perm_closure(8, [by_i, by_j], order_cap)), 8
     if fam == "D":
         if 2 * num > order_cap:
             raise OrderCapExceeded(f"D{num} has order {2 * num} > cap {order_cap}")

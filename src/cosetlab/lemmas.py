@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import full_mask
+from .bitset import full_mask, meet_orders, packed
 from .cosets import (
     _product_mask,
     coset_labels,
@@ -30,7 +30,7 @@ from .cosets import (
 from .counting import DEFAULT_CENSUS_CAP, census, check_triple_inequalities, r_strict_upper
 from .errors import ConsistencyError
 from .groups import FiniteGroup
-from .subgroups import Subgroup, enumerate_subgroups
+from .subgroups import Subgroup, enumerate_subgroups, membership
 
 LEMMA_IDS = (
     "L2.1.i",
@@ -265,17 +265,19 @@ def run_lemma_suite(
     full = full_mask(g.n)
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
-    contained = [
-        [j for j, small in enumerate(subs) if small.mask & ~big.mask == 0] for big in subs
-    ]
-    proper = [
-        [j for j in contained[i] if subs[j].order < big.order] for i, big in enumerate(subs)
-    ]
+    w = packed(membership(subs))
+    meets = meet_orders(w, w)
+    order = meets.diagonal()
+    inside = meets == order  # inside[h, k]: K lies in H, as |H & K| = |K|
+    contained = [np.flatnonzero(row).tolist() for row in inside]
+    proper = [np.flatnonzero(row & (order < o)).tolist() for row, o in zip(inside, order)]
 
     def nested(i1: int, j1: int, i2: int, j2: int) -> Optional[tuple[Subgroup, ...]]:
-        """(G1, H1, G2, H2), or None unless H1 & H2 == G1 & G2 elementwise."""
-        g1, h1, g2, h2 = subs[i1], subs[j1], subs[i2], subs[j2]
-        return (g1, h1, g2, h2) if h1.mask & h2.mask == g1.mask & g2.mask else None
+        """(G1, H1, G2, H2), or None unless H1 & H2 == G1 & G2 elementwise;
+        as H1 & H2 lies in G1 & G2, that holds exactly when their orders agree."""
+        if meets[j1, j2] != meets[i1, i2]:
+            return None
+        return subs[i1], subs[j1], subs[i2], subs[j2]
 
     def draw_nested() -> Optional[tuple[Subgroup, ...]]:
         i1 = rng.randrange(m)

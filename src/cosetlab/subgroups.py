@@ -6,6 +6,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .bitset import bits_tuple, full_mask, mask_of
 from .errors import NotAGroup, ParentMismatch, SubgroupCountCapExceeded
 from .groups import FiniteGroup
@@ -88,6 +90,14 @@ def intersect_all(subgroups: Sequence[Subgroup]) -> Subgroup:
     for s in subgroups[1:]:
         acc = intersect(acc, s)
     return acc
+
+
+def membership(subs: Sequence[Subgroup]) -> np.ndarray:
+    """The m x n bool rows of a lattice: entry (i, x) says element x lies in subs[i]."""
+    rows = np.zeros((len(subs), subs[0].parent.n if subs else 0), dtype=bool)
+    at = np.repeat(np.arange(len(subs)), [s.order for s in subs])
+    rows[at, np.fromiter((e for s in subs for e in s.elements), dtype=np.int64)] = True
+    return rows
 
 
 def close_generators(

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import full_mask, lowest_bit
+from .bitset import full_mask, lowest_bit, meet_orders, packed
 from .cosets import coset_mask, double_coset_reps, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
@@ -24,6 +24,7 @@ from .subgroups import (
     Subgroup,
     close_generators,
     enumerate_subgroups,
+    membership,
     subgroup_from_elements,
 )
 
@@ -131,10 +132,8 @@ class PairTable:
 
     def rows(self, k: int) -> list[int]:
         """Bitmask per position: bit j set when the pair passes gcd < k and is disjointable."""
-        packed = np.packbits(
-            (self.gcd < k) & self.disjointable, axis=1, bitorder="little"
-        )
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        words = packed((self.gcd < k) & self.disjointable)
+        return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
 def pair_table(
@@ -144,19 +143,13 @@ def pair_table(
 
     Disjointability is the rule of ``cosets.disjointable``, |H||K| / |H&K|
     < |G|, in integer form |H||K| < |G| |H&K|.  Intersection orders are
-    popcounts of the ANDed element masks, summed over their 64-bit words.
+    ``meet_orders`` of the packed membership rows.
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     index = np.array([s.index for s in subs], dtype=np.int64)
     order = np.array([s.order for s in subs], dtype=np.int64)
-    nwords = (g.n + 63) // 64
-    words = np.frombuffer(
-        b"".join(s.mask.to_bytes(8 * nwords, "little") for s in subs), dtype="<u8"
-    ).reshape(len(subs), nwords)
-    inter = np.zeros((len(subs), len(subs)), dtype=np.int64)
-    for w in words.T:
-        inter += np.bitwise_count(np.bitwise_and.outer(w, w))
-    inter *= g.n
+    w = packed(membership(subs))
+    inter = meet_orders(w, w) * g.n
     return PairTable(np.gcd.outer(index, index), np.outer(order, order) < inter)
 
 
@@ -322,29 +315,20 @@ def conjugation_action(
 
     For generator x, entry i of its permutation is the position of
     x^-1 H_i x.  Each element h goes to x^-1 h x through the Cayley table,
-    the 0/1 membership rows are moved along, packed to bytes and looked up
-    among the packed rows of the lattice.  An image missing from the
-    lattice, or found at a position of another order, raises
-    ConsistencyError.
+    the membership rows are moved along, packed and looked up among the
+    packed rows of the lattice.  An image missing from the lattice, or
+    found at a position of another order, raises ConsistencyError.
     """
-    m, table = len(subgroups), g.np_table
-    member = np.zeros((m, g.n), dtype=bool)
-    member[
-        np.repeat(np.arange(m), [s.order for s in subgroups]),
-        np.fromiter((e for s in subgroups for e in s.elements), dtype=np.int64),
-    ] = True
-    position = {
-        row.tobytes(): i
-        for i, row in enumerate(np.packbits(member, axis=1, bitorder="little"))
-    }
+    table = g.np_table
+    member = membership(subgroups)
+    position = {row.tobytes(): i for i, row in enumerate(packed(member))}
     order = np.array([s.order for s in subgroups], dtype=np.int64)
     perms = []
     for x in _generating_set(g):
         image = np.zeros_like(member)
         image[:, table[table[g.inv[x]], x]] = member
-        packed = np.packbits(image, axis=1, bitorder="little")
         try:
-            perm = np.array([position[row.tobytes()] for row in packed], dtype=np.int64)
+            perm = np.array([position[row.tobytes()] for row in packed(image)], np.int64)
         except KeyError:
             raise ConsistencyError(
                 f"a conjugate of a subgroup of {g.label} is missing from its lattice"

@@ -124,8 +124,18 @@ def test_invalid_spec_fields_exit_2(capsys, tmp_path):
         {"kind": "perm", "degree": "3", "generators": [[1, 2, 0]]},
         {"kind": "perm", "degree": 3.0, "generators": [[1, 2, 0]]},
         {"kind": "named", "name": 5},
+        {"kind": "cayley", "order": 2, "table": [[False, True], [True, False]]},
+        {"kind": "perm", "degree": 2, "generators": [[True, False]]},
     ],
-    ids=["order-str", "order-bool", "degree-str", "degree-float", "name-int"],
+    ids=[
+        "order-str",
+        "order-bool",
+        "degree-str",
+        "degree-float",
+        "name-int",
+        "table-bool",
+        "generator-bool",
+    ],
 )
 def test_spec_field_of_wrong_type_exits_2(capsys, tmp_path, fields):
     p = tmp_path / "typed.json"
@@ -197,6 +207,15 @@ def test_non_positive_counts_exit_2(capsys, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             main([command, "--group", "C6", "--cache-dir", str(tmp_path), flag, value])
         assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "lemmas", "census", "subgroups"])
+def test_negative_seed_exits_2(capsys, tmp_path, command):
+    # above order 256 the seed drives the sampled associativity check
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "C300", "--cache-dir", str(tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -14,7 +14,9 @@ from cosetlab.errors import (
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
+from cosetlab.bitset import meet_orders, packed
 from cosetlab.groups import GroupSpec, direct_product, load_group
+from cosetlab.subgroups import membership
 
 from helpers import brute_subgroups, is_subgroup_set, reference_subgroups, small_products
 
@@ -181,6 +183,47 @@ def test_q8_has_unique_involution():
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
+# The quaternion table as written out element by element, ids 0..7 being
+# +1, -1, +i, -i, +j, -j, +k, -k.
+Q8_ROWS = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 1, 0, 6, 7, 5, 4],
+    [3, 2, 0, 1, 7, 6, 4, 5],
+    [4, 5, 7, 6, 1, 0, 2, 3],
+    [5, 4, 6, 7, 0, 1, 3, 2],
+    [6, 7, 4, 5, 3, 2, 1, 0],
+    [7, 6, 5, 4, 2, 3, 0, 1],
+]
+
+
+def test_q8_table_pinned():
+    assert cl.load_catalog_group("Q8").mul == Q8_ROWS
+
+
+# Word boundaries of the packed rows, 64 elements to a word, and two lattices.
+PACKED_GROUPS = ["C1", "C63", "C64", "C65", "C128", "C129", "S4", "D30"]
+
+
+@pytest.mark.parametrize("name", PACKED_GROUPS)
+def test_packed_rows_are_the_masks(lattice, name):
+    g, subs = lattice(name)
+    words = packed(membership(subs))
+    assert words.shape == (len(subs), (g.n + 63) // 64)
+    assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
+        s.mask for s in subs
+    ]
+
+
+@pytest.mark.parametrize("name", PACKED_GROUPS)
+def test_meet_orders_are_mask_popcounts(lattice, name):
+    g, subs = lattice(name)
+    words = packed(membership(subs))
+    got = meet_orders(words, words[::-1])
+    assert got.shape == (len(subs), len(subs))
+    assert got.tolist() == [[(a.mask & b.mask).bit_count() for b in subs[::-1]] for a in subs]
+
+
 def test_catalog_groups_are_labelled_by_their_names():
     for name, spec in cl.CATALOG.items():
         assert load_group(spec).label == name
@@ -269,6 +312,20 @@ def test_cayley_order_cap():
     spec = cl.GroupSpec(kind="cayley", order=6, table=tuple(map(tuple, _cyclic_table(6))))
     with pytest.raises(OrderCapExceeded):
         load_group(spec, 5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec(kind="cayley", order=2, table=((False, True), (True, False))),
+        GroupSpec(kind="perm", degree=2, generators=((True, False),)),
+    ],
+    ids=["table", "generators"],
+)
+def test_spec_rejects_bool_entries(spec):
+    # True == 1, so a bool table would build C2 under a second spec hash
+    with pytest.raises(GroupSpecError):
+        spec.validate()
 
 
 def test_spec_roundtrip():

@@ -61,6 +61,29 @@ def test_s4_checked_counts_frozen(lattice):
     assert res.failures == 0
 
 
+@pytest.mark.parametrize(
+    "name", [name for name in cl.CATALOG if cl.load_catalog_group(name).n <= 24]
+)
+def test_nested_quadruples_match_mask_rule(lattice, name):
+    # the quadruple filter of the suite, recounted from the element masks:
+    # H in G when H's mask has no bit outside G's, kept when H1&H2 == G1&G2
+    g, subs = lattice(name)
+    res = cl.run_lemma_suite(
+        g, subs, sample_target=0, exhaustive_pair_limit=0, exhaustive_triple_limit=0
+    )
+    assert res.nested_mode == "exhaustive"
+    within = [[k for k in subs if k.mask & ~h.mask == 0] for h in subs]
+    want = sum(
+        h1.mask & h2.mask == g1.mask & g2.mask
+        for g1, inner in zip(subs, within)
+        for h1 in inner
+        if h1.order < g1.order
+        for g2, inner2 in zip(subs, within)
+        for h2 in inner2
+    )
+    assert res.nested_quadruples_run == want
+
+
 def test_product_set_disagreement_recorded_as_l21i_failure(lattice, monkeypatch):
     # A closure test that always says no contradicts HK = KH on every
     # commuting pair; the suite must record that, not raise.

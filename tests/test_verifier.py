@@ -77,7 +77,9 @@ def assert_table_matches_pairs(subs, table):
             assert table.disjointable[i, j] == cl.disjointable(h, k)
 
 
-@pytest.mark.parametrize("name", ["S4", "S5", "D30"])
+@pytest.mark.parametrize(
+    "name", ["S4", "S5", "D30", "C1", "C63", "C64", "C65", "C128", "C129"]
+)
 def test_pair_matrices_match_per_pair_route(lattice, name):
     g, subs = lattice(name)
     assert_table_matches_pairs(subs, cl.pair_table(g, subs))
