@@ -44,9 +44,16 @@ def packed(rows: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
+# rows of ``a`` per block in meet_orders: no temporary exceeds MEET_ROWS x len(b) words
+MEET_ROWS = 64
+
+
 def meet_orders(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """len(a) x len(b) int64 popcounts of ANDed word rows, one word column at a time."""
+    """len(a) x len(b) int64 popcounts of ANDed word rows, a block of
+    ``MEET_ROWS`` rows of a and one word column at a time."""
     out = np.zeros((len(a), len(b)), dtype=np.int64)
-    for wa, wb in zip(a.T, b.T):
-        out += np.bitwise_count(np.bitwise_and.outer(wa, wb))
+    for lo in range(0, len(a), MEET_ROWS):
+        block = out[lo : lo + MEET_ROWS]
+        for wa, wb in zip(a[lo : lo + MEET_ROWS].T, b.T):
+            block += np.bitwise_count(np.bitwise_and.outer(wa, wb))
     return out

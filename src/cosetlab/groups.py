@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadInput,
     GroupSpecError,
     NotAGroup,
     OrderCapExceeded,
@@ -51,7 +52,7 @@ class GroupSpec:
     factors: Optional[tuple["GroupSpec", ...]] = None
 
     def validate(self) -> None:
-        """Structural checks only; group axioms are checked by load_group."""
+        """Structural checks only; load_group checks a cayley table's axioms."""
         if self.kind not in _SPEC_KINDS:
             raise GroupSpecError(f"unknown spec kind {self.kind!r}")
         for key in ("order", "degree"):
@@ -170,39 +171,26 @@ class GroupSpec:
 class FiniteGroup:
     """Immutable group on elements 0..n-1 with a dense Cayley table.
 
-    ``mul[a][b]`` is the product a*b, ``inv[a]`` the two-sided inverse.
+    ``np_table[a, b]`` and ``mul[a][b]`` are the product a*b, ``inv[a]`` the
+    two-sided inverse.  Identity and inverses are read off the table.
     """
 
-    __slots__ = ("n", "mul", "identity", "inv", "label", "spec", "_np_table")
+    __slots__ = ("n", "np_table", "mul", "identity", "inv", "label", "spec")
 
-    def __init__(
-        self,
-        n: int,
-        mul: list[list[int]],
-        identity: int,
-        inv: list[int],
-        label: str,
-        spec: Optional[GroupSpec] = None,
-    ):
-        self.n = n
-        self.mul = mul
-        self.identity = identity
-        self.inv = inv
+    def __init__(self, table: np.ndarray, label: str, spec: Optional[GroupSpec] = None):
+        self.n = len(table)
+        self.np_table = table
+        self.mul: list[list[int]] = table.tolist()
+        self.identity, inv = _identity_and_inverses(table)
+        self.inv: list[int] = inv.tolist()
         self.label = label
         self.spec = spec
-        self._np_table: Optional[np.ndarray] = None
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
-
-    @property
-    def np_table(self) -> np.ndarray:
-        if self._np_table is None:
-            self._np_table = np.asarray(self.mul, dtype=np.int64)
-        return self._np_table
 
     def element_order(self, x: int) -> int:
         k, y = 1, x
@@ -214,16 +202,19 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.label} order {self.n}>"
 
-    def __getstate__(self):
-        return (self.n, self.mul, self.identity, self.inv, self.label, self.spec)
-
-    def __setstate__(self, state):
-        self.n, self.mul, self.identity, self.inv, self.label, self.spec = state
-        self._np_table = None
+    def __reduce__(self):
+        return (FiniteGroup, (self.np_table, self.label, self.spec))
 
 
-def _validate_table(arr: np.ndarray, label: str, seed: int) -> tuple[int, list[int]]:
-    """Check the group axioms on a candidate table; return (identity, inverses)."""
+def _identity_and_inverses(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """In a group e*0 = 0 holds for e the identity alone, and a*b = e for b
+    the inverse of a alone; in a Latin table each is the one candidate."""
+    ident = int(np.argmax(table[:, 0] == 0))
+    return ident, np.argmax(table == ident, axis=1)
+
+
+def _validate_table(arr: np.ndarray, label: str, seed: int) -> None:
+    """Check the group axioms on a table from outside the program."""
     n = arr.shape[0]
     rng = np.arange(n)
     if arr.min() < 0 or arr.max() >= n:
@@ -233,17 +224,10 @@ def _validate_table(arr: np.ndarray, label: str, seed: int) -> tuple[int, list[i
     if not (np.sort(arr, axis=0) == rng[:, None]).all():
         raise NotAGroup(f"{label}: some column is not a permutation")
 
-    row_ids = np.nonzero((arr == rng).all(axis=1))[0]
-    ident = -1
-    for e in row_ids:
-        if (arr[:, e] == rng).all():
-            ident = int(e)
-            break
-    if ident < 0:
+    ident, inv_vec = _identity_and_inverses(arr)
+    if not ((arr[ident] == rng).all() and (arr[:, ident] == rng).all()):
         raise NotAGroup(f"{label}: no two-sided identity")
-
     # Latin rows guarantee one right inverse per element; demand it works on the left too.
-    inv_vec = np.argmax(arr == ident, axis=1)
     if not (arr[inv_vec, rng] == ident).all():
         bad = int(np.nonzero(arr[inv_vec, rng] != ident)[0][0])
         raise NotAGroup(f"{label}: element {bad} has no two-sided inverse")
@@ -273,21 +257,6 @@ def _validate_table(arr: np.ndarray, label: str, seed: int) -> tuple[int, list[i
                     f"{label}: associativity fails at sampled triple "
                     f"({int(a[t])}, {int(b[t])}, {int(c[t])})"
                 )
-    return ident, [int(v) for v in inv_vec]
-
-
-def _finish_group(
-    mul: list[list[int]], label: str, spec: Optional[GroupSpec], seed: int
-) -> FiniteGroup:
-    arr = np.asarray(mul, dtype=np.int64)
-    ident, inv = _validate_table(arr, label, seed)
-    g = FiniteGroup(len(mul), mul, ident, inv, label, spec)
-    g._np_table = arr
-    return g
-
-
-def _cyclic_rows(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -313,35 +282,58 @@ def _perm_order(p: tuple[int, ...]) -> int:
 
 def _perm_closure(
     degree: int, generators: Sequence[tuple[int, ...]], order_cap: int
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
+    """Cayley table of the group the permutations generate.
+
+    Element ids follow the lexicographic order of the one-line permutations,
+    and x*y is ``_compose(x, y)``.  The closure multiplies each element by
+    each generator once, on the right; the table then follows from those
+    steps along the spanning tree they form.
+    """
     gens = [tuple(p) for p in generators]
-    # a group is at least as large as any element's order, so a generator of
-    # large order is refused before any degree-point permutation is stored
+    # a group is at least as large as any element's order, so a generator, or
+    # the product of a generator and the next, of large order is refused
+    # before any degree-point permutation is stored; neighbours only, so the
+    # check stays linear in the spec's size
     for q in gens:
         if _perm_order(q) > order_cap:
             raise OrderCapExceeded(f"a generator has order above cap {order_cap}")
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = _compose(p, q)
-                if r not in seen:
-                    if len(seen) >= order_cap:
-                        raise OrderCapExceeded(
-                            f"perm closure grew past order cap {order_cap}"
-                        )
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return sorted(seen)
+    for p, q in zip(gens, gens[1:]):
+        if _perm_order(_compose(p, q)) > order_cap:
+            raise OrderCapExceeded(
+                f"a product of two generators has order above cap {order_cap}"
+            )
+    elems = [tuple(range(degree))]
+    index = {elems[0]: 0}
+    parent, via = [0], [0]
+    steps: list[list[int]] = [[] for _ in gens]  # steps[s][x] is the id of x*gens[s]
+    # elems grows while it is walked, so every new element gets its own steps
+    for x, p in enumerate(elems):
+        for s, q in enumerate(gens):
+            r = _compose(p, q)
+            y = index.get(r)
+            if y is None:
+                if len(elems) >= order_cap:
+                    raise OrderCapExceeded(f"perm closure grew past order cap {order_cap}")
+                y = index[r] = len(elems)
+                elems.append(r)
+                parent.append(x)
+                via.append(s)
+            steps[s].append(y)
 
-
-def _rows_from_perms(elements: list[tuple[int, ...]]) -> list[list[int]]:
-    index = {p: i for i, p in enumerate(elements)}
-    return [[index[_compose(p, q)] for q in elements] for p in elements]
+    # Column b of the table lists a*b for every a.  With b = parent(b) * s,
+    # a*b = (a * parent(b)) * s, so the column is step s read at the parent's
+    # column; cols[b] holds column b.
+    n = len(elems)
+    right = np.array(steps, dtype=np.int64)
+    cols = np.empty((n, n), dtype=np.int64)
+    cols[0] = np.arange(n)
+    for b in range(1, n):
+        cols[b] = right[via[b]][cols[parent[b]]]
+    order = sorted(range(n), key=elems.__getitem__)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return rank[cols.T[np.ix_(order, order)]]
 
 
 def _parse_family(name: str) -> tuple[str, int]:
@@ -360,26 +352,24 @@ def _parse_family(name: str) -> tuple[str, int]:
     raise UnknownFamily(f"{name!r}: unsupported member of family {fam!r}")
 
 
-def _named_rows(
-    fam: str, num: int, order_cap: int
-) -> tuple[list[list[int]], int]:
+def _named_table(fam: str, num: int, order_cap: int) -> np.ndarray:
     if fam == "C":
         if num > order_cap:
             raise OrderCapExceeded(f"C{num} exceeds order cap {order_cap}")
-        return _cyclic_rows(num), num
+        r = np.arange(num)
+        return np.add.outer(r, r) % num
     if fam == "Q":
         # Elements 0..7 are +1, -1, +i, -i, +j, -j, +k, -k, generated by left
         # multiplication with +i and with +j.  Each left multiplication maps
         # +1 to its own element, so the sorted closure keeps these ids.
         by_i, by_j = (2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)
-        return _rows_from_perms(_perm_closure(8, [by_i, by_j], order_cap)), 8
+        return _perm_closure(8, [by_i, by_j], order_cap)
     if fam == "D":
         if 2 * num > order_cap:
             raise OrderCapExceeded(f"D{num} has order {2 * num} > cap {order_cap}")
         rot = tuple((i + 1) % num for i in range(num))
         refl = tuple((num - i) % num for i in range(num))
-        elems = _perm_closure(num, [rot, refl], order_cap)
-        return _rows_from_perms(elems), len(elems)
+        return _perm_closure(num, [rot, refl], order_cap)
     if fam == "S":
         if num == 1:
             gens: list[tuple[int, ...]] = []
@@ -388,8 +378,7 @@ def _named_rows(
                 tuple([1, 0] + list(range(2, num))),
                 tuple(list(range(1, num)) + [0]),
             ]
-        elems = _perm_closure(max(num, 1), gens, order_cap)
-        return _rows_from_perms(elems), len(elems)
+        return _perm_closure(num, gens, order_cap)
     if fam == "A":
         if num <= 2:
             gens = []
@@ -400,24 +389,12 @@ def _named_rows(
             else:
                 cyc = [0] + list(range(2, num)) + [1]
             gens = [tuple(three), tuple(cyc)]
-        elems = _perm_closure(max(num, 1), gens, order_cap)
-        return _rows_from_perms(elems), len(elems)
+        return _perm_closure(num, gens, order_cap)
     raise UnknownFamily(f"unknown family {fam!r}")
 
 
-def _product_rows(a: FiniteGroup, b: FiniteGroup) -> list[list[int]]:
-    # Element id of the pair (x, y) is x * |b| + y.
-    nb = b.n
-    rows = a.np_table[:, None, :, None] * nb + b.np_table[None, :, None, :]
-    return rows.reshape(a.n * nb, a.n * nb).tolist()
-
-
 def direct_product(
-    a: FiniteGroup,
-    b: FiniteGroup,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    *,
-    seed: int = 0,
+    a: FiniteGroup, b: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     """Componentwise product with pair (x, y) encoded as x * |b| + y."""
     if a.n * b.n > order_cap:
@@ -429,8 +406,9 @@ def direct_product(
         fa = a.spec.factors if a.spec.kind == "product" else (a.spec,)
         fb = b.spec.factors if b.spec.kind == "product" else (b.spec,)
         spec = GroupSpec(kind="product", factors=fa + fb)
-    label = f"{a.label}x{b.label}"
-    return _finish_group(_product_rows(a, b), label, spec, seed)
+    n = a.n * b.n
+    table = a.np_table[:, None, :, None] * b.n + b.np_table[None, :, None, :]
+    return FiniteGroup(table.reshape(n, n), f"{a.label}x{b.label}", spec)
 
 
 def load_group(
@@ -439,27 +417,30 @@ def load_group(
     *,
     seed: int = 0,
 ) -> FiniteGroup:
-    """Build and validate the group a spec describes.
+    """Build the group a spec describes.
 
-    Associativity is checked exhaustively up to ``ASSOC_EXHAUSTIVE_CAP``
-    elements and on 10*n^2 seeded random triples above that.
+    Only a ``cayley`` table comes from outside the program, so only its
+    axioms are checked: associativity exhaustively up to
+    ``ASSOC_EXHAUSTIVE_CAP`` elements and on 10*n^2 seeded random triples
+    above that.  Permutation closures, named families and direct products
+    are groups by construction.
     """
+    if seed < 0:
+        raise BadInput(f"seed must be at least 0, got {seed}")
     spec.validate()
     if spec.kind == "cayley":
         if spec.order > order_cap:  # type: ignore[operator]
             raise OrderCapExceeded(f"order {spec.order} exceeds cap {order_cap}")
-        rows = [list(r) for r in spec.table]  # type: ignore[union-attr]
-        return _finish_group(rows, f"cayley{spec.order}", spec, seed)
+        table = np.array(spec.table, dtype=np.int64)
+        label = f"cayley{spec.order}"
+        _validate_table(table, label, seed)
+        return FiniteGroup(table, label, spec)
     if spec.kind == "perm":
-        elems = _perm_closure(spec.degree, spec.generators, order_cap)  # type: ignore[arg-type]
-        rows = _rows_from_perms(elems)
-        return _finish_group(rows, f"perm{spec.degree}:{len(elems)}", spec, seed)
+        table = _perm_closure(spec.degree, spec.generators, order_cap)  # type: ignore[arg-type]
+        return FiniteGroup(table, f"perm{spec.degree}:{len(table)}", spec)
     if spec.kind == "named":
         fam, num = _parse_family(spec.name)  # type: ignore[arg-type]
-        rows, n = _named_rows(fam, num, order_cap)
-        if n > order_cap:
-            raise OrderCapExceeded(f"{spec.name} has order {n} > cap {order_cap}")
-        return _finish_group(rows, spec.name, spec, seed)
+        return FiniteGroup(_named_table(fam, num, order_cap), spec.name, spec)  # type: ignore[arg-type]
     if spec.kind == "product":
         parts = [
             load_group(f, order_cap, seed=seed)
@@ -467,6 +448,6 @@ def load_group(
         ]
         acc = parts[0]
         for part in parts[1:]:
-            acc = direct_product(acc, part, order_cap, seed=seed)
+            acc = direct_product(acc, part, order_cap)
         return acc
     raise GroupSpecError(f"unknown spec kind {spec.kind!r}")

@@ -5,17 +5,19 @@ algorithm from the library (plain sets and nested loops, no bitmasks, no
 closed forms) so that agreement between the two is meaningful evidence.
 The one exception is ``reference_subgroups``, the library's previous
 lattice enumerator, kept on bitmasks so it can run on every catalog group.
+``composition_table`` lists a spec's elements in full and multiplies every
+pair, where the library follows generator steps along a spanning tree.
 ``small_products`` is the hypothesis strategy for random direct products.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from cosetlab import FiniteGroup, Subgroup
+from cosetlab import FiniteGroup, GroupSpec, Subgroup
 from cosetlab.cosets import coset_mask
 
 # Named groups with their orders, the factors of random direct products.
@@ -27,6 +29,79 @@ def small_products():
     return st.lists(st.sampled_from(sorted(SMALL_FACTORS)), min_size=2, max_size=3).filter(
         lambda fs: math.prod(SMALL_FACTORS[f] for f in fs) <= 72
     )
+
+
+# Signed quaternion units, as ids 0..7 = +1, -1, +i, -i, +j, -j, +k, -k;
+# the product of units u*v is UNIT_PRODUCT[u + v] with its sign.
+QUATERNION_UNITS = [(1, "1"), (-1, "1"), (1, "i"), (-1, "i"), (1, "j"), (-1, "j"), (1, "k"), (-1, "k")]
+UNIT_PRODUCT = {
+    "11": (1, "1"), "1i": (1, "i"), "1j": (1, "j"), "1k": (1, "k"),
+    "i1": (1, "i"), "ii": (-1, "1"), "ij": (1, "k"), "ik": (-1, "j"),
+    "j1": (1, "j"), "ji": (-1, "k"), "jj": (-1, "1"), "jk": (1, "i"),
+    "k1": (1, "k"), "ki": (1, "j"), "kj": (-1, "i"), "kk": (-1, "1"),
+}
+
+
+def _perm_table(elements: list[tuple[int, ...]]) -> list[list[int]]:
+    """Sorted permutations, x*y applying y first: every pair composed."""
+    elements = sorted(elements)
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[tuple(p[x] for x in q)] for q in elements] for p in elements]
+
+
+def _is_even(p: tuple[int, ...]) -> bool:
+    return sum(p[i] > p[j] for i, j in combinations(range(len(p)), 2)) % 2 == 0
+
+
+def composition_table(spec: GroupSpec) -> list[list[int]]:
+    """The Cayley table a spec denotes, with the library's element ids.
+
+    A permutation group is listed in full and sorted (all of S_n, the even
+    part of it for A_n, the n rotations and n reflections of an n-gon for
+    D_n, a fixpoint of pairwise products for a perm spec), and every ordered
+    pair is composed.  Q8 multiplies signed quaternion units, C_n adds
+    mod n, and a product pairs (x, y) as x * |b| + y, folding from the left.
+    """
+    if spec.kind == "cayley":
+        return [list(row) for row in spec.table]
+    if spec.kind == "product":
+        acc = composition_table(spec.factors[0])
+        for factor in spec.factors[1:]:
+            b = composition_table(factor)
+            na, nb = len(acc), len(b)
+            acc = [
+                [acc[xa][ya] * nb + b[xb][yb] for ya in range(na) for yb in range(nb)]
+                for xa in range(na)
+                for xb in range(nb)
+            ]
+        return acc
+    if spec.kind == "perm":
+        elems = {tuple(range(spec.degree))} | set(spec.generators)
+        while True:
+            more = elems | {tuple(p[x] for x in q) for p in elems for q in elems}
+            if more == elems:
+                return _perm_table(list(elems))
+            elems = more
+    name = spec.name
+    if name == "Q8":
+        table = []
+        for su, u in QUATERNION_UNITS:
+            row = []
+            for sv, v in QUATERNION_UNITS:
+                sign, w = UNIT_PRODUCT[u + v]
+                row.append(QUATERNION_UNITS.index((su * sv * sign, w)))
+            table.append(row)
+        return table
+    fam, n = name[0], int(name[1:])
+    if fam == "C":
+        return [[(i + j) % n for j in range(n)] for i in range(n)]
+    if fam == "D":
+        return _perm_table(
+            [tuple((r + i) % n for i in range(n)) for r in range(n)]
+            + [tuple((r - i) % n for i in range(n)) for r in range(n)]
+        )
+    every = list(permutations(range(n)))
+    return _perm_table(every if fam == "S" else [p for p in every if _is_even(p)])
 
 
 def set_closure(g: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:

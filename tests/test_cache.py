@@ -169,6 +169,6 @@ def test_cache_lattice_record(tmp_path):
 
 def test_group_without_spec_rejected(tmp_path):
     base = cl.load_catalog_group("C4")
-    bare = cl.FiniteGroup(base.n, base.mul, base.identity, base.inv, "bare", None)
+    bare = cl.FiniteGroup(base.np_table, "bare")
     with pytest.raises(ValueError):
         cache_lattice(bare, tmp_path)

@@ -7,18 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
+from cosetlab.cli import _resolve_spec
 from cosetlab.errors import (
+    BadInput,
     GroupSpecError,
     NotAGroup,
     OrderCapExceeded,
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
-from cosetlab.bitset import meet_orders, packed
-from cosetlab.groups import GroupSpec, direct_product, load_group
+from cosetlab.bitset import MEET_ROWS, meet_orders, packed
+from cosetlab.groups import GroupSpec, _validate_table, direct_product, load_group
 from cosetlab.subgroups import membership
 
-from helpers import brute_subgroups, is_subgroup_set, reference_subgroups, small_products
+from helpers import (
+    brute_subgroups,
+    composition_table,
+    is_subgroup_set,
+    reference_subgroups,
+    small_products,
+)
 
 # Lattice sizes from the literature; these freeze the enumeration output.
 KNOWN_SUBGROUP_COUNTS = {
@@ -201,8 +209,9 @@ def test_q8_table_pinned():
     assert cl.load_catalog_group("Q8").mul == Q8_ROWS
 
 
-# Word boundaries of the packed rows, 64 elements to a word, and two lattices.
-PACKED_GROUPS = ["C1", "C63", "C64", "C65", "C128", "C129", "S4", "D30"]
+# Word boundaries of the packed rows, 64 elements to a word, two lattices,
+# and C2^6, whose 2825 rows cross the row blocks of meet_orders.
+PACKED_GROUPS = ["C1", "C63", "C64", "C65", "C128", "C129", "S4", "D30", "C2xC2xC2xC2xC2xC2"]
 
 
 @pytest.mark.parametrize("name", PACKED_GROUPS)
@@ -221,7 +230,59 @@ def test_meet_orders_are_mask_popcounts(lattice, name):
     words = packed(membership(subs))
     got = meet_orders(words, words[::-1])
     assert got.shape == (len(subs), len(subs))
+    assert name != "C2xC2xC2xC2xC2xC2" or len(subs) > MEET_ROWS
     assert got.tolist() == [[(a.mask & b.mask).bit_count() for b in subs[::-1]] for a in subs]
+
+
+def _dihedral_by_involutions(n: int) -> GroupSpec:
+    """D_n on n points, generated by the reflection i -> -i and its product
+    with the rotation i -> i + 1; both have order 2, their product order n."""
+    refl = tuple(-i % n for i in range(n))
+    turned = tuple(refl[(i + 1) % n] for i in range(n))
+    return GroupSpec(kind="perm", degree=n, generators=(refl, turned))
+
+
+# Perm specs the tests build, each checked against its composition table.
+PERM_SPECS = {
+    "S4_by_transposition_and_4cycle": GroupSpec(
+        kind="perm", degree=4, generators=((1, 0, 2, 3), (1, 2, 3, 0))
+    ),
+    "D5_by_involutions": _dihedral_by_involutions(5),
+    "trivial_on_3_points": GroupSpec(kind="perm", degree=3, generators=()),
+}
+TABLE_GROUPS = {
+    **cl.CATALOG,
+    **{
+        name: _resolve_spec(name)
+        for name in ("D30", "A6", "S6", "S3xS3xC2", "A4xA4", "C2xC2xC2xC2xC2xC2")
+    },
+    **PERM_SPECS,
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_table_is_the_composition_table_and_a_group(name):
+    # the closure's generator steps against every pair composed, and the
+    # axiom check that load_group runs on cayley specs alone
+    spec = TABLE_GROUPS[name]
+    g = load_group(spec)
+    assert g.mul == composition_table(spec)
+    _validate_table(g.np_table, g.label, 0)
+    assert g.np_table[g.identity].tolist() == list(range(g.n))
+    assert all(g.op(x, g.inverse(x)) == g.identity for x in range(g.n))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec(kind="named", name="C300"),
+        GroupSpec(kind="cayley", order=300, table=tuple(map(tuple, _cyclic_table(300)))),
+    ],
+    ids=["named", "cayley"],
+)
+def test_negative_seed_refused(spec):
+    with pytest.raises(BadInput, match="seed"):
+        load_group(spec, seed=-1)
 
 
 def test_catalog_groups_are_labelled_by_their_names():
@@ -277,10 +338,18 @@ def test_dihedral_order_cap_checked_before_building():
     assert _traced_peak(lambda: load_group(spec), OrderCapExceeded) < 1_000_000
 
 
+def test_product_of_generators_order_cap_checked_before_closure():
+    # two involutions of degree 2500 generate D2500, of order 5000; their
+    # product has order 2500, so the closure must not store 2500-point
+    # permutations up to the cap first
+    spec = _dihedral_by_involutions(2500)
+    assert _traced_peak(lambda: load_group(spec), OrderCapExceeded) < 1_000_000
+
+
 def test_sampled_associativity_check_in_bounded_memory():
     # C600 is above the exhaustive cap, so 3.6M triples are sampled; they
     # are drawn and checked in blocks, not held at once
-    spec = GroupSpec(kind="named", name="C600")
+    spec = GroupSpec(kind="cayley", order=600, table=tuple(map(tuple, _cyclic_table(600))))
     tracemalloc.start()
     try:
         g = load_group(spec)
