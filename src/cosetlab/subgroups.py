@@ -151,53 +151,101 @@ def _is_prime_power(k: int) -> bool:
     return k == 1
 
 
+def generating_set(g: FiniteGroup, start: Optional[int] = None) -> list[int]:
+    """A small set of elements that generates g together with the subgroup
+    whose mask is ``start`` (default: the trivial subgroup): element ids
+    scanned upward, each kept when it lies outside the subgroup generated by
+    ``start`` and those kept before it."""
+    gens: list[int] = []
+    mask = 1 << g.identity if start is None else start
+    full = full_mask(g.n)
+    for x in range(g.n):
+        if mask == full:
+            break
+        if not mask >> x & 1:
+            gens.append(x)
+            mask = close_generators(g, (x,), mask)
+    return gens
+
+
+def _conjugators(g: FiniteGroup) -> list[list[int]]:
+    """The maps h -> x^-1 h x, as element lists, for x in a generating set of
+    g modulo its center.  Conjugation by a central element is the identity,
+    so these maps generate the whole conjugation action; an abelian group
+    has none."""
+    table = g.np_table
+    center = mask_of(np.flatnonzero((table == table.T).all(axis=1)).tolist())
+    return [table[table[g.inv[x]], x].tolist() for x in generating_set(g, center)]
+
+
 def enumerate_subgroups(
     g: FiniteGroup, *, max_subgroups: int = DEFAULT_SUBGROUP_CAP
 ) -> list[Subgroup]:
     """Every subgroup of g, sorted by (order, element tuple).
 
     Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 9).  Seeds with every cyclic
-    subgroup, then extends each known subgroup H to <H, y> for y drawn from
-    a fixed list that holds one generator of each cyclic subgroup of
-    prime-power order.  y is skipped when it lies in H, or in the double
+    Computational Group Theory*, 2005, ch. 9), one subgroup per conjugacy
+    class.  Seeds with every cyclic subgroup, then extends subgroups H to
+    <H, y> for y drawn from a fixed list that holds one generator of each
+    cyclic subgroup of prime-power order.  Each subgroup found enters with
+    its whole conjugacy class, the closure of its mask under conjugation by
+    the generators of g modulo its center, but only the subgroup itself is
+    queued for extension.  y is skipped when it lies in H, or in the double
     coset H y' H of an earlier candidate y' for this H, because
-    <H, h y' h'> = <H, y'>; so H costs one closure per double coset that
-    holds a listed generator.  Each <H, y> is closed from H's mask by
+    <H, h y' h'> = <H, y'>; so a queued H costs one closure per double coset
+    that holds a listed generator.  Each <H, y> is closed from H's mask by
     ``close_generators``, not from the identity.
 
-    Complete for two reasons.  Every subgroup K is generated by its
+    Complete for three reasons.  Every subgroup K is generated by its
     elements of prime-power order (x is a product of powers of itself of
     prime-power order), so by the listed generators y_1, ..., y_m that lie
-    in K.  And the chain <y_1> <= <y_1, y_2> <= ... <= K passes only
-    through queued subgroups: <y_1> is a seed, and from a queued H the next
-    generator y is either inside H, or a candidate for H, or in the double
-    coset of an earlier candidate for H, which gives the same <H, y>.
+    in K, and K is the end of the chain <y_1> <= <y_1, y_2> <= ... <= K.
+    From a queued H the next group <H, y> is found: y is either inside H,
+    or a candidate for H, or in the double coset of an earlier candidate for
+    H, which gives the same <H, y>.  And from any found H' the next group is
+    found too: H' = x^-1 H x for a queued H, and
+    <H', y> = x^-1 <H, x y x^-1> x, where x y x^-1 generates a cyclic
+    subgroup of prime-power order, so the same one as a listed y'; thus
+    <H, x y x^-1> = <H, y'> is found from H, and its class with it.  The
+    seed <y_1> is found, so by induction along the chain every K is.
     """
-    found: dict[int, tuple[int, ...]] = {}  # mask -> generators
-    queue: deque[int] = deque()
+    found: set[int] = set()
+    queue: deque[tuple[int, tuple[int, ...]]] = deque()  # (mask, generators)
+    conjugators = _conjugators(g)
 
     def add(mask: int, gens: tuple[int, ...]) -> None:
         if mask in found:
             return
-        found[mask] = gens
-        queue.append(mask)
-        if len(found) > max_subgroups:
-            raise SubgroupCountCapExceeded(
-                f"more than {max_subgroups} subgroups in {g.label}"
-            )
+        found.add(mask)
+        queue.append((mask, gens))
+        conjugates = [mask]
+        for m in conjugates:  # grows to the conjugacy class of mask
+            if len(found) > max_subgroups:
+                raise SubgroupCountCapExceeded(
+                    f"more than {max_subgroups} subgroups in {g.label}"
+                )
+            elems = bits_tuple(m)
+            for conj in conjugators:
+                image = mask_of(conj[h] for h in elems)
+                if image not in found:
+                    found.add(image)
+                    conjugates.append(image)
 
+    # every cyclic subgroup needs a listed generator, also one conjugate to
+    # an earlier cyclic subgroup, which is already in ``found``
+    cyclic: set[int] = set()
     prime_power_gens: list[int] = []
     for x in range(g.n):
         m = close_generators(g, (x,))
-        if m not in found and _is_prime_power(m.bit_count()):
-            prime_power_gens.append(x)
+        if m not in cyclic:
+            cyclic.add(m)
+            if _is_prime_power(m.bit_count()):
+                prime_power_gens.append(x)
         add(m, (x,))
 
     mul = g.mul
     while queue:
-        mask = queue.popleft()
-        gens = found[mask]
+        mask, gens = queue.popleft()
         base = bits_tuple(mask)
         covered = mask  # H and the double cosets H y H of earlier candidates
         for y in prime_power_gens:

@@ -22,8 +22,8 @@ from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
 from .subgroups import (
     Subgroup,
-    close_generators,
     enumerate_subgroups,
+    generating_set,
     membership,
     subgroup_from_elements,
 )
@@ -292,26 +292,11 @@ def _search_with_count(
     return violation, examined
 
 
-def _generating_set(g: FiniteGroup) -> list[int]:
-    """A small generating set of g: element ids scanned upward, each kept
-    when it lies outside the subgroup generated by those kept before it."""
-    gens: list[int] = []
-    mask = close_generators(g, ())
-    full = full_mask(g.n)
-    for x in range(g.n):
-        if mask == full:
-            break
-        if not mask >> x & 1:
-            gens.append(x)
-            mask = close_generators(g, (x,), mask)
-    return gens
-
-
 def conjugation_action(
     g: FiniteGroup, subgroups: Sequence[Subgroup]
 ) -> list[np.ndarray]:
     """The action of g on lattice positions by conjugation, one permutation
-    per element of ``_generating_set(g)``.
+    per element of ``subgroups.generating_set(g)``.
 
     For generator x, entry i of its permutation is the position of
     x^-1 H_i x.  Each element h goes to x^-1 h x through the Cayley table,
@@ -324,7 +309,7 @@ def conjugation_action(
     position = {row.tobytes(): i for i, row in enumerate(packed(member))}
     order = np.array([s.order for s in subgroups], dtype=np.int64)
     perms = []
-    for x in _generating_set(g):
+    for x in generating_set(g):
         image = np.zeros_like(member)
         image[:, table[table[g.inv[x]], x]] = member
         try:

@@ -3,8 +3,10 @@
 Everything here recomputes quantities with a deliberately different
 algorithm from the library (plain sets and nested loops, no bitmasks, no
 closed forms) so that agreement between the two is meaningful evidence.
-The one exception is ``reference_subgroups``, the library's previous
-lattice enumerator, kept on bitmasks so it can run on every catalog group.
+The exceptions are the library's two previous lattice enumerators, kept on
+bitmasks so they can run on larger groups: ``reference_subgroups`` closes
+from the identity every time, ``cyclic_extension_subgroups`` extends every
+subgroup, not one per conjugacy class.
 ``composition_table`` lists a spec's elements in full and multiplies every
 pair, where the library follows generator steps along a spanning tree.
 ``small_products`` is the hypothesis strategy for random direct products.
@@ -13,12 +15,15 @@ pair, where the library follows generator steps along a spanning tree.
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
 from cosetlab import FiniteGroup, GroupSpec, Subgroup
+from cosetlab.bitset import bits_tuple
 from cosetlab.cosets import coset_mask
+from cosetlab.subgroups import _is_prime_power, close_generators
 
 # Named groups with their orders, the factors of random direct products.
 SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}
@@ -104,6 +109,33 @@ def composition_table(spec: GroupSpec) -> list[list[int]]:
     return _perm_table(every if fam == "S" else [p for p in every if _is_even(p)])
 
 
+def linear_perm_spec(p: int, *, projective: bool) -> GroupSpec:
+    """SL(2, p) on the nonzero vectors of F_p^2, or PSL(2, p) on its p + 1
+    lines through 0 (each written with its first nonzero coordinate 1), as a
+    perm spec generated by [[1, 1], [0, 1]] and [[0, -1], [1, 0]]."""
+    if projective:
+        points = [(1, b) for b in range(p)] + [(0, 1)]
+    else:
+        points = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    index = {v: i for i, v in enumerate(points)}
+
+    def point(a: int, b: int) -> int:
+        if projective:
+            scale = pow(a or b, -1, p)
+            a, b = a * scale % p, b * scale % p
+        return index[(a, b)]
+
+    def perm(m: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, ...]:
+        (a, b), (c, d) = m
+        return tuple(point((a * x + b * y) % p, (c * x + d * y) % p) for x, y in points)
+
+    return GroupSpec(
+        kind="perm",
+        degree=len(points),
+        generators=(perm(((1, 1), (0, 1))), perm(((0, p - 1), (1, 0)))),
+    )
+
+
 def set_closure(g: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
     """Fixpoint of pairwise products, as a plain set computation."""
     cur = set(seed) | {g.identity}
@@ -185,6 +217,58 @@ def reference_subgroups(g: FiniteGroup) -> list[int]:
         return len(elems), elems
 
     return sorted(found, key=key)
+
+
+def cyclic_extension_subgroups(g: FiniteGroup) -> list[int]:
+    """Every subgroup mask, sorted like ``enumerate_subgroups``'s output.
+
+    The library's enumerator before it went by conjugacy classes: cyclic
+    extension of every subgroup found, not of one per class.  Seeds with
+    every cyclic subgroup, then extends each known subgroup H to <H, y> for
+    y in a list holding one generator of each cyclic subgroup of prime-power
+    order, skipping y inside H or in the double coset H y' H of an earlier
+    candidate y'.
+    """
+    found: dict[int, tuple[int, ...]] = {}  # mask -> generators
+    queue: deque[int] = deque()
+
+    def add(mask: int, gens: tuple[int, ...]) -> None:
+        if mask in found:
+            return
+        found[mask] = gens
+        queue.append(mask)
+
+    prime_power_gens: list[int] = []
+    for x in range(g.n):
+        m = close_generators(g, (x,))
+        if m not in found and _is_prime_power(m.bit_count()):
+            prime_power_gens.append(x)
+        add(m, (x,))
+
+    mul = g.mul
+    while queue:
+        mask = queue.popleft()
+        gens = found[mask]
+        base = bits_tuple(mask)
+        covered = mask  # H and the double cosets H y H of earlier candidates
+        for y in prime_power_gens:
+            if covered >> y & 1:
+                continue
+            # the left cosets x H of H y H, reached by left multiplication
+            # with the generators of H
+            stack = [y]
+            while stack:
+                x = stack.pop()
+                if covered >> x & 1:
+                    continue
+                row = mul[x]
+                for h in base:
+                    covered |= 1 << row[h]
+                for t in gens:
+                    stack.append(mul[t][x])
+            add(close_generators(g, (y,), mask), gens + (y,))
+
+    return sorted(found, key=lambda m: (m.bit_count(), bits_tuple(m)))
 
 
 def coset_set(g: FiniteGroup, sub: frozenset[int], x: int) -> frozenset[int]:

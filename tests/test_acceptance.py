@@ -17,7 +17,7 @@ from pathlib import Path
 import cosetlab as cl
 from cosetlab.report import strip_volatile
 
-from helpers import exists_disjoint_coset_pair
+from helpers import exists_disjoint_coset_pair, linear_perm_spec
 
 
 @contextmanager
@@ -213,11 +213,15 @@ def test_acceptance_7_report_determinism(tmp_path):
 
 def test_acceptance_8_lattices_beyond_catalog():
     with verdict("acceptance-8 subgroup counts beyond the catalog") as state:
-        want = {"A6": 501, "S6": 1455}
+        want = {
+            "A6": (cl.GroupSpec(kind="named", name="A6"), 501),
+            "S6": (cl.GroupSpec(kind="named", name="S6"), 1455),
+            "PSL(2,13)": (linear_perm_spec(13, projective=True), 942),
+        }
         t0 = time.perf_counter()
-        for name, count in want.items():
-            g = cl.load_group(cl.GroupSpec(kind="named", name=name))
+        for name, (spec, count) in want.items():
+            g = cl.load_group(spec)
             assert len(cl.enumerate_subgroups(g)) == count, name
         elapsed = time.perf_counter() - t0
-        counts = " and ".join(f"{name} {count}" for name, count in want.items())
+        counts = ", ".join(f"{name} {count}" for name, (_, count) in want.items())
         state["detail"] = f"{counts} subgroups in {elapsed:.1f}s"

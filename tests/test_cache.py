@@ -89,14 +89,14 @@ def test_wrong_format_tag_is_corrupt(tmp_path):
         load_lattice(g, tmp_path)
 
 
-def test_lattice_from_older_algorithm_is_recomputed(tmp_path, caplog):
+def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
     g = cl.load_catalog_group("S4")
     subs = cl.enumerate_subgroups(g)
     path = lattice_path(tmp_path, spec_hash(g.spec))
-    # an intact v1 file, laid out and checksummed as the v1 writer did,
-    # holding one subgroup too few
+    # an intact file under an older tag, laid out and checksummed as its
+    # writer did, holding one subgroup too few
     payload = {
-        "format": "cosetlab-lattice-v1",
+        "format": fmt,
         "spec_hash": spec_hash(g.spec),
         "order": g.n,
         "subgroups": [list(s.elements) for s in subs[:-1]],
@@ -112,11 +112,20 @@ def test_lattice_from_older_algorithm_is_recomputed(tmp_path, caplog):
     # an older format is stale, not damage: logged at INFO, not as corrupt
     [record] = caplog.records
     assert record.levelno == logging.INFO
-    assert "cosetlab-lattice-v1" in record.message
-    assert "cosetlab-lattice-v2" in record.message
+    assert fmt in record.message
+    assert "cosetlab-lattice-v3" in record.message
     assert "corrupt" not in record.message
-    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v2"
+    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v3"
     assert cached_subgroups(g, tmp_path)[1] == "warm"
+
+
+def test_lattice_from_older_algorithm_is_recomputed(tmp_path, caplog):
+    _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v1")
+
+
+def test_lattice_from_every_subgroup_extension_is_recomputed(tmp_path, caplog):
+    # v2 extended every subgroup, not one per conjugacy class
+    _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v2")
 
 
 @pytest.mark.parametrize("fail", ["dumps", "write_text"])

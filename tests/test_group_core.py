@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
+from cosetlab import subgroups
 from cosetlab.cli import _resolve_spec
 from cosetlab.errors import (
     BadInput,
@@ -16,15 +17,19 @@ from cosetlab.errors import (
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
-from cosetlab.bitset import MEET_ROWS, meet_orders, packed
+from cosetlab.bitset import MEET_ROWS, mask_of, meet_orders, packed
 from cosetlab.groups import GroupSpec, _validate_table, direct_product, load_group
-from cosetlab.subgroups import membership
+from cosetlab.subgroups import generating_set, membership
 
+import helpers
 from helpers import (
     brute_subgroups,
     composition_table,
+    cyclic_extension_subgroups,
     is_subgroup_set,
+    linear_perm_spec,
     reference_subgroups,
+    set_closure,
     small_products,
 )
 
@@ -93,7 +98,74 @@ def test_enumeration_matches_reference_on_products(factors):
         kind="product", factors=tuple(cl.GroupSpec(kind="named", name=f) for f in factors)
     )
     g = load_group(spec)
-    assert [s.mask for s in cl.enumerate_subgroups(g)] == reference_subgroups(g)
+    masks = [s.mask for s in cl.enumerate_subgroups(g)]
+    assert masks == reference_subgroups(g)
+    assert masks == cyclic_extension_subgroups(g)
+
+
+@pytest.mark.parametrize(
+    "name", ["A6", "S6", "D30", "S3xS3xC2", "A4xA4", "C2xC2xC2xC2xC2xC2"]
+)
+def test_enumeration_matches_cyclic_extension(lattice, name):
+    g, subs = lattice(name)
+    assert [s.mask for s in subs] == cyclic_extension_subgroups(g)
+
+
+# (p, projective) -> subgroup count of PSL(2, p) or SL(2, p)
+LINEAR_GROUP_COUNTS = {(7, True): 179, (11, True): 620, (3, False): 15, (5, False): 76}
+
+
+@pytest.mark.parametrize("p, projective", sorted(LINEAR_GROUP_COUNTS))
+def test_linear_groups_match_cyclic_extension(p, projective):
+    g = load_group(linear_perm_spec(p, projective=projective))
+    masks = [s.mask for s in cl.enumerate_subgroups(g)]
+    assert len(masks) == LINEAR_GROUP_COUNTS[(p, projective)]
+    assert masks == cyclic_extension_subgroups(g)
+
+
+@pytest.mark.parametrize("name", ["S4", "Q8", "D6", "A5", "S5", "A6", "D30", "S3xS3xC2", "A4xA4"])
+def test_lattice_closed_under_conjugation(lattice, name):
+    g, subs = lattice(name)
+    gens = generating_set(g)
+    if g.n <= 120:
+        assert set_closure(g, frozenset(gens)) == frozenset(range(g.n))
+    masks = {s.mask for s in subs}
+    mul, inv = g.mul, g.inv
+    for x in gens:
+        for s in subs:
+            assert mask_of(mul[mul[inv[x]][h]][x] for h in s.elements) in masks
+
+
+def _count_closures(monkeypatch) -> list[int]:
+    """Count calls of close_generators from the library and the oracles."""
+    calls = [0]
+    real = subgroups.close_generators
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subgroups, "close_generators", counted)
+    monkeypatch.setattr(helpers, "close_generators", counted)
+    return calls
+
+
+def test_one_extension_per_conjugacy_class_saves_closures(monkeypatch):
+    g = load_group(cl.GroupSpec(kind="named", name="A6"))
+    calls = _count_closures(monkeypatch)
+    assert len(cl.enumerate_subgroups(g)) == 501
+    # 10,326 closures when every subgroup was extended
+    assert calls[0] <= 1000
+
+
+def test_abelian_group_computes_no_conjugates(monkeypatch):
+    g = load_group(_resolve_spec("C2xC2xC2xC2xC2xC2"))
+    calls = _count_closures(monkeypatch)
+    cl.enumerate_subgroups(g)
+    ours = calls[0]
+    calls[0] = 0
+    cyclic_extension_subgroups(g)
+    assert ours == calls[0] == 23626
 
 
 def test_frozen_counts_beyond_catalog():
