@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
-from .catalog import CATALOG, catalog_names, catalog_spec, load_catalog_group
+from .catalog import catalog_names, load_catalog_group
 from .counting import DEFAULT_CENSUS_CAP, lattice_census
-from .errors import BadInput, CensusCapExceeded, GroupSpecError, ResourceLimit, UnknownFamily
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, _parse_family, load_group
+from .errors import BadInput, CensusCapExceeded, GroupSpecError, ResourceLimit
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, load_group, spec_from_token
 from .lemmas import run_lemma_suite
 from .report import build_report, canonical_json
 from .subgroups import Subgroup, enumerate_subgroups
@@ -66,21 +66,11 @@ def _non_negative_int(text: str) -> int:
 
 
 def _resolve_spec(token: str) -> GroupSpec:
-    """Catalog name, then a family string or product of them, then a spec file."""
-    if token in CATALOG:
-        return catalog_spec(token)
-    # family strings reach beyond the bundled catalog, e.g. C30, D15 or C3xC3
-    names = token.split("x")
-    try:
-        for name in names:
-            _parse_family(name)
-    except UnknownFamily:
-        pass
-    else:
-        factors = tuple(GroupSpec(kind="named", name=name) for name in names)
-        if len(factors) == 1:
-            return factors[0]
-        return GroupSpec(kind="product", factors=factors)
+    """A family string or product of them, such as a catalog name, D15 or
+    C3xC3, then a spec file."""
+    spec = spec_from_token(token)
+    if spec is not None:
+        return spec
     path = Path(token)
     if path.exists():
         try:

@@ -352,6 +352,19 @@ def _parse_family(name: str) -> tuple[str, int]:
     raise UnknownFamily(f"{name!r}: unsupported member of family {fam!r}")
 
 
+def spec_from_token(token: str) -> Optional[GroupSpec]:
+    """The spec of a family name or an x-joined product of them, such as C30,
+    Q8 or S3xC2; None when some factor is not a family name."""
+    names = token.split("x")
+    try:
+        for name in names:
+            _parse_family(name)
+    except UnknownFamily:
+        return None
+    factors = tuple(GroupSpec(kind="named", name=name) for name in names)
+    return factors[0] if len(factors) == 1 else GroupSpec(kind="product", factors=factors)
+
+
 def _named_table(fam: str, num: int, order_cap: int) -> np.ndarray:
     if fam == "C":
         if num > order_cap:

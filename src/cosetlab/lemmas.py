@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import full_mask, meet_orders, packed
+from .bitset import MEET_ROWS, full_mask, meet_orders, packed
 from .cosets import (
     _product_mask,
     coset_labels,
@@ -265,17 +265,23 @@ def run_lemma_suite(
     full = full_mask(g.n)
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
+    masks = [s.mask for s in subs]
+    order = np.array([s.order for s in subs], dtype=np.int64)
     w = packed(membership(subs))
-    meets = meet_orders(w, w)
-    order = meets.diagonal()
-    inside = meets == order  # inside[h, k]: K lies in H, as |H & K| = |K|
-    contained = [np.flatnonzero(row).tolist() for row in inside]
-    proper = [np.flatnonzero(row & (order < o)).tolist() for row, o in zip(inside, order)]
+    # contained[h]: positions of the subgroups K of H, proper[h]: those below |H|;
+    # one block of rows at a time, so no m x m matrix is kept
+    contained: list[list[int]] = []
+    proper: list[list[int]] = []
+    for lo in range(0, m, MEET_ROWS):
+        inside = meet_orders(w[lo : lo + MEET_ROWS], w) == order  # |H & K| = |K|
+        for row, o in zip(inside, order[lo : lo + MEET_ROWS]):
+            contained.append(np.flatnonzero(row).tolist())
+            proper.append(np.flatnonzero(row & (order < o)).tolist())
 
     def nested(i1: int, j1: int, i2: int, j2: int) -> Optional[tuple[Subgroup, ...]]:
         """(G1, H1, G2, H2), or None unless H1 & H2 == G1 & G2 elementwise;
         as H1 & H2 lies in G1 & G2, that holds exactly when their orders agree."""
-        if meets[j1, j2] != meets[i1, i2]:
+        if (masks[j1] & masks[j2]).bit_count() != (masks[i1] & masks[i2]).bit_count():
             return None
         return subs[i1], subs[j1], subs[i2], subs[j2]
 

@@ -8,8 +8,8 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import bits_tuple, full_mask, mask_of
-from .errors import NotAGroup, ParentMismatch, SubgroupCountCapExceeded
+from .bitset import bits_tuple, full_mask, mask_of, packed
+from .errors import ConsistencyError, NotAGroup, ParentMismatch, SubgroupCountCapExceeded
 from .groups import FiniteGroup
 
 DEFAULT_SUBGROUP_CAP = 10_000
@@ -168,7 +168,7 @@ def generating_set(g: FiniteGroup, start: Optional[int] = None) -> list[int]:
     return gens
 
 
-def _conjugators(g: FiniteGroup) -> list[list[int]]:
+def conjugators(g: FiniteGroup) -> list[list[int]]:
     """The maps h -> x^-1 h x, as element lists, for x in a generating set of
     g modulo its center.  Conjugation by a central element is the identity,
     so these maps generate the whole conjugation action; an abelian group
@@ -176,6 +176,40 @@ def _conjugators(g: FiniteGroup) -> list[list[int]]:
     table = g.np_table
     center = mask_of(np.flatnonzero((table == table.T).all(axis=1)).tolist())
     return [table[table[g.inv[x]], x].tolist() for x in generating_set(g, center)]
+
+
+def conjugation_action(
+    g: FiniteGroup, subgroups: Sequence[Subgroup]
+) -> list[np.ndarray]:
+    """The action of g on lattice positions by conjugation, one permutation
+    per map of ``conjugators(g)``, so none for an abelian group.
+
+    For the map h -> x^-1 h x, entry i of its permutation is the position
+    of x^-1 H_i x: the membership rows are moved along the map, packed and
+    looked up among the packed rows of the lattice.  An image missing from
+    the lattice, or found at a position of another order, raises
+    ConsistencyError.
+    """
+    maps = conjugators(g)
+    if not maps:
+        return []
+    member = membership(subgroups)
+    position = {row.tobytes(): i for i, row in enumerate(packed(member))}
+    order = np.array([s.order for s in subgroups], dtype=np.int64)
+    perms = []
+    for conj in maps:
+        image = np.zeros_like(member)
+        image[:, conj] = member
+        try:
+            perm = np.array([position[row.tobytes()] for row in packed(image)], np.int64)
+        except KeyError:
+            raise ConsistencyError(
+                f"a conjugate of a subgroup of {g.label} is missing from its lattice"
+            ) from None
+        if (order[perm] != order).any():
+            raise ConsistencyError("conjugation changed a subgroup order")
+        perms.append(perm)
+    return perms
 
 
 def enumerate_subgroups(
@@ -211,7 +245,7 @@ def enumerate_subgroups(
     """
     found: set[int] = set()
     queue: deque[tuple[int, tuple[int, ...]]] = deque()  # (mask, generators)
-    conjugators = _conjugators(g)
+    maps = conjugators(g)
 
     def add(mask: int, gens: tuple[int, ...]) -> None:
         if mask in found:
@@ -225,7 +259,7 @@ def enumerate_subgroups(
                     f"more than {max_subgroups} subgroups in {g.label}"
                 )
             elems = bits_tuple(m)
-            for conj in conjugators:
+            for conj in maps:
                 image = mask_of(conj[h] for h in elems)
                 if image not in found:
                     found.add(image)

@@ -22,8 +22,8 @@ from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
 from .subgroups import (
     Subgroup,
+    conjugation_action,
     enumerate_subgroups,
-    generating_set,
     membership,
     subgroup_from_elements,
 )
@@ -292,38 +292,6 @@ def _search_with_count(
     return violation, examined
 
 
-def conjugation_action(
-    g: FiniteGroup, subgroups: Sequence[Subgroup]
-) -> list[np.ndarray]:
-    """The action of g on lattice positions by conjugation, one permutation
-    per element of ``subgroups.generating_set(g)``.
-
-    For generator x, entry i of its permutation is the position of
-    x^-1 H_i x.  Each element h goes to x^-1 h x through the Cayley table,
-    the membership rows are moved along, packed and looked up among the
-    packed rows of the lattice.  An image missing from the lattice, or
-    found at a position of another order, raises ConsistencyError.
-    """
-    table = g.np_table
-    member = membership(subgroups)
-    position = {row.tobytes(): i for i, row in enumerate(packed(member))}
-    order = np.array([s.order for s in subgroups], dtype=np.int64)
-    perms = []
-    for x in generating_set(g):
-        image = np.zeros_like(member)
-        image[:, table[table[g.inv[x]], x]] = member
-        try:
-            perm = np.array([position[row.tobytes()] for row in packed(image)], np.int64)
-        except KeyError:
-            raise ConsistencyError(
-                f"a conjugate of a subgroup of {g.label} is missing from its lattice"
-            ) from None
-        if (order[perm] != order).any():
-            raise ConsistencyError("conjugation changed a subgroup order")
-        perms.append(perm)
-    return perms
-
-
 def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
     """int64 keys of the rows of a 2-D array with entries in [0, base):
     equal exactly when the rows are equal, and ascending with the rows in
@@ -350,11 +318,14 @@ def clique_orbit_labels(
     ``cliques`` is a non-empty list of sorted position tuples in
     lexicographic order, as ``candidate_cliques`` returns them.  Entry i is
     the least clique index in the orbit of clique i, so representatives are
-    the i with label i, whatever generating set the perms come from.  Conjugation keeps index
-    gcds, disjointability and orders, so an image that is not a candidate
-    clique raises ConsistencyError.
+    the i with label i, whatever generating set the perms come from; with
+    no perms every clique is its own orbit.  Conjugation keeps index gcds,
+    disjointability and orders, so an image that is not a candidate clique
+    raises ConsistencyError.
     """
     n = len(cliques)
+    if not perms:
+        return np.arange(n)
     k = len(cliques[0])
     rows = np.fromiter(chain.from_iterable(cliques), np.int64, n * k).reshape(n, k)
     images = [np.sort(p[rows], axis=1) for p in perms]

@@ -18,7 +18,14 @@ from cosetlab.errors import (
     UnknownFamily,
 )
 from cosetlab.bitset import MEET_ROWS, mask_of, meet_orders, packed
-from cosetlab.groups import GroupSpec, _validate_table, direct_product, load_group
+from cosetlab.cache import spec_hash
+from cosetlab.groups import (
+    GroupSpec,
+    _validate_table,
+    direct_product,
+    load_group,
+    spec_from_token,
+)
 from cosetlab.subgroups import generating_set, membership
 
 import helpers
@@ -355,6 +362,14 @@ def test_table_is_the_composition_table_and_a_group(name):
 def test_negative_seed_refused(spec):
     with pytest.raises(BadInput, match="seed"):
         load_group(spec, seed=-1)
+
+
+def test_catalog_names_are_family_tokens():
+    for name in cl.CATALOG:
+        assert cl.CATALOG[name] == spec_from_token(name) == _resolve_spec(name)
+    assert spec_from_token("C2xE7") is None
+    assert spec_hash(cl.CATALOG["S3xC2"]).startswith("176e1641f9d1bc7a")
+    assert spec_hash(cl.CATALOG["Q8"]).startswith("fe703fff68b0c964")
 
 
 def test_catalog_groups_are_labelled_by_their_names():

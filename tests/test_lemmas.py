@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,20 @@ def test_sampled_runs_reproducible(lattice):
     assert a.to_json_dict() == b.to_json_dict()
     c = cl.run_lemma_suite(g, subs, seed=124, sample_target=300)
     assert c.failures == 0
+
+
+def test_suite_keeps_no_square_matrix(lattice):
+    # containment rows are built one block at a time: an m x m int64 matrix
+    # of intersection orders would be 64 MB for C2^6's 2825 subgroups
+    g, subs = lattice("C2xC2xC2xC2xC2xC2")
+    tracemalloc.start()
+    try:
+        res = cl.run_lemma_suite(g, subs, sample_target=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.failures == 0
+    assert peak < 32 * 2**20
 
 
 def test_json_shape(lattice):

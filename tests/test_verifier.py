@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import cosetlab as cl
 from cosetlab import verifier
-from cosetlab.bitset import bits_tuple
+from cosetlab.bitset import bits_tuple, mask_of
 from cosetlab.errors import CliqueCapExceeded
+from cosetlab.subgroups import conjugators, generating_set
 from cosetlab.verifier import (
     OPEN_RANGE_NOTE,
     _row_keys,
@@ -474,6 +475,70 @@ CLASS_COUNTS = {"S4": 11, "S5": 19, "A5": 9, "A6": 22, "D4": 8, "Q8": 6}
 def test_lattice_orbit_counts_pinned(lattice, name):
     g, subs = lattice(name)
     assert len(action_classes(g, subs)) == CLASS_COUNTS[name]
+
+
+def reference_action(g, subs):
+    """Conjugation by every element of generating_set(g), through the table."""
+    table = g.np_table
+    position = {s.mask: i for i, s in enumerate(subs)}
+    return [
+        np.array([position[mask_of(conj[list(s.elements)].tolist())] for s in subs])
+        for conj in (table[table[g.inv[x]], x] for x in generating_set(g))
+    ]
+
+
+ABELIAN = {n for n in cl.CATALOG if n.startswith("C")}
+
+
+def has_center(name):
+    table = cl.load_catalog_group(name).np_table
+    return (table == table.T).all(axis=1).sum() > 1
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in cl.CATALOG if has_center(n)) + ["D30", "S3xS3xC2", "S4xS3"],
+)
+def test_action_modulo_center_has_the_orbits_of_the_full_action(lattice, name):
+    # generators of g modulo its center give the same orbits, on the lattice
+    # positions and on the candidate cliques
+    g, subs = lattice(name)
+    ours, full = conjugation_action(g, subs), reference_action(g, subs)
+    assert len(ours) <= len(full)
+    singletons = [(i,) for i in range(len(subs))]
+    stats = cl.pair_table(g, subs)
+    cliques = [
+        cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats) for k in range(3, 7)
+    ]
+    for tuples in [singletons, *(c for c in cliques if c)]:
+        assert np.array_equal(
+            clique_orbit_labels(ours, tuples), clique_orbit_labels(full, tuples)
+        )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in cl.CATALOG if n not in ABELIAN) + ["D30", "S4xS3"]
+)
+def test_no_conjugator_is_the_identity(lattice, name):
+    g, _ = lattice(name)
+    maps = conjugators(g)
+    assert maps
+    for conj in maps:
+        assert conj != list(range(g.n))
+
+
+@pytest.mark.parametrize("name", ["C24", "C6xC2", C2_6])
+def test_abelian_group_builds_no_action(lattice, name):
+    g, subs = lattice(name)
+    assert conjugators(g) == []
+    assert conjugation_action(g, subs) == []
+
+
+def test_abelian_group_searches_every_clique(lattice):
+    g, subs = lattice("C24")
+    for k in range(3, 7):
+        rep = cl.verify_group(g, k, subgroups=subs)
+        assert rep.clique_orbits == rep.candidate_clique_count
 
 
 def test_row_keys_past_int64():
