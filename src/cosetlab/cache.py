@@ -44,9 +44,13 @@ def _require_spec(g: FiniteGroup) -> GroupSpec:
     return g.spec
 
 
+def _compact(payload: dict) -> str:
+    # no indent, so the json module's C encoder runs
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_checksum(payload: dict) -> str:
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_compact(payload).encode("utf-8")).hexdigest()
 
 
 def store_lattice(g: FiniteGroup, subgroups: list[Subgroup], cache_dir: Path | str) -> Path:
@@ -66,7 +70,7 @@ def store_lattice(g: FiniteGroup, subgroups: list[Subgroup], cache_dir: Path | s
     # leaves a truncated lattice behind.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        tmp.write_text(_compact(payload) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -191,13 +191,22 @@ def _run(args: argparse.Namespace) -> int:
     ``args.work`` is a cmd_* function above; it returns its report blocks and
     exit code.  config echoes the command, the group token and every k, seed
     and cap value, the defaults of flags the command does not take included,
-    so all reports have the same keys; jobs, cache dir and report path go to
-    the volatile runtime block.
+    so all reports have the same keys; jobs, cache dir, report path and the
+    seconds of each phase (load, lattice, then the command's work) go to the
+    volatile runtime block.
     """
     t0 = time.perf_counter()
+    marks = [0.0]
+
+    def mark() -> None:
+        marks.append(round(time.perf_counter() - t0, 6))
+
     g = load_group(_resolve_spec(args.group), args.max_order, seed=args.seed)
+    mark()
     subs, cache_status = _subgroups(g, args.cache_dir)
+    mark()
     blocks, code = args.work(args, g, subs)
+    mark()
     doc = build_report(
         config={
             "command": args.command,
@@ -217,6 +226,11 @@ def _run(args: argparse.Namespace) -> int:
         },
         runtime={
             "elapsed_seconds": round(time.perf_counter() - t0, 6),
+            # differences of rounded marks, so they add up to the last mark
+            "phases": {
+                name: round(b - a, 6)
+                for name, a, b in zip(("load", "lattice", args.command), marks, marks[1:])
+            },
             "cache_status": cache_status,
             "cache_dir": args.cache_dir,
             "jobs": args.jobs,

@@ -45,7 +45,7 @@ def _r_from_order(subgroups: Sequence[Subgroup], meet_order: int) -> RValue:
     q, rem = divmod(index, lcm)
     if rem:
         # Each index divides the intersection index, so the lcm must too.
-        raise ConsistencyError(f"intersection index {index} not divisible by lcm {lcm}")
+        raise ConsistencyError(_not_divisible(index, lcm))
     return RValue(tuple(subgroups), index, lcm, q)
 
 
@@ -206,13 +206,14 @@ class PairCensus:
     enumerated: np.ndarray
 
 
-def _check_pair(i: int, j: int, closed: dict, enum: dict, exact: np.ndarray) -> None:
-    """The checks of ``census`` on the enumerated triples (i, j, j + t).
+def _check_pair(i: int, j: int, ts: np.ndarray, closed: dict, enum: dict) -> None:
+    """The checks of ``census`` on the enumerated triples (i, j, t), t in ``ts``.
 
-    A failure raises ConsistencyError naming the first failing triple.
+    ``closed`` and ``enum`` hold one entry per t of ``ts``.  A failure
+    raises ConsistencyError naming the first failing triple.
     """
     fails = {
-        key: (closed[key] != enum[key]).reshape(len(exact), -1).any(axis=1) for key in closed
+        key: (closed[key] != enum[key]).reshape(len(ts), -1).any(axis=1) for key in closed
     }
     fails["s_triple"] = enum["s_triple"] < enum["meet_all"]
     incl_excl = (
@@ -222,7 +223,7 @@ def _check_pair(i: int, j: int, closed: dict, enum: dict, exact: np.ndarray) -> 
         - enum["s_triple"]
     )
     fails["n_disjoint"] = incl_excl != enum["n_disjoint"]
-    bad = np.logical_or.reduce(list(fails.values())) & exact
+    bad = np.logical_or.reduce(list(fails.values()))
     if not bad.any():
         return
     t = int(np.argmax(bad))
@@ -233,7 +234,7 @@ def _check_pair(i: int, j: int, closed: dict, enum: dict, exact: np.ndarray) -> 
         why = "three pairwise meets undercount the common points"
     else:
         why = "inclusion-exclusion disagrees with the disjoint count"
-    raise ConsistencyError(f"census triple ({i}, {j}, {j + t}) {key}: {why}")
+    raise ConsistencyError(f"census triple ({i}, {j}, {ts[t]}) {key}: {why}")
 
 
 def lattice_census(
@@ -250,17 +251,20 @@ def lattice_census(
     packed membership rows W, and of ``W[i] & W[j]`` against ``W[j:]``.  The
     enumeration numbers every coset of the lattice: coset c of subgroup t
     is column ``off[t] + c``, with ``off`` the running sum of the indices
-    and C their total.  Subgroup i's row block is the index_i x C 0/1
-    matrix of which cosets meet which, so the meeting matrix Mjt of ``census``
-    is the t-th column segment of j's block.  Per pair, the counts for every
-    t >= j at once are sums per column segment: ``s_triple`` of the products
-    of the Mit and Mjt rows of the meeting pairs of i and j, ``n_disjoint``
-    of the same product as in ``census`` over the complement blocks.  Pair
-    counts are dot products of the blocks' row and column sums.  A triple
-    above ``max_census`` gets closed forms only, as in ``census``.  A few
-    arrays of at most |G| x C entries are held at once, O(max index x C)
-    memory, and no array over coset triples is built.  Counts are int64, so
-    the group order must stay below 2**21.
+    and C their total.  Subgroup i's row block is the index_i x C bool
+    matrix of which cosets meet which, so the meeting matrix Mjt of
+    ``census`` is the t-th column segment of j's block.  A triple above ``max_census``
+    gets closed forms only, as in ``census``, and per pair only the column
+    segments of the enumerated t are gathered.  Their counts, for every such
+    t at once, are sums per column segment: ``s_triple`` of the ANDs of the
+    Mit and Mjt rows of the meeting pairs of i and j, ``n_disjoint`` of the
+    same product as in ``census`` over the complement blocks.  Pair counts
+    are dot products of the blocks' column sums (Mit is Mti transposed, so
+    those are row sums too).  Blocks are bool, and per pair only the
+    complement product over the gathered columns is int64, so at most a
+    few arrays of index_i x C entries are held at once, and no array over
+    coset triples is built.  Counts are int64, so the group order must stay
+    below 2**21.
     """
     m = len(subs)
     if m == 0:
@@ -279,26 +283,21 @@ def lattice_census(
     labels = np.stack([coset_labels(s) for s in subs])
     glabels = labels + off[:m, None]
 
-    def block(i: int, t0: int) -> np.ndarray:
-        """Subgroup i's row block over the cosets of subgroups t0, ..., m-1."""
-        out = np.zeros((index[i], off[m] - off[t0]), dtype=np.int64)
-        out[labels[i], glabels[t0:] - off[t0]] = 1
+    def block(i: int, lo: int) -> np.ndarray:
+        """Subgroup i's row block over the cosets of subgroups lo, ..., m-1."""
+        out = np.zeros((index[i], off[m] - off[lo]), dtype=bool)
+        out[labels[i], glabels[lo:] - off[lo]] = True
         return out
 
     # Per subgroup: the column sums of its block (how many of its cosets meet
-    # each coset) and its row sums per segment (index_i x m).
-    col_sums = np.empty((m, off[m]), dtype=np.int64)
-    row_sums = []
-    for i in range(m):
-        b = block(i, 0)
-        col_sums[i] = b.sum(axis=0)
-        row_sums.append(np.add.reduceat(b, off[:m], axis=1))
+    # each coset).  Mit is Mti transposed, so the row sums of Mit are
+    # col_sums[t] on segment i.
+    col_sums = np.stack([block(i, 0).sum(axis=0) for i in range(m)])
     nonzero = np.add.reduceat(col_sums, off[:m], axis=1)  # nnz of every Mit
 
     for i in range(m):
         a = int(index[i])
         mi = block(i, 0)
-        ni = 1 - mi
         for j in range(i, m):
             b = int(index[j])
             c = index[j:]
@@ -322,43 +321,52 @@ def lattice_census(
             s_triple = np.zeros_like(total)
             n_disjoint = np.zeros_like(total)
             if enumerated.any():
-                # The first enumerated t; the columns from its segment on.
-                t0 = j + int(np.argmax(enumerated))
-                c0, seg = off[t0], off[t0:m] - off[t0]
-                mjt, mit = block(j, t0), mi[:, c0:]
+                # The enumerated t - j, ``sel``, and their columns from off[j]
+                # on, ``cols``, as slices when every t is, so nothing is
+                # copied; ``seg`` starts each t's segment among them.
+                if enumerated.all():
+                    sel = cols = slice(None)
+                else:
+                    sel, cols = np.flatnonzero(enumerated), np.repeat(enumerated, c)
+                cs = c[sel]
+                seg = np.cumsum(cs) - cs
+                mit, mjt = mi[:, off[j] :][:, cols], block(j, j)[:, cols]
                 # Coset x of i meets coset y of j exactly when some point has
                 # labels (x, y), so at most n pairs meet; the sum of the
-                # products of their rows is sum((Mij @ Mjt) * Mit) at n x C
+                # ANDs of their rows is sum((Mij @ Mjt) * Mit) at n x C
                 # cost in place of a x b x C.
                 pair_key = labels[i] * b + labels[j]
                 xs, ys = np.divmod(np.unique(pair_key), b)
-                s_triple[t0 - j :] = np.add.reduceat((mit[xs] * mjt[ys]).sum(axis=0), seg)
-                n_disjoint[t0 - j :] = np.add.reduceat(
-                    ((ni[:, off[j] : off[j] + b] @ (1 - mjt)) * ni[:, c0:]).sum(axis=0), seg
-                )
+                s_triple[sel] = np.add.reduceat((mit[xs] & mjt[ys]).sum(axis=0), seg)
+                ndis = (~mi[:, off[j] : off[j] + b]).astype(np.int64) @ (~mjt).astype(np.int64)
+                ndis *= ~mit
+                n_disjoint[sel] = np.add.reduceat(ndis.sum(axis=0), seg)
                 # A coset triple has a common point x exactly when it is x's label triple.
-                keys = np.sort(pair_key * c[:, None] + labels[j:], axis=1)
+                keys = np.sort(pair_key * cs[:, None] + labels[j:][sel], axis=1)
                 meet_all = 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
-                rows_i, rows_j = row_sums[i], row_sums[j]
-                cols_i, cols_j = col_sums[i, off[j] :], col_sums[j, off[j] :]
+                rows_i = col_sums[j:, off[i] : off[i] + a][sel]  # row sums of Mit, per t
+                rows_j = col_sums[j:, off[j] : off[j] + b][sel]
+                cols_i, cols_j = col_sums[i, off[j] :][cols], col_sums[j, off[j] :][cols]
                 enum = {
-                    "total": total,
+                    "total": total[sel],
                     "s_pair": np.stack(
-                        [nonzero[i, j] * c, nonzero[i, j:] * b, nonzero[j, j:] * a], axis=1
+                        [nonzero[i, j] * cs, nonzero[i, j:][sel] * b, nonzero[j, j:][sel] * a],
+                        axis=1,
                     ),
                     "s_pair_pair": np.stack(
                         [
-                            rows_i[:, j] @ rows_i[:, j:],
-                            cols_i[:b] @ rows_j[:, j:],
-                            np.add.reduceat(cols_i * cols_j, off[j:m] - off[j]),
+                            rows_i @ col_sums[j, off[i] : off[i] + a],
+                            rows_j @ col_sums[i, off[j] : off[j] + b],
+                            np.add.reduceat(cols_i * cols_j, seg),
                         ],
                         axis=1,
                     ),
-                    "s_triple": s_triple,
+                    "s_triple": s_triple[sel],
                     "meet_all": meet_all,
-                    "n_disjoint": n_disjoint,
+                    "n_disjoint": n_disjoint[sel],
                 }
-                _check_pair(i, j, closed, enum, enumerated)
+                closed_sel = {k: v[sel] for k, v in closed.items()}
+                _check_pair(i, j, np.arange(j, m)[sel], closed_sel, enum)
             yield PairCensus(
                 i, j, **closed, s_triple=s_triple, n_disjoint=n_disjoint, enumerated=enumerated
             )
@@ -444,4 +452,88 @@ def check_triple_inequalities(
         divisibility_ok=div_ok,
         common_gcd=common,
         scaled_divisibility_ok=scaled_ok,
+    )
+
+
+@dataclass(frozen=True)
+class TripleInequalities:
+    """The checks of ``check_triple_inequalities`` on N triples, one entry per triple.
+
+    ``index``, ``lcm`` and ``r`` are 4 x N, for the pairs ij, ik, jk and then
+    the triple: the intersection index, the lcm of the subgroup indices, and
+    their quotient.  ``check_triple_inequalities`` raises on a triple that is
+    not ``integral``, and there the other fields mean nothing.
+    ``common_gcd`` is 0 where the three pair gcds differ, and
+    ``scaled_divisibility_ok`` is True there; ``r_bound`` is
+    ``r_strict_upper`` of the common gcd and the pair r-values.
+    """
+
+    index: np.ndarray
+    lcm: np.ndarray
+    r: np.ndarray
+    pivot_bounds_ok: np.ndarray
+    divisibility_ok: np.ndarray
+    common_gcd: np.ndarray
+    scaled_divisibility_ok: np.ndarray
+    r_bound: np.ndarray
+
+    @property
+    def integral(self) -> np.ndarray:
+        return (self.index % self.lcm == 0).all(axis=0)
+
+    def integrality_error(self, p: int) -> str:
+        """The ConsistencyError text ``check_triple_inequalities`` gives triple p."""
+        q = int(np.argmax(self.index[:, p] % self.lcm[:, p] != 0))
+        return _not_divisible(int(self.index[q, p]), int(self.lcm[q, p]))
+
+
+def _not_divisible(index: int, lcm: int) -> str:
+    return f"intersection index {index} not divisible by lcm {lcm}"
+
+
+def triple_inequalities(w: np.ndarray, n: int, triples: np.ndarray) -> TripleInequalities:
+    """``check_triple_inequalities`` on every row (i, j, k) of ``triples`` at once.
+
+    ``w`` holds the lattice's packed membership rows, ``n`` is the group
+    order.  Subgroup, pair and triple orders are popcounts of the rows and
+    of their ANDs, gathered per triple, so no lattice x lattice matrix is
+    built.  All arithmetic is exact int64.
+    """
+    rows = [w[triples[:, c]] for c in range(3)]
+
+    def orders(*parts: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(np.bitwise_and.reduce(parts)).sum(axis=1, dtype=np.int64)
+
+    pairs = ((0, 1), (0, 2), (1, 2))
+    o = [orders(r) for r in rows]
+    idx = [n // x for x in o]
+    meet = np.stack([orders(rows[a], rows[b]) for a, b in pairs] + [orders(*rows)])
+    index = n // meet
+    lcm = np.stack([np.lcm(idx[a], idx[b]) for a, b in pairs] + [np.lcm.reduce(idx)])
+    r = index // lcm
+    # The order of the pair that leaves out position c, for c = 0, 1, 2.
+    pair_without = meet[2::-1]
+    bounds_ok = np.logical_and.reduce(
+        [pair_without[c] // meet[3] <= o[a] // pair_without[b] for a, b, c in permutations(range(3))]
+    )
+    div_ok = np.logical_and.reduce([index[3] % (n // x) == 0 for x in pair_without])
+
+    g_ij, g_ik, g_jk = (np.gcd(idx[a], idx[b]) for a, b in pairs)
+    common = np.where((g_ij == g_ik) & (g_ik == g_jk), g_ij, 0)
+    # r[2 - c] is the pair without c; an r-value is 0 only off the integral triples
+    scaled_ok = (common == 0) | np.logical_and.reduce(
+        [
+            (idx[c] // np.maximum(common, 1) * r[3]) % np.maximum(r[2 - c], 1) == 0
+            for c in range(3)
+        ]
+    )
+    return TripleInequalities(
+        index=index,
+        lcm=lcm,
+        r=r,
+        pivot_bounds_ok=bounds_ok,
+        divisibility_ok=div_ok,
+        common_gcd=common,
+        scaled_divisibility_ok=scaled_ok,
+        r_bound=r_strict_upper(common, r[0], r[1], r[2]),
     )

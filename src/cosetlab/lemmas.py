@@ -27,7 +27,7 @@ from .cosets import (
     promote,
     touching_count,
 )
-from .counting import DEFAULT_CENSUS_CAP, census, check_triple_inequalities, r_strict_upper
+from .counting import DEFAULT_CENSUS_CAP, census, lattice_census, triple_inequalities
 from .errors import ConsistencyError
 from .groups import FiniteGroup
 from .subgroups import Subgroup, enumerate_subgroups, membership
@@ -63,6 +63,16 @@ class LemmaStats:
     def tally(self, oks: np.ndarray, desc: str = "") -> None:
         """Record every entry of a boolean outcome array under one tag."""
         self._count(oks.size, oks.size - int(np.count_nonzero(oks)), desc)
+
+    def tally_at(
+        self, checked: np.ndarray, oks: np.ndarray, describe: Callable[[int], str]
+    ) -> None:
+        """Record ``oks[p]`` at every position p where ``checked`` holds, in
+        order; ``describe(p)`` names the failure at p."""
+        bad = np.flatnonzero(checked & ~oks)
+        self.checked += int(np.count_nonzero(checked))
+        self.failed += bad.size
+        self.examples += [describe(int(p)) for p in bad[: 5 - len(self.examples)]]
 
     def _count(self, checked: int, failed: int, desc: str) -> None:
         self.checked += checked
@@ -158,46 +168,99 @@ def _check_pair(
     stats["L3.3"].record(touching_count(h, k) == k.order // overlap, tag)
 
 
-def _check_triple(
-    gi: Subgroup,
-    gj: Subgroup,
-    gk: Subgroup,
+def _triple_census(
+    subs: Sequence[Subgroup], triples: np.ndarray, census_cap: int, from_lattice: bool
+) -> tuple[dict[int, str], np.ndarray, np.ndarray, Optional[str]]:
+    """The census of each triple: the ConsistencyError text of those whose
+    census raised, by position, and per triple whether it was enumerated and
+    its ``n_disjoint`` (0 where not enumerated); last, the text of a
+    ``lattice_census`` error that ``census`` did not reproduce, or None.
+
+    With ``from_lattice`` the triples are all of them, in
+    ``combinations_with_replacement`` order, and ``lattice_census`` gives
+    them a pair at a time; a block it yields has passed every check of
+    ``census``.  It raises at the first pair that fails, and the triples
+    from that pair on go through ``census`` one at a time, as sampled
+    triples do, so each failure is named as ``census`` names it.  If no
+    triple of that pair fails there, the lattice census's error is returned.
+    """
+    size = len(triples)
+    enumerated = np.zeros(size, dtype=bool)
+    n_disjoint = np.zeros(size, dtype=np.int64)
+    errors: dict[int, str] = {}
+    lattice_error = None
+    done = 0
+    if from_lattice:
+        try:
+            for pc in lattice_census(subs, max_census=census_cap):
+                end = done + len(pc.total)
+                enumerated[done:end] = pc.enumerated
+                n_disjoint[done:end] = pc.n_disjoint
+                done = end
+        except ConsistencyError as exc:
+            lattice_error = str(exc)
+    for p in range(done, size):
+        i, j, t = triples[p]
+        try:
+            cen = census(subs[i], subs[j], subs[t], max_census=census_cap)
+        except ConsistencyError as exc:
+            errors[p] = str(exc)
+            continue
+        enumerated[p] = cen.enumerated
+        n_disjoint[p] = cen.n_disjoint or 0
+    if lattice_error is not None:
+        # the pair (i, j) that raised holds the triples (i, j, t) for t >= j
+        pair_end = done + len(subs) - triples[done, 1]
+        if any(done <= p < pair_end for p in errors):
+            lattice_error = None
+    return errors, enumerated, n_disjoint, lattice_error
+
+
+def _check_triples(
+    g: FiniteGroup,
+    subs: Sequence[Subgroup],
+    w: np.ndarray,
+    triples: np.ndarray,
     stats: dict[str, LemmaStats],
     census_cap: int,
+    from_lattice: bool,
 ) -> None:
-    tag = f"{gi.parent.label}: orders ({gi.order},{gj.order},{gk.order})"
-    try:
-        cen = census(gi, gj, gk, max_census=census_cap)
-    except ConsistencyError as exc:
-        stats["L3.2"].record(False, f"{tag}: {exc}")
-        return
-    if cen.enumerated:
-        # The census already cross-checked the enumerated common-point count
-        # against the intersection index, so reaching here means it held.
-        stats["L3.2"].record(True, tag)
+    """L3.2, E3.1, E3.2 and E3.4 on the rows (i, j, k) of ``triples``, in order.
 
-    # check_triple_inequalities raises when an r-value is not integral.
-    try:
-        diag = check_triple_inequalities(gi, gj, gk)
-    except ConsistencyError as exc:
-        stats["E3.4"].record(False, f"{tag}: {exc}")
-        return
-    stats["E3.1"].record(diag.pivot_bounds_ok, tag)
-    stats["E3.4"].record(
-        diag.divisibility_ok and diag.scaled_divisibility_ok in (None, True), tag
+    Per triple, as ``census`` and then ``check_triple_inequalities`` would
+    find it: a census that raises fails L3.2 and skips the rest; an
+    enumerated one holds L3.2.  An r-value that is not integral fails E3.4
+    and skips E3.1 and E3.2.  E3.2 needs a common pair gcd and an
+    enumerated census with a disjoint coset triple.  A ``lattice_census``
+    error that ``census`` does not reproduce is one more L3.2 failure.
+    """
+    errors, enumerated, n_disjoint, lattice_error = _triple_census(
+        subs, triples, census_cap, from_lattice
     )
-    if (
-        diag.common_gcd is not None
-        and cen.enumerated
-        and cen.n_disjoint is not None
-        and cen.n_disjoint > 0
-    ):
-        rs = [rv.r for rv in diag.r_pair]
-        bound = r_strict_upper(diag.common_gcd, rs[0], rs[1], rs[2])
-        stats["E3.2"].record(
-            diag.r_triple.r < bound,
-            f"{tag}: r={diag.r_triple.r} bound={bound}",
-        )
+    ineq = triple_inequalities(w, g.n, triples)
+    census_ok = np.ones(len(triples), dtype=bool)
+    census_ok[list(errors)] = False
+    integral = census_ok & ineq.integral
+
+    def tag(p: int) -> str:
+        i, j, k = (subs[x].order for x in triples[p])
+        return f"{g.label}: orders ({i},{j},{k})"
+
+    stats["L3.2"].tally_at(~census_ok | enumerated, census_ok, lambda p: f"{tag(p)}: {errors[p]}")
+    if lattice_error is not None:
+        stats["L3.2"].record(False, f"{g.label}: lattice census: {lattice_error}")
+    stats["E3.4"].tally_at(
+        census_ok,
+        integral & ineq.divisibility_ok & ineq.scaled_divisibility_ok,
+        lambda p: tag(p) if integral[p] else f"{tag(p)}: {ineq.integrality_error(p)}",
+    )
+    stats["E3.1"].tally_at(integral, ineq.pivot_bounds_ok, tag)
+    r = ineq.r[3]
+    stats["E3.2"].tally_at(
+        integral & (ineq.common_gcd > 0) & enumerated & (n_disjoint > 0),
+        r < ineq.r_bound,
+        lambda p: f"{tag(p)}: r={r[p]} bound={ineq.r_bound[p]}",
+    )
 
 
 def _nested_instances(
@@ -306,13 +369,20 @@ def run_lemma_suite(
 
     triple_mode, triples, drawn = _instances(
         math.comb(m + 2, 3) <= exhaustive_triple_limit,
-        combinations_with_replacement(subs, 3),
-        lambda: tuple(subs[i] for i in sorted(rng.randrange(m) for _ in range(3))),
+        combinations_with_replacement(range(m), 3),
+        lambda: sorted(rng.randrange(m) for _ in range(3)),
         sample_target,
     )
     samples += drawn
-    for gi, gj, gk in triples:
-        _check_triple(gi, gj, gk, stats, census_cap)
+    _check_triples(
+        g,
+        subs,
+        w,
+        np.array(triples, dtype=np.intp).reshape(-1, 3),
+        stats,
+        census_cap,
+        triple_mode == "exhaustive",
+    )
 
     nested_mode, quadruples, drawn = _instances(
         g.n <= nested_order_limit,

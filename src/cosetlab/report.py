@@ -182,6 +182,10 @@ REPORT_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "elapsed_seconds": {"type": "number", "minimum": 0},
+                "phases": {
+                    "type": "object",
+                    "additionalProperties": {"type": "number", "minimum": 0},
+                },
                 "cache_status": {"type": "string", "enum": ["cold", "warm", "off"]},
                 "cache_dir": {"type": "string"},
                 "jobs": {"type": "integer", "minimum": 1},

@@ -10,6 +10,9 @@ subgroup, not one per conjugacy class.
 ``composition_table`` lists a spec's elements in full and multiplies every
 pair, where the library follows generator steps along a spanning tree.
 ``small_products`` is the hypothesis strategy for random direct products.
+``per_triple_family`` is the lemma suite's triple family as it ran before it
+read the lattice census: ``census`` and ``check_triple_inequalities`` on one
+triple at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from hypothesis import strategies as st
 from cosetlab import FiniteGroup, GroupSpec, Subgroup
 from cosetlab.bitset import bits_tuple
 from cosetlab.cosets import coset_mask
+from cosetlab.counting import census, check_triple_inequalities, r_strict_upper
+from cosetlab.errors import ConsistencyError
 from cosetlab.subgroups import _is_prime_power, close_generators
 
 # Named groups with their orders, the factors of random direct products.
@@ -350,3 +355,47 @@ def exists_disjoint_family(g: FiniteGroup, subs: list[Subgroup]) -> bool:
         return any(not used & c and place(slot + 1, used | c) for c in cosets[slot])
 
     return place(0, 0)
+
+
+def _check_triple(gi: Subgroup, gj: Subgroup, gk: Subgroup, stats: dict, census_cap: int) -> None:
+    tag = f"{gi.parent.label}: orders ({gi.order},{gj.order},{gk.order})"
+    try:
+        cen = census(gi, gj, gk, max_census=census_cap)
+    except ConsistencyError as exc:
+        stats["L3.2"].record(False, f"{tag}: {exc}")
+        return
+    if cen.enumerated:
+        # The census already cross-checked the enumerated common-point count
+        # against the intersection index, so reaching here means it held.
+        stats["L3.2"].record(True, tag)
+
+    # check_triple_inequalities raises when an r-value is not integral.
+    try:
+        diag = check_triple_inequalities(gi, gj, gk)
+    except ConsistencyError as exc:
+        stats["E3.4"].record(False, f"{tag}: {exc}")
+        return
+    stats["E3.1"].record(diag.pivot_bounds_ok, tag)
+    stats["E3.4"].record(
+        diag.divisibility_ok and diag.scaled_divisibility_ok in (None, True), tag
+    )
+    if (
+        diag.common_gcd is not None
+        and cen.enumerated
+        and cen.n_disjoint is not None
+        and cen.n_disjoint > 0
+    ):
+        rs = [rv.r for rv in diag.r_pair]
+        bound = r_strict_upper(diag.common_gcd, rs[0], rs[1], rs[2])
+        stats["E3.2"].record(
+            diag.r_triple.r < bound,
+            f"{tag}: r={diag.r_triple.r} bound={bound}",
+        )
+
+
+def per_triple_family(g, subs, w, triples, stats, census_cap, from_lattice) -> None:
+    """Drop-in for ``cosetlab.lemmas._check_triples``: L3.2, E3.1, E3.2 and
+    E3.4 recorded one triple at a time, in order, from ``census`` and
+    ``check_triple_inequalities``; ``w`` and ``from_lattice`` are not read."""
+    for i, j, k in triples:
+        _check_triple(subs[i], subs[j], subs[k], stats, census_cap)

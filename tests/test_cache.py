@@ -29,6 +29,22 @@ def test_round_trip_yields_identical_lattice(tmp_path):
         assert [s.elements for s in other] == [s.elements for s in direct]
 
 
+def test_lattice_file_is_compact_and_indented_files_still_load(tmp_path):
+    # the file is the checksummed payload in compact JSON, one line; a file
+    # laid out with indent=2, as earlier writers did, holds the same content
+    # under the same format tag and still loads warm
+    g = cl.load_catalog_group("S4")
+    subs = cl.enumerate_subgroups(g)
+    path = store_lattice(g, subs, tmp_path)
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    got, status = cached_subgroups(g, tmp_path)
+    assert status == "warm"
+    assert [s.elements for s in got] == [s.elements for s in subs]
+
+
 def test_spec_hash_keys_by_content():
     a = cl.catalog_spec("C6")
     b = cl.catalog_spec("C7")

@@ -320,6 +320,30 @@ def test_lemmas_c12(capsys, tmp_path):
     assert "0 failures" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group", "S3", "--k", "2..3"],
+        ["lemmas", "--group", "C12"],
+        ["census", "--group", "C6"],
+        ["subgroups", "--group", "Q8"],
+    ],
+)
+def test_runtime_phases(capsys, tmp_path, argv):
+    # seconds for loading the group, the lattice and the command's work:
+    # none negative, together no more than the whole run (up to float
+    # rounding of six-decimal values)
+    code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    validate_report(doc)
+    runtime = doc["runtime"]
+    phases = runtime["phases"]
+    assert set(phases) == {"load", "lattice", argv[0]}
+    assert min(phases.values()) >= 0
+    assert sum(phases.values()) <= runtime["elapsed_seconds"] + 1e-9
+
+
 def test_report_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, err = run(
@@ -384,6 +408,10 @@ PINNED_REPORTS = {
     # 12 of the 20 triples are enumerated, 8 capped
     "census --group C6 --max-census 20": "47b0a5b34cc3e395fd17c66f8489aa808c5775b338dc2ce94ac899f93cdaaa48",
     "lemmas --group S4 --seed 0": "369a50c02753cb6b5a1a086ef7debbcc78c7382024043ed26ce7403ac4380074",
+    # exhaustive triples with most censuses above the cap
+    "lemmas --group S4 --seed 0 --max-census 100": "fecf8f5137f61a0e54ad5f35859523752146accf90bc76218ff508d4f83c1ce4",
+    # 7,140 exhaustive triples, near the 8,000 limit
+    "lemmas --group D12 --seed 0": "4a615ee9b51482c9a94d24131001abf46221af1a8602f87f6200cf1cfa6e780a",
     "lemmas --group S5 --seed 0": "90b51eb97e1eda775c08881348304647b6e5c58b9f3b4f2c0f29ddea7fcd64c6",
     "lemmas --group A5 --seed 3": "3958ea3f36d3300bb36ebef1d251164eb5cdf109a5f8ff5b1c7f0745c4fb17fc",
     # tuples_examined depends on the slot order among subgroups of equal order,

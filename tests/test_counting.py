@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab.counting import _checked
+from cosetlab.bitset import packed
+from cosetlab.counting import _checked, triple_inequalities
+from cosetlab.subgroups import membership
 from cosetlab.errors import CounterOverflow, ParentMismatch
 
 from helpers import triple_census_brute
@@ -189,6 +193,41 @@ def test_triple_inequalities_hold(lattice, name):
         assert diag.pivot_bounds_ok, (name, i, j, k)
         assert diag.divisibility_ok, (name, i, j, k)
         assert diag.all_ok, (name, i, j, k)
+
+
+@pytest.mark.parametrize("name", ["S4", "D12", "A4", "C2xC2xC2", "C24"])
+def test_triple_inequality_arrays_match_per_triple(lattice, name):
+    # every field of the array route against check_triple_inequalities,
+    # triple by triple, over all triples of the lattice
+    g, subs = lattice(name)
+    triples = np.array(list(combinations_with_replacement(range(len(subs)), 3)))
+    ineq = triple_inequalities(packed(membership(subs)), g.n, triples)
+    assert ineq.integral.all()
+    for p, (i, j, k) in enumerate(triples):
+        diag = cl.check_triple_inequalities(subs[i], subs[j], subs[k])
+        rvs = (*diag.r_pair, diag.r_triple)
+        assert ineq.index[:, p].tolist() == [rv.intersection_index for rv in rvs]
+        assert ineq.lcm[:, p].tolist() == [rv.lcm_index for rv in rvs]
+        assert ineq.r[:, p].tolist() == [rv.r for rv in rvs]
+        assert ineq.pivot_bounds_ok[p] == diag.pivot_bounds_ok
+        assert ineq.divisibility_ok[p] == diag.divisibility_ok
+        assert ineq.common_gcd[p] == (diag.common_gcd or 0)
+        assert ineq.scaled_divisibility_ok[p] == (diag.scaled_divisibility_ok is not False)
+        if diag.common_gcd is not None:
+            rs = [rv.r for rv in diag.r_pair]
+            assert ineq.r_bound[p] == cl.r_strict_upper(diag.common_gcd, *rs)
+
+
+def test_triple_inequality_integrality_error_text(lattice):
+    # a triple whose lcm does not divide its index gets the text
+    # check_triple_inequalities raises, naming the first such r-value
+    g, subs = lattice("S3")
+    ineq = triple_inequalities(packed(membership(subs)), g.n, np.array([[0, 1, 2]]))
+    bad = replace(ineq, lcm=ineq.lcm * np.array([[1], [1], [4], [5]]))
+    assert not bad.integral[0]
+    index, lcm = ineq.index[2, 0], ineq.lcm[2, 0] * 4
+    assert index % lcm
+    assert bad.integrality_error(0) == f"intersection index {index} not divisible by lcm {lcm}"
 
 
 def test_counter_overflow_guard():

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 import cosetlab as cl
+import cosetlab.counting
+import cosetlab.lemmas
+from cosetlab.counting import DEFAULT_CENSUS_CAP
 from cosetlab.errors import ConsistencyError
 from cosetlab.lemmas import LemmaStats
+from helpers import per_triple_family
 
 
 EXHAUSTIVE_GROUPS = ["C6", "C12", "S3", "D4", "D6", "Q8", "A4", "C2xC2", "C2xC2xC2", "S4"]
@@ -106,16 +112,160 @@ def test_product_set_disagreement_recorded_as_l21i_failure(lattice, monkeypatch)
 def test_r_value_disagreement_recorded_as_e34_failure(lattice, monkeypatch):
     # A failed r-value integrality check is an E3.4 failure of that triple,
     # which then skips E3.1 and E3.2; it must not escape the suite.
-    def not_integral(subgroups, meet_order):
-        raise ConsistencyError("intersection index not divisible by lcm")
+    def not_integral(w, n, triples):
+        ineq = real(w, n, triples)
+        return replace(ineq, lcm=ineq.index + 1)  # no index is a multiple of itself + 1
 
+    real = cosetlab.lemmas.triple_inequalities
     g, subs = lattice("S3")
-    monkeypatch.setattr("cosetlab.counting._r_from_order", not_integral)
+    monkeypatch.setattr("cosetlab.lemmas.triple_inequalities", not_integral)
     res = cl.run_lemma_suite(g, subs)
     assert res.stats["E3.4"].failed > 0
     assert "not divisible" in res.stats["E3.4"].examples[0]
     assert res.stats["E3.1"].checked == 0
     assert res.stats["E3.2"].checked == 0
+
+
+# every catalog group but A5 and S5 runs its triples exhaustively
+EXHAUSTIVE_TRIPLE_GROUPS = [name for name in cl.CATALOG if name not in ("A5", "S5")]
+
+
+def _with_oracle(monkeypatch, run):
+    """``run()``'s report, and the same run's with the triple family done one
+    triple at a time by ``census`` and ``check_triple_inequalities``."""
+    fast = run().to_json_dict()
+    with monkeypatch.context() as m:
+        m.setattr("cosetlab.lemmas._check_triples", per_triple_family)
+        return fast, run().to_json_dict()
+
+
+# at census caps 1 and 100 these groups mix enumerated and capped triples
+CAPPED_TRIPLE_GROUPS = ["S4", "D12", "A4", "C2xC2xC2"]
+
+
+@pytest.mark.parametrize(
+    "name,cap",
+    [(name, DEFAULT_CENSUS_CAP) for name in EXHAUSTIVE_TRIPLE_GROUPS]
+    + [(name, cap) for name in CAPPED_TRIPLE_GROUPS for cap in (1, 100)],
+)
+def test_triple_family_matches_per_triple_oracle(lattice, monkeypatch, name, cap):
+    # identical checked, failed and examples for every law; the pair and
+    # nested families are left out (no samples, no exhaustive pairs or nesting)
+    g, subs = lattice(name)
+
+    def per_triple_census(*args, **kwargs):
+        raise AssertionError("exhaustive triples read the lattice census")
+
+    monkeypatch.setattr("cosetlab.lemmas.census", per_triple_census)
+
+    def run():
+        res = cl.run_lemma_suite(
+            g, subs, sample_target=0, exhaustive_pair_limit=0, nested_order_limit=0,
+            census_cap=cap,
+        )
+        assert res.triple_mode == "exhaustive"
+        return res
+
+    fast, oracle = _with_oracle(monkeypatch, run)
+    assert fast == oracle
+    assert fast["stats"]["E3.4"]["checked"] == fast["counts"]["triples"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["A5", "S5"])
+def test_sampled_triple_family_matches_per_triple_oracle(lattice, monkeypatch, name, seed):
+    g, subs = lattice(name)
+
+    def run():
+        res = cl.run_lemma_suite(g, subs, seed=seed)
+        assert res.triple_mode == "sampled"
+        return res
+
+    fast, oracle = _with_oracle(monkeypatch, run)
+    assert fast == oracle
+
+
+def test_failed_strict_bound_examples_match_oracle(lattice, monkeypatch):
+    # a strict bound of 0 fails E3.2 wherever it is checked; the examples,
+    # which carry r and the bound, read as on the per-triple route
+    def zero_bound(d, r_ij, r_ik, r_jk):
+        return d * 0
+
+    monkeypatch.setattr("cosetlab.counting.r_strict_upper", zero_bound)
+    monkeypatch.setattr("helpers.r_strict_upper", zero_bound)
+    g, subs = lattice("S4")
+    fast, oracle = _with_oracle(monkeypatch, lambda: cl.run_lemma_suite(g, subs))
+    assert fast == oracle
+    e32 = fast["stats"]["E3.2"]
+    assert e32["failed"] == e32["checked"] == 907
+    assert e32["examples"][0].endswith(" bound=0")
+
+
+def test_lattice_census_failure_finishes_per_triple(lattice, monkeypatch):
+    # A census fault that the lattice census meets at one pair, mid-lattice,
+    # and the per-triple census at every triple from that pair on: the suite
+    # finishes those triples one at a time, so each failure, and the E3.x
+    # checks it skips, land as on the per-triple route.
+    g, subs = lattice("S4")
+    pos = {id(s): x for x, s in enumerate(subs)}
+    pairs = list(combinations_with_replacement(range(len(subs)), 2))
+    bad_pair = pairs[len(pairs) // 3]
+    real_lattice, real_enum = cosetlab.lemmas.lattice_census, cosetlab.counting._enumerate_counts
+
+    yielded = []
+
+    def lattice_census(subs, **kwargs):
+        for pc in real_lattice(subs, **kwargs):
+            if (pc.i, pc.j) == bad_pair:
+                raise ConsistencyError(f"census triple {bad_pair}: planted fault")
+            yielded.append((pc.i, pc.j))
+            yield pc
+
+    def enumerate_counts(gi, gj, gk):
+        counts = real_enum(gi, gj, gk)
+        if (pos[id(gi)], pos[id(gj)]) >= bad_pair:
+            counts["meet_all"] += 1
+        return counts
+
+    clean = cl.run_lemma_suite(g, subs)
+    monkeypatch.setattr("cosetlab.lemmas.lattice_census", lattice_census)
+    monkeypatch.setattr("cosetlab.counting._enumerate_counts", enumerate_counts)
+    fast, oracle = _with_oracle(monkeypatch, lambda: cl.run_lemma_suite(g, subs))
+    assert fast == oracle
+    assert yielded == pairs[: len(pairs) // 3]
+    l32 = fast["stats"]["L3.2"]
+    assert l32["failed"] > 5 and len(l32["examples"]) == 5
+    assert all("census meet_all" in e for e in l32["examples"])
+    # a triple whose census raised checks no inequality
+    for lid in ("E3.1", "E3.4"):
+        assert fast["stats"][lid]["checked"] == clean.stats[lid].checked - l32["failed"]
+
+
+def test_lattice_only_census_fault_is_reported(lattice, monkeypatch):
+    # A fault that only the lattice census meets: the per-triple census of
+    # the pair where it raised finds nothing, so the lattice census's error
+    # is one more L3.2 failure, and every other count is as on a clean run.
+    g, subs = lattice("S4")
+    pairs = list(combinations_with_replacement(range(len(subs)), 2))
+    bad_pair = pairs[len(pairs) // 2]
+    real_lattice = cosetlab.lemmas.lattice_census
+
+    def lattice_census(subs, **kwargs):
+        for pc in real_lattice(subs, **kwargs):
+            if (pc.i, pc.j) == bad_pair:
+                raise ConsistencyError(f"census triple {bad_pair}: planted fault")
+            yield pc
+
+    clean = cl.run_lemma_suite(g, subs).to_json_dict()
+    monkeypatch.setattr("cosetlab.lemmas.lattice_census", lattice_census)
+    res = cl.run_lemma_suite(g, subs).to_json_dict()
+    l32 = res["stats"]["L3.2"]
+    assert res["failures"] == l32["failed"] == 1
+    assert l32["checked"] == clean["stats"]["L3.2"]["checked"] + 1
+    assert l32["examples"] == [f"S4: lattice census: census triple {bad_pair}: planted fault"]
+    for lid in cl.LEMMA_IDS:
+        if lid != "L3.2":
+            assert res["stats"][lid] == clean["stats"][lid], lid
 
 
 def test_modes_switch_to_sampled(lattice):
