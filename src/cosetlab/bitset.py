@@ -44,6 +44,11 @@ def packed(rows: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
+def row_mask(row: np.ndarray) -> int:
+    """The int mask of a bool row: bit x set exactly where entry x is."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
 # rows of ``a`` per block in meet_orders: no temporary exceeds MEET_ROWS x len(b) words
 MEET_ROWS = 64
 

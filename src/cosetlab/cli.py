@@ -17,9 +17,11 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
 from .catalog import catalog_names, load_catalog_group
-from .counting import DEFAULT_CENSUS_CAP, lattice_census
+from .counting import DEFAULT_CENSUS_CAP, lattice_census, triple_orbits
 from .errors import BadInput, CensusCapExceeded, GroupSpecError, ResourceLimit
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, load_group, spec_from_token
 from .lemmas import run_lemma_suite
@@ -144,9 +146,10 @@ def cmd_census(
             f" --max-census {args.max_census}"
         )
     orders = [s.order for s in subs]
+    orbits = triple_orbits(subs)
     entries = []
     enumerated = 0
-    for pc in lattice_census(subs, max_census=args.max_census):
+    for pc in lattice_census(subs, max_census=args.max_census, orbits=orbits):
         for t, total, s_pair, s_pair_pair, s_triple, meet_all, n_disjoint, exact in zip(
             range(pc.j, m),
             pc.total.tolist(),
@@ -171,7 +174,8 @@ def cmd_census(
                 }
             )
     print(
-        f"{g.label}: {len(entries)} subgroup triples censused,"
+        f"{g.label}: {len(entries)} subgroup triples censused"
+        f" in {np.count_nonzero(orbits == np.arange(n_triples))} orbits,"
         f" {enumerated} enumerated exactly",
         file=sys.stderr,
     )

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitset import lowest_bit
+from .bitset import lowest_bit, row_mask
 from .errors import ConsistencyError, EmptyCosetList, ParentMismatch
 from .subgroups import Subgroup, _closed_under_mul, _subgroup_from_mask, intersect_all
 
@@ -125,28 +125,28 @@ def _pair_parent(h: Subgroup, k: Subgroup):
     return h.parent
 
 
+def _product_row(h: Subgroup, k: Subgroup) -> np.ndarray:
+    """Bool row of H*K: the |H| x |K| products h*k, gathered from the table at once."""
+    row = np.zeros(h.parent.n, dtype=bool)
+    row[h.parent.np_table[np.array(h.elements)[:, None], k.elements]] = True
+    return row
+
+
 def _product_mask(h: Subgroup, k: Subgroup) -> int:
-    mul = h.parent.mul
-    k_elems = k.elements
-    m = 0
-    for a in h.elements:
-        row = mul[a]
-        for b in k_elems:
-            m |= 1 << row[b]
-    return m
+    return row_mask(_product_row(h, k))
 
 
 def product_set(h: Subgroup, k: Subgroup) -> ProductSet:
     """Materialize H*K.  Closure under multiplication must agree with H*K = K*H."""
     parent = _pair_parent(h, k)
-    hk = _product_mask(h, k)
-    kh = _product_mask(k, h)
+    hk = _product_row(h, k)
+    kh = _product_row(k, h)
     closed = _closed_under_mul(parent, hk)
-    if closed != (hk == kh):
+    if closed != (hk == kh).all():
         raise ConsistencyError(
             "product-set closure test disagrees with the commutation test"
         )
-    return ProductSet(h, k, hk, closed)
+    return ProductSet(h, k, row_mask(hk), closed)
 
 
 def promote(p: ProductSet) -> Subgroup:

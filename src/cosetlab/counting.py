@@ -12,9 +12,11 @@ import numpy as np
 from .bitset import meet_orders, packed
 from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
-from .subgroups import Subgroup, membership
+from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
 
 DEFAULT_CENSUS_CAP = 10**6
+# triples per block in lattice_census's checks
+CHECK_ROWS = 1 << 13
 _U64_MAX = 2**64 - 1
 
 
@@ -206,65 +208,135 @@ class PairCensus:
     enumerated: np.ndarray
 
 
-def _check_pair(i: int, j: int, ts: np.ndarray, closed: dict, enum: dict) -> None:
-    """The checks of ``census`` on the enumerated triples (i, j, t), t in ``ts``.
+def _triples(m: int) -> np.ndarray:
+    """Every triple i <= j <= t of range(m), as an N x 3 int64 array in
+    ``combinations_with_replacement`` order."""
+    i, j = np.triu_indices(m)  # the pairs i <= j, in that order
+    count = m - j  # t runs over j, ..., m-1
+    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - j, count)
+    return np.stack([np.repeat(i, count), np.repeat(j, count), t], axis=1)
 
-    ``closed`` and ``enum`` hold one entry per t of ``ts``.  A failure
-    raises ConsistencyError naming the first failing triple.
+
+def triple_orbits(subs: Sequence[Subgroup]) -> np.ndarray:
+    """Orbit label of every subgroup triple of a lattice under simultaneous
+    conjugation, in ``combinations_with_replacement`` order: the position of
+    the least triple of its orbit (``subgroups.orbit_labels``)."""
+    if not subs:
+        return np.arange(0)
+    return orbit_labels(conjugation_action(subs[0].parent, subs), _triples(len(subs)))
+
+
+def _closed_census(w: np.ndarray, pair_meet: np.ndarray, n: int, triples: np.ndarray) -> dict:
+    """The closed forms of ``census`` for every row (i, j, t) of ``triples`` at once.
+
+    ``w`` holds the packed membership rows and ``pair_meet`` their pair
+    intersection orders.  Pair orders are gathered from ``pair_meet``, the
+    triple orders are popcounts of the gathered rows ANDed.
     """
-    fails = {
-        key: (closed[key] != enum[key]).reshape(len(ts), -1).any(axis=1) for key in closed
+    i, j, t = triples.T
+    index = n // pair_meet.diagonal()
+    idx = [index[i], index[j], index[t]]
+    p_ij, p_it, p_jt = n // pair_meet[i, j], n // pair_meet[i, t], n // pair_meet[j, t]
+    # Pivot orders: share subgroup i, then j, then t.
+    pp = np.empty((len(triples), 3), dtype=np.int64)
+    for c, (x, y) in enumerate(((p_ij, p_it), (p_ij, p_jt), (p_it, p_jt))):
+        num = x * y
+        if (num % idx[c]).any():
+            raise ConsistencyError("pair-pair closed form is not integral")
+        np.floor_divide(num, idx[c], out=pp[:, c])
+    meet = w[i]
+    meet &= w[j]
+    meet &= w[t]
+    return {
+        "total": idx[0] * idx[1] * idx[2],
+        "s_pair": np.stack([p_ij * idx[2], p_it * idx[1], p_jt * idx[0]], axis=1),
+        "s_pair_pair": pp,
+        "meet_all": n // np.bitwise_count(meet).sum(axis=1, dtype=np.int64),
     }
-    fails["s_triple"] = enum["s_triple"] < enum["meet_all"]
+
+
+def _census_failure(
+    closed: dict, got: dict, member: np.ndarray
+) -> Optional[tuple[int, str, str]]:
+    """The checks of ``census`` on aligned rows of closed forms and counts.
+
+    ``got`` holds each row's enumerated counts: its own for a representative,
+    its representative's for a ``member``.  A member's ``s_pair`` and
+    ``s_pair_pair`` are compared as sorted triples, because conjugation can
+    swap positions of equal order, and its inclusion-exclusion uses its own
+    closed pair counts.  Returns the first failing row, the failing key
+    and why, or None.
+    """
+    fails = {}
+    for key in closed:
+        c, e = closed[key], got[key]
+        if c.ndim == 2:
+            c = np.where(member[:, None], np.sort(c, axis=1), c)
+            e = np.where(member[:, None], np.sort(e, axis=1), e)
+        fails[key] = (c != e).reshape(len(c), -1).any(axis=1)
+    fails["s_triple"] = got["s_triple"] < got["meet_all"]
+    own = {
+        key: np.where(member, closed[key].T, got[key].T)
+        for key in ("total", "s_pair", "s_pair_pair")
+    }
     incl_excl = (
-        enum["total"]
-        - enum["s_pair"].sum(axis=1)
-        + enum["s_pair_pair"].sum(axis=1)
-        - enum["s_triple"]
+        own["total"] - own["s_pair"].sum(axis=0) + own["s_pair_pair"].sum(axis=0) - got["s_triple"]
     )
-    fails["n_disjoint"] = incl_excl != enum["n_disjoint"]
+    fails["n_disjoint"] = incl_excl != got["n_disjoint"]
     bad = np.logical_or.reduce(list(fails.values()))
     if not bad.any():
-        return
-    t = int(np.argmax(bad))
-    key = next(k for k, f in fails.items() if f[t])
+        return None
+    p = int(np.argmax(bad))
+    key = next(k for k, f in fails.items() if f[p])
     if key in closed:
-        why = f"closed form {closed[key][t].tolist()} != enumeration {enum[key][t].tolist()}"
+        why = f"closed form {closed[key][p].tolist()} != enumeration {got[key][p].tolist()}"
     elif key == "s_triple":
         why = "three pairwise meets undercount the common points"
     else:
         why = "inclusion-exclusion disagrees with the disjoint count"
-    raise ConsistencyError(f"census triple ({i}, {j}, {ts[t]}) {key}: {why}")
+    return p, key, why
 
 
 def lattice_census(
-    subs: Sequence[Subgroup], *, max_census: int = DEFAULT_CENSUS_CAP
+    subs: Sequence[Subgroup],
+    *,
+    max_census: int = DEFAULT_CENSUS_CAP,
+    orbits: Optional[np.ndarray] = None,
 ) -> Iterator[PairCensus]:
     """The census of every subgroup triple of a lattice, one pair i <= j at a time.
 
     Pairs come in ``combinations_with_replacement`` order, so the triples
     (i, j, t) do too.  Both routes of ``census`` run on whole arrays and
     are compared triple by triple; a disagreement raises ConsistencyError
-    naming the first failing triple.
+    naming the first failing triple, after the pairs before it are yielded.
 
-    Closed forms come from the intersection orders: ``meet_orders`` of the
-    packed membership rows W, and of ``W[i] & W[j]`` against ``W[j:]``.  The
-    enumeration numbers every coset of the lattice: coset c of subgroup t
-    is column ``off[t] + c``, with ``off`` the running sum of the indices
-    and C their total.  Subgroup i's row block is the index_i x C bool
-    matrix of which cosets meet which, so the meeting matrix Mjt of
-    ``census`` is the t-th column segment of j's block.  A triple above ``max_census``
-    gets closed forms only, as in ``census``, and per pair only the column
-    segments of the enumerated t are gathered.  Their counts, for every such
-    t at once, are sums per column segment: ``s_triple`` of the ANDs of the
-    Mit and Mjt rows of the meeting pairs of i and j, ``n_disjoint`` of the
-    same product as in ``census`` over the complement blocks.  Pair counts
-    are dot products of the blocks' column sums (Mit is Mti transposed, so
-    those are row sums too).  Blocks are bool, and per pair only the
-    complement product over the gathered columns is int64, so at most a
-    few arrays of index_i x C entries are held at once, and no array over
-    coset triples is built.  Counts are int64, so the group order must stay
-    below 2**21.
+    Conjugation by x maps the coset triples of (H_i, H_j, H_t) one to one
+    onto those of the conjugate triple and keeps every meet, so every count
+    is constant on an orbit of triples (``orbits``, from ``triple_orbits``
+    unless given).  Only the least triple of each orbit is enumerated; its
+    ``s_triple`` and ``n_disjoint`` are copied to the others, the members,
+    whose own closed forms are checked against its enumeration
+    (``_census_failure``).  An abelian group has no conjugation, and every
+    triple is enumerated.
+
+    Closed forms come from the intersection orders, for every triple in one
+    pass (``_closed_census``).  The enumeration numbers every coset of the
+    lattice: coset c of subgroup t is column ``off[t] + c``, with ``off``
+    the running sum of the indices and C their total.  Subgroup i's row
+    block is the index_i x C bool matrix of which cosets meet which, so the
+    meeting matrix Mjt of ``census`` is the t-th column segment of j's
+    block.  A triple above ``max_census`` gets closed forms only, as in
+    ``census``.  Per pair (i, j) that holds an enumerated representative,
+    only the column segments of those t are gathered.  Their counts, for
+    every such t at once, are sums per column segment: ``s_triple`` of the
+    ANDs of the Mit and Mjt rows of the meeting pairs of i and j,
+    ``n_disjoint`` of the same product as in ``census`` over the complement
+    blocks.  Pair counts are dot products of the blocks' column sums (Mit is
+    Mti transposed, so those are row sums too).  Blocks are bool, and per
+    pair only the complement product over the gathered columns is int64, so
+    at most a few arrays of index_i x C entries are held at once; the
+    arrays over triples hold O(1) ints per triple.  Counts are int64, so
+    the group order must stay below 2**21.
     """
     m = len(subs)
     if m == 0:
@@ -282,6 +354,16 @@ def lattice_census(
     off = np.concatenate(([0], np.cumsum(index)))
     labels = np.stack([coset_labels(s) for s in subs])
     glabels = labels + off[:m, None]
+    if orbits is None:
+        orbits = triple_orbits(subs)
+    triples = _triples(m)
+    if orbits.shape != (len(triples),):
+        raise ValueError(f"orbits must hold one label per triple, {len(triples)}")
+    closed = _closed_census(w, pair_meet, n, triples)
+    enumerated = closed["total"] <= max_census
+    reps = np.flatnonzero((orbits == np.arange(len(orbits))) & enumerated)
+    rep_i, rep_j, rep_t = triples[reps].T
+    del triples
 
     def block(i: int, lo: int) -> np.ndarray:
         """Subgroup i's row block over the cosets of subgroups lo, ..., m-1."""
@@ -295,81 +377,99 @@ def lattice_census(
     col_sums = np.stack([block(i, 0).sum(axis=0) for i in range(m)])
     nonzero = np.add.reduceat(col_sums, off[:m], axis=1)  # nnz of every Mit
 
+    # The enumerated counts of each representative, one row per entry of reps.
+    got = {
+        "total": closed["total"][reps],
+        "s_pair": np.zeros((len(reps), 3), dtype=np.int64),
+        "s_pair_pair": np.zeros((len(reps), 3), dtype=np.int64),
+        "s_triple": np.zeros(len(reps), dtype=np.int64),
+        "meet_all": np.zeros(len(reps), dtype=np.int64),
+        "n_disjoint": np.zeros(len(reps), dtype=np.int64),
+    }
+    # reps ascend, so each pair's representatives are one run of them
+    runs = np.flatnonzero(np.diff(rep_i * m + rep_j, prepend=-1, append=m * m))
+    mi, mi_at = None, -1
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        i, j, ts = int(rep_i[lo]), int(rep_j[lo]), rep_t[lo:hi]
+        if mi_at != i:
+            mi, mi_at = block(i, 0), i
+        a, b, cs = int(index[i]), int(index[j]), index[ts]
+        seg = np.cumsum(cs) - cs  # each t's segment among the gathered columns
+        # the columns of the t in ts, from off[j] on; a slice when every t is
+        # one, so nothing is copied
+        if len(ts) == m - j:
+            cols = slice(None)
+        else:
+            keep = np.zeros(m - j, dtype=bool)
+            keep[ts - j] = True
+            cols = np.repeat(keep, index[j:])
+        mit, mjt = mi[:, off[j] :][:, cols], block(j, j)[:, cols]
+        # Coset x of i meets coset y of j exactly when some point has labels
+        # (x, y), so at most n pairs meet; the sum of the ANDs of their rows
+        # is sum((Mij @ Mjt) * Mit) at n x C cost in place of a x b x C.
+        pair_key = labels[i] * b + labels[j]
+        xs, ys = np.divmod(np.unique(pair_key), b)
+        got["s_triple"][lo:hi] = np.add.reduceat((mit[xs] & mjt[ys]).sum(axis=0), seg)
+        ndis = (~mi[:, off[j] : off[j] + b]).astype(np.int64) @ (~mjt).astype(np.int64)
+        ndis *= ~mit
+        got["n_disjoint"][lo:hi] = np.add.reduceat(ndis.sum(axis=0), seg)
+        # A coset triple has a common point x exactly when it is x's label triple.
+        keys = np.sort(pair_key * cs[:, None] + labels[ts], axis=1)
+        got["meet_all"][lo:hi] = 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
+        rows_i = col_sums[ts, off[i] : off[i] + a]  # row sums of Mit, per t
+        rows_j = col_sums[ts, off[j] : off[j] + b]
+        cols_i, cols_j = col_sums[i, off[j] :][cols], col_sums[j, off[j] :][cols]
+        got["s_pair"][lo:hi] = np.stack(
+            [nonzero[i, j] * cs, nonzero[i, ts] * b, nonzero[j, ts] * a], axis=1
+        )
+        got["s_pair_pair"][lo:hi] = np.stack(
+            [
+                rows_i @ col_sums[j, off[i] : off[i] + a],
+                rows_j @ col_sums[i, off[j] : off[j] + b],
+                np.add.reduceat(cols_i * cols_j, seg),
+            ],
+            axis=1,
+        )
+
+    # Every enumerated triple against the enumeration of its orbit's least
+    # triple, which is enumerated too, since the total is the same; a block
+    # of CHECK_ROWS triples at a time.
+    checked = np.flatnonzero(enumerated)
+    s_triple = np.zeros(len(enumerated), dtype=np.int64)
+    n_disjoint = np.zeros(len(enumerated), dtype=np.int64)
+    fail_at, failure = len(enumerated), None
+    for lo in range(0, len(checked), CHECK_ROWS):
+        part = checked[lo : lo + CHECK_ROWS]
+        slot = np.searchsorted(reps, orbits[part])
+        part_got = {key: v[slot] for key, v in got.items()}
+        s_triple[part], n_disjoint[part] = part_got["s_triple"], part_got["n_disjoint"]
+        failure = _census_failure(
+            {key: v[part] for key, v in closed.items()}, part_got, orbits[part] != part
+        )
+        if failure is not None:
+            fail_at = int(part[failure[0]])
+            break
+
+    lo = 0
     for i in range(m):
-        a = int(index[i])
-        mi = block(i, 0)
         for j in range(i, m):
-            b = int(index[j])
-            c = index[j:]
-            p_ij = n // pair_meet[i, j]
-            p_it, p_jt = n // pair_meet[i, j:], n // pair_meet[j, j:]
-            total = a * b * c
-            # Pivot orders: share subgroup i, then j, then t.
-            pp, rem = np.divmod(
-                np.stack([p_ij * p_it, p_ij * p_jt, p_it * p_jt], axis=1),
-                np.stack([np.full_like(c, a), np.full_like(c, b), c], axis=1),
-            )
-            if rem.any():
-                raise ConsistencyError("pair-pair closed form is not integral")
-            closed = {
-                "total": total,
-                "s_pair": np.stack([p_ij * c, p_it * b, p_jt * a], axis=1),
-                "s_pair_pair": pp,
-                "meet_all": n // meet_orders(w[i : i + 1] & w[j], w[j:])[0],
-            }
-            enumerated = total <= max_census
-            s_triple = np.zeros_like(total)
-            n_disjoint = np.zeros_like(total)
-            if enumerated.any():
-                # The enumerated t - j, ``sel``, and their columns from off[j]
-                # on, ``cols``, as slices when every t is, so nothing is
-                # copied; ``seg`` starts each t's segment among them.
-                if enumerated.all():
-                    sel = cols = slice(None)
-                else:
-                    sel, cols = np.flatnonzero(enumerated), np.repeat(enumerated, c)
-                cs = c[sel]
-                seg = np.cumsum(cs) - cs
-                mit, mjt = mi[:, off[j] :][:, cols], block(j, j)[:, cols]
-                # Coset x of i meets coset y of j exactly when some point has
-                # labels (x, y), so at most n pairs meet; the sum of the
-                # ANDs of their rows is sum((Mij @ Mjt) * Mit) at n x C
-                # cost in place of a x b x C.
-                pair_key = labels[i] * b + labels[j]
-                xs, ys = np.divmod(np.unique(pair_key), b)
-                s_triple[sel] = np.add.reduceat((mit[xs] & mjt[ys]).sum(axis=0), seg)
-                ndis = (~mi[:, off[j] : off[j] + b]).astype(np.int64) @ (~mjt).astype(np.int64)
-                ndis *= ~mit
-                n_disjoint[sel] = np.add.reduceat(ndis.sum(axis=0), seg)
-                # A coset triple has a common point x exactly when it is x's label triple.
-                keys = np.sort(pair_key * cs[:, None] + labels[j:][sel], axis=1)
-                meet_all = 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
-                rows_i = col_sums[j:, off[i] : off[i] + a][sel]  # row sums of Mit, per t
-                rows_j = col_sums[j:, off[j] : off[j] + b][sel]
-                cols_i, cols_j = col_sums[i, off[j] :][cols], col_sums[j, off[j] :][cols]
-                enum = {
-                    "total": total[sel],
-                    "s_pair": np.stack(
-                        [nonzero[i, j] * cs, nonzero[i, j:][sel] * b, nonzero[j, j:][sel] * a],
-                        axis=1,
-                    ),
-                    "s_pair_pair": np.stack(
-                        [
-                            rows_i @ col_sums[j, off[i] : off[i] + a],
-                            rows_j @ col_sums[i, off[j] : off[j] + b],
-                            np.add.reduceat(cols_i * cols_j, seg),
-                        ],
-                        axis=1,
-                    ),
-                    "s_triple": s_triple[sel],
-                    "meet_all": meet_all,
-                    "n_disjoint": n_disjoint[sel],
-                }
-                closed_sel = {k: v[sel] for k, v in closed.items()}
-                _check_pair(i, j, np.arange(j, m)[sel], closed_sel, enum)
+            hi = lo + m - j
+            if hi > fail_at:
+                _, key, why = failure
+                r = np.searchsorted(reps, orbits[fail_at])
+                rep = (int(rep_i[r]), int(rep_j[r]), int(rep_t[r]))
+                at = (i, j, j + fail_at - lo)
+                whose = "" if rep == at else f" (orbit of {rep})"
+                raise ConsistencyError(f"census triple {at}{whose} {key}: {why}")
             yield PairCensus(
-                i, j, **closed, s_triple=s_triple, n_disjoint=n_disjoint, enumerated=enumerated
+                i,
+                j,
+                **{key: v[lo:hi] for key, v in closed.items()},
+                s_triple=s_triple[lo:hi],
+                n_disjoint=n_disjoint[lo:hi],
+                enumerated=enumerated[lo:hi],
             )
+            lo = hi
 
 
 def r_strict_upper(d: int, r_ij: int, r_ik: int, r_jk: int) -> int:

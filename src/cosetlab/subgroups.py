@@ -53,15 +53,12 @@ def _subgroup_from_mask(parent: FiniteGroup, mask: int) -> Subgroup:
     return Subgroup(parent, mask, elems, len(elems), parent.n // len(elems))
 
 
-def _closed_under_mul(parent: FiniteGroup, mask: int) -> bool:
-    elems = bits_tuple(mask)
-    mul = parent.mul
-    for a in elems:
-        row = mul[a]
-        for b in elems:
-            if not mask >> row[b] & 1:
-                return False
-    return True
+def _closed_under_mul(parent: FiniteGroup, row: np.ndarray) -> bool:
+    """Whether the element set whose bool row is ``row`` is closed under
+    multiplication: every product of two of its elements, gathered from the
+    table at once, is looked up in the row."""
+    elems = np.flatnonzero(row)
+    return bool(row[parent.np_table[elems[:, None], elems]].all())
 
 
 def subgroup_from_elements(
@@ -72,7 +69,9 @@ def subgroup_from_elements(
     if validate:
         if not mask >> parent.identity & 1:
             raise NotAGroup("subgroup candidate lacks the identity")
-        if not _closed_under_mul(parent, mask):
+        row = np.zeros(parent.n, dtype=bool)
+        row[list(bits_tuple(mask))] = True
+        if not _closed_under_mul(parent, row):
             raise NotAGroup("set not closed under multiplication")
         if parent.n % mask.bit_count() != 0:
             raise NotAGroup("subgroup order does not divide the group order")
@@ -210,6 +209,67 @@ def conjugation_action(
             raise ConsistencyError("conjugation changed a subgroup order")
         perms.append(perm)
     return perms
+
+
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """int64 keys of the rows of a 2-D array with entries in [0, base):
+    equal exactly when the rows are equal, and ascending with the rows in
+    lexicographic order.  Columns are folded in as key * base + column;
+    before that could pass 2^62 the keys are replaced by their ranks, so no
+    lattice size overflows."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every key lies below bound
+    for col in rows.T:
+        if bound > (1 << 62) // base:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * base + col
+        bound *= base
+    return key
+
+
+def orbit_labels(perms: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Orbit label of each row of ``rows`` under simultaneous conjugation.
+
+    ``perms`` act on lattice positions (``conjugation_action``).  ``rows``
+    is an N x k int array of position tuples, each sorted, all distinct, in
+    lexicographic order and closed under the action: the verifier's
+    candidate cliques, or every subgroup triple of the census.  Entry p is
+    the least row index in the orbit of row p, so representatives are the p
+    with label p, whatever generating set the perms come from; with no
+    perms every row is its own orbit.  A conjugate of a row that is not a
+    row raises ConsistencyError.
+    """
+    n, k = rows.shape
+    if not perms or n == 0:
+        return np.arange(n)
+    steps = []  # per perm, the row index of the image of each row
+    pair = np.empty((2 * n, k), dtype=np.int64)  # the rows, then their images
+    pair[:n] = rows
+    for p in perms:
+        pair[n:] = p[rows]
+        pair[n:].sort(axis=1)
+        keys = _row_keys(pair, int(pair.max()) + 1)
+        own, image_keys = keys[:n], keys[n:]
+        at = np.minimum(np.searchsorted(own, image_keys), n - 1)
+        if (own[at] != image_keys).any():
+            raise ConsistencyError("a conjugate of a position tuple is not among the rows")
+        steps.append(at)
+    del pair, keys, own, image_keys
+    # min-label propagation along both directions of every generator, then
+    # pointer jumping, to a fixpoint: labels end constant on each orbit and
+    # equal to an index in it that is its own label, so the least one
+    label = np.arange(n)
+    back = np.empty_like(label)
+    while True:
+        new = label
+        for at in steps:
+            back[at] = label  # the label of the preimage of each row
+            new = np.minimum(new, np.minimum(label[at], back))
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def enumerate_subgroups(

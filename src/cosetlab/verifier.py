@@ -25,6 +25,7 @@ from .subgroups import (
     conjugation_action,
     enumerate_subgroups,
     membership,
+    orbit_labels,
     subgroup_from_elements,
 )
 
@@ -292,69 +293,6 @@ def _search_with_count(
     return violation, examined
 
 
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """int64 keys of the rows of a 2-D array with entries in [0, base):
-    equal exactly when the rows are equal, and ascending with the rows in
-    lexicographic order.  Columns are folded in as key * base + column;
-    before that could pass 2^62 the keys are replaced by their ranks, so no
-    lattice size overflows."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # every key lies below bound
-    for col in rows.T:
-        if bound > (1 << 62) // base:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = len(distinct)
-        key = key * base + col
-        bound *= base
-    return key
-
-
-def clique_orbit_labels(
-    perms: Sequence[np.ndarray], cliques: Sequence[tuple[int, ...]]
-) -> np.ndarray:
-    """Orbit label of each clique under simultaneous conjugation.
-
-    ``perms`` act on lattice positions (``conjugation_action``) and
-    ``cliques`` is a non-empty list of sorted position tuples in
-    lexicographic order, as ``candidate_cliques`` returns them.  Entry i is
-    the least clique index in the orbit of clique i, so representatives are
-    the i with label i, whatever generating set the perms come from; with
-    no perms every clique is its own orbit.  Conjugation keeps index gcds,
-    disjointability and orders, so an image that is not a candidate clique
-    raises ConsistencyError.
-    """
-    n = len(cliques)
-    if not perms:
-        return np.arange(n)
-    k = len(cliques[0])
-    rows = np.fromiter(chain.from_iterable(cliques), np.int64, n * k).reshape(n, k)
-    images = [np.sort(p[rows], axis=1) for p in perms]
-    stacked = np.concatenate([rows, *images])
-    keys = _row_keys(stacked, int(stacked.max()) + 1)
-    own = keys[:n]
-    steps = []
-    for t in range(len(images)):
-        image_keys = keys[n * (t + 1) : n * (t + 2)]
-        at = np.minimum(np.searchsorted(own, image_keys), n - 1)
-        if (own[at] != image_keys).any():
-            raise ConsistencyError("a conjugate of a candidate clique is not a candidate")
-        back = np.empty_like(at)
-        back[at] = np.arange(n)
-        steps += [at, back]
-    # min-label propagation along both directions of every generator, then
-    # pointer jumping, to a fixpoint: labels end constant on each orbit and
-    # equal to an index in it that is its own label, so the least one
-    label = np.arange(n)
-    while True:
-        new = label
-        for step in steps:
-            new = np.minimum(new, label[step])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
 # Worker-side lattice for the process pool, set once per worker by _init_worker.
 _POOL_SUBS: Optional[list[Subgroup]] = None
 
@@ -394,7 +332,9 @@ def search_orbits(
     """
     if not cliques:
         return {}, 0, 0
-    labels = clique_orbit_labels(conjugation_action(g, subgroups), cliques)
+    k = len(cliques[0])
+    rows = np.fromiter(chain.from_iterable(cliques), np.int64, len(cliques) * k)
+    labels = orbit_labels(conjugation_action(g, subgroups), rows.reshape(-1, k))
     reps = np.flatnonzero(labels == np.arange(len(cliques))).tolist()
 
     results: list[tuple[Optional[Violation], int]]

@@ -291,6 +291,8 @@ def test_census_c6(capsys, tmp_path):
     validate_report(doc)
     assert len(doc["census"]) == 20  # C(4+2, 3) subgroup multisets
     assert all(e["enumerated"] for e in doc["census"])
+    # an abelian group: every triple is its own conjugacy orbit
+    assert "C6: 20 subgroup triples censused in 20 orbits, 20 enumerated exactly" in err
 
 
 def test_census_cap_exits_3(capsys, tmp_path):

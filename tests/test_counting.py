@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab.bitset import packed
+from cosetlab.bitset import mask_of, packed
 from cosetlab.counting import _checked, triple_inequalities
 from cosetlab.subgroups import membership
 from cosetlab.errors import CounterOverflow, ParentMismatch
@@ -287,11 +288,12 @@ def _lattice_entries(subs, cap):
 
 @pytest.mark.parametrize(
     "name,cap",
-    [(name, cl.counting.DEFAULT_CENSUS_CAP) for name in ORACLE_GROUPS] + [("S4", 500)],
+    [(name, cl.counting.DEFAULT_CENSUS_CAP) for name in ORACLE_GROUPS + ["S3xS3"]]
+    + [("S4", 500)],
 )
 def test_lattice_census_matches_per_triple_census(lattice, name, cap):
-    # census() is the independent per-triple route; at a cap of 500 S4 mixes
-    # enumerated and capped triples
+    # census() is the independent per-triple route for the orbit route of
+    # lattice_census; at a cap of 500 S4 mixes enumerated and capped triples
     g, subs = lattice(name)
     got = _lattice_entries(subs, cap)
     want = [
@@ -315,6 +317,122 @@ def test_lattice_census_names_first_failing_triple(lattice, monkeypatch):
     monkeypatch.setattr(cl.counting, "coset_labels", merged)
     with pytest.raises(cl.ConsistencyError, match=r"census triple \(0, 0, 0\)"):
         list(cl.lattice_census(subs))
+
+
+def _triples(subs):
+    return list(combinations_with_replacement(range(len(subs)), 3))
+
+
+def _representatives(orbits):
+    return np.flatnonzero(orbits == np.arange(len(orbits)))
+
+
+@pytest.mark.parametrize("name,count", [("S4", 592), ("A5", 906)])
+def test_triple_orbit_counts_pinned(lattice, name, count):
+    _, subs = lattice(name)
+    assert len(_representatives(cl.triple_orbits(subs))) == count
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4", "S3xC2"])
+def test_triple_orbits_match_conjugation_by_every_element(lattice, name):
+    # the least triple among the conjugates by every x in g, with subgroups
+    # conjugated through the multiplication table
+    g, subs = lattice(name)
+    position = {s.mask: p for p, s in enumerate(subs)}
+    table = g.np_table
+    conj = [
+        np.array([position[mask_of(image[list(s.elements)].tolist())] for s in subs])
+        for image in (table[table[g.inv[x]], x] for x in range(g.n))
+    ]
+    triples = _triples(subs)
+    index = {t: p for p, t in enumerate(triples)}
+    want = [min(index[tuple(sorted(perm[list(t)].tolist()))] for perm in conj) for t in triples]
+    assert cl.triple_orbits(subs).tolist() == want
+
+
+def _spy_members(monkeypatch):
+    """Record the member flags of every block of rows lattice_census checks."""
+    seen = []
+    real = cl.counting._census_failure
+
+    def spy(closed, got, member):
+        seen.append(member.copy())
+        return real(closed, got, member)
+
+    monkeypatch.setattr(cl.counting, "_census_failure", spy)
+    return seen
+
+
+def test_abelian_census_enumerates_every_triple(lattice, monkeypatch):
+    # an abelian group has no conjugation maps: every triple is its own
+    # orbit and is checked against its own enumeration
+    _, subs = lattice("C2xC2xC2")
+    assert len(_representatives(cl.triple_orbits(subs))) == len(_triples(subs))
+    seen = _spy_members(monkeypatch)
+    got = _lattice_entries(subs, cl.counting.DEFAULT_CENSUS_CAP)
+    assert all(c.enumerated for c in got)
+    assert sum(map(len, seen)) == len(got)
+    assert not any(m.any() for m in seen)
+
+
+def test_orbit_census_checks_every_member(lattice, monkeypatch):
+    _, subs = lattice("A5")
+    seen = _spy_members(monkeypatch)
+    got = _lattice_entries(subs, cl.counting.DEFAULT_CENSUS_CAP)
+    member = np.concatenate(seen)
+    assert len(member) == len(got)
+    assert np.count_nonzero(~member) == 906
+
+
+@pytest.mark.parametrize("key", ["total", "s_pair", "s_pair_pair", "meet_all"])
+def test_lattice_census_names_failing_member(lattice, monkeypatch, key):
+    # a fault in one member's closed form, not in its representative's, is
+    # caught against the representative's enumeration and names the member;
+    # the pairs before the member's pair are yielded
+    _, subs = lattice("S4")
+    orbits = cl.triple_orbits(subs)
+    members = np.flatnonzero(orbits != np.arange(len(orbits)))
+    p = int(members[len(members) // 2])
+    triples = _triples(subs)
+    real = cl.counting._closed_census
+
+    def planted(*args):
+        closed = real(*args)
+        closed[key][p] += 1
+        return closed
+
+    monkeypatch.setattr(cl.counting, "_closed_census", planted)
+    yielded = []
+    with pytest.raises(
+        cl.ConsistencyError,
+        match=re.escape(f"census triple {triples[p]} (orbit of {triples[orbits[p]]}) {key}:"),
+    ):
+        for pc in cl.lattice_census(subs):
+            yielded.append((pc.i, pc.j))
+    i, j, _ = triples[p]
+    assert yielded == sorted({t[:2] for t in triples if t[:2] < (i, j)})
+
+
+def test_representative_pair_counts_compared_in_place(lattice, monkeypatch):
+    # only a member's pair counts are compared as sorted triples: a
+    # representative's must match its enumeration position by position
+    _, subs = lattice("S4")
+    reps = _representatives(cl.triple_orbits(subs))
+    real = cl.counting._closed_census
+    picked = []
+
+    def swapped(*args):
+        closed = real(*args)
+        s_pair = closed["s_pair"]
+        p = next(int(r) for r in reps if len(set(s_pair[r].tolist())) == 3)
+        s_pair[p] = s_pair[p][::-1].copy()
+        picked.append(p)
+        return closed
+
+    monkeypatch.setattr(cl.counting, "_closed_census", swapped)
+    with pytest.raises(cl.ConsistencyError) as err:
+        list(cl.lattice_census(subs))
+    assert str(err.value).startswith(f"census triple {_triples(subs)[picked[0]]} s_pair:")
 
 
 def test_lattice_census_parent_check(lattice):

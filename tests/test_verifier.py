@@ -14,12 +14,10 @@ import cosetlab as cl
 from cosetlab import verifier
 from cosetlab.bitset import bits_tuple, mask_of
 from cosetlab.errors import CliqueCapExceeded
-from cosetlab.subgroups import conjugators, generating_set
+from cosetlab.subgroups import _row_keys, conjugators, generating_set, orbit_labels
 from cosetlab.verifier import (
     OPEN_RANGE_NOTE,
-    _row_keys,
     _search_with_count,
-    clique_orbit_labels,
     conjugation_action,
     search_orbits,
 )
@@ -455,7 +453,7 @@ def brute_conjugacy_classes(g, subs):
 
 def action_classes(g, subs):
     perms = conjugation_action(g, subs)
-    labels = clique_orbit_labels(perms, [(i,) for i in range(len(subs))])
+    labels = orbit_labels(perms, np.arange(len(subs))[:, None])
     return {frozenset(np.flatnonzero(labels == r).tolist()) for r in set(labels.tolist())}
 
 
@@ -512,7 +510,7 @@ def test_action_modulo_center_has_the_orbits_of_the_full_action(lattice, name):
     ]
     for tuples in [singletons, *(c for c in cliques if c)]:
         assert np.array_equal(
-            clique_orbit_labels(ours, tuples), clique_orbit_labels(full, tuples)
+            orbit_labels(ours, np.array(tuples)), orbit_labels(full, np.array(tuples))
         )
 
 
