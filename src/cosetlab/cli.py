@@ -146,10 +146,10 @@ def cmd_census(
             f" --max-census {args.max_census}"
         )
     orders = [s.order for s in subs]
-    orbits = triple_orbits(subs)
+    n_orbits = np.count_nonzero(triple_orbits(subs) == np.arange(n_triples))
     entries = []
     enumerated = 0
-    for pc in lattice_census(subs, max_census=args.max_census, orbits=orbits):
+    for pc in lattice_census(subs, max_census=args.max_census):
         for t, total, s_pair, s_pair_pair, s_triple, meet_all, n_disjoint, exact in zip(
             range(pc.j, m),
             pc.total.tolist(),
@@ -175,7 +175,7 @@ def cmd_census(
             )
     print(
         f"{g.label}: {len(entries)} subgroup triples censused"
-        f" in {np.count_nonzero(orbits == np.arange(n_triples))} orbits,"
+        f" in {n_orbits} orbits,"
         f" {enumerated} enumerated exactly",
         file=sys.stderr,
     )

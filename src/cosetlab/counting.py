@@ -227,32 +227,41 @@ def triple_orbits(subs: Sequence[Subgroup]) -> np.ndarray:
 
 
 def _closed_census(w: np.ndarray, pair_meet: np.ndarray, n: int, triples: np.ndarray) -> dict:
-    """The closed forms of ``census`` for every row (i, j, t) of ``triples`` at once.
+    """The closed forms of ``census`` for every row (i, j, t) of ``triples``.
 
     ``w`` holds the packed membership rows and ``pair_meet`` their pair
     intersection orders.  Pair orders are gathered from ``pair_meet``, the
-    triple orders are popcounts of the gathered rows ANDed.
+    triple orders are popcounts of the gathered rows ANDed.  The work runs
+    CHECK_ROWS triples at a time, so besides the result only arrays of one
+    block are held.
     """
-    i, j, t = triples.T
-    index = n // pair_meet.diagonal()
-    idx = [index[i], index[j], index[t]]
-    p_ij, p_it, p_jt = n // pair_meet[i, j], n // pair_meet[i, t], n // pair_meet[j, t]
-    # Pivot orders: share subgroup i, then j, then t.
-    pp = np.empty((len(triples), 3), dtype=np.int64)
-    for c, (x, y) in enumerate(((p_ij, p_it), (p_ij, p_jt), (p_it, p_jt))):
-        num = x * y
-        if (num % idx[c]).any():
-            raise ConsistencyError("pair-pair closed form is not integral")
-        np.floor_divide(num, idx[c], out=pp[:, c])
-    meet = w[i]
-    meet &= w[j]
-    meet &= w[t]
-    return {
-        "total": idx[0] * idx[1] * idx[2],
-        "s_pair": np.stack([p_ij * idx[2], p_it * idx[1], p_jt * idx[0]], axis=1),
-        "s_pair_pair": pp,
-        "meet_all": n // np.bitwise_count(meet).sum(axis=1, dtype=np.int64),
+    size = len(triples)
+    out = {
+        "total": np.empty(size, dtype=np.int64),
+        "s_pair": np.empty((size, 3), dtype=np.int64),
+        "s_pair_pair": np.empty((size, 3), dtype=np.int64),
+        "meet_all": np.empty(size, dtype=np.int64),
     }
+    index = n // pair_meet.diagonal()
+    for lo in range(0, size, CHECK_ROWS):
+        at = slice(lo, lo + CHECK_ROWS)
+        i, j, t = triples[at].T
+        idx = [index[i], index[j], index[t]]
+        p_ij, p_it, p_jt = n // pair_meet[i, j], n // pair_meet[i, t], n // pair_meet[j, t]
+        out["total"][at] = idx[0] * idx[1] * idx[2]
+        for c, (x, y) in enumerate(((p_ij, idx[2]), (p_it, idx[1]), (p_jt, idx[0]))):
+            np.multiply(x, y, out=out["s_pair"][at, c])
+        # Pivot orders: share subgroup i, then j, then t.
+        for c, (x, y) in enumerate(((p_ij, p_it), (p_ij, p_jt), (p_it, p_jt))):
+            num = x * y
+            if (num % idx[c]).any():
+                raise ConsistencyError("pair-pair closed form is not integral")
+            np.floor_divide(num, idx[c], out=out["s_pair_pair"][at, c])
+        meet = w[i]
+        meet &= w[j]
+        meet &= w[t]
+        out["meet_all"][at] = n // np.bitwise_count(meet).sum(axis=1, dtype=np.int64)
+    return out
 
 
 def _census_failure(
@@ -301,7 +310,6 @@ def lattice_census(
     subs: Sequence[Subgroup],
     *,
     max_census: int = DEFAULT_CENSUS_CAP,
-    orbits: Optional[np.ndarray] = None,
 ) -> Iterator[PairCensus]:
     """The census of every subgroup triple of a lattice, one pair i <= j at a time.
 
@@ -312,15 +320,16 @@ def lattice_census(
 
     Conjugation by x maps the coset triples of (H_i, H_j, H_t) one to one
     onto those of the conjugate triple and keeps every meet, so every count
-    is constant on an orbit of triples (``orbits``, from ``triple_orbits``
-    unless given).  Only the least triple of each orbit is enumerated; its
-    ``s_triple`` and ``n_disjoint`` are copied to the others, the members,
-    whose own closed forms are checked against its enumeration
-    (``_census_failure``).  An abelian group has no conjugation, and every
-    triple is enumerated.
+    is constant on an orbit of triples (``triple_orbits``).  Only the least
+    triple of each orbit is enumerated; its ``s_triple`` and ``n_disjoint``
+    are copied to the others, the members, whose own closed forms are
+    checked against its enumeration (``_census_failure``).  An abelian group
+    has no conjugation, and every triple is enumerated.  Otherwise ``subs``
+    must be closed under conjugation, as a whole lattice is; a conjugate
+    missing from it raises ConsistencyError before any pair is yielded.
 
-    Closed forms come from the intersection orders, for every triple in one
-    pass (``_closed_census``).  The enumeration numbers every coset of the
+    Closed forms come from the intersection orders, for every triple on
+    whole arrays, CHECK_ROWS triples at a time (``_closed_census``).  The enumeration numbers every coset of the
     lattice: coset c of subgroup t is column ``off[t] + c``, with ``off``
     the running sum of the indices and C their total.  Subgroup i's row
     block is the index_i x C bool matrix of which cosets meet which, so the
@@ -354,11 +363,8 @@ def lattice_census(
     off = np.concatenate(([0], np.cumsum(index)))
     labels = np.stack([coset_labels(s) for s in subs])
     glabels = labels + off[:m, None]
-    if orbits is None:
-        orbits = triple_orbits(subs)
+    orbits = triple_orbits(subs)
     triples = _triples(m)
-    if orbits.shape != (len(triples),):
-        raise ValueError(f"orbits must hold one label per triple, {len(triples)}")
     closed = _closed_census(w, pair_meet, n, triples)
     enumerated = closed["total"] <= max_census
     reps = np.flatnonzero((orbits == np.arange(len(orbits))) & enumerated)

@@ -440,3 +440,17 @@ def test_lattice_census_parent_check(lattice):
     _, subs12 = lattice("C12")
     with pytest.raises(ParentMismatch):
         list(cl.lattice_census([subs6[0], subs12[0]]))
+
+
+def test_lattice_census_needs_a_list_closed_under_conjugation(lattice):
+    # a non-abelian group's census labels triples by conjugation, so a list
+    # missing a conjugate is refused before any pair is yielded
+    _, subs = lattice("S4")
+    picked = [s for s in subs if s.order == 2][:1] + [s for s in subs if s.order == 3][:1]
+    with pytest.raises(cl.ConsistencyError, match="missing from its lattice"):
+        next(cl.lattice_census(picked))
+    # an abelian group's subgroups are their own conjugates: any list will do
+    _, subs = lattice("C2xC2xC2")
+    picked = subs[1:4]
+    want = [cl.census(*(picked[x] for x in t)) for t in _triples(picked)]
+    assert _lattice_entries(picked, cl.counting.DEFAULT_CENSUS_CAP) == want
