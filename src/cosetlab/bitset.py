@@ -39,14 +39,21 @@ def full_mask(n: int) -> int:
 
 def packed(rows: np.ndarray) -> np.ndarray:
     """Bool rows (r x n) as zero-padded little-endian uint64 words (r x ceil(n / 64)):
-    row i read as one little-endian integer is the int mask of row i."""
+    row i read as one little-endian integer is the int mask of row i.  Any
+    memory layout is accepted: the bytes are made C-contiguous before the
+    words are viewed."""
     padded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 64)))
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(np.packbits(padded, axis=1, bitorder="little")).view("<u8")
 
 
 def row_mask(row: np.ndarray) -> int:
     """The int mask of a bool row: bit x set exactly where entry x is."""
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The int mask of every bool row (r x n), as ``row_mask`` gives it."""
+    return [int.from_bytes(words.tobytes(), "little") for words in packed(rows)]
 
 
 # rows of ``a`` per block in meet_orders: no temporary exceeds MEET_ROWS x len(b) words

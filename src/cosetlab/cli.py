@@ -21,13 +21,13 @@ import numpy as np
 
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
 from .catalog import catalog_names, load_catalog_group
-from .counting import DEFAULT_CENSUS_CAP, lattice_census, triple_orbits
+from .counting import DEFAULT_CENSUS_CAP, lattice_census
 from .errors import BadInput, CensusCapExceeded, GroupSpecError, ResourceLimit
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, load_group, spec_from_token
 from .lemmas import run_lemma_suite
 from .report import build_report, canonical_json
 from .subgroups import Subgroup, enumerate_subgroups
-from .verifier import DEFAULT_CLIQUE_CAP, K_MAX, K_MIN, pair_table, verify_group
+from .verifier import DEFAULT_CLIQUE_CAP, K_MAX, K_MIN, PairRows, verify_group
 
 DEFAULT_K_RANGE = (2, 4)
 CACHE_OFF = "off"
@@ -95,7 +95,7 @@ def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[list[Subgroup], str]:
 def cmd_verify(
     args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
 ) -> tuple[dict, int]:
-    stats = pair_table(g, subs)
+    stats = PairRows(g, subs)
     reports = []
     for k in range(args.k[0], args.k[1] + 1):
         rep = verify_group(
@@ -146,10 +146,10 @@ def cmd_census(
             f" --max-census {args.max_census}"
         )
     orders = [s.order for s in subs]
-    n_orbits = np.count_nonzero(triple_orbits(subs) == np.arange(n_triples))
     entries = []
-    enumerated = 0
+    enumerated = n_orbits = 0
     for pc in lattice_census(subs, max_census=args.max_census):
+        n_orbits += int(np.count_nonzero(pc.representative))
         for t, total, s_pair, s_pair_pair, s_triple, meet_all, n_disjoint, exact in zip(
             range(pc.j, m),
             pc.total.tolist(),

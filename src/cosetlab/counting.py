@@ -195,6 +195,9 @@ class PairCensus:
     Every array runs over t = j, ..., m-1; ``s_pair`` and ``s_pair_pair``
     have one column per named pair, in the order of ``TripleCensus``.
     ``s_triple`` and ``n_disjoint`` hold 0 where ``enumerated`` is False.
+    ``representative`` is True where the triple is the least of its orbit
+    under simultaneous conjugation (``triple_orbits``), so its sum over all
+    pairs is the number of orbits.
     """
 
     i: int
@@ -206,6 +209,7 @@ class PairCensus:
     meet_all: np.ndarray
     n_disjoint: np.ndarray
     enumerated: np.ndarray
+    representative: np.ndarray
 
 
 def _triples(m: int) -> np.ndarray:
@@ -474,6 +478,7 @@ def lattice_census(
                 s_triple=s_triple[lo:hi],
                 n_disjoint=n_disjoint[lo:hi],
                 enumerated=enumerated[lo:hi],
+                representative=orbits[lo:hi] == np.arange(lo, hi),
             )
             lo = hi
 

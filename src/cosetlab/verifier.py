@@ -12,11 +12,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .bitset import full_mask, lowest_bit, meet_orders, packed
+from .bitset import MEET_ROWS, full_mask, lowest_bit, meet_orders, packed, row_masks
 from .cosets import coset_mask, double_coset_reps, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
@@ -133,8 +133,7 @@ class PairTable:
 
     def rows(self, k: int) -> list[int]:
         """Bitmask per position: bit j set when the pair passes gcd < k and is disjointable."""
-        words = packed((self.gcd < k) & self.disjointable)
-        return [int.from_bytes(row.tobytes(), "little") for row in words]
+        return row_masks((self.gcd < k) & self.disjointable)
 
 
 def pair_table(
@@ -154,12 +153,75 @@ def pair_table(
     return PairTable(np.gcd.outer(index, index), np.outer(order, order) < inter)
 
 
+class PairRows:
+    """The pair bars of a lattice, one bitmask row per position, built on demand.
+
+    Holds the packed membership rows, the orders and a class id per distinct
+    index, so its memory is O(m n) plus the rows built, not O(m^2).  The
+    disjointability row of position j (the rule of ``pair_table``) does not
+    depend on k.  It is built on the first lookup of any position in j's
+    block of ``MEET_ROWS`` positions, for the whole block at once, and only
+    over the positions from the block's start on: the clique search never
+    reads a bit below j in row j.  ``rows(k)`` ANDs in the gcd bar, one mask
+    per index class from the gcd table of the distinct indices.  One source
+    serves every k of a lattice.
+    """
+
+    def __init__(self, g: FiniteGroup, subgroups: Sequence[Subgroup]):
+        self.n = g.n
+        self.words = packed(membership(subgroups))
+        self.order = np.array([s.order for s in subgroups], dtype=np.int64)
+        self.indices, self.index_class = np.unique(
+            [s.index for s in subgroups], return_inverse=True
+        )
+        self._disjoint: list[Optional[int]] = [None] * len(subgroups)
+
+    @property
+    def side(self) -> int:
+        return len(self.order)
+
+    def disjoint_row(self, j: int) -> int:
+        """Bit t set, for every t from j's block start on, when positions j
+        and t are disjointable."""
+        row = self._disjoint[j]
+        if row is None:
+            lo = j - j % MEET_ROWS
+            hi = min(lo + MEET_ROWS, self.side)
+            w = self.words
+            ok = np.outer(self.order[lo:hi], self.order[lo:]) < (
+                meet_orders(w[lo:hi], w[lo:]) * self.n
+            )
+            self._disjoint[lo:hi] = [mask << lo for mask in row_masks(ok)]
+            row = self._disjoint[j]
+        return row
+
+    def rows(self, k: int) -> "_BarRows":
+        """Row j at gcd bar k, on lookup: bit t set, for every t from j's
+        block start on, when positions j and t pass both pair bars."""
+        low = np.gcd.outer(self.indices, self.indices) < k
+        return _BarRows(self, row_masks(low[:, self.index_class]))
+
+
+class _BarRows(dict):
+    """The rows of one k, each built from its source on the first lookup."""
+
+    def __init__(self, source: PairRows, gcd_ok: list[int]):
+        super().__init__()
+        self.source = source
+        self.gcd_ok = gcd_ok
+
+    def __missing__(self, j: int) -> int:
+        src = self.source
+        row = self[j] = src.disjoint_row(j) & self.gcd_ok[src.index_class[j]]
+        return row
+
+
 def candidate_cliques(
     g: FiniteGroup,
     k: int,
     *,
     subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[PairTable] = None,
+    pair_stats: Optional[Union[PairRows, PairTable]] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> list[tuple[int, ...]]:
     """Size-k subgroup multisets that pass the gcd bar and two disjointness bars.
@@ -173,20 +235,22 @@ def candidate_cliques(
     bounds work done, not only output size.  The order-sum bar stops at the
     first position too large to complete the prefix, which relies on the
     positions ascending by order; ``subgroups`` out of that order raise
-    ValueError.  A given ``pair_stats`` must have been built over
-    ``subgroups``; one of another size raises ValueError.
+    ValueError.  The pair bars come from ``pair_stats``, a ``PairRows``
+    source (built here when not given) or a ``PairTable``; either must have
+    been built over ``subgroups``, and one of another size raises ValueError.
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     order = [s.order for s in subs]
     if any(a > b for a, b in zip(order, order[1:])):
         raise ValueError("subgroups must be sorted by non-decreasing order")
     if pair_stats is None:
-        pair_stats = pair_table(g, subs)
+        pair_stats = PairRows(g, subs)
     elif pair_stats.side != len(subs):
         raise ValueError(
             f"pair table covers {pair_stats.side} subgroups, lattice has {len(subs)}"
         )
-    # rows[i] has bit j set when positions i and j pass both pair bars
+    # rows[i] has bit j set, for every j >= i, when positions i and j pass
+    # both pair bars
     rows = pair_stats.rows(k)
 
     out: list[tuple[int, ...]] = []
@@ -376,7 +440,7 @@ def verify_group(
     k: int,
     *,
     subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[PairTable] = None,
+    pair_stats: Optional[Union[PairRows, PairTable]] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
     jobs: int = 1,
 ) -> VerificationReport:
@@ -385,7 +449,8 @@ def verify_group(
     The clique list is deterministic and ``search_orbits`` returns the
     families in clique order, so reports are identical across worker
     counts.  ``tuples_examined`` counts the coset placements over one
-    clique per conjugacy orbit.
+    clique per conjugacy orbit.  ``pair_stats`` is as in
+    ``candidate_cliques``; pass one ``PairRows`` to share its rows across k.
     """
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"k must lie in [{K_MIN}, {K_MAX}]")

@@ -330,7 +330,11 @@ def _representatives(orbits):
 @pytest.mark.parametrize("name,count", [("S4", 592), ("A5", 906)])
 def test_triple_orbit_counts_pinned(lattice, name, count):
     _, subs = lattice(name)
-    assert len(_representatives(cl.triple_orbits(subs))) == count
+    reps = _representatives(cl.triple_orbits(subs))
+    assert len(reps) == count
+    # lattice_census flags the same representatives, pair by pair
+    flags = np.concatenate([pc.representative for pc in cl.lattice_census(subs)])
+    assert np.flatnonzero(flags).tolist() == reps.tolist()
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4", "S3xC2"])

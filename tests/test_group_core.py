@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from cosetlab.errors import (
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
-from cosetlab.bitset import MEET_ROWS, mask_of, meet_orders, packed
+from cosetlab.bitset import MEET_ROWS, mask_of, meet_orders, packed, row_mask, row_masks
 from cosetlab.cache import spec_hash
 from cosetlab.groups import (
     GroupSpec,
@@ -311,6 +312,26 @@ def test_meet_orders_are_mask_popcounts(lattice, name):
     assert got.shape == (len(subs), len(subs))
     assert name != "C2xC2xC2xC2xC2xC2" or len(subs) > MEET_ROWS
     assert got.tolist() == [[(a.mask & b.mask).bit_count() for b in subs[::-1]] for a in subs]
+
+
+@pytest.mark.parametrize("width", [3, 64, 65, 128])
+def test_packed_takes_any_layout(width):
+    # widths that need no padding once failed on rows whose last axis is
+    # not contiguous
+    base = np.random.default_rng(width).random((2 * width, 80)) < 0.5
+    views = {
+        "transposed": base.T,
+        "sliced": base[::2],
+        "column slice": base.T[:, :width],
+        "fancy columns": base[:width, np.arange(width) * 80 // width],
+        "reversed": base[::-1, ::-1],
+    }
+    for name, rows in views.items():
+        want = [row_mask(row) for row in rows]
+        words = packed(rows)
+        assert words.shape == (len(rows), (rows.shape[1] + 63) // 64), name
+        assert [int.from_bytes(w.tobytes(), "little") for w in words] == want, name
+        assert row_masks(rows) == want, name
 
 
 def _dihedral_by_involutions(n: int) -> GroupSpec:

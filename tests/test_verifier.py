@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import cosetlab as cl
 from cosetlab import verifier
-from cosetlab.bitset import bits_tuple, mask_of
+from cosetlab.bitset import MEET_ROWS, bits_tuple, mask_of
 from cosetlab.errors import CliqueCapExceeded
 from cosetlab.subgroups import _row_keys, conjugators, generating_set, orbit_labels
 from cosetlab.verifier import (
@@ -119,6 +120,54 @@ def test_pair_table_from_another_lattice_rejected(lattice, entry):
     stale = cl.pair_table(*lattice("S3"))
     with pytest.raises(ValueError, match="pair table covers 6 subgroups"):
         entry(g, 3, subgroups=subs, pair_stats=stale)
+
+
+# every catalog group, and lattices past it up to C2^6's 2825 positions,
+# whose rows cross many MEET_ROWS blocks
+ROW_SOURCE_GROUPS = sorted(cl.CATALOG) + ["D30", "S3xS3xC2", "A4xA4", "A6", C2_6]
+
+
+@pytest.mark.parametrize("name", ROW_SOURCE_GROUPS)
+def test_pair_rows_match_pair_table(lattice, name):
+    # the clique search reads bit t of row j only for t >= j; the source
+    # sets no bit below the start of j's row block
+    g, subs = lattice(name)
+    table, source = cl.pair_table(g, subs), cl.PairRows(g, subs)
+    for k in range(2, 7):
+        want, got = table.rows(k), source.rows(k)
+        kept = 0
+        for j in range(len(subs)):
+            row = got[j]
+            assert row >> j << j == want[j] >> j << j, (k, j)
+            assert row >> (j - j % MEET_ROWS) << (j - j % MEET_ROWS) == row, (k, j)
+            kept += (row >> j).bit_count()
+        if name in PAIR_COUNTS:
+            assert kept == PAIR_COUNTS[name][3][k]
+        assert cl.candidate_cliques(g, k, subgroups=subs) == cl.candidate_cliques(
+            g, k, subgroups=subs, pair_stats=table
+        )
+
+
+@pytest.mark.parametrize("entry", [cl.candidate_cliques, cl.verify_group])
+def test_pair_rows_from_another_lattice_rejected(lattice, entry):
+    g, subs = lattice("S4")
+    stale = cl.PairRows(*lattice("S3"))
+    with pytest.raises(ValueError, match="pair table covers 6 subgroups"):
+        entry(g, 3, subgroups=subs, pair_stats=stale)
+
+
+def test_verify_largest_lattice_memory_bound(lattice):
+    # the pair bars of C2^6 as two m x m matrices and their products traced
+    # 190 MB; the row source holds the membership words and the rows built
+    g, subs = lattice(C2_6)
+    tracemalloc.start()
+    try:
+        for k in range(2, 7):
+            cl.verify_group(g, k, subgroups=subs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("name", VERIFY_GROUPS)
