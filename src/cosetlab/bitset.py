@@ -40,10 +40,12 @@ def full_mask(n: int) -> int:
 def packed(rows: np.ndarray) -> np.ndarray:
     """Bool rows (r x n) as zero-padded little-endian uint64 words (r x ceil(n / 64)):
     row i read as one little-endian integer is the int mask of row i.  Any
-    memory layout is accepted: the bytes are made C-contiguous before the
-    words are viewed."""
-    padded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 64)))
-    return np.ascontiguousarray(np.packbits(padded, axis=1, bitorder="little")).view("<u8")
+    memory layout is accepted: the bytes are copied into a fresh C-contiguous
+    array before the words are viewed."""
+    r, n = rows.shape
+    out = np.zeros((r, -(-n // 64) * 8), dtype=np.uint8)
+    out[:, : -(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def row_mask(row: np.ndarray) -> int:

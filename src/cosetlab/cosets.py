@@ -12,6 +12,10 @@ from .errors import ConsistencyError, EmptyCosetList, ParentMismatch
 from .subgroups import Subgroup, _closed_under_mul, _subgroup_from_mask, intersect_all
 
 
+# product_set's ConsistencyError text
+CLOSURE_DISAGREES = "product-set closure test disagrees with the commutation test"
+
+
 @dataclass(frozen=True, eq=False)
 class LeftCoset:
     """A left coset x*H, canonically represented by its minimal element."""
@@ -132,10 +136,6 @@ def _product_row(h: Subgroup, k: Subgroup) -> np.ndarray:
     return row
 
 
-def _product_mask(h: Subgroup, k: Subgroup) -> int:
-    return row_mask(_product_row(h, k))
-
-
 def product_set(h: Subgroup, k: Subgroup) -> ProductSet:
     """Materialize H*K.  Closure under multiplication must agree with H*K = K*H."""
     parent = _pair_parent(h, k)
@@ -143,9 +143,7 @@ def product_set(h: Subgroup, k: Subgroup) -> ProductSet:
     kh = _product_row(k, h)
     closed = _closed_under_mul(parent, hk)
     if closed != (hk == kh).all():
-        raise ConsistencyError(
-            "product-set closure test disagrees with the commutation test"
-        )
+        raise ConsistencyError(CLOSURE_DISAGREES)
     return ProductSet(h, k, row_mask(hk), closed)
 
 

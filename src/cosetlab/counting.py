@@ -9,7 +9,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import meet_orders, packed
+from .bitset import packed
 from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
 from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
@@ -17,6 +17,8 @@ from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
 DEFAULT_CENSUS_CAP = 10**6
 # triples per block in lattice_census's checks
 CHECK_ROWS = 1 << 13
+# entries per temporary of a batched check: a block holds this many, or one row
+BLOCK_ENTRIES = 1 << 18
 _U64_MAX = 2**64 - 1
 
 
@@ -230,14 +232,27 @@ def triple_orbits(subs: Sequence[Subgroup]) -> np.ndarray:
     return orbit_labels(conjugation_action(subs[0].parent, subs), _triples(len(subs)))
 
 
-def _closed_census(w: np.ndarray, pair_meet: np.ndarray, n: int, triples: np.ndarray) -> dict:
+def _orders(w: np.ndarray, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orders of H_i, H_j, H_t (3 x N) and of H_i&H_j, H_i&H_t, H_j&H_t,
+    H_i&H_j&H_t (4 x N) for every row (i, j, t) of ``triples``: popcounts of
+    the gathered membership words ``w`` and of their ANDs, int64."""
+    rows = [w[triples[:, c]] for c in range(3)]
+
+    def count(words: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+    ij = rows[0] & rows[1]
+    meet = [ij, rows[0] & rows[2], rows[1] & rows[2], ij & rows[2]]
+    return np.stack([count(r) for r in rows]), np.stack([count(x) for x in meet])
+
+
+def _closed_census(w: np.ndarray, n: int, triples: np.ndarray) -> dict:
     """The closed forms of ``census`` for every row (i, j, t) of ``triples``.
 
-    ``w`` holds the packed membership rows and ``pair_meet`` their pair
-    intersection orders.  Pair orders are gathered from ``pair_meet``, the
-    triple orders are popcounts of the gathered rows ANDed.  The work runs
-    CHECK_ROWS triples at a time, so besides the result only arrays of one
-    block are held.
+    ``w`` holds the packed membership rows; subgroup, pair and triple orders
+    are popcounts of the gathered rows and of their ANDs (``_orders``).  The
+    work runs CHECK_ROWS triples at a time, so besides the result only
+    arrays of one block are held.
     """
     size = len(triples)
     out = {
@@ -246,12 +261,11 @@ def _closed_census(w: np.ndarray, pair_meet: np.ndarray, n: int, triples: np.nda
         "s_pair_pair": np.empty((size, 3), dtype=np.int64),
         "meet_all": np.empty(size, dtype=np.int64),
     }
-    index = n // pair_meet.diagonal()
     for lo in range(0, size, CHECK_ROWS):
         at = slice(lo, lo + CHECK_ROWS)
-        i, j, t = triples[at].T
-        idx = [index[i], index[j], index[t]]
-        p_ij, p_it, p_jt = n // pair_meet[i, j], n // pair_meet[i, t], n // pair_meet[j, t]
+        order, meet = _orders(w, triples[at])
+        idx = n // order
+        p_ij, p_it, p_jt = n // meet[:3]
         out["total"][at] = idx[0] * idx[1] * idx[2]
         for c, (x, y) in enumerate(((p_ij, idx[2]), (p_it, idx[1]), (p_jt, idx[0]))):
             np.multiply(x, y, out=out["s_pair"][at, c])
@@ -261,10 +275,7 @@ def _closed_census(w: np.ndarray, pair_meet: np.ndarray, n: int, triples: np.nda
             if (num % idx[c]).any():
                 raise ConsistencyError("pair-pair closed form is not integral")
             np.floor_divide(num, idx[c], out=out["s_pair_pair"][at, c])
-        meet = w[i]
-        meet &= w[j]
-        meet &= w[t]
-        out["meet_all"][at] = n // np.bitwise_count(meet).sum(axis=1, dtype=np.int64)
+        out["meet_all"][at] = n // meet[3]
     return out
 
 
@@ -286,7 +297,7 @@ def _census_failure(
         if c.ndim == 2:
             c = np.where(member[:, None], np.sort(c, axis=1), c)
             e = np.where(member[:, None], np.sort(e, axis=1), e)
-        fails[key] = (c != e).reshape(len(c), -1).any(axis=1)
+        fails[key] = (c != e).any(axis=1) if c.ndim == 2 else c != e
     fails["s_triple"] = got["s_triple"] < got["meet_all"]
     own = {
         key: np.where(member, closed[key].T, got[key].T)
@@ -308,6 +319,126 @@ def _census_failure(
     else:
         why = "inclusion-exclusion disagrees with the disjoint count"
     return p, key, why
+
+
+def _distinct_per_row(keys: np.ndarray) -> np.ndarray:
+    """How many distinct values each row of ``keys`` (at least one column) holds."""
+    return 1 + np.count_nonzero(np.diff(np.sort(keys, axis=1), axis=1), axis=1)
+
+
+def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) -> dict:
+    """``_enumerate_counts`` of every row (i, j, t) of ``triples``, on whole arrays.
+
+    ``labels`` holds the lattice's coset labels, one row per subgroup, and
+    ``index`` the subgroup indices.  Rows are grouped by index shape
+    (a, b, c), so a block of B rows of one shape holds its meeting matrices
+    Mij, Mit and Mjt as B x a x b, B x a x c and B x b x c bool arrays, and
+    pair and pair-pair counts are their sums as in ``_enumerate_counts``.
+    The rows of Mit and Mjt are packed into 64-bit words (``bitset.packed``):
+    ``s_triple`` sums, over the meeting pairs (x, y) of Mij, the popcount of
+    row x of Mit ANDed with row y of Mjt; ``n_disjoint`` sums, over the other
+    pairs, the cosets of t outside the OR of the two rows, so it is counted
+    directly, not by inclusion-exclusion.  A block's AND and OR products
+    hold at most about BLOCK_ENTRIES words, or one row.
+    """
+    size, n = len(triples), labels.shape[1]
+    out = {
+        "total": np.empty(size, dtype=np.int64),
+        "s_pair": np.empty((size, 3), dtype=np.int64),
+        "s_pair_pair": np.empty((size, 3), dtype=np.int64),
+        "s_triple": np.empty(size, dtype=np.int64),
+        "meet_all": np.empty(size, dtype=np.int64),
+        "n_disjoint": np.empty(size, dtype=np.int64),
+    }
+    shapes, shape_of = np.unique(index[triples].reshape(-1, 3), axis=0, return_inverse=True)
+    shape_of = shape_of.reshape(-1)
+    by_shape = np.argsort(shape_of, kind="stable")
+    bounds = np.searchsorted(shape_of[by_shape], np.arange(len(shapes) + 1))
+    for (a, b, c), first, last in zip(shapes.tolist(), bounds[:-1], bounds[1:]):
+        words = -(-c // 64)
+        step = max(1, BLOCK_ENTRIES // (a * b * words + (a + b) * c + n))
+        for lo in range(first, last, step):
+            at = by_shape[lo : min(lo + step, last)]
+            size = len(at)
+            li, lj, lt = (labels[triples[at, x]] for x in range(3))
+            r = np.arange(size)[:, None]
+            mij = np.zeros((size, a, b), dtype=bool)
+            mit = np.zeros((size, a, c), dtype=bool)
+            mjt = np.zeros((size, b, c), dtype=bool)
+            mij[r, li, lj] = mit[r, li, lt] = mjt[r, lj, lt] = True
+            row_ij, col_ij = np.count_nonzero(mij, axis=2), np.count_nonzero(mij, axis=1)
+            row_it, col_it = np.count_nonzero(mit, axis=2), np.count_nonzero(mit, axis=1)
+            row_jt, col_jt = np.count_nonzero(mjt, axis=2), np.count_nonzero(mjt, axis=1)
+            out["total"][at] = a * b * c
+            out["s_pair"][at] = np.stack(
+                [row_ij.sum(axis=1) * c, row_it.sum(axis=1) * b, row_jt.sum(axis=1) * a], axis=1
+            )
+            out["s_pair_pair"][at] = np.stack(
+                [
+                    (row_ij * row_it).sum(axis=1),
+                    (col_ij * row_jt).sum(axis=1),
+                    (col_it * col_jt).sum(axis=1),
+                ],
+                axis=1,
+            )
+            # A coset triple has a common point x exactly when it is x's label triple.
+            out["meet_all"][at] = _distinct_per_row((li * b + lj) * c + lt)
+            px = packed(mit.reshape(-1, c)).reshape(size, a, 1, words)
+            py = packed(mjt.reshape(-1, c)).reshape(size, 1, b, words)
+            both = np.bitwise_count(px & py).sum(axis=3, dtype=np.int64)
+            either = np.bitwise_count(px | py).sum(axis=3, dtype=np.int64)
+            out["s_triple"][at] = (both * mij).sum(axis=(1, 2))
+            out["n_disjoint"][at] = ((c - either) * ~mij).sum(axis=(1, 2))
+    return out
+
+
+def triple_census(
+    labels: np.ndarray,
+    w: np.ndarray,
+    triples: np.ndarray,
+    *,
+    max_census: int = DEFAULT_CENSUS_CAP,
+) -> tuple[dict[str, np.ndarray], Optional[str]]:
+    """``census`` of every row (i, j, t) of ``triples``, in order, on whole arrays.
+
+    ``labels`` holds the lattice's coset labels, one row per subgroup
+    (``coset_labels``), and ``w`` its packed membership rows.  Closed forms
+    come from ``_closed_census``; the rows within ``max_census`` are also
+    enumerated (``_enumerate_rows``), and the two routes are compared as
+    ``census`` compares them (``_census_failure``).
+
+    Returns ``enumerated``, ``s_triple`` and ``n_disjoint`` (0 where not
+    enumerated) of the rows before the first row that fails a check, and
+    that row's ConsistencyError text, or None when every row passes.
+    """
+    n = labels.shape[1]
+    if n**3 > np.iinfo(np.int64).max:
+        raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
+    try:
+        closed = _closed_census(w, n, triples)
+    except ConsistencyError as exc:
+        empty = np.zeros(0, dtype=np.int64)
+        return {"enumerated": empty.astype(bool), "s_triple": empty, "n_disjoint": empty}, str(exc)
+    enumerated = closed["total"] <= max_census
+    rows = np.flatnonzero(enumerated)
+    index = n // np.bitwise_count(w).sum(axis=1, dtype=np.int64)
+    got = _enumerate_rows(labels, index, triples[rows])
+    failure = _census_failure(
+        {key: v[rows] for key, v in closed.items()}, got, np.zeros(len(rows), dtype=bool)
+    )
+    end, error, passed = len(triples), None, len(rows)
+    if failure is not None:
+        passed, key, why = failure
+        end = int(rows[passed])
+        error = f"census triple {tuple(triples[end].tolist())} {key}: {why}"
+    out = {
+        "enumerated": enumerated[:end],
+        "s_triple": np.zeros(end, dtype=np.int64),
+        "n_disjoint": np.zeros(end, dtype=np.int64),
+    }
+    for key in ("s_triple", "n_disjoint"):
+        out[key][rows[:passed]] = got[key][:passed]
+    return out, error
 
 
 def lattice_census(
@@ -362,14 +493,13 @@ def lattice_census(
         raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
 
     w = packed(membership(subs))
-    pair_meet = meet_orders(w, w)
-    index = n // pair_meet.diagonal()
+    index = n // np.bitwise_count(w).sum(axis=1, dtype=np.int64)
     off = np.concatenate(([0], np.cumsum(index)))
     labels = np.stack([coset_labels(s) for s in subs])
     glabels = labels + off[:m, None]
     orbits = triple_orbits(subs)
     triples = _triples(m)
-    closed = _closed_census(w, pair_meet, n, triples)
+    closed = _closed_census(w, n, triples)
     enumerated = closed["total"] <= max_census
     reps = np.flatnonzero((orbits == np.arange(len(orbits))) & enumerated)
     rep_i, rep_j, rep_t = triples[reps].T
@@ -424,8 +554,7 @@ def lattice_census(
         ndis *= ~mit
         got["n_disjoint"][lo:hi] = np.add.reduceat(ndis.sum(axis=0), seg)
         # A coset triple has a common point x exactly when it is x's label triple.
-        keys = np.sort(pair_key * cs[:, None] + labels[ts], axis=1)
-        got["meet_all"][lo:hi] = 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
+        got["meet_all"][lo:hi] = _distinct_per_row(pair_key * cs[:, None] + labels[ts])
         rows_i = col_sums[ts, off[i] : off[i] + a]  # row sums of Mit, per t
         rows_j = col_sums[ts, off[j] : off[j] + b]
         cols_i, cols_j = col_sums[i, off[j] :][cols], col_sums[j, off[j] :][cols]
@@ -610,15 +739,9 @@ def triple_inequalities(w: np.ndarray, n: int, triples: np.ndarray) -> TripleIne
     of their ANDs, gathered per triple, so no lattice x lattice matrix is
     built.  All arithmetic is exact int64.
     """
-    rows = [w[triples[:, c]] for c in range(3)]
-
-    def orders(*parts: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(np.bitwise_and.reduce(parts)).sum(axis=1, dtype=np.int64)
-
+    o, meet = _orders(w, triples)
+    idx = n // o
     pairs = ((0, 1), (0, 2), (1, 2))
-    o = [orders(r) for r in rows]
-    idx = [n // x for x in o]
-    meet = np.stack([orders(rows[a], rows[b]) for a, b in pairs] + [orders(*rows)])
     index = n // meet
     lcm = np.stack([np.lcm(idx[a], idx[b]) for a, b in pairs] + [np.lcm.reduce(idx)])
     r = index // lcm

@@ -2,7 +2,10 @@
 
 Each law carries a stable string id that downstream reports key on.  The
 suite runs exhaustively when the pair/triple spaces are small enough and
-falls back to seeded sampling above the configured limits.
+falls back to seeded sampling above the configured limits.  Each family
+keeps its instances as one array of subgroup positions and checks them on
+whole arrays, in blocks: from the lattice's coset-label matrix, its packed
+membership rows and the Cayley table.
 """
 
 from __future__ import annotations
@@ -10,24 +13,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import MEET_ROWS, full_mask, meet_orders, packed
-from .cosets import (
-    _product_mask,
-    coset_labels,
-    cosets_of_k_in_product,
-    disjointable,
-    left_cosets,
-    meeting_matrix,
-    product_set,
-    promote,
-    touching_count,
+from . import cosets
+from .bitset import MEET_ROWS, meet_orders, packed
+from .cosets import CLOSURE_DISAGREES, coset_labels
+from .counting import (
+    BLOCK_ENTRIES,
+    DEFAULT_CENSUS_CAP,
+    _distinct_per_row,
+    _triples,
+    census,
+    lattice_census,
+    triple_census,
+    triple_inequalities,
 )
-from .counting import DEFAULT_CENSUS_CAP, census, lattice_census, triple_inequalities
 from .errors import ConsistencyError
 from .groups import FiniteGroup
 from .subgroups import Subgroup, enumerate_subgroups, membership
@@ -69,10 +71,17 @@ class LemmaStats:
     ) -> None:
         """Record ``oks[p]`` at every position p where ``checked`` holds, in
         order; ``describe(p)`` names the failure at p."""
-        bad = np.flatnonzero(checked & ~oks)
-        self.checked += int(np.count_nonzero(checked))
-        self.failed += bad.size
-        self.examples += [describe(int(p)) for p in bad[: 5 - len(self.examples)]]
+        self.tally_counts(checked, checked & ~oks, describe)
+
+    def tally_counts(
+        self, checked: np.ndarray, failed: np.ndarray, describe: Callable[[int], str]
+    ) -> None:
+        """Record ``checked[p]`` instances, ``failed[p]`` of them failed, at
+        every position p, in order; ``describe(p)`` names each failure at p."""
+        self.checked += int(np.sum(checked, dtype=np.int64))
+        self.failed += int(np.sum(failed, dtype=np.int64))
+        for p in np.flatnonzero(failed)[: 5 - len(self.examples)]:
+            self.examples += [describe(int(p))] * min(int(failed[p]), 5 - len(self.examples))
 
     def _count(self, checked: int, failed: int, desc: str) -> None:
         self.checked += checked
@@ -128,67 +137,133 @@ class LemmaSuiteResult:
         }
 
 
-def _check_pair(
-    g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict[str, LemmaStats], full: int
+def _blocks(size: int, row_len: int) -> Iterator[slice]:
+    """Slices over range(size) of BLOCK_ENTRIES // row_len rows, at least one."""
+    step = max(1, BLOCK_ENTRIES // max(row_len, 1))
+    return (slice(lo, lo + step) for lo in range(0, size, step))
+
+
+def _meet_order(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|H_a & H_b| for the subgroup positions a, b: popcounts of ANDed words."""
+    return np.bitwise_count(w[a] & w[b]).sum(axis=1, dtype=np.int64)
+
+
+def _met_union(labels: np.ndarray, index: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the union of the cosets (numbered by the row of ``labels``,
+    ``index`` of them) that the set ``member`` meets, as a bool row, and how
+    many cosets that is."""
+    off = np.cumsum(index) - index
+    glabels = labels + off[:, None]
+    hit = np.zeros(int(index.sum()), dtype=bool)
+    hit[glabels[member]] = True
+    return hit[glabels], np.add.reduceat(hit, off, dtype=np.int64)
+
+
+def _separation(
+    table: np.ndarray,
+    lh: np.ndarray,
+    lk: np.ndarray,
+    hk: np.ndarray,
+    meets: np.ndarray,
+    subgroup: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """L2.1.v per pair (H, K) where M = HK is a subgroup: how many coset pairs
+    (aH, bK) are disjoint, and how many of those lie in one coset of M; 0
+    and 0 on the other pairs.
+
+    Cosets of M either coincide or are disjoint, so the law is that aM and
+    bM differ.  An M-coset is named by its least element, the least entry
+    of x's table row over M, and a coset of H or K by its least element,
+    the first point that carries its label.  Where M is the whole group,
+    every disjoint pair lies in its one coset.
+    """
+    index_h, index_k = lh.max(axis=1) + 1, lk.max(axis=1) + 1
+    apart = np.where(subgroup, index_h * index_k - meets, 0)
+    whole = hk.all(axis=1)
+    mixed = np.where(subgroup & whole, apart, 0)
+    for p in np.flatnonzero(subgroup & ~whole):
+        m_coset = table[:, hk[p]].min(axis=1)
+        h_m = m_coset[np.unique(lh[p], return_index=True)[1]]
+        k_m = m_coset[np.unique(lk[p], return_index=True)[1]]
+        met = np.zeros((index_h[p], index_k[p]), dtype=bool)
+        met[lh[p], lk[p]] = True
+        mixed[p] = np.count_nonzero(~met & (h_m[:, None] == k_m))
+    return apart, mixed
+
+
+def _check_pairs(
+    g: FiniteGroup,
+    labels: np.ndarray,
+    member: np.ndarray,
+    w: np.ndarray,
+    pairs: np.ndarray,
+    stats: dict[str, LemmaStats],
 ) -> None:
+    """L2.1.i-v, L3.2 and L3.3 on every row (h, k) of ``pairs``, in order.
+
+    HK is the union of the K-cosets that H meets, and KH the union of the
+    H-cosets that K meets, so both rows come from label gathers, and the
+    K-cosets in HK and the H-cosets meeting K are counted on the way.  As
+    in ``cosets.product_set``, HK must be closed under multiplication
+    exactly when HK = KH, or L2.1.i fails; the closure test runs once per
+    distinct HK row.  Coset pairs that meet are the distinct label pairs
+    over the group's points.  A block holds B x n entries per array.
+    """
     n = g.n
-    overlap = (h.mask & k.mask).bit_count()
-    tag = f"{g.label}: |H|={h.order} |K|={k.order}"
+    order = member.sum(axis=1)
+    index = n // order
+    for at in _blocks(len(pairs), n):
+        h, k = pairs[at].T
+        lh, lk, ih, ik, oh, ok = labels[h], labels[k], index[h], index[k], order[h], order[k]
+        overlap = _meet_order(w, h, k)
+        hk, k_cosets = _met_union(lk, ik, member[h])
+        kh, h_cosets = _met_union(lh, ih, member[k])
+        _, first, inverse = np.unique(packed(hk), axis=0, return_index=True, return_inverse=True)
+        closed = np.array([cosets._closed_under_mul(g, hk[f]) for f in first])[inverse.reshape(-1)]
+        sound = closed == (hk == kh).all(axis=1)
+        meets = _distinct_per_row(lh * ik[:, None] + lk)
+        every = np.ones(len(h), dtype=bool)
 
-    # product_set raises when its closure test and HK = KH disagree.
-    try:
-        p = product_set(h, k)
-        stats["L2.1.i"].record(True, tag)
-    except ConsistencyError as exc:
-        p = None
-        stats["L2.1.i"].record(False, f"{tag}: {exc}")
+        def tag(p: int) -> str:
+            return f"{g.label}: |H|={oh[p]} |K|={ok[p]}"
 
-    stats["L2.1.ii"].record(
-        cosets_of_k_in_product(h, k) == h.order // overlap, tag
-    )
-
-    if math.gcd(h.index, k.index) == 1:
-        hk = p.mask if p is not None else _product_mask(h, k)
-        stats["L2.1.iii"].record(hk == full, tag)
-
-    meets = meeting_matrix(h, k)
-    stats["L2.1.iv"].record(disjointable(h, k) == (not meets.all()), tag)
-
-    if p is not None and p.is_subgroup:
-        # Cosets of M = HK either coincide or are disjoint, so aM and bM are
-        # disjoint exactly when a and b carry different M-labels.
-        m_labels = coset_labels(promote(p))
-        h_reps = m_labels[[c.rep for c in left_cosets(h)]]
-        k_reps = m_labels[[c.rep for c in left_cosets(k)]]
-        separated = h_reps[:, None] != k_reps[None, :]
-        stats["L2.1.v"].tally(separated[~meets], tag)
-
-    stats["L3.2"].record(int(np.count_nonzero(meets)) == n // overlap, tag)
-
-    stats["L3.3"].record(touching_count(h, k) == k.order // overlap, tag)
+        stats["L2.1.i"].tally_at(every, sound, lambda p: f"{tag(p)}: {CLOSURE_DISAGREES}")
+        stats["L2.1.ii"].tally_at(every, k_cosets == oh // overlap, tag)
+        stats["L2.1.iii"].tally_at(np.gcd(ih, ik) == 1, hk.all(axis=1), tag)
+        stats["L2.1.iv"].tally_at(every, (oh * ok // overlap < n) == (meets < ih * ik), tag)
+        stats["L2.1.v"].tally_counts(*_separation(g.np_table, lh, lk, hk, meets, sound & closed), tag)
+        stats["L3.2"].tally_at(every, meets == n // overlap, tag)
+        stats["L3.3"].tally_at(every, h_cosets == ok // overlap, tag)
 
 
 def _triple_census(
-    subs: Sequence[Subgroup], triples: np.ndarray, census_cap: int, from_lattice: bool
+    subs: Sequence[Subgroup],
+    labels: np.ndarray,
+    w: np.ndarray,
+    triples: np.ndarray,
+    census_cap: int,
+    from_lattice: bool,
 ) -> tuple[dict[int, str], np.ndarray, np.ndarray, Optional[str]]:
     """The census of each triple: the ConsistencyError text of those whose
     census raised, by position, and per triple whether it was enumerated and
-    its ``n_disjoint`` (0 where not enumerated); last, the text of a
-    ``lattice_census`` error that ``census`` did not reproduce, or None.
+    its ``n_disjoint`` (0 where not enumerated); last, the text of a batched
+    census error that ``census`` did not reproduce, or None.
 
     With ``from_lattice`` the triples are all of them, in
     ``combinations_with_replacement`` order, and ``lattice_census`` gives
     them a pair at a time; a block it yields has passed every check of
-    ``census``.  It raises at the first pair that fails, and the triples
-    from that pair on go through ``census`` one at a time, as sampled
-    triples do, so each failure is named as ``census`` names it.  If no
-    triple of that pair fails there, the lattice census's error is returned.
+    ``census``.  It raises at the first pair that fails.  Otherwise
+    ``triple_census`` counts the triples on whole arrays and stops at the
+    first triple that fails.  Either way the triples from the failing pair
+    or triple on go through ``census`` one at a time, so each failure is
+    named as ``census`` names it.  If none of the failing pair's or
+    triple's triples fails there, the batched error is returned.
     """
     size = len(triples)
     enumerated = np.zeros(size, dtype=bool)
     n_disjoint = np.zeros(size, dtype=np.int64)
     errors: dict[int, str] = {}
-    lattice_error = None
+    batch_error = None
     done = 0
     if from_lattice:
         try:
@@ -198,7 +273,14 @@ def _triple_census(
                 n_disjoint[done:end] = pc.n_disjoint
                 done = end
         except ConsistencyError as exc:
-            lattice_error = str(exc)
+            batch_error = f"lattice census: {exc}"
+    else:
+        counts, error = triple_census(labels, w, triples, max_census=census_cap)
+        done = len(counts["enumerated"])
+        enumerated[:done] = counts["enumerated"]
+        n_disjoint[:done] = counts["n_disjoint"]
+        if error is not None:
+            batch_error = f"sampled census: {error}"
     for p in range(done, size):
         i, j, t = triples[p]
         try:
@@ -208,17 +290,18 @@ def _triple_census(
             continue
         enumerated[p] = cen.enumerated
         n_disjoint[p] = cen.n_disjoint or 0
-    if lattice_error is not None:
+    if batch_error is not None:
         # the pair (i, j) that raised holds the triples (i, j, t) for t >= j
-        pair_end = done + len(subs) - triples[done, 1]
-        if any(done <= p < pair_end for p in errors):
-            lattice_error = None
-    return errors, enumerated, n_disjoint, lattice_error
+        unit_end = done + (len(subs) - triples[done, 1] if from_lattice else 1)
+        if any(done <= p < unit_end for p in errors):
+            batch_error = None
+    return errors, enumerated, n_disjoint, batch_error
 
 
 def _check_triples(
     g: FiniteGroup,
     subs: Sequence[Subgroup],
+    labels: np.ndarray,
     w: np.ndarray,
     triples: np.ndarray,
     stats: dict[str, LemmaStats],
@@ -231,11 +314,11 @@ def _check_triples(
     find it: a census that raises fails L3.2 and skips the rest; an
     enumerated one holds L3.2.  An r-value that is not integral fails E3.4
     and skips E3.1 and E3.2.  E3.2 needs a common pair gcd and an
-    enumerated census with a disjoint coset triple.  A ``lattice_census``
+    enumerated census with a disjoint coset triple.  A batched census
     error that ``census`` does not reproduce is one more L3.2 failure.
     """
-    errors, enumerated, n_disjoint, lattice_error = _triple_census(
-        subs, triples, census_cap, from_lattice
+    errors, enumerated, n_disjoint, batch_error = _triple_census(
+        subs, labels, w, triples, census_cap, from_lattice
     )
     ineq = triple_inequalities(w, g.n, triples)
     census_ok = np.ones(len(triples), dtype=bool)
@@ -247,8 +330,8 @@ def _check_triples(
         return f"{g.label}: orders ({i},{j},{k})"
 
     stats["L3.2"].tally_at(~census_ok | enumerated, census_ok, lambda p: f"{tag(p)}: {errors[p]}")
-    if lattice_error is not None:
-        stats["L3.2"].record(False, f"{g.label}: lattice census: {lattice_error}")
+    if batch_error is not None:
+        stats["L3.2"].record(False, f"{g.label}: {batch_error}")
     stats["E3.4"].tally_at(
         census_ok,
         integral & ineq.divisibility_ok & ineq.scaled_divisibility_ok,
@@ -263,46 +346,81 @@ def _check_triples(
     )
 
 
-def _nested_instances(
+def _check_nested(
     g: FiniteGroup,
-    g1: Subgroup,
-    h1: Subgroup,
-    g2: Subgroup,
-    h2: Subgroup,
+    labels: np.ndarray,
+    order: np.ndarray,
+    quadruples: np.ndarray,
     stats: dict[str, LemmaStats],
 ) -> None:
-    """Check separation of distinct H1-cosets inside one G1-coset against H2 cosets.
+    """R3.1 on every row (G1, H1, G2, H2) of ``quadruples``, in order: for
+    distinct cosets A and b*H1 inside one G1-coset, A misses b*H2.
 
-    Requires H1&H2 == G1&G2 elementwise (the caller filters).  For distinct
-    cosets A = a*H1 and B inside a single G1-coset and any b in B, the claim
-    is that A misses b*H2 entirely.
+    The rows must satisfy H1 & H2 == G1 & G2 (the caller filters).  An
+    instance is a pair of an H1-coset A and a point b with A in b's
+    G1-coset and A != b*H1; it fails when A meets b*H2.  So per point b,
+    the instances are the H1-cosets of b's G1-coset but b's own, and the
+    failures those of them that meet b*H2, which the distinct label pairs
+    (H1-coset, H2-coset) over the group's points name.  Both are counted
+    per G1-coset (and H2-coset) and gathered per point, B x n entries per
+    array of a block.
     """
-    tag = f"{g.label}: |G1|={g1.order} |H1|={h1.order} |G2|={g2.order} |H2|={h2.order}"
-    h1_labels = coset_labels(h1)
-    g1_labels = coset_labels(g1)
-    big_of = np.empty(h1.index, dtype=g1_labels.dtype)
-    big_of[h1_labels] = g1_labels  # the G1-coset holding each H1-coset
-    # Row A, column b: an instance when A lies in b's G1-coset but is not b*H1.
-    instances = (big_of[:, None] == g1_labels) & (
-        np.arange(h1.index)[:, None] != h1_labels
-    )
-    misses = ~meeting_matrix(h1, h2)[:, coset_labels(h2)]
-    stats["R3.1"].tally(misses[instances], tag)
+    n = g.n
+    for at in _blocks(len(quadruples), n):
+        g1, h1, g2, h2 = quadruples[at].T
+        rows = np.arange(len(g1))[:, None]
+        big, own, far = labels[g1], labels[h1], labels[h2]
+        # the G1-coset holding each H1-coset, and n past the last H1-coset
+        holder = np.full((len(g1), n), n)
+        holder[rows, own] = big
+        inside = holder[rows, own] == big  # b*H1 lies in b's G1-coset
+        held = np.bincount((rows * (n + 1) + holder).ravel(), minlength=len(g1) * (n + 1))
+        checked = held[rows * (n + 1) + big] - inside
+        # the distinct meeting pairs (A, y) of H1- and H2-cosets, then per
+        # (G1-coset, H2-coset) how many H1-cosets inside the first meet the second
+        pair = np.sort(own * n + far, axis=1)
+        new = np.ones(pair.shape, dtype=bool)
+        new[:, 1:] = pair[:, 1:] != pair[:, :-1]
+        r = np.nonzero(new)[0]
+        a, y = np.divmod(pair[new], n)
+        keys, meeting = np.unique((r * (n + 1) + holder[r, a]) * n + y, return_counts=True)
+        want = (rows * (n + 1) + big) * n + far
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        failed = np.where(keys[pos] == want, meeting[pos], 0) - inside
+
+        def tag(p: int) -> str:
+            o = [order[x[p]] for x in (g1, h1, g2, h2)]
+            return f"{g.label}: |G1|={o[0]} |H1|={o[1]} |G2|={o[2]} |H2|={o[3]}"
+
+        stats["R3.1"].tally_counts(checked.sum(axis=1), failed.sum(axis=1), tag)
 
 
 def _instances(
-    exhaustive: bool, every: Iterable, draw: Callable[[], object], sample_target: int
-) -> tuple[str, list, int]:
-    """The instances one law family runs on, with its mode and draw count.
+    exhaustive: bool,
+    every: Callable[[], np.ndarray],
+    draw: Callable[[], Optional[tuple[int, ...]]],
+    sample_target: int,
+    width: int,
+) -> tuple[str, np.ndarray, int]:
+    """The instances one law family runs on, rows of ``width`` subgroup
+    positions, with its mode and draw count.
 
-    Exhaustive families run on ``every``; the others on ``sample_target``
-    calls of ``draw``.  Instances that are None are left out either way.
+    Exhaustive families run on ``every()``; the others on ``sample_target``
+    calls of ``draw``, leaving out those that return None.
     """
     if exhaustive:
-        return "exhaustive", [x for x in every if x is not None], 0
-    drawn = (draw() for _ in range(sample_target))
-    return "sampled", [x for x in drawn if x is not None], sample_target
+        return "exhaustive", every(), 0
+    drawn = [x for x in (draw() for _ in range(sample_target)) if x is not None]
+    return "sampled", np.array(drawn, dtype=np.intp).reshape(-1, width), sample_target
 
+
+def _containments(rows: list[list[int]]) -> np.ndarray:
+    """The pairs (i, j) with j in rows[i], in order, as an N x 2 array."""
+    lens = [len(r) for r in rows]
+    return np.stack(
+        [np.repeat(np.arange(len(rows)), lens), np.array([j for r in rows for j in r], dtype=np.intp)],
+        axis=1,
+    ).reshape(-1, 2)
 
 def run_lemma_suite(
     g: FiniteGroup,
@@ -325,12 +443,12 @@ def run_lemma_suite(
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     m = len(subs)
-    full = full_mask(g.n)
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
-    masks = [s.mask for s in subs]
-    order = np.array([s.order for s in subs], dtype=np.int64)
-    w = packed(membership(subs))
+    member = membership(subs)
+    order = member.sum(axis=1)
+    w = packed(member)
+    labels = np.array([coset_labels(s) for s in subs], dtype=np.intp).reshape(m, g.n)
     # contained[h]: positions of the subgroups K of H, proper[h]: those below |H|;
     # one block of rows at a time, so no m x m matrix is kept
     contained: list[list[int]] = []
@@ -341,64 +459,63 @@ def run_lemma_suite(
             contained.append(np.flatnonzero(row).tolist())
             proper.append(np.flatnonzero(row & (order < o)).tolist())
 
-    def nested(i1: int, j1: int, i2: int, j2: int) -> Optional[tuple[Subgroup, ...]]:
-        """(G1, H1, G2, H2), or None unless H1 & H2 == G1 & G2 elementwise;
-        as H1 & H2 lies in G1 & G2, that holds exactly when their orders agree."""
-        if (masks[j1] & masks[j2]).bit_count() != (masks[i1] & masks[i2]).bit_count():
-            return None
-        return subs[i1], subs[j1], subs[i2], subs[j2]
+    def kept(quadruples: np.ndarray) -> np.ndarray:
+        """Which rows (G1, H1, G2, H2) have H1 & H2 == G1 & G2 elementwise; as
+        H1 & H2 lies in G1 & G2, that holds exactly when their orders agree."""
+        g1, h1, g2, h2 = quadruples.T
+        return _meet_order(w, h1, h2) == _meet_order(w, g1, g2)
 
-    def draw_nested() -> Optional[tuple[Subgroup, ...]]:
+    def every_nested() -> np.ndarray:
+        """Every (G1, H1, G2, H2) with H1 < G1 and H2 <= G2 that ``kept`` keeps,
+        in order, one block of (G1, H1) rows at a time."""
+        outer, inner = _containments(proper), _containments(contained)
+        parts = [np.zeros((0, 4), dtype=np.intp)]
+        for at in _blocks(len(outer), 4 * len(inner)):
+            block = outer[at]
+            rows = np.concatenate(
+                [np.repeat(block, len(inner), axis=0), np.tile(inner, (len(block), 1))], axis=1
+            )
+            parts.append(rows[kept(rows)])
+        return np.concatenate(parts)
+
+    def draw_nested() -> Optional[tuple[int, ...]]:
         i1 = rng.randrange(m)
         if not proper[i1]:
             return None
         j1 = rng.choice(proper[i1])
         i2 = rng.randrange(m)
-        return nested(i1, j1, i2, rng.choice(contained[i2]))
+        return i1, j1, i2, rng.choice(contained[i2])
 
     # One rng serves pairs, then triples, then nested quadruples, in that
     # order, so a seed names the same samples in every report.
     pair_mode, pairs, samples = _instances(
         m * m <= exhaustive_pair_limit,
-        product(subs, repeat=2),
-        lambda: (subs[rng.randrange(m)], subs[rng.randrange(m)]),
+        lambda: np.stack(np.divmod(np.arange(m * m), m), axis=1),
+        lambda: (rng.randrange(m), rng.randrange(m)),
         sample_target,
+        2,
     )
-    for h, k in pairs:
-        _check_pair(g, h, k, stats, full)
+    _check_pairs(g, labels, member, w, pairs, stats)
 
     triple_mode, triples, drawn = _instances(
         math.comb(m + 2, 3) <= exhaustive_triple_limit,
-        combinations_with_replacement(range(m), 3),
-        lambda: sorted(rng.randrange(m) for _ in range(3)),
+        lambda: _triples(m),
+        lambda: tuple(sorted(rng.randrange(m) for _ in range(3))),
         sample_target,
+        3,
     )
     samples += drawn
     _check_triples(
-        g,
-        subs,
-        w,
-        np.array(triples, dtype=np.intp).reshape(-1, 3),
-        stats,
-        census_cap,
-        triple_mode == "exhaustive",
+        g, subs, labels, w, triples, stats, census_cap, triple_mode == "exhaustive"
     )
 
     nested_mode, quadruples, drawn = _instances(
-        g.n <= nested_order_limit,
-        (
-            nested(i1, j1, i2, j2)
-            for i1 in range(m)
-            for j1 in proper[i1]
-            for i2 in range(m)
-            for j2 in contained[i2]
-        ),
-        draw_nested,
-        sample_target,
+        g.n <= nested_order_limit, every_nested, draw_nested, sample_target, 4
     )
+    if nested_mode == "sampled":
+        quadruples = quadruples[kept(quadruples)]
     samples += drawn
-    for g1, h1, g2, h2 in quadruples:
-        _nested_instances(g, g1, h1, g2, h2, stats)
+    _check_nested(g, labels, order, quadruples, stats)
 
     return LemmaSuiteResult(
         group_label=g.label,

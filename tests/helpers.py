@@ -10,9 +10,11 @@ subgroup, not one per conjugacy class.
 ``composition_table`` lists a spec's elements in full and multiplies every
 pair, where the library follows generator steps along a spanning tree.
 ``small_products`` is the hypothesis strategy for random direct products.
-``per_triple_family`` is the lemma suite's triple family as it ran before it
-read the lattice census: ``census`` and ``check_triple_inequalities`` on one
-triple at a time.
+``per_triple_family``, ``per_pair_family`` and ``per_quadruple_family`` are
+the lemma suite's three families as they ran before they were checked on
+whole arrays: ``census`` and ``check_triple_inequalities``, the coset
+routines of ``cosetlab.cosets`` and per-subgroup meeting matrices, on one
+instance at a time.
 """
 
 from __future__ import annotations
@@ -21,14 +23,26 @@ import math
 from collections import deque
 from itertools import combinations, permutations, product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cosetlab import FiniteGroup, GroupSpec, Subgroup
-from cosetlab.bitset import bits_tuple
-from cosetlab.cosets import coset_mask
+from cosetlab.bitset import bits_tuple, full_mask, row_mask
+from cosetlab.cosets import (
+    _product_row,
+    coset_labels,
+    coset_mask,
+    cosets_of_k_in_product,
+    disjointable,
+    left_cosets,
+    meeting_matrix,
+    product_set,
+    promote,
+    touching_count,
+)
 from cosetlab.counting import census, check_triple_inequalities, r_strict_upper
 from cosetlab.errors import ConsistencyError
-from cosetlab.subgroups import _is_prime_power, close_generators
+from cosetlab.subgroups import _is_prime_power, close_generators, subgroup_from_elements
 
 # Named groups with their orders, the factors of random direct products.
 SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}
@@ -393,9 +407,90 @@ def _check_triple(gi: Subgroup, gj: Subgroup, gk: Subgroup, stats: dict, census_
         )
 
 
-def per_triple_family(g, subs, w, triples, stats, census_cap, from_lattice) -> None:
+def per_triple_family(g, subs, labels, w, triples, stats, census_cap, from_lattice) -> None:
     """Drop-in for ``cosetlab.lemmas._check_triples``: L3.2, E3.1, E3.2 and
     E3.4 recorded one triple at a time, in order, from ``census`` and
-    ``check_triple_inequalities``; ``w`` and ``from_lattice`` are not read."""
+    ``check_triple_inequalities``; ``labels``, ``w`` and ``from_lattice``
+    are not read."""
     for i, j, k in triples:
         _check_triple(subs[i], subs[j], subs[k], stats, census_cap)
+
+
+def check_pair(g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict) -> None:
+    """L2.1.i-v, L3.2 and L3.3 on one pair (H, K), as the suite recorded them
+    one pair at a time."""
+    n = g.n
+    overlap = (h.mask & k.mask).bit_count()
+    tag = f"{g.label}: |H|={h.order} |K|={k.order}"
+
+    # product_set raises when its closure test and HK = KH disagree.
+    try:
+        p = product_set(h, k)
+        stats["L2.1.i"].record(True, tag)
+    except ConsistencyError as exc:
+        p = None
+        stats["L2.1.i"].record(False, f"{tag}: {exc}")
+
+    stats["L2.1.ii"].record(cosets_of_k_in_product(h, k) == h.order // overlap, tag)
+
+    if math.gcd(h.index, k.index) == 1:
+        hk = p.mask if p is not None else row_mask(_product_row(h, k))
+        stats["L2.1.iii"].record(hk == full_mask(n), tag)
+
+    meets = meeting_matrix(h, k)
+    stats["L2.1.iv"].record(disjointable(h, k) == (not meets.all()), tag)
+
+    if p is not None and p.is_subgroup:
+        # Cosets of M = HK either coincide or are disjoint, so aM and bM are
+        # disjoint exactly when a and b carry different M-labels.
+        m_labels = coset_labels(promote(p))
+        h_reps = m_labels[[c.rep for c in left_cosets(h)]]
+        k_reps = m_labels[[c.rep for c in left_cosets(k)]]
+        separated = h_reps[:, None] != k_reps[None, :]
+        stats["L2.1.v"].tally(separated[~meets], tag)
+
+    stats["L3.2"].record(int(np.count_nonzero(meets)) == n // overlap, tag)
+
+    stats["L3.3"].record(touching_count(h, k) == k.order // overlap, tag)
+
+
+def check_nested(
+    g: FiniteGroup, g1: Subgroup, h1: Subgroup, g2: Subgroup, h2: Subgroup, stats: dict
+) -> None:
+    """R3.1 on one quadruple with H1 & H2 == G1 & G2: for distinct cosets
+    A = a*H1 and B inside a single G1-coset and any b in B, A misses b*H2."""
+    tag = f"{g.label}: |G1|={g1.order} |H1|={h1.order} |G2|={g2.order} |H2|={h2.order}"
+    h1_labels = coset_labels(h1)
+    g1_labels = coset_labels(g1)
+    big_of = np.empty(h1.index, dtype=g1_labels.dtype)
+    big_of[h1_labels] = g1_labels  # the G1-coset holding each H1-coset
+    # Row A, column b: an instance when A lies in b's G1-coset but is not b*H1.
+    instances = (big_of[:, None] == g1_labels) & (np.arange(h1.index)[:, None] != h1_labels)
+    misses = ~meeting_matrix(h1, h2)[:, coset_labels(h2)]
+    stats["R3.1"].tally(misses[instances], tag)
+
+
+def _subgroups_of(g: FiniteGroup, labels: np.ndarray) -> list[Subgroup]:
+    """Fresh Subgroup objects for the rows of a coset-label matrix: each
+    subgroup is the coset of the identity."""
+    return [
+        subgroup_from_elements(g, np.flatnonzero(row == row[g.identity]).tolist(), validate=False)
+        for row in labels
+    ]
+
+
+def per_pair_family(g, labels, member, w, pairs, stats) -> None:
+    """Drop-in for ``cosetlab.lemmas._check_pairs``: every row (h, k) of
+    ``pairs`` through ``check_pair``, in order; ``member`` and ``w`` are not
+    read."""
+    subs = _subgroups_of(g, labels)
+    for h, k in pairs:
+        check_pair(g, subs[h], subs[k], stats)
+
+
+def per_quadruple_family(g, labels, order, quadruples, stats) -> None:
+    """Drop-in for ``cosetlab.lemmas._check_nested``: every row of
+    ``quadruples`` through ``check_nested``, in order; ``order`` is not read."""
+    subs = _subgroups_of(g, labels)
+    for g1, h1, g2, h2 in quadruples:
+        check_nested(g, subs[g1], subs[h1], subs[g2], subs[h2], stats)
