@@ -18,7 +18,7 @@ DEFAULT_CENSUS_CAP = 10**6
 # triples per block in lattice_census's checks
 CHECK_ROWS = 1 << 13
 # entries per temporary of a batched check: a block holds this many, or one row
-BLOCK_ENTRIES = 1 << 18
+BLOCK_ENTRIES = 1 << 16
 _U64_MAX = 2**64 - 1
 
 
@@ -337,9 +337,9 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
     The rows of Mit and Mjt are packed into 64-bit words (``bitset.packed``):
     ``s_triple`` sums, over the meeting pairs (x, y) of Mij, the popcount of
     row x of Mit ANDed with row y of Mjt; ``n_disjoint`` sums, over the other
-    pairs, the cosets of t outside the OR of the two rows, so it is counted
-    directly, not by inclusion-exclusion.  A block's AND and OR products
-    hold at most about BLOCK_ENTRIES words, or one row.
+    pairs, the c cosets of H_t less those in the OR of the two rows, so it
+    is counted directly, not by inclusion-exclusion.  A block's AND and OR
+    products hold at most about BLOCK_ENTRIES words, or one row.
     """
     size, n = len(triples), labels.shape[1]
     out = {
@@ -359,19 +359,20 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
         step = max(1, BLOCK_ENTRIES // (a * b * words + (a + b) * c + n))
         for lo in range(first, last, step):
             at = by_shape[lo : min(lo + step, last)]
-            size = len(at)
-            li, lj, lt = (labels[triples[at, x]] for x in range(3))
-            r = np.arange(size)[:, None]
-            mij = np.zeros((size, a, b), dtype=bool)
-            mit = np.zeros((size, a, c), dtype=bool)
-            mjt = np.zeros((size, b, c), dtype=bool)
+            block = len(at)
+            li, lj, lt = labels[triples[at]].transpose(1, 0, 2)
+            r = np.arange(block)[:, None]
+            mij = np.zeros((block, a, b), dtype=bool)
+            mit = np.zeros((block, a, c), dtype=bool)
+            mjt = np.zeros((block, b, c), dtype=bool)
             mij[r, li, lj] = mit[r, li, lt] = mjt[r, lj, lt] = True
             row_ij, col_ij = np.count_nonzero(mij, axis=2), np.count_nonzero(mij, axis=1)
             row_it, col_it = np.count_nonzero(mit, axis=2), np.count_nonzero(mit, axis=1)
             row_jt, col_jt = np.count_nonzero(mjt, axis=2), np.count_nonzero(mjt, axis=1)
+            meets = row_ij.sum(axis=1)
             out["total"][at] = a * b * c
             out["s_pair"][at] = np.stack(
-                [row_ij.sum(axis=1) * c, row_it.sum(axis=1) * b, row_jt.sum(axis=1) * a], axis=1
+                [meets * c, row_it.sum(axis=1) * b, row_jt.sum(axis=1) * a], axis=1
             )
             out["s_pair_pair"][at] = np.stack(
                 [
@@ -383,12 +384,14 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
             )
             # A coset triple has a common point x exactly when it is x's label triple.
             out["meet_all"][at] = _distinct_per_row((li * b + lj) * c + lt)
-            px = packed(mit.reshape(-1, c)).reshape(size, a, 1, words)
-            py = packed(mjt.reshape(-1, c)).reshape(size, 1, b, words)
-            both = np.bitwise_count(px & py).sum(axis=3, dtype=np.int64)
-            either = np.bitwise_count(px | py).sum(axis=3, dtype=np.int64)
-            out["s_triple"][at] = (both * mij).sum(axis=(1, 2))
-            out["n_disjoint"][at] = ((c - either) * ~mij).sum(axis=(1, 2))
+            px = packed(mit.reshape(-1, c)).reshape(block, a, 1, words)
+            py = packed(mjt.reshape(-1, c)).reshape(block, 1, b, words)
+            # the popcounts of every pair (x, y), summed in int64 over the
+            # pairs that meet (do not meet); integer einsum, no BLAS
+            spec = "rxyw,rxy->r"
+            out["s_triple"][at] = np.einsum(spec, np.bitwise_count(px & py), mij, dtype=np.int64)
+            in_either = np.einsum(spec, np.bitwise_count(px | py), ~mij, dtype=np.int64)
+            out["n_disjoint"][at] = (a * b - meets) * c - in_either
     return out
 
 

@@ -159,6 +159,15 @@ def _met_union(labels: np.ndarray, index: np.ndarray, member: np.ndarray) -> tup
     return hit[glabels], np.add.reduceat(hit, off, dtype=np.int64)
 
 
+def _least_points(labels: np.ndarray) -> np.ndarray:
+    """Per row of coset labels, numbered by least element as ``coset_labels``
+    numbers them, whether each point is the least of its coset: the first
+    point to carry its label."""
+    out = np.ones(labels.shape, dtype=bool)
+    out[:, 1:] = labels[:, 1:] > np.maximum.accumulate(labels, axis=1)[:, :-1]
+    return out
+
+
 def _separation(
     table: np.ndarray,
     lh: np.ndarray,
@@ -173,18 +182,18 @@ def _separation(
 
     Cosets of M either coincide or are disjoint, so the law is that aM and
     bM differ.  An M-coset is named by its least element, the least entry
-    of x's table row over M, and a coset of H or K by its least element,
-    the first point that carries its label.  Where M is the whole group,
-    every disjoint pair lies in its one coset.
+    of x's table row over M, and a coset of H or K by its least element.
+    Where M is the whole group, every disjoint pair lies in its one coset.
     """
     index_h, index_k = lh.max(axis=1) + 1, lk.max(axis=1) + 1
     apart = np.where(subgroup, index_h * index_k - meets, 0)
     whole = hk.all(axis=1)
     mixed = np.where(subgroup & whole, apart, 0)
-    for p in np.flatnonzero(subgroup & ~whole):
+    proper = np.flatnonzero(subgroup & ~whole)
+    least_h, least_k = _least_points(lh[proper]), _least_points(lk[proper])
+    for q, p in enumerate(proper):
         m_coset = table[:, hk[p]].min(axis=1)
-        h_m = m_coset[np.unique(lh[p], return_index=True)[1]]
-        k_m = m_coset[np.unique(lk[p], return_index=True)[1]]
+        h_m, k_m = m_coset[least_h[q]], m_coset[least_k[q]]
         met = np.zeros((index_h[p], index_k[p]), dtype=bool)
         met[lh[p], lk[p]] = True
         mixed[p] = np.count_nonzero(~met & (h_m[:, None] == k_m))
@@ -206,20 +215,26 @@ def _check_pairs(
     K-cosets in HK and the H-cosets meeting K are counted on the way.  As
     in ``cosets.product_set``, HK must be closed under multiplication
     exactly when HK = KH, or L2.1.i fails; the closure test runs once per
-    distinct HK row.  Coset pairs that meet are the distinct label pairs
-    over the group's points.  A block holds B x n entries per array.
+    distinct HK row of the family.  Coset pairs that meet are the distinct
+    label pairs over the group's points.  A block holds B x n entries per
+    array.
     """
     n = g.n
     order = member.sum(axis=1)
     index = n // order
+    closure: dict[bytes, bool] = {}  # by the words of a distinct HK row
     for at in _blocks(len(pairs), n):
         h, k = pairs[at].T
         lh, lk, ih, ik, oh, ok = labels[h], labels[k], index[h], index[k], order[h], order[k]
         overlap = _meet_order(w, h, k)
         hk, k_cosets = _met_union(lk, ik, member[h])
         kh, h_cosets = _met_union(lh, ih, member[k])
-        _, first, inverse = np.unique(packed(hk), axis=0, return_index=True, return_inverse=True)
-        closed = np.array([cosets._closed_under_mul(g, hk[f]) for f in first])[inverse.reshape(-1)]
+        closed = np.empty(len(h), dtype=bool)
+        for p, words in enumerate(packed(hk)):
+            key = words.tobytes()
+            if key not in closure:
+                closure[key] = cosets._closed_under_mul(g, hk[p])
+            closed[p] = closure[key]
         sound = closed == (hk == kh).all(axis=1)
         meets = _distinct_per_row(lh * ik[:, None] + lk)
         every = np.ones(len(h), dtype=bool)
@@ -362,11 +377,11 @@ def _check_nested(
     the instances are the H1-cosets of b's G1-coset but b's own, and the
     failures those of them that meet b*H2, which the distinct label pairs
     (H1-coset, H2-coset) over the group's points name.  Both are counted
-    per G1-coset (and H2-coset) and gathered per point, B x n entries per
-    array of a block.
+    per G1-coset (and H2-coset) and gathered per point, on B x n arrays.
     """
     n = g.n
-    for at in _blocks(len(quadruples), n):
+    # about a dozen arrays of n entries per quadruple are live at once
+    for at in _blocks(len(quadruples), 12 * n):
         g1, h1, g2, h2 = quadruples[at].T
         rows = np.arange(len(g1))[:, None]
         big, own, far = labels[g1], labels[h1], labels[h2]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -13,7 +14,7 @@ import cosetlab.lemmas
 from cosetlab.counting import DEFAULT_CENSUS_CAP
 from cosetlab.errors import ConsistencyError
 from cosetlab.lemmas import LemmaStats
-from helpers import per_triple_family
+from helpers import per_pair_family, per_quadruple_family, per_triple_family
 
 
 EXHAUSTIVE_GROUPS = ["C6", "C12", "S3", "D4", "D6", "Q8", "A4", "C2xC2", "C2xC2xC2", "S4"]
@@ -130,13 +131,48 @@ def test_r_value_disagreement_recorded_as_e34_failure(lattice, monkeypatch):
 EXHAUSTIVE_TRIPLE_GROUPS = [name for name in cl.CATALOG if name not in ("A5", "S5")]
 
 
-def _with_oracle(monkeypatch, run):
-    """``run()``'s report, and the same run's with the triple family done one
-    triple at a time by ``census`` and ``check_triple_inequalities``."""
+# the per-instance route of each family, by the name of the batched check it replaces
+TRIPLE_ORACLE = {"_check_triples": per_triple_family}
+ORACLE = {**TRIPLE_ORACLE, "_check_pairs": per_pair_family, "_check_nested": per_quadruple_family}
+
+
+def _with_oracle(monkeypatch, run, oracle=TRIPLE_ORACLE):
+    """``run()``'s report, and the same run's with the families in ``oracle``
+    done one instance at a time; by default the triple family, by ``census``
+    and ``check_triple_inequalities``."""
     fast = run().to_json_dict()
     with monkeypatch.context() as m:
-        m.setattr("cosetlab.lemmas._check_triples", per_triple_family)
+        for name, route in oracle.items():
+            m.setattr(f"cosetlab.lemmas.{name}", route)
         return fast, run().to_json_dict()
+
+
+SMALL_GROUPS = [name for name in cl.CATALOG if cl.load_catalog_group(name).n <= 24]
+FORCED_SAMPLES = {
+    "exhaustive_pair_limit": 4,
+    "exhaustive_triple_limit": 4,
+    "nested_order_limit": 4,
+    "sample_target": 300,
+}
+
+
+@pytest.mark.parametrize(
+    "name,seed,limits",
+    [(name, 0, {}) for name in SMALL_GROUPS]
+    + [("S4", 7, FORCED_SAMPLES)]
+    + [(name, seed, {}) for name in ("A5", "S5") for seed in (0, 3, 7)],
+)
+def test_suite_matches_per_instance_oracle(lattice, monkeypatch, name, seed, limits):
+    # identical checked, failed and examples for every law when the pair,
+    # triple and nested families each run one instance at a time: exhaustive
+    # on the small groups, sampled on S4 with forced limits, A5 and S5
+    g, subs = lattice(name)
+    fast, oracle = _with_oracle(
+        monkeypatch, lambda: cl.run_lemma_suite(g, subs, seed=seed, **limits), ORACLE
+    )
+    assert fast == oracle
+    mode = "sampled" if limits or name in ("A5", "S5") else "exhaustive"
+    assert set(fast["modes"].values()) == {mode}
 
 
 # at census caps 1 and 100 these groups mix enumerated and capped triples
@@ -241,6 +277,72 @@ def test_lattice_census_failure_finishes_per_triple(lattice, monkeypatch):
         assert fast["stats"][lid]["checked"] == clean.stats[lid].checked - l32["failed"]
 
 
+@pytest.mark.parametrize("per_triple_too", [True, False])
+def test_sampled_census_failure_finishes_per_triple(lattice, monkeypatch, per_triple_too):
+    # A census fault at one drawn triple, planted in the batched enumeration
+    # and, when per_triple_too, in the per-triple one: the batched census
+    # stops at the triple's first draw, and the draws from there on go
+    # through census one at a time.  With the fault in both routes every
+    # draw of the triple fails L3.2 as on the per-triple route; with the
+    # fault in the batched route alone, its error is one more L3.2 failure
+    # and every other count is as on a clean run.
+    g, subs = lattice("S5")
+    drawn, calls = [], []
+    real_batch, real_rows = cosetlab.lemmas.triple_census, cosetlab.counting._enumerate_rows
+    real_census, real_enum = cosetlab.lemmas.census, cosetlab.counting._enumerate_counts
+
+    def triple_census(labels, w, triples, **kwargs):
+        drawn.append(triples)
+        return real_batch(labels, w, triples, **kwargs)
+
+    monkeypatch.setattr("cosetlab.lemmas.triple_census", triple_census)
+    clean = cl.run_lemma_suite(g, subs).to_json_dict()
+    triples = drawn[0]
+    totals = [math.prod(subs[x].index for x in t) for t in triples]
+    first = next(p for p in range(len(triples) // 3, len(triples)) if totals[p] <= DEFAULT_CENSUS_CAP)
+    bad = tuple(triples[first].tolist())
+    bad_subs = tuple(id(subs[x]) for x in bad)
+    hits = sum(tuple(t) == bad for t in triples.tolist())
+
+    def enumerate_rows(labels, index, rows):
+        counts = real_rows(labels, index, rows)
+        counts["meet_all"][(rows == bad).all(axis=1)] += 1
+        return counts
+
+    def enumerate_counts(gi, gj, gk):
+        counts = real_enum(gi, gj, gk)
+        if (id(gi), id(gj), id(gk)) == bad_subs:
+            counts["meet_all"] += 1
+        return counts
+
+    def census(*args, **kwargs):
+        calls.append(args)
+        return real_census(*args, **kwargs)
+
+    monkeypatch.setattr("cosetlab.counting._enumerate_rows", enumerate_rows)
+    if per_triple_too:
+        monkeypatch.setattr("cosetlab.counting._enumerate_counts", enumerate_counts)
+    monkeypatch.setattr("cosetlab.lemmas.census", census)
+    fast = cl.run_lemma_suite(g, subs).to_json_dict()
+    assert len(calls) == len(triples) - first
+    l32 = fast["stats"]["L3.2"]
+    if per_triple_too:
+        monkeypatch.setattr("cosetlab.lemmas._check_triples", per_triple_family)
+        assert fast == cl.run_lemma_suite(g, subs).to_json_dict()
+        assert l32["failed"] == hits
+        assert all("census meet_all" in e for e in l32["examples"])
+        for lid in ("E3.1", "E3.4"):
+            assert fast["stats"][lid]["checked"] == clean["stats"][lid]["checked"] - hits
+    else:
+        assert fast["failures"] == l32["failed"] == 1
+        assert l32["checked"] == clean["stats"]["L3.2"]["checked"] + 1
+        assert len(l32["examples"]) == 1
+        assert l32["examples"][0].startswith(f"S5: sampled census: census triple {bad} meet_all:")
+        for lid in cl.LEMMA_IDS:
+            if lid != "L3.2":
+                assert fast["stats"][lid] == clean["stats"][lid], lid
+
+
 def test_lattice_only_census_fault_is_reported(lattice, monkeypatch):
     # A fault that only the lattice census meets: the per-triple census of
     # the pair where it raised finds nothing, so the lattice census's error
@@ -302,6 +404,21 @@ def test_suite_keeps_no_square_matrix(lattice):
         tracemalloc.stop()
     assert res.failures == 0
     assert peak < 32 * 2**20
+
+
+def test_sampled_suite_memory_stays_small(lattice):
+    # every batched temporary is blocked: the three sampled families on S5
+    # hold a few MB, not arrays over every instance at once
+    g, subs = lattice("S5")
+    tracemalloc.start()
+    try:
+        res = cl.run_lemma_suite(g, subs, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.failures == 0
+    assert set(res.to_json_dict()["modes"].values()) == {"sampled"}
+    assert peak < 16 * 2**20
 
 
 def test_json_shape(lattice):
