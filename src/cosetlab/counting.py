@@ -15,7 +15,7 @@ from .errors import ConsistencyError, CounterOverflow, ParentMismatch
 from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
 
 DEFAULT_CENSUS_CAP = 10**6
-# triples per block in lattice_census's checks
+# rows per block in _orbit_census's checks and _closed_census
 CHECK_ROWS = 1 << 13
 # entries per temporary of a batched check: a block holds this many, or one row
 BLOCK_ENTRIES = 1 << 16
@@ -330,16 +330,18 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
     """``_enumerate_counts`` of every row (i, j, t) of ``triples``, on whole arrays.
 
     ``labels`` holds the lattice's coset labels, one row per subgroup, and
-    ``index`` the subgroup indices.  Rows are grouped by index shape
-    (a, b, c), so a block of B rows of one shape holds its meeting matrices
-    Mij, Mit and Mjt as B x a x b, B x a x c and B x b x c bool arrays, and
-    pair and pair-pair counts are their sums as in ``_enumerate_counts``.
-    The rows of Mit and Mjt are packed into 64-bit words (``bitset.packed``):
-    ``s_triple`` sums, over the meeting pairs (x, y) of Mij, the popcount of
-    row x of Mit ANDed with row y of Mjt; ``n_disjoint`` sums, over the other
-    pairs, the c cosets of H_t less those in the OR of the two rows, so it
-    is counted directly, not by inclusion-exclusion.  A block's AND and OR
-    products hold at most about BLOCK_ENTRIES words, or one row.
+    ``index`` the subgroup indices.  Rows are grouped by the indices (a, b)
+    of H_i and H_j and ordered by the index c of H_t, so a block of B rows
+    holds its meeting matrices Mij, Mit and Mjt as B x a x b, B x a x c and
+    B x b x c bool arrays, with c the block's largest; the columns past a
+    row's own c are zero and change no count.  Pair and pair-pair counts are
+    their sums as in ``_enumerate_counts``.  The rows of Mit and Mjt are
+    packed into 64-bit words (``bitset.packed``): ``s_triple`` sums, over
+    the meeting pairs (x, y) of Mij, the popcount of row x of Mit ANDed with
+    row y of Mjt; ``n_disjoint`` sums, over the other pairs, the row's c
+    cosets of H_t less those in the OR of the two rows, so it is counted
+    directly, not by inclusion-exclusion.  A block's AND and OR products
+    hold at most about BLOCK_ENTRIES words, or one row.
     """
     size, n = len(triples), labels.shape[1]
     out = {
@@ -350,16 +352,18 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
         "meet_all": np.empty(size, dtype=np.int64),
         "n_disjoint": np.empty(size, dtype=np.int64),
     }
-    shapes, shape_of = np.unique(index[triples].reshape(-1, 3), axis=0, return_inverse=True)
-    shape_of = shape_of.reshape(-1)
-    by_shape = np.argsort(shape_of, kind="stable")
-    bounds = np.searchsorted(shape_of[by_shape], np.arange(len(shapes) + 1))
-    for (a, b, c), first, last in zip(shapes.tolist(), bounds[:-1], bounds[1:]):
+    shape = index[triples].reshape(-1, 3)
+    pairs, pair_of = np.unique(shape[:, :2], axis=0, return_inverse=True)
+    pair_of = pair_of.reshape(-1)
+    by_pair = np.lexsort((shape[:, 2], pair_of))
+    bounds = np.searchsorted(pair_of[by_pair], np.arange(len(pairs) + 1))
+    for (a, b), first, last in zip(pairs.tolist(), bounds[:-1], bounds[1:]):
+        c = int(shape[by_pair[last - 1], 2])
         words = -(-c // 64)
         step = max(1, BLOCK_ENTRIES // (a * b * words + (a + b) * c + n))
         for lo in range(first, last, step):
-            at = by_shape[lo : min(lo + step, last)]
-            block = len(at)
+            at = by_pair[lo : min(lo + step, last)]
+            block, cs = len(at), shape[at, 2]
             li, lj, lt = labels[triples[at]].transpose(1, 0, 2)
             r = np.arange(block)[:, None]
             mij = np.zeros((block, a, b), dtype=bool)
@@ -370,9 +374,9 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
             row_it, col_it = np.count_nonzero(mit, axis=2), np.count_nonzero(mit, axis=1)
             row_jt, col_jt = np.count_nonzero(mjt, axis=2), np.count_nonzero(mjt, axis=1)
             meets = row_ij.sum(axis=1)
-            out["total"][at] = a * b * c
+            out["total"][at] = a * b * cs
             out["s_pair"][at] = np.stack(
-                [meets * c, row_it.sum(axis=1) * b, row_jt.sum(axis=1) * a], axis=1
+                [meets * cs, row_it.sum(axis=1) * b, row_jt.sum(axis=1) * a], axis=1
             )
             out["s_pair_pair"][at] = np.stack(
                 [
@@ -391,8 +395,62 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
             spec = "rxyw,rxy->r"
             out["s_triple"][at] = np.einsum(spec, np.bitwise_count(px & py), mij, dtype=np.int64)
             in_either = np.einsum(spec, np.bitwise_count(px | py), ~mij, dtype=np.int64)
-            out["n_disjoint"][at] = (a * b - meets) * c - in_either
+            out["n_disjoint"][at] = (a * b - meets) * cs - in_either
     return out
+
+
+def _orbit_census(
+    labels: np.ndarray,
+    w: np.ndarray,
+    triples: np.ndarray,
+    orbits: np.ndarray,
+    max_census: int,
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray], int, Optional[str]]:
+    """``census`` of every row (i, j, t) of ``triples``, one enumeration per orbit.
+
+    ``labels`` holds the lattice's coset labels, one row per subgroup
+    (``coset_labels``), ``w`` its packed membership rows, and ``orbits`` the
+    orbit label of each row: the position of the least row of its orbit, so
+    ``np.arange`` makes every row its own orbit.  Closed forms come from
+    ``_closed_census``; the rows within ``max_census`` that are their own
+    label are enumerated (``_enumerate_rows``).  Then every enumerated row is
+    checked against its representative's enumeration, CHECK_ROWS rows at a
+    time (``_census_failure``), and takes its ``s_triple`` and
+    ``n_disjoint``.
+
+    Returns the closed forms, ``enumerated``, ``s_triple`` and
+    ``n_disjoint`` (0 where not enumerated, and valid before the failing
+    row), the position of the first row that fails a check (the row count
+    when none does), and its ConsistencyError text or None.
+    """
+    n = labels.shape[1]
+    if n**3 > np.iinfo(np.int64).max:
+        raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
+    closed = _closed_census(w, n, triples)
+    enumerated = closed["total"] <= max_census
+    # a member's total is its representative's, so the representative of
+    # every enumerated row is enumerated too
+    reps = np.flatnonzero((orbits == np.arange(len(orbits))) & enumerated)
+    index = n // np.bitwise_count(w).sum(axis=1, dtype=np.int64)
+    rep_got = _enumerate_rows(labels, index, triples[reps])
+    got = {key: np.zeros(len(triples), dtype=np.int64) for key in ("s_triple", "n_disjoint")}
+    checked = np.flatnonzero(enumerated)
+    for lo in range(0, len(checked), CHECK_ROWS):
+        part = checked[lo : lo + CHECK_ROWS]
+        slot = np.searchsorted(reps, orbits[part])
+        part_got = {key: v[slot] for key, v in rep_got.items()}
+        for key in got:
+            got[key][part] = part_got[key]
+        failure = _census_failure(
+            {key: v[part] for key, v in closed.items()}, part_got, orbits[part] != part
+        )
+        if failure is not None:
+            p, key, why = failure
+            at, rep = triples[part[p]].tolist(), triples[orbits[part[p]]].tolist()
+            whose = "" if rep == at else f" (orbit of {tuple(rep)})"
+            error = f"census triple {tuple(at)}{whose} {key}: {why}"
+            return closed, enumerated, got, int(part[p]), error
+    return closed, enumerated, got, len(triples), None
 
 
 def triple_census(
@@ -402,46 +460,21 @@ def triple_census(
     *,
     max_census: int = DEFAULT_CENSUS_CAP,
 ) -> tuple[dict[str, np.ndarray], Optional[str]]:
-    """``census`` of every row (i, j, t) of ``triples``, in order, on whole arrays.
-
-    ``labels`` holds the lattice's coset labels, one row per subgroup
-    (``coset_labels``), and ``w`` its packed membership rows.  Closed forms
-    come from ``_closed_census``; the rows within ``max_census`` are also
-    enumerated (``_enumerate_rows``), and the two routes are compared as
-    ``census`` compares them (``_census_failure``).
+    """``census`` of every row (i, j, t) of ``triples``, in order, on whole arrays:
+    ``_orbit_census`` with every row its own orbit.
 
     Returns ``enumerated``, ``s_triple`` and ``n_disjoint`` (0 where not
     enumerated) of the rows before the first row that fails a check, and
     that row's ConsistencyError text, or None when every row passes.
     """
-    n = labels.shape[1]
-    if n**3 > np.iinfo(np.int64).max:
-        raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
     try:
-        closed = _closed_census(w, n, triples)
+        _, enumerated, got, end, error = _orbit_census(
+            labels, w, triples, np.arange(len(triples)), max_census
+        )
     except ConsistencyError as exc:
         empty = np.zeros(0, dtype=np.int64)
         return {"enumerated": empty.astype(bool), "s_triple": empty, "n_disjoint": empty}, str(exc)
-    enumerated = closed["total"] <= max_census
-    rows = np.flatnonzero(enumerated)
-    index = n // np.bitwise_count(w).sum(axis=1, dtype=np.int64)
-    got = _enumerate_rows(labels, index, triples[rows])
-    failure = _census_failure(
-        {key: v[rows] for key, v in closed.items()}, got, np.zeros(len(rows), dtype=bool)
-    )
-    end, error, passed = len(triples), None, len(rows)
-    if failure is not None:
-        passed, key, why = failure
-        end = int(rows[passed])
-        error = f"census triple {tuple(triples[end].tolist())} {key}: {why}"
-    out = {
-        "enumerated": enumerated[:end],
-        "s_triple": np.zeros(end, dtype=np.int64),
-        "n_disjoint": np.zeros(end, dtype=np.int64),
-    }
-    for key in ("s_triple", "n_disjoint"):
-        out[key][rows[:passed]] = got[key][:passed]
-    return out, error
+    return {"enumerated": enumerated[:end], **{key: v[:end] for key, v in got.items()}}, error
 
 
 def lattice_census(
@@ -452,38 +485,18 @@ def lattice_census(
     """The census of every subgroup triple of a lattice, one pair i <= j at a time.
 
     Pairs come in ``combinations_with_replacement`` order, so the triples
-    (i, j, t) do too.  Both routes of ``census`` run on whole arrays and
-    are compared triple by triple; a disagreement raises ConsistencyError
-    naming the first failing triple, after the pairs before it are yielded.
-
-    Conjugation by x maps the coset triples of (H_i, H_j, H_t) one to one
-    onto those of the conjugate triple and keeps every meet, so every count
-    is constant on an orbit of triples (``triple_orbits``).  Only the least
-    triple of each orbit is enumerated; its ``s_triple`` and ``n_disjoint``
-    are copied to the others, the members, whose own closed forms are
-    checked against its enumeration (``_census_failure``).  An abelian group
-    has no conjugation, and every triple is enumerated.  Otherwise ``subs``
-    must be closed under conjugation, as a whole lattice is; a conjugate
-    missing from it raises ConsistencyError before any pair is yielded.
-
-    Closed forms come from the intersection orders, for every triple on
-    whole arrays, CHECK_ROWS triples at a time (``_closed_census``).  The enumeration numbers every coset of the
-    lattice: coset c of subgroup t is column ``off[t] + c``, with ``off``
-    the running sum of the indices and C their total.  Subgroup i's row
-    block is the index_i x C bool matrix of which cosets meet which, so the
-    meeting matrix Mjt of ``census`` is the t-th column segment of j's
-    block.  A triple above ``max_census`` gets closed forms only, as in
-    ``census``.  Per pair (i, j) that holds an enumerated representative,
-    only the column segments of those t are gathered.  Their counts, for
-    every such t at once, are sums per column segment: ``s_triple`` of the
-    ANDs of the Mit and Mjt rows of the meeting pairs of i and j,
-    ``n_disjoint`` of the same product as in ``census`` over the complement
-    blocks.  Pair counts are dot products of the blocks' column sums (Mit is
-    Mti transposed, so those are row sums too).  Blocks are bool, and per
-    pair only the complement product over the gathered columns is int64, so
-    at most a few arrays of index_i x C entries are held at once; the
-    arrays over triples hold O(1) ints per triple.  Counts are int64, so
-    the group order must stay below 2**21.
+    (i, j, t) do too.  Conjugation by x maps the coset triples of
+    (H_i, H_j, H_t) one to one onto those of the conjugate triple and keeps
+    every meet, so every count is constant on an orbit of triples
+    (``triple_orbits``).  The triples go through ``_orbit_census`` with
+    those orbits: only the least triple of each orbit is enumerated, and the
+    others, the members, are checked against its enumeration.  An abelian
+    group has no conjugation, and every triple is enumerated.  Otherwise
+    ``subs`` must be closed under conjugation, as a whole lattice is; a
+    conjugate missing from it raises ConsistencyError before any pair is
+    yielded.  A check that fails raises ConsistencyError naming the first
+    failing triple, after the pairs before it are yielded.  Counts are
+    int64, so the group order must stay below 2**21.
     """
     m = len(subs)
     if m == 0:
@@ -491,124 +504,22 @@ def lattice_census(
     parent = subs[0].parent
     if any(s.parent is not parent for s in subs):
         raise ParentMismatch("census subgroups belong to different groups")
-    n = parent.n
-    if n**3 > np.iinfo(np.int64).max:
-        raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
-
-    w = packed(membership(subs))
-    index = n // np.bitwise_count(w).sum(axis=1, dtype=np.int64)
-    off = np.concatenate(([0], np.cumsum(index)))
     labels = np.stack([coset_labels(s) for s in subs])
-    glabels = labels + off[:m, None]
     orbits = triple_orbits(subs)
-    triples = _triples(m)
-    closed = _closed_census(w, n, triples)
-    enumerated = closed["total"] <= max_census
-    reps = np.flatnonzero((orbits == np.arange(len(orbits))) & enumerated)
-    rep_i, rep_j, rep_t = triples[reps].T
-    del triples
-
-    def block(i: int, lo: int) -> np.ndarray:
-        """Subgroup i's row block over the cosets of subgroups lo, ..., m-1."""
-        out = np.zeros((index[i], off[m] - off[lo]), dtype=bool)
-        out[labels[i], glabels[lo:] - off[lo]] = True
-        return out
-
-    # Per subgroup: the column sums of its block (how many of its cosets meet
-    # each coset).  Mit is Mti transposed, so the row sums of Mit are
-    # col_sums[t] on segment i.
-    col_sums = np.stack([block(i, 0).sum(axis=0) for i in range(m)])
-    nonzero = np.add.reduceat(col_sums, off[:m], axis=1)  # nnz of every Mit
-
-    # The enumerated counts of each representative, one row per entry of reps.
-    got = {
-        "total": closed["total"][reps],
-        "s_pair": np.zeros((len(reps), 3), dtype=np.int64),
-        "s_pair_pair": np.zeros((len(reps), 3), dtype=np.int64),
-        "s_triple": np.zeros(len(reps), dtype=np.int64),
-        "meet_all": np.zeros(len(reps), dtype=np.int64),
-        "n_disjoint": np.zeros(len(reps), dtype=np.int64),
-    }
-    # reps ascend, so each pair's representatives are one run of them
-    runs = np.flatnonzero(np.diff(rep_i * m + rep_j, prepend=-1, append=m * m))
-    mi, mi_at = None, -1
-    for lo, hi in zip(runs[:-1], runs[1:]):
-        i, j, ts = int(rep_i[lo]), int(rep_j[lo]), rep_t[lo:hi]
-        if mi_at != i:
-            mi, mi_at = block(i, 0), i
-        a, b, cs = int(index[i]), int(index[j]), index[ts]
-        seg = np.cumsum(cs) - cs  # each t's segment among the gathered columns
-        # the columns of the t in ts, from off[j] on; a slice when every t is
-        # one, so nothing is copied
-        if len(ts) == m - j:
-            cols = slice(None)
-        else:
-            keep = np.zeros(m - j, dtype=bool)
-            keep[ts - j] = True
-            cols = np.repeat(keep, index[j:])
-        mit, mjt = mi[:, off[j] :][:, cols], block(j, j)[:, cols]
-        # Coset x of i meets coset y of j exactly when some point has labels
-        # (x, y), so at most n pairs meet; the sum of the ANDs of their rows
-        # is sum((Mij @ Mjt) * Mit) at n x C cost in place of a x b x C.
-        pair_key = labels[i] * b + labels[j]
-        xs, ys = np.divmod(np.unique(pair_key), b)
-        got["s_triple"][lo:hi] = np.add.reduceat((mit[xs] & mjt[ys]).sum(axis=0), seg)
-        ndis = (~mi[:, off[j] : off[j] + b]).astype(np.int64) @ (~mjt).astype(np.int64)
-        ndis *= ~mit
-        got["n_disjoint"][lo:hi] = np.add.reduceat(ndis.sum(axis=0), seg)
-        # A coset triple has a common point x exactly when it is x's label triple.
-        got["meet_all"][lo:hi] = _distinct_per_row(pair_key * cs[:, None] + labels[ts])
-        rows_i = col_sums[ts, off[i] : off[i] + a]  # row sums of Mit, per t
-        rows_j = col_sums[ts, off[j] : off[j] + b]
-        cols_i, cols_j = col_sums[i, off[j] :][cols], col_sums[j, off[j] :][cols]
-        got["s_pair"][lo:hi] = np.stack(
-            [nonzero[i, j] * cs, nonzero[i, ts] * b, nonzero[j, ts] * a], axis=1
-        )
-        got["s_pair_pair"][lo:hi] = np.stack(
-            [
-                rows_i @ col_sums[j, off[i] : off[i] + a],
-                rows_j @ col_sums[i, off[j] : off[j] + b],
-                np.add.reduceat(cols_i * cols_j, seg),
-            ],
-            axis=1,
-        )
-
-    # Every enumerated triple against the enumeration of its orbit's least
-    # triple, which is enumerated too, since the total is the same; a block
-    # of CHECK_ROWS triples at a time.
-    checked = np.flatnonzero(enumerated)
-    s_triple = np.zeros(len(enumerated), dtype=np.int64)
-    n_disjoint = np.zeros(len(enumerated), dtype=np.int64)
-    fail_at, failure = len(enumerated), None
-    for lo in range(0, len(checked), CHECK_ROWS):
-        part = checked[lo : lo + CHECK_ROWS]
-        slot = np.searchsorted(reps, orbits[part])
-        part_got = {key: v[slot] for key, v in got.items()}
-        s_triple[part], n_disjoint[part] = part_got["s_triple"], part_got["n_disjoint"]
-        failure = _census_failure(
-            {key: v[part] for key, v in closed.items()}, part_got, orbits[part] != part
-        )
-        if failure is not None:
-            fail_at = int(part[failure[0]])
-            break
-
+    closed, enumerated, got, fail_at, error = _orbit_census(
+        labels, packed(membership(subs)), _triples(m), orbits, max_census
+    )
     lo = 0
     for i in range(m):
         for j in range(i, m):
             hi = lo + m - j
             if hi > fail_at:
-                _, key, why = failure
-                r = np.searchsorted(reps, orbits[fail_at])
-                rep = (int(rep_i[r]), int(rep_j[r]), int(rep_t[r]))
-                at = (i, j, j + fail_at - lo)
-                whose = "" if rep == at else f" (orbit of {rep})"
-                raise ConsistencyError(f"census triple {at}{whose} {key}: {why}")
+                raise ConsistencyError(error)
             yield PairCensus(
                 i,
                 j,
                 **{key: v[lo:hi] for key, v in closed.items()},
-                s_triple=s_triple[lo:hi],
-                n_disjoint=n_disjoint[lo:hi],
+                **{key: v[lo:hi] for key, v in got.items()},
                 enumerated=enumerated[lo:hi],
                 representative=orbits[lo:hi] == np.arange(lo, hi),
             )

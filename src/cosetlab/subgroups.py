@@ -211,21 +211,45 @@ def conjugation_action(
     return perms
 
 
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """int64 keys of the rows of a 2-D array with entries in [0, base):
-    equal exactly when the rows are equal, and ascending with the rows in
-    lexicographic order.  Columns are folded in as key * base + column;
-    before that could pass 2^62 the keys are replaced by their ranks, so no
-    lattice size overflows."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # every key lies below bound
-    for col in rows.T:
-        if bound > (1 << 62) // base:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = len(distinct)
-        key = key * base + col
-        bound *= base
-    return key
+def _prefix_keys(rows: np.ndarray, base: int) -> list[tuple[slice, np.ndarray]]:
+    """Keys of the rows of a 2-D array with entries in [0, base) and rows in
+    lexicographic order, one ascending int64 array per run of columns.
+
+    Each run folds its columns in as key * base + column, starting from the
+    position of the first row that agrees with this one before the run (0
+    for the first run), and ends before the key could pass 2^62, so no
+    lattice size overflows.  Keys of a run are equal exactly when the rows
+    agree up to its end.
+    """
+    n, k = rows.shape
+    runs = []
+    first = np.zeros(n, dtype=np.int64)
+    lo = 0
+    while lo < k:
+        key, hi, bound = first, lo, n
+        while hi < k and (hi == lo or bound <= (1 << 62) // base):
+            key = key * base + rows[:, hi]
+            hi, bound = hi + 1, bound * base
+        runs.append((slice(lo, hi), key))
+        starts = np.diff(key, prepend=-1) != 0
+        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+        lo = hi
+    return runs
+
+
+def _find_rows(runs: Sequence[tuple[slice, np.ndarray]], base: int, rows: np.ndarray) -> np.ndarray:
+    """The position of each row of ``rows`` among the distinct rows that
+    ``runs`` (``_prefix_keys``) were taken from; a row that is not among
+    them raises ConsistencyError."""
+    at = np.zeros(len(rows), dtype=np.int64)
+    for cols, key in runs:
+        want = at
+        for col in rows[:, cols].T:
+            want = want * base + col
+        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        if (key[at] != want).any():
+            raise ConsistencyError("a conjugate of a position tuple is not among the rows")
+    return at
 
 
 def orbit_labels(perms: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
@@ -243,19 +267,15 @@ def orbit_labels(perms: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
     n, k = rows.shape
     if not perms or n == 0:
         return np.arange(n)
-    steps = []  # per perm, the row index of the image of each row
-    pair = np.empty((2 * n, k), dtype=np.int64)  # the rows, then their images
-    pair[:n] = rows
+    # the rows are keyed once; per perm, the row index of the image of each row
+    base = 1 + max(int(rows.max()), *(int(p.max()) for p in perms))
+    runs = _prefix_keys(rows, base)
+    steps = []
     for p in perms:
-        pair[n:] = p[rows]
-        pair[n:].sort(axis=1)
-        keys = _row_keys(pair, int(pair.max()) + 1)
-        own, image_keys = keys[:n], keys[n:]
-        at = np.minimum(np.searchsorted(own, image_keys), n - 1)
-        if (own[at] != image_keys).any():
-            raise ConsistencyError("a conjugate of a position tuple is not among the rows")
-        steps.append(at)
-    del pair, keys, own, image_keys
+        image = p[rows]
+        image.sort(axis=1)
+        steps.append(_find_rows(runs, base, image))
+    del runs, image
     # min-label propagation along both directions of every generator, then
     # pointer jumping, to a fixpoint: labels end constant on each orbit and
     # equal to an index in it that is its own label, so the least one

@@ -305,6 +305,30 @@ def test_lattice_census_matches_per_triple_census(lattice, name, cap):
         assert 0 < sum(c.enumerated for c in got) < len(got)
 
 
+def test_triple_census_matches_census_across_c(lattice):
+    # rows that share the indices (a, b) of H_i and H_j but differ in the
+    # index c of H_t share one enumeration block, padded to its largest c;
+    # c = 120, S5's trivial subgroup, takes two 64-bit words.  H_i and H_j
+    # are two conjugates of S4 or of the Frobenius group of order 20, so
+    # some of their coset pairs do not meet and n_disjoint reads c.  Of the
+    # rows (0, 0, 1) and (0, 0, 0), the second is above the cap.
+    g, subs = lattice("S5")
+    s4 = [p for p, s in enumerate(subs) if s.index == 5][:2]
+    f20 = [p for p, s in enumerate(subs) if s.index == 6][:2]
+    triples = np.array(
+        [(*pair, t) for pair in (s4, f20) for t in range(len(subs))] + [(0, 0, 1), (0, 0, 0)]
+    )
+    assert {subs[t].index for t in triples[:, 2]} >= {1, 2, 60, 120}
+    labels = np.stack([cl.coset_labels(s) for s in subs])
+    got, error = cl.counting.triple_census(labels, packed(membership(subs)), triples)
+    assert error is None
+    want = [cl.census(*(subs[x] for x in t)) for t in triples.tolist()]
+    assert got["enumerated"].tolist() == [c.enumerated for c in want]
+    assert got["enumerated"][-2:].tolist() == [True, False]
+    assert got["s_triple"].tolist() == [c.s_triple or 0 for c in want]
+    assert got["n_disjoint"].tolist() == [c.n_disjoint or 0 for c in want]
+
+
 def test_lattice_census_names_first_failing_triple(lattice, monkeypatch):
     # merging the trivial subgroup's cosets in pairs breaks every count of the
     # enumeration through it, so the first triple (0, 0, 0) fails first

@@ -15,7 +15,13 @@ import cosetlab as cl
 from cosetlab import verifier
 from cosetlab.bitset import MEET_ROWS, bits_tuple, mask_of
 from cosetlab.errors import CliqueCapExceeded
-from cosetlab.subgroups import _row_keys, conjugators, generating_set, orbit_labels
+from cosetlab.subgroups import (
+    _find_rows,
+    _prefix_keys,
+    conjugators,
+    generating_set,
+    orbit_labels,
+)
 from cosetlab.verifier import (
     OPEN_RANGE_NOTE,
     _search_with_count,
@@ -588,17 +594,42 @@ def test_abelian_group_searches_every_clique(lattice):
         assert rep.clique_orbits == rep.candidate_clique_count
 
 
-def test_row_keys_past_int64():
+def test_prefix_keys_past_int64():
     # 2825 positions at k = 6 pass 2^63 as plain base-m numbers, so the keys
-    # fall back to ranks; they must still order rows lexicographically
+    # restart from row positions; they must still ascend with the rows and
+    # find every row
     base = 2825
     rows = np.array(
         sorted(product([0, 1, 1400, base - 2, base - 1], repeat=6)), dtype=np.int64
     )
-    keys = _row_keys(np.concatenate([rows, rows[::-1]]), base)
+    runs = _prefix_keys(rows, base)
+    assert len(runs) > 1
+    assert all((np.diff(key) >= 0).all() for _, key in runs)
+    assert (np.diff(runs[-1][1]) > 0).all()
     n = len(rows)
-    assert (np.diff(keys[:n]) > 0).all()
-    assert (keys[n:] == keys[:n][::-1]).all()
+    assert (_find_rows(runs, base, rows[::-1]) == np.arange(n)[::-1]).all()
+    # a row that differs from every row in a column of the first run, or of the last
+    for missing in ([0, 0, 2, 0, 0, 0], [0, 1, 1400, base - 2, base - 1, 5]):
+        with pytest.raises(cl.ConsistencyError, match="not among the rows"):
+            _find_rows(runs, base, np.array([rows[0], missing]))
+
+
+def test_orbit_labels_peak_on_s5_triples(lattice):
+    # the rows are keyed once and each perm's images against them, so no
+    # 2N x 3 stack of rows and images is held: about 54 MB traced on S5's
+    # 644,956 triples, against 73.8 MB for that stack
+    g, subs = lattice("S5")
+    perms = conjugation_action(g, subs)
+    rows = cl.counting._triples(len(subs))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        labels = orbit_labels(perms, rows)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(labels == np.arange(len(rows))) == 8959
+    assert peak < 60 * 2**20
 
 
 @given(data=st.data())
