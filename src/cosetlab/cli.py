@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 clean, 1 finding (disjoint family at k <= 4, or a failed law),
-2 bad input (unknown group, malformed spec, table not a group, a --cache-dir
-or --report path that cannot be written), 3 resource cap hit (order, subgroup
-count, clique count, census size).
+Exit codes: 0 clean, 1 finding (disjoint family at k <= 4, a failed law, or
+a failed consistency check), 2 bad input (unknown group, malformed spec, table
+not a group, a --cache-dir or --report path that cannot be written), 3
+resource cap hit (order, subgroup count, clique count, census size).
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import numpy as np
 
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
 from .catalog import catalog_names, load_catalog_group
-from .counting import DEFAULT_CENSUS_CAP, lattice_census
-from .errors import BadInput, CensusCapExceeded, GroupSpecError, ResourceLimit
+from .counting import DEFAULT_CENSUS_CAP, _triples, lattice_census
+from .errors import BadInput, CensusCapExceeded, ConsistencyError, GroupSpecError, ResourceLimit
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, load_group, spec_from_token
 from .lemmas import run_lemma_suite
-from .report import build_report, canonical_json
+from .report import CensusRows, build_report, report_chunks
 from .subgroups import Subgroup, enumerate_subgroups
 from .verifier import DEFAULT_CLIQUE_CAP, K_MAX, K_MIN, PairRows, verify_group
 
@@ -145,41 +145,19 @@ def cmd_census(
             f"{g.label}: {n_triples} subgroup triples exceed"
             f" --max-census {args.max_census}"
         )
-    orders = [s.order for s in subs]
-    entries = []
-    enumerated = n_orbits = 0
-    for pc in lattice_census(subs, max_census=args.max_census):
-        n_orbits += int(np.count_nonzero(pc.representative))
-        for t, total, s_pair, s_pair_pair, s_triple, meet_all, n_disjoint, exact in zip(
-            range(pc.j, m),
-            pc.total.tolist(),
-            pc.s_pair.tolist(),
-            pc.s_pair_pair.tolist(),
-            pc.s_triple.tolist(),
-            pc.meet_all.tolist(),
-            pc.n_disjoint.tolist(),
-            pc.enumerated.tolist(),
-        ):
-            enumerated += exact
-            entries.append(
-                {
-                    "subgroup_orders": [orders[pc.i], orders[pc.j], orders[t]],
-                    "total": total,
-                    "s_pair": s_pair,
-                    "s_pair_pair": s_pair_pair,
-                    "s_triple": s_triple if exact else None,
-                    "meet_all": meet_all,
-                    "n_disjoint": n_disjoint if exact else None,
-                    "enumerated": exact,
-                }
-            )
+    counts, error = lattice_census(subs, max_census=args.max_census)
+    if error is not None:
+        raise ConsistencyError(error)
+    orders = np.array([s.order for s in subs], dtype=np.int64)
+    enumerated = counts["enumerated"]
+    rows = CensusRows.from_fields({**counts, "subgroup_orders": orders[_triples(m)]}, enumerated)
     print(
-        f"{g.label}: {len(entries)} subgroup triples censused"
-        f" in {n_orbits} orbits,"
-        f" {enumerated} enumerated exactly",
+        f"{g.label}: {n_triples} subgroup triples censused"
+        f" in {np.count_nonzero(counts['representative'])} orbits,"
+        f" {np.count_nonzero(enumerated)} enumerated exactly",
         file=sys.stderr,
     )
-    return {"census": entries}, 0
+    return {"census": rows}, 0
 
 
 def cmd_subgroups(
@@ -242,12 +220,12 @@ def _run(args: argparse.Namespace) -> int:
         },
         **blocks,
     )
-    text = canonical_json(doc)
     if args.report:
-        Path(args.report).write_text(text)
+        with open(args.report, "w") as out:
+            out.writelines(report_chunks(doc))
         print(f"report written to {args.report}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(report_chunks(doc))
     return code
 
 
@@ -364,6 +342,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"consistency: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

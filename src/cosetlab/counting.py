@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -188,30 +188,6 @@ def census(
     if incl_excl != enum["n_disjoint"]:
         raise ConsistencyError("inclusion-exclusion disagrees with the disjoint count")
     return TripleCensus(**enum, enumerated=True)
-
-
-@dataclass(frozen=True)
-class PairCensus:
-    """Census of the subgroup triples (i, j, t) for one pair i <= j and every t >= j.
-
-    Every array runs over t = j, ..., m-1; ``s_pair`` and ``s_pair_pair``
-    have one column per named pair, in the order of ``TripleCensus``.
-    ``s_triple`` and ``n_disjoint`` hold 0 where ``enumerated`` is False.
-    ``representative`` is True where the triple is the least of its orbit
-    under simultaneous conjugation (``triple_orbits``), so its sum over all
-    pairs is the number of orbits.
-    """
-
-    i: int
-    j: int
-    total: np.ndarray
-    s_pair: np.ndarray
-    s_pair_pair: np.ndarray
-    s_triple: np.ndarray
-    meet_all: np.ndarray
-    n_disjoint: np.ndarray
-    enumerated: np.ndarray
-    representative: np.ndarray
 
 
 def _triples(m: int) -> np.ndarray:
@@ -405,7 +381,7 @@ def _orbit_census(
     triples: np.ndarray,
     orbits: np.ndarray,
     max_census: int,
-) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray], int, Optional[str]]:
+) -> tuple[dict[str, np.ndarray], Optional[str]]:
     """``census`` of every row (i, j, t) of ``triples``, one enumeration per orbit.
 
     ``labels`` holds the lattice's coset labels, one row per subgroup
@@ -418,15 +394,20 @@ def _orbit_census(
     time (``_census_failure``), and takes its ``s_triple`` and
     ``n_disjoint``.
 
-    Returns the closed forms, ``enumerated``, ``s_triple`` and
-    ``n_disjoint`` (0 where not enumerated, and valid before the failing
-    row), the position of the first row that fails a check (the row count
-    when none does), and its ConsistencyError text or None.
+    Returns ``total``, ``s_pair``, ``s_pair_pair``, ``s_triple``,
+    ``meet_all``, ``n_disjoint`` and ``enumerated``, one entry per row
+    (``s_triple`` and ``n_disjoint`` are 0 where not enumerated), cut at the
+    first row that fails a check, and that row's ConsistencyError text, or
+    None when every row passes.  A closed form that is not integral leaves
+    no row.
     """
     n = labels.shape[1]
     if n**3 > np.iinfo(np.int64).max:
         raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
-    closed = _closed_census(w, n, triples)
+    try:
+        closed = _closed_census(w, n, triples)
+    except ConsistencyError as exc:
+        return _orbit_census(labels, w, triples[:0], orbits[:0], max_census)[0], str(exc)
     enumerated = closed["total"] <= max_census
     # a member's total is its representative's, so the representative of
     # every enumerated row is enumerated too
@@ -434,6 +415,7 @@ def _orbit_census(
     index = n // np.bitwise_count(w).sum(axis=1, dtype=np.int64)
     rep_got = _enumerate_rows(labels, index, triples[reps])
     got = {key: np.zeros(len(triples), dtype=np.int64) for key in ("s_triple", "n_disjoint")}
+    out = {**closed, **got, "enumerated": enumerated}
     checked = np.flatnonzero(enumerated)
     for lo in range(0, len(checked), CHECK_ROWS):
         part = checked[lo : lo + CHECK_ROWS]
@@ -449,8 +431,8 @@ def _orbit_census(
             at, rep = triples[part[p]].tolist(), triples[orbits[part[p]]].tolist()
             whose = "" if rep == at else f" (orbit of {tuple(rep)})"
             error = f"census triple {tuple(at)}{whose} {key}: {why}"
-            return closed, enumerated, got, int(part[p]), error
-    return closed, enumerated, got, len(triples), None
+            return {key: v[: part[p]] for key, v in out.items()}, error
+    return out, None
 
 
 def triple_census(
@@ -461,69 +443,45 @@ def triple_census(
     max_census: int = DEFAULT_CENSUS_CAP,
 ) -> tuple[dict[str, np.ndarray], Optional[str]]:
     """``census`` of every row (i, j, t) of ``triples``, in order, on whole arrays:
-    ``_orbit_census`` with every row its own orbit.
-
-    Returns ``enumerated``, ``s_triple`` and ``n_disjoint`` (0 where not
-    enumerated) of the rows before the first row that fails a check, and
-    that row's ConsistencyError text, or None when every row passes.
-    """
-    try:
-        _, enumerated, got, end, error = _orbit_census(
-            labels, w, triples, np.arange(len(triples)), max_census
-        )
-    except ConsistencyError as exc:
-        empty = np.zeros(0, dtype=np.int64)
-        return {"enumerated": empty.astype(bool), "s_triple": empty, "n_disjoint": empty}, str(exc)
-    return {"enumerated": enumerated[:end], **{key: v[:end] for key, v in got.items()}}, error
+    ``_orbit_census`` with every row its own orbit, and what it returns."""
+    return _orbit_census(labels, w, triples, np.arange(len(triples)), max_census)
 
 
 def lattice_census(
     subs: Sequence[Subgroup],
     *,
     max_census: int = DEFAULT_CENSUS_CAP,
-) -> Iterator[PairCensus]:
-    """The census of every subgroup triple of a lattice, one pair i <= j at a time.
+) -> tuple[dict[str, np.ndarray], Optional[str]]:
+    """The census of every subgroup triple of a lattice, on whole arrays.
 
-    Pairs come in ``combinations_with_replacement`` order, so the triples
-    (i, j, t) do too.  Conjugation by x maps the coset triples of
-    (H_i, H_j, H_t) one to one onto those of the conjugate triple and keeps
-    every meet, so every count is constant on an orbit of triples
-    (``triple_orbits``).  The triples go through ``_orbit_census`` with
-    those orbits: only the least triple of each orbit is enumerated, and the
-    others, the members, are checked against its enumeration.  An abelian
-    group has no conjugation, and every triple is enumerated.  Otherwise
-    ``subs`` must be closed under conjugation, as a whole lattice is; a
-    conjugate missing from it raises ConsistencyError before any pair is
-    yielded.  A check that fails raises ConsistencyError naming the first
-    failing triple, after the pairs before it are yielded.  Counts are
-    int64, so the group order must stay below 2**21.
+    The triples (i, j, t), i <= j <= t, are one N x 3 array in
+    ``combinations_with_replacement`` order (``_triples``).  Conjugation by
+    x maps the coset triples of (H_i, H_j, H_t) one to one onto those of the
+    conjugate triple and keeps every meet, so every count is constant on an
+    orbit of triples (``triple_orbits``).  The triples go through
+    ``_orbit_census`` with those orbits: only the least triple of each orbit
+    is enumerated, and the others, the members, are checked against its
+    enumeration.  An abelian group has no conjugation, and every triple is
+    enumerated.  Otherwise ``subs`` must be closed under conjugation, as a
+    whole lattice is; a conjugate missing from it raises ConsistencyError.
+
+    Returns what ``_orbit_census`` returns, one entry per triple cut at the
+    first triple that fails a check, and that triple's ConsistencyError
+    text or None; ``representative`` is True where the triple is the least
+    of its orbit, so its sum is the number of orbits.  Counts are int64,
+    so the group order must stay below 2**21.
     """
-    m = len(subs)
-    if m == 0:
-        return
     parent = subs[0].parent
     if any(s.parent is not parent for s in subs):
         raise ParentMismatch("census subgroups belong to different groups")
     labels = np.stack([coset_labels(s) for s in subs])
     orbits = triple_orbits(subs)
-    closed, enumerated, got, fail_at, error = _orbit_census(
-        labels, packed(membership(subs)), _triples(m), orbits, max_census
+    counts, error = _orbit_census(
+        labels, packed(membership(subs)), _triples(len(subs)), orbits, max_census
     )
-    lo = 0
-    for i in range(m):
-        for j in range(i, m):
-            hi = lo + m - j
-            if hi > fail_at:
-                raise ConsistencyError(error)
-            yield PairCensus(
-                i,
-                j,
-                **{key: v[lo:hi] for key, v in closed.items()},
-                **{key: v[lo:hi] for key, v in got.items()},
-                enumerated=enumerated[lo:hi],
-                representative=orbits[lo:hi] == np.arange(lo, hi),
-            )
-            lo = hi
+    end = len(counts["total"])
+    counts["representative"] = orbits[:end] == np.arange(end)
+    return counts, error
 
 
 def r_strict_upper(d: int, r_ij: int, r_ik: int, r_jk: int) -> int:

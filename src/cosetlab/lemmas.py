@@ -265,37 +265,25 @@ def _triple_census(
     census error that ``census`` did not reproduce, or None.
 
     With ``from_lattice`` the triples are all of them, in
-    ``combinations_with_replacement`` order, and ``lattice_census`` gives
-    them a pair at a time; a block it yields has passed every check of
-    ``census``.  It raises at the first pair that fails.  Otherwise
-    ``triple_census`` counts the triples on whole arrays and stops at the
-    first triple that fails.  Either way the triples from the failing pair
-    or triple on go through ``census`` one at a time, so each failure is
-    named as ``census`` names it.  If none of the failing pair's or
-    triple's triples fails there, the batched error is returned.
+    ``combinations_with_replacement`` order, and ``lattice_census`` counts
+    them; otherwise ``triple_census`` does.  Either counts on whole arrays
+    and stops at the first triple that fails a check of ``census``.  The
+    triples from that one on go through ``census`` one at a time, so each
+    failure is named as ``census`` names it.  If the failing triple does not
+    fail there, the batched error is returned.
     """
-    size = len(triples)
-    enumerated = np.zeros(size, dtype=bool)
-    n_disjoint = np.zeros(size, dtype=np.int64)
-    errors: dict[int, str] = {}
-    batch_error = None
-    done = 0
     if from_lattice:
-        try:
-            for pc in lattice_census(subs, max_census=census_cap):
-                end = done + len(pc.total)
-                enumerated[done:end] = pc.enumerated
-                n_disjoint[done:end] = pc.n_disjoint
-                done = end
-        except ConsistencyError as exc:
-            batch_error = f"lattice census: {exc}"
+        counts, error = lattice_census(subs, max_census=census_cap)
+        route = "lattice census"
     else:
         counts, error = triple_census(labels, w, triples, max_census=census_cap)
-        done = len(counts["enumerated"])
-        enumerated[:done] = counts["enumerated"]
-        n_disjoint[:done] = counts["n_disjoint"]
-        if error is not None:
-            batch_error = f"sampled census: {error}"
+        route = "sampled census"
+    size, done = len(triples), len(counts["enumerated"])
+    enumerated = np.zeros(size, dtype=bool)
+    n_disjoint = np.zeros(size, dtype=np.int64)
+    enumerated[:done] = counts["enumerated"]
+    n_disjoint[:done] = counts["n_disjoint"]
+    errors: dict[int, str] = {}
     for p in range(done, size):
         i, j, t = triples[p]
         try:
@@ -305,11 +293,7 @@ def _triple_census(
             continue
         enumerated[p] = cen.enumerated
         n_disjoint[p] = cen.n_disjoint or 0
-    if batch_error is not None:
-        # the pair (i, j) that raised holds the triples (i, j, t) for t >= j
-        unit_end = done + (len(subs) - triples[done, 1] if from_lattice else 1)
-        if any(done <= p < unit_end for p in errors):
-            batch_error = None
+    batch_error = None if error is None or done in errors else f"{route}: {error}"
     return errors, enumerated, n_disjoint, batch_error
 
 

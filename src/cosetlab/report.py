@@ -8,9 +8,11 @@ other blocks are deterministic functions of the inputs and the seed.
 from __future__ import annotations
 
 import json
-import operator
+from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from . import __version__
 
@@ -218,15 +220,55 @@ def _entry_template(enumerated: bool) -> str:
 
 _ENTRY_TEMPLATES = {True: _entry_template(True), False: _entry_template(False)}
 _ENTRY_KEYS = frozenset(_CENSUS_ENTRY["properties"])
+# the row columns of an entry: its fields but enumerated, in sorted key
+# order, a list field taking three columns
+CENSUS_COLUMNS = (
+    "meet_all", "n_disjoint", "s_pair", "s_pair_pair", "s_triple", "subgroup_orders", "total"
+)
+# the columns of n_disjoint and s_triple, which a capped entry writes as null
+_NULLABLE = [1, 8]
+# census rows rendered per block of text
+CENSUS_BLOCK = 1 << 13
 _CENSUS_SLOT = '\n  "census": []'
 
 
-def _census_text(entries: list) -> Optional[str]:
-    """The census list rendered from the entry templates, or None when some
-    entry is not of the fixed shape: eight keys, ints and lists of three ints,
-    with null for s_triple and n_disjoint exactly when enumerated is false.
+@dataclass(frozen=True)
+class CensusRows:
+    """A report's census as whole arrays: ``rows`` holds one row of 13 ints
+    per entry, its fields in ``CENSUS_COLUMNS`` order, and ``enumerated``
+    one flag per entry.  The columns of n_disjoint and s_triple are not read
+    where ``enumerated`` is False."""
 
-    Each check runs over the whole block at once.  %d would also take bools
+    rows: np.ndarray
+    enumerated: np.ndarray
+
+    @classmethod
+    def from_fields(cls, fields: dict[str, np.ndarray], enumerated: np.ndarray) -> "CensusRows":
+        """The rows from one array per field of ``CENSUS_COLUMNS``, N or N x 3."""
+        return cls(np.column_stack([fields[key] for key in CENSUS_COLUMNS]), enumerated)
+
+
+# A block of census entries for the templates: the entries' enumerated
+# flags, and the values they write, entry by entry, in template order.
+_Block = tuple[list[bool], list[int]]
+
+
+def _row_blocks(census: CensusRows) -> Iterator[_Block]:
+    """The census rows, CENSUS_BLOCK at a time: every column of an enumerated
+    row, all but the nullable ones of a capped row."""
+    for lo in range(0, len(census.rows), CENSUS_BLOCK):
+        at = slice(lo, lo + CENSUS_BLOCK)
+        keep = np.ones(census.rows[at].shape, dtype=bool)
+        keep[:, _NULLABLE] = census.enumerated[at, None]
+        yield census.enumerated[at].tolist(), census.rows[at][keep].tolist()
+
+
+def _entry_blocks(entries: list) -> Optional[list[_Block]]:
+    """The census list in blocks, or None when some entry is not of the
+    fixed shape: eight keys, ints and lists of three ints, with null for
+    s_triple and n_disjoint exactly when enumerated is false.
+
+    Each check runs over the whole list at once.  %d would also take bools
     and floats, which JSON writes differently, so every value must be an int.
     """
     if not all(type(e) is dict and e.keys() == _ENTRY_KEYS for e in entries):
@@ -248,27 +290,49 @@ def _census_text(entries: list) -> Optional[str]:
     ]
     if set(map(type, chain.from_iterable(rows))) != {int}:
         return None
-    body = ",\n".join(map(operator.mod, map(_ENTRY_TEMPLATES.get, exact), rows))
-    return '\n  "census": [\n' + body + "\n  ]"
+    return [
+        (exact[lo : lo + CENSUS_BLOCK], list(chain.from_iterable(rows[lo : lo + CENSUS_BLOCK])))
+        for lo in range(0, len(rows), CENSUS_BLOCK)
+    ]
+
+
+def report_chunks(doc: dict) -> Iterator[str]:
+    """The text of ``canonical_json(doc)``, in pieces.
+
+    With ``indent`` set, the json module encodes in pure Python.  A census
+    block can run to hundreds of thousands of entries of one fixed shape,
+    so it is written from templates, one per block of entries: the entry
+    templates joined, filled from the block's values.  The blocks go in
+    place of an emptied list at the census's sorted position in the rest
+    of the document.  The census key's line is the only one that starts
+    with two spaces and ``"census"``: nested keys are indented further, and
+    JSON strings hold no raw newline.  The census may be ``CensusRows`` or a
+    list of entry dicts; a list with an entry of another shape sends the
+    whole document through ``json.dumps``.
+    """
+    census = doc.get("census")
+    blocks: Optional[Iterable[_Block]] = None
+    if isinstance(census, CensusRows):
+        doc = {**doc, "census": []}
+        if len(census.rows):
+            blocks = _row_blocks(census)
+    elif type(census) is list and census:
+        blocks = _entry_blocks(census)
+    if blocks is None:
+        yield json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return
+    head, tail = json.dumps({**doc, "census": []}, sort_keys=True, indent=2).split(_CENSUS_SLOT, 1)
+    yield head + '\n  "census": [\n'
+    for at, (flags, values) in enumerate(blocks):
+        template = ",\n".join(map(_ENTRY_TEMPLATES.__getitem__, flags))
+        yield (",\n" if at else "") + template % tuple(values)
+    yield "\n  ]" + tail + "\n"
 
 
 def canonical_json(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
-
-    With ``indent`` set, the json module encodes in pure Python.  A census
-    block can run to tens of thousands of entries of one fixed shape, so it
-    is written from a template and spliced in at its sorted position, in
-    place of the emptied list.  The census key's line is the only one that
-    starts with two spaces and ``"census"``: nested keys are indented
-    further, and JSON strings hold no raw newline.
-    """
-    census = doc.get("census")
-    if type(census) is list and census:
-        text = _census_text(census)
-        if text is not None:
-            rest = json.dumps({**doc, "census": []}, sort_keys=True, indent=2)
-            return rest.replace(_CENSUS_SLOT, text, 1) + "\n"
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline; a census
+    given as ``CensusRows`` is written as its list of entries."""
+    return "".join(report_chunks(doc))
 
 
 def strip_volatile(doc: dict) -> dict:
@@ -282,7 +346,7 @@ def build_report(
     group: dict,
     verifications: Optional[list[dict]] = None,
     lemmas: Optional[dict] = None,
-    census: Optional[list[dict]] = None,
+    census: Optional[Union[list[dict], CensusRows]] = None,
     subgroups: Optional[list[list[int]]] = None,
     runtime: Optional[dict] = None,
 ) -> dict:

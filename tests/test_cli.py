@@ -4,8 +4,10 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import cosetlab as cl
 from cosetlab import cli, errors
 from cosetlab.cli import main
 from cosetlab.report import canonical_json, strip_volatile, validate_report
@@ -302,6 +304,65 @@ def test_census_cap_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert err == "resource limit: C6: 20 subgroup triples exceed --max-census 5\n"
+
+
+def test_census_consistency_error_exits_1(capsys, monkeypatch, tmp_path):
+    # one wrong count in the enumeration of one orbit representative: the
+    # census fails its check at that triple, before any byte of the report
+    # is written, and the CLI names the triple
+    g = cl.load_catalog_group("S4")
+    subs = cl.enumerate_subgroups(g)
+    orbits = cl.triple_orbits(subs)
+    reps = np.flatnonzero(orbits == np.arange(len(orbits)))
+    bad = cl.counting._triples(len(subs))[reps[len(reps) // 2]]
+    named = f"consistency: census triple {tuple(bad.tolist())} meet_all: "
+    real = cl.counting._enumerate_rows
+
+    def enumerate_rows(labels, index, rows):
+        counts = real(labels, index, rows)
+        counts["meet_all"][(rows == bad).all(axis=1)] += 1
+        return counts
+
+    monkeypatch.setattr(cl.counting, "_enumerate_rows", enumerate_rows)
+    target = tmp_path / "s4.json"
+    code, out, err = run(
+        capsys, "census", "--group", "S4", "--cache-dir", "off", "--report", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert not target.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(named + "closed form ")
+    code, out, err = run(capsys, "census", "--group", "S4", "--cache-dir", "off")
+    assert (code, out) == (1, "")
+    assert err.startswith(named)
+
+
+def _without_runtime(text):
+    """A report's text less its runtime block, which holds timings and the
+    report path."""
+    head, rest = text.split('\n  "runtime": {\n', 1)
+    return head + rest.split("\n  }", 1)[1]
+
+
+def test_census_report_file_peak_and_bytes(capsys, tmp_path):
+    # the census is written from whole arrays, a block of entries at a
+    # time: no dict per triple and no report held as one string (64 MB
+    # traced when it was), and the file holds the bytes stdout gets
+    target = tmp_path / "a5.json"
+    tracemalloc.start()
+    try:
+        code, out, _ = run(
+            capsys, "census", "--group", "A5", "--cache-dir", "off", "--report", str(target)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "")
+    assert peak < 25_000_000
+    code, out, _ = run(capsys, "census", "--group", "A5", "--cache-dir", "off")
+    assert code == 0
+    assert _without_runtime(target.read_text()) == _without_runtime(out)
 
 
 def test_subgroups_q8(capsys, tmp_path):

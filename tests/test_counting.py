@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import re
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -266,23 +265,25 @@ ORACLE_GROUPS = [
 
 
 def _lattice_entries(subs, cap):
-    """The lattice census flattened to one TripleCensus per triple, in
-    combinations_with_replacement order."""
+    """The lattice census, which must pass every check, as one TripleCensus
+    per triple, in combinations_with_replacement order."""
+    counts, error = cl.lattice_census(subs, max_census=cap)
+    assert error is None
+    assert {len(v) for v in counts.values()} == {len(_triples(subs))}
+    columns = {key: v.tolist() for key, v in counts.items()}
     out = []
-    for pc in cl.lattice_census(subs, max_census=cap):
-        for t in range(len(pc.total)):
-            exact = bool(pc.enumerated[t])
-            out.append(
-                cl.TripleCensus(
-                    total=int(pc.total[t]),
-                    s_pair=tuple(pc.s_pair[t].tolist()),
-                    s_pair_pair=tuple(pc.s_pair_pair[t].tolist()),
-                    s_triple=int(pc.s_triple[t]) if exact else None,
-                    meet_all=int(pc.meet_all[t]),
-                    n_disjoint=int(pc.n_disjoint[t]) if exact else None,
-                    enumerated=exact,
-                )
+    for t, exact in enumerate(columns["enumerated"]):
+        out.append(
+            cl.TripleCensus(
+                total=columns["total"][t],
+                s_pair=tuple(columns["s_pair"][t]),
+                s_pair_pair=tuple(columns["s_pair_pair"][t]),
+                s_triple=columns["s_triple"][t] if exact else None,
+                meet_all=columns["meet_all"][t],
+                n_disjoint=columns["n_disjoint"][t] if exact else None,
+                enumerated=exact,
             )
+        )
     return out
 
 
@@ -339,8 +340,9 @@ def test_lattice_census_names_first_failing_triple(lattice, monkeypatch):
         return true_labels(h) // 2 if h.order == 1 else true_labels(h)
 
     monkeypatch.setattr(cl.counting, "coset_labels", merged)
-    with pytest.raises(cl.ConsistencyError, match=r"census triple \(0, 0, 0\)"):
-        list(cl.lattice_census(subs))
+    counts, error = cl.lattice_census(subs)
+    assert error.startswith("census triple (0, 0, 0) ")
+    assert {len(v) for v in counts.values()} == {0}
 
 
 def _triples(subs):
@@ -356,8 +358,9 @@ def test_triple_orbit_counts_pinned(lattice, name, count):
     _, subs = lattice(name)
     reps = _representatives(cl.triple_orbits(subs))
     assert len(reps) == count
-    # lattice_census flags the same representatives, pair by pair
-    flags = np.concatenate([pc.representative for pc in cl.lattice_census(subs)])
+    # lattice_census flags the same representatives
+    flags = cl.lattice_census(subs)[0]["representative"]
+    assert len(flags) == len(_triples(subs))
     assert np.flatnonzero(flags).tolist() == reps.tolist()
 
 
@@ -416,8 +419,9 @@ def test_orbit_census_checks_every_member(lattice, monkeypatch):
 def test_lattice_census_names_failing_member(lattice, monkeypatch, key):
     # a fault in one member's closed form, not in its representative's, is
     # caught against the representative's enumeration and names the member;
-    # the pairs before the member's pair are yielded
+    # the counts of the triples before the member are returned as they are
     _, subs = lattice("S4")
+    clean, _ = cl.lattice_census(subs)
     orbits = cl.triple_orbits(subs)
     members = np.flatnonzero(orbits != np.arange(len(orbits)))
     p = int(members[len(members) // 2])
@@ -430,15 +434,11 @@ def test_lattice_census_names_failing_member(lattice, monkeypatch, key):
         return closed
 
     monkeypatch.setattr(cl.counting, "_closed_census", planted)
-    yielded = []
-    with pytest.raises(
-        cl.ConsistencyError,
-        match=re.escape(f"census triple {triples[p]} (orbit of {triples[orbits[p]]}) {key}:"),
-    ):
-        for pc in cl.lattice_census(subs):
-            yielded.append((pc.i, pc.j))
-    i, j, _ = triples[p]
-    assert yielded == sorted({t[:2] for t in triples if t[:2] < (i, j)})
+    counts, error = cl.lattice_census(subs)
+    assert error.startswith(f"census triple {triples[p]} (orbit of {triples[orbits[p]]}) {key}:")
+    assert counts.keys() == clean.keys()
+    for name, v in counts.items():
+        assert np.array_equal(v, clean[name][:p]), name
 
 
 def test_representative_pair_counts_compared_in_place(lattice, monkeypatch):
@@ -458,25 +458,25 @@ def test_representative_pair_counts_compared_in_place(lattice, monkeypatch):
         return closed
 
     monkeypatch.setattr(cl.counting, "_closed_census", swapped)
-    with pytest.raises(cl.ConsistencyError) as err:
-        list(cl.lattice_census(subs))
-    assert str(err.value).startswith(f"census triple {_triples(subs)[picked[0]]} s_pair:")
+    counts, error = cl.lattice_census(subs)
+    assert error.startswith(f"census triple {_triples(subs)[picked[0]]} s_pair:")
+    assert len(counts["total"]) == picked[0]
 
 
 def test_lattice_census_parent_check(lattice):
     _, subs6 = lattice("C6")
     _, subs12 = lattice("C12")
     with pytest.raises(ParentMismatch):
-        list(cl.lattice_census([subs6[0], subs12[0]]))
+        cl.lattice_census([subs6[0], subs12[0]])
 
 
 def test_lattice_census_needs_a_list_closed_under_conjugation(lattice):
     # a non-abelian group's census labels triples by conjugation, so a list
-    # missing a conjugate is refused before any pair is yielded
+    # missing a conjugate is refused
     _, subs = lattice("S4")
     picked = [s for s in subs if s.order == 2][:1] + [s for s in subs if s.order == 3][:1]
     with pytest.raises(cl.ConsistencyError, match="missing from its lattice"):
-        next(cl.lattice_census(picked))
+        cl.lattice_census(picked)
     # an abelian group's subgroups are their own conjugates: any list will do
     _, subs = lattice("C2xC2xC2")
     picked = subs[1:4]

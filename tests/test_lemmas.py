@@ -12,7 +12,6 @@ import cosetlab as cl
 import cosetlab.counting
 import cosetlab.lemmas
 from cosetlab.counting import DEFAULT_CENSUS_CAP
-from cosetlab.errors import ConsistencyError
 from cosetlab.lemmas import LemmaStats
 from helpers import per_pair_family, per_quadruple_family, per_triple_family
 
@@ -237,38 +236,49 @@ def test_failed_strict_bound_examples_match_oracle(lattice, monkeypatch):
     assert e32["examples"][0].endswith(" bound=0")
 
 
-def test_lattice_census_failure_finishes_per_triple(lattice, monkeypatch):
-    # A census fault that the lattice census meets at one pair, mid-lattice,
-    # and the per-triple census at every triple from that pair on: the suite
-    # finishes those triples one at a time, so each failure, and the E3.x
-    # checks it skips, land as on the per-triple route.
-    g, subs = lattice("S4")
-    pos = {id(s): x for x, s in enumerate(subs)}
-    pairs = list(combinations_with_replacement(range(len(subs)), 2))
-    bad_pair = pairs[len(pairs) // 3]
-    real_lattice, real_enum = cosetlab.lemmas.lattice_census, cosetlab.counting._enumerate_counts
-
-    yielded = []
+def _stopped_at(real_lattice, bad):
+    """``lattice_census`` that stops at triple position ``bad`` with a planted
+    error, its counts before that triple intact."""
 
     def lattice_census(subs, **kwargs):
-        for pc in real_lattice(subs, **kwargs):
-            if (pc.i, pc.j) == bad_pair:
-                raise ConsistencyError(f"census triple {bad_pair}: planted fault")
-            yielded.append((pc.i, pc.j))
-            yield pc
+        counts, error = real_lattice(subs, **kwargs)
+        assert error is None
+        triple = list(combinations_with_replacement(range(len(subs)), 3))[bad]
+        return {key: v[:bad] for key, v in counts.items()}, f"census triple {triple}: planted fault"
+
+    return lattice_census
+
+
+def test_lattice_census_failure_finishes_per_triple(lattice, monkeypatch):
+    # A census fault that the lattice census meets at one triple,
+    # mid-lattice, and the per-triple census at every triple from there on:
+    # the suite finishes those triples one at a time, so each failure, and
+    # the E3.x checks it skips, land as on the per-triple route.
+    g, subs = lattice("S4")
+    pos = {id(s): x for x, s in enumerate(subs)}
+    triples = list(combinations_with_replacement(range(len(subs)), 3))
+    bad = len(triples) // 3
+    real_enum, real_census = cosetlab.counting._enumerate_counts, cosetlab.lemmas.census
+    calls = []
 
     def enumerate_counts(gi, gj, gk):
         counts = real_enum(gi, gj, gk)
-        if (pos[id(gi)], pos[id(gj)]) >= bad_pair:
+        if (pos[id(gi)], pos[id(gj)], pos[id(gk)]) >= triples[bad]:
             counts["meet_all"] += 1
         return counts
 
+    def census(*args, **kwargs):
+        calls.append(args)
+        return real_census(*args, **kwargs)
+
     clean = cl.run_lemma_suite(g, subs)
-    monkeypatch.setattr("cosetlab.lemmas.lattice_census", lattice_census)
+    monkeypatch.setattr("cosetlab.lemmas.lattice_census", _stopped_at(cl.lattice_census, bad))
     monkeypatch.setattr("cosetlab.counting._enumerate_counts", enumerate_counts)
+    monkeypatch.setattr("cosetlab.lemmas.census", census)
     fast, oracle = _with_oracle(monkeypatch, lambda: cl.run_lemma_suite(g, subs))
     assert fast == oracle
-    assert yielded == pairs[: len(pairs) // 3]
+    # the per-triple route reads helpers.census, not cosetlab.lemmas.census
+    assert len(calls) == len(triples) - bad
     l32 = fast["stats"]["L3.2"]
     assert l32["failed"] > 5 and len(l32["examples"]) == 5
     assert all("census meet_all" in e for e in l32["examples"])
@@ -348,23 +358,15 @@ def test_lattice_only_census_fault_is_reported(lattice, monkeypatch):
     # the pair where it raised finds nothing, so the lattice census's error
     # is one more L3.2 failure, and every other count is as on a clean run.
     g, subs = lattice("S4")
-    pairs = list(combinations_with_replacement(range(len(subs)), 2))
-    bad_pair = pairs[len(pairs) // 2]
-    real_lattice = cosetlab.lemmas.lattice_census
-
-    def lattice_census(subs, **kwargs):
-        for pc in real_lattice(subs, **kwargs):
-            if (pc.i, pc.j) == bad_pair:
-                raise ConsistencyError(f"census triple {bad_pair}: planted fault")
-            yield pc
-
+    triples = list(combinations_with_replacement(range(len(subs)), 3))
+    bad = len(triples) // 2
     clean = cl.run_lemma_suite(g, subs).to_json_dict()
-    monkeypatch.setattr("cosetlab.lemmas.lattice_census", lattice_census)
+    monkeypatch.setattr("cosetlab.lemmas.lattice_census", _stopped_at(cl.lattice_census, bad))
     res = cl.run_lemma_suite(g, subs).to_json_dict()
     l32 = res["stats"]["L3.2"]
     assert res["failures"] == l32["failed"] == 1
     assert l32["checked"] == clean["stats"]["L3.2"]["checked"] + 1
-    assert l32["examples"] == [f"S4: lattice census: census triple {bad_pair}: planted fault"]
+    assert l32["examples"] == [f"S4: lattice census: census triple {triples[bad]}: planted fault"]
     for lid in cl.LEMMA_IDS:
         if lid != "L3.2":
             assert res["stats"][lid] == clean["stats"][lid], lid

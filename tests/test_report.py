@@ -3,17 +3,21 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab
+from cosetlab import report
 from cosetlab.cli import main
 from cosetlab.report import (
     REPORT_FORMAT,
     REPORT_SCHEMA,
+    CensusRows,
     build_report,
     canonical_json,
     strip_volatile,
@@ -209,3 +213,62 @@ def test_canonical_json_equals_indented_dumps_on_pinned_reports(command):
     doc = json.loads(out.getvalue())
     assert out.getvalue() == _json_dumps(doc)
     assert canonical_json(doc) == _json_dumps(doc)
+
+
+def _main_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_census_with_capped_rows_equals_indented_dumps():
+    # S4's 4,960 triples at a cap of 5,000 coset triples: enumerated rows
+    # and capped ones, whose s_triple and n_disjoint are null
+    out = _main_stdout(["census", "--group", "S4", "--max-census", "5000", "--cache-dir", "off"])
+    doc = json.loads(out)
+    assert out == _json_dumps(doc)
+    exact = [e["enumerated"] for e in doc["census"]]
+    assert 0 < sum(exact) < len(exact)
+
+
+_int64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def census_rows(draw):
+    """A census as arrays: a few rows of 13 int64 values, any enumerated flags."""
+    size = draw(st.integers(0, 6))
+    values = draw(st.lists(_int64, min_size=13 * size, max_size=13 * size))
+    flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return CensusRows(np.array(values, dtype=np.int64).reshape(size, 13), np.array(flags, dtype=bool))
+
+
+def _entries(census):
+    """The census entries that rows in the order meet_all, n_disjoint,
+    s_pair, s_pair_pair, s_triple, subgroup_orders, total stand for."""
+    return [
+        {
+            "enumerated": exact,
+            "meet_all": row[0],
+            "n_disjoint": row[1] if exact else None,
+            "s_pair": row[2:5],
+            "s_pair_pair": row[5:8],
+            "s_triple": row[8] if exact else None,
+            "subgroup_orders": row[9:12],
+            "total": row[12],
+        }
+        for row, exact in zip(census.rows.tolist(), census.enumerated.tolist())
+    ]
+
+
+@given(census=census_rows(), block=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_census_rows_render_as_their_entries(census, block):
+    # the array route and the dict route write the same bytes as json.dumps,
+    # across block boundaries
+    doc = _minimal()
+    with mock.patch.object(report, "CENSUS_BLOCK", block):
+        from_rows = canonical_json({**doc, "census": census})
+        entries = {**doc, "census": _entries(census)}
+        assert from_rows == canonical_json(entries) == _json_dumps(entries)
