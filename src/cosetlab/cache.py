@@ -16,7 +16,7 @@ from .subgroups import Subgroup, enumerate_subgroups, subgroup_from_elements
 
 # Names the enumeration algorithm too: a file written under another tag is
 # discarded and recomputed, never trusted.
-LATTICE_FORMAT = "cosetlab-lattice-v3"
+LATTICE_FORMAT = "cosetlab-lattice-v4"
 DEFAULT_CACHE_DIR = ".cosetlab-cache"
 
 log = logging.getLogger("cosetlab.cache")

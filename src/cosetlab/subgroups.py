@@ -113,10 +113,15 @@ def close_generators(
     generators are never needed.  Once more than half of g is reached the
     result can only be g itself, which is returned at once.
     """
-    mul = g.mul
-    gens = list(generators)
     mask = 1 << g.identity if start is None else start
-    base = bits_tuple(mask)
+    return _close(g, list(generators), mask, bits_tuple(mask))
+
+
+def _close(g: FiniteGroup, gens: Sequence[int], mask: int, base: Sequence[int]) -> int:
+    """``close_generators`` from the subgroup S whose mask is ``mask`` and
+    whose elements are ``base``; the lattice passes the element tuple of a
+    queued subgroup it already holds."""
+    mul = g.mul
     size = len(base)
     frontier = [mul[s][q] for s in base for q in gens]
     while frontier:
@@ -298,22 +303,58 @@ def enumerate_subgroups(
     """Every subgroup of g, sorted by (order, element tuple).
 
     Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 9), one subgroup per conjugacy
-    class.  Seeds with every cyclic subgroup, then extends subgroups H to
-    <H, y> for y drawn from a fixed list that holds one generator of each
-    cyclic subgroup of prime-power order.  Each subgroup found enters with
-    its whole conjugacy class, the closure of its mask under conjugation by
-    the generators of g modulo its center, but only the subgroup itself is
-    queued for extension.  y is skipped when it lies in H, or in the double
-    coset H y' H of an earlier candidate y' for this H, because
-    <H, h y' h'> = <H, y'>; so a queued H costs one closure per double coset
-    that holds a listed generator.  Each <H, y> is closed from H's mask by
-    ``close_generators``, not from the identity.
+    Computational Group Theory*, 2005, ch. 9).  Every element x is closed to
+    <x> first; the least id of each cyclic subgroup of prime-power order
+    goes on the list L of listed generators, ascending.  Every subgroup K is
+    generated by its elements of prime-power order (x is a product of powers
+    of itself of prime-power order), so by L & K.  Subgroups H are then
+    extended to <H, y> for y in L, each closed from H's mask by ``_close``,
+    not from the identity.  Two rules decide which <H, y> are tried:
 
-    Complete for three reasons.  Every subgroup K is generated by its
-    elements of prime-power order (x is a product of powers of itself of
-    prime-power order), so by the listed generators y_1, ..., y_m that lie
-    in K, and K is the end of the chain <y_1> <= <y_1, y_2> <= ... <= K.
+    - a non-abelian g goes by conjugacy classes (``_class_lattice``): one
+      queued subgroup per class, one y per double coset H y H;
+    - an abelian g, the one case where ``conjugators(g)`` is empty, goes by
+      canonical augmentation (``_canonical_lattice``): each subgroup is
+      closed once, from its canonical parent.
+
+    More than ``max_subgroups`` subgroups raise SubgroupCountCapExceeded.
+    """
+    maps = conjugators(g)
+    # each cyclic subgroup's mask -> its least generator; every cyclic
+    # subgroup needs one, also one conjugate to an earlier cyclic subgroup
+    seeds: dict[int, int] = {}
+    for x in range(g.n):
+        seeds.setdefault(close_generators(g, (x,)), x)
+    listed = [x for m, x in seeds.items() if _is_prime_power(m.bit_count())]
+    if maps:
+        found = _class_lattice(g, maps, seeds, listed, max_subgroups)
+    else:
+        found = _canonical_lattice(g, listed, max_subgroups)
+    subs = [_subgroup_from_mask(g, m) for m in found]
+    subs.sort(key=lambda s: s.sort_key)
+    return subs
+
+
+def _class_lattice(
+    g: FiniteGroup,
+    maps: Sequence[Sequence[int]],
+    seeds: dict[int, int],
+    listed: Sequence[int],
+    max_subgroups: int,
+) -> set[int]:
+    """The masks of every subgroup of g, one subgroup per conjugacy class
+    extended.
+
+    Seeds with every cyclic subgroup.  Each subgroup found enters with its
+    whole conjugacy class, the closure of its mask under ``maps``
+    (conjugation by the generators of g modulo its center), but only the
+    subgroup itself is queued for extension.  y is skipped when it lies in
+    H, or in the double coset H y' H of an earlier candidate y' for this H,
+    because <H, h y' h'> = <H, y'>; so a queued H costs one closure per
+    double coset that holds a listed generator.
+
+    Complete for three reasons.  K is the end of the chain
+    <y_1> <= <y_1, y_2> <= ... <= K over the listed y_1, ..., y_m in K.
     From a queued H the next group <H, y> is found: y is either inside H,
     or a candidate for H, or in the double coset of an earlier candidate for
     H, which gives the same <H, y>.  And from any found H' the next group is
@@ -325,7 +366,6 @@ def enumerate_subgroups(
     """
     found: set[int] = set()
     queue: deque[tuple[int, tuple[int, ...]]] = deque()  # (mask, generators)
-    maps = conjugators(g)
 
     def add(mask: int, gens: tuple[int, ...]) -> None:
         if mask in found:
@@ -345,16 +385,8 @@ def enumerate_subgroups(
                     found.add(image)
                     conjugates.append(image)
 
-    # every cyclic subgroup needs a listed generator, also one conjugate to
-    # an earlier cyclic subgroup, which is already in ``found``
-    cyclic: set[int] = set()
-    prime_power_gens: list[int] = []
-    for x in range(g.n):
-        m = close_generators(g, (x,))
-        if m not in cyclic:
-            cyclic.add(m)
-            if _is_prime_power(m.bit_count()):
-                prime_power_gens.append(x)
+    # a seed conjugate to an earlier one is already in ``found``
+    for m, x in seeds.items():
         add(m, (x,))
 
     mul = g.mul
@@ -362,7 +394,7 @@ def enumerate_subgroups(
         mask, gens = queue.popleft()
         base = bits_tuple(mask)
         covered = mask  # H and the double cosets H y H of earlier candidates
-        for y in prime_power_gens:
+        for y in listed:
             if covered >> y & 1:
                 continue
             # the left cosets x H of H y H, reached by left multiplication
@@ -377,8 +409,74 @@ def enumerate_subgroups(
                     covered |= 1 << row[h]
                 for t in gens:
                     stack.append(mul[t][x])
-            add(close_generators(g, (y,), mask), gens + (y,))
+            add(_close(g, (y,), mask, base), gens + (y,))
+    return found
 
-    subs = [_subgroup_from_mask(g, m) for m in found]
-    subs.sort(key=lambda s: s.sort_key)
-    return subs
+
+def _canonical_lattice(
+    g: FiniteGroup, listed: Sequence[int], max_subgroups: int
+) -> set[int]:
+    """The masks of every subgroup of an abelian g, each closed once.
+
+    Canonical augmentation (B. D. McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).  The canonical chain of a
+    subgroup K is c_1 < c_2 < ..., where c_i is the least listed element of
+    K outside P_(i-1), P_i = <P_(i-1), c_i> and P_0 = 1; it ends at
+    P_j = K, since L & K generates K.  K's canonical parent is P_(j-1) and
+    its last generator is c_j.  Only the trivial subgroup is queued at the
+    start, with no last generator.  From a queued H with last generator c,
+    each listed y > c outside H is tried, and K = <H, y> is accepted, and
+    queued with last generator y, exactly when no listed element of K
+    outside H lies below y.  Two shortcuts skip a y before its closure:
+    y in the coset y' H of an earlier candidate y' < y, and a coset y H
+    (which is H y H, g being abelian) that holds a listed element below y.
+    Either way K holds a listed element outside H below y (y', or that
+    element), so y would fail the test.
+
+    Unique: K is accepted from H with y only if H's chain followed by y is
+    K's chain.  Chains ascend (c_(i+1) lies outside P_i, so differs from
+    c_i, and is the least of a smaller set), so every c_i of H is below
+    y, which is the least listed element of K outside H; then for i < j the
+    least listed element of K outside P_(i-1) is H's c_i, and c_j = y.  So
+    H = P_(j-1) and y = c_j, the one pair that K admits.  A mask accepted
+    twice therefore means the rule is broken, and raises ConsistencyError.
+
+    Complete: by induction on j, P_(j-1) is accepted and queued with last
+    generator c_(j-1).  From it, c_j > c_(j-1) lies outside P_(j-1); no
+    earlier candidate y' < c_j has c_j in y' P_(j-1), nor does c_j
+    P_(j-1) hold a listed element below c_j, since either would be a
+    listed element of K outside P_(j-1) below c_j; and K = <P_(j-1), c_j>
+    passes the test by the choice of c_j.  So every K is accepted.
+    """
+    listed_mask = mask_of(listed)
+    trivial = 1 << g.identity
+    found = {trivial}
+    queue: deque[tuple[int, int]] = deque([(trivial, -1)])  # (mask, last generator)
+    mul = g.mul
+    while queue:
+        mask, last = queue.popleft()
+        base = bits_tuple(mask)
+        covered = mask  # H and the cosets y H of earlier candidates
+        for y in listed:
+            if y <= last or covered >> y & 1:
+                continue
+            row = mul[y]
+            coset = mask_of(row[h] for h in base)
+            covered |= coset
+            below = listed_mask & ((1 << y) - 1)
+            if coset & below:
+                continue
+            k = _close(g, (y,), mask, base)
+            if k & ~mask & below:
+                continue
+            if k in found:
+                raise ConsistencyError(
+                    f"a subgroup of {g.label} was accepted from two canonical parents"
+                )
+            found.add(k)
+            if len(found) > max_subgroups:
+                raise SubgroupCountCapExceeded(
+                    f"more than {max_subgroups} subgroups in {g.label}"
+                )
+            queue.append((k, y))
+    return found

@@ -163,8 +163,13 @@ class PairRows:
     block of ``MEET_ROWS`` positions, for the whole block at once, and only
     over the positions from the block's start on: the clique search never
     reads a bit below j in row j.  ``rows(k)`` ANDs in the gcd bar, one mask
-    per index class from the gcd table of the distinct indices.  One source
-    serves every k of a lattice.
+    per index class from the gcd table of the distinct indices, and the
+    order fit |H_j| + |H_t| <= |G|, which every disjointable pair meets
+    (two cosets whose sizes pass |G| meet).  The positions ascend by order,
+    as ``candidate_cliques`` requires, so the t that fit j are those below
+    ``fit[j]``.  Row j's disjointability row is built only when a bit at or
+    above j survives those two bars.  One source serves every k of a
+    lattice.
     """
 
     def __init__(self, g: FiniteGroup, subgroups: Sequence[Subgroup]):
@@ -174,6 +179,7 @@ class PairRows:
         self.indices, self.index_class = np.unique(
             [s.index for s in subgroups], return_inverse=True
         )
+        self.fit = np.searchsorted(self.order, g.n - self.order, side="right")
         self._disjoint: list[Optional[int]] = [None] * len(subgroups)
 
     @property
@@ -196,8 +202,9 @@ class PairRows:
         return row
 
     def rows(self, k: int) -> "_BarRows":
-        """Row j at gcd bar k, on lookup: bit t set, for every t from j's
-        block start on, when positions j and t pass both pair bars."""
+        """Row j at gcd bar k, on lookup: bit t set, for every t >= j, when
+        positions j and t pass both pair bars; no bit is set below j's block
+        start."""
         low = np.gcd.outer(self.indices, self.indices) < k
         return _BarRows(self, row_masks(low[:, self.index_class]))
 
@@ -212,7 +219,10 @@ class _BarRows(dict):
 
     def __missing__(self, j: int) -> int:
         src = self.source
-        row = self[j] = src.disjoint_row(j) & self.gcd_ok[src.index_class[j]]
+        bars = self.gcd_ok[src.index_class[j]] & ((1 << int(src.fit[j])) - 1)
+        # a row that the gcd and order-fit bars empty from j on needs no
+        # disjointability row
+        row = self[j] = src.disjoint_row(j) & bars if bars >> j else 0
         return row
 
 

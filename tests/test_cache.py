@@ -129,9 +129,9 @@ def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
     [record] = caplog.records
     assert record.levelno == logging.INFO
     assert fmt in record.message
-    assert "cosetlab-lattice-v3" in record.message
+    assert "cosetlab-lattice-v4" in record.message
     assert "corrupt" not in record.message
-    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v3"
+    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v4"
     assert cached_subgroups(g, tmp_path)[1] == "warm"
 
 
@@ -142,6 +142,12 @@ def test_lattice_from_older_algorithm_is_recomputed(tmp_path, caplog):
 def test_lattice_from_every_subgroup_extension_is_recomputed(tmp_path, caplog):
     # v2 extended every subgroup, not one per conjugacy class
     _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v2")
+
+
+def test_lattice_from_class_only_extension_is_recomputed(tmp_path, caplog):
+    # v3 extended one subgroup per conjugacy class in abelian groups too,
+    # not each subgroup once from its canonical parent
+    _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v3")
 
 
 @pytest.mark.parametrize("fail", ["dumps", "write_text"])

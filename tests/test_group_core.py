@@ -12,6 +12,7 @@ from cosetlab import subgroups
 from cosetlab.cli import _resolve_spec
 from cosetlab.errors import (
     BadInput,
+    ConsistencyError,
     GroupSpecError,
     NotAGroup,
     OrderCapExceeded,
@@ -29,7 +30,6 @@ from cosetlab.groups import (
 )
 from cosetlab.subgroups import generating_set, membership
 
-import helpers
 from helpers import (
     brute_subgroups,
     composition_table,
@@ -111,8 +111,23 @@ def test_enumeration_matches_reference_on_products(factors):
     assert masks == cyclic_extension_subgroups(g)
 
 
+# the abelian groups cover several primes and exponents 4 and 9, where a
+# closure from a canonical candidate can still be rejected
 @pytest.mark.parametrize(
-    "name", ["A6", "S6", "D30", "S3xS3xC2", "A4xA4", "C2xC2xC2xC2xC2xC2"]
+    "name",
+    [
+        "A6",
+        "S6",
+        "D30",
+        "S3xS3xC2",
+        "A4xA4",
+        "C2xC2xC2xC2xC2xC2",
+        "C2xC2xC2xC2xC2",
+        "C2xC4xC4",
+        "C3xC3xC3",
+        "C9xC3",
+        "C2xC2xC6",
+    ],
 )
 def test_enumeration_matches_cyclic_extension(lattice, name):
     g, subs = lattice(name)
@@ -145,16 +160,17 @@ def test_lattice_closed_under_conjugation(lattice, name):
 
 
 def _count_closures(monkeypatch) -> list[int]:
-    """Count calls of close_generators from the library and the oracles."""
+    """Count calls of the closure primitive ``subgroups._close``, which every
+    closure of the library and of the oracles (by ``close_generators``)
+    goes through."""
     calls = [0]
-    real = subgroups.close_generators
+    real = subgroups._close
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(subgroups, "close_generators", counted)
-    monkeypatch.setattr(helpers, "close_generators", counted)
+    monkeypatch.setattr(subgroups, "_close", counted)
     return calls
 
 
@@ -168,12 +184,31 @@ def test_one_extension_per_conjugacy_class_saves_closures(monkeypatch):
 
 def test_abelian_group_computes_no_conjugates(monkeypatch):
     g = load_group(_resolve_spec("C2xC2xC2xC2xC2xC2"))
+    assert subgroups.conjugators(g) == []
     calls = _count_closures(monkeypatch)
-    cl.enumerate_subgroups(g)
+    subs = cl.enumerate_subgroups(g)
     ours = calls[0]
     calls[0] = 0
     cyclic_extension_subgroups(g)
-    assert ours == calls[0] == 23626
+    assert calls[0] == 23626
+    # 64 cyclic seeds, then each nontrivial subgroup closed once, from its
+    # canonical parent
+    assert ours == 64 + len(subs) - 1 == 2888
+
+
+def test_duplicate_canonical_acceptance_raises(monkeypatch):
+    # closing <y> alone, not <H, y>, hands back a subgroup already accepted
+    # from the trivial subgroup
+    g = load_group(_resolve_spec("C2xC2xC2"))
+    real = subgroups._close
+    trivial = 1 << g.identity
+
+    def from_identity(group, gens, mask, base):
+        return real(group, gens, trivial, (group.identity,))
+
+    monkeypatch.setattr(subgroups, "_close", from_identity)
+    with pytest.raises(ConsistencyError, match="two canonical parents"):
+        cl.enumerate_subgroups(g)
 
 
 def test_frozen_counts_beyond_catalog():
@@ -183,6 +218,8 @@ def test_frozen_counts_beyond_catalog():
     assert len(cl.enumerate_subgroups(load_group(c2_6))) == 2825
     d30 = cl.GroupSpec(kind="named", name="D30")
     assert len(cl.enumerate_subgroups(load_group(d30))) == 80
+    c2_7 = load_group(_resolve_spec("C2xC2xC2xC2xC2xC2xC2"))
+    assert len(cl.enumerate_subgroups(c2_7, max_subgroups=30_000)) == 29212
 
 
 def test_subgroup_cap():
@@ -190,6 +227,11 @@ def test_subgroup_cap():
     with pytest.raises(SubgroupCountCapExceeded):
         cl.enumerate_subgroups(g, max_subgroups=29)
     assert len(cl.enumerate_subgroups(g, max_subgroups=30)) == 30
+    # the abelian route counts against the same cap
+    c2_3 = load_group(_resolve_spec("C2xC2xC2"))
+    with pytest.raises(SubgroupCountCapExceeded):
+        cl.enumerate_subgroups(c2_3, max_subgroups=15)
+    assert len(cl.enumerate_subgroups(c2_3, max_subgroups=16)) == 16
 
 
 def test_nonassociative_loop_rejected():

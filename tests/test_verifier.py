@@ -131,6 +131,11 @@ def test_pair_table_from_another_lattice_rejected(lattice, entry):
 # every catalog group, and lattices past it up to C2^6's 2825 positions,
 # whose rows cross many MEET_ROWS blocks
 ROW_SOURCE_GROUPS = sorted(cl.CATALOG) + ["D30", "S3xS3xC2", "A4xA4", "A6", C2_6]
+# (group, k) -> disjointability rows a fresh source builds for the clique
+# search.  In C2^6 at k = 2 only G has an index prime to another, and no
+# position fits beside G, so the gcd and order-fit bars empty every row;
+# without the order fit all 2825 were built.
+ROWS_BUILT = {(C2_6, 2): 0}
 
 
 @pytest.mark.parametrize("name", ROW_SOURCE_GROUPS)
@@ -149,9 +154,13 @@ def test_pair_rows_match_pair_table(lattice, name):
             kept += (row >> j).bit_count()
         if name in PAIR_COUNTS:
             assert kept == PAIR_COUNTS[name][3][k]
-        assert cl.candidate_cliques(g, k, subgroups=subs) == cl.candidate_cliques(
-            g, k, subgroups=subs, pair_stats=table
-        )
+        fresh = cl.PairRows(g, subs)
+        assert cl.candidate_cliques(
+            g, k, subgroups=subs, pair_stats=fresh
+        ) == cl.candidate_cliques(g, k, subgroups=subs, pair_stats=table)
+        if (name, k) in ROWS_BUILT:
+            built = sum(row is not None for row in fresh._disjoint)
+            assert built == ROWS_BUILT[(name, k)]
 
 
 @pytest.mark.parametrize("entry", [cl.candidate_cliques, cl.verify_group])
