@@ -74,7 +74,7 @@ def _resolve_spec(token: str) -> GroupSpec:
     if spec is not None:
         return spec
     path = Path(token)
-    if path.exists():
+    if path.is_file():
         try:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -104,7 +104,6 @@ def cmd_verify(
             subgroups=subs,
             pair_stats=stats,
             max_cliques=args.max_cliques,
-            jobs=args.jobs,
         )
         reports.append(rep)
         print(
@@ -173,9 +172,9 @@ def _run(args: argparse.Namespace) -> int:
     ``args.work`` is a cmd_* function above; it returns its report blocks and
     exit code.  config echoes the command, the group token and every k, seed
     and cap value, the defaults of flags the command does not take included,
-    so all reports have the same keys; jobs, cache dir, report path and the
-    seconds of each phase (load, lattice, then the command's work) go to the
-    volatile runtime block.
+    so all reports have the same keys; cache dir, report path and the seconds
+    of each phase (load, lattice, then the command's work) go to the volatile
+    runtime block.
     """
     t0 = time.perf_counter()
     marks = [0.0]
@@ -215,7 +214,6 @@ def _run(args: argparse.Namespace) -> int:
             },
             "cache_status": cache_status,
             "cache_dir": args.cache_dir,
-            "jobs": args.jobs,
             "report_path": args.report,
         },
         **blocks,
@@ -272,7 +270,6 @@ def _add_common(
     sp.set_defaults(
         work=work,
         k=DEFAULT_K_RANGE,
-        jobs=1,
         max_cliques=DEFAULT_CLIQUE_CAP,
         max_census=DEFAULT_CENSUS_CAP,
     )
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MIN..MAX",
         help=f"family sizes to check, within [{K_MIN}, {K_MAX}] (default 2..4)",
     )
-    v.add_argument("--jobs", type=_positive_int, help="worker processes")
     v.add_argument("--max-cliques", type=_positive_int)
 
     for name, help_text, work in (

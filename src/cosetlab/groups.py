@@ -202,9 +202,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.label} order {self.n}>"
 
-    def __reduce__(self):
-        return (FiniteGroup, (self.np_table, self.label, self.spec))
-
 
 def _identity_and_inverses(table: np.ndarray) -> tuple[int, np.ndarray]:
     """In a group e*0 = 0 holds for e the identity alone, and a*b = e for b

@@ -1,8 +1,8 @@
 """Report assembly and schema for the cosetlab-report-v1 JSON format.
 
-Everything under the "runtime" key is volatile (timings, cache state, worker
-count, output paths) and is stripped before byte-for-byte comparisons.  All
-other blocks are deterministic functions of the inputs and the seed.
+Everything under the "runtime" key is volatile (timings, cache state, output
+paths) and is stripped before byte-for-byte comparisons.  All other blocks
+are deterministic functions of the inputs and the seed.
 """
 
 from __future__ import annotations
@@ -190,7 +190,6 @@ REPORT_SCHEMA = {
                 },
                 "cache_status": {"type": "string", "enum": ["cold", "warm", "off"]},
                 "cache_dir": {"type": "string"},
-                "jobs": {"type": "integer", "minimum": 1},
                 "report_path": {"type": ["string", "null"]},
             },
         },

@@ -8,8 +8,6 @@ question is open and hits would be genuine discoveries.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
@@ -26,7 +24,6 @@ from .subgroups import (
     enumerate_subgroups,
     membership,
     orbit_labels,
-    subgroup_from_elements,
 )
 
 DEFAULT_CLIQUE_CAP = 10**6
@@ -367,28 +364,10 @@ def _search_with_count(
     return violation, examined
 
 
-# Worker-side lattice for the process pool, set once per worker by _init_worker.
-_POOL_SUBS: Optional[list[Subgroup]] = None
-
-
-def _init_worker(g: FiniteGroup, element_sets: list[tuple[int, ...]]) -> None:
-    global _POOL_SUBS
-    _POOL_SUBS = [
-        subgroup_from_elements(g, elems, validate=False) for elems in element_sets
-    ]
-
-
-def _pool_task(clique: tuple[int, ...]) -> tuple[Optional[Violation], int]:
-    assert _POOL_SUBS is not None
-    return _search_with_count([_POOL_SUBS[i] for i in clique])
-
-
 def search_orbits(
     g: FiniteGroup,
     subgroups: Sequence[Subgroup],
     cliques: Sequence[tuple[int, ...]],
-    *,
-    jobs: int = 1,
 ) -> tuple[dict[int, Violation], int, int]:
     """Search one clique per conjugacy orbit; the orbit of a find in full.
 
@@ -397,8 +376,7 @@ def search_orbits(
     acting by simultaneous conjugation has the same verdict.  ``cliques``
     must be a set of sorted position tuples in lexicographic order that is
     closed under conjugation, as ``candidate_cliques`` returns.  The least
-    clique of each orbit is searched, serially or in a pool of at most
-    min(jobs, orbits, CPUs) workers.  When it yields a family, every other
+    clique of each orbit is searched.  When it yields a family, every other
     clique of its orbit is searched too, and must yield one.  Returns the
     family of every clique that has one, keyed by clique index in
     ascending order, exactly as a search of each clique gives it; the
@@ -411,26 +389,7 @@ def search_orbits(
     labels = orbit_labels(conjugation_action(g, subgroups), rows.reshape(-1, k))
     reps = np.flatnonzero(labels == np.arange(len(cliques))).tolist()
 
-    results: list[tuple[Optional[Violation], int]]
-    workers = min(jobs, len(reps), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(g, [s.elements for s in subgroups]),
-        ) as pool:
-            results = list(
-                pool.map(
-                    _pool_task,
-                    [cliques[r] for r in reps],
-                    chunksize=max(1, len(reps) // (workers * 8)),
-                )
-            )
-    else:
-        results = [
-            _search_with_count([subgroups[i] for i in cliques[r]]) for r in reps
-        ]
-
+    results = [_search_with_count([subgroups[i] for i in cliques[r]]) for r in reps]
     found: dict[int, Violation] = {}
     for r, (violation, _) in zip(reps, results):
         if violation is None:
@@ -452,13 +411,12 @@ def verify_group(
     subgroups: Optional[Sequence[Subgroup]] = None,
     pair_stats: Optional[Union[PairRows, PairTable]] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Exhaustively search one group for disjoint k-families below the gcd bar.
 
     The clique list is deterministic and ``search_orbits`` returns the
-    families in clique order, so reports are identical across worker
-    counts.  ``tuples_examined`` counts the coset placements over one
+    families in clique order, so equal inputs give equal reports.
+    ``tuples_examined`` counts the coset placements over one
     clique per conjugacy orbit.  ``pair_stats`` is as in
     ``candidate_cliques``; pass one ``PairRows`` to share its rows across k.
     """
@@ -468,7 +426,7 @@ def verify_group(
     cliques = candidate_cliques(
         g, k, subgroups=subs, pair_stats=pair_stats, max_cliques=max_cliques
     )
-    found, orbits, examined = search_orbits(g, subs, cliques, jobs=jobs)
+    found, orbits, examined = search_orbits(g, subs, cliques)
     violations = list(found.values())
     for violation in violations:
         off_diag = [

@@ -164,14 +164,14 @@ def test_acceptance_7_report_determinism(tmp_path):
             p for p in (package_root, env.get("PYTHONPATH")) if p
         )
 
-        def run_cli(out_name: str, *extra: str) -> dict:
+        def run_cli(out_name: str, cache_dir: str) -> dict:
             out = tmp_path / out_name
             proc = subprocess.run(
                 [
                     sys.executable, "-m", "cosetlab.cli",
                     "verify", "--group", "S4",
-                    "--cache-dir", str(tmp_path / "cache"),
-                    "--report", str(out), *extra,
+                    "--cache-dir", cache_dir,
+                    "--report", str(out),
                 ],
                 capture_output=True,
                 text=True,
@@ -180,14 +180,15 @@ def test_acceptance_7_report_determinism(tmp_path):
             assert proc.returncode == 0, proc.stderr
             return json.loads(out.read_text())
 
-        cold = run_cli("cold.json")
-        warm = run_cli("warm.json")
-        jobs4 = run_cli("jobs4.json", "--jobs", "4")
+        cache = str(tmp_path / "cache")
+        cold = run_cli("cold.json", cache)
+        warm = run_cli("warm.json", cache)
+        off = run_cli("off.json", "off")
         assert cold["runtime"]["cache_status"] == "cold"
         assert warm["runtime"]["cache_status"] == "warm"
-        assert jobs4["runtime"]["jobs"] == 4
+        assert off["runtime"]["cache_status"] == "off"
         a, b, c = (
-            json.dumps(strip_volatile(d), sort_keys=True) for d in (cold, warm, jobs4)
+            json.dumps(strip_volatile(d), sort_keys=True) for d in (cold, warm, off)
         )
         assert a == b == c
 
@@ -198,7 +199,7 @@ def test_acceptance_7_report_determinism(tmp_path):
                 [
                     sys.executable, "-m", "cosetlab.cli",
                     "lemmas", "--group", "S4", "--seed", "0",
-                    "--cache-dir", str(tmp_path / "cache"),
+                    "--cache-dir", cache,
                     "--report", str(out),
                 ],
                 capture_output=True,
@@ -208,7 +209,7 @@ def test_acceptance_7_report_determinism(tmp_path):
             assert proc.returncode == 0, proc.stderr
             lem.append(json.dumps(strip_volatile(json.loads(out.read_text())), sort_keys=True))
         assert lem[0] == lem[1]
-        state["detail"] = "verify cold==warm==jobs4 and lemmas seed-stable"
+        state["detail"] = "verify cold==warm==off and lemmas seed-stable"
 
 
 def test_acceptance_8_lattices_beyond_catalog():

@@ -95,12 +95,17 @@ def test_clique_cap_exits_3(capsys, tmp_path):
     assert "resource limit" in err
 
 
-def test_unknown_group_exits_2(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "verify", "--group", "NoSuchThing", "--cache-dir", str(tmp_path)
-    )
+@pytest.mark.parametrize(
+    "token", ["NoSuchThing", "", "{tmp}"], ids=["name", "empty", "directory"]
+)
+def test_unknown_group_exits_2(capsys, tmp_path, token):
+    # an empty token or a directory is not a spec file
+    token = token.format(tmp=tmp_path)
+    code, _, err = run(capsys, "verify", "--group", token, "--cache-dir", str(tmp_path))
     assert code == 2
-    assert "error:" in err
+    assert err == (
+        f"error: {token!r} is neither a catalog name, a family name, nor a spec file\n"
+    )
 
 
 def test_malformed_json_spec_exits_2(capsys, tmp_path):
@@ -202,7 +207,7 @@ def test_cache_dir_off_writes_nothing(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--jobs", "--max-order", "--max-cliques", "--max-census"])
+@pytest.mark.parametrize("flag", ["--max-order", "--max-cliques", "--max-census"])
 def test_non_positive_counts_exit_2(capsys, tmp_path, flag):
     command = "census" if flag == "--max-census" else "verify"
     for value in ("0", "-1"):
@@ -224,6 +229,7 @@ def test_negative_seed_exits_2(capsys, tmp_path, command):
 @pytest.mark.parametrize(
     "command, flag",
     [
+        ("verify", "--jobs"),
         ("verify", "--max-census"),
         ("lemmas", "--jobs"),
         ("lemmas", "--max-cliques"),
@@ -451,17 +457,17 @@ def test_cache_dir_naming_a_file_exits_2(capsys, tmp_path):
     assert blocker.read_text() == "keep"
 
 
-def test_reports_identical_across_cache_and_jobs(capsys, tmp_path):
+def test_reports_identical_across_cache_states(capsys, tmp_path):
     def stripped(*argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         return strip_volatile(json.loads(out))
 
-    base = ["verify", "--group", "S3xC2", "--cache-dir", str(tmp_path)]
-    cold = stripped(*base)
-    warm = stripped(*base)
-    jobs4 = stripped(*base, "--jobs", "4")
-    assert cold == warm == jobs4
+    base = ["verify", "--group", "S3xC2", "--cache-dir"]
+    cold = stripped(*base, str(tmp_path))
+    warm = stripped(*base, str(tmp_path))
+    off = stripped(*base, "off")
+    assert cold == warm == off
 
 
 PINNED_REPORTS = {

@@ -67,7 +67,7 @@ def test_runtime_block_is_volatile():
     doc = build_report(
         config={"command": "verify", "group": "S4"},
         group={"label": "S4", "order": 24, "spec_hash": "cd" * 32},
-        runtime={"elapsed_seconds": 1.5, "cache_status": "warm", "jobs": 4},
+        runtime={"elapsed_seconds": 1.5, "cache_status": "warm"},
     )
     validate_report(doc)
     stripped = strip_volatile(doc)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import os
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab import verifier
 from cosetlab.bitset import MEET_ROWS, bits_tuple, mask_of
 from cosetlab.errors import CliqueCapExceeded
 from cosetlab.subgroups import (
@@ -408,56 +406,6 @@ def test_note_absent_below_k5(lattice):
     rep = cl.verify_group(g, 4, subgroups=subs)
     assert rep.note is None
     assert "note" not in rep.stable_dict()
-
-
-def test_parallel_matches_serial(lattice):
-    # D12 leaves 8 and 64 clique orbits at k = 3, 5, so jobs=2 runs the pool
-    g, subs = lattice("D12")
-    stats = cl.pair_table(g, subs)
-    for k in (3, 5):
-        a = cl.verify_group(g, k, subgroups=subs, pair_stats=stats, jobs=1)
-        b = cl.verify_group(g, k, subgroups=subs, pair_stats=stats, jobs=2)
-        assert a.clique_orbits > 1
-        assert a.stable_dict() == b.stable_dict()
-
-
-class RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize):
-        return map(fn, items)
-
-
-def test_jobs_clamped_to_orbits_and_cpus(lattice, monkeypatch):
-    # a huge --jobs must never ask the pool for that many processes
-    g, subs = lattice("D12")
-    serial = cl.verify_group(g, 5, subgroups=subs).stable_dict()
-    assert serial["clique_orbits"] == 64
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(verifier, "_POOL_SUBS", None)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    for cpus, workers in ((4, 4), (1000, 64)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rep = cl.verify_group(g, 5, subgroups=subs, jobs=10**6)
-        assert RecordingPool.sizes[-1] == workers
-        assert rep.stable_dict() == serial
-    # one CPU, or an unknown count, runs serially
-    for cpus in (1, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert cl.verify_group(g, 5, subgroups=subs, jobs=10**6).stable_dict() == serial
-    assert len(RecordingPool.sizes) == 2
 
 
 ORBIT_ORACLE_CASES = [
