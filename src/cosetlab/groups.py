@@ -288,6 +288,9 @@ def _perm_closure(
     steps along the spanning tree they form.
     """
     gens = [tuple(p) for p in generators]
+    if not gens:
+        # no generator: the trivial group, without a degree-point identity
+        return np.zeros((1, 1), dtype=np.int64)
     # a group is at least as large as any element's order, so a generator, or
     # the product of a generator and the next, of large order is refused
     # before any degree-point permutation is stored; neighbours only, so the

@@ -17,7 +17,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import cosets
 from .bitset import MEET_ROWS, meet_orders, packed
 from .cosets import CLOSURE_DISAGREES, coset_labels
 from .counting import (
@@ -32,7 +31,7 @@ from .counting import (
 )
 from .errors import ConsistencyError
 from .groups import FiniteGroup
-from .subgroups import Subgroup, enumerate_subgroups, membership
+from .subgroups import Subgroup, _closed_under_mul, enumerate_subgroups, membership
 
 LEMMA_IDS = (
     "L2.1.i",
@@ -233,7 +232,7 @@ def _check_pairs(
         for p, words in enumerate(packed(hk)):
             key = words.tobytes()
             if key not in closure:
-                closure[key] = cosets._closed_under_mul(g, hk[p])
+                closure[key] = _closed_under_mul(g, hk[p])
             closed[p] = closure[key]
         sound = closed == (hk == kh).all(axis=1)
         meets = _distinct_per_row(lh * ik[:, None] + lk)

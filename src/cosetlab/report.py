@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -218,7 +217,6 @@ def _entry_template(enumerated: bool) -> str:
 
 
 _ENTRY_TEMPLATES = {True: _entry_template(True), False: _entry_template(False)}
-_ENTRY_KEYS = frozenset(_CENSUS_ENTRY["properties"])
 # the row columns of an entry: its fields but enumerated, in sorted key
 # order, a list field taking three columns
 CENSUS_COLUMNS = (
@@ -247,14 +245,11 @@ class CensusRows:
         return cls(np.column_stack([fields[key] for key in CENSUS_COLUMNS]), enumerated)
 
 
-# A block of census entries for the templates: the entries' enumerated
-# flags, and the values they write, entry by entry, in template order.
-_Block = tuple[list[bool], list[int]]
-
-
-def _row_blocks(census: CensusRows) -> Iterator[_Block]:
-    """The census rows, CENSUS_BLOCK at a time: every column of an enumerated
-    row, all but the nullable ones of a capped row."""
+def _row_blocks(census: CensusRows) -> Iterator[tuple[list[bool], list[int]]]:
+    """The census rows, CENSUS_BLOCK at a time, for the templates: the rows'
+    enumerated flags, and the values they write, row by row, in template
+    order: every column of an enumerated row, all but the nullable ones of a
+    capped row."""
     for lo in range(0, len(census.rows), CENSUS_BLOCK):
         at = slice(lo, lo + CENSUS_BLOCK)
         keep = np.ones(census.rows[at].shape, dtype=bool)
@@ -262,70 +257,34 @@ def _row_blocks(census: CensusRows) -> Iterator[_Block]:
         yield census.enumerated[at].tolist(), census.rows[at][keep].tolist()
 
 
-def _entry_blocks(entries: list) -> Optional[list[_Block]]:
-    """The census list in blocks, or None when some entry is not of the
-    fixed shape: eight keys, ints and lists of three ints, with null for
-    s_triple and n_disjoint exactly when enumerated is false.
-
-    Each check runs over the whole list at once.  %d would also take bools
-    and floats, which JSON writes differently, so every value must be an int.
-    """
-    if not all(type(e) is dict and e.keys() == _ENTRY_KEYS for e in entries):
-        return None
-    lists = [e[key] for e in entries for key in ("s_pair", "s_pair_pair", "subgroup_orders")]
-    if set(map(type, lists)) != {list} or set(map(len, lists)) != {3}:
-        return None
-    exact = [e["enumerated"] for e in entries]
-    if set(map(type, exact)) != {bool}:
-        return None
-    if not all(e["s_triple"] is e["n_disjoint"] is None for e, x in zip(entries, exact) if not x):
-        return None
-    rows = [
-        (e["meet_all"], e["n_disjoint"], *e["s_pair"], *e["s_pair_pair"], e["s_triple"],
-         *e["subgroup_orders"], e["total"])
-        if x
-        else (e["meet_all"], *e["s_pair"], *e["s_pair_pair"], *e["subgroup_orders"], e["total"])
-        for e, x in zip(entries, exact)
-    ]
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        return None
-    return [
-        (exact[lo : lo + CENSUS_BLOCK], list(chain.from_iterable(rows[lo : lo + CENSUS_BLOCK])))
-        for lo in range(0, len(rows), CENSUS_BLOCK)
-    ]
-
-
 def report_chunks(doc: dict) -> Iterator[str]:
     """The text of ``canonical_json(doc)``, in pieces.
 
     With ``indent`` set, the json module encodes in pure Python.  A census
-    block can run to hundreds of thousands of entries of one fixed shape,
-    so it is written from templates, one per block of entries: the entry
-    templates joined, filled from the block's values.  The blocks go in
-    place of an emptied list at the census's sorted position in the rest
-    of the document.  The census key's line is the only one that starts
-    with two spaces and ``"census"``: nested keys are indented further, and
-    JSON strings hold no raw newline.  The census may be ``CensusRows`` or a
-    list of entry dicts; a list with an entry of another shape sends the
-    whole document through ``json.dumps``.
+    given as ``CensusRows`` can run to hundreds of thousands of entries of
+    one fixed shape, so it is written from templates, one per block of
+    rows: the entry templates joined, filled from the block's values.  The
+    blocks go in place of an emptied list at the census's sorted position
+    in the rest of the document.  The census key's line is the only one
+    that starts with two spaces and ``"census"``: nested keys are indented
+    further, and JSON strings hold no raw newline.  Any other document,
+    a census given as a list of entry dicts included, goes through
+    ``json.dumps`` whole.
     """
     census = doc.get("census")
-    blocks: Optional[Iterable[_Block]] = None
-    if isinstance(census, CensusRows):
-        doc = {**doc, "census": []}
-        if len(census.rows):
-            blocks = _row_blocks(census)
-    elif type(census) is list and census:
-        blocks = _entry_blocks(census)
-    if blocks is None:
+    if not isinstance(census, CensusRows):
         yield json.dumps(doc, sort_keys=True, indent=2) + "\n"
         return
-    head, tail = json.dumps({**doc, "census": []}, sort_keys=True, indent=2).split(_CENSUS_SLOT, 1)
+    text = json.dumps({**doc, "census": []}, sort_keys=True, indent=2) + "\n"
+    if not len(census.rows):
+        yield text
+        return
+    head, tail = text.split(_CENSUS_SLOT, 1)
     yield head + '\n  "census": [\n'
-    for at, (flags, values) in enumerate(blocks):
+    for at, (flags, values) in enumerate(_row_blocks(census)):
         template = ",\n".join(map(_ENTRY_TEMPLATES.__getitem__, flags))
         yield (",\n" if at else "") + template % tuple(values)
-    yield "\n  ]" + tail + "\n"
+    yield "\n  ]" + tail
 
 
 def canonical_json(doc: dict) -> str:
@@ -345,7 +304,7 @@ def build_report(
     group: dict,
     verifications: Optional[list[dict]] = None,
     lemmas: Optional[dict] = None,
-    census: Optional[Union[list[dict], CensusRows]] = None,
+    census: Optional[list[dict] | CensusRows] = None,
     subgroups: Optional[list[list[int]]] = None,
     runtime: Optional[dict] = None,
 ) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -101,72 +101,26 @@ class VerificationReport:
         return "confirmed" if self.k <= 4 else "no violations found"
 
 
-@dataclass(frozen=True, eq=False)
-class PairTable:
-    """Index gcd and disjointability for every pair of lattice positions.
-
-    Two symmetric m x m matrices over the lattice order: ``gcd[i, j]`` is
-    gcd(index i, index j) and ``disjointable[i, j]`` says some coset of
-    subgroup i misses some coset of subgroup j.  Iterating yields the
-    unordered pairs i <= j as ``PairStats``, read from the matrices.
-    """
-
-    gcd: np.ndarray
-    disjointable: np.ndarray
-
-    @property
-    def side(self) -> int:
-        return len(self.gcd)
-
-    def __len__(self) -> int:
-        return self.side * (self.side + 1) // 2
-
-    def __iter__(self) -> Iterator[PairStats]:
-        for i in range(self.side):
-            gcds = self.gcd[i, i:].tolist()
-            flags = self.disjointable[i, i:].tolist()
-            for j, (d, ok) in enumerate(zip(gcds, flags), start=i):
-                yield PairStats(i, j, d, ok)
-
-    def rows(self, k: int) -> list[int]:
-        """Bitmask per position: bit j set when the pair passes gcd < k and is disjointable."""
-        return row_masks((self.gcd < k) & self.disjointable)
-
-
-def pair_table(
-    g: FiniteGroup, subgroups: Optional[Sequence[Subgroup]] = None
-) -> PairTable:
-    """Index gcd and disjointability for every subgroup pair.
-
-    Disjointability is the rule of ``cosets.disjointable``, |H||K| / |H&K|
-    < |G|, in integer form |H||K| < |G| |H&K|.  Intersection orders are
-    ``meet_orders`` of the packed membership rows.
-    """
-    subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
-    index = np.array([s.index for s in subs], dtype=np.int64)
-    order = np.array([s.order for s in subs], dtype=np.int64)
-    w = packed(membership(subs))
-    inter = meet_orders(w, w) * g.n
-    return PairTable(np.gcd.outer(index, index), np.outer(order, order) < inter)
-
-
 class PairRows:
     """The pair bars of a lattice, one bitmask row per position, built on demand.
 
     Holds the packed membership rows, the orders and a class id per distinct
     index, so its memory is O(m n) plus the rows built, not O(m^2).  The
-    disjointability row of position j (the rule of ``pair_table``) does not
-    depend on k.  It is built on the first lookup of any position in j's
-    block of ``MEET_ROWS`` positions, for the whole block at once, and only
-    over the positions from the block's start on: the clique search never
-    reads a bit below j in row j.  ``rows(k)`` ANDs in the gcd bar, one mask
-    per index class from the gcd table of the distinct indices, and the
-    order fit |H_j| + |H_t| <= |G|, which every disjointable pair meets
-    (two cosets whose sizes pass |G| meet).  The positions ascend by order,
-    as ``candidate_cliques`` requires, so the t that fit j are those below
+    disjointability row of position j does not depend on k.  Its rule is
+    that of ``cosets.disjointable``, |H||K| / |H&K| < |G|, in integer form
+    |H||K| < |G| |H&K|, with the intersection orders from ``meet_orders``.
+    It is built on the first lookup of any position in j's block of
+    ``MEET_ROWS`` positions, for the whole block at once, and only over the
+    positions from the block's start on: the clique search never reads a
+    bit below j in row j.  ``rows(k)`` ANDs in the gcd bar, one mask per
+    index class from the gcd table of the distinct indices, and the order
+    fit |H_j| + |H_t| <= |G|, which every disjointable pair meets (two
+    cosets whose sizes pass |G| meet).  The positions ascend by order, as
+    ``candidate_cliques`` requires, so the t that fit j are those below
     ``fit[j]``.  Row j's disjointability row is built only when a bit at or
     above j survives those two bars.  One source serves every k of a
-    lattice.
+    lattice.  Iterating yields the m(m+1)/2 unordered pairs i <= j as
+    ``PairStats``.
     """
 
     def __init__(self, g: FiniteGroup, subgroups: Sequence[Subgroup]):
@@ -182,6 +136,20 @@ class PairRows:
     @property
     def side(self) -> int:
         return len(self.order)
+
+    def __len__(self) -> int:
+        return self.side * (self.side + 1) // 2
+
+    def __iter__(self) -> Iterator[PairStats]:
+        m = self.side
+        gcd = np.gcd.outer(self.indices, self.indices)
+        for i in range(m):
+            gcds = gcd[self.index_class[i], self.index_class[i:]].tolist()
+            row = self.disjoint_row(i) >> i
+            bits = np.frombuffer(row.to_bytes(-(-(m - i) // 8), "little"), dtype=np.uint8)
+            flags = np.unpackbits(bits, count=m - i, bitorder="little").astype(bool).tolist()
+            for j, (d, ok) in enumerate(zip(gcds, flags), start=i):
+                yield PairStats(i, j, d, ok)
 
     def disjoint_row(self, j: int) -> int:
         """Bit t set, for every t from j's block start on, when positions j
@@ -223,12 +191,17 @@ class _BarRows(dict):
         return row
 
 
+def pair_table(g: FiniteGroup, subgroups: Optional[Sequence[Subgroup]] = None) -> PairRows:
+    """The pair bars of ``subgroups`` (the lattice of g when not given)."""
+    return PairRows(g, subgroups if subgroups is not None else enumerate_subgroups(g))
+
+
 def candidate_cliques(
     g: FiniteGroup,
     k: int,
     *,
     subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[Union[PairRows, PairTable]] = None,
+    pair_stats: Optional[PairRows] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> list[tuple[int, ...]]:
     """Size-k subgroup multisets that pass the gcd bar and two disjointness bars.
@@ -243,8 +216,8 @@ def candidate_cliques(
     first position too large to complete the prefix, which relies on the
     positions ascending by order; ``subgroups`` out of that order raise
     ValueError.  The pair bars come from ``pair_stats``, a ``PairRows``
-    source (built here when not given) or a ``PairTable``; either must have
-    been built over ``subgroups``, and one of another size raises ValueError.
+    source built here when not given; one given must have been built over
+    ``subgroups``, and one of another size raises ValueError.
     """
     subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     order = [s.order for s in subs]
@@ -409,7 +382,7 @@ def verify_group(
     k: int,
     *,
     subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[Union[PairRows, PairTable]] = None,
+    pair_stats: Optional[PairRows] = None,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> VerificationReport:
     """Exhaustively search one group for disjoint k-families below the gcd bar.

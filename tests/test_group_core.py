@@ -515,6 +515,19 @@ def test_perm_spec_degree_mismatch_rejected_without_building_range():
     assert _traced_peak(lambda: GroupSpec.from_dict(doc), GroupSpecError) < 1_000_000
 
 
+def test_perm_spec_without_generators_is_trivial_without_building_range():
+    # the identity on a million points is not built to close no generators
+    doc = {"format": "groupspec-v1", "kind": "perm", "degree": 10**6, "generators": []}
+    tracemalloc.start()
+    try:
+        g = load_group(GroupSpec.from_dict(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.np_table.tolist(), g.label) == (1, [[0]], "perm1000000:1")
+    assert peak < 1_000_000
+
+
 def test_product_table_is_componentwise():
     # the pair (x, y) is x * |b| + y, multiplied factor by factor
     a, b = cl.load_catalog_group("S3"), cl.load_catalog_group("D4")

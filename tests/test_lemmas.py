@@ -97,7 +97,7 @@ def test_product_set_disagreement_recorded_as_l21i_failure(lattice, monkeypatch)
     # commuting pair; the suite must record that, not raise.
     g, subs = lattice("S3")
     clean = cl.run_lemma_suite(g, subs)
-    monkeypatch.setattr("cosetlab.cosets._closed_under_mul", lambda parent, mask: False)
+    monkeypatch.setattr("cosetlab.lemmas._closed_under_mul", lambda parent, mask: False)
     res = cl.run_lemma_suite(g, subs)
     assert res.stats["L2.1.i"].failed > 0
     assert "disagrees" in res.stats["L2.1.i"].examples[0]

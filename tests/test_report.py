@@ -134,7 +134,7 @@ _triple = st.lists(_count, min_size=3, max_size=3)
 @st.composite
 def census_entries(draw):
     """A census entry of the fixed shape, enumerated or capped, or now and
-    then one of another shape, which the template cannot write."""
+    then one of another shape."""
     exact = draw(st.booleans())
     entry = {
         "subgroup_orders": draw(_triple),
@@ -265,7 +265,7 @@ def _entries(census):
 @given(census=census_rows(), block=st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_census_rows_render_as_their_entries(census, block):
-    # the array route and the dict route write the same bytes as json.dumps,
+    # the array route writes the bytes json.dumps writes for its entries,
     # across block boundaries
     doc = _minimal()
     with mock.patch.object(report, "CENSUS_BLOCK", block):

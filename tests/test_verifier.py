@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
@@ -33,13 +34,17 @@ VERIFY_GROUPS = ["C6", "C12", "S3", "S4", "D6", "Q8", "A4", "C2xC2xC2", "S3xC2"]
 C2_6 = "C2xC2xC2xC2xC2xC2"
 
 
-def clique_oracle(subs, stats, k):
+def clique_oracle(subs, k):
     """All nondecreasing index multisets whose pairs pass both pair bars.
 
     Grown one position at a time over plain index lists and a set of
-    compatible pairs; no order-sum bar.
+    compatible pairs from the per-pair route; no order-sum bar.
     """
-    comp = {(ps.i, ps.j) for ps in stats if ps.gcd_index < k and ps.disjointable}
+    comp = {
+        (i, j)
+        for i, j in combinations_with_replacement(range(len(subs)), 2)
+        if math.gcd(subs[i].index, subs[j].index) < k and cl.disjointable(subs[i], subs[j])
+    }
     out = []
 
     def grow(prefix):
@@ -69,16 +74,20 @@ def test_pair_table_values(lattice, name):
         assert ps.disjointable == cl.disjointable(h, k)
 
 
-def assert_table_matches_pairs(subs, table):
-    """Both matrices against the per-pair route, over every ordered pair."""
+def assert_rows_match_pairs(subs, source):
+    """The pair rows and their iterated pairs against the per-pair route,
+    over every unordered pair i <= j."""
     m = len(subs)
-    assert table.gcd.shape == table.disjointable.shape == (m, m)
-    assert (table.gcd == table.gcd.T).all()
-    assert (table.disjointable == table.disjointable.T).all()
+    assert len(source) == m * (m + 1) // 2
+    stats = iter(source)
     for i, h in enumerate(subs):
-        for j, k in enumerate(subs):
-            assert table.gcd[i, j] == math.gcd(h.index, k.index)
-            assert table.disjointable[i, j] == cl.disjointable(h, k)
+        row = source.disjoint_row(i)
+        for j in range(i, m):
+            k = subs[j]
+            ok = cl.disjointable(h, k)
+            assert bool(row >> j & 1) == ok, (i, j)
+            assert next(stats) == cl.PairStats(i, j, math.gcd(h.index, k.index), ok)
+    assert next(stats, None) is None
 
 
 @pytest.mark.parametrize(
@@ -86,14 +95,14 @@ def assert_table_matches_pairs(subs, table):
 )
 def test_pair_matrices_match_per_pair_route(lattice, name):
     g, subs = lattice(name)
-    assert_table_matches_pairs(subs, cl.pair_table(g, subs))
+    assert_rows_match_pairs(subs, cl.pair_table(g, subs))
 
 
 @given(factors=small_products())
 @settings(max_examples=15, deadline=None)
 def test_pair_matrices_match_per_pair_route_on_products(lattice, factors):
     g, subs = lattice("x".join(factors))
-    assert_table_matches_pairs(subs, cl.pair_table(g, subs))
+    assert_rows_match_pairs(subs, cl.pair_table(g, subs))
 
 
 # group -> (m, pairs, disjointable pairs, {k: pairs with gcd < k that are
@@ -108,22 +117,31 @@ PAIR_COUNTS = {
 
 @pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
 def test_pair_table_counts_frozen(lattice, name):
+    # popcounts of the rows from the diagonal on
     g, subs = lattice(name)
-    table = cl.pair_table(g, subs)
-    upper = np.triu(np.ones((len(subs), len(subs)), dtype=bool))
-    by_k = {
-        k: int((upper & (table.gcd < k) & table.disjointable).sum()) for k in range(2, 7)
-    }
-    got = (len(subs), len(table), int((upper & table.disjointable).sum()), by_k)
-    assert got == PAIR_COUNTS[name]
+    source = cl.pair_table(g, subs)
+    disjoint = sum((source.disjoint_row(j) >> j).bit_count() for j in range(len(subs)))
+    by_k = {}
+    for k in range(2, 7):
+        rows = source.rows(k)
+        by_k[k] = sum((rows[j] >> j).bit_count() for j in range(len(subs)))
+    assert (len(subs), len(source), disjoint, by_k) == PAIR_COUNTS[name]
 
 
-@pytest.mark.parametrize("entry", [cl.candidate_cliques, cl.verify_group])
-def test_pair_table_from_another_lattice_rejected(lattice, entry):
+def test_pair_table_serves_the_traced_replay(lattice):
+    # the benchmark's traced replay takes len() of pair_table's result,
+    # iterates it as PairStats and passes it on as pair_stats
     g, subs = lattice("S4")
-    stale = cl.pair_table(*lattice("S3"))
-    with pytest.raises(ValueError, match="pair table covers 6 subgroups"):
-        entry(g, 3, subgroups=subs, pair_stats=stale)
+    source = cl.pair_table(g, subs)
+    assert isinstance(source, cl.PairRows)
+    want = [
+        cl.PairStats(i, j, math.gcd(h.index, k.index), cl.disjointable(h, k))
+        for (i, h), (j, k) in combinations_with_replacement(enumerate(subs), 2)
+    ]
+    assert len(source) == len(want) and list(source) == want
+    for k in (3, 4, 5):
+        rep = cl.verify_group(g, k, subgroups=subs, pair_stats=source)
+        assert rep == cl.verify_group(g, k, subgroups=subs)
 
 
 # every catalog group, and lattices past it up to C2^6's 2825 positions,
@@ -138,24 +156,36 @@ ROWS_BUILT = {(C2_6, 2): 0}
 
 @pytest.mark.parametrize("name", ROW_SOURCE_GROUPS)
 def test_pair_rows_match_pair_table(lattice, name):
-    # the clique search reads bit t of row j only for t >= j; the source
+    # the clique search reads bit t of row j only for t >= j; those bits
+    # must be the per-pair route's gcd < k and disjointable, and the source
     # sets no bit below the start of j's row block
     g, subs = lattice(name)
-    table, source = cl.pair_table(g, subs), cl.PairRows(g, subs)
+    # per position j, the positions t >= j disjointable from j, one mask per
+    # gcd of the two indices
+    by_gcd = []
+    for j, h in enumerate(subs):
+        masks = defaultdict(int)
+        for t in range(j, len(subs)):
+            if cl.disjointable(h, subs[t]):
+                masks[math.gcd(h.index, subs[t].index)] |= 1 << t
+        by_gcd.append(masks)
+    source = cl.PairRows(g, subs)
     for k in range(2, 7):
-        want, got = table.rows(k), source.rows(k)
+        got = source.rows(k)
         kept = 0
-        for j in range(len(subs)):
-            row = got[j]
-            assert row >> j << j == want[j] >> j << j, (k, j)
+        for j, masks in enumerate(by_gcd):
+            row, want = got[j], sum(mask for d, mask in masks.items() if d < k)
+            assert row >> j << j == want, (k, j)
             assert row >> (j - j % MEET_ROWS) << (j - j % MEET_ROWS) == row, (k, j)
-            kept += (row >> j).bit_count()
+            kept += want.bit_count()
         if name in PAIR_COUNTS:
             assert kept == PAIR_COUNTS[name][3][k]
+        # rows built on the clique search's lookups give the cliques of
+        # rows built in full
         fresh = cl.PairRows(g, subs)
         assert cl.candidate_cliques(
             g, k, subgroups=subs, pair_stats=fresh
-        ) == cl.candidate_cliques(g, k, subgroups=subs, pair_stats=table)
+        ) == cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source)
         if (name, k) in ROWS_BUILT:
             built = sum(row is not None for row in fresh._disjoint)
             assert built == ROWS_BUILT[(name, k)]
@@ -189,14 +219,14 @@ def test_candidate_cliques_match_oracle(lattice, name, k):
     g, subs = lattice(name)
     stats = cl.pair_table(g, subs)
     got = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats)
-    assert got == [c for c in clique_oracle(subs, stats, k) if within_order(g, subs, c)]
+    assert got == [c for c in clique_oracle(subs, k) if within_order(g, subs, c)]
 
 
 def test_candidate_clique_counts_frozen(lattice):
     g, subs = lattice("S4")
     stats = cl.pair_table(g, subs)
     # pair bars only
-    counts = {k: len(clique_oracle(subs, stats, k)) for k in (2, 3, 4)}
+    counts = {k: len(clique_oracle(subs, k)) for k in (2, 3, 4)}
     assert counts == {2: 0, 3: 14, 4: 199}
     # k -> (candidate cliques, tuples examined over one clique per
     # conjugacy orbit, smallest max_cliques that passes)
@@ -231,9 +261,8 @@ def test_order_bar_and_search_against_plain_backtracking(lattice, name, ks):
     # pinning: the ones the order-sum bar drops hold no disjoint family, and
     # on the ones it keeps the library search agrees
     g, subs = lattice(name)
-    stats = cl.pair_table(g, subs)
     for k in ks:
-        for clique in clique_oracle(subs, stats, k):
+        for clique in clique_oracle(subs, k):
             family = [subs[i] for i in clique]
             exists = exists_disjoint_family(g, family)
             if within_order(g, subs, clique):
