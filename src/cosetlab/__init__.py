@@ -8,29 +8,19 @@ from .cache import CacheRecord, cache_lattice, cached_subgroups, spec_hash
 from .catalog import CATALOG, catalog_names, catalog_spec, load_catalog_group
 from .cosets import (
     LeftCoset,
-    ProductSet,
     coset_labels,
-    coset_meet,
-    coset_of,
-    cosets_of_k_in_product,
     disjointable,
     left_cosets,
     meeting_matrix,
-    product_set,
-    promote,
-    touching_count,
 )
 from .counting import (
     RValue,
     TripleCensus,
-    TripleDiagnostics,
     TripleInequalities,
     census,
-    check_triple_inequalities,
     lattice_census,
     r_strict_upper,
     r_value,
-    rijk_strict_upper,
     triple_inequalities,
     triple_orbits,
 )
@@ -41,7 +31,6 @@ from .errors import (
     ConsistencyError,
     CosetlabError,
     CounterOverflow,
-    EmptyCosetList,
     GroupSpecError,
     NotAGroup,
     OrderCapExceeded,
@@ -55,8 +44,6 @@ from .subgroups import (
     Subgroup,
     close_generators,
     enumerate_subgroups,
-    intersect,
-    intersect_all,
     subgroup_from_elements,
 )
 from .verifier import (
@@ -80,7 +67,6 @@ __all__ = [
     "ConsistencyError",
     "CosetlabError",
     "CounterOverflow",
-    "EmptyCosetList",
     "FiniteGroup",
     "GroupSpec",
     "GroupSpecError",
@@ -92,12 +78,10 @@ __all__ = [
     "PairRows",
     "PairStats",
     "ParentMismatch",
-    "ProductSet",
     "RValue",
     "Subgroup",
     "SubgroupCountCapExceeded",
     "TripleCensus",
-    "TripleDiagnostics",
     "TripleInequalities",
     "UnknownFamily",
     "VerificationReport",
@@ -108,33 +92,23 @@ __all__ = [
     "catalog_names",
     "catalog_spec",
     "census",
-    "check_triple_inequalities",
     "close_generators",
     "coset_labels",
-    "coset_meet",
-    "coset_of",
-    "cosets_of_k_in_product",
     "direct_product",
     "disjointable",
     "enumerate_subgroups",
-    "intersect",
-    "intersect_all",
     "lattice_census",
     "left_cosets",
     "load_catalog_group",
     "load_group",
     "meeting_matrix",
     "pair_table",
-    "product_set",
-    "promote",
     "r_strict_upper",
     "r_value",
-    "rijk_strict_upper",
     "run_lemma_suite",
     "search_disjoint_tuple",
     "spec_hash",
     "subgroup_from_elements",
-    "touching_count",
     "triple_inequalities",
     "triple_orbits",
     "verify_group",

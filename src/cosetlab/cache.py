@@ -103,11 +103,27 @@ def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgrou
         raise CacheCorrupt(f"{path}: checksum mismatch")
     if payload.get("order") != g.n or payload.get("spec_hash") != digest:
         raise CacheCorrupt(f"{path}: cached for a different group")
-    subs = [
-        subgroup_from_elements(g, elems, validate=False)
-        for elems in payload["subgroups"]
-    ]
+    lists = payload["subgroups"]
+    subs = [_cached_subgroup(g, elems) for elems in lists] if isinstance(lists, list) else []
+    if not subs or None in subs:
+        raise CacheCorrupt(f"{path}: subgroup lists malformed")
     return subs
+
+
+def _cached_subgroup(g: FiniteGroup, elems: object) -> Optional[Subgroup]:
+    """A cached entry as a Subgroup, or None unless it is strictly ascending
+    ints in [0, n) that hold the identity, of a length that divides n.
+    Closure is not re-checked: it would cost more than the rest of the load."""
+    try:
+        if not (isinstance(elems, list) and elems and 0 <= min(elems) and max(elems) < g.n):
+            return None
+        s = subgroup_from_elements(g, elems, validate=False)
+    except TypeError:
+        return None
+    # the elements of s ascend, so this leaves out duplicates and disorder too
+    if list(s.elements) != elems or not s.mask >> g.identity & 1 or g.n % s.order:
+        return None
+    return s
 
 
 def cached_subgroups(g: FiniteGroup, cache_dir: Path | str) -> tuple[list[Subgroup], str]:

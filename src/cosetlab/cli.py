@@ -324,15 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _path_problem(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
+        problem = _path_problem(args)
+        if problem is not None:
+            raise BadInput(problem)
         if args.command == "catalog":
             return cmd_catalog(args)
         return _run(args)
-    except BadInput as exc:
+    except (BadInput, OSError) as exc:
+        # OSError: a --cache-dir or --report path the checks let through
+        # that the system still refuses, such as a name too long
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimit as exc:

@@ -1,19 +1,19 @@
-"""Left cosets, product sets, and the operations the counting layer builds on."""
+"""Left cosets, coset labels and meeting matrices: the operations the
+counting layer, the lemma suite and the verifier build on.
+
+The per-pair routes that only the tests read (product sets, the cosets of
+K in HK, the cosets of H that K touches) live in ``tests/helpers.py``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitset import lowest_bit, row_mask
-from .errors import ConsistencyError, EmptyCosetList, ParentMismatch
-from .subgroups import Subgroup, _closed_under_mul, _subgroup_from_mask, intersect_all
-
-
-# product_set's ConsistencyError text
-CLOSURE_DISAGREES = "product-set closure test disagrees with the commutation test"
+from .bitset import lowest_bit
+from .errors import ConsistencyError, ParentMismatch
+from .subgroups import Subgroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,29 +24,6 @@ class LeftCoset:
     rep: int
     mask: int
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LeftCoset)
-            and other.subgroup == self.subgroup
-            and other.mask == self.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.subgroup.parent), self.subgroup.mask, self.mask))
-
-    def __repr__(self) -> str:
-        return f"<LeftCoset rep {self.rep} of {self.subgroup!r}>"
-
-
-@dataclass(frozen=True, eq=False)
-class ProductSet:
-    """The element set H*K for two subgroups of the same parent."""
-
-    left: Subgroup
-    right: Subgroup
-    mask: int
-    is_subgroup: bool
-
 
 def coset_mask(x: int, h: Subgroup) -> int:
     row = h.parent.mul[x]
@@ -54,13 +31,6 @@ def coset_mask(x: int, h: Subgroup) -> int:
     for e in h.elements:
         m |= 1 << row[e]
     return m
-
-
-def coset_of(x: int, h: Subgroup) -> LeftCoset:
-    if not 0 <= x < h.parent.n:
-        raise ValueError(f"element {x} outside 0..{h.parent.n - 1}")
-    m = coset_mask(x, h)
-    return LeftCoset(h, lowest_bit(m), m)
 
 
 def coset_labels(h: Subgroup) -> np.ndarray:
@@ -129,69 +99,13 @@ def _pair_parent(h: Subgroup, k: Subgroup):
     return h.parent
 
 
-def _product_row(h: Subgroup, k: Subgroup) -> np.ndarray:
-    """Bool row of H*K: the |H| x |K| products h*k, gathered from the table at once."""
-    row = np.zeros(h.parent.n, dtype=bool)
-    row[h.parent.np_table[np.array(h.elements)[:, None], k.elements]] = True
-    return row
-
-
-def product_set(h: Subgroup, k: Subgroup) -> ProductSet:
-    """Materialize H*K.  Closure under multiplication must agree with H*K = K*H."""
-    parent = _pair_parent(h, k)
-    hk = _product_row(h, k)
-    kh = _product_row(k, h)
-    closed = _closed_under_mul(parent, hk)
-    if closed != (hk == kh).all():
-        raise ConsistencyError(CLOSURE_DISAGREES)
-    return ProductSet(h, k, row_mask(hk), closed)
-
-
-def promote(p: ProductSet) -> Subgroup:
-    """Turn a product set that is a subgroup into a Subgroup."""
-    if not p.is_subgroup:
-        raise ValueError("product set is not a subgroup")
-    return _subgroup_from_mask(p.left.parent, p.mask)
-
-
-def cosets_of_k_in_product(h: Subgroup, k: Subgroup) -> int:
-    """How many left cosets of K tile H*K, counted over the products h*k."""
-    parent = _pair_parent(h, k)
-    products = parent.np_table[np.ix_(h.elements, k.elements)]
-    return len(np.unique(coset_labels(k)[products]))
-
-
 def disjointable(h: Subgroup, k: Subgroup) -> bool:
     """Whether some left coset of H misses some left coset of K.
 
     Decided by |H*K| < |G|; the size comes from |H||K| / |H&K|, which the
-    test suite cross-checks against the materialized product set.
+    test suite cross-checks against the materialized product set
+    (``tests/helpers.product_set``).
     """
     parent = _pair_parent(h, k)
     overlap = (h.mask & k.mask).bit_count()
     return h.order * k.order // overlap < parent.n
-
-
-def coset_meet(cosets: Sequence[LeftCoset]) -> Optional[LeftCoset]:
-    """Intersection of finitely many cosets: empty or a coset of the meet subgroup."""
-    if not cosets:
-        raise EmptyCosetList("coset_meet needs at least one coset")
-    parent = cosets[0].subgroup.parent
-    for c in cosets[1:]:
-        if c.subgroup.parent is not parent:
-            raise ParentMismatch("cosets belong to different groups")
-    m = cosets[0].mask
-    for c in cosets[1:]:
-        m &= c.mask
-    if m == 0:
-        return None
-    meet_sub = intersect_all([c.subgroup for c in cosets])
-    if m.bit_count() != meet_sub.order:
-        raise ConsistencyError("nonempty coset meet is not a coset of the meet subgroup")
-    return LeftCoset(meet_sub, lowest_bit(m), m)
-
-
-def touching_count(h: Subgroup, k: Subgroup) -> int:
-    """How many cosets of H intersect K, counted over the elements of K."""
-    _pair_parent(h, k)
-    return len(np.unique(coset_labels(h)[list(k.elements)]))

@@ -489,93 +489,22 @@ def r_strict_upper(d: int, r_ij: int, r_ik: int, r_jk: int) -> int:
     return d * d - d * (r_ij + r_ik + r_jk) + (r_ij * r_ik + r_ij * r_jk + r_ik * r_jk)
 
 
-def rijk_strict_upper(r_ij: int, r_ik: int, r_jk: int) -> int:
-    """The d = 3 case of r_strict_upper."""
-    return r_strict_upper(3, r_ij, r_ik, r_jk)
-
-
-@dataclass(frozen=True)
-class TripleDiagnostics:
-    """Inequality and divisibility checks for one subgroup triple."""
-
-    indices: tuple[int, int, int]
-    r_pair: tuple[RValue, RValue, RValue]
-    r_triple: RValue
-    pivot_bounds_ok: bool
-    divisibility_ok: bool
-    common_gcd: Optional[int]
-    scaled_divisibility_ok: Optional[bool]
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.pivot_bounds_ok
-            and self.divisibility_ok
-            and self.scaled_divisibility_ok in (None, True)
-        )
-
-
-def check_triple_inequalities(
-    gi: Subgroup, gj: Subgroup, gk: Subgroup
-) -> TripleDiagnostics:
-    """Index-form pivot bounds and divisibility facts for one triple.
-
-    Pivot bound: for each ordering (a, b, c) of the triple,
-    [Ga&Gb : Ga&Gb&Gc] <= [Ga : Ga&Gc].  Divisibility: each pairwise
-    intersection index divides the triple intersection index.  When the
-    three pairwise index gcds agree, the rescaled form r_ab | q_c * r_abc
-    is checked as well.
-    """
-    subs = (gi, gj, gk)
-    parent = gi.parent
-    if gj.parent is not parent or gk.parent is not parent:
-        raise ParentMismatch("subgroups belong to different groups")
-    n = parent.n
-    o_ij, o_ik, o_jk, o_all = _meet_orders(gi, gj, gk)
-    # The order of the pair that leaves out position c, for c = 0, 1, 2.
-    pair_without = (o_jk, o_ik, o_ij)
-
-    pair_r = (
-        _r_from_order((gi, gj), o_ij),
-        _r_from_order((gi, gk), o_ik),
-        _r_from_order((gj, gk), o_jk),
-    )
-    triple_r = _r_from_order(subs, o_all)
-
-    bounds_ok = all(
-        pair_without[c] // o_all <= subs[a].order // pair_without[b]
-        for a, b, c in permutations(range(3))
-    )
-    div_ok = all(triple_r.intersection_index % (n // o) == 0 for o in pair_without)
-
-    gcds = {math.gcd(subs[a].index, subs[b].index) for a, b in ((0, 1), (0, 2), (1, 2))}
-    common = gcds.pop() if len(gcds) == 1 else None
-    scaled_ok: Optional[bool] = None
-    if common is not None:
-        # pair_r runs ij, ik, jk, so pair_r[2 - c] is the pair without c.
-        scaled_ok = all(
-            (subs[c].index // common * triple_r.r) % pair_r[2 - c].r == 0 for c in range(3)
-        )
-    return TripleDiagnostics(
-        indices=tuple(s.index for s in subs),
-        r_pair=pair_r,
-        r_triple=triple_r,
-        pivot_bounds_ok=bounds_ok,
-        divisibility_ok=div_ok,
-        common_gcd=common,
-        scaled_divisibility_ok=scaled_ok,
-    )
-
-
 @dataclass(frozen=True)
 class TripleInequalities:
-    """The checks of ``check_triple_inequalities`` on N triples, one entry per triple.
+    """Index-form pivot bounds and divisibility facts for N triples, one
+    entry per triple.
+
+    Pivot bound: for each ordering (a, b, c) of a triple,
+    [Ga&Gb : Ga&Gb&Gc] <= [Ga : Ga&Gc].  Divisibility: each pairwise
+    intersection index divides the triple intersection index.  Where the
+    three pairwise index gcds agree, the rescaled form r_ab | q_c * r_abc
+    is checked as well.  The tests hold every field to the per-triple
+    oracle ``tests/helpers.check_triple_inequalities``.
 
     ``index``, ``lcm`` and ``r`` are 4 x N, for the pairs ij, ik, jk and then
     the triple: the intersection index, the lcm of the subgroup indices, and
-    their quotient.  ``check_triple_inequalities`` raises on a triple that is
-    not ``integral``, and there the other fields mean nothing.
-    ``common_gcd`` is 0 where the three pair gcds differ, and
+    their quotient.  The other fields mean nothing on a triple that is not
+    ``integral``.  ``common_gcd`` is 0 where the three pair gcds differ, and
     ``scaled_divisibility_ok`` is True there; ``r_bound`` is
     ``r_strict_upper`` of the common gcd and the pair r-values.
     """
@@ -594,7 +523,8 @@ class TripleInequalities:
         return (self.index % self.lcm == 0).all(axis=0)
 
     def integrality_error(self, p: int) -> str:
-        """The ConsistencyError text ``check_triple_inequalities`` gives triple p."""
+        """The ConsistencyError text of triple p's first r-value that is not
+        integral, as ``r_value`` words it."""
         q = int(np.argmax(self.index[:, p] % self.lcm[:, p] != 0))
         return _not_divisible(int(self.index[q, p]), int(self.lcm[q, p]))
 
@@ -604,7 +534,7 @@ def _not_divisible(index: int, lcm: int) -> str:
 
 
 def triple_inequalities(w: np.ndarray, n: int, triples: np.ndarray) -> TripleInequalities:
-    """``check_triple_inequalities`` on every row (i, j, k) of ``triples`` at once.
+    """The checks of ``TripleInequalities`` on every row (i, j, k) of ``triples``.
 
     ``w`` holds the lattice's packed membership rows, ``n`` is the group
     order.  Subgroup, pair and triple orders are popcounts of the rows and

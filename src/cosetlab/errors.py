@@ -35,10 +35,6 @@ class ParentMismatch(CosetlabError):
     """Operands belong to different parent groups."""
 
 
-class EmptyCosetList(CosetlabError):
-    """An operation that needs at least one coset got an empty list."""
-
-
 class SubgroupCountCapExceeded(ResourceLimit):
     """Subgroup enumeration found more subgroups than the configured cap."""
 

@@ -186,19 +186,6 @@ class FiniteGroup:
         self.label = label
         self.spec = spec
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != self.identity:
-            y = self.mul[y][x]
-            k += 1
-        return k
-
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.label} order {self.n}>"
 

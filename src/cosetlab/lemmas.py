@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bitset import MEET_ROWS, meet_orders, packed
-from .cosets import CLOSURE_DISAGREES, coset_labels
+from .cosets import coset_labels
 from .counting import (
     BLOCK_ENTRIES,
     DEFAULT_CENSUS_CAP,
@@ -46,6 +46,9 @@ LEMMA_IDS = (
     "E3.2",
     "E3.4",
 )
+
+# L2.1.i's failure text, shared with the test oracle tests/helpers.product_set
+CLOSURE_DISAGREES = "product-set closure test disagrees with the commutation test"
 
 DEFAULT_PAIR_LIMIT = 1600
 DEFAULT_TRIPLE_LIMIT = 8000
@@ -212,11 +215,11 @@ def _check_pairs(
     HK is the union of the K-cosets that H meets, and KH the union of the
     H-cosets that K meets, so both rows come from label gathers, and the
     K-cosets in HK and the H-cosets meeting K are counted on the way.  As
-    in ``cosets.product_set``, HK must be closed under multiplication
-    exactly when HK = KH, or L2.1.i fails; the closure test runs once per
-    distinct HK row of the family.  Coset pairs that meet are the distinct
-    label pairs over the group's points.  A block holds B x n entries per
-    array.
+    in the oracle ``tests/helpers.product_set``, HK must be closed under
+    multiplication exactly when HK = KH, or L2.1.i fails; the closure test
+    runs once per distinct HK row of the family.  Coset pairs that meet are
+    the distinct label pairs over the group's points.  A block holds B x n
+    entries per array.
     """
     n = g.n
     order = member.sum(axis=1)
@@ -308,10 +311,11 @@ def _check_triples(
 ) -> None:
     """L3.2, E3.1, E3.2 and E3.4 on the rows (i, j, k) of ``triples``, in order.
 
-    Per triple, as ``census`` and then ``check_triple_inequalities`` would
-    find it: a census that raises fails L3.2 and skips the rest; an
-    enumerated one holds L3.2.  An r-value that is not integral fails E3.4
-    and skips E3.1 and E3.2.  E3.2 needs a common pair gcd and an
+    Per triple, as ``census`` and then the oracle
+    ``tests/helpers.check_triple_inequalities`` would find it: a census
+    that raises fails L3.2 and skips the rest; an enumerated one holds
+    L3.2.  An r-value that is not integral fails E3.4 and skips E3.1 and
+    E3.2.  E3.2 needs a common pair gcd and an
     enumerated census with a disjoint coset triple.  A batched census
     error that ``census`` does not reproduce is one more L3.2 failure.
     """

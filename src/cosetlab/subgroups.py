@@ -9,7 +9,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from .bitset import bits_tuple, full_mask, mask_of, packed
-from .errors import ConsistencyError, NotAGroup, ParentMismatch, SubgroupCountCapExceeded
+from .errors import ConsistencyError, NotAGroup, SubgroupCountCapExceeded
 from .groups import FiniteGroup
 
 DEFAULT_SUBGROUP_CAP = 10_000
@@ -76,19 +76,6 @@ def subgroup_from_elements(
         if parent.n % mask.bit_count() != 0:
             raise NotAGroup("subgroup order does not divide the group order")
     return _subgroup_from_mask(parent, mask)
-
-
-def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
-    if h.parent is not k.parent:
-        raise ParentMismatch("cannot intersect subgroups of different groups")
-    return _subgroup_from_mask(h.parent, h.mask & k.mask)
-
-
-def intersect_all(subgroups: Sequence[Subgroup]) -> Subgroup:
-    acc = subgroups[0]
-    for s in subgroups[1:]:
-        acc = intersect(acc, s)
-    return acc
 
 
 def membership(subs: Sequence[Subgroup]) -> np.ndarray:

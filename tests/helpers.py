@@ -3,46 +3,59 @@
 Everything here recomputes quantities with a deliberately different
 algorithm from the library (plain sets and nested loops, no bitmasks, no
 closed forms) so that agreement between the two is meaningful evidence.
-The exceptions are the library's two previous lattice enumerators, kept on
-bitmasks so they can run on larger groups: ``reference_subgroups`` closes
-from the identity every time, ``cyclic_extension_subgroups`` extends every
-subgroup, not one per conjugacy class.
-``composition_table`` lists a spec's elements in full and multiplies every
-pair, where the library follows generator steps along a spanning tree.
-``small_products`` is the hypothesis strategy for random direct products.
-``per_triple_family``, ``per_pair_family`` and ``per_quadruple_family`` are
-the lemma suite's three families as they ran before they were checked on
-whole arrays: ``census`` and ``check_triple_inequalities``, the coset
-routines of ``cosetlab.cosets`` and per-subgroup meeting matrices, on one
-instance at a time.
+The exceptions:
+
+- The library's two previous lattice enumerators, kept on bitmasks so they
+  can run on larger groups: ``reference_subgroups`` closes from the
+  identity every time, ``cyclic_extension_subgroups`` extends every
+  subgroup, not one per conjugacy class.
+- ``composition_table`` lists a spec's elements in full and multiplies
+  every pair, where the library follows generator steps along a spanning
+  tree.
+- ``small_products`` is the hypothesis strategy for random direct products.
+- The per-item routes that the batched lemma suite replaced, which read
+  masks and coset labels, not plain sets: ``product_set`` and ``promote``,
+  ``cosets_of_k_in_product`` and ``touching_count`` on one pair of
+  subgroups, ``check_triple_inequalities`` on one triple, and
+  ``element_order`` on one element.
+- ``per_triple_family``, ``per_pair_family`` and ``per_quadruple_family``
+  are the lemma suite's three families as they ran before they were checked
+  on whole arrays: ``census`` and ``check_triple_inequalities``, the coset
+  routines above and per-subgroup meeting matrices, on one instance at a
+  time.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Optional
 
 import numpy as np
 from hypothesis import strategies as st
 
-from cosetlab import FiniteGroup, GroupSpec, Subgroup
+from cosetlab import FiniteGroup, GroupSpec, RValue, Subgroup
 from cosetlab.bitset import bits_tuple, full_mask, row_mask
 from cosetlab.cosets import (
-    _product_row,
+    _pair_parent,
     coset_labels,
     coset_mask,
-    cosets_of_k_in_product,
     disjointable,
     left_cosets,
     meeting_matrix,
-    product_set,
-    promote,
-    touching_count,
 )
-from cosetlab.counting import census, check_triple_inequalities, r_strict_upper
+from cosetlab.counting import _meet_orders, _r_from_order, census, r_strict_upper
 from cosetlab.errors import ConsistencyError
-from cosetlab.subgroups import _is_prime_power, close_generators, subgroup_from_elements
+from cosetlab.lemmas import CLOSURE_DISAGREES
+from cosetlab.subgroups import (
+    _closed_under_mul,
+    _is_prime_power,
+    _subgroup_from_mask,
+    close_generators,
+    subgroup_from_elements,
+)
 
 # Named groups with their orders, the factors of random direct products.
 SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}
@@ -159,7 +172,7 @@ def set_closure(g: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
     """Fixpoint of pairwise products, as a plain set computation."""
     cur = set(seed) | {g.identity}
     while True:
-        nxt = cur | {g.op(a, b) for a in cur for b in cur}
+        nxt = cur | {g.mul[a][b] for a in cur for b in cur}
         if nxt == cur:
             return frozenset(cur)
         cur = nxt
@@ -169,10 +182,10 @@ def is_subgroup_set(g: FiniteGroup, elems: frozenset[int]) -> bool:
     if g.identity not in elems:
         return False
     for a in elems:
-        if g.inverse(a) not in elems:
+        if g.inv[a] not in elems:
             return False
         for b in elems:
-            if g.op(a, b) not in elems:
+            if g.mul[a][b] not in elems:
                 return False
     return True
 
@@ -209,7 +222,7 @@ def reference_subgroups(g: FiniteGroup) -> list[int]:
             nxt = []
             for z in frontier:
                 for q in gens:
-                    w = g.op(z, q)
+                    w = g.mul[z][q]
                     if not mask >> w & 1:
                         mask |= 1 << w
                         nxt.append(w)
@@ -291,7 +304,7 @@ def cyclic_extension_subgroups(g: FiniteGroup) -> list[int]:
 
 
 def coset_set(g: FiniteGroup, sub: frozenset[int], x: int) -> frozenset[int]:
-    return frozenset(g.op(x, h) for h in sub)
+    return frozenset(g.mul[x][h] for h in sub)
 
 
 def all_left_cosets(g: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:
@@ -299,7 +312,7 @@ def all_left_cosets(g: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:
 
 
 def product_elements(g: FiniteGroup, h: frozenset[int], k: frozenset[int]) -> frozenset[int]:
-    return frozenset(g.op(a, b) for a in h for b in k)
+    return frozenset(g.mul[a][b] for a in h for b in k)
 
 
 def exists_disjoint_coset_pair(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
@@ -371,6 +384,110 @@ def exists_disjoint_family(g: FiniteGroup, subs: list[Subgroup]) -> bool:
     return place(0, 0)
 
 
+def element_order(g: FiniteGroup, x: int) -> int:
+    """The least k >= 1 with x^k the identity, by repeated multiplication."""
+    k, y = 1, x
+    while y != g.identity:
+        y = g.mul[y][x]
+        k += 1
+    return k
+
+
+def _product_row(h: Subgroup, k: Subgroup) -> np.ndarray:
+    """Bool row of H*K: the |H| x |K| products h*k, gathered from the table at once."""
+    row = np.zeros(h.parent.n, dtype=bool)
+    row[h.parent.np_table[np.array(h.elements)[:, None], k.elements]] = True
+    return row
+
+
+def product_set(h: Subgroup, k: Subgroup) -> tuple[int, bool]:
+    """The mask of H*K and whether it is a subgroup.  Closure under
+    multiplication must agree with H*K = K*H, or ConsistencyError."""
+    parent = _pair_parent(h, k)
+    hk = _product_row(h, k)
+    closed = _closed_under_mul(parent, hk)
+    if closed != (hk == _product_row(k, h)).all():
+        raise ConsistencyError(CLOSURE_DISAGREES)
+    return row_mask(hk), closed
+
+
+def promote(g: FiniteGroup, p: tuple[int, bool]) -> Subgroup:
+    """Turn a ``product_set`` result that is a subgroup into a Subgroup."""
+    mask, is_subgroup = p
+    if not is_subgroup:
+        raise ValueError("product set is not a subgroup")
+    return _subgroup_from_mask(g, mask)
+
+
+def cosets_of_k_in_product(h: Subgroup, k: Subgroup) -> int:
+    """How many left cosets of K tile H*K, counted over the products h*k."""
+    parent = _pair_parent(h, k)
+    products = parent.np_table[np.ix_(h.elements, k.elements)]
+    return len(np.unique(coset_labels(k)[products]))
+
+
+def touching_count(h: Subgroup, k: Subgroup) -> int:
+    """How many cosets of H intersect K, counted over the elements of K."""
+    _pair_parent(h, k)
+    return len(np.unique(coset_labels(h)[list(k.elements)]))
+
+
+@dataclass(frozen=True)
+class TripleDiagnostics:
+    """Inequality and divisibility checks for one subgroup triple."""
+
+    indices: tuple[int, int, int]
+    r_pair: tuple[RValue, RValue, RValue]
+    r_triple: RValue
+    pivot_bounds_ok: bool
+    divisibility_ok: bool
+    common_gcd: Optional[int]
+    scaled_divisibility_ok: Optional[bool]
+
+
+def check_triple_inequalities(gi: Subgroup, gj: Subgroup, gk: Subgroup) -> TripleDiagnostics:
+    """``counting.TripleInequalities`` for one triple, from one set of
+    intersection orders; raises ConsistencyError when an r-value is not
+    integral.  ``common_gcd`` and ``scaled_divisibility_ok`` are None where
+    the three pair gcds differ."""
+    subs = (gi, gj, gk)
+    n = gi.parent.n
+    o_ij, o_ik, o_jk, o_all = _meet_orders(gi, gj, gk)
+    # The order of the pair that leaves out position c, for c = 0, 1, 2.
+    pair_without = (o_jk, o_ik, o_ij)
+
+    pair_r = (
+        _r_from_order((gi, gj), o_ij),
+        _r_from_order((gi, gk), o_ik),
+        _r_from_order((gj, gk), o_jk),
+    )
+    triple_r = _r_from_order(subs, o_all)
+
+    bounds_ok = all(
+        pair_without[c] // o_all <= subs[a].order // pair_without[b]
+        for a, b, c in permutations(range(3))
+    )
+    div_ok = all(triple_r.intersection_index % (n // o) == 0 for o in pair_without)
+
+    gcds = {math.gcd(subs[a].index, subs[b].index) for a, b in ((0, 1), (0, 2), (1, 2))}
+    common = gcds.pop() if len(gcds) == 1 else None
+    scaled_ok: Optional[bool] = None
+    if common is not None:
+        # pair_r runs ij, ik, jk, so pair_r[2 - c] is the pair without c.
+        scaled_ok = all(
+            (subs[c].index // common * triple_r.r) % pair_r[2 - c].r == 0 for c in range(3)
+        )
+    return TripleDiagnostics(
+        indices=tuple(s.index for s in subs),
+        r_pair=pair_r,
+        r_triple=triple_r,
+        pivot_bounds_ok=bounds_ok,
+        divisibility_ok=div_ok,
+        common_gcd=common,
+        scaled_divisibility_ok=scaled_ok,
+    )
+
+
 def _check_triple(gi: Subgroup, gj: Subgroup, gk: Subgroup, stats: dict, census_cap: int) -> None:
     tag = f"{gi.parent.label}: orders ({gi.order},{gj.order},{gk.order})"
     try:
@@ -434,16 +551,16 @@ def check_pair(g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict) -> None:
     stats["L2.1.ii"].record(cosets_of_k_in_product(h, k) == h.order // overlap, tag)
 
     if math.gcd(h.index, k.index) == 1:
-        hk = p.mask if p is not None else row_mask(_product_row(h, k))
+        hk = p[0] if p is not None else row_mask(_product_row(h, k))
         stats["L2.1.iii"].record(hk == full_mask(n), tag)
 
     meets = meeting_matrix(h, k)
     stats["L2.1.iv"].record(disjointable(h, k) == (not meets.all()), tag)
 
-    if p is not None and p.is_subgroup:
+    if p is not None and p[1]:
         # Cosets of M = HK either coincide or are disjoint, so aM and bM are
         # disjoint exactly when a and b carry different M-labels.
-        m_labels = coset_labels(promote(p))
+        m_labels = coset_labels(promote(g, p))
         h_reps = m_labels[[c.rep for c in left_cosets(h)]]
         k_reps = m_labels[[c.rep for c in left_cosets(k)]]
         separated = h_reps[:, None] != k_reps[None, :]

@@ -105,21 +105,22 @@ def test_wrong_format_tag_is_corrupt(tmp_path):
         load_lattice(g, tmp_path)
 
 
-def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
-    g = cl.load_catalog_group("S4")
-    subs = cl.enumerate_subgroups(g)
+def _write_checksummed(tmp_path, g, fmt, subgroups):
+    """A lattice file for g with a valid checksum over ``subgroups``, laid
+    out with indent=2 as earlier writers did."""
     path = lattice_path(tmp_path, spec_hash(g.spec))
-    # an intact file under an older tag, laid out and checksummed as its
-    # writer did, holding one subgroup too few
-    payload = {
-        "format": fmt,
-        "spec_hash": spec_hash(g.spec),
-        "order": g.n,
-        "subgroups": [list(s.elements) for s in subs[:-1]],
-    }
+    payload = {"format": fmt, "spec_hash": spec_hash(g.spec), "order": g.n, "subgroups": subgroups}
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     payload["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return path
+
+
+def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
+    g = cl.load_catalog_group("S4")
+    subs = cl.enumerate_subgroups(g)
+    # an intact file under an older tag, holding one subgroup too few
+    path = _write_checksummed(tmp_path, g, fmt, [list(s.elements) for s in subs[:-1]])
 
     with caplog.at_level(logging.INFO, logger="cosetlab.cache"):
         got, status = cached_subgroups(g, tmp_path)
@@ -148,6 +149,28 @@ def test_lattice_from_class_only_extension_is_recomputed(tmp_path, caplog):
     # v3 extended one subgroup per conjugacy class in abelian groups too,
     # not each subgroup once from its canonical parent
     _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v3")
+
+
+@pytest.mark.parametrize(
+    "subgroups",
+    [[[0], [0, 99999]], "abc", [[0], [-1]], [], [[0], [1, 2]]],
+    ids=["out-of-range", "not-a-list", "negative", "empty", "no-identity"],
+)
+def test_checksummed_file_with_malformed_subgroups_is_recomputed(tmp_path, caplog, subgroups):
+    # a valid checksum over contents no lattice has: logged as corrupt,
+    # recomputed and rewritten, never trusted and never a crash
+    g = cl.load_catalog_group("S3")
+    path = _write_checksummed(tmp_path, g, LATTICE_FORMAT, subgroups)
+    with pytest.raises(CacheCorrupt, match="malformed"):
+        load_lattice(g, tmp_path)
+    with caplog.at_level(logging.WARNING, logger="cosetlab.cache"):
+        got, status = cached_subgroups(g, tmp_path)
+    assert status == "cold"
+    assert any("corrupt" in r.message for r in caplog.records)
+    want = [s.elements for s in cl.enumerate_subgroups(g)]
+    assert [s.elements for s in got] == want
+    assert json.loads(path.read_text())["subgroups"] == [list(e) for e in want]
+    assert cached_subgroups(g, tmp_path)[1] == "warm"
 
 
 @pytest.mark.parametrize("fail", ["dumps", "write_text"])

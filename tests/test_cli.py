@@ -457,6 +457,22 @@ def test_cache_dir_naming_a_file_exits_2(capsys, tmp_path):
     assert blocker.read_text() == "keep"
 
 
+@pytest.mark.parametrize("flag", ["--cache-dir", "--report"])
+def test_path_the_system_refuses_exits_2(capsys, tmp_path, flag):
+    # a 300-byte name passes the directory checks, but no file system takes it
+    long_name = str(tmp_path / ("x" * 300))
+    if flag == "--cache-dir":
+        argv = ["--cache-dir", long_name]
+    else:
+        argv = ["--cache-dir", str(tmp_path / "cache"), "--report", long_name]
+    code, out, err = run(capsys, "verify", "--group", "S3", *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "too long" in lines[0]
+
+
 def test_reports_identical_across_cache_states(capsys, tmp_path):
     def stripped(*argv):
         code, out, _ = run(capsys, *argv)

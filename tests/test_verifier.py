@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cosetlab as cl
 from cosetlab.bitset import MEET_ROWS, bits_tuple, mask_of
+from cosetlab.cosets import coset_mask
 from cosetlab.errors import CliqueCapExceeded
 from cosetlab.subgroups import (
     _find_rows,
@@ -298,7 +299,7 @@ def test_search_pins_first_rep(lattice):
     v = cl.search_disjoint_tuple([h2, h2, h2])
     assert v is not None
     assert v.coset_reps[0] == 0
-    cosets = [frozenset(bits_tuple(cl.coset_of(r, s).mask)) for r, s in zip(v.coset_reps, [h2] * 3)]
+    cosets = [frozenset(bits_tuple(coset_mask(r, s))) for r, s in zip(v.coset_reps, [h2] * 3)]
     assert pairwise_disjoint(cosets)
 
 
@@ -317,8 +318,8 @@ def test_search_result_in_caller_order(lattice):
         v = cl.search_disjoint_tuple([a, b])
         assert v is not None
         assert v.subgroup_elements == (a.elements, b.elements)
-        ca = frozenset(bits_tuple(cl.coset_of(v.coset_reps[0], a).mask))
-        cb = frozenset(bits_tuple(cl.coset_of(v.coset_reps[1], b).mask))
+        ca = frozenset(bits_tuple(coset_mask(v.coset_reps[0], a)))
+        cb = frozenset(bits_tuple(coset_mask(v.coset_reps[1], b)))
         assert not ca & cb
 
 
@@ -330,7 +331,7 @@ def test_triple_search_result_in_caller_order(lattice):
     assert v is not None
     assert v.subgroup_elements == (a.elements, a.elements, b.elements)
     cosets = [
-        frozenset(bits_tuple(cl.coset_of(r, s).mask))
+        frozenset(bits_tuple(coset_mask(r, s)))
         for r, s in zip(v.coset_reps, [a, a, b])
     ]
     assert pairwise_disjoint(cosets)
@@ -370,7 +371,7 @@ def test_search_matches_plain_backtracking(lattice, name):
         found.add(exists)
         if v is not None:
             cosets = [
-                frozenset(bits_tuple(cl.coset_of(r, s).mask))
+                frozenset(bits_tuple(coset_mask(r, s)))
                 for r, s in zip(v.coset_reps, triple)
             ]
             assert pairwise_disjoint(cosets)
@@ -630,6 +631,6 @@ def test_pair_search_equivalence(lattice, data):
     v = cl.search_disjoint_tuple([h, k])
     assert (v is not None) == cl.disjointable(h, k)
     if v is not None:
-        ch = frozenset(bits_tuple(cl.coset_of(v.coset_reps[0], h).mask))
-        ck = frozenset(bits_tuple(cl.coset_of(v.coset_reps[1], k).mask))
+        ch = frozenset(bits_tuple(coset_mask(v.coset_reps[0], h)))
+        ck = frozenset(bits_tuple(coset_mask(v.coset_reps[1], k)))
         assert not ch & ck
