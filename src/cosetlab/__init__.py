@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .cache import CacheRecord, cache_lattice, cached_subgroups, spec_hash
 from .catalog import CATALOG, catalog_names, catalog_spec, load_catalog_group
 from .cosets import (
-    LeftCoset,
     coset_labels,
     disjointable,
     left_cosets,
@@ -71,7 +70,6 @@ __all__ = [
     "GroupSpec",
     "GroupSpecError",
     "LEMMA_IDS",
-    "LeftCoset",
     "LemmaSuiteResult",
     "NotAGroup",
     "OrderCapExceeded",

@@ -48,13 +48,8 @@ def packed(rows: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def row_mask(row: np.ndarray) -> int:
-    """The int mask of a bool row: bit x set exactly where entry x is."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
 def row_masks(rows: np.ndarray) -> list[int]:
-    """The int mask of every bool row (r x n), as ``row_mask`` gives it."""
+    """The int mask of every bool row (r x n): bit x set where entry x is."""
     return [int.from_bytes(words.tobytes(), "little") for words in packed(rows)]
 
 

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .bitset import mask_of
 from .errors import CacheCorrupt, CacheStale
 from .groups import FiniteGroup, GroupSpec
-from .subgroups import Subgroup, enumerate_subgroups, subgroup_from_elements
+from .subgroups import Subgroup, _subgroup_from_mask, enumerate_subgroups
 
 # Names the enumeration algorithm too: a file written under another tag is
 # discarded and recomputed, never trusted.
@@ -82,6 +83,8 @@ def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgrou
     """Read a cached lattice back; None when absent, CacheCorrupt when damaged.
 
     An intact file under another format tag raises CacheStale, a CacheCorrupt.
+    So do subgroup lists that do not strictly ascend by ``Subgroup.sort_key``,
+    as ``enumerate_subgroups`` lists them: the pair rows rely on that order.
     """
     digest = spec_hash(_require_spec(g))
     path = lattice_path(cache_dir, digest)
@@ -107,6 +110,8 @@ def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgrou
     subs = [_cached_subgroup(g, elems) for elems in lists] if isinstance(lists, list) else []
     if not subs or None in subs:
         raise CacheCorrupt(f"{path}: subgroup lists malformed")
+    if any(a.sort_key >= b.sort_key for a, b in zip(subs, subs[1:])):
+        raise CacheCorrupt(f"{path}: subgroup lists out of order or repeated")
     return subs
 
 
@@ -117,7 +122,7 @@ def _cached_subgroup(g: FiniteGroup, elems: object) -> Optional[Subgroup]:
     try:
         if not (isinstance(elems, list) and elems and 0 <= min(elems) and max(elems) < g.n):
             return None
-        s = subgroup_from_elements(g, elems, validate=False)
+        s = _subgroup_from_mask(g, mask_of(elems))
     except TypeError:
         return None
     # the elements of s ascend, so this leaves out duplicates and disorder too

@@ -31,6 +31,8 @@ from .verifier import DEFAULT_CLIQUE_CAP, K_MAX, K_MIN, PairRows, verify_group
 
 DEFAULT_K_RANGE = (2, 4)
 CACHE_OFF = "off"
+ORDER_HELP = f"largest group order built; a larger one exits 3 (default {DEFAULT_ORDER_CAP})"
+CACHE_HELP = f"lattice cache directory, or {CACHE_OFF} to read and write none (default {DEFAULT_CACHE_DIR})"
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -281,8 +283,8 @@ def _add_common(
     sp.add_argument(
         "--seed", type=_non_negative_int, default=0, help="seed for sampled checks"
     )
-    sp.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP)
-    sp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
+    sp.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP, help=ORDER_HELP)
+    sp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help=CACHE_HELP)
     sp.add_argument(
         "--report", default=None, help="write the JSON report here instead of stdout"
     )
@@ -303,22 +305,30 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MIN..MAX",
         help=f"family sizes to check, within [{K_MIN}, {K_MAX}] (default 2..4)",
     )
-    v.add_argument("--max-cliques", type=_positive_int)
+    v.add_argument(
+        "--max-cliques",
+        type=_positive_int,
+        help=f"most clique prefixes searched per k; more exit 3 (default {DEFAULT_CLIQUE_CAP})",
+    )
 
-    for name, help_text, work in (
-        ("lemmas", "run every counting law on one group", cmd_lemmas),
-        ("census", "triple censuses over the subgroup lattice", cmd_census),
+    per_triple = "coset triples enumerated per subgroup triple (closed forms only above it)"
+    for name, help_text, work, cap_help in (
+        ("lemmas", "run every counting law on one group", cmd_lemmas, f"most {per_triple}"),
+        ("census", "triple censuses over the subgroup lattice", cmd_census,
+         f"most subgroup triples (more exit 3), and most {per_triple}"),
     ):
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp, work)
-        sp.add_argument("--max-census", type=_positive_int)
+        sp.add_argument(
+            "--max-census", type=_positive_int, help=f"{cap_help} (default {DEFAULT_CENSUS_CAP})"
+        )
 
     sg = sub.add_parser("subgroups", help="list the subgroup lattice")
     _add_common(sg, cmd_subgroups)
 
     cat = sub.add_parser("catalog", help="bundled groups with orders and lattice sizes")
-    cat.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    cat.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP)
+    cat.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help=CACHE_HELP)
+    cat.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CAP, help=ORDER_HELP)
     return p
 
 

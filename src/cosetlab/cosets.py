@@ -7,22 +7,11 @@ K in HK, the cosets of H that K touches) live in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bitset import lowest_bit
 from .errors import ConsistencyError, ParentMismatch
 from .subgroups import Subgroup
-
-
-@dataclass(frozen=True, eq=False)
-class LeftCoset:
-    """A left coset x*H, canonically represented by its minimal element."""
-
-    subgroup: Subgroup
-    rep: int
-    mask: int
 
 
 def coset_mask(x: int, h: Subgroup) -> int:
@@ -50,8 +39,8 @@ def coset_labels(h: Subgroup) -> np.ndarray:
     return h._coset_labels
 
 
-def left_cosets(h: Subgroup) -> tuple[LeftCoset, ...]:
-    """The coset partition of the parent group, sorted by representative.
+def left_cosets(h: Subgroup) -> tuple[int, ...]:
+    """The masks of the left cosets of H, sorted by least element.
 
     Built once per subgroup from its coset labelling.
     """
@@ -59,13 +48,13 @@ def left_cosets(h: Subgroup) -> tuple[LeftCoset, ...]:
         masks = [0] * h.index
         for x, c in enumerate(coset_labels(h).tolist()):
             masks[c] |= 1 << x
-        cosets = tuple(LeftCoset(h, lowest_bit(m), m) for m in masks)
-        object.__setattr__(h, "_left_cosets", cosets)
+        object.__setattr__(h, "_left_cosets", tuple(masks))
     return h._left_cosets
 
 
-def double_coset_reps(h: Subgroup, k: Subgroup) -> tuple[LeftCoset, ...]:
-    """One left coset of K per double coset H x K: the one holding its least element.
+def double_coset_reps(h: Subgroup, k: Subgroup) -> tuple[int, ...]:
+    """The mask of one left coset of K per double coset H x K: the one
+    holding its least element.
 
     Left multiplication by H permutes the left cosets of K, and its orbits
     are the double cosets.  Cosets are numbered by their least element, so
@@ -79,7 +68,7 @@ def double_coset_reps(h: Subgroup, k: Subgroup) -> tuple[LeftCoset, ...]:
     memo = k._double_coset_reps
     if h.mask not in memo:
         cosets = left_cosets(k)
-        moved = h.parent.np_table[np.ix_(h.elements, [c.rep for c in cosets])]
+        moved = h.parent.np_table[np.ix_(h.elements, [lowest_bit(c) for c in cosets])]
         orbit_min = coset_labels(k)[moved].min(axis=0).tolist()
         memo[h.mask] = tuple(c for i, c in enumerate(cosets) if orbit_min[i] == i)
     return memo[h.mask]

@@ -272,7 +272,8 @@ def _perm_closure(
     Element ids follow the lexicographic order of the one-line permutations,
     and x*y is ``_compose(x, y)``.  The closure multiplies each element by
     each generator once, on the right; the table then follows from those
-    steps along the spanning tree they form.
+    steps along the spanning tree they form.  It stores no more points
+    (elements times degree) than an ``order_cap`` x ``order_cap`` table.
     """
     gens = [tuple(p) for p in generators]
     if not gens:
@@ -290,6 +291,7 @@ def _perm_closure(
             raise OrderCapExceeded(
                 f"a product of two generators has order above cap {order_cap}"
             )
+    limit = min(order_cap, order_cap * order_cap // degree)
     elems = [tuple(range(degree))]
     index = {elems[0]: 0}
     parent, via = [0], [0]
@@ -300,8 +302,11 @@ def _perm_closure(
             r = _compose(p, q)
             y = index.get(r)
             if y is None:
-                if len(elems) >= order_cap:
-                    raise OrderCapExceeded(f"perm closure grew past order cap {order_cap}")
+                if len(elems) >= limit:
+                    raise OrderCapExceeded(
+                        f"perm closure of degree {degree} grew past {limit} elements"
+                        f" (order cap {order_cap})"
+                    )
                 y = index[r] = len(elems)
                 elems.append(r)
                 parent.append(x)

@@ -2,7 +2,7 @@
 
 Each law carries a stable string id that downstream reports key on.  The
 suite runs exhaustively when the pair/triple spaces are small enough and
-falls back to seeded sampling above the configured limits.  Each family
+falls back to seeded sampling above the module's limits.  Each family
 keeps its instances as one array of subgroup positions and checks them on
 whole arrays, in blocks: from the lattice's coset-label matrix, its packed
 membership rows and the Cayley table.
@@ -31,7 +31,7 @@ from .counting import (
 )
 from .errors import ConsistencyError
 from .groups import FiniteGroup
-from .subgroups import Subgroup, _closed_under_mul, enumerate_subgroups, membership
+from .subgroups import Subgroup, _closed_under_mul, membership
 
 LEMMA_IDS = (
     "L2.1.i",
@@ -50,9 +50,10 @@ LEMMA_IDS = (
 # L2.1.i's failure text, shared with the test oracle tests/helpers.product_set
 CLOSURE_DISAGREES = "product-set closure test disagrees with the commutation test"
 
-DEFAULT_PAIR_LIMIT = 1600
-DEFAULT_TRIPLE_LIMIT = 8000
-DEFAULT_NESTED_ORDER_LIMIT = 24
+PAIR_LIMIT = 1600
+TRIPLE_LIMIT = 8000
+NESTED_ORDER_LIMIT = 24
+SAMPLE_TARGET = 2000
 
 
 @dataclass
@@ -62,11 +63,10 @@ class LemmaStats:
     examples: list[str] = field(default_factory=list)
 
     def record(self, ok: bool, desc: str = "") -> None:
-        self._count(1, 0 if ok else 1, desc)
-
-    def tally(self, oks: np.ndarray, desc: str = "") -> None:
-        """Record every entry of a boolean outcome array under one tag."""
-        self._count(oks.size, oks.size - int(np.count_nonzero(oks)), desc)
+        self.checked += 1
+        if not ok:
+            self.failed += 1
+            self.examples += [desc][: 5 - len(self.examples)]
 
     def tally_at(
         self, checked: np.ndarray, oks: np.ndarray, describe: Callable[[int], str]
@@ -84,11 +84,6 @@ class LemmaStats:
         self.failed += int(np.sum(failed, dtype=np.int64))
         for p in np.flatnonzero(failed)[: 5 - len(self.examples)]:
             self.examples += [describe(int(p))] * min(int(failed[p]), 5 - len(self.examples))
-
-    def _count(self, checked: int, failed: int, desc: str) -> None:
-        self.checked += checked
-        self.failed += failed
-        self.examples += [desc] * min(failed, 5 - len(self.examples))
 
 
 @dataclass
@@ -401,19 +396,18 @@ def _instances(
     exhaustive: bool,
     every: Callable[[], np.ndarray],
     draw: Callable[[], Optional[tuple[int, ...]]],
-    sample_target: int,
     width: int,
 ) -> tuple[str, np.ndarray, int]:
     """The instances one law family runs on, rows of ``width`` subgroup
     positions, with its mode and draw count.
 
-    Exhaustive families run on ``every()``; the others on ``sample_target``
+    Exhaustive families run on ``every()``; the others on ``SAMPLE_TARGET``
     calls of ``draw``, leaving out those that return None.
     """
     if exhaustive:
         return "exhaustive", every(), 0
-    drawn = [x for x in (draw() for _ in range(sample_target)) if x is not None]
-    return "sampled", np.array(drawn, dtype=np.intp).reshape(-1, width), sample_target
+    drawn = [x for x in (draw() for _ in range(SAMPLE_TARGET)) if x is not None]
+    return "sampled", np.array(drawn, dtype=np.intp).reshape(-1, width), SAMPLE_TARGET
 
 
 def _containments(rows: list[list[int]]) -> np.ndarray:
@@ -426,24 +420,20 @@ def _containments(rows: list[list[int]]) -> np.ndarray:
 
 def run_lemma_suite(
     g: FiniteGroup,
-    subgroups: Optional[Sequence[Subgroup]] = None,
+    subgroups: Sequence[Subgroup],
     *,
     seed: int = 0,
-    sample_target: int = 2000,
-    exhaustive_pair_limit: int = DEFAULT_PAIR_LIMIT,
-    exhaustive_triple_limit: int = DEFAULT_TRIPLE_LIMIT,
     census_cap: int = DEFAULT_CENSUS_CAP,
-    nested_order_limit: int = DEFAULT_NESTED_ORDER_LIMIT,
 ) -> LemmaSuiteResult:
-    """Run every law over one group, exhaustively where affordable.
+    """Run every law over one group and its lattice, exhaustively where affordable.
 
     Ordered pairs run exhaustively when their count is at most
-    ``exhaustive_pair_limit``; subgroup multisets of size three likewise
-    against ``exhaustive_triple_limit``; otherwise seeded samples of size
-    ``sample_target`` are drawn.  The nested-coset law enumerates fully up
-    to ``nested_order_limit`` elements and samples above it.
+    ``PAIR_LIMIT``; subgroup multisets of size three likewise against
+    ``TRIPLE_LIMIT``; otherwise ``SAMPLE_TARGET`` seeded samples are drawn.
+    The nested-coset law enumerates fully up to ``NESTED_ORDER_LIMIT``
+    elements and samples above it.
     """
-    subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
+    subs = list(subgroups)
     m = len(subs)
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
@@ -491,19 +481,17 @@ def run_lemma_suite(
     # One rng serves pairs, then triples, then nested quadruples, in that
     # order, so a seed names the same samples in every report.
     pair_mode, pairs, samples = _instances(
-        m * m <= exhaustive_pair_limit,
+        m * m <= PAIR_LIMIT,
         lambda: np.stack(np.divmod(np.arange(m * m), m), axis=1),
         lambda: (rng.randrange(m), rng.randrange(m)),
-        sample_target,
         2,
     )
     _check_pairs(g, labels, member, w, pairs, stats)
 
     triple_mode, triples, drawn = _instances(
-        math.comb(m + 2, 3) <= exhaustive_triple_limit,
+        math.comb(m + 2, 3) <= TRIPLE_LIMIT,
         lambda: _triples(m),
         lambda: tuple(sorted(rng.randrange(m) for _ in range(3))),
-        sample_target,
         3,
     )
     samples += drawn
@@ -512,7 +500,7 @@ def run_lemma_suite(
     )
 
     nested_mode, quadruples, drawn = _instances(
-        g.n <= nested_order_limit, every_nested, draw_nested, sample_target, 4
+        g.n <= NESTED_ORDER_LIMIT, every_nested, draw_nested, 4
     )
     if nested_mode == "sampled":
         quadruples = quadruples[kept(quadruples)]

@@ -61,20 +61,17 @@ def _closed_under_mul(parent: FiniteGroup, row: np.ndarray) -> bool:
     return bool(row[parent.np_table[elems[:, None], elems]].all())
 
 
-def subgroup_from_elements(
-    parent: FiniteGroup, elements: Iterable[int], *, validate: bool = True
-) -> Subgroup:
-    """Wrap an element set as a Subgroup, checking closure unless told not to."""
+def subgroup_from_elements(parent: FiniteGroup, elements: Iterable[int]) -> Subgroup:
+    """Wrap an element set as a Subgroup, after checking that it is one."""
     mask = mask_of(elements)
-    if validate:
-        if not mask >> parent.identity & 1:
-            raise NotAGroup("subgroup candidate lacks the identity")
-        row = np.zeros(parent.n, dtype=bool)
-        row[list(bits_tuple(mask))] = True
-        if not _closed_under_mul(parent, row):
-            raise NotAGroup("set not closed under multiplication")
-        if parent.n % mask.bit_count() != 0:
-            raise NotAGroup("subgroup order does not divide the group order")
+    if not mask >> parent.identity & 1:
+        raise NotAGroup("subgroup candidate lacks the identity")
+    row = np.zeros(parent.n, dtype=bool)
+    row[list(bits_tuple(mask))] = True
+    if not _closed_under_mul(parent, row):
+        raise NotAGroup("set not closed under multiplication")
+    if parent.n % mask.bit_count() != 0:
+        raise NotAGroup("subgroup order does not divide the group order")
     return _subgroup_from_mask(parent, mask)
 
 

@@ -18,13 +18,7 @@ from .bitset import MEET_ROWS, full_mask, lowest_bit, meet_orders, packed, row_m
 from .cosets import coset_mask, double_coset_reps, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
-from .subgroups import (
-    Subgroup,
-    conjugation_action,
-    enumerate_subgroups,
-    membership,
-    orbit_labels,
-)
+from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
 
 DEFAULT_CLIQUE_CAP = 10**6
 K_MIN = 2
@@ -115,18 +109,21 @@ class PairRows:
     bit below j in row j.  ``rows(k)`` ANDs in the gcd bar, one mask per
     index class from the gcd table of the distinct indices, and the order
     fit |H_j| + |H_t| <= |G|, which every disjointable pair meets (two
-    cosets whose sizes pass |G| meet).  The positions ascend by order, as
-    ``candidate_cliques`` requires, so the t that fit j are those below
-    ``fit[j]``.  Row j's disjointability row is built only when a bit at or
-    above j survives those two bars.  One source serves every k of a
-    lattice.  Iterating yields the m(m+1)/2 unordered pairs i <= j as
-    ``PairStats``.
+    cosets whose sizes pass |G| meet).  ``subgroups`` must ascend by order,
+    as ``enumerate_subgroups`` lists them, or ValueError: then the t that
+    fit j are those below ``fit[j]``, and ``candidate_cliques`` stops its
+    order-sum bar at the first position too large.  Row j's
+    disjointability row is built only when a bit at or above j survives
+    those two bars.  One source serves every k of a lattice.  Iterating
+    yields the m(m+1)/2 unordered pairs i <= j as ``PairStats``.
     """
 
     def __init__(self, g: FiniteGroup, subgroups: Sequence[Subgroup]):
         self.n = g.n
         self.words = packed(membership(subgroups))
         self.order = np.array([s.order for s in subgroups], dtype=np.int64)
+        if (np.diff(self.order) < 0).any():
+            raise ValueError("subgroups must be sorted by non-decreasing order")
         self.indices, self.index_class = np.unique(
             [s.index for s in subgroups], return_inverse=True
         )
@@ -191,17 +188,17 @@ class _BarRows(dict):
         return row
 
 
-def pair_table(g: FiniteGroup, subgroups: Optional[Sequence[Subgroup]] = None) -> PairRows:
-    """The pair bars of ``subgroups`` (the lattice of g when not given)."""
-    return PairRows(g, subgroups if subgroups is not None else enumerate_subgroups(g))
+def pair_table(g: FiniteGroup, subgroups: Sequence[Subgroup]) -> PairRows:
+    """The pair bars of ``subgroups``, a lattice of g."""
+    return PairRows(g, subgroups)
 
 
 def candidate_cliques(
     g: FiniteGroup,
     k: int,
     *,
-    subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[PairRows] = None,
+    subgroups: Sequence[Subgroup],
+    pair_stats: PairRows,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> list[tuple[int, ...]]:
     """Size-k subgroup multisets that pass the gcd bar and two disjointness bars.
@@ -212,23 +209,17 @@ def candidate_cliques(
     so no multiset left out can hold such a family.  Emitted in
     lexicographic order over sorted lattice positions.  Every multiset
     prefix that passes the order-sum bar counts against the cap, so the cap
-    bounds work done, not only output size.  The order-sum bar stops at the
-    first position too large to complete the prefix, which relies on the
-    positions ascending by order; ``subgroups`` out of that order raise
-    ValueError.  The pair bars come from ``pair_stats``, a ``PairRows``
-    source built here when not given; one given must have been built over
-    ``subgroups``, and one of another size raises ValueError.
+    bounds work done, not only output size.  The pair bars and the orders
+    come from ``pair_stats``, a ``PairRows`` source over ``subgroups``,
+    whose positions ascend by order; so the order-sum bar stops at the
+    first position too large to complete the prefix.  A source of another
+    size raises ValueError.
     """
-    subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
-    order = [s.order for s in subs]
-    if any(a > b for a, b in zip(order, order[1:])):
-        raise ValueError("subgroups must be sorted by non-decreasing order")
-    if pair_stats is None:
-        pair_stats = PairRows(g, subs)
-    elif pair_stats.side != len(subs):
+    if pair_stats.side != len(subgroups):
         raise ValueError(
-            f"pair table covers {pair_stats.side} subgroups, lattice has {len(subs)}"
+            f"pair table covers {pair_stats.side} subgroups, lattice has {len(subgroups)}"
         )
+    order = pair_stats.order.tolist()
     # rows[i] has bit j set, for every j >= i, when positions i and j pass
     # both pair bars
     rows = pair_stats.rows(k)
@@ -259,7 +250,7 @@ def candidate_cliques(
                 extend(cur, osum + order[j], cand & rows[j])
             cand ^= low
 
-    extend((), 0, full_mask(len(subs)))
+    extend((), 0, full_mask(len(order)))
     return out
 
 
@@ -282,13 +273,14 @@ def _search_with_count(
     """Backtracking over coset choices, with two slots normalized.
 
     Slots are filled largest subgroup first (ties in the caller's order),
-    and each representative goes straight into its caller's slot.  Any
-    disjoint family can be left-translated so its first coset contains the
-    identity, so the first slot is pinned to its subgroup H0 itself.  Left
-    multiplication by any h in H0 then still fixes that coset and maps the
-    second slot's coset x H1 to h x H1, so the second slot tries one coset
-    per double coset H0 x H1.  Neither pin loses a family.  Returns the
-    family, if any, and the number of coset placements attempted.
+    each coset mask goes into its caller's slot, and a family found is
+    named by the least element of each coset.  Any disjoint family can be
+    left-translated so its first coset contains the identity, so the first
+    slot is pinned to its subgroup H0 itself.  Left multiplication by any h
+    in H0 then still fixes that coset and maps the second slot's coset
+    x H1 to h x H1, so the second slot tries one coset per double coset
+    H0 x H1.  Neither pin loses a family.  Returns the family, if any, and
+    the number of coset placements attempted.
     """
     if not subgroups:
         raise ValueError("search needs at least one subgroup")
@@ -301,8 +293,8 @@ def _search_with_count(
     first, *rest = (subgroups[t] for t in slots)
     choices = [double_coset_reps(first, rest[0])] if rest else []
     choices += [left_cosets(s) for s in rest[1:]]
-    reps = [0] * k
-    reps[slots[0]] = lowest_bit(first.mask)
+    placed = [0] * k
+    placed[slots[0]] = first.mask
     examined = 1  # the pinned slot
 
     def place(slot: int, used: int) -> bool:
@@ -310,15 +302,16 @@ def _search_with_count(
         nonlocal examined
         for coset in choices[slot - 1]:
             examined += 1
-            if used & coset.mask:
+            if used & coset:
                 continue
-            reps[slots[slot]] = coset.rep
-            if slot + 1 == k or place(slot + 1, used | coset.mask):
+            placed[slots[slot]] = coset
+            if slot + 1 == k or place(slot + 1, used | coset):
                 return True
         return False
 
     if k > 1 and not place(1, first.mask):
         return None, examined
+    reps = [lowest_bit(mask) for mask in placed]
     masks = [coset_mask(rep, sub) for rep, sub in zip(reps, subgroups)]
     for a in range(k):
         for b in range(a + 1, k):
@@ -381,8 +374,8 @@ def verify_group(
     g: FiniteGroup,
     k: int,
     *,
-    subgroups: Optional[Sequence[Subgroup]] = None,
-    pair_stats: Optional[PairRows] = None,
+    subgroups: Sequence[Subgroup],
+    pair_stats: PairRows,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> VerificationReport:
     """Exhaustively search one group for disjoint k-families below the gcd bar.
@@ -391,15 +384,14 @@ def verify_group(
     families in clique order, so equal inputs give equal reports.
     ``tuples_examined`` counts the coset placements over one
     clique per conjugacy orbit.  ``pair_stats`` is as in
-    ``candidate_cliques``; pass one ``PairRows`` to share its rows across k.
+    ``candidate_cliques``; one ``PairRows`` shares its rows across k.
     """
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"k must lie in [{K_MIN}, {K_MAX}]")
-    subs = list(subgroups) if subgroups is not None else enumerate_subgroups(g)
     cliques = candidate_cliques(
-        g, k, subgroups=subs, pair_stats=pair_stats, max_cliques=max_cliques
+        g, k, subgroups=subgroups, pair_stats=pair_stats, max_cliques=max_cliques
     )
-    found, orbits, examined = search_orbits(g, subs, cliques)
+    found, orbits, examined = search_orbits(g, subgroups, cliques)
     violations = list(found.values())
     for violation in violations:
         off_diag = [
@@ -414,7 +406,7 @@ def verify_group(
         group_label=g.label,
         group_order=g.n,
         k=k,
-        subgroup_count=len(subs),
+        subgroup_count=len(subgroups),
         candidate_clique_count=len(cliques),
         clique_orbits=orbits,
         tuples_examined=examined,

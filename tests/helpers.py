@@ -37,7 +37,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cosetlab import FiniteGroup, GroupSpec, RValue, Subgroup
-from cosetlab.bitset import bits_tuple, full_mask, row_mask
+from cosetlab.bitset import bits_tuple, full_mask, lowest_bit, mask_of
 from cosetlab.cosets import (
     _pair_parent,
     coset_labels,
@@ -54,7 +54,6 @@ from cosetlab.subgroups import (
     _is_prime_power,
     _subgroup_from_mask,
     close_generators,
-    subgroup_from_elements,
 )
 
 # Named groups with their orders, the factors of random direct products.
@@ -408,7 +407,7 @@ def product_set(h: Subgroup, k: Subgroup) -> tuple[int, bool]:
     closed = _closed_under_mul(parent, hk)
     if closed != (hk == _product_row(k, h)).all():
         raise ConsistencyError(CLOSURE_DISAGREES)
-    return row_mask(hk), closed
+    return mask_of(np.flatnonzero(hk).tolist()), closed
 
 
 def promote(g: FiniteGroup, p: tuple[int, bool]) -> Subgroup:
@@ -551,7 +550,7 @@ def check_pair(g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict) -> None:
     stats["L2.1.ii"].record(cosets_of_k_in_product(h, k) == h.order // overlap, tag)
 
     if math.gcd(h.index, k.index) == 1:
-        hk = p[0] if p is not None else row_mask(_product_row(h, k))
+        hk = p[0] if p is not None else mask_of(np.flatnonzero(_product_row(h, k)).tolist())
         stats["L2.1.iii"].record(hk == full_mask(n), tag)
 
     meets = meeting_matrix(h, k)
@@ -561,10 +560,10 @@ def check_pair(g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict) -> None:
         # Cosets of M = HK either coincide or are disjoint, so aM and bM are
         # disjoint exactly when a and b carry different M-labels.
         m_labels = coset_labels(promote(g, p))
-        h_reps = m_labels[[c.rep for c in left_cosets(h)]]
-        k_reps = m_labels[[c.rep for c in left_cosets(k)]]
+        h_reps = m_labels[[lowest_bit(c) for c in left_cosets(h)]]
+        k_reps = m_labels[[lowest_bit(c) for c in left_cosets(k)]]
         separated = h_reps[:, None] != k_reps[None, :]
-        stats["L2.1.v"].tally(separated[~meets], tag)
+        _tally(stats["L2.1.v"], separated[~meets], tag)
 
     stats["L3.2"].record(int(np.count_nonzero(meets)) == n // overlap, tag)
 
@@ -584,14 +583,19 @@ def check_nested(
     # Row A, column b: an instance when A lies in b's G1-coset but is not b*H1.
     instances = (big_of[:, None] == g1_labels) & (np.arange(h1.index)[:, None] != h1_labels)
     misses = ~meeting_matrix(h1, h2)[:, coset_labels(h2)]
-    stats["R3.1"].tally(misses[instances], tag)
+    _tally(stats["R3.1"], misses[instances], tag)
+
+
+def _tally(st, oks: np.ndarray, tag: str) -> None:
+    """Record every entry of a 1-D boolean outcome array under one tag."""
+    st.tally_at(np.ones(oks.shape, dtype=bool), oks, lambda p: tag)
 
 
 def _subgroups_of(g: FiniteGroup, labels: np.ndarray) -> list[Subgroup]:
     """Fresh Subgroup objects for the rows of a coset-label matrix: each
     subgroup is the coset of the identity."""
     return [
-        subgroup_from_elements(g, np.flatnonzero(row == row[g.identity]).tolist(), validate=False)
+        _subgroup_from_mask(g, mask_of(np.flatnonzero(row == row[g.identity]).tolist()))
         for row in labels
     ]
 

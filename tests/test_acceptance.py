@@ -44,7 +44,7 @@ def test_acceptance_1_lemma_suite():
         failures = 0
         groups = 0
         for name, g in _catalog_upto(24):
-            res = cl.run_lemma_suite(g)
+            res = cl.run_lemma_suite(g, cl.enumerate_subgroups(g))
             assert res.pair_mode == "exhaustive", name
             assert res.triple_mode == "exhaustive", name
             failures += res.failures
@@ -58,7 +58,7 @@ def test_acceptance_1_lemma_suite():
             g = cl.load_catalog_group(name)
             if not 24 < g.n <= 120:
                 continue
-            res = cl.run_lemma_suite(g, seed=0, sample_target=2000)
+            res = cl.run_lemma_suite(g, cl.enumerate_subgroups(g), seed=0)
             failures += res.failures
             samples += res.samples
         assert failures == 0

@@ -151,23 +151,41 @@ def test_lattice_from_class_only_extension_is_recomputed(tmp_path, caplog):
     _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v3")
 
 
+# S3's lattice; the last three payloads hold only its subgroups, but not at
+# their lattice positions, which the pair rows rely on
+S3_LISTS = [[0], [0, 1], [0, 2], [0, 5], [0, 3, 4], [0, 1, 2, 3, 4, 5]]
+
+
 @pytest.mark.parametrize(
     "subgroups",
-    [[[0], [0, 99999]], "abc", [[0], [-1]], [], [[0], [1, 2]]],
-    ids=["out-of-range", "not-a-list", "negative", "empty", "no-identity"],
+    [
+        [[0], [0, 99999]],
+        "abc",
+        [[0], [-1]],
+        [],
+        [[0], [1, 2]],
+        S3_LISTS[::-1],
+        S3_LISTS[:2] + S3_LISTS[1:],
+        [S3_LISTS[0], S3_LISTS[2], S3_LISTS[1], *S3_LISTS[3:]],
+    ],
+    ids=[
+        "out-of-range", "not-a-list", "negative", "empty", "no-identity",
+        "reversed", "repeated", "swapped",
+    ],
 )
 def test_checksummed_file_with_malformed_subgroups_is_recomputed(tmp_path, caplog, subgroups):
     # a valid checksum over contents no lattice has: logged as corrupt,
     # recomputed and rewritten, never trusted and never a crash
     g = cl.load_catalog_group("S3")
     path = _write_checksummed(tmp_path, g, LATTICE_FORMAT, subgroups)
-    with pytest.raises(CacheCorrupt, match="malformed"):
+    with pytest.raises(CacheCorrupt, match="malformed|out of order or repeated"):
         load_lattice(g, tmp_path)
     with caplog.at_level(logging.WARNING, logger="cosetlab.cache"):
         got, status = cached_subgroups(g, tmp_path)
     assert status == "cold"
     assert any("corrupt" in r.message for r in caplog.records)
     want = [s.elements for s in cl.enumerate_subgroups(g)]
+    assert [list(e) for e in want] == S3_LISTS
     assert [s.elements for s in got] == want
     assert json.loads(path.read_text())["subgroups"] == [list(e) for e in want]
     assert cached_subgroups(g, tmp_path)[1] == "warm"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import tracemalloc
@@ -533,3 +534,34 @@ def test_verify_answers_pinned(capsys, command):
         del v["tuples_examined"], v["clique_orbits"]
     text = canonical_json(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_ANSWERS[command]
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    [choices] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return choices
+
+
+def test_every_option_of_every_subcommand_has_help_text():
+    missing = [
+        f"{name} {action.option_strings[-1]}"
+        for name, sp in _subcommands().items()
+        for action in sp._actions
+        if action.option_strings and not action.help
+    ]
+    assert missing == []
+
+
+def test_max_census_help_names_what_it_caps():
+    # census refuses more subgroup triples and enumerates no coset triples
+    # past it; the lemma suite only caps the enumeration
+    helps = {
+        name: sp._option_string_actions["--max-census"].help
+        for name, sp in _subcommands().items()
+        if "--max-census" in sp._option_string_actions
+    }
+    assert set(helps) == {"census", "lemmas"}
+    assert "most subgroup triples" in helps["census"] and "exit 3" in helps["census"]
+    assert "most subgroup triples" not in helps["lemmas"] and "exit 3" not in helps["lemmas"]
+    for text in helps.values():
+        assert "coset triples enumerated" in text

@@ -19,7 +19,7 @@ from cosetlab.errors import (
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
-from cosetlab.bitset import MEET_ROWS, mask_of, meet_orders, packed, row_mask, row_masks
+from cosetlab.bitset import MEET_ROWS, mask_of, meet_orders, packed, row_masks
 from cosetlab.cache import spec_hash
 from cosetlab.groups import (
     GroupSpec,
@@ -370,7 +370,7 @@ def test_packed_takes_any_layout(width):
         "reversed": base[::-1, ::-1],
     }
     for name, rows in views.items():
-        want = [row_mask(row) for row in rows]
+        want = [mask_of(np.flatnonzero(row).tolist()) for row in rows]
         words = packed(rows)
         assert words.shape == (len(rows), (rows.shape[1] + 63) // 64), name
         assert [int.from_bytes(w.tobytes(), "little") for w in words] == want, name
@@ -495,6 +495,21 @@ def test_product_of_generators_order_cap_checked_before_closure():
     # permutations up to the cap first
     spec = _dihedral_by_involutions(2500)
     assert _traced_peak(lambda: load_group(spec), OrderCapExceeded) < 1_000_000
+
+
+def test_perm_closure_stores_no_more_points_than_the_cap_allows():
+    # a reflection, the identity and reflection*rotation of degree 10000
+    # pass both order pre-checks; their group D10000 is refused once the
+    # closure would hold more points than a 2000 x 2000 table has entries
+    # (400 elements), not after 2000 elements of 10000 points each
+    refl, turned = _dihedral_by_involutions(10_000).generators
+    spec = GroupSpec(kind="perm", degree=10_000, generators=(refl, tuple(range(10_000)), turned))
+    assert _traced_peak(lambda: load_group(spec), OrderCapExceeded) < 40 * 2**20
+
+
+def test_perm_closure_point_bound_admits_the_cap_order():
+    # D1000 on 1000 points: 2000 elements, 2M points, within the bound
+    assert load_group(GroupSpec(kind="named", name="D1000")).n == 2000
 
 
 def test_sampled_associativity_check_in_bounded_memory():

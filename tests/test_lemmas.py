@@ -19,6 +19,12 @@ from helpers import per_pair_family, per_quadruple_family, per_triple_family
 EXHAUSTIVE_GROUPS = ["C6", "C12", "S3", "D4", "D6", "Q8", "A4", "C2xC2", "C2xC2xC2", "S4"]
 
 
+def _set_limits(monkeypatch, limits):
+    """Set lemmas module constants (PAIR_LIMIT, SAMPLE_TARGET, ...) for one test."""
+    for name, value in limits.items():
+        monkeypatch.setattr(cosetlab.lemmas, name, value)
+
+
 def test_lemma_id_set_is_stable():
     assert cl.LEMMA_IDS == (
         "L2.1.i",
@@ -72,13 +78,12 @@ def test_s4_checked_counts_frozen(lattice):
 @pytest.mark.parametrize(
     "name", [name for name in cl.CATALOG if cl.load_catalog_group(name).n <= 24]
 )
-def test_nested_quadruples_match_mask_rule(lattice, name):
+def test_nested_quadruples_match_mask_rule(lattice, monkeypatch, name):
     # the quadruple filter of the suite, recounted from the element masks:
     # H in G when H's mask has no bit outside G's, kept when H1&H2 == G1&G2
     g, subs = lattice(name)
-    res = cl.run_lemma_suite(
-        g, subs, sample_target=0, exhaustive_pair_limit=0, exhaustive_triple_limit=0
-    )
+    _set_limits(monkeypatch, {"SAMPLE_TARGET": 0, "PAIR_LIMIT": 0, "TRIPLE_LIMIT": 0})
+    res = cl.run_lemma_suite(g, subs)
     assert res.nested_mode == "exhaustive"
     within = [[k for k in subs if k.mask & ~h.mask == 0] for h in subs]
     want = sum(
@@ -147,12 +152,7 @@ def _with_oracle(monkeypatch, run, oracle=TRIPLE_ORACLE):
 
 
 SMALL_GROUPS = [name for name in cl.CATALOG if cl.load_catalog_group(name).n <= 24]
-FORCED_SAMPLES = {
-    "exhaustive_pair_limit": 4,
-    "exhaustive_triple_limit": 4,
-    "nested_order_limit": 4,
-    "sample_target": 300,
-}
+FORCED_SAMPLES = {"PAIR_LIMIT": 4, "TRIPLE_LIMIT": 4, "NESTED_ORDER_LIMIT": 4, "SAMPLE_TARGET": 300}
 
 
 @pytest.mark.parametrize(
@@ -166,9 +166,8 @@ def test_suite_matches_per_instance_oracle(lattice, monkeypatch, name, seed, lim
     # triple and nested families each run one instance at a time: exhaustive
     # on the small groups, sampled on S4 with forced limits, A5 and S5
     g, subs = lattice(name)
-    fast, oracle = _with_oracle(
-        monkeypatch, lambda: cl.run_lemma_suite(g, subs, seed=seed, **limits), ORACLE
-    )
+    _set_limits(monkeypatch, limits)
+    fast, oracle = _with_oracle(monkeypatch, lambda: cl.run_lemma_suite(g, subs, seed=seed), ORACLE)
     assert fast == oracle
     mode = "sampled" if limits or name in ("A5", "S5") else "exhaustive"
     assert set(fast["modes"].values()) == {mode}
@@ -192,12 +191,10 @@ def test_triple_family_matches_per_triple_oracle(lattice, monkeypatch, name, cap
         raise AssertionError("exhaustive triples read the lattice census")
 
     monkeypatch.setattr("cosetlab.lemmas.census", per_triple_census)
+    _set_limits(monkeypatch, {"SAMPLE_TARGET": 0, "PAIR_LIMIT": 0, "NESTED_ORDER_LIMIT": 0})
 
     def run():
-        res = cl.run_lemma_suite(
-            g, subs, sample_target=0, exhaustive_pair_limit=0, nested_order_limit=0,
-            census_cap=cap,
-        )
+        res = cl.run_lemma_suite(g, subs, census_cap=cap)
         assert res.triple_mode == "exhaustive"
         return res
 
@@ -372,12 +369,10 @@ def test_lattice_only_census_fault_is_reported(lattice, monkeypatch):
             assert res["stats"][lid] == clean["stats"][lid], lid
 
 
-def test_modes_switch_to_sampled(lattice):
+def test_modes_switch_to_sampled(lattice, monkeypatch):
     g, subs = lattice("S4")
-    res = cl.run_lemma_suite(
-        g, subs, seed=7, exhaustive_pair_limit=4, exhaustive_triple_limit=4,
-        nested_order_limit=4, sample_target=50,
-    )
+    _set_limits(monkeypatch, {**FORCED_SAMPLES, "SAMPLE_TARGET": 50})
+    res = cl.run_lemma_suite(g, subs, seed=7)
     assert res.pair_mode == "sampled"
     assert res.triple_mode == "sampled"
     assert res.nested_mode == "sampled"
@@ -385,22 +380,24 @@ def test_modes_switch_to_sampled(lattice):
     assert res.samples > 0
 
 
-def test_sampled_runs_reproducible(lattice):
+def test_sampled_runs_reproducible(lattice, monkeypatch):
     g, subs = lattice("A5")
-    a = cl.run_lemma_suite(g, subs, seed=123, sample_target=300)
-    b = cl.run_lemma_suite(g, subs, seed=123, sample_target=300)
+    _set_limits(monkeypatch, {"SAMPLE_TARGET": 300})
+    a = cl.run_lemma_suite(g, subs, seed=123)
+    b = cl.run_lemma_suite(g, subs, seed=123)
     assert a.to_json_dict() == b.to_json_dict()
-    c = cl.run_lemma_suite(g, subs, seed=124, sample_target=300)
+    c = cl.run_lemma_suite(g, subs, seed=124)
     assert c.failures == 0
 
 
-def test_suite_keeps_no_square_matrix(lattice):
+def test_suite_keeps_no_square_matrix(lattice, monkeypatch):
     # containment rows are built one block at a time: an m x m int64 matrix
     # of intersection orders would be 64 MB for C2^6's 2825 subgroups
     g, subs = lattice("C2xC2xC2xC2xC2xC2")
+    _set_limits(monkeypatch, {"SAMPLE_TARGET": 10})
     tracemalloc.start()
     try:
-        res = cl.run_lemma_suite(g, subs, sample_target=10)
+        res = cl.run_lemma_suite(g, subs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -444,12 +441,14 @@ def test_stats_example_cap():
 
 
 def test_stats_tally_counts_whole_array():
+    # tally_at records only the checked positions, and names each failure
     st = LemmaStats()
     st.record(False, "single")
-    st.tally(np.array([True, False, False, True]), "array")
+    oks = np.array([True, False, False, True, False])
+    st.tally_at(np.array([True, True, True, True, False]), oks, lambda p: f"array {p}")
     assert (st.checked, st.failed) == (5, 3)
-    assert st.examples == ["single", "array", "array"]
-    st.tally(np.array([False] * 6), "more")
-    st.tally(np.array([], dtype=bool), "empty")
+    assert st.examples == ["single", "array 1", "array 2"]
+    st.tally_at(np.ones(6, dtype=bool), np.zeros(6, dtype=bool), lambda p: f"more {p}")
+    st.tally_at(np.array([], dtype=bool), np.array([], dtype=bool), lambda p: "empty")
     assert (st.checked, st.failed) == (11, 9)
-    assert st.examples == ["single", "array", "array", "more", "more"]
+    assert st.examples == ["single", "array 1", "array 2", "more 0", "more 1"]

@@ -142,7 +142,7 @@ def test_pair_table_serves_the_traced_replay(lattice):
     assert len(source) == len(want) and list(source) == want
     for k in (3, 4, 5):
         rep = cl.verify_group(g, k, subgroups=subs, pair_stats=source)
-        assert rep == cl.verify_group(g, k, subgroups=subs)
+        assert rep == cl.verify_group(g, k, subgroups=subs, pair_stats=cl.PairRows(g, subs))
 
 
 # every catalog group, and lattices past it up to C2^6's 2825 positions,
@@ -207,7 +207,7 @@ def test_verify_largest_lattice_memory_bound(lattice):
     tracemalloc.start()
     try:
         for k in range(2, 7):
-            cl.verify_group(g, k, subgroups=subs)
+            cl.verify_group(g, k, subgroups=subs, pair_stats=cl.PairRows(g, subs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,11 +242,16 @@ def test_candidate_clique_counts_frozen(lattice):
 
 
 def test_candidate_cliques_need_sorted_lattice(lattice):
-    # the order-sum bar stops at the first position too large, which is
-    # only sound while positions ascend by order
+    # the order-sum bar stops at the first position too large, and the
+    # order fit is a searchsorted over the orders: both are only sound while
+    # positions ascend by order, so the row source refuses any other order
     g, subs = lattice("S4")
     with pytest.raises(ValueError, match="non-decreasing order"):
-        cl.candidate_cliques(g, 3, subgroups=subs[::-1])
+        cl.PairRows(g, subs[::-1])
+    swapped = [subs[1], subs[0], *subs[2:]]
+    assert swapped[0].order > swapped[1].order
+    with pytest.raises(ValueError, match="non-decreasing order"):
+        cl.pair_table(g, swapped)
 
 
 SMALL_CATALOG = sorted(n for n in cl.CATALOG if cl.load_catalog_group(n).n <= 24)
@@ -404,17 +409,18 @@ def test_verify_k_out_of_range(lattice):
     g, subs = lattice("C6")
     for bad in (1, 7):
         with pytest.raises(ValueError):
-            cl.verify_group(g, bad, subgroups=subs)
+            cl.verify_group(g, bad, subgroups=subs, pair_stats=cl.PairRows(g, subs))
 
 
 def test_clique_cap_counts_prefixes(lattice):
     # A5 admits no candidate cliques at all for k in 2..4, but the searcher
     # still visits single-subgroup prefixes, so a cap of 1 must trip
     g, subs = lattice("A5")
+    stats = cl.PairRows(g, subs)
     for k in (2, 3, 4):
-        assert cl.candidate_cliques(g, k, subgroups=subs) == []
+        assert cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats) == []
     with pytest.raises(CliqueCapExceeded):
-        cl.candidate_cliques(g, 2, subgroups=subs, max_cliques=1)
+        cl.candidate_cliques(g, 2, subgroups=subs, pair_stats=stats, max_cliques=1)
 
 
 def test_verify_k5_reports_open_range(lattice):
@@ -422,7 +428,7 @@ def test_verify_k5_reports_open_range(lattice):
     # times, or four times with the trivial subgroup), but each has order
     # sum above 6, so none is a candidate and the verdict is still open
     g, subs = lattice("C6")
-    rep = cl.verify_group(g, 5, subgroups=subs)
+    rep = cl.verify_group(g, 5, subgroups=subs, pair_stats=cl.PairRows(g, subs))
     assert rep.candidate_clique_count == 0
     assert rep.violations == []
     assert rep.status == "no violations found"
@@ -433,7 +439,7 @@ def test_verify_k5_reports_open_range(lattice):
 
 def test_note_absent_below_k5(lattice):
     g, subs = lattice("C6")
-    rep = cl.verify_group(g, 4, subgroups=subs)
+    rep = cl.verify_group(g, 4, subgroups=subs, pair_stats=cl.PairRows(g, subs))
     assert rep.note is None
     assert "note" not in rep.stable_dict()
 
@@ -577,7 +583,7 @@ def test_abelian_group_builds_no_action(lattice, name):
 def test_abelian_group_searches_every_clique(lattice):
     g, subs = lattice("C24")
     for k in range(3, 7):
-        rep = cl.verify_group(g, k, subgroups=subs)
+        rep = cl.verify_group(g, k, subgroups=subs, pair_stats=cl.PairRows(g, subs))
         assert rep.clique_orbits == rep.candidate_clique_count
 
 
