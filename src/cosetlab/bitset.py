@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,15 @@ def packed(rows: np.ndarray) -> np.ndarray:
 def row_masks(rows: np.ndarray) -> list[int]:
     """The int mask of every bool row (r x n): bit x set where entry x is."""
     return [int.from_bytes(words.tobytes(), "little") for words in packed(rows)]
+
+
+def mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The bool row (len(masks) x n) of every int mask below 2^n, the
+    inverse of ``row_masks``."""
+    width = -(-n // 8)
+    data = b"".join(m.to_bytes(width, "little") for m in masks)
+    bits = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(bool)
 
 
 # rows of ``a`` per block in meet_orders: no temporary exceeds MEET_ROWS x len(b) words

@@ -17,7 +17,7 @@ from .subgroups import Subgroup, _subgroup_from_mask, enumerate_subgroups
 
 # Names the enumeration algorithm too: a file written under another tag is
 # discarded and recomputed, never trusted.
-LATTICE_FORMAT = "cosetlab-lattice-v4"
+LATTICE_FORMAT = "cosetlab-lattice-v5"
 DEFAULT_CACHE_DIR = ".cosetlab-cache"
 
 log = logging.getLogger("cosetlab.cache")

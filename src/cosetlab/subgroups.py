@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import bits_tuple, full_mask, mask_of, packed
+from .bitset import bits_tuple, full_mask, mask_of, mask_rows, packed, row_masks
 from .errors import ConsistencyError, NotAGroup, SubgroupCountCapExceeded
 from .groups import FiniteGroup
 
@@ -287,19 +288,23 @@ def enumerate_subgroups(
     """Every subgroup of g, sorted by (order, element tuple).
 
     Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 9).  Every element x is closed to
-    <x> first; the least id of each cyclic subgroup of prime-power order
-    goes on the list L of listed generators, ascending.  Every subgroup K is
-    generated by its elements of prime-power order (x is a product of powers
-    of itself of prime-power order), so by L & K.  Subgroups H are then
-    extended to <H, y> for y in L, each closed from H's mask by ``_close``,
-    not from the identity.  Two rules decide which <H, y> are tried:
+    Computational Group Theory*, 2005, ch. 9).  Every cyclic subgroup <x>
+    is closed once, from its least generator x: the elements x^k with k
+    prime to |<x>| generate it too, so they are skipped.  The least id of
+    each cyclic subgroup of prime-power order goes on the list L of listed
+    generators, ascending.  Every subgroup K is generated by its elements
+    of prime-power order (x is a product of powers of itself of
+    prime-power order), so by L & K.  Subgroups H are then extended to
+    <H, y> for y in L, not closed from the identity.  Two rules decide
+    which <H, y> are tried:
 
     - a non-abelian g goes by conjugacy classes (``_class_lattice``): one
-      queued subgroup per class, one y per double coset H y H;
+      queued subgroup per class, one y per double coset H y H, each closed
+      from H's mask by ``_close``;
     - an abelian g, the one case where ``conjugators(g)`` is empty, goes by
       canonical augmentation (``_canonical_lattice``): each subgroup is
-      closed once, from its canonical parent.
+      found once, from its canonical parent, a whole chain length at a
+      time.
 
     More than ``max_subgroups`` subgroups raise SubgroupCountCapExceeded.
     """
@@ -307,15 +312,41 @@ def enumerate_subgroups(
     # each cyclic subgroup's mask -> its least generator; every cyclic
     # subgroup needs one, also one conjugate to an earlier cyclic subgroup
     seeds: dict[int, int] = {}
+    known = bytearray(g.n)  # 1 at each generator of a cyclic subgroup seen
+    mul = g.mul
     for x in range(g.n):
-        seeds.setdefault(close_generators(g, (x,)), x)
-    listed = [x for m, x in seeds.items() if _is_prime_power(m.bit_count())]
+        if known[x]:
+            continue
+        mask = close_generators(g, (x,))
+        seeds[mask] = x
+        # x^k generates <x> for every k prime to its order
+        d = mask.bit_count()
+        power = x
+        for k in range(1, d):
+            if math.gcd(k, d) == 1:
+                known[power] = 1
+            power = mul[power][x]
+    cyclic = {x: m for m, x in seeds.items() if _is_prime_power(m.bit_count())}
     if maps:
-        found = _class_lattice(g, maps, seeds, listed, max_subgroups)
+        found = _class_lattice(g, maps, seeds, list(cyclic), max_subgroups)
+        subs = [_subgroup_from_mask(g, m) for m in found]
     else:
-        found = _canonical_lattice(g, listed, max_subgroups)
-    subs = [_subgroup_from_mask(g, m) for m in found]
+        subs = _subgroups_from_rows(g, _canonical_lattice(g, cyclic, max_subgroups))
     subs.sort(key=lambda s: s.sort_key)
+    return subs
+
+
+def _subgroups_from_rows(g: FiniteGroup, rows: np.ndarray) -> list[Subgroup]:
+    """Wrap the subgroups whose bool rows (r x n) are ``rows``: elements
+    from one ``nonzero`` split, masks from ``row_masks``."""
+    elems = np.nonzero(rows)[1].tolist()
+    ends = np.cumsum(rows.sum(axis=1)).tolist()
+    subs = []
+    start = 0
+    for mask, end in zip(row_masks(rows), ends):
+        order = end - start
+        subs.append(Subgroup(g, mask, tuple(elems[start:end]), order, g.n // order))
+        start = end
     return subs
 
 
@@ -397,70 +428,118 @@ def _class_lattice(
     return found
 
 
+# entries of one block's coset gather (rows x n x largest order); bounds
+# the canonical route's temporaries
+CANONICAL_BLOCK = 1 << 16
+
+
 def _canonical_lattice(
-    g: FiniteGroup, listed: Sequence[int], max_subgroups: int
-) -> set[int]:
-    """The masks of every subgroup of an abelian g, each closed once.
+    g: FiniteGroup, cyclic: dict[int, int], max_subgroups: int
+) -> np.ndarray:
+    """The bool rows (m x n) of every subgroup of an abelian g, each found
+    once.  ``cyclic`` maps each listed generator, ascending, to the mask of
+    the cyclic subgroup it generates.
 
     Canonical augmentation (B. D. McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998).  The canonical chain of a
     subgroup K is c_1 < c_2 < ..., where c_i is the least listed element of
     K outside P_(i-1), P_i = <P_(i-1), c_i> and P_0 = 1; it ends at
-    P_j = K, since L & K generates K.  K's canonical parent is P_(j-1) and
-    its last generator is c_j.  Only the trivial subgroup is queued at the
-    start, with no last generator.  From a queued H with last generator c,
-    each listed y > c outside H is tried, and K = <H, y> is accepted, and
-    queued with last generator y, exactly when no listed element of K
-    outside H lies below y.  Two shortcuts skip a y before its closure:
-    y in the coset y' H of an earlier candidate y' < y, and a coset y H
-    (which is H y H, g being abelian) that holds a listed element below y.
-    Either way K holds a listed element outside H below y (y', or that
-    element), so y would fail the test.
+    P_j = K, since L & K generates K, and j is K's chain length.  K's
+    canonical parent is P_(j-1) and its last generator is c_j.  Level 0 is
+    the trivial subgroup, with no last generator.  Level j + 1 comes from
+    level j: from H with last generator c, each listed y > c outside H that
+    is the least listed element of its coset y H is tried, and K = <H, y>
+    is accepted, with last generator y, exactly when no listed element of
+    K outside H lies below y.  A y whose coset holds a listed y' < y is not
+    tried: y' lies in K outside H, so K would fail the test.
 
     Unique: K is accepted from H with y only if H's chain followed by y is
     K's chain.  Chains ascend (c_(i+1) lies outside P_i, so differs from
     c_i, and is the least of a smaller set), so every c_i of H is below
     y, which is the least listed element of K outside H; then for i < j the
     least listed element of K outside P_(i-1) is H's c_i, and c_j = y.  So
-    H = P_(j-1) and y = c_j, the one pair that K admits.  A mask accepted
-    twice therefore means the rule is broken, and raises ConsistencyError.
+    H = P_(j-1) and y = c_j, the one pair that K admits, at chain length
+    j.  A subgroup accepted twice therefore means the rule is broken, and
+    raises ConsistencyError.
 
-    Complete: by induction on j, P_(j-1) is accepted and queued with last
-    generator c_(j-1).  From it, c_j > c_(j-1) lies outside P_(j-1); no
-    earlier candidate y' < c_j has c_j in y' P_(j-1), nor does c_j
-    P_(j-1) hold a listed element below c_j, since either would be a
-    listed element of K outside P_(j-1) below c_j; and K = <P_(j-1), c_j>
-    passes the test by the choice of c_j.  So every K is accepted.
+    Complete: by induction on j, P_(j-1) is accepted at level j - 1 with
+    last generator c_(j-1).  From it, c_j > c_(j-1) lies outside P_(j-1),
+    no listed element of c_j P_(j-1) lies below c_j (it would be one of K
+    outside P_(j-1)), and K = <P_(j-1), c_j> passes the test by the choice
+    of c_j.  So every K is accepted, at level j.
+
+    Each level is taken in blocks of rows.  One gather from the Cayley
+    table over the block's elements, padded with the identity, gives per H
+    and x the least element of x H, its coset id; the candidates are the
+    first occurrences of the listed elements' coset ids (``np.unique``),
+    and ``_join`` closes them all at once.  A block holds about
+    ``CANONICAL_BLOCK`` gathered entries, or one row if a row holds more.
+    More than ``max_subgroups`` subgroups raise SubgroupCountCapExceeded,
+    checked once per block.
     """
-    listed_mask = mask_of(listed)
-    trivial = 1 << g.identity
-    found = {trivial}
-    queue: deque[tuple[int, int]] = deque([(trivial, -1)])  # (mask, last generator)
-    mul = g.mul
-    while queue:
-        mask, last = queue.popleft()
-        base = bits_tuple(mask)
-        covered = mask  # H and the cosets y H of earlier candidates
-        for y in listed:
-            if y <= last or covered >> y & 1:
-                continue
-            row = mul[y]
-            coset = mask_of(row[h] for h in base)
-            covered |= coset
-            below = listed_mask & ((1 << y) - 1)
-            if coset & below:
-                continue
-            k = _close(g, (y,), mask, base)
-            if k & ~mask & below:
-                continue
-            if k in found:
+    n = g.n
+    table = g.np_table.astype(np.min_scalar_type(n))
+    listed = np.fromiter(cyclic, dtype=np.int64, count=len(cyclic))
+    seed = mask_rows(list(cyclic.values()), n)
+    level = np.zeros((1, n), dtype=bool)
+    level[0, g.identity] = True
+    last = np.array([-1])
+    levels = [level]
+    seen = set(_row_keys(level))
+    while len(level):
+        order = level.sum(axis=1)
+        step = max(1, CANONICAL_BLOCK // (n * int(order.max())))
+        grown, grown_last = [], []
+        for lo in range(0, len(level), step):
+            rows, size = level[lo : lo + step], order[lo : lo + step]
+            # the elements of each H, padded with the identity; g is
+            # abelian, so table row h is x h over every x
+            at, elems = np.nonzero(rows)
+            base = np.full((len(rows), int(size.max())), g.identity)
+            base[at, np.arange(len(at)) - np.repeat(np.cumsum(size) - size, size)] = elems
+            coset = table[base].min(axis=1)
+            # each coset's least listed element y, tried when y > c lies outside H
+            key = np.arange(len(rows))[:, None] * n + coset[:, listed]
+            _, first = np.unique(key, return_index=True)
+            h, pos = np.divmod(first, len(listed))
+            y = listed[pos]
+            keep = (y > last[lo + h]) & ~rows[h, y]
+            h, pos, y = h[keep], pos[keep], y[keep]
+            k = _join(coset[h], seed[pos])
+            # accepted: no listed element of K outside H below y
+            below = np.arange(len(listed)) < pos[:, None]
+            ok = ~(k[:, listed] & ~rows[h[:, None], listed] & below).any(axis=1)
+            k, y = k[ok], y[ok]
+            keys = _row_keys(k)
+            fresh = set(keys)
+            if len(fresh) < len(keys) or not seen.isdisjoint(fresh):
                 raise ConsistencyError(
                     f"a subgroup of {g.label} was accepted from two canonical parents"
                 )
-            found.add(k)
-            if len(found) > max_subgroups:
+            seen |= fresh
+            if len(seen) > max_subgroups:
                 raise SubgroupCountCapExceeded(
                     f"more than {max_subgroups} subgroups in {g.label}"
                 )
-            queue.append((k, y))
-    return found
+            grown.append(k)
+            grown_last.append(y)
+        level = np.concatenate(grown)
+        last = np.concatenate(grown_last)
+        levels.append(level)
+    return np.concatenate(levels)
+
+
+def _join(coset: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Bool rows of <H, y> in an abelian group, one per row of ``coset``
+    (per x, the least element of x H) and of ``seed`` (the row of <y>):
+    H<y> is the union of the cosets of H that <y> meets."""
+    at, z = np.nonzero(seed)
+    met = np.zeros(seed.shape, dtype=bool)
+    met[at, coset[at, z]] = True
+    return np.take_along_axis(met, coset, axis=1)
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each bool row's ``packed`` words as one bytes key."""
+    words = packed(rows)
+    return words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()

@@ -114,7 +114,8 @@ class PairRows:
     fit j are those below ``fit[j]``, and ``candidate_cliques`` stops its
     order-sum bar at the first position too large.  Row j's
     disjointability row is built only when a bit at or above j survives
-    those two bars.  One source serves every k of a lattice.  Iterating
+    those two bars, and a first pick that ``rows(k)`` lists as lone
+    reads no row.  One source serves every k of a lattice.  Iterating
     yields the m(m+1)/2 unordered pairs i <= j as ``PairStats``.
     """
 
@@ -128,6 +129,10 @@ class PairRows:
             [s.index for s in subgroups], return_inverse=True
         )
         self.fit = np.searchsorted(self.order, g.n - self.order, side="right")
+        # per index class: its order, descending, and the classes of the
+        # same or larger order whose subgroups fit beside its own
+        self._class_order = g.n // self.indices
+        self._partner = np.tril(np.add.outer(self._class_order, self._class_order) <= g.n)
         self._disjoint: list[Optional[int]] = [None] * len(subgroups)
 
     @property
@@ -166,18 +171,30 @@ class PairRows:
     def rows(self, k: int) -> "_BarRows":
         """Row j at gcd bar k, on lookup: bit t set, for every t >= j, when
         positions j and t pass both pair bars; no bit is set below j's block
-        start."""
+        start.  Also lists the lone positions at k: those that, as the first
+        of k picks, no second pick can join within |G|.  One index class
+        holds a run of positions, and every t >= j lies in j's class or in
+        one of larger order, so the least order of a t >= j that passes j's
+        gcd bar and order fit is found per class; j is lone when that order
+        times k - 1 exceeds |G| - |H_j|."""
         low = np.gcd.outer(self.indices, self.indices) < k
-        return _BarRows(self, row_masks(low[:, self.index_class]))
+        reach = np.where(low & self._partner, self._class_order, self.n + 1).min(axis=1)
+        lone = self._class_order + reach * (k - 1) > self.n
+        return _BarRows(
+            self,
+            row_masks(low[:, self.index_class]),
+            np.flatnonzero(lone[self.index_class]).tolist(),
+        )
 
 
 class _BarRows(dict):
     """The rows of one k, each built from its source on the first lookup."""
 
-    def __init__(self, source: PairRows, gcd_ok: list[int]):
+    def __init__(self, source: PairRows, gcd_ok: list[int], lone: list[int]):
         super().__init__()
         self.source = source
         self.gcd_ok = gcd_ok
+        self.lone = lone
 
     def __missing__(self, j: int) -> int:
         src = self.source
@@ -186,6 +203,18 @@ class _BarRows(dict):
         # disjointability row
         row = self[j] = src.disjoint_row(j) & bars if bars >> j else 0
         return row
+
+
+class _LeadRows(dict):
+    """The rows the first pick of a clique reads: 0 at a position that no
+    second pick can join, else the row of ``rows``."""
+
+    def __init__(self, rows: _BarRows):
+        super().__init__(dict.fromkeys(rows.lone, 0))
+        self.rows = rows
+
+    def __missing__(self, j: int) -> int:
+        return self.rows[j]
 
 
 def pair_table(g: FiniteGroup, subgroups: Sequence[Subgroup]) -> PairRows:
@@ -223,20 +252,23 @@ def candidate_cliques(
     # rows[i] has bit j set, for every j >= i, when positions i and j pass
     # both pair bars
     rows = pair_stats.rows(k)
+    n = g.n
 
     out: list[tuple[int, ...]] = []
     visited = 0
 
-    def extend(prefix: tuple[int, ...], osum: int, cand: int) -> None:
+    def extend(
+        prefix: tuple[int, ...], osum: int, cand: int, rows: dict[int, int] = rows
+    ) -> None:
         # cand: positions compatible with every prefix entry, none below the last;
-        # osum: the prefix's order sum
+        # osum: the prefix's order sum; rows: the rows this depth's picks read
         nonlocal visited
         left = k - len(prefix)
         while cand:
             low = cand & -cand
             j = low.bit_length() - 1
             # every later pick has order >= order[j], and so has every later j
-            if osum + order[j] * left > g.n:
+            if osum + order[j] * left > n:
                 break
             visited += 1
             if visited > max_cliques:
@@ -250,7 +282,9 @@ def candidate_cliques(
                 extend(cur, osum + order[j], cand & rows[j])
             cand ^= low
 
-    extend((), 0, full_mask(len(order)))
+    # the first picks read their rows through _LeadRows: a lone first pick's
+    # next pick would break the order-sum bar at once, so it builds no row
+    extend((), 0, full_mask(len(order)), _LeadRows(rows))
     return out
 
 

@@ -130,9 +130,9 @@ def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
     [record] = caplog.records
     assert record.levelno == logging.INFO
     assert fmt in record.message
-    assert "cosetlab-lattice-v4" in record.message
+    assert "cosetlab-lattice-v5" in record.message
     assert "corrupt" not in record.message
-    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v4"
+    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v5"
     assert cached_subgroups(g, tmp_path)[1] == "warm"
 
 
@@ -149,6 +149,12 @@ def test_lattice_from_class_only_extension_is_recomputed(tmp_path, caplog):
     # v3 extended one subgroup per conjugacy class in abelian groups too,
     # not each subgroup once from its canonical parent
     _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v3")
+
+
+def test_lattice_from_per_subgroup_augmentation_is_recomputed(tmp_path, caplog):
+    # v4 closed each abelian subgroup from its canonical parent one at a
+    # time, not a whole chain length at once
+    _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v4")
 
 
 # S3's lattice; the last three payloads hold only its subgroups, but not at

@@ -19,7 +19,7 @@ from cosetlab.errors import (
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
-from cosetlab.bitset import MEET_ROWS, mask_of, meet_orders, packed, row_masks
+from cosetlab.bitset import MEET_ROWS, mask_of, mask_rows, meet_orders, packed, row_masks
 from cosetlab.cache import spec_hash
 from cosetlab.groups import (
     GroupSpec,
@@ -128,6 +128,9 @@ def test_enumeration_matches_reference_on_products(factors):
         "C3xC3xC3",
         "C9xC3",
         "C2xC2xC6",
+        "C2xC2xC2xC4xC4",
+        "C2xC2xC2xC2xC4",
+        "C3xC3xC3xC3",
     ],
 )
 def test_enumeration_matches_cyclic_extension(lattice, name):
@@ -175,41 +178,78 @@ def _count_closures(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_joins(monkeypatch) -> list[int]:
+    """Count the subgroups that the abelian route closes in its batched
+    closure step ``subgroups._join``, one per row of each block it gets."""
+    joined = [0]
+    real = subgroups._join
+
+    def counted(coset, seed):
+        joined[0] += len(seed)
+        return real(coset, seed)
+
+    monkeypatch.setattr(subgroups, "_join", counted)
+    return joined
+
+
 def test_one_extension_per_conjugacy_class_saves_closures(monkeypatch):
     g = load_group(cl.GroupSpec(kind="named", name="A6"))
     calls = _count_closures(monkeypatch)
     assert len(cl.enumerate_subgroups(g)) == 501
-    # 10,326 closures when every subgroup was extended
-    assert calls[0] <= 1000
+    # 167 cyclic seeds, one per cyclic subgroup, and 450 class extensions;
+    # 810 when every element was closed, 10,326 when every subgroup was
+    # extended
+    assert calls[0] == 617
+
+
+@pytest.mark.parametrize("name", ["C12", "C9xC3", "C2xC4xC4", "C2xC2xC2xC2xC2xC2"])
+def test_each_cyclic_subgroup_closed_once(monkeypatch, name):
+    # x^k with k prime to the order of x generates <x> again, so only the
+    # least generator of each cyclic subgroup is closed; an abelian lattice
+    # closes nothing else through _close
+    g = load_group(_resolve_spec(name))
+    cyclic = {subgroups.close_generators(g, (x,)) for x in range(g.n)}
+    calls = _count_closures(monkeypatch)
+    cl.enumerate_subgroups(g)
+    assert calls[0] == len(cyclic)
 
 
 def test_abelian_group_computes_no_conjugates(monkeypatch):
     g = load_group(_resolve_spec("C2xC2xC2xC2xC2xC2"))
     assert subgroups.conjugators(g) == []
     calls = _count_closures(monkeypatch)
+    joined = _count_joins(monkeypatch)
     subs = cl.enumerate_subgroups(g)
     ours = calls[0]
     calls[0] = 0
     cyclic_extension_subgroups(g)
     assert calls[0] == 23626
     # 64 cyclic seeds, then each nontrivial subgroup closed once, from its
-    # canonical parent
-    assert ours == 64 + len(subs) - 1 == 2888
+    # canonical parent, in the batched closure step
+    assert ours == 64
+    assert joined[0] == len(subs) - 1 == 2824
 
 
 def test_duplicate_canonical_acceptance_raises(monkeypatch):
     # closing <y> alone, not <H, y>, hands back a subgroup already accepted
     # from the trivial subgroup
     g = load_group(_resolve_spec("C2xC2xC2"))
-    real = subgroups._close
-    trivial = 1 << g.identity
-
-    def from_identity(group, gens, mask, base):
-        return real(group, gens, trivial, (group.identity,))
-
-    monkeypatch.setattr(subgroups, "_close", from_identity)
+    monkeypatch.setattr(subgroups, "_join", lambda coset, seed: seed)
     with pytest.raises(ConsistencyError, match="two canonical parents"):
         cl.enumerate_subgroups(g)
+
+
+def test_abelian_lattice_memory_bound():
+    # the canonical route holds one block of one chain length's rows at a
+    # time, next to the rows found; C2^6's lattice traced 1.1 MB
+    g = load_group(_resolve_spec("C2xC2xC2xC2xC2xC2"))
+    tracemalloc.start()
+    try:
+        cl.enumerate_subgroups(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_frozen_counts_beyond_catalog():
@@ -375,6 +415,7 @@ def test_packed_takes_any_layout(width):
         assert words.shape == (len(rows), (rows.shape[1] + 63) // 64), name
         assert [int.from_bytes(w.tobytes(), "little") for w in words] == want, name
         assert row_masks(rows) == want, name
+        assert np.array_equal(mask_rows(want, rows.shape[1]), rows), name
 
 
 def _dihedral_by_involutions(n: int) -> GroupSpec:

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import cosetlab as cl
 from cosetlab.bitset import MEET_ROWS, bits_tuple, mask_of
+from cosetlab.cli import _resolve_spec
 from cosetlab.cosets import coset_mask
 from cosetlab.errors import CliqueCapExceeded
+from cosetlab.groups import load_group
 from cosetlab.subgroups import (
     _find_rows,
     _prefix_keys,
@@ -151,8 +153,11 @@ ROW_SOURCE_GROUPS = sorted(cl.CATALOG) + ["D30", "S3xS3xC2", "A4xA4", "A6", C2_6
 # (group, k) -> disjointability rows a fresh source builds for the clique
 # search.  In C2^6 at k = 2 only G has an index prime to another, and no
 # position fits beside G, so the gcd and order-fit bars empty every row;
-# without the order fit all 2825 were built.
-ROWS_BUILT = {(C2_6, 2): 0}
+# without the order fit all 2825 were built.  At k = 3..6 every first pick
+# is lone: the least order of a partner that passes its gcd bar and fits
+# beside it, taken k - 1 times, passes |G| with it; 2,816 rows at k = 3
+# and 4 and 2,112 at k = 5 and 6 were built before.
+ROWS_BUILT = {(C2_6, 2): 0, (C2_6, 3): 0, (C2_6, 4): 0, (C2_6, 5): 0, (C2_6, 6): 0}
 
 
 @pytest.mark.parametrize("name", ROW_SOURCE_GROUPS)
@@ -190,6 +195,30 @@ def test_pair_rows_match_pair_table(lattice, name):
         if (name, k) in ROWS_BUILT:
             built = sum(row is not None for row in fresh._disjoint)
             assert built == ROWS_BUILT[(name, k)]
+
+
+def test_lone_first_picks_build_no_row():
+    # C2^7 at k = 3: a partner of H_j that passes the gcd bar and fits
+    # beside it has index 2, and two of them pass |G| together with H_j, so
+    # extend would stop before any bit of row j; 29,120 rows were built
+    g = load_group(_resolve_spec("C2xC2xC2xC2xC2xC2xC2"))
+    subs = cl.enumerate_subgroups(g, max_subgroups=30_000)
+    source = cl.PairRows(g, subs)
+    for k in range(2, 7):
+        assert cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source) == []
+    assert all(row is None for row in source._disjoint)
+
+
+def test_lone_first_picks_count_against_the_cap(lattice):
+    # a lone first pick builds no row but is still a prefix: at k = 3 every
+    # position of order <= |G| / 3 is visited, and nothing past it
+    g, subs = lattice(C2_6)
+    stats = cl.PairRows(g, subs)
+    visits = sum(3 * s.order <= g.n for s in subs)
+    assert visits == 2761
+    assert cl.candidate_cliques(g, 3, subgroups=subs, pair_stats=stats, max_cliques=visits) == []
+    with pytest.raises(CliqueCapExceeded):
+        cl.candidate_cliques(g, 3, subgroups=subs, pair_stats=stats, max_cliques=visits - 1)
 
 
 @pytest.mark.parametrize("entry", [cl.candidate_cliques, cl.verify_group])
