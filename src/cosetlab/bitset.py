@@ -62,6 +62,11 @@ def mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(bool)
 
 
+def popcounts(words: np.ndarray) -> np.ndarray:
+    """The int64 count of set bits in every row of ``words``."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
 # rows of ``a`` per block in meet_orders: no temporary exceeds MEET_ROWS x len(b) words
 MEET_ROWS = 64
 

@@ -106,7 +106,7 @@ def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgrou
         raise CacheCorrupt(f"{path}: checksum mismatch")
     if payload.get("order") != g.n or payload.get("spec_hash") != digest:
         raise CacheCorrupt(f"{path}: cached for a different group")
-    lists = payload["subgroups"]
+    lists = payload.get("subgroups")
     subs = [_cached_subgroup(g, elems) for elems in lists] if isinstance(lists, list) else []
     if not subs or None in subs:
         raise CacheCorrupt(f"{path}: subgroup lists malformed")

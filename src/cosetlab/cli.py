@@ -146,9 +146,9 @@ def cmd_census(
             f"{g.label}: {n_triples} subgroup triples exceed"
             f" --max-census {args.max_census}"
         )
-    counts, error = lattice_census(subs, max_census=args.max_census)
-    if error is not None:
-        raise ConsistencyError(error)
+    counts, errors = lattice_census(subs, max_census=args.max_census)
+    if errors:
+        raise ConsistencyError(errors[min(errors)])
     orders = np.array([s.order for s in subs], dtype=np.int64)
     enumerated = counts["enumerated"]
     rows = CensusRows.from_fields({**counts, "subgroup_orders": orders[_triples(m)]}, enumerated)

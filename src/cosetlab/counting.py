@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitset import packed
+from .bitset import packed, popcounts
 from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
 from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
@@ -213,13 +213,9 @@ def _orders(w: np.ndarray, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     H_i&H_j&H_t (4 x N) for every row (i, j, t) of ``triples``: popcounts of
     the gathered membership words ``w`` and of their ANDs, int64."""
     rows = [w[triples[:, c]] for c in range(3)]
-
-    def count(words: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
     ij = rows[0] & rows[1]
     meet = [ij, rows[0] & rows[2], rows[1] & rows[2], ij & rows[2]]
-    return np.stack([count(r) for r in rows]), np.stack([count(x) for x in meet])
+    return np.stack([popcounts(r) for r in rows]), np.stack([popcounts(x) for x in meet])
 
 
 def _closed_census(w: np.ndarray, n: int, triples: np.ndarray) -> dict:
@@ -228,7 +224,9 @@ def _closed_census(w: np.ndarray, n: int, triples: np.ndarray) -> dict:
     ``w`` holds the packed membership rows; subgroup, pair and triple orders
     are popcounts of the gathered rows and of their ANDs (``_orders``).  The
     work runs CHECK_ROWS triples at a time, so besides the result only
-    arrays of one block are held.
+    arrays of one block are held.  ``integral`` is False on the rows whose
+    pair-pair closed form is not integral; their ``s_pair_pair`` means
+    nothing.
     """
     size = len(triples)
     out = {
@@ -236,6 +234,7 @@ def _closed_census(w: np.ndarray, n: int, triples: np.ndarray) -> dict:
         "s_pair": np.empty((size, 3), dtype=np.int64),
         "s_pair_pair": np.empty((size, 3), dtype=np.int64),
         "meet_all": np.empty(size, dtype=np.int64),
+        "integral": np.ones(size, dtype=bool),
     }
     for lo in range(0, size, CHECK_ROWS):
         at = slice(lo, lo + CHECK_ROWS)
@@ -248,24 +247,21 @@ def _closed_census(w: np.ndarray, n: int, triples: np.ndarray) -> dict:
         # Pivot orders: share subgroup i, then j, then t.
         for c, (x, y) in enumerate(((p_ij, p_it), (p_ij, p_jt), (p_it, p_jt))):
             num = x * y
-            if (num % idx[c]).any():
-                raise ConsistencyError("pair-pair closed form is not integral")
+            out["integral"][at] &= num % idx[c] == 0
             np.floor_divide(num, idx[c], out=out["s_pair_pair"][at, c])
         out["meet_all"][at] = n // meet[3]
     return out
 
 
-def _census_failure(
-    closed: dict, got: dict, member: np.ndarray
-) -> Optional[tuple[int, str, str]]:
+def _census_failures(closed: dict, got: dict, member: np.ndarray) -> dict[int, tuple[str, str]]:
     """The checks of ``census`` on aligned rows of closed forms and counts.
 
     ``got`` holds each row's enumerated counts: its own for a representative,
     its representative's for a ``member``.  A member's ``s_pair`` and
     ``s_pair_pair`` are compared as sorted triples, because conjugation can
     swap positions of equal order, and its inclusion-exclusion uses its own
-    closed pair counts.  Returns the first failing row, the failing key
-    and why, or None.
+    closed pair counts.  Returns, by position, each failing row's first
+    failing key and why.
     """
     fails = {}
     for key in closed:
@@ -283,18 +279,17 @@ def _census_failure(
         own["total"] - own["s_pair"].sum(axis=0) + own["s_pair_pair"].sum(axis=0) - got["s_triple"]
     )
     fails["n_disjoint"] = incl_excl != got["n_disjoint"]
-    bad = np.logical_or.reduce(list(fails.values()))
-    if not bad.any():
-        return None
-    p = int(np.argmax(bad))
-    key = next(k for k, f in fails.items() if f[p])
-    if key in closed:
-        why = f"closed form {closed[key][p].tolist()} != enumeration {got[key][p].tolist()}"
-    elif key == "s_triple":
-        why = "three pairwise meets undercount the common points"
-    else:
-        why = "inclusion-exclusion disagrees with the disjoint count"
-    return p, key, why
+    out = {}
+    for p in np.flatnonzero(np.logical_or.reduce(list(fails.values()))).tolist():
+        key = next(k for k, f in fails.items() if f[p])
+        if key in closed:
+            why = f"closed form {closed[key][p].tolist()} != enumeration {got[key][p].tolist()}"
+        elif key == "s_triple":
+            why = "three pairwise meets undercount the common points"
+        else:
+            why = "inclusion-exclusion disagrees with the disjoint count"
+        out[p] = key, why
+    return out
 
 
 def _distinct_per_row(keys: np.ndarray) -> np.ndarray:
@@ -381,7 +376,7 @@ def _orbit_census(
     triples: np.ndarray,
     orbits: np.ndarray,
     max_census: int,
-) -> tuple[dict[str, np.ndarray], Optional[str]]:
+) -> tuple[dict[str, np.ndarray], dict[int, str]]:
     """``census`` of every row (i, j, t) of ``triples``, one enumeration per orbit.
 
     ``labels`` holds the lattice's coset labels, one row per subgroup
@@ -391,67 +386,56 @@ def _orbit_census(
     ``_closed_census``; the rows within ``max_census`` that are their own
     label are enumerated (``_enumerate_rows``).  Then every enumerated row is
     checked against its representative's enumeration, CHECK_ROWS rows at a
-    time (``_census_failure``), and takes its ``s_triple`` and
-    ``n_disjoint``.
+    time (``_census_failures``), and takes its ``s_triple`` and
+    ``n_disjoint``.  A row whose pair-pair closed form is not integral
+    fails on that alone; its other checks are skipped.
 
     Returns ``total``, ``s_pair``, ``s_pair_pair``, ``s_triple``,
     ``meet_all``, ``n_disjoint`` and ``enumerated``, one entry per row
-    (``s_triple`` and ``n_disjoint`` are 0 where not enumerated), cut at the
-    first row that fails a check, and that row's ConsistencyError text, or
-    None when every row passes.  A closed form that is not integral leaves
-    no row.
+    (``s_triple`` and ``n_disjoint`` are 0 where not enumerated or failed),
+    and the ConsistencyError text of every failing row, by position in
+    ascending order; the text names the row's orbit's least row when that
+    is another one.
     """
     n = labels.shape[1]
     if n**3 > np.iinfo(np.int64).max:
         raise CounterOverflow(f"census counts of a group of order {n} exceed int64")
-    try:
-        closed = _closed_census(w, n, triples)
-    except ConsistencyError as exc:
-        return _orbit_census(labels, w, triples[:0], orbits[:0], max_census)[0], str(exc)
+    closed = _closed_census(w, n, triples)
+    integral = closed.pop("integral")
     enumerated = closed["total"] <= max_census
     # a member's total is its representative's, so the representative of
     # every enumerated row is enumerated too
     reps = np.flatnonzero((orbits == np.arange(len(orbits))) & enumerated)
-    index = n // np.bitwise_count(w).sum(axis=1, dtype=np.int64)
+    index = n // popcounts(w)
     rep_got = _enumerate_rows(labels, index, triples[reps])
     got = {key: np.zeros(len(triples), dtype=np.int64) for key in ("s_triple", "n_disjoint")}
-    out = {**closed, **got, "enumerated": enumerated}
-    checked = np.flatnonzero(enumerated)
+    not_integral = ("s_pair_pair", "pair-pair closed form is not integral")
+    failures = {p: not_integral for p in np.flatnonzero(~integral).tolist()}
+    checked = np.flatnonzero(enumerated & integral)
     for lo in range(0, len(checked), CHECK_ROWS):
         part = checked[lo : lo + CHECK_ROWS]
         slot = np.searchsorted(reps, orbits[part])
         part_got = {key: v[slot] for key, v in rep_got.items()}
         for key in got:
             got[key][part] = part_got[key]
-        failure = _census_failure(
+        found = _census_failures(
             {key: v[part] for key, v in closed.items()}, part_got, orbits[part] != part
         )
-        if failure is not None:
-            p, key, why = failure
-            at, rep = triples[part[p]].tolist(), triples[orbits[part[p]]].tolist()
-            whose = "" if rep == at else f" (orbit of {tuple(rep)})"
-            error = f"census triple {tuple(at)}{whose} {key}: {why}"
-            return {key: v[: part[p]] for key, v in out.items()}, error
-    return out, None
-
-
-def triple_census(
-    labels: np.ndarray,
-    w: np.ndarray,
-    triples: np.ndarray,
-    *,
-    max_census: int = DEFAULT_CENSUS_CAP,
-) -> tuple[dict[str, np.ndarray], Optional[str]]:
-    """``census`` of every row (i, j, t) of ``triples``, in order, on whole arrays:
-    ``_orbit_census`` with every row its own orbit, and what it returns."""
-    return _orbit_census(labels, w, triples, np.arange(len(triples)), max_census)
+        failures.update((int(part[p]), f) for p, f in found.items())
+    errors = {}
+    for p in sorted(failures):
+        at, rep = tuple(triples[p].tolist()), tuple(triples[orbits[p]].tolist())
+        whose = "" if orbits[p] == p else f" (orbit of {rep})"
+        key, why = failures[p]
+        errors[p] = f"census triple {at}{whose} {key}: {why}"
+    return {**closed, **got, "enumerated": enumerated}, errors
 
 
 def lattice_census(
     subs: Sequence[Subgroup],
     *,
     max_census: int = DEFAULT_CENSUS_CAP,
-) -> tuple[dict[str, np.ndarray], Optional[str]]:
+) -> tuple[dict[str, np.ndarray], dict[int, str]]:
     """The census of every subgroup triple of a lattice, on whole arrays.
 
     The triples (i, j, t), i <= j <= t, are one N x 3 array in
@@ -465,23 +449,22 @@ def lattice_census(
     enumerated.  Otherwise ``subs`` must be closed under conjugation, as a
     whole lattice is; a conjugate missing from it raises ConsistencyError.
 
-    Returns what ``_orbit_census`` returns, one entry per triple cut at the
-    first triple that fails a check, and that triple's ConsistencyError
-    text or None; ``representative`` is True where the triple is the least
-    of its orbit, so its sum is the number of orbits.  Counts are int64,
-    so the group order must stay below 2**21.
+    Returns what ``_orbit_census`` returns: one entry per triple, and the
+    ConsistencyError text of every triple that fails a check, by position;
+    ``representative`` is True where the triple is the least of its orbit,
+    so its sum is the number of orbits.  Counts are int64, so the group
+    order must stay below 2**21.
     """
     parent = subs[0].parent
     if any(s.parent is not parent for s in subs):
         raise ParentMismatch("census subgroups belong to different groups")
     labels = np.stack([coset_labels(s) for s in subs])
     orbits = triple_orbits(subs)
-    counts, error = _orbit_census(
+    counts, errors = _orbit_census(
         labels, packed(membership(subs)), _triples(len(subs)), orbits, max_census
     )
-    end = len(counts["total"])
-    counts["representative"] = orbits[:end] == np.arange(end)
-    return counts, error
+    counts["representative"] = orbits == np.arange(len(orbits))
+    return counts, errors
 
 
 def r_strict_upper(d: int, r_ij: int, r_ik: int, r_jk: int) -> int:

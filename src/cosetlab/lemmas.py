@@ -17,19 +17,17 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import MEET_ROWS, meet_orders, packed
+from .bitset import MEET_ROWS, meet_orders, packed, popcounts
 from .cosets import coset_labels
 from .counting import (
     BLOCK_ENTRIES,
     DEFAULT_CENSUS_CAP,
     _distinct_per_row,
+    _orbit_census,
     _triples,
-    census,
-    lattice_census,
-    triple_census,
     triple_inequalities,
+    triple_orbits,
 )
-from .errors import ConsistencyError
 from .groups import FiniteGroup
 from .subgroups import Subgroup, _closed_under_mul, membership
 
@@ -142,7 +140,7 @@ def _blocks(size: int, row_len: int) -> Iterator[slice]:
 
 def _meet_order(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|H_a & H_b| for the subgroup positions a, b: popcounts of ANDed words."""
-    return np.bitwise_count(w[a] & w[b]).sum(axis=1, dtype=np.int64)
+    return popcounts(w[a] & w[b])
 
 
 def _met_union(labels: np.ndarray, index: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,75 +246,28 @@ def _check_pairs(
         stats["L3.3"].tally_at(every, h_cosets == ok // overlap, tag)
 
 
-def _triple_census(
-    subs: Sequence[Subgroup],
-    labels: np.ndarray,
-    w: np.ndarray,
-    triples: np.ndarray,
-    census_cap: int,
-    from_lattice: bool,
-) -> tuple[dict[int, str], np.ndarray, np.ndarray, Optional[str]]:
-    """The census of each triple: the ConsistencyError text of those whose
-    census raised, by position, and per triple whether it was enumerated and
-    its ``n_disjoint`` (0 where not enumerated); last, the text of a batched
-    census error that ``census`` did not reproduce, or None.
-
-    With ``from_lattice`` the triples are all of them, in
-    ``combinations_with_replacement`` order, and ``lattice_census`` counts
-    them; otherwise ``triple_census`` does.  Either counts on whole arrays
-    and stops at the first triple that fails a check of ``census``.  The
-    triples from that one on go through ``census`` one at a time, so each
-    failure is named as ``census`` names it.  If the failing triple does not
-    fail there, the batched error is returned.
-    """
-    if from_lattice:
-        counts, error = lattice_census(subs, max_census=census_cap)
-        route = "lattice census"
-    else:
-        counts, error = triple_census(labels, w, triples, max_census=census_cap)
-        route = "sampled census"
-    size, done = len(triples), len(counts["enumerated"])
-    enumerated = np.zeros(size, dtype=bool)
-    n_disjoint = np.zeros(size, dtype=np.int64)
-    enumerated[:done] = counts["enumerated"]
-    n_disjoint[:done] = counts["n_disjoint"]
-    errors: dict[int, str] = {}
-    for p in range(done, size):
-        i, j, t = triples[p]
-        try:
-            cen = census(subs[i], subs[j], subs[t], max_census=census_cap)
-        except ConsistencyError as exc:
-            errors[p] = str(exc)
-            continue
-        enumerated[p] = cen.enumerated
-        n_disjoint[p] = cen.n_disjoint or 0
-    batch_error = None if error is None or done in errors else f"{route}: {error}"
-    return errors, enumerated, n_disjoint, batch_error
-
-
 def _check_triples(
     g: FiniteGroup,
     subs: Sequence[Subgroup],
     labels: np.ndarray,
     w: np.ndarray,
     triples: np.ndarray,
+    orbits: np.ndarray,
     stats: dict[str, LemmaStats],
     census_cap: int,
-    from_lattice: bool,
 ) -> None:
     """L3.2, E3.1, E3.2 and E3.4 on the rows (i, j, k) of ``triples``, in order.
 
-    Per triple, as ``census`` and then the oracle
-    ``tests/helpers.check_triple_inequalities`` would find it: a census
-    that raises fails L3.2 and skips the rest; an enumerated one holds
-    L3.2.  An r-value that is not integral fails E3.4 and skips E3.1 and
-    E3.2.  E3.2 needs a common pair gcd and an
-    enumerated census with a disjoint coset triple.  A batched census
-    error that ``census`` does not reproduce is one more L3.2 failure.
+    The census of every row comes from ``_orbit_census``, one enumeration
+    per orbit of ``orbits``.  Per triple, as ``census`` and then the oracle
+    ``tests/helpers.check_triple_inequalities`` would find it: a triple
+    that fails a census check fails L3.2, named by its census text, and
+    skips the rest; an enumerated one holds L3.2.  An r-value that is not
+    integral fails E3.4 and skips E3.1 and E3.2.  E3.2 needs a common pair
+    gcd and an enumerated census with a disjoint coset triple.
     """
-    errors, enumerated, n_disjoint, batch_error = _triple_census(
-        subs, labels, w, triples, census_cap, from_lattice
-    )
+    counts, errors = _orbit_census(labels, w, triples, orbits, census_cap)
+    enumerated, n_disjoint = counts["enumerated"], counts["n_disjoint"]
     ineq = triple_inequalities(w, g.n, triples)
     census_ok = np.ones(len(triples), dtype=bool)
     census_ok[list(errors)] = False
@@ -327,8 +278,6 @@ def _check_triples(
         return f"{g.label}: orders ({i},{j},{k})"
 
     stats["L3.2"].tally_at(~census_ok | enumerated, census_ok, lambda p: f"{tag(p)}: {errors[p]}")
-    if batch_error is not None:
-        stats["L3.2"].record(False, f"{g.label}: {batch_error}")
     stats["E3.4"].tally_at(
         census_ok,
         integral & ineq.divisibility_ok & ineq.scaled_divisibility_ok,
@@ -495,9 +444,9 @@ def run_lemma_suite(
         3,
     )
     samples += drawn
-    _check_triples(
-        g, subs, labels, w, triples, stats, census_cap, triple_mode == "exhaustive"
-    )
+    # exhaustive triples are the lattice's, in the order triple_orbits labels
+    orbits = triple_orbits(subs) if triple_mode == "exhaustive" else np.arange(len(triples))
+    _check_triples(g, subs, labels, w, triples, orbits, stats, census_cap)
 
     nested_mode, quadruples, drawn = _instances(
         g.n <= NESTED_ORDER_LIMIT, every_nested, draw_nested, 4

@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 from hypothesis import strategies as st
 
+import cosetlab.counting
 from cosetlab import FiniteGroup, GroupSpec, RValue, Subgroup
 from cosetlab.bitset import bits_tuple, full_mask, lowest_bit, mask_of
 from cosetlab.cosets import (
@@ -523,13 +524,26 @@ def _check_triple(gi: Subgroup, gj: Subgroup, gk: Subgroup, stats: dict, census_
         )
 
 
-def per_triple_family(g, subs, labels, w, triples, stats, census_cap, from_lattice) -> None:
+def per_triple_family(g, subs, labels, w, triples, orbits, stats, census_cap) -> None:
     """Drop-in for ``cosetlab.lemmas._check_triples``: L3.2, E3.1, E3.2 and
     E3.4 recorded one triple at a time, in order, from ``census`` and
-    ``check_triple_inequalities``; ``labels``, ``w`` and ``from_lattice``
-    are not read."""
+    ``check_triple_inequalities``; ``labels``, ``w`` and ``orbits`` are not
+    read."""
     for i, j, k in triples:
         _check_triple(subs[i], subs[j], subs[k], stats, census_cap)
+
+
+def plant_enumeration_fault(monkeypatch, bad) -> None:
+    """One wrong ``meet_all`` in the batched census enumeration of every row
+    (i, j, t) equal to ``bad``."""
+    real = cosetlab.counting._enumerate_rows
+
+    def enumerate_rows(labels, index, rows):
+        counts = real(labels, index, rows)
+        counts["meet_all"][(rows == bad).all(axis=1)] += 1
+        return counts
+
+    monkeypatch.setattr(cosetlab.counting, "_enumerate_rows", enumerate_rows)
 
 
 def check_pair(g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict) -> None:

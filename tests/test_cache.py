@@ -197,6 +197,21 @@ def test_checksummed_file_with_malformed_subgroups_is_recomputed(tmp_path, caplo
     assert cached_subgroups(g, tmp_path)[1] == "warm"
 
 
+def test_checksummed_file_without_subgroups_is_recomputed(tmp_path):
+    # the checksum covers a missing subgroup list as null, so it holds; the
+    # file is corrupt, not a KeyError
+    g = cl.load_catalog_group("S3")
+    path = _write_checksummed(tmp_path, g, LATTICE_FORMAT, None)
+    doc = json.loads(path.read_text())
+    del doc["subgroups"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheCorrupt, match="malformed"):
+        load_lattice(g, tmp_path)
+    got, status = cached_subgroups(g, tmp_path)
+    assert status == "cold"
+    assert [s.elements for s in got] == [s.elements for s in cl.enumerate_subgroups(g)]
+
+
 @pytest.mark.parametrize("fail", ["dumps", "write_text"])
 def test_failed_write_keeps_previous_lattice(tmp_path, monkeypatch, fail):
     g = cl.load_catalog_group("C12")

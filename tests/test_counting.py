@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import cosetlab as cl
 from cosetlab.bitset import mask_of, packed
-from cosetlab.counting import _checked, triple_inequalities
+from cosetlab.counting import DEFAULT_CENSUS_CAP, _checked, triple_inequalities
 from cosetlab.subgroups import membership
 from cosetlab.errors import CounterOverflow, ParentMismatch
 
-from helpers import check_triple_inequalities, triple_census_brute
+from helpers import check_triple_inequalities, plant_enumeration_fault, triple_census_brute
 
 CENSUS_GROUPS = ["C6", "C12", "S3", "Q8", "C2xC2", "D4", "A4", "S3xC2"]
 
@@ -266,8 +266,8 @@ ORACLE_GROUPS = [
 def _lattice_entries(subs, cap):
     """The lattice census, which must pass every check, as one TripleCensus
     per triple, in combinations_with_replacement order."""
-    counts, error = cl.lattice_census(subs, max_census=cap)
-    assert error is None
+    counts, errors = cl.lattice_census(subs, max_census=cap)
+    assert errors == {}
     assert {len(v) for v in counts.values()} == {len(_triples(subs))}
     columns = {key: v.tolist() for key, v in counts.items()}
     out = []
@@ -320,8 +320,10 @@ def test_triple_census_matches_census_across_c(lattice):
     )
     assert {subs[t].index for t in triples[:, 2]} >= {1, 2, 60, 120}
     labels = np.stack([cl.coset_labels(s) for s in subs])
-    got, error = cl.counting.triple_census(labels, packed(membership(subs)), triples)
-    assert error is None
+    got, errors = cl.counting._orbit_census(
+        labels, packed(membership(subs)), triples, np.arange(len(triples)), DEFAULT_CENSUS_CAP
+    )
+    assert errors == {}
     want = [cl.census(*(subs[x] for x in t)) for t in triples.tolist()]
     assert got["enumerated"].tolist() == [c.enumerated for c in want]
     assert got["enumerated"][-2:].tolist() == [True, False]
@@ -330,18 +332,27 @@ def test_triple_census_matches_census_across_c(lattice):
 
 
 def test_lattice_census_names_first_failing_triple(lattice, monkeypatch):
-    # merging the trivial subgroup's cosets in pairs breaks every count of the
-    # enumeration through it, so the first triple (0, 0, 0) fails first
+    # merging the trivial subgroup's cosets in pairs breaks the enumeration
+    # of every triple through it: each is named, the first (0, 0, 0), and
+    # the counts of every triple are returned
     g, subs = lattice("C6")
+    clean, _ = cl.lattice_census(subs)
     true_labels = cl.counting.coset_labels
 
     def merged(h):
         return true_labels(h) // 2 if h.order == 1 else true_labels(h)
 
     monkeypatch.setattr(cl.counting, "coset_labels", merged)
-    counts, error = cl.lattice_census(subs)
-    assert error.startswith("census triple (0, 0, 0) ")
-    assert {len(v) for v in counts.values()} == {0}
+    counts, errors = cl.lattice_census(subs)
+    triples = _triples(subs)
+    assert list(errors) == [p for p, t in enumerate(triples) if 0 in t]
+    assert errors[0].startswith("census triple (0, 0, 0) ")
+    for p, text in errors.items():
+        assert text.startswith(f"census triple {triples[p]} "), text
+    assert counts.keys() == clean.keys()
+    for name, v in counts.items():
+        assert len(v) == len(triples), name
+        assert np.array_equal(v[len(errors):], clean[name][len(errors):]), name
 
 
 def _triples(subs):
@@ -383,13 +394,13 @@ def test_triple_orbits_match_conjugation_by_every_element(lattice, name):
 def _spy_members(monkeypatch):
     """Record the member flags of every block of rows lattice_census checks."""
     seen = []
-    real = cl.counting._census_failure
+    real = cl.counting._census_failures
 
     def spy(closed, got, member):
         seen.append(member.copy())
         return real(closed, got, member)
 
-    monkeypatch.setattr(cl.counting, "_census_failure", spy)
+    monkeypatch.setattr(cl.counting, "_census_failures", spy)
     return seen
 
 
@@ -417,8 +428,8 @@ def test_orbit_census_checks_every_member(lattice, monkeypatch):
 @pytest.mark.parametrize("key", ["total", "s_pair", "s_pair_pair", "meet_all"])
 def test_lattice_census_names_failing_member(lattice, monkeypatch, key):
     # a fault in one member's closed form, not in its representative's, is
-    # caught against the representative's enumeration and names the member;
-    # the counts of the triples before the member are returned as they are
+    # caught against the representative's enumeration and names the member
+    # alone; every other count is returned as it is
     _, subs = lattice("S4")
     clean, _ = cl.lattice_census(subs)
     orbits = cl.triple_orbits(subs)
@@ -433,11 +444,52 @@ def test_lattice_census_names_failing_member(lattice, monkeypatch, key):
         return closed
 
     monkeypatch.setattr(cl.counting, "_closed_census", planted)
-    counts, error = cl.lattice_census(subs)
-    assert error.startswith(f"census triple {triples[p]} (orbit of {triples[orbits[p]]}) {key}:")
+    counts, errors = cl.lattice_census(subs)
+    assert list(errors) == [p]
+    assert errors[p].startswith(f"census triple {triples[p]} (orbit of {triples[orbits[p]]}) {key}:")
     assert counts.keys() == clean.keys()
+    counts[key][p] -= 1
     for name, v in counts.items():
-        assert np.array_equal(v, clean[name][:p]), name
+        assert np.array_equal(v, clean[name]), name
+
+
+def test_lattice_census_names_every_row_of_a_failing_orbit(lattice, monkeypatch):
+    # one wrong count in one representative's enumeration: the
+    # representative fails, and so does every member checked against it,
+    # each named with the representative
+    _, subs = lattice("S4")
+    orbits = cl.triple_orbits(subs)
+    triples = _triples(subs)
+    rep = int(np.flatnonzero(np.bincount(orbits) > 2)[-1])
+    plant_enumeration_fault(monkeypatch, triples[rep])
+    _, errors = cl.lattice_census(subs)
+    assert list(errors) == np.flatnonzero(orbits == rep).tolist()
+    assert errors.pop(rep).startswith(f"census triple {triples[rep]} meet_all: closed form ")
+    for p, text in errors.items():
+        assert text.startswith(f"census triple {triples[p]} (orbit of {triples[rep]}) meet_all:")
+
+
+def test_lattice_census_flags_a_non_integral_row_alone(lattice, monkeypatch):
+    # an order of 7 for A4 in S4 makes its index 3, which does not divide the
+    # pair-pair numerator 2 * 2 of the triple (A4, A4, A4): that row fails on
+    # its own with that key and no other check, and no other row fails
+    _, subs = lattice("S4")
+    q = next(x for x, s in enumerate(subs) if s.order == 12)
+    triples = _triples(subs)
+    p = triples.index((q, q, q))
+    real = cl.counting._orders
+
+    def orders(w, rows):
+        order, meet = real(w, rows)
+        order[0][(rows == q).all(axis=1)] = 7
+        return order, meet
+
+    monkeypatch.setattr(cl.counting, "_orders", orders)
+    counts, errors = cl.lattice_census(subs)
+    assert errors == {
+        p: f"census triple {(q, q, q)} s_pair_pair: pair-pair closed form is not integral"
+    }
+    assert len(counts["total"]) == len(triples)
 
 
 def test_representative_pair_counts_compared_in_place(lattice, monkeypatch):
@@ -457,9 +509,10 @@ def test_representative_pair_counts_compared_in_place(lattice, monkeypatch):
         return closed
 
     monkeypatch.setattr(cl.counting, "_closed_census", swapped)
-    counts, error = cl.lattice_census(subs)
-    assert error.startswith(f"census triple {_triples(subs)[picked[0]]} s_pair:")
-    assert len(counts["total"]) == picked[0]
+    counts, errors = cl.lattice_census(subs)
+    assert list(errors) == picked
+    assert errors[picked[0]].startswith(f"census triple {_triples(subs)[picked[0]]} s_pair:")
+    assert len(counts["total"]) == len(_triples(subs))
 
 
 def test_lattice_census_parent_check(lattice):

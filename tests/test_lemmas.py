@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -13,7 +12,12 @@ import cosetlab.counting
 import cosetlab.lemmas
 from cosetlab.counting import DEFAULT_CENSUS_CAP
 from cosetlab.lemmas import LemmaStats
-from helpers import per_pair_family, per_quadruple_family, per_triple_family
+from helpers import (
+    per_pair_family,
+    per_quadruple_family,
+    per_triple_family,
+    plant_enumeration_fault,
+)
 
 
 EXHAUSTIVE_GROUPS = ["C6", "C12", "S3", "D4", "D6", "Q8", "A4", "C2xC2", "C2xC2xC2", "S4"]
@@ -187,10 +191,7 @@ def test_triple_family_matches_per_triple_oracle(lattice, monkeypatch, name, cap
     # nested families are left out (no samples, no exhaustive pairs or nesting)
     g, subs = lattice(name)
 
-    def per_triple_census(*args, **kwargs):
-        raise AssertionError("exhaustive triples read the lattice census")
-
-    monkeypatch.setattr("cosetlab.lemmas.census", per_triple_census)
+    _no_per_triple_census(monkeypatch)
     _set_limits(monkeypatch, {"SAMPLE_TARGET": 0, "PAIR_LIMIT": 0, "NESTED_ORDER_LIMIT": 0})
 
     def run():
@@ -233,140 +234,84 @@ def test_failed_strict_bound_examples_match_oracle(lattice, monkeypatch):
     assert e32["examples"][0].endswith(" bound=0")
 
 
-def _stopped_at(real_lattice, bad):
-    """``lattice_census`` that stops at triple position ``bad`` with a planted
-    error, its counts before that triple intact."""
+def _no_per_triple_census(monkeypatch):
+    """Fail the test if the library's per-triple ``census`` is called; the
+    oracle in tests/helpers.py holds its own reference to it."""
 
-    def lattice_census(subs, **kwargs):
-        counts, error = real_lattice(subs, **kwargs)
-        assert error is None
-        triple = list(combinations_with_replacement(range(len(subs)), 3))[bad]
-        return {key: v[:bad] for key, v in counts.items()}, f"census triple {triple}: planted fault"
+    def per_triple_census(*args, **kwargs):
+        raise AssertionError("the lemma suite reads the batched census")
 
-    return lattice_census
+    monkeypatch.setattr("cosetlab.counting.census", per_triple_census)
 
 
-def test_lattice_census_failure_finishes_per_triple(lattice, monkeypatch):
-    # A census fault that the lattice census meets at one triple,
-    # mid-lattice, and the per-triple census at every triple from there on:
-    # the suite finishes those triples one at a time, so each failure, and
-    # the E3.x checks it skips, land as on the per-triple route.
-    g, subs = lattice("S4")
-    pos = {id(s): x for x, s in enumerate(subs)}
-    triples = list(combinations_with_replacement(range(len(subs)), 3))
-    bad = len(triples) // 3
-    real_enum, real_census = cosetlab.counting._enumerate_counts, cosetlab.lemmas.census
-    calls = []
-
-    def enumerate_counts(gi, gj, gk):
-        counts = real_enum(gi, gj, gk)
-        if (pos[id(gi)], pos[id(gj)], pos[id(gk)]) >= triples[bad]:
-            counts["meet_all"] += 1
-        return counts
-
-    def census(*args, **kwargs):
-        calls.append(args)
-        return real_census(*args, **kwargs)
-
-    clean = cl.run_lemma_suite(g, subs)
-    monkeypatch.setattr("cosetlab.lemmas.lattice_census", _stopped_at(cl.lattice_census, bad))
-    monkeypatch.setattr("cosetlab.counting._enumerate_counts", enumerate_counts)
-    monkeypatch.setattr("cosetlab.lemmas.census", census)
-    fast, oracle = _with_oracle(monkeypatch, lambda: cl.run_lemma_suite(g, subs))
-    assert fast == oracle
-    # the per-triple route reads helpers.census, not cosetlab.lemmas.census
-    assert len(calls) == len(triples) - bad
+def _skipped_by_failed_census(clean, fast, failed):
+    """The report ``fast`` differs from ``clean`` only where ``failed``
+    triples failed L3.2 and skipped E3.1, E3.2 and E3.4."""
     l32 = fast["stats"]["L3.2"]
-    assert l32["failed"] > 5 and len(l32["examples"]) == 5
-    assert all("census meet_all" in e for e in l32["examples"])
-    # a triple whose census raised checks no inequality
+    assert fast["failures"] == l32["failed"] == failed
+    assert l32["checked"] == clean["stats"]["L3.2"]["checked"]
     for lid in ("E3.1", "E3.4"):
-        assert fast["stats"][lid]["checked"] == clean.stats[lid].checked - l32["failed"]
+        assert fast["stats"][lid]["checked"] == clean["stats"][lid]["checked"] - failed
+    assert fast["stats"]["E3.2"]["checked"] <= clean["stats"]["E3.2"]["checked"]
+    for lid in cl.LEMMA_IDS:
+        if lid not in ("L3.2", "E3.1", "E3.2", "E3.4"):
+            assert fast["stats"][lid] == clean["stats"][lid], lid
 
 
-@pytest.mark.parametrize("per_triple_too", [True, False])
-def test_sampled_census_failure_finishes_per_triple(lattice, monkeypatch, per_triple_too):
-    # A census fault at one drawn triple, planted in the batched enumeration
-    # and, when per_triple_too, in the per-triple one: the batched census
-    # stops at the triple's first draw, and the draws from there on go
-    # through census one at a time.  With the fault in both routes every
-    # draw of the triple fails L3.2 as on the per-triple route; with the
-    # fault in the batched route alone, its error is one more L3.2 failure
-    # and every other count is as on a clean run.
+def test_lattice_census_fault_fails_each_triple(lattice, monkeypatch):
+    # A wrong count in the enumeration of one orbit representative of S4's
+    # exhaustive triples: the representative and every member of its orbit
+    # fail L3.2 once each, named by their census text (a member's with its
+    # representative), and skip E3.1, E3.2 and E3.4; no per-triple census runs.
+    g, subs = lattice("S4")
+    clean = cl.run_lemma_suite(g, subs).to_json_dict()
+    orbits = cl.triple_orbits(subs)
+    triples = cosetlab.counting._triples(len(subs))
+    large = np.flatnonzero(np.bincount(orbits) > 5)  # representatives of orbits of 6 or more
+    rep = int(large[len(large) // 2])
+    members = np.flatnonzero(orbits == rep)
+    plant_enumeration_fault(monkeypatch, triples[rep])
+    _no_per_triple_census(monkeypatch)
+    fast = cl.run_lemma_suite(g, subs).to_json_dict()
+    _skipped_by_failed_census(clean, fast, len(members))
+
+    def named(p):
+        orders = ",".join(str(subs[x].order) for x in triples[p])
+        return f"S4: orders ({orders}): census triple {tuple(triples[p].tolist())}"
+
+    examples = fast["stats"]["L3.2"]["examples"]
+    assert len(examples) == 5
+    assert examples[0].startswith(named(rep) + " meet_all: closed form ")
+    for p, text in zip(members[1:], examples[1:]):
+        assert text.startswith(f"{named(p)} (orbit of {tuple(triples[rep].tolist())}) meet_all:")
+
+
+def test_sampled_census_fault_fails_each_draw(lattice, monkeypatch):
+    # A wrong count in the batched enumeration of one triple drawn from S5,
+    # possibly more than once: every draw is its own orbit, fails L3.2 once,
+    # named by its census text, and skips E3.1, E3.2 and E3.4.
     g, subs = lattice("S5")
-    drawn, calls = [], []
-    real_batch, real_rows = cosetlab.lemmas.triple_census, cosetlab.counting._enumerate_rows
-    real_census, real_enum = cosetlab.lemmas.census, cosetlab.counting._enumerate_counts
+    drawn = []
+    real = cosetlab.lemmas._orbit_census
 
-    def triple_census(labels, w, triples, **kwargs):
+    def orbit_census(labels, w, triples, orbits, cap):
         drawn.append(triples)
-        return real_batch(labels, w, triples, **kwargs)
+        return real(labels, w, triples, orbits, cap)
 
-    monkeypatch.setattr("cosetlab.lemmas.triple_census", triple_census)
+    monkeypatch.setattr("cosetlab.lemmas._orbit_census", orbit_census)
     clean = cl.run_lemma_suite(g, subs).to_json_dict()
     triples = drawn[0]
     totals = [math.prod(subs[x].index for x in t) for t in triples]
     first = next(p for p in range(len(triples) // 3, len(triples)) if totals[p] <= DEFAULT_CENSUS_CAP)
     bad = tuple(triples[first].tolist())
-    bad_subs = tuple(id(subs[x]) for x in bad)
     hits = sum(tuple(t) == bad for t in triples.tolist())
-
-    def enumerate_rows(labels, index, rows):
-        counts = real_rows(labels, index, rows)
-        counts["meet_all"][(rows == bad).all(axis=1)] += 1
-        return counts
-
-    def enumerate_counts(gi, gj, gk):
-        counts = real_enum(gi, gj, gk)
-        if (id(gi), id(gj), id(gk)) == bad_subs:
-            counts["meet_all"] += 1
-        return counts
-
-    def census(*args, **kwargs):
-        calls.append(args)
-        return real_census(*args, **kwargs)
-
-    monkeypatch.setattr("cosetlab.counting._enumerate_rows", enumerate_rows)
-    if per_triple_too:
-        monkeypatch.setattr("cosetlab.counting._enumerate_counts", enumerate_counts)
-    monkeypatch.setattr("cosetlab.lemmas.census", census)
+    plant_enumeration_fault(monkeypatch, bad)
+    _no_per_triple_census(monkeypatch)
     fast = cl.run_lemma_suite(g, subs).to_json_dict()
-    assert len(calls) == len(triples) - first
-    l32 = fast["stats"]["L3.2"]
-    if per_triple_too:
-        monkeypatch.setattr("cosetlab.lemmas._check_triples", per_triple_family)
-        assert fast == cl.run_lemma_suite(g, subs).to_json_dict()
-        assert l32["failed"] == hits
-        assert all("census meet_all" in e for e in l32["examples"])
-        for lid in ("E3.1", "E3.4"):
-            assert fast["stats"][lid]["checked"] == clean["stats"][lid]["checked"] - hits
-    else:
-        assert fast["failures"] == l32["failed"] == 1
-        assert l32["checked"] == clean["stats"]["L3.2"]["checked"] + 1
-        assert len(l32["examples"]) == 1
-        assert l32["examples"][0].startswith(f"S5: sampled census: census triple {bad} meet_all:")
-        for lid in cl.LEMMA_IDS:
-            if lid != "L3.2":
-                assert fast["stats"][lid] == clean["stats"][lid], lid
-
-
-def test_lattice_only_census_fault_is_reported(lattice, monkeypatch):
-    # A fault that only the lattice census meets: the per-triple census of
-    # the pair where it raised finds nothing, so the lattice census's error
-    # is one more L3.2 failure, and every other count is as on a clean run.
-    g, subs = lattice("S4")
-    triples = list(combinations_with_replacement(range(len(subs)), 3))
-    bad = len(triples) // 2
-    clean = cl.run_lemma_suite(g, subs).to_json_dict()
-    monkeypatch.setattr("cosetlab.lemmas.lattice_census", _stopped_at(cl.lattice_census, bad))
-    res = cl.run_lemma_suite(g, subs).to_json_dict()
-    l32 = res["stats"]["L3.2"]
-    assert res["failures"] == l32["failed"] == 1
-    assert l32["checked"] == clean["stats"]["L3.2"]["checked"] + 1
-    assert l32["examples"] == [f"S4: lattice census: census triple {triples[bad]}: planted fault"]
-    for lid in cl.LEMMA_IDS:
-        if lid != "L3.2":
-            assert res["stats"][lid] == clean["stats"][lid], lid
+    _skipped_by_failed_census(clean, fast, hits)
+    orders = ",".join(str(subs[x].order) for x in bad)
+    for text in fast["stats"]["L3.2"]["examples"]:
+        assert text.startswith(f"S5: orders ({orders}): census triple {bad} meet_all: closed form ")
 
 
 def test_modes_switch_to_sampled(lattice, monkeypatch):

@@ -30,3 +30,41 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert unused == [], f"{path.name} never uses {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level ``_``-prefixed functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree: ast.AST):
+    """The names a module reads or imports: loaded names, attributes and
+    the names in ``from`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_private_names_are_used():
+    # a private module-level name that nothing in the package reads is dead
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    read = {name for tree in trees.values() for name in _references(tree)}
+    dead = sorted(
+        f"{module}:{private}"
+        for module, tree in trees.items()
+        for private in _private_definitions(tree)
+        if private not in read
+    )
+    assert dead == []
