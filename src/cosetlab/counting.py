@@ -297,22 +297,37 @@ def _distinct_per_row(keys: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(np.diff(np.sort(keys, axis=1), axis=1), axis=1)
 
 
+def _meeting_pairs(
+    x: np.ndarray, y: np.ndarray, width: np.ndarray, off_x: np.ndarray, off_y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct label pairs (x, y) of every row of the B x n label arrays
+    ``x`` and ``y``, y below the row's ``width``, from one sort of the row's
+    keys x * width + y: the row of each pair, and its x and y numbered
+    through the block, a row's from its ``off_x`` and ``off_y`` on."""
+    keys = np.sort(x * width[:, None] + y, axis=1)
+    new = np.ones(keys.shape, dtype=bool)
+    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    r = np.nonzero(new)[0]
+    u, v = np.divmod(keys[new], width[r])
+    return r, off_x[r] + u, off_y[r] + v
+
+
 def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) -> dict:
     """``_enumerate_counts`` of every row (i, j, t) of ``triples``, on whole arrays.
 
     ``labels`` holds the lattice's coset labels, one row per subgroup, and
-    ``index`` the subgroup indices.  Rows are grouped by the indices (a, b)
-    of H_i and H_j and ordered by the index c of H_t, so a block of B rows
-    holds its meeting matrices Mij, Mit and Mjt as B x a x b, B x a x c and
-    B x b x c bool arrays, with c the block's largest; the columns past a
-    row's own c are zero and change no count.  Pair and pair-pair counts are
-    their sums as in ``_enumerate_counts``.  The rows of Mit and Mjt are
-    packed into 64-bit words (``bitset.packed``): ``s_triple`` sums, over
-    the meeting pairs (x, y) of Mij, the popcount of row x of Mit ANDed with
-    row y of Mjt; ``n_disjoint`` sums, over the other pairs, the row's c
-    cosets of H_t less those in the OR of the two rows, so it is counted
-    directly, not by inclusion-exclusion.  A block's AND and OR products
-    hold at most about BLOCK_ENTRIES words, or one row.
+    ``index`` the subgroup indices, a, b and c for H_i, H_j and H_t.  The
+    coset pairs that meet are a row's distinct label pairs
+    (``_meeting_pairs``), with a block's cosets numbered row after row:
+    pair counts are their numbers, pair-pair counts dot products of how
+    many each coset meets.  Left
+    multiplication permutes the cosets of H_i transitively and keeps every
+    meet, so each lies in as many triples of each kind as H_i itself, the
+    coset of point 0: ``s_triple`` is a times the meeting pairs of an
+    H_j-coset and an H_t-coset that both meet H_i, and ``n_disjoint`` a
+    times the pairs that do not meet of an H_j-coset and an H_t-coset that
+    both miss H_i, counted directly, not by inclusion-exclusion.  A block
+    holds about BLOCK_ENTRIES labels per array, or one row.
     """
     size, n = len(triples), labels.shape[1]
     out = {
@@ -323,50 +338,34 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
         "meet_all": np.empty(size, dtype=np.int64),
         "n_disjoint": np.empty(size, dtype=np.int64),
     }
-    shape = index[triples].reshape(-1, 3)
-    pairs, pair_of = np.unique(shape[:, :2], axis=0, return_inverse=True)
-    pair_of = pair_of.reshape(-1)
-    by_pair = np.lexsort((shape[:, 2], pair_of))
-    bounds = np.searchsorted(pair_of[by_pair], np.arange(len(pairs) + 1))
-    for (a, b), first, last in zip(pairs.tolist(), bounds[:-1], bounds[1:]):
-        c = int(shape[by_pair[last - 1], 2])
-        words = -(-c // 64)
-        step = max(1, BLOCK_ENTRIES // (a * b * words + (a + b) * c + n))
-        for lo in range(first, last, step):
-            at = by_pair[lo : min(lo + step, last)]
-            block, cs = len(at), shape[at, 2]
-            li, lj, lt = labels[triples[at]].transpose(1, 0, 2)
-            r = np.arange(block)[:, None]
-            mij = np.zeros((block, a, b), dtype=bool)
-            mit = np.zeros((block, a, c), dtype=bool)
-            mjt = np.zeros((block, b, c), dtype=bool)
-            mij[r, li, lj] = mit[r, li, lt] = mjt[r, lj, lt] = True
-            row_ij, col_ij = np.count_nonzero(mij, axis=2), np.count_nonzero(mij, axis=1)
-            row_it, col_it = np.count_nonzero(mit, axis=2), np.count_nonzero(mit, axis=1)
-            row_jt, col_jt = np.count_nonzero(mjt, axis=2), np.count_nonzero(mjt, axis=1)
-            meets = row_ij.sum(axis=1)
-            out["total"][at] = a * b * cs
-            out["s_pair"][at] = np.stack(
-                [meets * cs, row_it.sum(axis=1) * b, row_jt.sum(axis=1) * a], axis=1
-            )
-            out["s_pair_pair"][at] = np.stack(
-                [
-                    (row_ij * row_it).sum(axis=1),
-                    (col_ij * row_jt).sum(axis=1),
-                    (col_it * col_jt).sum(axis=1),
-                ],
-                axis=1,
-            )
-            # A coset triple has a common point x exactly when it is x's label triple.
-            out["meet_all"][at] = _distinct_per_row((li * b + lj) * c + lt)
-            px = packed(mit.reshape(-1, c)).reshape(block, a, 1, words)
-            py = packed(mjt.reshape(-1, c)).reshape(block, 1, b, words)
-            # the popcounts of every pair (x, y), summed in int64 over the
-            # pairs that meet (do not meet); integer einsum, no BLAS
-            spec = "rxyw,rxy->r"
-            out["s_triple"][at] = np.einsum(spec, np.bitwise_count(px & py), mij, dtype=np.int64)
-            in_either = np.einsum(spec, np.bitwise_count(px | py), ~mij, dtype=np.int64)
-            out["n_disjoint"][at] = (a * b - meets) * cs - in_either
+    step = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, size, step):
+        at = slice(lo, lo + step)
+        li, lj, lt = labels[triples[at]].transpose(1, 0, 2)
+        a, b, c = index[triples[at]].T
+        off_a, off_b, off_c = (np.cumsum(x) - x for x in (a, b, c))
+        n_a, n_b, n_c = (int(x.sum()) for x in (a, b, c))
+        r_ij, x_ij, y_ij = _meeting_pairs(li, lj, b, off_a, off_b)
+        r_it, x_it, z_it = _meeting_pairs(li, lt, c, off_a, off_c)
+        r_jt, y_jt, z_jt = _meeting_pairs(lj, lt, c, off_b, off_c)
+        # how many cosets each numbered coset meets
+        row_ij, col_ij = np.bincount(x_ij, minlength=n_a), np.bincount(y_ij, minlength=n_b)
+        row_it, col_it = np.bincount(x_it, minlength=n_a), np.bincount(z_it, minlength=n_c)
+        row_jt, col_jt = np.bincount(y_jt, minlength=n_b), np.bincount(z_jt, minlength=n_c)
+        meets = [np.bincount(r, minlength=len(a)) for r in (r_ij, r_it, r_jt)]
+        out["total"][at] = a * b * c
+        out["s_pair"][at] = np.stack([meets[0] * c, meets[1] * b, meets[2] * a], axis=1)
+        dots = ((row_ij * row_it, off_a), (col_ij * row_jt, off_b), (col_it * col_jt, off_c))
+        out["s_pair_pair"][at] = np.stack([np.add.reduceat(v, o) for v, o in dots], axis=1)
+        # A coset triple has a common point x exactly when it is x's label triple.
+        out["meet_all"][at] = _distinct_per_row((li * b[:, None] + lj) * c[:, None] + lt)
+        # the cosets of H_j and H_t that meet H_i, the coset of point 0
+        near_y, near_z = np.zeros(n_b, dtype=bool), np.zeros(n_c, dtype=bool)
+        near_y[(lj + off_b[:, None])[li == 0]] = near_z[(lt + off_c[:, None])[li == 0]] = True
+        y_in, z_in = near_y[y_jt], near_z[z_jt]
+        far = (b - row_ij[off_a]) * (c - row_it[off_a])  # pairs of cosets that both miss H_i
+        out["s_triple"][at] = a * np.bincount(r_jt[y_in & z_in], minlength=len(a))
+        out["n_disjoint"][at] = a * (far - np.bincount(r_jt[~y_in & ~z_in], minlength=len(a)))
     return out
 
 

@@ -224,7 +224,7 @@ CENSUS_COLUMNS = (
 )
 # the columns of n_disjoint and s_triple, which a capped entry writes as null
 _NULLABLE = [1, 8]
-# census rows rendered per block of text
+# census rows deduplicated and joined per block of text
 CENSUS_BLOCK = 1 << 13
 _CENSUS_SLOT = '\n  "census": []'
 
@@ -245,31 +245,19 @@ class CensusRows:
         return cls(np.column_stack([fields[key] for key in CENSUS_COLUMNS]), enumerated)
 
 
-def _row_blocks(census: CensusRows) -> Iterator[tuple[list[bool], list[int]]]:
-    """The census rows, CENSUS_BLOCK at a time, for the templates: the rows'
-    enumerated flags, and the values they write, row by row, in template
-    order: every column of an enumerated row, all but the nullable ones of a
-    capped row."""
-    for lo in range(0, len(census.rows), CENSUS_BLOCK):
-        at = slice(lo, lo + CENSUS_BLOCK)
-        keep = np.ones(census.rows[at].shape, dtype=bool)
-        keep[:, _NULLABLE] = census.enumerated[at, None]
-        yield census.enumerated[at].tolist(), census.rows[at][keep].tolist()
-
-
 def report_chunks(doc: dict) -> Iterator[str]:
     """The text of ``canonical_json(doc)``, in pieces.
 
     With ``indent`` set, the json module encodes in pure Python.  A census
     given as ``CensusRows`` can run to hundreds of thousands of entries of
-    one fixed shape, so it is written from templates, one per block of
-    rows: the entry templates joined, filled from the block's values.  The
-    blocks go in place of an emptied list at the census's sorted position
-    in the rest of the document.  The census key's line is the only one
-    that starts with two spaces and ``"census"``: nested keys are indented
-    further, and JSON strings hold no raw newline.  Any other document,
-    a census given as a list of entry dicts included, goes through
-    ``json.dumps`` whole.
+    one fixed shape but few distinct ones, so each distinct entry fills its
+    template once: the rows are deduplicated CENSUS_BLOCK at a time, and
+    the texts carried across blocks.  The blocks go in place of an emptied
+    list at the census's sorted position in the rest of the document.  The
+    census key's line is the only one that starts with two spaces and
+    ``"census"``: nested keys are indented further, and JSON strings hold
+    no raw newline.  Any other document, a census given as a list of entry
+    dicts included, goes through ``json.dumps`` whole.
     """
     census = doc.get("census")
     if not isinstance(census, CensusRows):
@@ -281,9 +269,22 @@ def report_chunks(doc: dict) -> Iterator[str]:
         return
     head, tail = text.split(_CENSUS_SLOT, 1)
     yield head + '\n  "census": [\n'
-    for at, (flags, values) in enumerate(_row_blocks(census)):
-        template = ",\n".join(map(_ENTRY_TEMPLATES.__getitem__, flags))
-        yield (",\n" if at else "") + template % tuple(values)
+    rendered: dict[tuple, str] = {}  # by a row's values, then its enumerated flag
+    for lo in range(0, len(census.rows), CENSUS_BLOCK):
+        at = slice(lo, lo + CENSUS_BLOCK)
+        keys = np.column_stack([census.rows[at], census.enumerated[at]])
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        new = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])
+        distinct = np.empty_like(order)
+        distinct[order] = np.cumsum(new) - 1
+        texts = []
+        for key in map(tuple, keys[new].tolist()):
+            if key not in rendered:
+                values = key[:-1] if key[-1] else np.delete(key[:-1], _NULLABLE).tolist()
+                rendered[key] = _ENTRY_TEMPLATES[bool(key[-1])] % tuple(values)
+            texts.append(rendered[key])
+        yield (",\n" if lo else "") + ",\n".join([texts[p] for p in distinct.tolist()])
     yield "\n  ]" + tail
 
 

@@ -13,7 +13,7 @@ import cosetlab as cl
 from cosetlab.bitset import mask_of, packed
 from cosetlab.counting import DEFAULT_CENSUS_CAP, _checked, triple_inequalities
 from cosetlab.subgroups import membership
-from cosetlab.errors import CounterOverflow, ParentMismatch
+from cosetlab.errors import ConsistencyError, CounterOverflow, ParentMismatch
 
 from helpers import check_triple_inequalities, plant_enumeration_fault, triple_census_brute
 
@@ -307,11 +307,12 @@ def test_lattice_census_matches_per_triple_census(lattice, name, cap):
 
 def test_triple_census_matches_census_across_c(lattice):
     # rows that share the indices (a, b) of H_i and H_j but differ in the
-    # index c of H_t share one enumeration block, padded to its largest c;
-    # c = 120, S5's trivial subgroup, takes two 64-bit words.  H_i and H_j
-    # are two conjugates of S4 or of the Frobenius group of order 20, so
-    # some of their coset pairs do not meet and n_disjoint reads c.  Of the
-    # rows (0, 0, 1) and (0, 0, 0), the second is above the cap.
+    # index c of H_t, from 1 to 120 (S5's trivial subgroup), go through
+    # one enumeration block with their cosets numbered row after row.
+    # H_i and H_j are two conjugates of S4 or of the Frobenius group of
+    # order 20, so some of their coset pairs do not meet and n_disjoint
+    # counts the pairs outside both.  Of the rows (0, 0, 1) and (0, 0, 0),
+    # the second is above the cap.
     g, subs = lattice("S5")
     s4 = [p for p, s in enumerate(subs) if s.index == 5][:2]
     f20 = [p for p, s in enumerate(subs) if s.index == 6][:2]
@@ -357,6 +358,57 @@ def test_lattice_census_names_first_failing_triple(lattice, monkeypatch):
 
 def _triples(subs):
     return list(combinations_with_replacement(range(len(subs)), 3))
+
+
+def _census_key(message):
+    """The census key that a ConsistencyError text of ``census`` names."""
+    if message.startswith("census "):
+        return message.removeprefix("census ").split(":")[0]
+    return "s_triple" if "undercount" in message else "n_disjoint"
+
+
+@pytest.mark.parametrize("name,plantings", [("S4", 57), ("A4", 18), ("D12", 63)])
+def test_planted_label_faults_flag_what_census_raises_on(lattice, monkeypatch, name, plantings):
+    # fault parity under label swaps: with the labels of two points in
+    # different cosets of one subgroup swapped, once with point 0's coset
+    # and once without, the batched enumeration must fail on exactly the
+    # triples through that subgroup that census() raises on, with the same
+    # key; every flag here comes from s_pair or meet_all, so the point-0 pin
+    # of s_triple and n_disjoint decides none of them
+    _, subs = lattice(name)
+    true_labels = cl.counting.coset_labels
+    w = packed(membership(subs))
+    triples = np.array(_triples(subs))
+    planted_count = flagged = 0
+    for h, sub in enumerate(subs):
+        if sub.index < 2:
+            continue
+        labels = true_labels(sub)
+        first = [int(np.argmax(labels == c)) for c in range(sub.index)]  # each coset's least point
+        for p, q in [(0, first[-1])] + [(first[1], first[-1])] * (sub.index > 2):
+            planted = labels.copy()
+            planted[[p, q]] = planted[[q, p]]
+
+            def swapped(s, sub=sub, planted=planted):
+                return planted if s is sub else true_labels(s)
+
+            monkeypatch.setattr(cl.cosets, "coset_labels", swapped)
+            monkeypatch.setattr(cl.counting, "coset_labels", swapped)
+            rows = triples[(triples == h).any(axis=1)]
+            _, errors = cl.counting._orbit_census(
+                np.stack([swapped(s) for s in subs]), w, rows, np.arange(len(rows)), DEFAULT_CENSUS_CAP
+            )
+            want = {}
+            for r, t in enumerate(rows.tolist()):
+                try:
+                    cl.census(*(subs[x] for x in t))
+                except ConsistencyError as exc:
+                    want[r] = f"census triple {tuple(t)} {_census_key(str(exc))}"
+            assert {r: text.split(":")[0] for r, text in errors.items()} == want, (h, p, q)
+            planted_count += 1
+            flagged += len(errors)
+    assert planted_count == plantings
+    assert flagged
 
 
 def _representatives(orbits):

@@ -237,11 +237,14 @@ _int64 = st.integers(-(2**63), 2**63 - 1)
 
 @st.composite
 def census_rows(draw):
-    """A census as arrays: a few rows of 13 int64 values, any enumerated flags."""
-    size = draw(st.integers(0, 6))
-    values = draw(st.lists(_int64, min_size=13 * size, max_size=13 * size))
+    """A census as arrays: a few rows of 13 int64 values, any enumerated
+    flags.  The rows come from a pool of at most three, so the same values
+    repeat within a block and across blocks, under one flag and both."""
+    pool = draw(st.lists(st.lists(_int64, min_size=13, max_size=13), min_size=1, max_size=3))
+    size = draw(st.integers(0, 8))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    return CensusRows(np.array(values, dtype=np.int64).reshape(size, 13), np.array(flags, dtype=bool))
+    return CensusRows(np.array(picks, dtype=np.int64).reshape(size, 13), np.array(flags, dtype=bool))
 
 
 def _entries(census):
@@ -266,7 +269,7 @@ def _entries(census):
 @settings(max_examples=200, deadline=None)
 def test_census_rows_render_as_their_entries(census, block):
     # the array route writes the bytes json.dumps writes for its entries,
-    # across block boundaries
+    # across block boundaries, and a repeated entry as its first rendering
     doc = _minimal()
     with mock.patch.object(report, "CENSUS_BLOCK", block):
         from_rows = canonical_json({**doc, "census": census})
