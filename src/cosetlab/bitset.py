@@ -62,6 +62,22 @@ def mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(bool)
 
 
+def mask_words(masks: Sequence[int], width: int) -> np.ndarray:
+    """The words (len(masks) x width) of every int mask below 2^(64 width):
+    row i read as one little-endian integer is masks[i].  Read-only."""
+    data = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
+
+
+def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and bit position of every set bit of words (r x width), ordered
+    by row, then position; only the nonzero words are unpacked."""
+    at = np.flatnonzero(words)
+    octets = words.ravel()[at].view(np.uint8).reshape(-1, 8)
+    word, bit = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
+    return np.divmod(at[word] * 64 + bit, words.shape[1] * 64)
+
+
 def popcounts(words: np.ndarray) -> np.ndarray:
     """The int64 count of set bits in every row of ``words``."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)

@@ -9,13 +9,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import MEET_ROWS, full_mask, lowest_bit, meet_orders, packed, row_masks
+from .bitset import (
+    MEET_ROWS,
+    lowest_bit,
+    mask_words,
+    meet_orders,
+    packed,
+    popcounts,
+    row_masks,
+    set_bits,
+)
 from .cosets import coset_mask, double_coset_reps, left_cosets
+from .counting import BLOCK_ENTRIES
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
 from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
@@ -115,11 +125,15 @@ class PairRows:
     order-sum bar at the first position too large.  Row j's
     disjointability row is built only when a bit at or above j survives
     those two bars, and a first pick that ``rows(k)`` lists as lone
-    reads no row.  One source serves every k of a lattice.  Iterating
-    yields the m(m+1)/2 unordered pairs i <= j as ``PairStats``.
+    reads no row.  One source serves every k of a lattice, and builds the
+    action of g on its positions by conjugation (``action``) once, on
+    first use.  Iterating yields the m(m+1)/2 unordered pairs i <= j as
+    ``PairStats``.
     """
 
     def __init__(self, g: FiniteGroup, subgroups: Sequence[Subgroup]):
+        self.group = g
+        self.subgroups = subgroups
         self.n = g.n
         self.words = packed(membership(subgroups))
         self.order = np.array([s.order for s in subgroups], dtype=np.int64)
@@ -134,6 +148,12 @@ class PairRows:
         self._class_order = g.n // self.indices
         self._partner = np.tril(np.add.outer(self._class_order, self._class_order) <= g.n)
         self._disjoint: list[Optional[int]] = [None] * len(subgroups)
+
+    @cached_property
+    def action(self) -> list[np.ndarray]:
+        """``conjugation_action`` of the lattice, built on first use and
+        shared by every k."""
+        return conjugation_action(self.group, self.subgroups)
 
     @property
     def side(self) -> int:
@@ -171,26 +191,22 @@ class PairRows:
     def rows(self, k: int) -> "_BarRows":
         """Row j at gcd bar k, on lookup: bit t set, for every t >= j, when
         positions j and t pass both pair bars; no bit is set below j's block
-        start.  Also lists the lone positions at k: those that, as the first
-        of k picks, no second pick can join within |G|.  One index class
-        holds a run of positions, and every t >= j lies in j's class or in
-        one of larger order, so the least order of a t >= j that passes j's
-        gcd bar and order fit is found per class; j is lone when that order
-        times k - 1 exceeds |G| - |H_j|."""
+        start.  Also flags, in the bool array ``lone``, the positions that,
+        as the first of k picks, no second pick can join within |G|.  One
+        index class holds a run of positions, and every t >= j lies in j's
+        class or in one of larger order, so the least order of a t >= j that
+        passes j's gcd bar and order fit is found per class; j is lone when
+        that order times k - 1 exceeds |G| - |H_j|."""
         low = np.gcd.outer(self.indices, self.indices) < k
         reach = np.where(low & self._partner, self._class_order, self.n + 1).min(axis=1)
         lone = self._class_order + reach * (k - 1) > self.n
-        return _BarRows(
-            self,
-            row_masks(low[:, self.index_class]),
-            np.flatnonzero(lone[self.index_class]).tolist(),
-        )
+        return _BarRows(self, row_masks(low[:, self.index_class]), lone[self.index_class])
 
 
 class _BarRows(dict):
     """The rows of one k, each built from its source on the first lookup."""
 
-    def __init__(self, source: PairRows, gcd_ok: list[int], lone: list[int]):
+    def __init__(self, source: PairRows, gcd_ok: list[int], lone: np.ndarray):
         super().__init__()
         self.source = source
         self.gcd_ok = gcd_ok
@@ -205,21 +221,21 @@ class _BarRows(dict):
         return row
 
 
-class _LeadRows(dict):
-    """The rows the first pick of a clique reads: 0 at a position that no
-    second pick can join, else the row of ``rows``."""
-
-    def __init__(self, rows: _BarRows):
-        super().__init__(dict.fromkeys(rows.lone, 0))
-        self.rows = rows
-
-    def __missing__(self, j: int) -> int:
-        return self.rows[j]
-
-
 def pair_table(g: FiniteGroup, subgroups: Sequence[Subgroup]) -> PairRows:
     """The pair bars of ``subgroups``, a lattice of g."""
     return PairRows(g, subgroups)
+
+
+def _cuts(cost: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive runs [lo, hi) of rows whose costs sum to at most
+    ``BLOCK_ENTRIES``, or one row alone when its own cost passes it."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < len(ends):
+        budget = BLOCK_ENTRIES + (ends[lo - 1] if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(ends, budget, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def candidate_cliques(
@@ -229,63 +245,80 @@ def candidate_cliques(
     subgroups: Sequence[Subgroup],
     pair_stats: PairRows,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """Size-k subgroup multisets that pass the gcd bar and two disjointness bars.
 
     Every pair has index gcd < k, every pair is disjointable, and the orders
     sum to at most |G|.  The last two hold for any k pairwise disjoint
     cosets, one per subgroup, since such cosets are disjoint subsets of G;
-    so no multiset left out can hold such a family.  Emitted in
-    lexicographic order over sorted lattice positions.  Every multiset
-    prefix that passes the order-sum bar counts against the cap, so the cap
-    bounds work done, not only output size.  The pair bars and the orders
-    come from ``pair_stats``, a ``PairRows`` source over ``subgroups``,
-    whose positions ascend by order; so the order-sum bar stops at the
-    first position too large to complete the prefix.  A source of another
+    so no multiset left out can hold such a family.  Returned as an N x k
+    int64 array of sorted lattice positions, rows in lexicographic order.
+    Every multiset prefix that passes the order-sum bar counts against the
+    cap, so the cap bounds work done, not only output size.  The pair bars
+    and the orders come from ``pair_stats``, a ``PairRows`` source over
+    ``subgroups``, whose positions ascend by order; so a prefix with order
+    sum s and ``left`` picks to go extends by the candidates below the
+    first position of order above (|G| - s) / left.  A source of another
     size raises ValueError.
+
+    The prefixes grow one position per level, each with its candidate set
+    as packed words: the positions compatible with every entry, none below
+    the last.  A pick j ANDs in row j with its bits below j cleared; rows
+    are read once per distinct j of a block, and a pick whose row is 0 (a
+    lone first pick, or a row the bars empty) is dropped before any words
+    are made, so it reads no disjointability row.  Blocks of prefixes go
+    depth first, each holding about ``BLOCK_ENTRIES`` entries, so memory
+    grows with the depth, not with the number of prefixes.
     """
     if pair_stats.side != len(subgroups):
         raise ValueError(
             f"pair table covers {pair_stats.side} subgroups, lattice has {len(subgroups)}"
         )
-    order = pair_stats.order.tolist()
-    # rows[i] has bit j set, for every j >= i, when positions i and j pass
-    # both pair bars
+    order = pair_stats.order
+    m = len(order)
+    width = -(-m // 64)
     rows = pair_stats.rows(k)
-    n = g.n
-
-    out: list[tuple[int, ...]] = []
+    out: list[np.ndarray] = [np.empty((0, k), dtype=np.int64)]
     visited = 0
 
-    def extend(
-        prefix: tuple[int, ...], osum: int, cand: int, rows: dict[int, int] = rows
-    ) -> None:
-        # cand: positions compatible with every prefix entry, none below the last;
-        # osum: the prefix's order sum; rows: the rows this depth's picks read
+    def grow(prefix: np.ndarray, osum: np.ndarray, cand: np.ndarray) -> None:
+        # prefix: S x d positions; osum: their order sums; cand: S x width words
         nonlocal visited
-        left = k - len(prefix)
-        while cand:
-            low = cand & -cand
-            j = low.bit_length() - 1
+        left = k - prefix.shape[1]
+        limit = np.searchsorted(order, (g.n - osum) // left, "right")
+        # int64 entries per prefix: its words and at most its candidates'
+        # positions and words
+        for lo, hi in _cuts(popcounts(cand) * (k + width) + width):
+            at, picks = set_bits(cand[lo:hi])
+            at += lo
             # every later pick has order >= order[j], and so has every later j
-            if osum + order[j] * left > n:
-                break
-            visited += 1
+            seen = picks < limit[at]
+            at, picks = at[seen], picks[seen]
+            visited += len(at)
             if visited > max_cliques:
                 raise CliqueCapExceeded(
                     f"clique search in {g.label} passed {max_cliques} prefixes"
                 )
-            cur = prefix + (j,)
             if left == 1:
-                out.append(cur)
-            else:
-                extend(cur, osum + order[j], cand & rows[j])
-            cand ^= low
+                out.append(np.column_stack([prefix[at], picks]))
+                continue
+            if not prefix.shape[1]:
+                # a lone first pick's next pick would break the order-sum bar
+                # at once, so it reads no row
+                live = ~rows.lone[picks]
+                at, picks = at[live], picks[live]
+            uniq, slot = np.unique(picks, return_inverse=True)
+            masks = [rows[j] >> j << j for j in uniq.tolist()]
+            # a pick whose row is 0 ends here, before any words are made
+            kept = np.array([mask != 0 for mask in masks], dtype=bool)
+            live = kept[slot]
+            at, picks, slot = at[live], picks[live], (np.cumsum(kept) - 1)[slot[live]]
+            nxt = cand[at] & mask_words([mask for mask in masks if mask], width)[slot]
+            grow(np.column_stack([prefix[at], picks]), osum[at] + order[picks], nxt)
 
-    # the first picks read their rows through _LeadRows: a lone first pick's
-    # next pick would break the order-sum bar at once, so it builds no row
-    extend((), 0, full_mask(len(order)), _LeadRows(rows))
-    return out
+    everything = packed(np.ones((1, m), dtype=bool))
+    grow(np.empty((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), everything)
+    return np.concatenate(out)
 
 
 def search_disjoint_tuple(subgroups: Sequence[Subgroup]) -> Optional[Violation]:
@@ -314,7 +347,9 @@ def _search_with_count(
     in H0 then still fixes that coset and maps the second slot's coset
     x H1 to h x H1, so the second slot tries one coset per double coset
     H0 x H1.  Neither pin loses a family.  Returns the family, if any, and
-    the number of coset placements attempted.
+    the number of coset placements attempted.  ``_search_cliques`` runs
+    this search on many cliques at once, and this one again on each clique
+    it finds a family in.
     """
     if not subgroups:
         raise ValueError("search needs at least one subgroup")
@@ -364,44 +399,116 @@ def _search_with_count(
     return violation, examined
 
 
+def _search_cliques(
+    subgroups: Sequence[Subgroup], cliques: np.ndarray
+) -> tuple[dict[int, Violation], np.ndarray]:
+    """Search every row of ``cliques`` (N x k positions) for a disjoint
+    family, all rows together, one slot per level.
+
+    Slots are ordered as in ``_search_with_count``, largest subgroup first
+    and ties in clique order: slot 0 is pinned to H0, slot 1 tries one coset
+    per double coset H0 x H1 and later slots every left coset.  A state is a
+    row and the union of the cosets placed in its slots so far, as packed
+    words; every live state tries every choice of its slot, and a try that
+    misses the union is a live state of the next slot.  With no family the
+    backtracking walks its whole tree, so the tries of a row are its count
+    of coset placements.  A row with a state past its last slot holds a
+    family, and ``_search_with_count`` searches it again: that names the
+    family, gives the count of a search that stops at the find, and checks
+    disjointness once more.  Returns the family of every row that has one,
+    keyed by row, and the coset placements per row.  States go depth first
+    in blocks of about ``BLOCK_ENTRIES`` entries.
+    """
+    n_rows, k = cliques.shape
+    n = subgroups[0].parent.n
+    width = -(-n // 64)
+    order = np.array([s.order for s in subgroups], dtype=np.int64)
+    slots = np.take_along_axis(
+        cliques, np.argsort(-order[cliques], axis=1, kind="stable"), axis=1
+    )
+    # one table of coset words: per slot-0 position its subgroup, per pair
+    # of slot-0 and slot-1 positions the double coset reps, per position in
+    # a later slot its cosets; start and count give each row's choices
+    heads, head_of = np.unique(slots[:, 0], return_inverse=True)
+    pairs, pair_of = np.unique(slots[:, 0] * len(order) + slots[:, 1], return_inverse=True)
+    tails, tail_of = np.unique(slots[:, 2:], return_inverse=True)
+    choices = [(subgroups[p].mask,) for p in heads.tolist()]
+    choices += [
+        double_coset_reps(subgroups[p // len(order)], subgroups[p % len(order)])
+        for p in pairs.tolist()
+    ]
+    choices += [left_cosets(subgroups[p]) for p in tails.tolist()]
+    sizes = np.array([len(c) for c in choices], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    table = mask_words([mask for c in choices for mask in c], width)
+    which = np.column_stack(
+        [head_of, len(heads) + pair_of, len(heads) + len(pairs) + tail_of.reshape(n_rows, k - 2)]
+    )
+    start, count = starts[which], sizes[which]
+
+    examined = np.zeros(n_rows, dtype=np.int64)
+    hits: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+
+    def place(slot: int, row: np.ndarray, used: np.ndarray) -> None:
+        # row: the clique row of each state; used: its placed cosets' union
+        if slot == k:
+            hits.append(row)
+            return
+        tries = count[row, slot]
+        np.add.at(examined, row, tries)
+        # int64 entries per state: its tries' indices and their words
+        for lo, hi in _cuts(tries * (2 + 3 * width)):
+            t = tries[lo:hi]
+            state = np.repeat(np.arange(lo, hi), t)
+            first = start[row[lo:hi], slot] - np.cumsum(t) + t
+            choice = np.arange(len(state)) + np.repeat(first, t)
+            coset = table[choice]
+            free = ~(used[state] & coset).any(axis=1)
+            state = state[free]
+            place(slot + 1, row[state], used[state] | coset[free])
+
+    place(0, np.arange(n_rows), np.broadcast_to(np.zeros(width, np.uint64), (n_rows, width)))
+    found = {}
+    for r in np.unique(np.concatenate(hits)).tolist():
+        found[r], examined[r] = _search_with_count([subgroups[i] for i in cliques[r]])
+        if found[r] is None:
+            raise ConsistencyError("batched search found a family backtracking missed")
+    return found, examined
+
+
 def search_orbits(
-    g: FiniteGroup,
+    perms: Sequence[np.ndarray],
     subgroups: Sequence[Subgroup],
-    cliques: Sequence[tuple[int, ...]],
+    cliques: np.ndarray,
 ) -> tuple[dict[int, Violation], int, int]:
     """Search one clique per conjugacy orbit; the orbit of a find in full.
 
     Conjugation by any x maps a disjoint family a_i H_i to the disjoint
     family (x a_i x^-1)(x H_i x^-1), so every clique in one orbit of g
-    acting by simultaneous conjugation has the same verdict.  ``cliques``
-    must be a set of sorted position tuples in lexicographic order that is
-    closed under conjugation, as ``candidate_cliques`` returns.  The least
-    clique of each orbit is searched.  When it yields a family, every other
-    clique of its orbit is searched too, and must yield one.  Returns the
-    family of every clique that has one, keyed by clique index in
-    ascending order, exactly as a search of each clique gives it; the
-    number of orbits; and the coset placements over the representatives.
+    acting by simultaneous conjugation has the same verdict.  ``perms`` is
+    that action on lattice positions (``conjugation_action``), and
+    ``cliques`` an N x k array of sorted position rows in lexicographic
+    order that is closed under it, as ``candidate_cliques`` returns.  The
+    least clique of each orbit is searched, all of them in one batch by
+    ``_search_cliques``.  When one yields a family, every other clique of
+    its orbit is searched too, and must yield one.  Returns the family of
+    every clique that has one, keyed by clique index in ascending order,
+    exactly as a search of each clique gives it; the number of orbits; and
+    the coset placements over the representatives.
     """
-    if not cliques:
-        return {}, 0, 0
-    k = len(cliques[0])
-    rows = np.fromiter(chain.from_iterable(cliques), np.int64, len(cliques) * k)
-    labels = orbit_labels(conjugation_action(g, subgroups), rows.reshape(-1, k))
-    reps = np.flatnonzero(labels == np.arange(len(cliques))).tolist()
-
-    results = [_search_with_count([subgroups[i] for i in cliques[r]]) for r in reps]
+    labels = orbit_labels(perms, cliques)
+    reps = np.flatnonzero(labels == np.arange(len(cliques)))
+    families, examined = _search_cliques(subgroups, cliques[reps])
     found: dict[int, Violation] = {}
-    for r, (violation, _) in zip(reps, results):
-        if violation is None:
-            continue
+    for at, violation in families.items():
+        r = int(reps[at])
         found[r] = violation
         for c in np.flatnonzero(labels == r).tolist()[1:]:
             member, _ = _search_with_count([subgroups[i] for i in cliques[c]])
             if member is None:
                 raise ConsistencyError("conjugate cliques got different verdicts")
             found[c] = member
-    examined = sum(e for _, e in results)
-    return dict(sorted(found.items())), len(reps), examined
+    return dict(sorted(found.items())), len(reps), int(examined.sum())
 
 
 def verify_group(
@@ -418,14 +525,17 @@ def verify_group(
     families in clique order, so equal inputs give equal reports.
     ``tuples_examined`` counts the coset placements over one
     clique per conjugacy orbit.  ``pair_stats`` is as in
-    ``candidate_cliques``; one ``PairRows`` shares its rows across k.
+    ``candidate_cliques``; one ``PairRows`` shares its rows across k, and
+    its conjugation action, which is built at the first k with cliques.
     """
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"k must lie in [{K_MIN}, {K_MAX}]")
     cliques = candidate_cliques(
         g, k, subgroups=subgroups, pair_stats=pair_stats, max_cliques=max_cliques
     )
-    found, orbits, examined = search_orbits(g, subgroups, cliques)
+    found, orbits, examined = (
+        search_orbits(pair_stats.action, subgroups, cliques) if len(cliques) else ({}, 0, 0)
+    )
     violations = list(found.values())
     for violation in violations:
         off_diag = [

@@ -9,6 +9,9 @@ The exceptions:
   can run on larger groups: ``reference_subgroups`` closes from the
   identity every time, ``cyclic_extension_subgroups`` extends every
   subgroup, not one per conjugacy class.
+- ``recursive_cliques`` is the verifier's former clique enumerator, a
+  depth-first recursion over int masks, which the level-wise enumeration
+  is held to.
 - ``composition_table`` lists a spec's elements in full and multiplies
   every pair, where the library follows generator steps along a spanning
   tree.
@@ -382,6 +385,41 @@ def exists_disjoint_family(g: FiniteGroup, subs: list[Subgroup]) -> bool:
         return any(not used & c and place(slot + 1, used | c) for c in cosets[slot])
 
     return place(0, 0)
+
+
+def recursive_cliques(g: FiniteGroup, k: int, source) -> tuple[list[tuple[int, ...]], int]:
+    """The candidate cliques of ``source``, a ``PairRows``, at k, and the
+    prefixes visited, by the verifier's former depth-first recursion over
+    int candidate masks; no cap.
+
+    Each prefix's candidates are ANDed with row j of ``source.rows(k)`` one
+    pick at a time, and the scan stops at the first j whose order, taken
+    for every pick still to come, passes |G|.  A first pick that the rows
+    list as lone reads no row.
+    """
+    order = source.order.tolist()
+    rows = source.rows(k)
+    out = []
+    visited = 0
+
+    def extend(prefix: tuple[int, ...], osum: int, cand: int) -> None:
+        nonlocal visited
+        left = k - len(prefix)
+        while cand:
+            low = cand & -cand
+            j = low.bit_length() - 1
+            if osum + order[j] * left > g.n:
+                break
+            visited += 1
+            cur = prefix + (j,)
+            if left == 1:
+                out.append(cur)
+            elif prefix or not rows.lone[j]:
+                extend(cur, osum + order[j], cand & rows[j])
+            cand ^= low
+
+    extend((), 0, full_mask(len(order)))
+    return out, visited
 
 
 def element_order(g: FiniteGroup, x: int) -> int:

@@ -19,7 +19,17 @@ from cosetlab.errors import (
     SubgroupCountCapExceeded,
     UnknownFamily,
 )
-from cosetlab.bitset import MEET_ROWS, mask_of, mask_rows, meet_orders, packed, row_masks
+from cosetlab.bitset import (
+    MEET_ROWS,
+    iter_bits,
+    mask_of,
+    mask_rows,
+    mask_words,
+    meet_orders,
+    packed,
+    row_masks,
+    set_bits,
+)
 from cosetlab.cache import spec_hash
 from cosetlab.groups import (
     GroupSpec,
@@ -384,6 +394,11 @@ def test_packed_rows_are_the_masks(lattice, name):
     assert words.shape == (len(subs), (g.n + 63) // 64)
     assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
         s.mask for s in subs
+    ]
+    assert np.array_equal(mask_words([s.mask for s in subs], words.shape[1]), words)
+    rows, bits = set_bits(words)
+    assert list(zip(rows.tolist(), bits.tolist())) == [
+        (i, x) for i, s in enumerate(subs) for x in iter_bits(s.mask)
     ]
 
 

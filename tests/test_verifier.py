@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
+from cosetlab import verifier
 from cosetlab.bitset import MEET_ROWS, bits_tuple, mask_of
 from cosetlab.cli import _resolve_spec
 from cosetlab.cosets import coset_mask
@@ -26,12 +27,13 @@ from cosetlab.subgroups import (
 )
 from cosetlab.verifier import (
     OPEN_RANGE_NOTE,
+    _search_cliques,
     _search_with_count,
     conjugation_action,
     search_orbits,
 )
 
-from helpers import exists_disjoint_family, pairwise_disjoint, small_products
+from helpers import exists_disjoint_family, pairwise_disjoint, recursive_cliques, small_products
 
 VERIFY_GROUPS = ["C6", "C12", "S3", "S4", "D6", "Q8", "A4", "C2xC2xC2", "S3xC2"]
 C2_6 = "C2xC2xC2xC2xC2xC2"
@@ -191,10 +193,30 @@ def test_pair_rows_match_pair_table(lattice, name):
         fresh = cl.PairRows(g, subs)
         assert cl.candidate_cliques(
             g, k, subgroups=subs, pair_stats=fresh
-        ) == cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source)
+        ).tolist() == cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source).tolist()
         if (name, k) in ROWS_BUILT:
             built = sum(row is not None for row in fresh._disjoint)
             assert built == ROWS_BUILT[(name, k)]
+
+
+@pytest.mark.parametrize("name", ROW_SOURCE_GROUPS)
+def test_level_wise_cliques_match_recursive_route(lattice, name):
+    # the same cliques in the same order, the same prefixes counted against
+    # the cap, and the same disjointability rows built from a fresh source
+    g, subs = lattice(name)
+    for k in range(2, 7):
+        oracle = cl.PairRows(g, subs)
+        want, visits = recursive_cliques(g, k, oracle)
+        source = cl.PairRows(g, subs)
+        got = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source, max_cliques=visits)
+        assert got.dtype == np.int64 and got.shape == (len(want), k)
+        assert got.tolist() == [list(c) for c in want]
+        assert [r is None for r in source._disjoint] == [r is None for r in oracle._disjoint]
+        if visits:
+            with pytest.raises(CliqueCapExceeded):
+                cl.candidate_cliques(
+                    g, k, subgroups=subs, pair_stats=source, max_cliques=visits - 1
+                )
 
 
 def test_lone_first_picks_build_no_row():
@@ -205,7 +227,7 @@ def test_lone_first_picks_build_no_row():
     subs = cl.enumerate_subgroups(g, max_subgroups=30_000)
     source = cl.PairRows(g, subs)
     for k in range(2, 7):
-        assert cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source) == []
+        assert cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source).tolist() == []
     assert all(row is None for row in source._disjoint)
 
 
@@ -216,7 +238,9 @@ def test_lone_first_picks_count_against_the_cap(lattice):
     stats = cl.PairRows(g, subs)
     visits = sum(3 * s.order <= g.n for s in subs)
     assert visits == 2761
-    assert cl.candidate_cliques(g, 3, subgroups=subs, pair_stats=stats, max_cliques=visits) == []
+    assert cl.candidate_cliques(
+        g, 3, subgroups=subs, pair_stats=stats, max_cliques=visits
+    ).tolist() == []
     with pytest.raises(CliqueCapExceeded):
         cl.candidate_cliques(g, 3, subgroups=subs, pair_stats=stats, max_cliques=visits - 1)
 
@@ -243,13 +267,46 @@ def test_verify_largest_lattice_memory_bound(lattice):
     assert peak < 40 * 2**20
 
 
+def test_verify_open_range_memory_bound(lattice):
+    # A4xA4 at k = 5, rows and action already built: 24,320 cliques in 360
+    # orbits.  The recursive enumeration and the per-clique search traced
+    # 5.60 MB, the level-wise blocks 4.49 MB
+    g, subs = lattice("A4xA4")
+    source = cl.PairRows(g, subs)
+    cl.verify_group(g, 5, subgroups=subs, pair_stats=source)
+    tracemalloc.start()
+    try:
+        rep = cl.verify_group(g, 5, subgroups=subs, pair_stats=source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.candidate_clique_count, rep.clique_orbits) == (24320, 360)
+    assert peak < 5.5 * 2**20
+
+
+def test_action_built_once_per_lattice(lattice, monkeypatch):
+    # S4 has cliques at k = 3 and 5; one source serves k = 2..6
+    g, subs = lattice("S4")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return conjugation_action(*args)
+
+    monkeypatch.setattr(verifier, "conjugation_action", counted)
+    source = cl.PairRows(g, subs)
+    for k in range(2, 7):
+        cl.verify_group(g, k, subgroups=subs, pair_stats=source)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", VERIFY_GROUPS)
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_candidate_cliques_match_oracle(lattice, name, k):
     g, subs = lattice(name)
     stats = cl.pair_table(g, subs)
     got = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats)
-    assert got == [c for c in clique_oracle(subs, k) if within_order(g, subs, c)]
+    assert got.tolist() == [list(c) for c in clique_oracle(subs, k) if within_order(g, subs, c)]
 
 
 def test_candidate_clique_counts_frozen(lattice):
@@ -447,7 +504,7 @@ def test_clique_cap_counts_prefixes(lattice):
     g, subs = lattice("A5")
     stats = cl.PairRows(g, subs)
     for k in (2, 3, 4):
-        assert cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats) == []
+        assert cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats).tolist() == []
     with pytest.raises(CliqueCapExceeded):
         cl.candidate_cliques(g, 2, subgroups=subs, pair_stats=stats, max_cliques=1)
 
@@ -471,6 +528,40 @@ def test_note_absent_below_k5(lattice):
     rep = cl.verify_group(g, 4, subgroups=subs, pair_stats=cl.PairRows(g, subs))
     assert rep.note is None
     assert "note" not in rep.stable_dict()
+
+
+def plant_find(monkeypatch, k, gcds):
+    """Make every search_orbits call report one family whose gcd matrix is
+    ``gcds``; D30 has candidate cliques at k = 3..5, so verify_group reads it."""
+    planted = cl.Violation(k, ((0,),) * k, (0,) * k, gcds)
+    monkeypatch.setattr(
+        verifier, "search_orbits", lambda perms, subgroups, cliques: ({0: planted}, 1, 1)
+    )
+    return planted
+
+
+@pytest.mark.parametrize(
+    "k, status", [(4, "violated (implementation bug suspected)"), (5, "violated")]
+)
+def test_planted_find_sets_the_status(lattice, monkeypatch, k, status):
+    # the diagonal gcds are indices and may pass the bar; only the
+    # off-diagonal entries are held to it
+    g, subs = lattice("D30")
+    gcds = tuple(tuple(k if a == b else 1 for b in range(k)) for a in range(k))
+    planted = plant_find(monkeypatch, k, gcds)
+    rep = cl.verify_group(g, k, subgroups=subs, pair_stats=cl.PairRows(g, subs))
+    assert rep.violations == [planted]
+    assert rep.status == status
+    assert rep.note is None
+
+
+def test_planted_find_at_the_gcd_bar_is_inconsistent(lattice, monkeypatch):
+    g, subs = lattice("D30")
+    k = 5
+    gcds = tuple(tuple(k if (a, b) == (0, 1) else 1 for b in range(k)) for a in range(k))
+    plant_find(monkeypatch, k, gcds)
+    with pytest.raises(cl.ConsistencyError, match="at or above the gcd bar"):
+        cl.verify_group(g, k, subgroups=subs, pair_stats=cl.PairRows(g, subs))
 
 
 ORBIT_ORACLE_CASES = [
@@ -502,7 +593,7 @@ def test_orbit_search_find_path(lattice, name):
     # every found orbit is searched member by member
     g, subs = lattice(name)
     triples = list(combinations_with_replacement(range(len(subs)), 3))
-    found, orbits, _ = search_orbits(g, subs, triples)
+    found, orbits, _ = search_orbits(conjugation_action(g, subs), subs, np.array(triples))
     direct = {}
     for c, triple in enumerate(triples):
         family = [subs[i] for i in triple]
@@ -513,6 +604,39 @@ def test_orbit_search_find_path(lattice, name):
     assert list(found.items()) == list(direct.items())
     assert 0 < len(found) < len(triples)
     assert orbits < len(triples)
+
+
+SEARCH_ORACLE_CASES = [
+    pytest.param(n, range(2, 7), id=n) for n in sorted(cl.CATALOG)
+] + [pytest.param(n, range(2, 6), id=n) for n in ("D30", "S3xS3xC2", "A4xA4")]
+
+
+@pytest.mark.parametrize("name, ks", SEARCH_ORACLE_CASES)
+def test_batched_search_matches_backtracking_per_representative(lattice, name, ks):
+    # the find or miss, the coset placements and the family of every orbit
+    # representative, against a backtracking search of that clique alone
+    g, subs = lattice(name)
+    source = cl.PairRows(g, subs)
+    for k in ks:
+        cliques = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source)
+        reps = cliques[orbit_labels(source.action, cliques) == np.arange(len(cliques))]
+        found, examined = _search_cliques(subs, reps)
+        assert examined.shape == (len(reps),)
+        for r, clique in enumerate(reps):
+            family, count = _search_with_count([subs[i] for i in clique])
+            assert (found.get(r), int(examined[r])) == (family, count), (k, clique)
+
+
+@pytest.mark.parametrize("name", ["S3xC2", "D4", "A4"])
+def test_batched_search_find_path(lattice, name):
+    # every unbarred subgroup triple, finds and misses among them
+    g, subs = lattice(name)
+    triples = np.array(list(combinations_with_replacement(range(len(subs)), 3)))
+    found, examined = _search_cliques(subs, triples)
+    for r, triple in enumerate(triples):
+        family, count = _search_with_count([subs[i] for i in triple])
+        assert (found.get(r), int(examined[r])) == (family, count), triple
+    assert 0 < len(found) < len(triples)
 
 
 def brute_conjugacy_classes(g, subs):
@@ -585,7 +709,7 @@ def test_action_modulo_center_has_the_orbits_of_the_full_action(lattice, name):
     cliques = [
         cl.candidate_cliques(g, k, subgroups=subs, pair_stats=stats) for k in range(3, 7)
     ]
-    for tuples in [singletons, *(c for c in cliques if c)]:
+    for tuples in [singletons, *(c for c in cliques if len(c))]:
         assert np.array_equal(
             orbit_labels(ours, np.array(tuples)), orbit_labels(full, np.array(tuples))
         )
