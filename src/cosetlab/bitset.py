@@ -48,6 +48,11 @@ def packed(rows: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
+def row_positions(words: np.ndarray) -> dict[bytes, int]:
+    """The position of every row of ``words`` (r x width), keyed by its bytes."""
+    return {row.tobytes(): i for i, row in enumerate(words)}
+
+
 def row_masks(rows: np.ndarray) -> list[int]:
     """The int mask of every bool row (r x n): bit x set where entry x is."""
     return [int.from_bytes(words.tobytes(), "little") for words in packed(rows)]

@@ -4,8 +4,8 @@ Each law carries a stable string id that downstream reports key on.  The
 suite runs exhaustively when the pair/triple spaces are small enough and
 falls back to seeded sampling above the module's limits.  Each family
 keeps its instances as one array of subgroup positions and checks them on
-whole arrays, in blocks: from the lattice's coset-label matrix, its packed
-membership rows and the Cayley table.
+whole arrays, in blocks: from the lattice's coset-label matrix and its
+packed membership rows.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import MEET_ROWS, meet_orders, packed, popcounts
+from .bitset import MEET_ROWS, meet_orders, packed, popcounts, row_positions
 from .cosets import coset_labels
 from .counting import (
     BLOCK_ENTRIES,
@@ -29,7 +29,7 @@ from .counting import (
     triple_orbits,
 )
 from .groups import FiniteGroup
-from .subgroups import Subgroup, _closed_under_mul, membership
+from .subgroups import Subgroup, membership
 
 LEMMA_IDS = (
     "L2.1.i",
@@ -154,44 +154,39 @@ def _met_union(labels: np.ndarray, index: np.ndarray, member: np.ndarray) -> tup
     return hit[glabels], np.add.reduceat(hit, off, dtype=np.int64)
 
 
-def _least_points(labels: np.ndarray) -> np.ndarray:
-    """Per row of coset labels, numbered by least element as ``coset_labels``
-    numbers them, whether each point is the least of its coset: the first
-    point to carry its label."""
-    out = np.ones(labels.shape, dtype=bool)
-    out[:, 1:] = labels[:, 1:] > np.maximum.accumulate(labels, axis=1)[:, :-1]
-    return out
-
-
 def _separation(
-    table: np.ndarray,
+    labels: np.ndarray,
     lh: np.ndarray,
     lk: np.ndarray,
-    hk: np.ndarray,
+    m_at: np.ndarray,
     meets: np.ndarray,
     subgroup: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """L2.1.v per pair (H, K) where M = HK is a subgroup: how many coset pairs
-    (aH, bK) are disjoint, and how many of those lie in one coset of M; 0
-    and 0 on the other pairs.
+    """L2.1.v per pair (H, K) where M = HK is a subgroup, the lattice's row
+    ``m_at``: how many coset pairs (aH, bK) are disjoint, and how many of
+    those lie in one coset of M; 0 and 0 on the other pairs.
 
     Cosets of M either coincide or are disjoint, so the law is that aM and
-    bM differ.  An M-coset is named by its least element, the least entry
-    of x's table row over M, and a coset of H or K by its least element.
-    Where M is the whole group, every disjoint pair lies in its one coset.
+    bM differ.  H and K lie in M, so each of their cosets lies in one
+    M-coset and carries the M-label of any of its points.  The coset pairs
+    that share an M-label are counted per label, a product of two
+    bincounts; a meeting pair shares the label of a common point, so the
+    distinct meeting pairs are taken off.
     """
+    n = lh.shape[1]
     index_h, index_k = lh.max(axis=1) + 1, lk.max(axis=1) + 1
     apart = np.where(subgroup, index_h * index_k - meets, 0)
-    whole = hk.all(axis=1)
-    mixed = np.where(subgroup & whole, apart, 0)
-    proper = np.flatnonzero(subgroup & ~whole)
-    least_h, least_k = _least_points(lh[proper]), _least_points(lk[proper])
-    for q, p in enumerate(proper):
-        m_coset = table[:, hk[p]].min(axis=1)
-        h_m, k_m = m_coset[least_h[q]], m_coset[least_k[q]]
-        met = np.zeros((index_h[p], index_k[p]), dtype=bool)
-        met[lh[p], lk[p]] = True
-        mixed[p] = np.count_nonzero(~met & (h_m[:, None] == k_m))
+    mixed = np.zeros_like(apart)
+    p = np.flatnonzero(subgroup)
+    rows = np.arange(len(p))[:, None]
+    lm = labels[m_at[p]]
+    per_label = []
+    for lx, index in ((lh[p], index_h[p]), (lk[p], index_k[p])):
+        m_of = np.zeros_like(lm)  # the M-label of each coset, past the index unread
+        m_of[rows, lx] = lm
+        keys = (rows * n + m_of)[np.arange(n) < index[:, None]]
+        per_label.append(np.bincount(keys, minlength=len(p) * n).reshape(-1, n))
+    mixed[p] = (per_label[0] * per_label[1]).sum(axis=1) - meets[p]
     return apart, mixed
 
 
@@ -208,28 +203,25 @@ def _check_pairs(
     HK is the union of the K-cosets that H meets, and KH the union of the
     H-cosets that K meets, so both rows come from label gathers, and the
     K-cosets in HK and the H-cosets meeting K are counted on the way.  As
-    in the oracle ``tests/helpers.product_set``, HK must be closed under
-    multiplication exactly when HK = KH, or L2.1.i fails; the closure test
-    runs once per distinct HK row of the family.  Coset pairs that meet are
-    the distinct label pairs over the group's points.  A block holds B x n
-    entries per array.
+    in the oracle ``tests/helpers.product_set``, HK must be a subgroup
+    exactly when HK = KH, or L2.1.i fails; as the rows of ``w`` are the
+    whole lattice, HK is a subgroup exactly when its words are one of them,
+    one dict lookup per pair.  Coset pairs that meet are the distinct
+    label pairs over the group's points.  A block holds B x n entries per
+    array.
     """
     n = g.n
     order = member.sum(axis=1)
     index = n // order
-    closure: dict[bytes, bool] = {}  # by the words of a distinct HK row
+    position = row_positions(w)
     for at in _blocks(len(pairs), n):
         h, k = pairs[at].T
         lh, lk, ih, ik, oh, ok = labels[h], labels[k], index[h], index[k], order[h], order[k]
         overlap = _meet_order(w, h, k)
         hk, k_cosets = _met_union(lk, ik, member[h])
         kh, h_cosets = _met_union(lh, ih, member[k])
-        closed = np.empty(len(h), dtype=bool)
-        for p, words in enumerate(packed(hk)):
-            key = words.tobytes()
-            if key not in closure:
-                closure[key] = _closed_under_mul(g, hk[p])
-            closed[p] = closure[key]
+        m_at = np.array([position.get(words.tobytes(), -1) for words in packed(hk)], dtype=np.intp)
+        closed = m_at >= 0
         sound = closed == (hk == kh).all(axis=1)
         meets = _distinct_per_row(lh * ik[:, None] + lk)
         every = np.ones(len(h), dtype=bool)
@@ -241,7 +233,7 @@ def _check_pairs(
         stats["L2.1.ii"].tally_at(every, k_cosets == oh // overlap, tag)
         stats["L2.1.iii"].tally_at(np.gcd(ih, ik) == 1, hk.all(axis=1), tag)
         stats["L2.1.iv"].tally_at(every, (oh * ok // overlap < n) == (meets < ih * ik), tag)
-        stats["L2.1.v"].tally_counts(*_separation(g.np_table, lh, lk, hk, meets, sound & closed), tag)
+        stats["L2.1.v"].tally_counts(*_separation(labels, lh, lk, m_at, meets, sound & closed), tag)
         stats["L3.2"].tally_at(every, meets == n // overlap, tag)
         stats["L3.3"].tally_at(every, h_cosets == ok // overlap, tag)
 
@@ -304,11 +296,11 @@ def _check_nested(
 
     The rows must satisfy H1 & H2 == G1 & G2 (the caller filters).  An
     instance is a pair of an H1-coset A and a point b with A in b's
-    G1-coset and A != b*H1; it fails when A meets b*H2.  So per point b,
-    the instances are the H1-cosets of b's G1-coset but b's own, and the
-    failures those of them that meet b*H2, which the distinct label pairs
-    (H1-coset, H2-coset) over the group's points name.  Both are counted
-    per G1-coset (and H2-coset) and gathered per point, on B x n arrays.
+    G1-coset and A != b*H1; it fails when A meets b*H2.  Per point b, the
+    instances are the H1-cosets of b's G1-coset but b's own, counted per
+    G1-coset; the failures are the distinct H1-labels of the points that
+    share b's G1- and H2-labels, but b's own, counted per run of one sort
+    of each row's (G1, H2, H1) label keys.  B x n arrays.
     """
     n = g.n
     # about a dozen arrays of n entries per quadruple are live at once
@@ -320,25 +312,23 @@ def _check_nested(
         holder = np.full((len(g1), n), n)
         holder[rows, own] = big
         inside = holder[rows, own] == big  # b*H1 lies in b's G1-coset
-        held = np.bincount((rows * (n + 1) + holder).ravel(), minlength=len(g1) * (n + 1))
+        held = np.bincount((rows * (n + 1) + holder).ravel())
         checked = held[rows * (n + 1) + big] - inside
-        # the distinct meeting pairs (A, y) of H1- and H2-cosets, then per
-        # (G1-coset, H2-coset) how many H1-cosets inside the first meet the second
-        pair = np.sort(own * n + far, axis=1)
-        new = np.ones(pair.shape, dtype=bool)
-        new[:, 1:] = pair[:, 1:] != pair[:, :-1]
-        r = np.nonzero(new)[0]
-        a, y = np.divmod(pair[new], n)
-        keys, meeting = np.unique((r * (n + 1) + holder[r, a]) * n + y, return_counts=True)
-        want = (rows * (n + 1) + big) * n + far
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        failed = np.where(keys[pos] == want, meeting[pos], 0) - inside
+        keys = np.sort((big * n + far) * n + own, axis=1).ravel()
+        # a new key, and a new (G1, H2) run; every row starts both
+        new, run = np.ones((2, len(keys)), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        run[1:] = keys[1:] // n != keys[:-1] // n
+        new[::n] = run[::n] = True
+        starts = np.flatnonzero(run)
+        per_run = np.diff(starts, append=len(keys)) * np.add.reduceat(new, starts, dtype=np.int64)
+        failed = np.add.reduceat(per_run, np.flatnonzero(starts % n == 0)) - inside.sum(axis=1)
 
         def tag(p: int) -> str:
             o = [order[x[p]] for x in (g1, h1, g2, h2)]
             return f"{g.label}: |G1|={o[0]} |H1|={o[1]} |G2|={o[2]} |H2|={o[3]}"
 
-        stats["R3.1"].tally_counts(checked.sum(axis=1), failed.sum(axis=1), tag)
+        stats["R3.1"].tally_counts(checked.sum(axis=1), failed, tag)
 
 
 def _instances(
@@ -381,6 +371,10 @@ def run_lemma_suite(
     ``TRIPLE_LIMIT``; otherwise ``SAMPLE_TARGET`` seeded samples are drawn.
     The nested-coset law enumerates fully up to ``NESTED_ORDER_LIMIT``
     elements and samples above it.
+
+    ``subgroups`` must be the whole lattice of ``g``: L2.1.i finds HK among
+    its rows, so a pair whose product is a subgroup left out of the list
+    fails L2.1.i and skips L2.1.v.
     """
     subs = list(subgroups)
     m = len(subs)

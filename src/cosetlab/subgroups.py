@@ -9,7 +9,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import bits_tuple, full_mask, mask_of, mask_rows, packed, row_masks
+from .bitset import bits_tuple, full_mask, mask_of, mask_rows, packed, row_masks, row_positions
 from .errors import ConsistencyError, NotAGroup, SubgroupCountCapExceeded
 from .groups import FiniteGroup
 
@@ -183,7 +183,7 @@ def conjugation_action(
     if not maps:
         return []
     member = membership(subgroups)
-    position = {row.tobytes(): i for i, row in enumerate(packed(member))}
+    position = row_positions(packed(member))
     order = np.array([s.order for s in subgroups], dtype=np.int64)
     perms = []
     for conj in maps:

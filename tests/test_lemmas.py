@@ -11,7 +11,7 @@ import cosetlab as cl
 import cosetlab.counting
 import cosetlab.lemmas
 from cosetlab.counting import DEFAULT_CENSUS_CAP
-from cosetlab.lemmas import LemmaStats
+from cosetlab.lemmas import CLOSURE_DISAGREES, LemmaStats
 from helpers import (
     per_pair_family,
     per_quadruple_family,
@@ -102,11 +102,12 @@ def test_nested_quadruples_match_mask_rule(lattice, monkeypatch, name):
 
 
 def test_product_set_disagreement_recorded_as_l21i_failure(lattice, monkeypatch):
-    # A closure test that always says no contradicts HK = KH on every
-    # commuting pair; the suite must record that, not raise.
+    # A lattice lookup that never hits says no HK is a subgroup, which
+    # contradicts HK = KH on every commuting pair; the suite must record
+    # that, not raise.
     g, subs = lattice("S3")
     clean = cl.run_lemma_suite(g, subs)
-    monkeypatch.setattr("cosetlab.lemmas._closed_under_mul", lambda parent, mask: False)
+    monkeypatch.setattr("cosetlab.lemmas.row_positions", lambda words: {})
     res = cl.run_lemma_suite(g, subs)
     assert res.stats["L2.1.i"].failed > 0
     assert "disagrees" in res.stats["L2.1.i"].examples[0]
@@ -116,6 +117,30 @@ def test_product_set_disagreement_recorded_as_l21i_failure(lattice, monkeypatch)
             assert res.stats[lid].failed == 0, lid
             assert res.stats[lid].checked == clean.stats[lid].checked, lid
     assert res.stats["L2.1.v"].checked < clean.stats["L2.1.v"].checked
+
+
+def test_product_missing_from_the_list_fails_l21i(lattice, monkeypatch):
+    # S4 without A4, its one subgroup of order 12, which is normal, so the
+    # list stays closed under conjugation.  A4 = V4*C3 for the normal V4 and
+    # each of the four C3: HK = KH, but HK is no row of the list, so these
+    # 8 ordered pairs fail L2.1.i and skip L2.1.v, 24 disjoint coset pairs
+    # each, where the per-pair oracle, which tests closure on the table,
+    # passes and checks them.  Nothing else differs, and nothing raises.
+    g, subs = lattice("S4")
+    kept = [s for s in subs if s.order != 12]
+    assert len(kept) == len(subs) - 1
+    fast, oracle = _with_oracle(
+        monkeypatch, lambda: cl.run_lemma_suite(g, kept), {"_check_pairs": per_pair_family}
+    )
+    l21i = fast["stats"]["L2.1.i"]
+    assert (l21i["checked"], l21i["failed"], fast["failures"]) == (len(kept) ** 2, 8, 8)
+    for text in l21i["examples"]:
+        assert text in (f"S4: |H|=4 |K|=3: {CLOSURE_DISAGREES}", f"S4: |H|=3 |K|=4: {CLOSURE_DISAGREES}")
+    assert oracle["failures"] == 0
+    assert fast["stats"]["L2.1.v"]["checked"] == oracle["stats"]["L2.1.v"]["checked"] - 8 * 24
+    for lid in cl.LEMMA_IDS:
+        if lid not in ("L2.1.i", "L2.1.v"):
+            assert fast["stats"][lid] == oracle["stats"][lid], lid
 
 
 def test_r_value_disagreement_recorded_as_e34_failure(lattice, monkeypatch):
@@ -163,18 +188,36 @@ FORCED_SAMPLES = {"PAIR_LIMIT": 4, "TRIPLE_LIMIT": 4, "NESTED_ORDER_LIMIT": 4, "
     "name,seed,limits",
     [(name, 0, {}) for name in SMALL_GROUPS]
     + [("S4", 7, FORCED_SAMPLES)]
-    + [(name, seed, {}) for name in ("A5", "S5") for seed in (0, 3, 7)],
+    + [(name, seed, {}) for name in ("A5", "S5") for seed in (0, 3, 7)]
+    + [("A6", 0, {})],
 )
 def test_suite_matches_per_instance_oracle(lattice, monkeypatch, name, seed, limits):
     # identical checked, failed and examples for every law when the pair,
     # triple and nested families each run one instance at a time: exhaustive
-    # on the small groups, sampled on S4 with forced limits, A5 and S5
+    # on the small groups, sampled on S4 with forced limits, A5, S5 and A6
     g, subs = lattice(name)
     _set_limits(monkeypatch, limits)
     fast, oracle = _with_oracle(monkeypatch, lambda: cl.run_lemma_suite(g, subs, seed=seed), ORACLE)
     assert fast == oracle
-    mode = "sampled" if limits or name in ("A5", "S5") else "exhaustive"
+    mode = "sampled" if limits or name in ("A5", "S5", "A6") else "exhaustive"
     assert set(fast["modes"].values()) == {mode}
+
+
+@pytest.mark.parametrize("name", ["S3", "A4"])
+def test_unfiltered_nested_failures_match_oracle(lattice, monkeypatch, name):
+    # With the H1 & H2 == G1 & G2 filter made to keep every quadruple, R3.1
+    # fails on some of them: the batched count and its examples read as on
+    # the per-quadruple route, which counts from the definition
+    g, subs = lattice(name)
+    _set_limits(monkeypatch, {"SAMPLE_TARGET": 0, "PAIR_LIMIT": 0, "TRIPLE_LIMIT": 0})
+    monkeypatch.setattr("cosetlab.lemmas._meet_order", lambda w, a, b: np.zeros(len(a), dtype=np.int64))
+    fast, oracle = _with_oracle(
+        monkeypatch, lambda: cl.run_lemma_suite(g, subs), {"_check_nested": per_quadruple_family}
+    )
+    r31 = fast["stats"]["R3.1"]
+    assert 0 < r31["failed"] < r31["checked"]
+    assert len(r31["examples"]) == 5
+    assert fast == oracle
 
 
 # at census caps 1 and 100 these groups mix enumerated and capped triples
