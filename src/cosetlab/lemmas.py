@@ -45,8 +45,9 @@ LEMMA_IDS = (
     "E3.4",
 )
 
-# L2.1.i's failure text, shared with the test oracle tests/helpers.product_set
-CLOSURE_DISAGREES = "product-set closure test disagrees with the commutation test"
+# L2.1.i's failure texts, for an HK that is not a row of the subgroup list and one that is
+NOT_LISTED = "HK is missing from the subgroup list, which disagrees with HK = KH"
+LISTED = "HK is in the subgroup list, which disagrees with HK != KH"
 
 PAIR_LIMIT = 1600
 TRIPLE_LIMIT = 8000
@@ -229,7 +230,7 @@ def _check_pairs(
         def tag(p: int) -> str:
             return f"{g.label}: |H|={oh[p]} |K|={ok[p]}"
 
-        stats["L2.1.i"].tally_at(every, sound, lambda p: f"{tag(p)}: {CLOSURE_DISAGREES}")
+        stats["L2.1.i"].tally_at(every, sound, lambda p: f"{tag(p)}: {LISTED if closed[p] else NOT_LISTED}")
         stats["L2.1.ii"].tally_at(every, k_cosets == oh // overlap, tag)
         stats["L2.1.iii"].tally_at(np.gcd(ih, ik) == 1, hk.all(axis=1), tag)
         stats["L2.1.iv"].tally_at(every, (oh * ok // overlap < n) == (meets < ih * ik), tag)

@@ -52,7 +52,6 @@ from cosetlab.cosets import (
 )
 from cosetlab.counting import _meet_orders, _r_from_order, census, r_strict_upper
 from cosetlab.errors import ConsistencyError
-from cosetlab.lemmas import CLOSURE_DISAGREES
 from cosetlab.subgroups import (
     _closed_under_mul,
     _is_prime_power,
@@ -436,6 +435,10 @@ def _product_row(h: Subgroup, k: Subgroup) -> np.ndarray:
     row = np.zeros(h.parent.n, dtype=bool)
     row[h.parent.np_table[np.array(h.elements)[:, None], k.elements]] = True
     return row
+
+
+# product_set's ConsistencyError text
+CLOSURE_DISAGREES = "product-set closure test disagrees with the commutation test"
 
 
 def product_set(h: Subgroup, k: Subgroup) -> tuple[int, bool]:

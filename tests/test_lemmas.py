@@ -11,7 +11,7 @@ import cosetlab as cl
 import cosetlab.counting
 import cosetlab.lemmas
 from cosetlab.counting import DEFAULT_CENSUS_CAP
-from cosetlab.lemmas import CLOSURE_DISAGREES, LemmaStats
+from cosetlab.lemmas import LISTED, NOT_LISTED, LemmaStats
 from helpers import (
     per_pair_family,
     per_quadruple_family,
@@ -135,12 +135,28 @@ def test_product_missing_from_the_list_fails_l21i(lattice, monkeypatch):
     l21i = fast["stats"]["L2.1.i"]
     assert (l21i["checked"], l21i["failed"], fast["failures"]) == (len(kept) ** 2, 8, 8)
     for text in l21i["examples"]:
-        assert text in (f"S4: |H|=4 |K|=3: {CLOSURE_DISAGREES}", f"S4: |H|=3 |K|=4: {CLOSURE_DISAGREES}")
+        assert text in (f"S4: |H|=4 |K|=3: {NOT_LISTED}", f"S4: |H|=3 |K|=4: {NOT_LISTED}")
     assert oracle["failures"] == 0
     assert fast["stats"]["L2.1.v"]["checked"] == oracle["stats"]["L2.1.v"]["checked"] - 8 * 24
     for lid in cl.LEMMA_IDS:
         if lid not in ("L2.1.i", "L2.1.v"):
             assert fast["stats"][lid] == oracle["stats"][lid], lid
+
+
+def test_listed_product_that_does_not_commute_fails_l21i(lattice, monkeypatch):
+    # A lattice lookup that finds every HK, at the whole group, says HK is a
+    # subgroup also on the 6 ordered pairs of distinct C2 in S3, where
+    # HK != KH; each of them fails L2.1.i with the listed text.
+    class Everywhere(dict):
+        def get(self, key, default=None):
+            return whole
+
+    g, subs = lattice("S3")
+    whole = next(i for i, s in enumerate(subs) if s.order == g.n)
+    monkeypatch.setattr("cosetlab.lemmas.row_positions", lambda words: Everywhere())
+    l21i = cl.run_lemma_suite(g, subs).stats["L2.1.i"]
+    assert l21i.failed == 6
+    assert l21i.examples and all(text == f"S3: |H|=2 |K|=2: {LISTED}" for text in l21i.examples)
 
 
 def test_r_value_disagreement_recorded_as_e34_failure(lattice, monkeypatch):

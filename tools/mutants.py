@@ -9,12 +9,13 @@ Each mutant changes one site inside the named functions:
 
 Every mutant runs the given tests in its own child process, on a fresh
 copy of ``src/`` and ``tests/`` with the one file rewritten, under a
-timeout and an address-space rlimit.  A mutant is killed when the tests
-fail or the child runs out of time or memory, and survives when they
-pass.  The unmutated copy runs first and must pass.
+timeout of ``TIMEOUT_S`` seconds and an address-space rlimit of
+``MEMORY_MB`` megabytes.  A mutant is killed when the tests fail or the
+child runs out of time or memory, and survives when they pass.  The
+unmutated copy runs first and must pass.
 
     python tools/mutants.py src/cosetlab/lemmas.py _check_pairs _separation \\
-        --tests tests/test_lemmas.py --timeout 300 --memory-mb 3072
+        --tests tests/test_lemmas.py
 
 Run it from the root of a checkout.  It is not a test module, and the
 test suite does not collect it.  Survivors are worth a second run with
@@ -39,6 +40,8 @@ SYMBOL = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Add: "+", ast.Sub: "-",
 }
+TIMEOUT_S = 300
+MEMORY_MB = 3072
 
 
 def sites(tree: ast.Module, functions: set[str]) -> list[tuple[str, int, int]]:
@@ -82,22 +85,19 @@ def mutate(tree: ast.Module, site: tuple[str, int, int]) -> tuple[str, str]:
     return ast.unparse(tree), f"line {node.lineno}:{node.col_offset}: {change}"
 
 
-def limit_memory(megabytes: int):
-    def apply() -> None:
-        size = megabytes * 2**20
-        resource.setrlimit(resource.RLIMIT_AS, (size, size))
-
-    return apply
+def limit_memory() -> None:
+    size = MEMORY_MB * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
-def run_tests(copy_root: Path, tests: list[str], timeout: float, megabytes: int) -> tuple[str, str]:
+def run_tests(copy_root: Path, tests: list[str]) -> tuple[str, str]:
     """'killed' or 'survived' for one copy, with the first failure's line."""
     env = {**os.environ, "PYTHONPATH": str(copy_root / "src"), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
             argv, cwd=copy_root, env=env, capture_output=True, text=True,
-            timeout=timeout, preexec_fn=limit_memory(megabytes),
+            timeout=TIMEOUT_S, preexec_fn=limit_memory,
         )
     except subprocess.TimeoutExpired:
         return "killed", "timeout"
@@ -120,8 +120,6 @@ def main() -> int:
     ap.add_argument("module", help="path of the module to mutate, from the checkout root")
     ap.add_argument("functions", nargs="+", help="top-level functions whose sites are mutated")
     ap.add_argument("--tests", nargs="+", default=["tests"], help="pytest paths each mutant runs")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    ap.add_argument("--memory-mb", type=int, default=3072, help="address-space limit per mutant")
     ap.add_argument("--only", type=int, nargs="*", help="run only these site numbers")
     args = ap.parse_args()
 
@@ -133,7 +131,7 @@ def main() -> int:
     print(f"{len(found)} sites in {', '.join(args.functions)}", flush=True)
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         base = fresh_copy(root, Path(scratch) / "base")
-        status, why = run_tests(base, args.tests, args.timeout, args.memory_mb)
+        status, why = run_tests(base, args.tests)
         if status != "survived":
             print(f"the unmutated copy fails its tests: {why}")
             return 2
@@ -142,7 +140,7 @@ def main() -> int:
             text, change = mutate(tree, found[number])
             work = fresh_copy(root, Path(scratch) / f"m{number}")
             (work / args.module).write_text(text)
-            status, why = run_tests(work, args.tests, args.timeout, args.memory_mb)
+            status, why = run_tests(work, args.tests)
             survivors += status == "survived"
             print(f"#{number} {args.module} {change}: {status} {why}".rstrip(), flush=True)
             shutil.rmtree(work)
