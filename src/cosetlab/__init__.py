@@ -40,6 +40,7 @@ from .errors import (
 from .groups import FiniteGroup, GroupSpec, direct_product, load_group
 from .lemmas import LEMMA_IDS, LemmaSuiteResult, run_lemma_suite
 from .subgroups import (
+    Lattice,
     Subgroup,
     close_generators,
     enumerate_subgroups,
@@ -70,6 +71,7 @@ __all__ = [
     "GroupSpec",
     "GroupSpecError",
     "LEMMA_IDS",
+    "Lattice",
     "LemmaSuiteResult",
     "NotAGroup",
     "OrderCapExceeded",

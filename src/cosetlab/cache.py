@@ -8,16 +8,17 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
-from .bitset import mask_of
+import numpy as np
+
 from .errors import CacheCorrupt, CacheStale
 from .groups import FiniteGroup, GroupSpec
-from .subgroups import Subgroup, _subgroup_from_mask, enumerate_subgroups
+from .subgroups import Lattice, Subgroup, _sort_keys, enumerate_subgroups
 
-# Names the enumeration algorithm too: a file written under another tag is
-# discarded and recomputed, never trusted.
-LATTICE_FORMAT = "cosetlab-lattice-v5"
+# Names the enumeration algorithm and the file layout too: a file written
+# under another tag is discarded and recomputed, never trusted.
+LATTICE_FORMAT = "cosetlab-lattice-v6"
 DEFAULT_CACHE_DIR = ".cosetlab-cache"
 
 log = logging.getLogger("cosetlab.cache")
@@ -45,33 +46,35 @@ def _require_spec(g: FiniteGroup) -> GroupSpec:
     return g.spec
 
 
-def _compact(payload: dict) -> str:
-    # no indent, so the json module's C encoder runs
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _checksum(digest: object, order: object, orders: np.ndarray, elements: np.ndarray) -> str:
+    """sha256 of the header fields and the int64 bytes of both lists."""
+    h = hashlib.sha256(f"{LATTICE_FORMAT}:{digest}:{order}:{len(orders)}:".encode("utf-8"))
+    h.update(orders.astype("<i8").tobytes())
+    h.update(elements.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
-def _payload_checksum(payload: dict) -> str:
-    return hashlib.sha256(_compact(payload).encode("utf-8")).hexdigest()
-
-
-def store_lattice(g: FiniteGroup, subgroups: list[Subgroup], cache_dir: Path | str) -> Path:
+def store_lattice(g: FiniteGroup, subgroups: Sequence[Subgroup], cache_dir: Path | str) -> Path:
+    """Write the lattice's orders and one flat list of its elements, row by row."""
     digest = spec_hash(_require_spec(g))
+    lattice = Lattice.of(subgroups)
+    elements = np.nonzero(lattice.rows)[1]
     payload = {
         "format": LATTICE_FORMAT,
         "spec_hash": digest,
         "order": g.n,
-        "subgroups": [list(s.elements) for s in subgroups],
+        "orders": lattice.order.tolist(),
+        "elements": elements.tolist(),
+        "checksum": _checksum(digest, g.n, lattice.order, elements),
     }
-    payload["checksum"] = _payload_checksum(
-        {k: payload[k] for k in ("format", "spec_hash", "order", "subgroups")}
-    )
     path = lattice_path(cache_dir, digest)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Written beside the target and renamed over it, so a failed write never
     # leaves a truncated lattice behind.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(_compact(payload) + "\n")
+        # compact, so the json module's C encoder runs
+        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -79,13 +82,15 @@ def store_lattice(g: FiniteGroup, subgroups: list[Subgroup], cache_dir: Path | s
     return path
 
 
-def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgroup]]:
+def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[Lattice]:
     """Read a cached lattice back; None when absent, CacheCorrupt when damaged.
 
-    An intact file under another format tag raises CacheStale, a CacheCorrupt.
-    So do subgroup lists that do not strictly ascend by ``Subgroup.sort_key``,
-    as ``enumerate_subgroups`` lists them: the pair rows rely on that order.
-    """
+    An intact file under another format tag raises CacheStale, a
+    CacheCorrupt.  The lists are checked on whole arrays (closure is not:
+    it would cost more than the rest of the load): orders that divide |G|
+    and sum to the element count, elements in [0, |G|), each subgroup's
+    distinct and holding the identity, subgroups strictly ascending by
+    ``Subgroup.sort_key`` as ``enumerate_subgroups`` lists them."""
     digest = spec_hash(_require_spec(g))
     path = lattice_path(cache_dir, digest)
     if not path.exists():
@@ -100,38 +105,33 @@ def load_lattice(g: FiniteGroup, cache_dir: Path | str) -> Optional[list[Subgrou
         raise CacheStale(
             f"{path}: format tag {payload['format']!r}, expected {LATTICE_FORMAT!r}"
         )
-    expected = payload.get("checksum")
-    body = {k: payload.get(k) for k in ("format", "spec_hash", "order", "subgroups")}
-    if _payload_checksum(body) != expected:
+    malformed = CacheCorrupt(f"{path}: subgroup lists malformed")
+    try:
+        orders, elements = (np.asarray(payload.get(key)) for key in ("orders", "elements"))
+    except ValueError:  # a ragged nesting
+        raise malformed from None
+    if any(a.ndim != 1 or not len(a) or a.dtype.kind != "i" for a in (orders, elements)):
+        raise malformed
+    checksum = _checksum(payload.get("spec_hash"), payload.get("order"), orders, elements)
+    if checksum != payload.get("checksum"):
         raise CacheCorrupt(f"{path}: checksum mismatch")
     if payload.get("order") != g.n or payload.get("spec_hash") != digest:
         raise CacheCorrupt(f"{path}: cached for a different group")
-    lists = payload.get("subgroups")
-    subs = [_cached_subgroup(g, elems) for elems in lists] if isinstance(lists, list) else []
-    if not subs or None in subs:
-        raise CacheCorrupt(f"{path}: subgroup lists malformed")
-    if any(a.sort_key >= b.sort_key for a, b in zip(subs, subs[1:])):
+    if orders.min() < 1 or (g.n % orders).any() or orders.sum() != len(elements):
+        raise malformed
+    if elements.min() < 0 or elements.max() >= g.n:
+        raise malformed
+    rows = np.zeros((len(orders), g.n), dtype=bool)
+    rows[np.repeat(np.arange(len(orders)), orders), elements] = True
+    if (rows.sum(axis=1) != orders).any() or not rows[:, g.identity].all():
+        raise malformed
+    keys = _sort_keys(rows)
+    if (keys[1:] <= keys[:-1]).any():
         raise CacheCorrupt(f"{path}: subgroup lists out of order or repeated")
-    return subs
+    return Lattice(g, rows)
 
 
-def _cached_subgroup(g: FiniteGroup, elems: object) -> Optional[Subgroup]:
-    """A cached entry as a Subgroup, or None unless it is strictly ascending
-    ints in [0, n) that hold the identity, of a length that divides n.
-    Closure is not re-checked: it would cost more than the rest of the load."""
-    try:
-        if not (isinstance(elems, list) and elems and 0 <= min(elems) and max(elems) < g.n):
-            return None
-        s = _subgroup_from_mask(g, mask_of(elems))
-    except TypeError:
-        return None
-    # the elements of s ascend, so this leaves out duplicates and disorder too
-    if list(s.elements) != elems or not s.mask >> g.identity & 1 or g.n % s.order:
-        return None
-    return s
-
-
-def cached_subgroups(g: FiniteGroup, cache_dir: Path | str) -> tuple[list[Subgroup], str]:
+def cached_subgroups(g: FiniteGroup, cache_dir: Path | str) -> tuple[Lattice, str]:
     """Lattice from cache when intact, else recomputed and stored.
 
     Stale and corrupt cache entries are logged and replaced; they never fail

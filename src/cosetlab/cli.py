@@ -26,7 +26,7 @@ from .errors import BadInput, CensusCapExceeded, ConsistencyError, GroupSpecErro
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, load_group, spec_from_token
 from .lemmas import run_lemma_suite
 from .report import CensusRows, build_report, report_chunks
-from .subgroups import Subgroup, enumerate_subgroups
+from .subgroups import Lattice, enumerate_subgroups
 from .verifier import DEFAULT_CLIQUE_CAP, K_MAX, K_MIN, PairRows, verify_group
 
 DEFAULT_K_RANGE = (2, 4)
@@ -87,7 +87,7 @@ def _resolve_spec(token: str) -> GroupSpec:
     )
 
 
-def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[list[Subgroup], str]:
+def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[Lattice, str]:
     """The lattice and its cache status; ``--cache-dir off`` reads and writes nothing."""
     if cache_dir == CACHE_OFF:
         return enumerate_subgroups(g), CACHE_OFF
@@ -95,7 +95,7 @@ def _subgroups(g: FiniteGroup, cache_dir: str) -> tuple[list[Subgroup], str]:
 
 
 def cmd_verify(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
+    args: argparse.Namespace, g: FiniteGroup, subs: Lattice
 ) -> tuple[dict, int]:
     stats = PairRows(g, subs)
     reports = []
@@ -120,7 +120,7 @@ def cmd_verify(
 
 
 def cmd_lemmas(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
+    args: argparse.Namespace, g: FiniteGroup, subs: Lattice
 ) -> tuple[dict, int]:
     result = run_lemma_suite(g, subs, seed=args.seed, census_cap=args.max_census)
     for lid, st in result.stats.items():
@@ -137,7 +137,7 @@ def cmd_lemmas(
 
 
 def cmd_census(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
+    args: argparse.Namespace, g: FiniteGroup, subs: Lattice
 ) -> tuple[dict, int]:
     m = len(subs)
     n_triples = math.comb(m + 2, 3)
@@ -149,20 +149,18 @@ def cmd_census(
     counts, errors = lattice_census(subs, max_census=args.max_census)
     if errors:
         raise ConsistencyError(errors[min(errors)])
-    orders = np.array([s.order for s in subs], dtype=np.int64)
-    enumerated = counts["enumerated"]
-    rows = CensusRows.from_fields({**counts, "subgroup_orders": orders[_triples(m)]}, enumerated)
+    rows = CensusRows({**counts, "subgroup_orders": subs.order[_triples(m)]}, counts["enumerated"])
     print(
         f"{g.label}: {n_triples} subgroup triples censused"
         f" in {np.count_nonzero(counts['representative'])} orbits,"
-        f" {np.count_nonzero(enumerated)} enumerated exactly",
+        f" {np.count_nonzero(rows.enumerated)} enumerated exactly",
         file=sys.stderr,
     )
     return {"census": rows}, 0
 
 
 def cmd_subgroups(
-    args: argparse.Namespace, g: FiniteGroup, subs: list[Subgroup]
+    args: argparse.Namespace, g: FiniteGroup, subs: Lattice
 ) -> tuple[dict, int]:
     print(f"{g.label}: {len(subs)} subgroups", file=sys.stderr)
     return {"subgroups": [list(s.elements) for s in subs]}, 0

@@ -9,10 +9,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitset import packed, popcounts
+from .bitset import popcounts
 from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
-from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
+from .subgroups import Lattice, Subgroup, orbit_labels
 
 DEFAULT_CENSUS_CAP = 10**6
 # rows per block in _orbit_census's checks and _closed_census
@@ -200,12 +200,11 @@ def _triples(m: int) -> np.ndarray:
 
 
 def triple_orbits(subs: Sequence[Subgroup]) -> np.ndarray:
-    """Orbit label of every subgroup triple of a lattice under simultaneous
-    conjugation, in ``combinations_with_replacement`` order: the position of
-    the least triple of its orbit (``subgroups.orbit_labels``)."""
-    if not subs:
-        return np.arange(0)
-    return orbit_labels(conjugation_action(subs[0].parent, subs), _triples(len(subs)))
+    """Orbit label of every subgroup triple of a lattice under its ``action``,
+    in ``combinations_with_replacement`` order: the position of the least
+    triple of its orbit (``subgroups.orbit_labels``)."""
+    lattice = Lattice.of(subs)
+    return orbit_labels(lattice.action, _triples(len(lattice)))
 
 
 def _orders(w: np.ndarray, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,14 +453,10 @@ def lattice_census(
     so its sum is the number of orbits.  Counts are int64, so the group
     order must stay below 2**21.
     """
-    parent = subs[0].parent
-    if any(s.parent is not parent for s in subs):
-        raise ParentMismatch("census subgroups belong to different groups")
-    labels = np.stack([coset_labels(s) for s in subs])
-    orbits = triple_orbits(subs)
-    counts, errors = _orbit_census(
-        labels, packed(membership(subs)), _triples(len(subs)), orbits, max_census
-    )
+    lat = Lattice.of(subs)
+    labels = np.stack([coset_labels(s) for s in lat])
+    orbits = triple_orbits(lat)
+    counts, errors = _orbit_census(labels, lat.words, _triples(len(lat)), orbits, max_census)
     counts["representative"] = orbits == np.arange(len(orbits))
     return counts, errors
 

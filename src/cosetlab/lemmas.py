@@ -29,7 +29,7 @@ from .counting import (
     triple_orbits,
 )
 from .groups import FiniteGroup
-from .subgroups import Subgroup, membership
+from .subgroups import Lattice, Subgroup
 
 LEMMA_IDS = (
     "L2.1.i",
@@ -241,7 +241,7 @@ def _check_pairs(
 
 def _check_triples(
     g: FiniteGroup,
-    subs: Sequence[Subgroup],
+    lattice: Lattice,
     labels: np.ndarray,
     w: np.ndarray,
     triples: np.ndarray,
@@ -267,7 +267,7 @@ def _check_triples(
     integral = census_ok & ineq.integral
 
     def tag(p: int) -> str:
-        i, j, k = (subs[x].order for x in triples[p])
+        i, j, k = lattice.order[triples[p]].tolist()
         return f"{g.label}: orders ({i},{j},{k})"
 
     stats["L3.2"].tally_at(~census_ok | enumerated, census_ok, lambda p: f"{tag(p)}: {errors[p]}")
@@ -377,14 +377,12 @@ def run_lemma_suite(
     its rows, so a pair whose product is a subgroup left out of the list
     fails L2.1.i and skips L2.1.v.
     """
-    subs = list(subgroups)
-    m = len(subs)
+    lattice = Lattice.of(subgroups)
+    m = len(lattice)
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
-    member = membership(subs)
-    order = member.sum(axis=1)
-    w = packed(member)
-    labels = np.array([coset_labels(s) for s in subs], dtype=np.intp).reshape(m, g.n)
+    member, order, w = lattice.rows, lattice.order, lattice.words
+    labels = np.array([coset_labels(s) for s in lattice], dtype=np.intp).reshape(m, g.n)
     # contained[h]: positions of the subgroups K of H, proper[h]: those below |H|;
     # one block of rows at a time, so no m x m matrix is kept
     contained: list[list[int]] = []
@@ -440,8 +438,8 @@ def run_lemma_suite(
     )
     samples += drawn
     # exhaustive triples are the lattice's, in the order triple_orbits labels
-    orbits = triple_orbits(subs) if triple_mode == "exhaustive" else np.arange(len(triples))
-    _check_triples(g, subs, labels, w, triples, orbits, stats, census_cap)
+    orbits = triple_orbits(lattice) if triple_mode == "exhaustive" else np.arange(len(triples))
+    _check_triples(g, lattice, labels, w, triples, orbits, stats, census_cap)
 
     nested_mode, quadruples, drawn = _instances(
         g.n <= NESTED_ORDER_LIMIT, every_nested, draw_nested, 4

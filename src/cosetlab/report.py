@@ -231,18 +231,13 @@ _CENSUS_SLOT = '\n  "census": []'
 
 @dataclass(frozen=True)
 class CensusRows:
-    """A report's census as whole arrays: ``rows`` holds one row of 13 ints
-    per entry, its fields in ``CENSUS_COLUMNS`` order, and ``enumerated``
-    one flag per entry.  The columns of n_disjoint and s_triple are not read
-    where ``enumerated`` is False."""
+    """A report's census as whole arrays: ``fields`` holds one array per
+    name in ``CENSUS_COLUMNS``, N or N x 3, and ``enumerated`` one flag per
+    entry.  n_disjoint and s_triple are not read where ``enumerated`` is
+    False."""
 
-    rows: np.ndarray
+    fields: dict[str, np.ndarray]
     enumerated: np.ndarray
-
-    @classmethod
-    def from_fields(cls, fields: dict[str, np.ndarray], enumerated: np.ndarray) -> "CensusRows":
-        """The rows from one array per field of ``CENSUS_COLUMNS``, N or N x 3."""
-        return cls(np.column_stack([fields[key] for key in CENSUS_COLUMNS]), enumerated)
 
 
 def report_chunks(doc: dict) -> Iterator[str]:
@@ -251,9 +246,11 @@ def report_chunks(doc: dict) -> Iterator[str]:
     With ``indent`` set, the json module encodes in pure Python.  A census
     given as ``CensusRows`` can run to hundreds of thousands of entries of
     one fixed shape but few distinct ones, so each distinct entry fills its
-    template once: the rows are deduplicated CENSUS_BLOCK at a time, and
-    the texts carried across blocks.  The blocks go in place of an emptied
-    list at the census's sorted position in the rest of the document.  The
+    template once: the fields are stacked into rows of 13 ints and
+    deduplicated CENSUS_BLOCK entries at a time, so the whole census is
+    never one such array, and the texts are carried across blocks.  The
+    blocks go in place of an emptied list at the census's sorted position
+    in the rest of the document.  The
     census key's line is the only one that starts with two spaces and
     ``"census"``: nested keys are indented further, and JSON strings hold
     no raw newline.  Any other document, a census given as a list of entry
@@ -264,15 +261,16 @@ def report_chunks(doc: dict) -> Iterator[str]:
         yield json.dumps(doc, sort_keys=True, indent=2) + "\n"
         return
     text = json.dumps({**doc, "census": []}, sort_keys=True, indent=2) + "\n"
-    if not len(census.rows):
+    if not len(census.enumerated):
         yield text
         return
     head, tail = text.split(_CENSUS_SLOT, 1)
     yield head + '\n  "census": [\n'
     rendered: dict[tuple, str] = {}  # by a row's values, then its enumerated flag
-    for lo in range(0, len(census.rows), CENSUS_BLOCK):
+    for lo in range(0, len(census.enumerated), CENSUS_BLOCK):
         at = slice(lo, lo + CENSUS_BLOCK)
-        keys = np.column_stack([census.rows[at], census.enumerated[at]])
+        columns = [census.fields[key][at] for key in CENSUS_COLUMNS]
+        keys = np.column_stack([*columns, census.enumerated[at]])
         order = np.lexsort(keys.T)
         keys = keys[order]
         new = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])

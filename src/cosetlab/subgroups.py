@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import bits_tuple, full_mask, mask_of, mask_rows, packed, row_masks, row_positions
-from .errors import ConsistencyError, NotAGroup, SubgroupCountCapExceeded
+from .bitset import bits_tuple, full_mask, mask_of, mask_rows, packed, row_positions
+from .errors import ConsistencyError, NotAGroup, ParentMismatch, SubgroupCountCapExceeded
 from .groups import FiniteGroup
 
 DEFAULT_SUBGROUP_CAP = 10_000
@@ -76,12 +77,63 @@ def subgroup_from_elements(parent: FiniteGroup, elements: Iterable[int]) -> Subg
     return _subgroup_from_mask(parent, mask)
 
 
-def membership(subs: Sequence[Subgroup]) -> np.ndarray:
-    """The m x n bool rows of a lattice: entry (i, x) says element x lies in subs[i]."""
-    rows = np.zeros((len(subs), subs[0].parent.n if subs else 0), dtype=bool)
-    at = np.repeat(np.arange(len(subs)), [s.order for s in subs])
-    rows[at, np.fromiter((e for s in subs for e in s.elements), dtype=np.int64)] = True
-    return rows
+class Lattice(Sequence[Subgroup]):
+    """Subgroups of one group as arrays: ``rows`` (m x n bool, (i, x) set when
+    x lies in subgroup i), ``words`` (the rows ``packed``), int64 ``order``
+    and ``index``, and ``action``, the conjugation action on the positions,
+    built on first use.  Item i is the Subgroup of row i, built on its first
+    read and kept, so readers of a position share one object and its coset
+    caches, and a reader that names no elements builds none.  Whole
+    lattices come sorted by ``Subgroup.sort_key``."""
+
+    def __init__(self, parent: FiniteGroup, rows: np.ndarray):
+        self.parent = parent
+        self.rows = rows
+        self.words = packed(rows)
+        self.order = rows.sum(axis=1, dtype=np.int64)
+        self.index = parent.n // self.order
+        self._items: list[Optional[Subgroup]] = [None] * len(rows)
+
+    @classmethod
+    def of(cls, subgroups: Sequence[Subgroup]) -> "Lattice":
+        """``subgroups`` if a Lattice, else a Lattice of them in their order,
+        kept as its items; ParentMismatch if their parents differ."""
+        if isinstance(subgroups, Lattice):
+            return subgroups
+        subs = list(subgroups)
+        parent = subs[0].parent
+        if any(s.parent is not parent for s in subs):
+            raise ParentMismatch("subgroups belong to different groups")
+        rows = np.zeros((len(subs), parent.n), dtype=bool)
+        at = np.repeat(np.arange(len(subs)), [s.order for s in subs])
+        rows[at, np.fromiter((e for s in subs for e in s.elements), dtype=np.int64)] = True
+        lattice = cls(parent, rows)
+        lattice._items = subs
+        return lattice
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._items[i] is None:
+            mask = int.from_bytes(self.words[i].tobytes(), "little")
+            self._items[i] = _subgroup_from_mask(self.parent, mask)
+        return self._items[i]
+
+    @cached_property
+    def action(self) -> list[np.ndarray]:
+        return conjugation_action(self.parent, self)
+
+
+def _sort_keys(rows: np.ndarray) -> np.ndarray:
+    """Per bool row, bytes that ascend with ``Subgroup.sort_key``: the order,
+    then the complemented row, element 0 first (of two sets of one size, the
+    smaller tuple holds the least element of their symmetric difference)."""
+    order = rows.sum(axis=1).astype(">u4").view(np.uint8).reshape(-1, 4)
+    keys = np.concatenate([order, ~np.packbits(rows, axis=1)], axis=1)
+    return keys.view(f"S{keys.shape[1]}").ravel()
 
 
 def close_generators(
@@ -182,20 +234,19 @@ def conjugation_action(
     maps = conjugators(g)
     if not maps:
         return []
-    member = membership(subgroups)
-    position = row_positions(packed(member))
-    order = np.array([s.order for s in subgroups], dtype=np.int64)
+    lattice = Lattice.of(subgroups)
+    position = row_positions(lattice.words)
     perms = []
     for conj in maps:
-        image = np.zeros_like(member)
-        image[:, conj] = member
+        image = np.zeros_like(lattice.rows)
+        image[:, conj] = lattice.rows
         try:
             perm = np.array([position[row.tobytes()] for row in packed(image)], np.int64)
         except KeyError:
             raise ConsistencyError(
                 f"a conjugate of a subgroup of {g.label} is missing from its lattice"
             ) from None
-        if (order[perm] != order).any():
+        if (lattice.order[perm] != lattice.order).any():
             raise ConsistencyError("conjugation changed a subgroup order")
         perms.append(perm)
     return perms
@@ -284,8 +335,8 @@ def orbit_labels(perms: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
 
 def enumerate_subgroups(
     g: FiniteGroup, *, max_subgroups: int = DEFAULT_SUBGROUP_CAP
-) -> list[Subgroup]:
-    """Every subgroup of g, sorted by (order, element tuple).
+) -> Lattice:
+    """Every subgroup of g as a Lattice, sorted by (order, element tuple).
 
     Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*, 2005, ch. 9).  Every cyclic subgroup <x>
@@ -328,26 +379,10 @@ def enumerate_subgroups(
             power = mul[power][x]
     cyclic = {x: m for m, x in seeds.items() if _is_prime_power(m.bit_count())}
     if maps:
-        found = _class_lattice(g, maps, seeds, list(cyclic), max_subgroups)
-        subs = [_subgroup_from_mask(g, m) for m in found]
+        rows = mask_rows(list(_class_lattice(g, maps, seeds, list(cyclic), max_subgroups)), g.n)
     else:
-        subs = _subgroups_from_rows(g, _canonical_lattice(g, cyclic, max_subgroups))
-    subs.sort(key=lambda s: s.sort_key)
-    return subs
-
-
-def _subgroups_from_rows(g: FiniteGroup, rows: np.ndarray) -> list[Subgroup]:
-    """Wrap the subgroups whose bool rows (r x n) are ``rows``: elements
-    from one ``nonzero`` split, masks from ``row_masks``."""
-    elems = np.nonzero(rows)[1].tolist()
-    ends = np.cumsum(rows.sum(axis=1)).tolist()
-    subs = []
-    start = 0
-    for mask, end in zip(row_masks(rows), ends):
-        order = end - start
-        subs.append(Subgroup(g, mask, tuple(elems[start:end]), order, g.n // order))
-        start = end
-    return subs
+        rows = _canonical_lattice(g, cyclic, max_subgroups)
+    return Lattice(g, rows[np.argsort(_sort_keys(rows), kind="stable")])
 
 
 def _class_lattice(
@@ -485,7 +520,7 @@ def _canonical_lattice(
     level[0, g.identity] = True
     last = np.array([-1])
     levels = [level]
-    seen = set(_row_keys(level))
+    seen = set(_sort_keys(level).tolist())
     while len(level):
         order = level.sum(axis=1)
         step = max(1, CANONICAL_BLOCK // (n * int(order.max())))
@@ -510,7 +545,7 @@ def _canonical_lattice(
             below = np.arange(len(listed)) < pos[:, None]
             ok = ~(k[:, listed] & ~rows[h[:, None], listed] & below).any(axis=1)
             k, y = k[ok], y[ok]
-            keys = _row_keys(k)
+            keys = _sort_keys(k).tolist()
             fresh = set(keys)
             if len(fresh) < len(keys) or not seen.isdisjoint(fresh):
                 raise ConsistencyError(
@@ -538,8 +573,3 @@ def _join(coset: np.ndarray, seed: np.ndarray) -> np.ndarray:
     met[at, coset[at, z]] = True
     return np.take_along_axis(met, coset, axis=1)
 
-
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """Each bool row's ``packed`` words as one bytes key."""
-    words = packed(rows)
-    return words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()

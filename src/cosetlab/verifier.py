@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .cosets import coset_mask, double_coset_reps, left_cosets
 from .counting import BLOCK_ENTRIES
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
-from .subgroups import Subgroup, conjugation_action, membership, orbit_labels
+from .subgroups import Lattice, Subgroup, orbit_labels
 
 DEFAULT_CLIQUE_CAP = 10**6
 K_MIN = 2
@@ -117,53 +116,34 @@ class PairRows:
     ``MEET_ROWS`` positions, for the whole block at once, and only over the
     positions from the block's start on: the clique search never reads a
     bit below j in row j.  ``rows(k)`` ANDs in the gcd bar, one mask per
-    index class from the gcd table of the distinct indices, and the order
-    fit |H_j| + |H_t| <= |G|, which every disjointable pair meets (two
-    cosets whose sizes pass |G| meet).  ``subgroups`` must ascend by order,
-    as ``enumerate_subgroups`` lists them, or ValueError: then the t that
-    fit j are those below ``fit[j]``, and ``candidate_cliques`` stops its
-    order-sum bar at the first position too large.  Row j's
-    disjointability row is built only when a bit at or above j survives
-    those two bars, and a first pick that ``rows(k)`` lists as lone
-    reads no row.  One source serves every k of a lattice, and builds the
-    action of g on its positions by conjugation (``action``) once, on
-    first use.  Iterating yields the m(m+1)/2 unordered pairs i <= j as
-    ``PairStats``.
+    index class from the gcd table of the distinct indices.  ``subgroups``
+    must ascend by order, as ``enumerate_subgroups`` lists them, or
+    ValueError: ``candidate_cliques`` stops its order-sum bar at the first
+    position too large.  A first pick that ``rows(k)`` lists as lone reads
+    no row.  One source serves every k of a lattice; its ``lattice``
+    (``Lattice.of(subgroups)``) gives the words, orders and indices, and
+    the conjugation action.  Iterating yields the m(m+1)/2 unordered pairs
+    i <= j as ``PairStats``.
     """
 
     def __init__(self, g: FiniteGroup, subgroups: Sequence[Subgroup]):
-        self.group = g
-        self.subgroups = subgroups
+        self.lattice = Lattice.of(subgroups)
         self.n = g.n
-        self.words = packed(membership(subgroups))
-        self.order = np.array([s.order for s in subgroups], dtype=np.int64)
+        self.order = self.lattice.order
         if (np.diff(self.order) < 0).any():
             raise ValueError("subgroups must be sorted by non-decreasing order")
-        self.indices, self.index_class = np.unique(
-            [s.index for s in subgroups], return_inverse=True
-        )
-        self.fit = np.searchsorted(self.order, g.n - self.order, side="right")
+        self.indices, self.index_class = np.unique(self.lattice.index, return_inverse=True)
         # per index class: its order, descending, and the classes of the
         # same or larger order whose subgroups fit beside its own
         self._class_order = g.n // self.indices
         self._partner = np.tril(np.add.outer(self._class_order, self._class_order) <= g.n)
         self._disjoint: list[Optional[int]] = [None] * len(subgroups)
 
-    @cached_property
-    def action(self) -> list[np.ndarray]:
-        """``conjugation_action`` of the lattice, built on first use and
-        shared by every k."""
-        return conjugation_action(self.group, self.subgroups)
-
-    @property
-    def side(self) -> int:
-        return len(self.order)
-
     def __len__(self) -> int:
-        return self.side * (self.side + 1) // 2
+        return len(self.order) * (len(self.order) + 1) // 2
 
     def __iter__(self) -> Iterator[PairStats]:
-        m = self.side
+        m = len(self.order)
         gcd = np.gcd.outer(self.indices, self.indices)
         for i in range(m):
             gcds = gcd[self.index_class[i], self.index_class[i:]].tolist()
@@ -179,8 +159,8 @@ class PairRows:
         row = self._disjoint[j]
         if row is None:
             lo = j - j % MEET_ROWS
-            hi = min(lo + MEET_ROWS, self.side)
-            w = self.words
+            hi = min(lo + MEET_ROWS, len(self.order))
+            w = self.lattice.words
             ok = np.outer(self.order[lo:hi], self.order[lo:]) < (
                 meet_orders(w[lo:hi], w[lo:]) * self.n
             )
@@ -195,8 +175,13 @@ class PairRows:
         as the first of k picks, no second pick can join within |G|.  One
         index class holds a run of positions, and every t >= j lies in j's
         class or in one of larger order, so the least order of a t >= j that
-        passes j's gcd bar and order fit is found per class; j is lone when
-        that order times k - 1 exceeds |G| - |H_j|."""
+        passes j's gcd bar and fits beside H_j is found per class; j is lone
+        when that order times k - 1 exceeds |G| - |H_j|.  A j whose least
+        completion fills G exactly is kept, but heads no clique: the indices
+        d_i of k <= K_MAX pairwise disjointable subgroups with gcds below k
+        never have sum(1 / d_i) = 1, since each gcd lies in [2, k) (|H&K|
+        divides |G| / lcm(d_i, d_j) and passes |G| / d_i d_j) and no such
+        sum of k unit fractions exists (``test_no_clique_fills_the_group``)."""
         low = np.gcd.outer(self.indices, self.indices) < k
         reach = np.where(low & self._partner, self._class_order, self.n + 1).min(axis=1)
         lone = self._class_order + reach * (k - 1) > self.n
@@ -213,11 +198,7 @@ class _BarRows(dict):
         self.lone = lone
 
     def __missing__(self, j: int) -> int:
-        src = self.source
-        bars = self.gcd_ok[src.index_class[j]] & ((1 << int(src.fit[j])) - 1)
-        # a row that the gcd and order-fit bars empty from j on needs no
-        # disjointability row
-        row = self[j] = src.disjoint_row(j) & bars if bars >> j else 0
+        row = self[j] = self.source.disjoint_row(j) & self.gcd_ok[self.source.index_class[j]]
         return row
 
 
@@ -270,9 +251,9 @@ def candidate_cliques(
     depth first, each holding about ``BLOCK_ENTRIES`` entries, so memory
     grows with the depth, not with the number of prefixes.
     """
-    if pair_stats.side != len(subgroups):
+    if len(pair_stats.order) != len(subgroups):
         raise ValueError(
-            f"pair table covers {pair_stats.side} subgroups, lattice has {len(subgroups)}"
+            f"pair table covers {len(pair_stats.order)} subgroups, lattice has {len(subgroups)}"
         )
     order = pair_stats.order
     m = len(order)
@@ -353,10 +334,8 @@ def _search_with_count(
     """
     if not subgroups:
         raise ValueError("search needs at least one subgroup")
-    parent = subgroups[0].parent
-    for s in subgroups[1:]:
-        if s.parent is not parent:
-            raise ParentMismatch("search subgroups belong to different groups")
+    if any(s.parent is not subgroups[0].parent for s in subgroups):
+        raise ParentMismatch("search subgroups belong to different groups")
     k = len(subgroups)
     slots = sorted(range(k), key=lambda t: -subgroups[t].order)
     first, *rest = (subgroups[t] for t in slots)
@@ -420,24 +399,23 @@ def _search_cliques(
     in blocks of about ``BLOCK_ENTRIES`` entries.
     """
     n_rows, k = cliques.shape
-    n = subgroups[0].parent.n
-    width = -(-n // 64)
-    order = np.array([s.order for s in subgroups], dtype=np.int64)
+    lattice = Lattice.of(subgroups)
+    width = -(-lattice.parent.n // 64)
     slots = np.take_along_axis(
-        cliques, np.argsort(-order[cliques], axis=1, kind="stable"), axis=1
+        cliques, np.argsort(-lattice.order[cliques], axis=1, kind="stable"), axis=1
     )
     # one table of coset words: per slot-0 position its subgroup, per pair
     # of slot-0 and slot-1 positions the double coset reps, per position in
     # a later slot its cosets; start and count give each row's choices
     heads, head_of = np.unique(slots[:, 0], return_inverse=True)
-    pairs, pair_of = np.unique(slots[:, 0] * len(order) + slots[:, 1], return_inverse=True)
+    pairs, pair_of = np.unique(slots[:, 0] * len(lattice) + slots[:, 1], return_inverse=True)
     tails, tail_of = np.unique(slots[:, 2:], return_inverse=True)
-    choices = [(subgroups[p].mask,) for p in heads.tolist()]
+    choices = [(lattice[p].mask,) for p in heads.tolist()]
     choices += [
-        double_coset_reps(subgroups[p // len(order)], subgroups[p % len(order)])
+        double_coset_reps(lattice[p // len(lattice)], lattice[p % len(lattice)])
         for p in pairs.tolist()
     ]
-    choices += [left_cosets(subgroups[p]) for p in tails.tolist()]
+    choices += [left_cosets(lattice[p]) for p in tails.tolist()]
     sizes = np.array([len(c) for c in choices], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     table = mask_words([mask for c in choices for mask in c], width)
@@ -470,7 +448,7 @@ def _search_cliques(
     place(0, np.arange(n_rows), np.broadcast_to(np.zeros(width, np.uint64), (n_rows, width)))
     found = {}
     for r in np.unique(np.concatenate(hits)).tolist():
-        found[r], examined[r] = _search_with_count([subgroups[i] for i in cliques[r]])
+        found[r], examined[r] = _search_with_count([lattice[i] for i in cliques[r]])
         if found[r] is None:
             raise ConsistencyError("batched search found a family backtracking missed")
     return found, examined
@@ -526,7 +504,8 @@ def verify_group(
     ``tuples_examined`` counts the coset placements over one
     clique per conjugacy orbit.  ``pair_stats`` is as in
     ``candidate_cliques``; one ``PairRows`` shares its rows across k, and
-    its conjugation action, which is built at the first k with cliques.
+    its lattice the conjugation action (``Lattice.action``), which is
+    built at the first k with cliques.
     """
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"k must lie in [{K_MIN}, {K_MAX}]")
@@ -534,7 +513,7 @@ def verify_group(
         g, k, subgroups=subgroups, pair_stats=pair_stats, max_cliques=max_cliques
     )
     found, orbits, examined = (
-        search_orbits(pair_stats.action, subgroups, cliques) if len(cliques) else ({}, 0, 0)
+        search_orbits(pair_stats.lattice.action, subgroups, cliques) if len(cliques) else ({}, 0, 0)
     )
     violations = list(found.values())
     for violation in violations:

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import warnings
 
+import numpy as np
 import pytest
 
 import cosetlab as cl
 from cosetlab.cache import (
     LATTICE_FORMAT,
+    _checksum,
     cache_lattice,
     cached_subgroups,
     lattice_path,
@@ -70,7 +73,7 @@ def test_corrupt_file_detected_and_recomputed(tmp_path, caplog):
     path = store_lattice(g, subs, tmp_path)
 
     doc = json.loads(path.read_text())
-    doc["subgroups"][0] = [3]
+    doc["elements"][0] = 3
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheCorrupt, match="checksum"):
         load_lattice(g, tmp_path)
@@ -107,7 +110,7 @@ def test_wrong_format_tag_is_corrupt(tmp_path):
 
 def _write_checksummed(tmp_path, g, fmt, subgroups):
     """A lattice file for g with a valid checksum over ``subgroups``, laid
-    out with indent=2 as earlier writers did."""
+    out with indent=2, as the element-list writers up to v5 did."""
     path = lattice_path(tmp_path, spec_hash(g.spec))
     payload = {"format": fmt, "spec_hash": spec_hash(g.spec), "order": g.n, "subgroups": subgroups}
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -130,9 +133,9 @@ def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
     [record] = caplog.records
     assert record.levelno == logging.INFO
     assert fmt in record.message
-    assert "cosetlab-lattice-v5" in record.message
+    assert "cosetlab-lattice-v6" in record.message
     assert "corrupt" not in record.message
-    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v5"
+    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v6"
     assert cached_subgroups(g, tmp_path)[1] == "warm"
 
 
@@ -157,6 +160,32 @@ def test_lattice_from_per_subgroup_augmentation_is_recomputed(tmp_path, caplog):
     _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v4")
 
 
+def test_lattice_from_element_list_file_is_recomputed(tmp_path, caplog):
+    # v5 stored one element list per subgroup, not the orders and one flat
+    # element list
+    _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v5")
+
+
+def _write_v6(tmp_path, g, orders, elements):
+    """A v6 lattice file for g holding ``orders`` and ``elements``, with a
+    valid checksum over them whenever they are lists of ints."""
+    path = lattice_path(tmp_path, spec_hash(g.spec))
+    try:
+        checksum = _checksum(spec_hash(g.spec), g.n, np.array(orders), np.array(elements))
+    except (TypeError, ValueError):
+        checksum = "none"
+    payload = {
+        "format": LATTICE_FORMAT,
+        "spec_hash": spec_hash(g.spec),
+        "order": g.n,
+        "orders": orders,
+        "elements": elements,
+        "checksum": checksum,
+    }
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return path
+
+
 # S3's lattice; the last three payloads hold only its subgroups, but not at
 # their lattice positions, which the pair rows rely on
 S3_LISTS = [[0], [0, 1], [0, 2], [0, 5], [0, 3, 4], [0, 1, 2, 3, 4, 5]]
@@ -166,6 +195,7 @@ S3_LISTS = [[0], [0, 1], [0, 2], [0, 5], [0, 3, 4], [0, 1, 2, 3, 4, 5]]
     "subgroups",
     [
         [[0], [0, 99999]],
+        [[0], [0, 6]],
         "abc",
         [[0], [-1]],
         [],
@@ -173,19 +203,38 @@ S3_LISTS = [[0], [0, 1], [0, 2], [0, 5], [0, 3, 4], [0, 1, 2, 3, 4, 5]]
         S3_LISTS[::-1],
         S3_LISTS[:2] + S3_LISTS[1:],
         [S3_LISTS[0], S3_LISTS[2], S3_LISTS[1], *S3_LISTS[3:]],
+        [[0], [0, 1, 2, 3]],
+        [[0], [0, 0]],
+        ([1, 2], [0, 0, 1, 2]),
+        ([1, 0, 2], [0, 0, 1]),
+        ([1, 2], [0.0, 0.0, 1.0]),
+        ([1, 2], [[0], [0, 1]]),
     ],
     ids=[
-        "out-of-range", "not-a-list", "negative", "empty", "no-identity",
-        "reversed", "repeated", "swapped",
+        "out-of-range", "at-the-order", "not-a-list", "negative", "empty", "no-identity",
+        "reversed", "repeated", "swapped", "order-not-dividing", "repeated-element",
+        "orders-short", "order-zero", "not-ints", "nested",
     ],
 )
 def test_checksummed_file_with_malformed_subgroups_is_recomputed(tmp_path, caplog, subgroups):
     # a valid checksum over contents no lattice has: logged as corrupt,
-    # recomputed and rewritten, never trusted and never a crash
+    # recomputed and rewritten, never trusted, never a crash and never a
+    # numpy warning (an order of 0 is refused before |G| is divided by it).
+    # A list of element lists is stored as its lengths and their
+    # concatenation, any other value as both lists; a pair is the orders
+    # and the elements.
     g = cl.load_catalog_group("S3")
-    path = _write_checksummed(tmp_path, g, LATTICE_FORMAT, subgroups)
-    with pytest.raises(CacheCorrupt, match="malformed|out of order or repeated"):
-        load_lattice(g, tmp_path)
+    if isinstance(subgroups, tuple):
+        orders, elements = subgroups
+    elif isinstance(subgroups, list):
+        orders, elements = [len(e) for e in subgroups], [x for e in subgroups for x in e]
+    else:
+        orders = elements = subgroups
+    path = _write_v6(tmp_path, g, orders, elements)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CacheCorrupt, match="malformed|out of order or repeated"):
+            load_lattice(g, tmp_path)
     with caplog.at_level(logging.WARNING, logger="cosetlab.cache"):
         got, status = cached_subgroups(g, tmp_path)
     assert status == "cold"
@@ -193,23 +242,40 @@ def test_checksummed_file_with_malformed_subgroups_is_recomputed(tmp_path, caplo
     want = [s.elements for s in cl.enumerate_subgroups(g)]
     assert [list(e) for e in want] == S3_LISTS
     assert [s.elements for s in got] == want
-    assert json.loads(path.read_text())["subgroups"] == [list(e) for e in want]
+    doc = json.loads(path.read_text())
+    assert doc["orders"] == [len(e) for e in want]
+    assert doc["elements"] == [x for e in want for x in e]
     assert cached_subgroups(g, tmp_path)[1] == "warm"
 
 
 def test_checksummed_file_without_subgroups_is_recomputed(tmp_path):
-    # the checksum covers a missing subgroup list as null, so it holds; the
-    # file is corrupt, not a KeyError
+    # the checksum covers both lists, so a file missing either is
+    # malformed, not a KeyError
     g = cl.load_catalog_group("S3")
-    path = _write_checksummed(tmp_path, g, LATTICE_FORMAT, None)
+    want = [s.elements for s in cl.enumerate_subgroups(g)]
+    for key in ("orders", "elements"):
+        path = store_lattice(g, cl.enumerate_subgroups(g), tmp_path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheCorrupt, match="malformed"):
+            load_lattice(g, tmp_path)
+        got, status = cached_subgroups(g, tmp_path)
+        assert status == "cold"
+        assert [s.elements for s in got] == want
+
+
+@pytest.mark.parametrize("key, value", [("spec_hash", "0" * 64), ("order", 7)])
+def test_checksum_covers_the_header(tmp_path, key, value):
+    # a header field changed after the write fails the checksum, before
+    # the check that the file is this group's
+    g = cl.load_catalog_group("S3")
+    path = store_lattice(g, cl.enumerate_subgroups(g), tmp_path)
     doc = json.loads(path.read_text())
-    del doc["subgroups"]
+    doc[key] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(CacheCorrupt, match="malformed"):
+    with pytest.raises(CacheCorrupt, match="checksum"):
         load_lattice(g, tmp_path)
-    got, status = cached_subgroups(g, tmp_path)
-    assert status == "cold"
-    assert [s.elements for s in got] == [s.elements for s in cl.enumerate_subgroups(g)]
 
 
 @pytest.mark.parametrize("fail", ["dumps", "write_text"])

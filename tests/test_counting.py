@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab.bitset import mask_of, packed
+from cosetlab.bitset import mask_of
 from cosetlab.counting import DEFAULT_CENSUS_CAP, _checked, triple_inequalities
-from cosetlab.subgroups import membership
 from cosetlab.errors import ConsistencyError, CounterOverflow, ParentMismatch
 
 from helpers import check_triple_inequalities, plant_enumeration_fault, triple_census_brute
@@ -200,7 +199,7 @@ def test_triple_inequality_arrays_match_per_triple(lattice, name):
     # triple by triple, over all triples of the lattice
     g, subs = lattice(name)
     triples = np.array(list(combinations_with_replacement(range(len(subs)), 3)))
-    ineq = triple_inequalities(packed(membership(subs)), g.n, triples)
+    ineq = triple_inequalities(subs.words, g.n, triples)
     assert ineq.integral.all()
     for p, (i, j, k) in enumerate(triples):
         diag = check_triple_inequalities(subs[i], subs[j], subs[k])
@@ -221,7 +220,7 @@ def test_triple_inequality_integrality_error_text(lattice):
     # a triple whose lcm does not divide its index gets the text
     # the oracle check_triple_inequalities raises, naming the first such r-value
     g, subs = lattice("S3")
-    ineq = triple_inequalities(packed(membership(subs)), g.n, np.array([[0, 1, 2]]))
+    ineq = triple_inequalities(subs.words, g.n, np.array([[0, 1, 2]]))
     bad = replace(ineq, lcm=ineq.lcm * np.array([[1], [1], [4], [5]]))
     assert not bad.integral[0]
     index, lcm = ineq.index[2, 0], ineq.lcm[2, 0] * 4
@@ -322,7 +321,7 @@ def test_triple_census_matches_census_across_c(lattice):
     assert {subs[t].index for t in triples[:, 2]} >= {1, 2, 60, 120}
     labels = np.stack([cl.coset_labels(s) for s in subs])
     got, errors = cl.counting._orbit_census(
-        labels, packed(membership(subs)), triples, np.arange(len(triples)), DEFAULT_CENSUS_CAP
+        labels, subs.words, triples, np.arange(len(triples)), DEFAULT_CENSUS_CAP
     )
     assert errors == {}
     want = [cl.census(*(subs[x] for x in t)) for t in triples.tolist()]
@@ -377,7 +376,7 @@ def test_planted_label_faults_flag_what_census_raises_on(lattice, monkeypatch, n
     # of s_triple and n_disjoint decides none of them
     _, subs = lattice(name)
     true_labels = cl.counting.coset_labels
-    w = packed(membership(subs))
+    w = subs.words
     triples = np.array(_triples(subs))
     planted_count = flagged = 0
     for h, sub in enumerate(subs):

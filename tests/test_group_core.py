@@ -11,6 +11,7 @@ import cosetlab as cl
 from cosetlab import subgroups
 from cosetlab.cli import _resolve_spec
 from cosetlab.errors import (
+    ParentMismatch,
     BadInput,
     ConsistencyError,
     GroupSpecError,
@@ -38,7 +39,7 @@ from cosetlab.groups import (
     load_group,
     spec_from_token,
 )
-from cosetlab.subgroups import generating_set, membership
+from cosetlab.subgroups import generating_set
 
 from helpers import (
     brute_subgroups,
@@ -382,6 +383,70 @@ def test_q8_table_pinned():
     assert cl.load_catalog_group("Q8").mul == Q8_ROWS
 
 
+# every catalog group, the lattices past it pinned above, and both routes:
+# conjugacy classes for the non-abelian groups, canonical augmentation for
+# the abelian ones
+LATTICE_GROUPS = sorted(cl.CATALOG) + [
+    "A6",
+    "S6",
+    "D30",
+    "S3xS3xC2",
+    "A4xA4",
+    "C2xC2xC2xC2xC2xC2",
+    "C2xC4xC4",
+    "C3xC3xC3",
+    "C9xC3",
+    "C2xC2xC2xC4xC4",
+    "C3xC3xC3xC3",
+]
+
+
+@pytest.mark.parametrize("name", LATTICE_GROUPS)
+def test_lattice_rows_are_in_sort_key_order(lattice, name):
+    # Subgroups built eagerly from the lattice's rows ascend strictly by
+    # sort_key, and the items of a lattice of the same rows, every one
+    # unbuilt at first, equal them field for field when read
+    g, subs = lattice(name)
+    eager = [subgroups._subgroup_from_mask(g, mask_of(np.flatnonzero(r).tolist())) for r in subs.rows]
+    assert sorted(eager, key=lambda s: s.sort_key) == eager
+    assert all(a.sort_key < b.sort_key for a, b in zip(eager, eager[1:]))
+    fresh = cl.Lattice(g, subs.rows)
+    assert all(item is None for item in fresh._items)
+    assert fresh.order.tolist() == [s.order for s in eager]
+    assert fresh.index.tolist() == [s.index for s in eager]
+    assert [int.from_bytes(w.tobytes(), "little") for w in fresh.words] == [s.mask for s in eager]
+    fields = [(s.mask, s.elements, s.order, s.index) for s in eager]
+    assert [(s.mask, s.elements, s.order, s.index) for s in fresh] == fields
+
+
+def test_lattice_item_is_built_once(lattice):
+    # every read of a position, by any index form, returns one object, so
+    # its coset labels are computed once
+    g, subs = lattice("S4")
+    fresh = cl.Lattice(g, subs.rows)
+    h = fresh[5]
+    assert [item is not None for item in fresh._items].count(True) == 1
+    assert fresh[5] is h and fresh[np.int64(5)] is h and fresh[5 - len(fresh)] is h
+    assert fresh[4:6][1] is h and list(fresh)[5] is h
+    labels = cl.coset_labels(h)
+    assert cl.coset_labels(fresh[5]) is labels
+
+
+def test_lattice_of_a_list_keeps_its_subgroups(lattice):
+    g, subs = lattice("S4")
+    picked = [subs[7], subs[3], subs[20]]
+    lat = cl.Lattice.of(picked)
+    assert all(lat[i] is s for i, s in enumerate(picked))
+    assert lat.order.tolist() == [s.order for s in picked]
+    assert lat.index.tolist() == [s.index for s in picked]
+    assert [int.from_bytes(w.tobytes(), "little") for w in lat.words] == [s.mask for s in picked]
+    assert cl.Lattice.of(subs) is subs
+    assert cl.Lattice.of([subs[4]])[0] is subs[4]
+    _, other = lattice("S3")
+    with pytest.raises(ParentMismatch):
+        cl.Lattice.of([subs[0], other[0]])
+
+
 # Word boundaries of the packed rows, 64 elements to a word, two lattices,
 # and C2^6, whose 2825 rows cross the row blocks of meet_orders.
 PACKED_GROUPS = ["C1", "C63", "C64", "C65", "C128", "C129", "S4", "D30", "C2xC2xC2xC2xC2xC2"]
@@ -390,7 +455,7 @@ PACKED_GROUPS = ["C1", "C63", "C64", "C65", "C128", "C129", "S4", "D30", "C2xC2x
 @pytest.mark.parametrize("name", PACKED_GROUPS)
 def test_packed_rows_are_the_masks(lattice, name):
     g, subs = lattice(name)
-    words = packed(membership(subs))
+    words = subs.words
     assert words.shape == (len(subs), (g.n + 63) // 64)
     assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
         s.mask for s in subs
@@ -405,7 +470,7 @@ def test_packed_rows_are_the_masks(lattice, name):
 @pytest.mark.parametrize("name", PACKED_GROUPS)
 def test_meet_orders_are_mask_popcounts(lattice, name):
     g, subs = lattice(name)
-    words = packed(membership(subs))
+    words = subs.words
     got = meet_orders(words, words[::-1])
     assert got.shape == (len(subs), len(subs))
     assert name != "C2xC2xC2xC2xC2xC2" or len(subs) > MEET_ROWS

@@ -244,7 +244,10 @@ def census_rows(draw):
     size = draw(st.integers(0, 8))
     picks = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    return CensusRows(np.array(picks, dtype=np.int64).reshape(size, 13), np.array(flags, dtype=bool))
+    rows = np.array(picks, dtype=np.int64).reshape(size, 13)
+    # one or three columns per field, in CENSUS_COLUMNS order
+    columns = np.split(rows, [1, 2, 5, 8, 9, 12], axis=1)
+    return CensusRows(dict(zip(report.CENSUS_COLUMNS, columns)), np.array(flags, dtype=bool))
 
 
 def _entries(census):
@@ -261,7 +264,10 @@ def _entries(census):
             "subgroup_orders": row[9:12],
             "total": row[12],
         }
-        for row, exact in zip(census.rows.tolist(), census.enumerated.tolist())
+        for row, exact in zip(
+            np.column_stack([census.fields[key] for key in report.CENSUS_COLUMNS]).tolist(),
+            census.enumerated.tolist(),
+        )
     ]
 
 

@@ -4,7 +4,8 @@ import math
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
-from itertools import combinations_with_replacement, product
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -21,15 +22,17 @@ from cosetlab.groups import load_group
 from cosetlab.subgroups import (
     _find_rows,
     _prefix_keys,
+    conjugation_action,
     conjugators,
     generating_set,
     orbit_labels,
 )
 from cosetlab.verifier import (
+    K_MAX,
+    K_MIN,
     OPEN_RANGE_NOTE,
     _search_cliques,
     _search_with_count,
-    conjugation_action,
     search_orbits,
 )
 
@@ -153,12 +156,11 @@ def test_pair_table_serves_the_traced_replay(lattice):
 # whose rows cross many MEET_ROWS blocks
 ROW_SOURCE_GROUPS = sorted(cl.CATALOG) + ["D30", "S3xS3xC2", "A4xA4", "A6", C2_6]
 # (group, k) -> disjointability rows a fresh source builds for the clique
-# search.  In C2^6 at k = 2 only G has an index prime to another, and no
-# position fits beside G, so the gcd and order-fit bars empty every row;
-# without the order fit all 2825 were built.  At k = 3..6 every first pick
-# is lone: the least order of a partner that passes its gcd bar and fits
-# beside it, taken k - 1 times, passes |G| with it; 2,816 rows at k = 3
-# and 4 and 2,112 at k = 5 and 6 were built before.
+# search.  In C2^6 every first pick is lone: the least order of a partner
+# that passes its gcd bar and fits beside it, taken k - 1 times, passes |G|
+# with it (at k = 2 only G has an index prime to another, and nothing fits
+# beside G); 2,816 rows at k = 3 and 4 and 2,112 at k = 5 and 6 were built
+# before lone first picks were dropped.
 ROWS_BUILT = {(C2_6, 2): 0, (C2_6, 3): 0, (C2_6, 4): 0, (C2_6, 5): 0, (C2_6, 6): 0}
 
 
@@ -245,6 +247,54 @@ def test_lone_first_picks_count_against_the_cap(lattice):
         cl.candidate_cliques(g, 3, subgroups=subs, pair_stats=stats, max_cliques=visits - 1)
 
 
+def unit_fraction_sums(k):
+    """Every nondecreasing list of k integers d_i >= 2 with sum(1 / d_i) = 1."""
+    out = []
+
+    def grow(prefix, rest, left):
+        low = max(prefix[-1] if prefix else 2, math.ceil(1 / rest))
+        if left == 1:
+            if rest.numerator == 1 and rest.denominator >= low:
+                out.append(prefix + [rest.denominator])
+            return
+        for d in range(low, math.floor(left / rest) + 1):
+            if rest > Fraction(1, d):
+                grow(prefix + [d], rest - Fraction(1, d), left - 1)
+
+    grow([], Fraction(1), k)
+    return out
+
+
+def test_no_clique_fills_the_group():
+    # the premise of PairRows.rows' argument that its lone test loses no
+    # clique: the indices of a clique whose orders fill G would sum to 1 in
+    # reciprocals with every pair's gcd in [2, k), and no such list exists
+    # for k <= K_MAX.  (Disjointable pairs have no coprime indices: the
+    # disjointable pairs of PAIR_COUNTS at k = 2 are 0.)
+    counts = []
+    for k in range(K_MIN, K_MAX + 1):
+        sums = unit_fraction_sums(k)
+        counts.append(len(sums))
+        for d in sums:
+            assert any(not 1 < math.gcd(a, b) < k for a, b in combinations(d, 2)), d
+    assert counts == [1, 3, 14, 147, 3462][: K_MAX - 1]  # OEIS A002966
+
+
+@pytest.mark.parametrize("name, ks", [(C2_6, range(2, 7)), ("S5", [2]), ("A6", [2])])
+def test_verify_without_cliques_builds_no_subgroup(tmp_path, name, ks):
+    # a cold and then a warm lattice through the pair rows and the clique
+    # search: with no clique, no position's elements are named
+    g = load_group(_resolve_spec(name))
+    for status in ("cold", "warm"):
+        subs, got = cl.cached_subgroups(g, tmp_path)
+        assert got == status
+        source = cl.PairRows(g, subs)
+        for k in ks:
+            rep = cl.verify_group(g, k, subgroups=subs, pair_stats=source)
+            assert rep.candidate_clique_count == 0
+        assert all(item is None for item in subs._items)
+
+
 @pytest.mark.parametrize("entry", [cl.candidate_cliques, cl.verify_group])
 def test_pair_rows_from_another_lattice_rejected(lattice, entry):
     g, subs = lattice("S4")
@@ -284,19 +334,23 @@ def test_verify_open_range_memory_bound(lattice):
     assert peak < 5.5 * 2**20
 
 
-def test_action_built_once_per_lattice(lattice, monkeypatch):
-    # S4 has cliques at k = 3 and 5; one source serves k = 2..6
-    g, subs = lattice("S4")
+def test_action_built_once_per_lattice(monkeypatch):
+    # S4 has cliques at k = 3 and 5; one source serves k = 2..6, and its
+    # lattice's action also serves the census of the same lattice
+    g = cl.load_catalog_group("S4")
+    subs = cl.enumerate_subgroups(g)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return conjugation_action(*args)
 
-    monkeypatch.setattr(verifier, "conjugation_action", counted)
+    monkeypatch.setattr(cl.subgroups, "conjugation_action", counted)
     source = cl.PairRows(g, subs)
+    assert source.lattice is subs
     for k in range(2, 7):
         cl.verify_group(g, k, subgroups=subs, pair_stats=source)
+    cl.lattice_census(subs)
     assert len(calls) == 1
 
 
@@ -619,7 +673,7 @@ def test_batched_search_matches_backtracking_per_representative(lattice, name, k
     source = cl.PairRows(g, subs)
     for k in ks:
         cliques = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source)
-        reps = cliques[orbit_labels(source.action, cliques) == np.arange(len(cliques))]
+        reps = cliques[orbit_labels(source.lattice.action, cliques) == np.arange(len(cliques))]
         found, examined = _search_cliques(subs, reps)
         assert examined.shape == (len(reps),)
         for r, clique in enumerate(reps):

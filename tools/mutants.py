@@ -1,6 +1,6 @@
-"""Mutation pass over named functions of one cosetlab module.
+"""Mutation pass over named functions or classes of one cosetlab module.
 
-Each mutant changes one site inside the named functions:
+Each mutant changes one site inside the named top-level definitions:
 
 - a comparison flips at its boundary or its sense: < and <=, > and >=,
   == and != trade places;
@@ -46,11 +46,11 @@ MEMORY_MB = 3072
 
 def sites(tree: ast.Module, functions: set[str]) -> list[tuple[str, int, int]]:
     """(kind, node number in ast.walk order, operand) of every site inside
-    the named top-level functions, in source order; the operand is the
-    comparison's position among its operators, 0 otherwise."""
+    the named top-level functions and classes, in source order; the operand
+    is the comparison's position among its operators, 0 otherwise."""
     inside = set()
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in functions:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in functions:
             inside.update(id(n) for n in ast.walk(node))
     found = []
     nodes = list(ast.walk(tree))
@@ -118,7 +118,7 @@ def fresh_copy(root: Path, into: Path) -> Path:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("module", help="path of the module to mutate, from the checkout root")
-    ap.add_argument("functions", nargs="+", help="top-level functions whose sites are mutated")
+    ap.add_argument("functions", nargs="+", help="top-level functions or classes whose sites are mutated")
     ap.add_argument("--tests", nargs="+", default=["tests"], help="pytest paths each mutant runs")
     ap.add_argument("--only", type=int, nargs="*", help="run only these site numbers")
     args = ap.parse_args()
