@@ -1,4 +1,5 @@
-"""Element sets as bits, one per element id: int masks, or rows of 64-bit words."""
+"""Element sets as bits, one per element id: an int mask for one set, rows
+of 64-bit words for many."""
 
 from __future__ import annotations
 
@@ -53,25 +54,13 @@ def row_positions(words: np.ndarray) -> dict[bytes, int]:
     return {row.tobytes(): i for i, row in enumerate(words)}
 
 
-def row_masks(rows: np.ndarray) -> list[int]:
-    """The int mask of every bool row (r x n): bit x set where entry x is."""
-    return [int.from_bytes(words.tobytes(), "little") for words in packed(rows)]
-
-
 def mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
-    """The bool row (len(masks) x n) of every int mask below 2^n, the
-    inverse of ``row_masks``."""
+    """The bool row (len(masks) x n) of every int mask below 2^n: entry x
+    set where bit x is."""
     width = -(-n // 8)
     data = b"".join(m.to_bytes(width, "little") for m in masks)
     bits = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(bool)
-
-
-def mask_words(masks: Sequence[int], width: int) -> np.ndarray:
-    """The words (len(masks) x width) of every int mask below 2^(64 width):
-    row i read as one little-endian integer is masks[i].  Read-only."""
-    data = b"".join(m.to_bytes(8 * width, "little") for m in masks)
-    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
 
 
 def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ resource cap hit (order, subgroup count, clique count, census size).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -288,7 +289,9 @@ def _add_common(
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it holds the ``cmd_*`` functions it runs."""
     p = argparse.ArgumentParser(
         prog="cosetlab",
         description="coset counting laws and disjoint-family searches on finite groups",

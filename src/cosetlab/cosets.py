@@ -1,5 +1,6 @@
-"""Left cosets, coset labels and meeting matrices: the operations the
-counting layer, the lemma suite and the verifier build on.
+"""Left cosets, coset labels and meeting matrices of one Subgroup: the
+per-item routes and oracle; the batched census, lemma suite and coset
+search read ``Lattice.coset_labels`` instead.
 
 The per-pair routes that only the tests read (product sets, the cosets of
 K in HK, the cosets of H that K touches) live in ``tests/helpers.py``.

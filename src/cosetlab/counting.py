@@ -378,15 +378,15 @@ def _orbit_census(
     """``census`` of every row (i, j, t) of ``triples``, one enumeration per orbit.
 
     ``labels`` holds the lattice's coset labels, one row per subgroup
-    (``coset_labels``), ``w`` its packed membership rows, and ``orbits`` the
-    orbit label of each row: the position of the least row of its orbit, so
-    ``np.arange`` makes every row its own orbit.  Closed forms come from
-    ``_closed_census``; the rows within ``max_census`` that are their own
-    label are enumerated (``_enumerate_rows``).  Then every enumerated row is
-    checked against its representative's enumeration, CHECK_ROWS rows at a
-    time (``_census_failures``), and takes its ``s_triple`` and
-    ``n_disjoint``.  A row whose pair-pair closed form is not integral
-    fails on that alone; its other checks are skipped.
+    (``Lattice.coset_labels``), ``w`` its packed membership rows, and
+    ``orbits`` the orbit label of each row: the position of the least row of
+    its orbit, so ``np.arange`` makes every row its own orbit.  Closed forms
+    come from ``_closed_census``; the rows within ``max_census`` that are
+    their own label are enumerated (``_enumerate_rows``).  Then every
+    enumerated row is checked against its representative's enumeration,
+    CHECK_ROWS rows at a time (``_census_failures``), and takes its
+    ``s_triple`` and ``n_disjoint``.  A row whose pair-pair closed form is
+    not integral fails on that alone; its other checks are skipped.
 
     Returns ``total``, ``s_pair``, ``s_pair_pair``, ``s_triple``,
     ``meet_all``, ``n_disjoint`` and ``enumerated``, one entry per row
@@ -454,7 +454,7 @@ def lattice_census(
     order must stay below 2**21.
     """
     lat = Lattice.of(subs)
-    labels = np.stack([coset_labels(s) for s in lat])
+    labels = lat.coset_labels(np.arange(len(lat)))
     orbits = triple_orbits(lat)
     counts, errors = _orbit_census(labels, lat.words, _triples(len(lat)), orbits, max_census)
     counts["representative"] = orbits == np.arange(len(orbits))

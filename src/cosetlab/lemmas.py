@@ -18,7 +18,6 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bitset import MEET_ROWS, meet_orders, packed, popcounts, row_positions
-from .cosets import coset_labels
 from .counting import (
     BLOCK_ENTRIES,
     DEFAULT_CENSUS_CAP,
@@ -382,7 +381,7 @@ def run_lemma_suite(
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
     member, order, w = lattice.rows, lattice.order, lattice.words
-    labels = np.array([coset_labels(s) for s in lattice], dtype=np.intp).reshape(m, g.n)
+    labels = lattice.coset_labels(np.arange(m))
     # contained[h]: positions of the subgroups K of H, proper[h]: those below |H|;
     # one block of rows at a time, so no m x m matrix is kept
     contained: list[list[int]] = []

@@ -6,7 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -125,6 +125,23 @@ class Lattice(Sequence[Subgroup]):
     @cached_property
     def action(self) -> list[np.ndarray]:
         return conjugation_action(self.parent, self)
+
+    def coset_labels(self, at: Sequence[int]) -> np.ndarray:
+        """The int64 coset labels (len(at) x n) of the positions ``at`` as
+        ``cosets.coset_labels`` numbers them, from the rows (``_row_gathers``),
+        building and keeping nothing; a coset count off the index raises."""
+        g, at = self.parent, np.asarray(at, dtype=np.int64)
+        # row h of the transposed table is x h over every x
+        table = g.np_table.T.astype(np.min_scalar_type(g.n), order="C")
+        out = np.empty((len(at), g.n), dtype=np.int64)
+        for lo, hi, moved in _row_gathers(table, g.identity, self.rows[at], self.order[at]):
+            # the least elements of the cosets, flagged where they occur
+            mins, first = moved.min(axis=1), np.zeros((hi - lo, g.n), dtype=bool)
+            np.put_along_axis(first, mins, True, axis=1)
+            if (first.sum(axis=1) != self.index[at[lo:hi]]).any():
+                raise ConsistencyError("coset count differs from the subgroup index")
+            out[lo:hi] = np.take_along_axis(np.cumsum(first, axis=1) - 1, mins, axis=1)
+        return out
 
 
 def _sort_keys(rows: np.ndarray) -> np.ndarray:
@@ -463,9 +480,30 @@ def _class_lattice(
     return found
 
 
-# entries of one block's coset gather (rows x n x largest order); bounds
-# the canonical route's temporaries
-CANONICAL_BLOCK = 1 << 16
+# entries of one block of ``_row_gathers`` (rows x largest order x n)
+GATHER_BLOCK = 1 << 16
+
+
+def _row_gathers(
+    table: np.ndarray, identity: int, rows: np.ndarray, size: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Per block [lo, hi) of the bool rows (r x n) of subgroups H, of orders
+    ``size``, ``table`` gathered at each H's elements padded with the
+    identity: (hi - lo) x largest order x table width, about
+    ``GATHER_BLOCK`` entries or one row.  If table row h is x h over every
+    x, the minimum over axis 1 is the least element of x H."""
+    n = rows.shape[1]
+    lo = 0
+    while lo < len(rows):
+        ahead = size[lo : lo + GATHER_BLOCK // n]  # each row costs n or more
+        cost = np.maximum.accumulate(ahead) * np.arange(1, len(ahead) + 1) * n
+        hi = lo + max(1, int(np.searchsorted(cost, GATHER_BLOCK, "right")))
+        s = size[lo:hi]
+        at, elems = np.nonzero(rows[lo:hi])
+        base = np.full((hi - lo, int(s.max())), identity)
+        base[at, np.arange(len(at)) - np.repeat(np.cumsum(s) - s, s)] = elems
+        yield lo, hi, table[base]
+        lo = hi
 
 
 def _canonical_lattice(
@@ -503,14 +541,12 @@ def _canonical_lattice(
     outside P_(j-1)), and K = <P_(j-1), c_j> passes the test by the choice
     of c_j.  So every K is accepted, at level j.
 
-    Each level is taken in blocks of rows.  One gather from the Cayley
-    table over the block's elements, padded with the identity, gives per H
-    and x the least element of x H, its coset id; the candidates are the
-    first occurrences of the listed elements' coset ids (``np.unique``),
-    and ``_join`` closes them all at once.  A block holds about
-    ``CANONICAL_BLOCK`` gathered entries, or one row if a row holds more.
-    More than ``max_subgroups`` subgroups raise SubgroupCountCapExceeded,
-    checked once per block.
+    Each level is taken in blocks of rows (``_row_gathers``; g is abelian,
+    so table row h is x h over every x), which give per H and x the least
+    element of x H, its coset id; the candidates are the first occurrences
+    of the listed elements' coset ids (``np.unique``), and ``_join`` closes
+    them all at once.  More than ``max_subgroups`` subgroups raise
+    SubgroupCountCapExceeded, checked once per block.
     """
     n = g.n
     table = g.np_table.astype(np.min_scalar_type(n))
@@ -522,17 +558,9 @@ def _canonical_lattice(
     levels = [level]
     seen = set(_sort_keys(level).tolist())
     while len(level):
-        order = level.sum(axis=1)
-        step = max(1, CANONICAL_BLOCK // (n * int(order.max())))
         grown, grown_last = [], []
-        for lo in range(0, len(level), step):
-            rows, size = level[lo : lo + step], order[lo : lo + step]
-            # the elements of each H, padded with the identity; g is
-            # abelian, so table row h is x h over every x
-            at, elems = np.nonzero(rows)
-            base = np.full((len(rows), int(size.max())), g.identity)
-            base[at, np.arange(len(at)) - np.repeat(np.cumsum(size) - size, size)] = elems
-            coset = table[base].min(axis=1)
+        for lo, hi, moved in _row_gathers(table, g.identity, level, level.sum(axis=1)):
+            rows, coset = level[lo:hi], moved.min(axis=1)
             # each coset's least listed element y, tried when y > c lies outside H
             key = np.arange(len(rows))[:, None] * n + coset[:, listed]
             _, first = np.unique(key, return_index=True)

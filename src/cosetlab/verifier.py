@@ -13,21 +13,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import (
-    MEET_ROWS,
-    lowest_bit,
-    mask_words,
-    meet_orders,
-    packed,
-    popcounts,
-    row_masks,
-    set_bits,
-)
+from .bitset import MEET_ROWS, lowest_bit, meet_orders, packed, popcounts, set_bits
 from .cosets import coset_mask, double_coset_reps, left_cosets
 from .counting import BLOCK_ENTRIES
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
-from .subgroups import Lattice, Subgroup, orbit_labels
+from .subgroups import Lattice, Subgroup, _row_gathers, orbit_labels
 
 DEFAULT_CLIQUE_CAP = 10**6
 K_MIN = 2
@@ -105,25 +96,20 @@ class VerificationReport:
 
 
 class PairRows:
-    """The pair bars of a lattice, one bitmask row per position, built on demand.
+    """The pair bars of a lattice as rows of packed words, built on demand.
 
-    Holds the packed membership rows, the orders and a class id per distinct
-    index, so its memory is O(m n) plus the rows built, not O(m^2).  The
-    disjointability row of position j does not depend on k.  Its rule is
-    that of ``cosets.disjointable``, |H||K| / |H&K| < |G|, in integer form
-    |H||K| < |G| |H&K|, with the intersection orders from ``meet_orders``.
-    It is built on the first lookup of any position in j's block of
-    ``MEET_ROWS`` positions, for the whole block at once, and only over the
-    positions from the block's start on: the clique search never reads a
-    bit below j in row j.  ``rows(k)`` ANDs in the gcd bar, one mask per
-    index class from the gcd table of the distinct indices.  ``subgroups``
-    must ascend by order, as ``enumerate_subgroups`` lists them, or
-    ValueError: ``candidate_cliques`` stops its order-sum bar at the first
-    position too large.  A first pick that ``rows(k)`` lists as lone reads
-    no row.  One source serves every k of a lattice; its ``lattice``
-    (``Lattice.of(subgroups)``) gives the words, orders and indices, and
-    the conjugation action.  Iterating yields the m(m+1)/2 unordered pairs
-    i <= j as ``PairStats``.
+    The disjointability rows, one m x ceil(m / 64) word array, do not
+    depend on k: |H||K| < |G| |H&K| (``cosets.disjointable``), with the
+    intersection orders from ``meet_orders``, and no bit below j in row j,
+    which the clique search never reads.  They are built one block of
+    ``MEET_ROWS`` positions at a time, on the first lookup of any of its
+    positions.  ``rows(k)`` gives the gcd bar per index class.
+    ``subgroups`` must ascend by order, as ``enumerate_subgroups`` lists
+    them, or ValueError: ``candidate_cliques`` stops its order-sum bar at
+    the first position too large.  One source serves every k of a lattice;
+    its ``lattice`` (``Lattice.of(subgroups)``) gives the words, orders and
+    indices, and the conjugation action.  Iterating yields the m(m+1)/2
+    unordered pairs i <= j as ``PairStats``.
     """
 
     def __init__(self, g: FiniteGroup, subgroups: Sequence[Subgroup]):
@@ -137,7 +123,9 @@ class PairRows:
         # same or larger order whose subgroups fit beside its own
         self._class_order = g.n // self.indices
         self._partner = np.tril(np.add.outer(self._class_order, self._class_order) <= g.n)
-        self._disjoint: list[Optional[int]] = [None] * len(subgroups)
+        m = len(subgroups)
+        self._disjoint = np.zeros((m, -(-m // 64)), dtype=np.uint64)
+        self._built = np.zeros(-(-m // MEET_ROWS), dtype=bool)
 
     def __len__(self) -> int:
         return len(self.order) * (len(self.order) + 1) // 2
@@ -147,59 +135,42 @@ class PairRows:
         gcd = np.gcd.outer(self.indices, self.indices)
         for i in range(m):
             gcds = gcd[self.index_class[i], self.index_class[i:]].tolist()
-            row = self.disjoint_row(i) >> i
-            bits = np.frombuffer(row.to_bytes(-(-(m - i) // 8), "little"), dtype=np.uint8)
-            flags = np.unpackbits(bits, count=m - i, bitorder="little").astype(bool).tolist()
-            for j, (d, ok) in enumerate(zip(gcds, flags), start=i):
+            bits = np.unpackbits(self.disjoint_rows(i).view(np.uint8), count=m, bitorder="little")
+            for j, (d, ok) in enumerate(zip(gcds, bits[i:].astype(bool).tolist()), start=i):
                 yield PairStats(i, j, d, ok)
 
-    def disjoint_row(self, j: int) -> int:
-        """Bit t set, for every t from j's block start on, when positions j
-        and t are disjointable."""
-        row = self._disjoint[j]
-        if row is None:
-            lo = j - j % MEET_ROWS
-            hi = min(lo + MEET_ROWS, len(self.order))
-            w = self.lattice.words
-            ok = np.outer(self.order[lo:hi], self.order[lo:]) < (
-                meet_orders(w[lo:hi], w[lo:]) * self.n
-            )
-            self._disjoint[lo:hi] = [mask << lo for mask in row_masks(ok)]
-            row = self._disjoint[j]
-        return row
+    def disjoint_rows(self, at: int | np.ndarray) -> np.ndarray:
+        """The words of row j for each j of ``at`` (an int or an array): bit t
+        set, for t >= j, when j and t are disjointable; blocks are built first."""
+        m = len(self.order)
+        blocks = np.unique(np.asarray(at) // MEET_ROWS)
+        for lo in (blocks[~self._built[blocks]] * MEET_ROWS).tolist():
+            hi = min(lo + MEET_ROWS, m)
+            meet = meet_orders(self.lattice.words[lo:hi], self.lattice.words[lo:])
+            ok = np.zeros((hi - lo, m), dtype=bool)
+            ok[:, lo:] = np.triu(np.outer(self.order[lo:hi], self.order[lo:]) < meet * self.n)
+            self._disjoint[lo:hi] = packed(ok)
+            self._built[lo // MEET_ROWS] = True
+        return self._disjoint[at]
 
-    def rows(self, k: int) -> "_BarRows":
-        """Row j at gcd bar k, on lookup: bit t set, for every t >= j, when
-        positions j and t pass both pair bars; no bit is set below j's block
-        start.  Also flags, in the bool array ``lone``, the positions that,
-        as the first of k picks, no second pick can join within |G|.  One
-        index class holds a run of positions, and every t >= j lies in j's
-        class or in one of larger order, so the least order of a t >= j that
-        passes j's gcd bar and fits beside H_j is found per class; j is lone
-        when that order times k - 1 exceeds |G| - |H_j|.  A j whose least
-        completion fills G exactly is kept, but heads no clique: the indices
-        d_i of k <= K_MAX pairwise disjointable subgroups with gcds below k
-        never have sum(1 / d_i) = 1, since each gcd lies in [2, k) (|H&K|
-        divides |G| / lcm(d_i, d_j) and passes |G| / d_i d_j) and no such
-        sum of k unit fractions exists (``test_no_clique_fills_the_group``)."""
+    def rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The gcd bar at k as words, row c with bit t set when t's index and
+        those of class c have gcd below k, and the bool array ``lone``: the
+        positions that, as the first of k picks, no second pick can join
+        within |G|, so they read no row.  One index class holds a run of
+        positions, and every t >= j lies in j's class or in one of larger
+        order, so the least order of a t >= j that passes j's gcd bar and
+        fits beside H_j is found per class; j is lone when that order times
+        k - 1 exceeds |G| - |H_j|.  A j whose least completion fills G
+        exactly is kept, but heads no clique: the indices d_i of k <= K_MAX
+        pairwise disjointable subgroups with gcds below k never have
+        sum(1 / d_i) = 1, since each gcd lies in [2, k) (|H&K| divides
+        |G| / lcm(d_i, d_j) and passes |G| / d_i d_j) and no such sum of k
+        unit fractions exists (``test_no_clique_fills_the_group``)."""
         low = np.gcd.outer(self.indices, self.indices) < k
         reach = np.where(low & self._partner, self._class_order, self.n + 1).min(axis=1)
         lone = self._class_order + reach * (k - 1) > self.n
-        return _BarRows(self, row_masks(low[:, self.index_class]), lone[self.index_class])
-
-
-class _BarRows(dict):
-    """The rows of one k, each built from its source on the first lookup."""
-
-    def __init__(self, source: PairRows, gcd_ok: list[int], lone: np.ndarray):
-        super().__init__()
-        self.source = source
-        self.gcd_ok = gcd_ok
-        self.lone = lone
-
-    def __missing__(self, j: int) -> int:
-        row = self[j] = self.source.disjoint_row(j) & self.gcd_ok[self.source.index_class[j]]
-        return row
+        return packed(low[:, self.index_class]), lone[self.index_class]
 
 
 def pair_table(g: FiniteGroup, subgroups: Sequence[Subgroup]) -> PairRows:
@@ -244,10 +215,8 @@ def candidate_cliques(
 
     The prefixes grow one position per level, each with its candidate set
     as packed words: the positions compatible with every entry, none below
-    the last.  A pick j ANDs in row j with its bits below j cleared; rows
-    are read once per distinct j of a block, and a pick whose row is 0 (a
-    lone first pick, or a row the bars empty) is dropped before any words
-    are made, so it reads no disjointability row.  Blocks of prefixes go
+    the last.  A pick j ANDs in its disjointability row and its index
+    class's gcd row; a lone first pick reads no row.  Blocks of prefixes go
     depth first, each holding about ``BLOCK_ENTRIES`` entries, so memory
     grows with the depth, not with the number of prefixes.
     """
@@ -258,7 +227,7 @@ def candidate_cliques(
     order = pair_stats.order
     m = len(order)
     width = -(-m // 64)
-    rows = pair_stats.rows(k)
+    gcd_ok, lone = pair_stats.rows(k)
     out: list[np.ndarray] = [np.empty((0, k), dtype=np.int64)]
     visited = 0
 
@@ -286,19 +255,16 @@ def candidate_cliques(
             if not prefix.shape[1]:
                 # a lone first pick's next pick would break the order-sum bar
                 # at once, so it reads no row
-                live = ~rows.lone[picks]
+                live = ~lone[picks]
                 at, picks = at[live], picks[live]
-            uniq, slot = np.unique(picks, return_inverse=True)
-            masks = [rows[j] >> j << j for j in uniq.tolist()]
-            # a pick whose row is 0 ends here, before any words are made
-            kept = np.array([mask != 0 for mask in masks], dtype=bool)
-            live = kept[slot]
-            at, picks, slot = at[live], picks[live], (np.cumsum(kept) - 1)[slot[live]]
-            nxt = cand[at] & mask_words([mask for mask in masks if mask], width)[slot]
+            nxt = cand[at]
+            nxt &= pair_stats.disjoint_rows(picks)
+            nxt &= gcd_ok[pair_stats.index_class[picks]]
             grow(np.column_stack([prefix[at], picks]), osum[at] + order[picks], nxt)
 
     everything = packed(np.ones((1, m), dtype=bool))
     grow(np.empty((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), everything)
+    del grow  # its closure holds grow: unbound, what it reaches is freed on return
     return np.concatenate(out)
 
 
@@ -327,10 +293,11 @@ def _search_with_count(
     slot is pinned to its subgroup H0 itself.  Left multiplication by any h
     in H0 then still fixes that coset and maps the second slot's coset
     x H1 to h x H1, so the second slot tries one coset per double coset
-    H0 x H1.  Neither pin loses a family.  Returns the family, if any, and
-    the number of coset placements attempted.  ``_search_cliques`` runs
-    this search on many cliques at once, and this one again on each clique
-    it finds a family in.
+    H0 x H1.  Neither pin loses a family.  Its cosets are the int masks of
+    ``cosets.left_cosets`` and ``cosets.double_coset_reps``.  Returns the
+    family, if any, and the number of coset placements attempted.
+    ``_search_cliques`` runs this search on many cliques at once, on words,
+    and this one again on each clique it finds a family in.
     """
     if not subgroups:
         raise ValueError("search needs at least one subgroup")
@@ -378,51 +345,67 @@ def _search_with_count(
     return violation, examined
 
 
+def _coset_choices(
+    lattice: Lattice, cliques: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cosets each row of ``cliques`` (N x k positions) tries per slot,
+    as one table of packed words, and per row and slot the start and count
+    of its choices.  Slots go largest subgroup first, ties in clique order:
+    slot 0 tries H0, slot 1 one coset of H1 per double coset H0 x H1 and
+    later slots every coset, each list by least element, as in
+    ``_search_with_count``.  Left multiplication by H0 moves the coset of x
+    to that of h x, and its orbits are the double cosets, so the coset of x
+    is kept when its label (``Lattice.coset_labels``) is the least of h x's
+    over h in H0."""
+    g, m = lattice.parent, len(lattice)
+    slots = np.take_along_axis(
+        cliques, np.argsort(-lattice.order[cliques], axis=1, kind="stable"), axis=1
+    )
+    heads, head_of = np.unique(slots[:, :1], return_inverse=True)
+    pairs, pair_of = np.unique(slots[:, :1] * m + slots[:, 1:2], return_inverse=True)
+    tails, tail_of = np.unique(slots[:, 2:], return_inverse=True)
+    at = np.concatenate([pairs % m, tails])  # the second of each pair, then the tails
+    labels = lattice.coset_labels(at)
+    keep = np.ones(labels.shape, dtype=bool)
+    mul = g.np_table.astype(np.min_scalar_type(g.n))  # row h is h x over every x
+    h0 = pairs // m
+    for lo, hi, moved in _row_gathers(mul, g.identity, lattice.rows[h0], lattice.order[h0]):
+        own = labels[lo:hi]
+        keep[lo:hi] = np.take_along_axis(own[:, None, :], moved, axis=2).min(axis=1) == own
+    # one bool row per coset: coset c of row i is c plus the cosets before i
+    index = lattice.index[at]
+    coset = (np.cumsum(index) - index)[:, None] + labels
+    member = np.zeros((int(index.sum()), g.n), dtype=bool)
+    member[coset, np.arange(g.n)] = True
+    picked = np.isin(np.arange(len(member)), coset[keep])
+    table = np.concatenate([lattice.words[heads], packed(member[picked])])
+    sizes = np.concatenate([np.ones(len(heads), np.int64), keep.sum(axis=1) // lattice.order[at]])
+    starts = np.cumsum(sizes) - sizes
+    which = np.concatenate([head_of, len(heads) + pair_of, len(heads) + len(pairs) + tail_of], 1)
+    return table, starts[which], sizes[which]
+
+
 def _search_cliques(
     subgroups: Sequence[Subgroup], cliques: np.ndarray
 ) -> tuple[dict[int, Violation], np.ndarray]:
     """Search every row of ``cliques`` (N x k positions) for a disjoint
-    family, all rows together, one slot per level.
-
-    Slots are ordered as in ``_search_with_count``, largest subgroup first
-    and ties in clique order: slot 0 is pinned to H0, slot 1 tries one coset
-    per double coset H0 x H1 and later slots every left coset.  A state is a
-    row and the union of the cosets placed in its slots so far, as packed
-    words; every live state tries every choice of its slot, and a try that
-    misses the union is a live state of the next slot.  With no family the
-    backtracking walks its whole tree, so the tries of a row are its count
-    of coset placements.  A row with a state past its last slot holds a
-    family, and ``_search_with_count`` searches it again: that names the
-    family, gives the count of a search that stops at the find, and checks
-    disjointness once more.  Returns the family of every row that has one,
-    keyed by row, and the coset placements per row.  States go depth first
-    in blocks of about ``BLOCK_ENTRIES`` entries.
+    family, all rows together, one slot per level, over the choices of
+    ``_coset_choices``.  A state is a row and the union of the cosets
+    placed in its slots so far, as packed words; every live state tries
+    every choice of its slot, and a try that misses the union is a live
+    state of the next slot.  With no family the backtracking walks its
+    whole tree, so the tries of a row are its count of coset placements.  A
+    row with a state past its last slot holds a family, and
+    ``_search_with_count`` searches it again: that names the family, gives
+    the count of a search that stops at the find, and checks disjointness
+    once more.  Returns the family of every row that has one, keyed by row,
+    and the coset placements per row.  States go depth first in blocks of
+    about ``BLOCK_ENTRIES`` entries.
     """
     n_rows, k = cliques.shape
     lattice = Lattice.of(subgroups)
     width = -(-lattice.parent.n // 64)
-    slots = np.take_along_axis(
-        cliques, np.argsort(-lattice.order[cliques], axis=1, kind="stable"), axis=1
-    )
-    # one table of coset words: per slot-0 position its subgroup, per pair
-    # of slot-0 and slot-1 positions the double coset reps, per position in
-    # a later slot its cosets; start and count give each row's choices
-    heads, head_of = np.unique(slots[:, 0], return_inverse=True)
-    pairs, pair_of = np.unique(slots[:, 0] * len(lattice) + slots[:, 1], return_inverse=True)
-    tails, tail_of = np.unique(slots[:, 2:], return_inverse=True)
-    choices = [(lattice[p].mask,) for p in heads.tolist()]
-    choices += [
-        double_coset_reps(lattice[p // len(lattice)], lattice[p % len(lattice)])
-        for p in pairs.tolist()
-    ]
-    choices += [left_cosets(lattice[p]) for p in tails.tolist()]
-    sizes = np.array([len(c) for c in choices], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    table = mask_words([mask for c in choices for mask in c], width)
-    which = np.column_stack(
-        [head_of, len(heads) + pair_of, len(heads) + len(pairs) + tail_of.reshape(n_rows, k - 2)]
-    )
-    start, count = starts[which], sizes[which]
+    table, start, count = _coset_choices(lattice, cliques)
 
     examined = np.zeros(n_rows, dtype=np.int64)
     hits: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -446,6 +429,7 @@ def _search_cliques(
             place(slot + 1, row[state], used[state] | coset[free])
 
     place(0, np.arange(n_rows), np.broadcast_to(np.zeros(width, np.uint64), (n_rows, width)))
+    del place  # as grow in candidate_cliques
     found = {}
     for r in np.unique(np.concatenate(hits)).tolist():
         found[r], examined[r] = _search_with_count([lattice[i] for i in cliques[r]])
@@ -467,26 +451,21 @@ def search_orbits(
     that action on lattice positions (``conjugation_action``), and
     ``cliques`` an N x k array of sorted position rows in lexicographic
     order that is closed under it, as ``candidate_cliques`` returns.  The
-    least clique of each orbit is searched, all of them in one batch by
-    ``_search_cliques``.  When one yields a family, every other clique of
-    its orbit is searched too, and must yield one.  Returns the family of
-    every clique that has one, keyed by clique index in ascending order,
-    exactly as a search of each clique gives it; the number of orbits; and
-    the coset placements over the representatives.
+    least clique of each orbit is searched, all in one ``_search_cliques``
+    batch; every clique of an orbit with a find is searched in a second,
+    and must yield one.  Returns the family of every clique that has one,
+    keyed by clique index in ascending order, exactly as a search of each
+    clique gives it; the number of orbits; and the coset placements over
+    the representatives.
     """
     labels = orbit_labels(perms, cliques)
     reps = np.flatnonzero(labels == np.arange(len(cliques)))
     families, examined = _search_cliques(subgroups, cliques[reps])
-    found: dict[int, Violation] = {}
-    for at, violation in families.items():
-        r = int(reps[at])
-        found[r] = violation
-        for c in np.flatnonzero(labels == r).tolist()[1:]:
-            member, _ = _search_with_count([subgroups[i] for i in cliques[c]])
-            if member is None:
-                raise ConsistencyError("conjugate cliques got different verdicts")
-            found[c] = member
-    return dict(sorted(found.items())), len(reps), int(examined.sum())
+    members = np.flatnonzero(np.isin(labels, reps[list(families)]))
+    found = _search_cliques(subgroups, cliques[members])[0] if len(members) else {}
+    if len(found) != len(members):
+        raise ConsistencyError("conjugate cliques got different verdicts")
+    return {int(members[r]): v for r, v in found.items()}, len(reps), int(examined.sum())
 
 
 def verify_group(

@@ -12,6 +12,9 @@ The exceptions:
 - ``recursive_cliques`` is the verifier's former clique enumerator, a
   depth-first recursion over int masks, which the level-wise enumeration
   is held to.
+- ``int_coset_choices`` is the batched coset search's former choice list,
+  built from each subgroup's int coset masks, which its word table is
+  held to.
 - ``composition_table`` lists a spec's elements in full and multiplies
   every pair, where the library follows generator steps along a spanning
   tree.
@@ -41,12 +44,13 @@ from hypothesis import strategies as st
 
 import cosetlab.counting
 from cosetlab import FiniteGroup, GroupSpec, RValue, Subgroup
-from cosetlab.bitset import bits_tuple, full_mask, lowest_bit, mask_of
+from cosetlab.bitset import MEET_ROWS, bits_tuple, full_mask, lowest_bit, mask_of
 from cosetlab.cosets import (
     _pair_parent,
     coset_labels,
     coset_mask,
     disjointable,
+    double_coset_reps,
     left_cosets,
     meeting_matrix,
 )
@@ -386,18 +390,38 @@ def exists_disjoint_family(g: FiniteGroup, subs: list[Subgroup]) -> bool:
     return place(0, 0)
 
 
+def word_int(words: np.ndarray) -> int:
+    """A row of little-endian 64-bit words read as one int mask."""
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def bar_row(source, gcd_ok: np.ndarray, j: int) -> int:
+    """Row j of ``source``, a ``PairRows``, at both pair bars, as an int
+    mask: its disjointability row ANDed with the gcd row of its index
+    class, ``gcd_ok`` being the words that ``source.rows(k)`` returns."""
+    return word_int(source.disjoint_rows(j) & gcd_ok[source.index_class[j]])
+
+
+def rows_built(source) -> int:
+    """The disjointability rows that ``source``, a ``PairRows``, holds: the
+    rows of its built blocks."""
+    m = len(source.order)
+    return sum(min(MEET_ROWS, m - b * MEET_ROWS) for b in np.flatnonzero(source._built).tolist())
+
+
 def recursive_cliques(g: FiniteGroup, k: int, source) -> tuple[list[tuple[int, ...]], int]:
     """The candidate cliques of ``source``, a ``PairRows``, at k, and the
     prefixes visited, by the verifier's former depth-first recursion over
     int candidate masks; no cap.
 
-    Each prefix's candidates are ANDed with row j of ``source.rows(k)`` one
-    pick at a time, and the scan stops at the first j whose order, taken
-    for every pick still to come, passes |G|.  A first pick that the rows
-    list as lone reads no row.
+    Each prefix's candidates are ANDed with row j at both pair bars
+    (``bar_row``) one pick at a time, and the scan stops at the first j
+    whose order, taken for every pick still to come, passes |G|.  A first
+    pick that ``source.rows(k)`` lists as lone reads no row.
     """
     order = source.order.tolist()
-    rows = source.rows(k)
+    gcd_ok, lone = source.rows(k)
+    rows: dict[int, int] = {}
     out = []
     visited = 0
 
@@ -413,12 +437,26 @@ def recursive_cliques(g: FiniteGroup, k: int, source) -> tuple[list[tuple[int, .
             cur = prefix + (j,)
             if left == 1:
                 out.append(cur)
-            elif prefix or not rows.lone[j]:
+            elif prefix or not lone[j]:
+                if j not in rows:
+                    rows[j] = bar_row(source, gcd_ok, j)
                 extend(cur, osum + order[j], cand & rows[j])
             cand ^= low
 
     extend((), 0, full_mask(len(order)))
     return out, visited
+
+
+def int_coset_choices(subs, clique) -> list[tuple[int, ...]]:
+    """Per slot of ``clique`` (lattice positions, largest subgroup first,
+    ties in clique order), the int coset masks that the verifier's search
+    tries there, from the per-subgroup routes: the slot-0 subgroup itself,
+    one coset per double coset H0 x H1 (``double_coset_reps``), and every
+    left coset of a later slot (``left_cosets``)."""
+    first, *rest = sorted((subs[p] for p in clique), key=lambda s: -s.order)
+    choices = [(first.mask,)]
+    choices += [double_coset_reps(first, rest[0])] if rest else []
+    return choices + [left_cosets(s) for s in rest[1:]]
 
 
 def element_order(g: FiniteGroup, x: int) -> int:

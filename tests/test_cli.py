@@ -542,6 +542,21 @@ def _subcommands():
     return choices
 
 
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    # two main calls with different commands build one parser, and each
+    # report equals the one a freshly built parser gives
+    commands = [["verify", "--group", "S3", "--k", "2..4"], ["census", "--group", "S3"]]
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv, "--cache-dir", "off") for argv in commands]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv, "--cache-dir", "off") for argv in commands]
+    for (code, out, _), (want_code, want, _) in zip(shared, fresh):
+        assert code == want_code == 0
+        assert strip_volatile(json.loads(out)) == strip_volatile(json.loads(want))
+
+
 def test_every_option_of_every_subcommand_has_help_text():
     missing = [
         f"{name} {action.option_strings[-1]}"

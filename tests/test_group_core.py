@@ -25,10 +25,8 @@ from cosetlab.bitset import (
     iter_bits,
     mask_of,
     mask_rows,
-    mask_words,
     meet_orders,
     packed,
-    row_masks,
     set_bits,
 )
 from cosetlab.cache import spec_hash
@@ -447,6 +445,64 @@ def test_lattice_of_a_list_keeps_its_subgroups(lattice):
         cl.Lattice.of([subs[0], other[0]])
 
 
+# both lattice routes: every catalog group, lattices past it up to C2^6's
+# 2825 rows, and a mixed-exponent abelian product
+LABEL_GROUPS = sorted(cl.CATALOG) + [
+    "D30", "S3xS3xC2", "A4xA4", "A6", "C2xC2xC2xC2xC2xC2", "C2xC4xC4",
+]
+
+
+@pytest.mark.parametrize("name", LABEL_GROUPS)
+def test_lattice_coset_labels_match_per_subgroup_route(lattice, name):
+    # the labels of every position, and of positions named out of order and
+    # twice, against cosets.coset_labels on each Subgroup; reading them
+    # builds no item
+    g, subs = lattice(name)
+    fresh = cl.Lattice(g, subs.rows)
+    got = fresh.coset_labels(np.arange(len(fresh)))
+    assert all(item is None for item in fresh._items)
+    assert got.dtype == np.int64 and got.shape == (len(subs), g.n)
+    want = np.stack([cl.coset_labels(s) for s in subs])
+    assert np.array_equal(got, want)
+    picked = np.array([len(subs) - 1, 0, len(subs) // 2, 0])
+    assert np.array_equal(fresh.coset_labels(picked), want[picked])
+    assert fresh.coset_labels(np.arange(0)).shape == (0, g.n)
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC2xC2xC2xC2", "S5"])
+def test_row_gathers_fill_each_block(lattice, name):
+    # blocks tile the rows in order, each within GATHER_BLOCK gathered
+    # entries or a single row, and each as long as the bound allows: one
+    # more row would pass it.  Rows ascending and descending by order, and
+    # the trivial subgroup's row repeated.
+    g, subs = lattice(name)
+    for rows in (subs.rows, subs.rows[::-1], np.repeat(subs.rows[:1], 3000, axis=0)):
+        size = rows.sum(axis=1)
+        end = 0
+        for lo, hi, moved in subgroups._row_gathers(g.np_table, g.identity, rows, size):
+            assert lo == end
+            assert moved.shape == (hi - lo, size[lo:hi].max(), g.n)
+            assert moved.size <= subgroups.GATHER_BLOCK or hi - lo == 1
+            if hi < len(rows):
+                assert (hi - lo + 1) * size[lo : hi + 1].max() * g.n > subgroups.GATHER_BLOCK
+            end = hi
+        assert end == len(rows)
+
+
+def test_lattice_coset_labels_check_the_index(lattice):
+    # {e, r} with r of order 3 is no subgroup of S3: its "cosets" {x, x r}
+    # have 4 distinct least elements, where the index 6 / 2 says 3; both
+    # routes refuse it
+    g, _ = lattice("S3")
+    r = next(x for x in range(g.n) if element_order(g, x) == 3)
+    rows = np.zeros((1, g.n), dtype=bool)
+    rows[0, [g.identity, r]] = True
+    fake = cl.Lattice(g, rows)
+    for route in (lambda: fake.coset_labels([0]), lambda: cl.coset_labels(fake[0])):
+        with pytest.raises(ConsistencyError, match="coset count differs from the subgroup index"):
+            route()
+
+
 # Word boundaries of the packed rows, 64 elements to a word, two lattices,
 # and C2^6, whose 2825 rows cross the row blocks of meet_orders.
 PACKED_GROUPS = ["C1", "C63", "C64", "C65", "C128", "C129", "S4", "D30", "C2xC2xC2xC2xC2xC2"]
@@ -460,7 +516,6 @@ def test_packed_rows_are_the_masks(lattice, name):
     assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
         s.mask for s in subs
     ]
-    assert np.array_equal(mask_words([s.mask for s in subs], words.shape[1]), words)
     rows, bits = set_bits(words)
     assert list(zip(rows.tolist(), bits.tolist())) == [
         (i, x) for i, s in enumerate(subs) for x in iter_bits(s.mask)
@@ -494,7 +549,6 @@ def test_packed_takes_any_layout(width):
         words = packed(rows)
         assert words.shape == (len(rows), (rows.shape[1] + 63) // 64), name
         assert [int.from_bytes(w.tobytes(), "little") for w in words] == want, name
-        assert row_masks(rows) == want, name
         assert np.array_equal(mask_rows(want, rows.shape[1]), rows), name
 
 

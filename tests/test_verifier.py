@@ -31,12 +31,22 @@ from cosetlab.verifier import (
     K_MAX,
     K_MIN,
     OPEN_RANGE_NOTE,
+    _coset_choices,
     _search_cliques,
     _search_with_count,
     search_orbits,
 )
 
-from helpers import exists_disjoint_family, pairwise_disjoint, recursive_cliques, small_products
+from helpers import (
+    bar_row,
+    exists_disjoint_family,
+    int_coset_choices,
+    pairwise_disjoint,
+    recursive_cliques,
+    rows_built,
+    small_products,
+    word_int,
+)
 
 VERIFY_GROUPS = ["C6", "C12", "S3", "S4", "D6", "Q8", "A4", "C2xC2xC2", "S3xC2"]
 C2_6 = "C2xC2xC2xC2xC2xC2"
@@ -89,7 +99,7 @@ def assert_rows_match_pairs(subs, source):
     assert len(source) == m * (m + 1) // 2
     stats = iter(source)
     for i, h in enumerate(subs):
-        row = source.disjoint_row(i)
+        row = word_int(source.disjoint_rows(i))
         for j in range(i, m):
             k = subs[j]
             ok = cl.disjointable(h, k)
@@ -128,11 +138,11 @@ def test_pair_table_counts_frozen(lattice, name):
     # popcounts of the rows from the diagonal on
     g, subs = lattice(name)
     source = cl.pair_table(g, subs)
-    disjoint = sum((source.disjoint_row(j) >> j).bit_count() for j in range(len(subs)))
+    disjoint = sum((word_int(source.disjoint_rows(j)) >> j).bit_count() for j in range(len(subs)))
     by_k = {}
     for k in range(2, 7):
-        rows = source.rows(k)
-        by_k[k] = sum((rows[j] >> j).bit_count() for j in range(len(subs)))
+        gcd_ok, _ = source.rows(k)
+        by_k[k] = sum((bar_row(source, gcd_ok, j) >> j).bit_count() for j in range(len(subs)))
     assert (len(subs), len(source), disjoint, by_k) == PAIR_COUNTS[name]
 
 
@@ -181,10 +191,10 @@ def test_pair_rows_match_pair_table(lattice, name):
         by_gcd.append(masks)
     source = cl.PairRows(g, subs)
     for k in range(2, 7):
-        got = source.rows(k)
+        gcd_ok, _ = source.rows(k)
         kept = 0
         for j, masks in enumerate(by_gcd):
-            row, want = got[j], sum(mask for d, mask in masks.items() if d < k)
+            row, want = bar_row(source, gcd_ok, j), sum(mask for d, mask in masks.items() if d < k)
             assert row >> j << j == want, (k, j)
             assert row >> (j - j % MEET_ROWS) << (j - j % MEET_ROWS) == row, (k, j)
             kept += want.bit_count()
@@ -197,8 +207,7 @@ def test_pair_rows_match_pair_table(lattice, name):
             g, k, subgroups=subs, pair_stats=fresh
         ).tolist() == cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source).tolist()
         if (name, k) in ROWS_BUILT:
-            built = sum(row is not None for row in fresh._disjoint)
-            assert built == ROWS_BUILT[(name, k)]
+            assert rows_built(fresh) == ROWS_BUILT[(name, k)]
 
 
 @pytest.mark.parametrize("name", ROW_SOURCE_GROUPS)
@@ -213,7 +222,7 @@ def test_level_wise_cliques_match_recursive_route(lattice, name):
         got = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source, max_cliques=visits)
         assert got.dtype == np.int64 and got.shape == (len(want), k)
         assert got.tolist() == [list(c) for c in want]
-        assert [r is None for r in source._disjoint] == [r is None for r in oracle._disjoint]
+        assert source._built.tolist() == oracle._built.tolist()
         if visits:
             with pytest.raises(CliqueCapExceeded):
                 cl.candidate_cliques(
@@ -230,7 +239,7 @@ def test_lone_first_picks_build_no_row():
     source = cl.PairRows(g, subs)
     for k in range(2, 7):
         assert cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source).tolist() == []
-    assert all(row is None for row in source._disjoint)
+    assert rows_built(source) == 0
 
 
 def test_lone_first_picks_count_against_the_cap(lattice):
@@ -293,6 +302,51 @@ def test_verify_without_cliques_builds_no_subgroup(tmp_path, name, ks):
             rep = cl.verify_group(g, k, subgroups=subs, pair_stats=source)
             assert rep.candidate_clique_count == 0
         assert all(item is None for item in subs._items)
+
+
+@pytest.mark.parametrize("name, ks", [("S4", [3]), ("S5", [3]), ("S3xS3xC2", range(3, 6))])
+def test_verify_without_a_find_builds_no_subgroup(tmp_path, name, ks):
+    # a cold and then a warm lattice through verify at k with cliques but
+    # no find: the coset search names no position's elements
+    g = load_group(_resolve_spec(name))
+    for status in ("cold", "warm"):
+        subs, got = cl.cached_subgroups(g, tmp_path)
+        assert got == status
+        source = cl.PairRows(g, subs)
+        for k in ks:
+            rep = cl.verify_group(g, k, subgroups=subs, pair_stats=source)
+            assert rep.candidate_clique_count and not rep.violations
+        assert all(item is None for item in subs._items)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_census_and_lemmas_build_no_subgroup(tmp_path, name):
+    # a cold and then a warm lattice through the census and the lemma
+    # suite, whose coset labels come from the lattice rows
+    g = load_group(_resolve_spec(name))
+    for status in ("cold", "warm"):
+        subs, got = cl.cached_subgroups(g, tmp_path)
+        assert got == status
+        cl.lattice_census(subs)
+        cl.run_lemma_suite(g, subs)
+        assert all(item is None for item in subs._items)
+
+
+@pytest.mark.parametrize("name", ROW_SOURCE_GROUPS)
+def test_coset_choice_table_matches_int_choices(lattice, name):
+    # per clique and slot, the word table's rows read as ints are the
+    # subgroup's mask, its double coset picks or its left cosets
+    g, subs = lattice(name)
+    source = cl.PairRows(g, subs)
+    for k in range(3, 7):
+        cliques = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source)
+        table, start, count = _coset_choices(subs, cliques)
+        masks = [word_int(row) for row in table]
+        got = [
+            [tuple(masks[a : a + c]) for a, c in zip(firsts, counts)]
+            for firsts, counts in zip(start.tolist(), count.tolist())
+        ]
+        assert got == [int_coset_choices(subs, c) for c in cliques.tolist()], k
 
 
 @pytest.mark.parametrize("entry", [cl.candidate_cliques, cl.verify_group])
@@ -799,17 +853,16 @@ def test_prefix_keys_past_int64():
     # restart from row positions; they must still ascend with the rows and
     # find every row
     base = 2825
-    rows = np.array(
-        sorted(product([0, 1, 1400, base - 2, base - 1], repeat=6)), dtype=np.int64
-    )
+    rows = np.array(sorted(product([0, 1, 1400, base - 2], repeat=6)), dtype=np.int64)
     runs = _prefix_keys(rows, base)
     assert len(runs) > 1
     assert all((np.diff(key) >= 0).all() for _, key in runs)
     assert (np.diff(runs[-1][1]) > 0).all()
     n = len(rows)
     assert (_find_rows(runs, base, rows[::-1]) == np.arange(n)[::-1]).all()
-    # a row that differs from every row in a column of the first run, or of the last
-    for missing in ([0, 0, 2, 0, 0, 0], [0, 1, 1400, base - 2, base - 1, 5]):
+    # a row that differs from every row in a column of the first run, or of
+    # the last, or that lies above the last row
+    for missing in ([0, 0, 2, 0, 0, 0], [0, 1, 1400, base - 2, 1, 5], [base - 1] * 6):
         with pytest.raises(cl.ConsistencyError, match="not among the rows"):
             _find_rows(runs, base, np.array([rows[0], missing]))
 
