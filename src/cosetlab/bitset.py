@@ -77,16 +77,31 @@ def popcounts(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
-# rows of ``a`` per block in meet_orders: no temporary exceeds MEET_ROWS x len(b) words
-MEET_ROWS = 64
+# int64 entries or words per block of a batched loop: ``blocks`` cuts rows so
+# that the per-row entries its caller counts, stated next to each call, sum
+# to at most this, or gives a row alone
+BLOCK_ENTRIES = 1 << 16
+
+
+def blocks(cost: np.ndarray) -> Iterator[slice]:
+    """Consecutive runs of rows whose ``cost`` (entries per row) sums to at
+    most ``BLOCK_ENTRIES``, or one row alone when its own cost passes it."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < len(ends):
+        budget = BLOCK_ENTRIES + (ends[lo - 1] if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(ends, budget, side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def meet_orders(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """len(a) x len(b) int64 popcounts of ANDed word rows, a block of
-    ``MEET_ROWS`` rows of a and one word column at a time."""
+    """len(a) x len(b) int64 popcounts of ANDed word rows, a block of rows of
+    a and one word column at a time."""
     out = np.zeros((len(a), len(b)), dtype=np.int64)
-    for lo in range(0, len(a), MEET_ROWS):
-        block = out[lo : lo + MEET_ROWS]
-        for wa, wb in zip(a[lo : lo + MEET_ROWS].T, b.T):
+    # len(b) words per row of a in each AND, and in its count
+    for at in blocks(np.full(len(a), len(b))):
+        block = out[at]
+        for wa, wb in zip(a[at].T, b.T):
             block += np.bitwise_count(np.bitwise_and.outer(wa, wb))
     return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cache import DEFAULT_CACHE_DIR, cached_subgroups, spec_hash
 from .catalog import catalog_names, load_catalog_group
-from .counting import DEFAULT_CENSUS_CAP, _triples, lattice_census
+from .counting import DEFAULT_CENSUS_CAP, lattice_census
 from .errors import BadInput, CensusCapExceeded, ConsistencyError, GroupSpecError, ResourceLimit
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupSpec, load_group, spec_from_token
 from .lemmas import run_lemma_suite
@@ -140,8 +140,7 @@ def cmd_lemmas(
 def cmd_census(
     args: argparse.Namespace, g: FiniteGroup, subs: Lattice
 ) -> tuple[dict, int]:
-    m = len(subs)
-    n_triples = math.comb(m + 2, 3)
+    n_triples = math.comb(len(subs) + 2, 3)
     if n_triples > args.max_census:
         raise CensusCapExceeded(
             f"{g.label}: {n_triples} subgroup triples exceed"
@@ -150,7 +149,7 @@ def cmd_census(
     counts, errors = lattice_census(subs, max_census=args.max_census)
     if errors:
         raise ConsistencyError(errors[min(errors)])
-    rows = CensusRows({**counts, "subgroup_orders": subs.order[_triples(m)]}, counts["enumerated"])
+    rows = CensusRows(counts, counts["enumerated"])
     print(
         f"{g.label}: {n_triples} subgroup triples censused"
         f" in {np.count_nonzero(counts['representative'])} orbits,"

@@ -9,16 +9,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitset import popcounts
+from .bitset import blocks, popcounts
 from .cosets import coset_labels, meeting_matrix
 from .errors import ConsistencyError, CounterOverflow, ParentMismatch
 from .subgroups import Lattice, Subgroup, orbit_labels
 
 DEFAULT_CENSUS_CAP = 10**6
-# rows per block in _orbit_census's checks and _closed_census
-CHECK_ROWS = 1 << 13
-# entries per temporary of a batched check: a block holds this many, or one row
-BLOCK_ENTRIES = 1 << 16
 _U64_MAX = 2**64 - 1
 
 
@@ -222,10 +218,10 @@ def _closed_census(w: np.ndarray, n: int, triples: np.ndarray) -> dict:
 
     ``w`` holds the packed membership rows; subgroup, pair and triple orders
     are popcounts of the gathered rows and of their ANDs (``_orders``).  The
-    work runs CHECK_ROWS triples at a time, so besides the result only
-    arrays of one block are held.  ``integral`` is False on the rows whose
-    pair-pair closed form is not integral; their ``s_pair_pair`` means
-    nothing.
+    work runs in blocks of triples (``bitset.blocks``), so besides the
+    result only arrays of one block are held.  ``integral`` is False on the
+    rows whose pair-pair closed form is not integral; their ``s_pair_pair``
+    means nothing.
     """
     size = len(triples)
     out = {
@@ -235,8 +231,8 @@ def _closed_census(w: np.ndarray, n: int, triples: np.ndarray) -> dict:
         "meet_all": np.empty(size, dtype=np.int64),
         "integral": np.ones(size, dtype=bool),
     }
-    for lo in range(0, size, CHECK_ROWS):
-        at = slice(lo, lo + CHECK_ROWS)
+    # per triple, the words of its 3 gathered and 4 ANDed membership rows
+    for at in blocks(np.full(size, 7 * w.shape[1])):
         order, meet = _orders(w, triples[at])
         idx = n // order
         p_ij, p_it, p_jt = n // meet[:3]
@@ -325,8 +321,8 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
     coset of point 0: ``s_triple`` is a times the meeting pairs of an
     H_j-coset and an H_t-coset that both meet H_i, and ``n_disjoint`` a
     times the pairs that do not meet of an H_j-coset and an H_t-coset that
-    both miss H_i, counted directly, not by inclusion-exclusion.  A block
-    holds about BLOCK_ENTRIES labels per array, or one row.
+    both miss H_i, counted directly, not by inclusion-exclusion.  Triples
+    go in blocks cut by ``bitset.blocks``.
     """
     size, n = len(triples), labels.shape[1]
     out = {
@@ -337,9 +333,8 @@ def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) 
         "meet_all": np.empty(size, dtype=np.int64),
         "n_disjoint": np.empty(size, dtype=np.int64),
     }
-    step = max(1, BLOCK_ENTRIES // n)
-    for lo in range(0, size, step):
-        at = slice(lo, lo + step)
+    # n labels per triple in each label array
+    for at in blocks(np.full(size, n)):
         li, lj, lt = labels[triples[at]].transpose(1, 0, 2)
         a, b, c = index[triples[at]].T
         off_a, off_b, off_c = (np.cumsum(x) - x for x in (a, b, c))
@@ -384,7 +379,7 @@ def _orbit_census(
     come from ``_closed_census``; the rows within ``max_census`` that are
     their own label are enumerated (``_enumerate_rows``).  Then every
     enumerated row is checked against its representative's enumeration,
-    CHECK_ROWS rows at a time (``_census_failures``), and takes its
+    in blocks of rows (``_census_failures``), and takes its
     ``s_triple`` and ``n_disjoint``.  A row whose pair-pair closed form is
     not integral fails on that alone; its other checks are skipped.
 
@@ -410,8 +405,9 @@ def _orbit_census(
     not_integral = ("s_pair_pair", "pair-pair closed form is not integral")
     failures = {p: not_integral for p in np.flatnonzero(~integral).tolist()}
     checked = np.flatnonzero(enumerated & integral)
-    for lo in range(0, len(checked), CHECK_ROWS):
-        part = checked[lo : lo + CHECK_ROWS]
+    # per row, the 10 counts of its representative's enumeration, gathered
+    for at in blocks(np.full(len(checked), 10)):
+        part = checked[at]
         slot = np.searchsorted(reps, orbits[part])
         part_got = {key: v[slot] for key, v in rep_got.items()}
         for key in got:
@@ -450,14 +446,17 @@ def lattice_census(
     Returns what ``_orbit_census`` returns: one entry per triple, and the
     ConsistencyError text of every triple that fails a check, by position;
     ``representative`` is True where the triple is the least of its orbit,
-    so its sum is the number of orbits.  Counts are int64, so the group
-    order must stay below 2**21.
+    so its sum is the number of orbits, and ``subgroup_orders`` holds the
+    triple's three subgroup orders.  Counts are int64, so the group order
+    must stay below 2**21.
     """
     lat = Lattice.of(subs)
     labels = lat.coset_labels(np.arange(len(lat)))
-    orbits = triple_orbits(lat)
-    counts, errors = _orbit_census(labels, lat.words, _triples(len(lat)), orbits, max_census)
+    triples = _triples(len(lat))
+    orbits = orbit_labels(lat.action, triples)
+    counts, errors = _orbit_census(labels, lat.words, triples, orbits, max_census)
     counts["representative"] = orbits == np.arange(len(orbits))
+    counts["subgroup_orders"] = lat.order[triples]
     return counts, errors
 
 

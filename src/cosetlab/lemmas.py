@@ -13,22 +13,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import MEET_ROWS, meet_orders, packed, popcounts, row_positions
+from .bitset import blocks, meet_orders, packed, popcounts, row_positions
 from .counting import (
-    BLOCK_ENTRIES,
     DEFAULT_CENSUS_CAP,
     _distinct_per_row,
     _orbit_census,
     _triples,
     triple_inequalities,
-    triple_orbits,
 )
 from .groups import FiniteGroup
-from .subgroups import Lattice, Subgroup
+from .subgroups import Lattice, Subgroup, orbit_labels
 
 LEMMA_IDS = (
     "L2.1.i",
@@ -132,12 +130,6 @@ class LemmaSuiteResult:
         }
 
 
-def _blocks(size: int, row_len: int) -> Iterator[slice]:
-    """Slices over range(size) of BLOCK_ENTRIES // row_len rows, at least one."""
-    step = max(1, BLOCK_ENTRIES // max(row_len, 1))
-    return (slice(lo, lo + step) for lo in range(0, size, step))
-
-
 def _meet_order(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|H_a & H_b| for the subgroup positions a, b: popcounts of ANDed words."""
     return popcounts(w[a] & w[b])
@@ -207,14 +199,14 @@ def _check_pairs(
     exactly when HK = KH, or L2.1.i fails; as the rows of ``w`` are the
     whole lattice, HK is a subgroup exactly when its words are one of them,
     one dict lookup per pair.  Coset pairs that meet are the distinct
-    label pairs over the group's points.  A block holds B x n entries per
-    array.
+    label pairs over the group's points.
     """
     n = g.n
     order = member.sum(axis=1)
     index = n // order
     position = row_positions(w)
-    for at in _blocks(len(pairs), n):
+    # n entries per pair in each label or membership array
+    for at in blocks(np.full(len(pairs), n)):
         h, k = pairs[at].T
         lh, lk, ih, ik, oh, ok = labels[h], labels[k], index[h], index[k], order[h], order[k]
         overlap = _meet_order(w, h, k)
@@ -300,11 +292,11 @@ def _check_nested(
     instances are the H1-cosets of b's G1-coset but b's own, counted per
     G1-coset; the failures are the distinct H1-labels of the points that
     share b's G1- and H2-labels, but b's own, counted per run of one sort
-    of each row's (G1, H2, H1) label keys.  B x n arrays.
+    of each row's (G1, H2, H1) label keys.
     """
     n = g.n
     # about a dozen arrays of n entries per quadruple are live at once
-    for at in _blocks(len(quadruples), 12 * n):
+    for at in blocks(np.full(len(quadruples), 12 * n)):
         g1, h1, g2, h2 = quadruples[at].T
         rows = np.arange(len(g1))[:, None]
         big, own, far = labels[g1], labels[h1], labels[h2]
@@ -383,12 +375,13 @@ def run_lemma_suite(
     member, order, w = lattice.rows, lattice.order, lattice.words
     labels = lattice.coset_labels(np.arange(m))
     # contained[h]: positions of the subgroups K of H, proper[h]: those below |H|;
-    # one block of rows at a time, so no m x m matrix is kept
+    # one block of rows at a time, m meet orders per row, so no m x m matrix
+    # is kept
     contained: list[list[int]] = []
     proper: list[list[int]] = []
-    for lo in range(0, m, MEET_ROWS):
-        inside = meet_orders(w[lo : lo + MEET_ROWS], w) == order  # |H & K| = |K|
-        for row, o in zip(inside, order[lo : lo + MEET_ROWS]):
+    for at in blocks(np.full(m, m)):
+        inside = meet_orders(w[at], w) == order  # |H & K| = |K|
+        for row, o in zip(inside, order[at]):
             contained.append(np.flatnonzero(row).tolist())
             proper.append(np.flatnonzero(row & (order < o)).tolist())
 
@@ -403,7 +396,8 @@ def run_lemma_suite(
         in order, one block of (G1, H1) rows at a time."""
         outer, inner = _containments(proper), _containments(contained)
         parts = [np.zeros((0, 4), dtype=np.intp)]
-        for at in _blocks(len(outer), 4 * len(inner)):
+        # 4 positions per inner pair in each (G1, H1) row's quadruples
+        for at in blocks(np.full(len(outer), 4 * len(inner))):
             block = outer[at]
             rows = np.concatenate(
                 [np.repeat(block, len(inner), axis=0), np.tile(inner, (len(block), 1))], axis=1
@@ -436,8 +430,9 @@ def run_lemma_suite(
         3,
     )
     samples += drawn
-    # exhaustive triples are the lattice's, in the order triple_orbits labels
-    orbits = triple_orbits(lattice) if triple_mode == "exhaustive" else np.arange(len(triples))
+    # exhaustive triples are the lattice's, closed under its action
+    exhaustive = triple_mode == "exhaustive"
+    orbits = orbit_labels(lattice.action, triples) if exhaustive else np.arange(len(triples))
     _check_triples(g, lattice, labels, w, triples, orbits, stats, census_cap)
 
     nested_mode, quadruples, drawn = _instances(

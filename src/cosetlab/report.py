@@ -14,6 +14,7 @@ from typing import Any, Iterator, Optional
 import numpy as np
 
 from . import __version__
+from .bitset import blocks
 
 REPORT_FORMAT = "cosetlab-report-v1"
 
@@ -224,8 +225,6 @@ CENSUS_COLUMNS = (
 )
 # the columns of n_disjoint and s_triple, which a capped entry writes as null
 _NULLABLE = [1, 8]
-# census rows deduplicated and joined per block of text
-CENSUS_BLOCK = 1 << 13
 _CENSUS_SLOT = '\n  "census": []'
 
 
@@ -247,14 +246,14 @@ def report_chunks(doc: dict) -> Iterator[str]:
     given as ``CensusRows`` can run to hundreds of thousands of entries of
     one fixed shape but few distinct ones, so each distinct entry fills its
     template once: the fields are stacked into rows of 13 ints and
-    deduplicated CENSUS_BLOCK entries at a time, so the whole census is
-    never one such array, and the texts are carried across blocks.  The
-    blocks go in place of an emptied list at the census's sorted position
-    in the rest of the document.  The
-    census key's line is the only one that starts with two spaces and
-    ``"census"``: nested keys are indented further, and JSON strings hold
-    no raw newline.  Any other document, a census given as a list of entry
-    dicts included, goes through ``json.dumps`` whole.
+    deduplicated one block of entries at a time (``bitset.blocks``), so the
+    whole census is never one such array, and the texts are carried across
+    blocks.  The blocks go in place of an emptied list at the census's
+    sorted position in the rest of the document.  The census key's line is
+    the only one that starts with two spaces and ``"census"``: nested keys
+    are indented further, and JSON strings hold no raw newline.  Any other
+    document, a census given as a list of entry dicts included, goes
+    through ``json.dumps`` whole.
     """
     census = doc.get("census")
     if not isinstance(census, CensusRows):
@@ -267,8 +266,8 @@ def report_chunks(doc: dict) -> Iterator[str]:
     head, tail = text.split(_CENSUS_SLOT, 1)
     yield head + '\n  "census": [\n'
     rendered: dict[tuple, str] = {}  # by a row's values, then its enumerated flag
-    for lo in range(0, len(census.enumerated), CENSUS_BLOCK):
-        at = slice(lo, lo + CENSUS_BLOCK)
+    # per entry, its 14 columns in the stacked keys
+    for at in blocks(np.full(len(census.enumerated), 14)):
         columns = [census.fields[key][at] for key in CENSUS_COLUMNS]
         keys = np.column_stack([*columns, census.enumerated[at]])
         order = np.lexsort(keys.T)
@@ -282,7 +281,7 @@ def report_chunks(doc: dict) -> Iterator[str]:
                 values = key[:-1] if key[-1] else np.delete(key[:-1], _NULLABLE).tolist()
                 rendered[key] = _ENTRY_TEMPLATES[bool(key[-1])] % tuple(values)
             texts.append(rendered[key])
-        yield (",\n" if lo else "") + ",\n".join([texts[p] for p in distinct.tolist()])
+        yield (",\n" if at.start else "") + ",\n".join([texts[p] for p in distinct.tolist()])
     yield "\n  ]" + tail
 
 

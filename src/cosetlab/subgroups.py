@@ -10,6 +10,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import bitset
 from .bitset import bits_tuple, full_mask, mask_of, mask_rows, packed, row_positions
 from .errors import ConsistencyError, NotAGroup, ParentMismatch, SubgroupCountCapExceeded
 from .groups import FiniteGroup
@@ -480,24 +481,22 @@ def _class_lattice(
     return found
 
 
-# entries of one block of ``_row_gathers`` (rows x largest order x n)
-GATHER_BLOCK = 1 << 16
-
-
 def _row_gathers(
     table: np.ndarray, identity: int, rows: np.ndarray, size: np.ndarray
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Per block [lo, hi) of the bool rows (r x n) of subgroups H, of orders
     ``size``, ``table`` gathered at each H's elements padded with the
-    identity: (hi - lo) x largest order x table width, about
-    ``GATHER_BLOCK`` entries or one row.  If table row h is x h over every
-    x, the minimum over axis 1 is the least element of x H."""
-    n = rows.shape[1]
+    identity: (hi - lo) x largest order x table width, at most
+    ``bitset.BLOCK_ENTRIES`` entries or one row.  The padding makes the
+    cost of a block that of its largest order, so the cut is its own, not
+    ``bitset.blocks``.  If table row h is x h over every x, the minimum over
+    axis 1 is the least element of x H."""
+    n, budget = rows.shape[1], bitset.BLOCK_ENTRIES
     lo = 0
     while lo < len(rows):
-        ahead = size[lo : lo + GATHER_BLOCK // n]  # each row costs n or more
+        ahead = size[lo : lo + budget // n]  # each row costs n or more
         cost = np.maximum.accumulate(ahead) * np.arange(1, len(ahead) + 1) * n
-        hi = lo + max(1, int(np.searchsorted(cost, GATHER_BLOCK, "right")))
+        hi = lo + max(1, int(np.searchsorted(cost, budget, "right")))
         s = size[lo:hi]
         at, elems = np.nonzero(rows[lo:hi])
         base = np.full((hi - lo, int(s.max())), identity)

@@ -13,9 +13,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import MEET_ROWS, lowest_bit, meet_orders, packed, popcounts, set_bits
+from .bitset import blocks, lowest_bit, meet_orders, packed, popcounts, set_bits
 from .cosets import coset_mask, double_coset_reps, left_cosets
-from .counting import BLOCK_ENTRIES
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
 from .subgroups import Lattice, Subgroup, _row_gathers, orbit_labels
@@ -24,6 +23,8 @@ DEFAULT_CLIQUE_CAP = 10**6
 K_MIN = 2
 K_MAX = 6
 OPEN_RANGE_NOTE = "conjecture open - absence of violations is evidence, not proof"
+# positions per build unit of PairRows' disjointability rows
+MEET_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class PairRows:
     The disjointability rows, one m x ceil(m / 64) word array, do not
     depend on k: |H||K| < |G| |H&K| (``cosets.disjointable``), with the
     intersection orders from ``meet_orders``, and no bit below j in row j,
-    which the clique search never reads.  They are built one block of
+    which the clique search never reads.  They are built one unit of
     ``MEET_ROWS`` positions at a time, on the first lookup of any of its
     positions.  ``rows(k)`` gives the gcd bar per index class.
     ``subgroups`` must ascend by order, as ``enumerate_subgroups`` lists
@@ -141,10 +142,10 @@ class PairRows:
 
     def disjoint_rows(self, at: int | np.ndarray) -> np.ndarray:
         """The words of row j for each j of ``at`` (an int or an array): bit t
-        set, for t >= j, when j and t are disjointable; blocks are built first."""
+        set, for t >= j, when j and t are disjointable; units are built first."""
         m = len(self.order)
-        blocks = np.unique(np.asarray(at) // MEET_ROWS)
-        for lo in (blocks[~self._built[blocks]] * MEET_ROWS).tolist():
+        units = np.unique(np.asarray(at) // MEET_ROWS)
+        for lo in (units[~self._built[units]] * MEET_ROWS).tolist():
             hi = min(lo + MEET_ROWS, m)
             meet = meet_orders(self.lattice.words[lo:hi], self.lattice.words[lo:])
             ok = np.zeros((hi - lo, m), dtype=bool)
@@ -178,18 +179,6 @@ def pair_table(g: FiniteGroup, subgroups: Sequence[Subgroup]) -> PairRows:
     return PairRows(g, subgroups)
 
 
-def _cuts(cost: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Consecutive runs [lo, hi) of rows whose costs sum to at most
-    ``BLOCK_ENTRIES``, or one row alone when its own cost passes it."""
-    ends = np.cumsum(cost)
-    lo = 0
-    while lo < len(ends):
-        budget = BLOCK_ENTRIES + (ends[lo - 1] if lo else 0)
-        hi = max(lo + 1, int(np.searchsorted(ends, budget, side="right")))
-        yield lo, hi
-        lo = hi
-
-
 def candidate_cliques(
     g: FiniteGroup,
     k: int,
@@ -217,8 +206,8 @@ def candidate_cliques(
     as packed words: the positions compatible with every entry, none below
     the last.  A pick j ANDs in its disjointability row and its index
     class's gcd row; a lone first pick reads no row.  Blocks of prefixes go
-    depth first, each holding about ``BLOCK_ENTRIES`` entries, so memory
-    grows with the depth, not with the number of prefixes.
+    depth first, each cut by ``bitset.blocks``, so memory grows with the
+    depth, not with the number of prefixes.
     """
     if len(pair_stats.order) != len(subgroups):
         raise ValueError(
@@ -238,9 +227,9 @@ def candidate_cliques(
         limit = np.searchsorted(order, (g.n - osum) // left, "right")
         # int64 entries per prefix: its words and at most its candidates'
         # positions and words
-        for lo, hi in _cuts(popcounts(cand) * (k + width) + width):
-            at, picks = set_bits(cand[lo:hi])
-            at += lo
+        for block in blocks(popcounts(cand) * (k + width) + width):
+            at, picks = set_bits(cand[block])
+            at += block.start
             # every later pick has order >= order[j], and so has every later j
             seen = picks < limit[at]
             at, picks = at[seen], picks[seen]
@@ -399,8 +388,8 @@ def _search_cliques(
     ``_search_with_count`` searches it again: that names the family, gives
     the count of a search that stops at the find, and checks disjointness
     once more.  Returns the family of every row that has one, keyed by row,
-    and the coset placements per row.  States go depth first in blocks of
-    about ``BLOCK_ENTRIES`` entries.
+    and the coset placements per row.  States go depth first in blocks cut
+    by ``bitset.blocks``.
     """
     n_rows, k = cliques.shape
     lattice = Lattice.of(subgroups)
@@ -418,10 +407,10 @@ def _search_cliques(
         tries = count[row, slot]
         np.add.at(examined, row, tries)
         # int64 entries per state: its tries' indices and their words
-        for lo, hi in _cuts(tries * (2 + 3 * width)):
-            t = tries[lo:hi]
-            state = np.repeat(np.arange(lo, hi), t)
-            first = start[row[lo:hi], slot] - np.cumsum(t) + t
+        for block in blocks(tries * (2 + 3 * width)):
+            t = tries[block]
+            state = np.repeat(np.arange(block.start, block.stop), t)
+            first = start[row[block], slot] - np.cumsum(t) + t
             choice = np.arange(len(state)) + np.repeat(first, t)
             coset = table[choice]
             free = ~(used[state] & coset).any(axis=1)

@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 
 import cosetlab.counting
 from cosetlab import FiniteGroup, GroupSpec, RValue, Subgroup
-from cosetlab.bitset import MEET_ROWS, bits_tuple, full_mask, lowest_bit, mask_of
+from cosetlab.bitset import bits_tuple, full_mask, lowest_bit, mask_of
 from cosetlab.cosets import (
     _pair_parent,
     coset_labels,
@@ -62,6 +62,7 @@ from cosetlab.subgroups import (
     _subgroup_from_mask,
     close_generators,
 )
+from cosetlab.verifier import MEET_ROWS
 
 # Named groups with their orders, the factors of random direct products.
 SMALL_FACTORS = {"C2": 2, "C3": 3, "C4": 4, "C5": 5, "S3": 6, "D4": 8, "Q8": 8, "A4": 12}

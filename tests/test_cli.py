@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cosetlab as cl
-from cosetlab import cli, errors
+from cosetlab import bitset, cli, errors
 from cosetlab.cli import main
 from cosetlab.report import canonical_json, strip_volatile, validate_report
 
@@ -534,6 +534,45 @@ def test_verify_answers_pinned(capsys, command):
         del v["tuples_examined"], v["clique_orbits"]
     text = canonical_json(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_ANSWERS[command]
+
+
+# a few rows' worth of entries: most blocks of every batched loop hold one
+# row, or a handful
+SMALL_BUDGET = 256
+# the clique and coset searches and the pair rows; the census's closed forms,
+# enumeration, checks and entry blocks; the lemma families, exhaustive on
+# S4, with most triples above the enumeration cap, and sampled on S5; the
+# label gathers of all of them
+BUDGET_COMMANDS = [
+    "verify --group S3xS3xC2 --k 2..5",
+    "census --group S4",
+    "lemmas --group S4",
+    "lemmas --group S4 --max-census 100",
+    "lemmas --group S5",
+]
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+def test_reports_do_not_depend_on_the_block_budget(capsys, monkeypatch, command):
+    code, out, _ = run(capsys, *command.split(), "--cache-dir", "off")
+    monkeypatch.setattr(bitset, "BLOCK_ENTRIES", SMALL_BUDGET)
+    small_code, small, _ = run(capsys, *command.split(), "--cache-dir", "off")
+    assert code == small_code == 0
+    want = canonical_json(strip_volatile(json.loads(out)))
+    assert canonical_json(strip_volatile(json.loads(small))) == want
+
+
+def test_capped_census_does_not_depend_on_the_block_budget(lattice, monkeypatch):
+    # the census command refuses S4's 4,960 triples at --max-census 500, so
+    # the library gives the census that mixes enumerated and capped triples
+    _, subs = lattice("S4")
+    want, errors = cl.lattice_census(subs, max_census=500)
+    assert errors == {} and 0 < np.count_nonzero(want["enumerated"]) < len(want["total"])
+    monkeypatch.setattr(bitset, "BLOCK_ENTRIES", SMALL_BUDGET)
+    got, errors = cl.lattice_census(subs, max_census=500)
+    assert errors == {} and got.keys() == want.keys()
+    for key, v in got.items():
+        assert np.array_equal(v, want[key]), key
 
 
 def _subcommands():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
+from cosetlab import bitset
 from cosetlab.bitset import mask_of
 from cosetlab.counting import DEFAULT_CENSUS_CAP, _checked, triple_inequalities
 from cosetlab.errors import ConsistencyError, CounterOverflow, ParentMismatch
@@ -288,11 +289,12 @@ def _lattice_entries(subs, cap):
 @pytest.mark.parametrize(
     "name,cap",
     [(name, cl.counting.DEFAULT_CENSUS_CAP) for name in ORACLE_GROUPS + ["S3xS3"]]
-    + [("S4", 500)],
+    + [("S4", 500), ("S4", 96)],
 )
 def test_lattice_census_matches_per_triple_census(lattice, name, cap):
     # census() is the independent per-triple route for the orbit route of
-    # lattice_census; at a cap of 500 S4 mixes enumerated and capped triples
+    # lattice_census; at a cap of 500 S4 mixes enumerated and capped
+    # triples, and at 96 some triples' totals (24 x 4 x 1) equal the cap
     g, subs = lattice(name)
     got = _lattice_entries(subs, cap)
     want = [
@@ -586,3 +588,29 @@ def test_lattice_census_needs_a_list_closed_under_conjugation(lattice):
     picked = subs[1:4]
     want = [cl.census(*(picked[x] for x in t)) for t in _triples(picked)]
     assert _lattice_entries(picked, cl.counting.DEFAULT_CENSUS_CAP) == want
+
+
+def test_census_blocks_hold_a_small_budget(lattice, monkeypatch):
+    # under a budget of 1,024 entries, the closed forms of A5's 35,990
+    # triples and the enumeration of 3,000 triples over three subgroups of
+    # S5 (120 labels per triple, three label rows) hold little beyond their
+    # outputs (2.3 MB and 0.2 MB); with all of A5's triples in one block
+    # the closed forms traced 7.7 MB, and enumeration blocks sized by the
+    # label rows, not the labels per row, 8.8 MB
+    _, a5 = lattice("A5")
+    triples = cl.counting._triples(len(a5))
+    _, s5 = lattice("S5")
+    labels = s5.coset_labels(np.arange(3))
+    drawn = np.sort(np.random.default_rng(0).integers(0, 3, size=(3000, 3)), axis=1)
+    monkeypatch.setattr(bitset, "BLOCK_ENTRIES", 1 << 10)
+    for run, bound in (
+        (lambda: cl.counting._closed_census(a5.words, 60, triples), 4),
+        (lambda: cl.counting._enumerate_rows(labels, s5.index[:3], drawn), 2),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab import subgroups
+from cosetlab import bitset, subgroups
 from cosetlab.cli import _resolve_spec
 from cosetlab.errors import (
     ParentMismatch,
@@ -21,7 +21,8 @@ from cosetlab.errors import (
     UnknownFamily,
 )
 from cosetlab.bitset import (
-    MEET_ROWS,
+    BLOCK_ENTRIES,
+    blocks,
     iter_bits,
     mask_of,
     mask_rows,
@@ -471,7 +472,7 @@ def test_lattice_coset_labels_match_per_subgroup_route(lattice, name):
 
 @pytest.mark.parametrize("name", ["C2xC2xC2xC2xC2xC2", "S5"])
 def test_row_gathers_fill_each_block(lattice, name):
-    # blocks tile the rows in order, each within GATHER_BLOCK gathered
+    # blocks tile the rows in order, each within BLOCK_ENTRIES gathered
     # entries or a single row, and each as long as the bound allows: one
     # more row would pass it.  Rows ascending and descending by order, and
     # the trivial subgroup's row repeated.
@@ -482,9 +483,9 @@ def test_row_gathers_fill_each_block(lattice, name):
         for lo, hi, moved in subgroups._row_gathers(g.np_table, g.identity, rows, size):
             assert lo == end
             assert moved.shape == (hi - lo, size[lo:hi].max(), g.n)
-            assert moved.size <= subgroups.GATHER_BLOCK or hi - lo == 1
+            assert moved.size <= BLOCK_ENTRIES or hi - lo == 1
             if hi < len(rows):
-                assert (hi - lo + 1) * size[lo : hi + 1].max() * g.n > subgroups.GATHER_BLOCK
+                assert (hi - lo + 1) * size[lo : hi + 1].max() * g.n > BLOCK_ENTRIES
             end = hi
         assert end == len(rows)
 
@@ -528,8 +529,50 @@ def test_meet_orders_are_mask_popcounts(lattice, name):
     words = subs.words
     got = meet_orders(words, words[::-1])
     assert got.shape == (len(subs), len(subs))
-    assert name != "C2xC2xC2xC2xC2xC2" or len(subs) > MEET_ROWS
+    assert name != "C2xC2xC2xC2xC2xC2" or len(subs) ** 2 > BLOCK_ENTRIES
     assert got.tolist() == [[(a.mask & b.mask).bit_count() for b in subs[::-1]] for a in subs]
+
+
+@pytest.mark.parametrize(
+    "cost,want",
+    [
+        ([], []),
+        # rows that cost nothing join any block, the first one included
+        ([0, 0, 0], [(0, 3)]),
+        ([0, 10, 0, 1], [(0, 3), (3, 4)]),
+        # a running sum that lands on the budget closes the block there
+        ([4, 6, 5, 5], [(0, 2), (2, 4)]),
+        ([10, 10], [(0, 1), (1, 2)]),
+        # a row above the budget gets a block alone
+        ([3, 11, 2, 0, 8], [(0, 1), (1, 2), (2, 5)]),
+        ([11, 0], [(0, 1), (1, 2)]),
+    ],
+)
+def test_blocks_cut_at_the_budget(monkeypatch, cost, want):
+    monkeypatch.setattr(bitset, "BLOCK_ENTRIES", 10)
+    got = [(at.start, at.stop) for at in blocks(np.array(cost, dtype=np.int64))]
+    assert got == want
+
+
+def greedy_blocks(cost, budget):
+    """Oracle for ``bitset.blocks``: take rows while their sum stays within
+    the budget, and always the first row of a block."""
+    out, lo, total = [], 0, 0
+    for i, c in enumerate(cost):
+        if i > lo and total + c > budget:
+            out.append((lo, i))
+            lo, total = i, 0
+        total += c
+    return out + [(lo, len(cost))] * (lo < len(cost))
+
+
+@given(cost=st.lists(st.integers(0, 40), max_size=60), budget=st.integers(1, 50))
+@settings(max_examples=300, deadline=None)
+def test_blocks_match_greedy_oracle(cost, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitset, "BLOCK_ENTRIES", budget)
+        got = [(at.start, at.stop) for at in blocks(np.array(cost, dtype=np.int64))]
+    assert got == greedy_blocks(cost, budget)
 
 
 @pytest.mark.parametrize("width", [3, 64, 65, 128])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab
-from cosetlab import report
+from cosetlab import bitset, report
 from cosetlab.cli import main
 from cosetlab.report import (
     REPORT_FORMAT,
@@ -271,13 +271,14 @@ def _entries(census):
     ]
 
 
-@given(census=census_rows(), block=st.integers(1, 4))
+@given(census=census_rows(), budget=st.integers(1, 60))
 @settings(max_examples=200, deadline=None)
-def test_census_rows_render_as_their_entries(census, block):
+def test_census_rows_render_as_their_entries(census, budget):
     # the array route writes the bytes json.dumps writes for its entries,
-    # across block boundaries, and a repeated entry as its first rendering
+    # across block boundaries, and a repeated entry as its first rendering;
+    # budgets from under one entry's cost (14) to four entries'
     doc = _minimal()
-    with mock.patch.object(report, "CENSUS_BLOCK", block):
+    with mock.patch.object(bitset, "BLOCK_ENTRIES", budget):
         from_rows = canonical_json({**doc, "census": census})
         entries = {**doc, "census": _entries(census)}
         assert from_rows == canonical_json(entries) == _json_dumps(entries)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab import verifier
-from cosetlab.bitset import MEET_ROWS, bits_tuple, mask_of
+from cosetlab import bitset, verifier
+from cosetlab.bitset import bits_tuple, mask_of, popcounts
 from cosetlab.cli import _resolve_spec
 from cosetlab.cosets import coset_mask
 from cosetlab.errors import CliqueCapExceeded
@@ -30,6 +31,7 @@ from cosetlab.subgroups import (
 from cosetlab.verifier import (
     K_MAX,
     K_MIN,
+    MEET_ROWS,
     OPEN_RANGE_NOTE,
     _coset_choices,
     _search_cliques,
@@ -163,7 +165,7 @@ def test_pair_table_serves_the_traced_replay(lattice):
 
 
 # every catalog group, and lattices past it up to C2^6's 2825 positions,
-# whose rows cross many MEET_ROWS blocks
+# whose rows cross many MEET_ROWS build units
 ROW_SOURCE_GROUPS = sorted(cl.CATALOG) + ["D30", "S3xS3xC2", "A4xA4", "A6", C2_6]
 # (group, k) -> disjointability rows a fresh source builds for the clique
 # search.  In C2^6 every first pick is lone: the least order of a partner
@@ -386,6 +388,49 @@ def test_verify_open_range_memory_bound(lattice):
         tracemalloc.stop()
     assert (rep.candidate_clique_count, rep.clique_orbits) == (24320, 360)
     assert peak < 5.5 * 2**20
+
+
+def _spy_blocks(monkeypatch):
+    """Record every block the verifier cuts: the function that asked, the
+    block, and that function's local variables once the block is done."""
+    seen = []
+
+    def spy(cost):
+        caller = sys._getframe(1)
+        for block in bitset.blocks(cost):
+            yield block
+            seen.append((caller.f_code.co_name, block, dict(caller.f_locals)))
+
+    monkeypatch.setattr(verifier, "blocks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["S3xS3xC2", "A4xA4"])
+def test_verifier_blocks_hold_their_budget(lattice, monkeypatch, name):
+    # under a small budget, the arrays each block of more than one row
+    # builds stay within it.  In grow every candidate bit of the block may
+    # become a prefix of k positions and a row of candidate words, and the
+    # block's own rows are candidate words; in place every try holds its
+    # state and choice indices and three rows of words: its coset, the
+    # state's union gathered, and their AND
+    g, subs = lattice(name)
+    budget = 1 << 10
+    monkeypatch.setattr(bitset, "BLOCK_ENTRIES", budget)
+    seen = _spy_blocks(monkeypatch)
+    k = 5
+    cl.verify_group(g, k, subgroups=subs, pair_stats=cl.PairRows(g, subs))
+    fullest = {"grow": 0, "place": 0}
+    for where, block, local in seen:
+        if where == "grow":
+            cand = local["cand"][block]
+            entries = int(popcounts(cand).sum()) * (k + cand.shape[1]) + cand.size
+        else:
+            entries = 2 * len(local["choice"]) + 3 * local["coset"].size
+        if block.stop - block.start > 1:
+            assert entries <= budget, (where, block)
+            fullest[where] = max(fullest[where], entries)
+    # blocks of many rows, cut close to the budget
+    assert min(fullest.values()) > budget * 3 // 4
 
 
 def test_action_built_once_per_lattice(monkeypatch):
