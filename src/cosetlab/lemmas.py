@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class LemmaStats:
     checked: int = 0
     failed: int = 0
     examples: list[str] = field(default_factory=list)
-
-    def record(self, ok: bool, desc: str = "") -> None:
-        self.checked += 1
-        if not ok:
-            self.failed += 1
-            self.examples += [desc][: 5 - len(self.examples)]
 
     def tally_at(
         self, checked: np.ndarray, oks: np.ndarray, describe: Callable[[int], str]
@@ -183,12 +177,7 @@ def _separation(
 
 
 def _check_pairs(
-    g: FiniteGroup,
-    labels: np.ndarray,
-    member: np.ndarray,
-    w: np.ndarray,
-    pairs: np.ndarray,
-    stats: dict[str, LemmaStats],
+    lattice: Lattice, labels: np.ndarray, pairs: np.ndarray, stats: dict[str, LemmaStats]
 ) -> None:
     """L2.1.i-v, L3.2 and L3.3 on every row (h, k) of ``pairs``, in order.
 
@@ -201,9 +190,9 @@ def _check_pairs(
     one dict lookup per pair.  Coset pairs that meet are the distinct
     label pairs over the group's points.
     """
+    g, member, w = lattice.parent, lattice.rows, lattice.words
+    order, index = lattice.order, lattice.index
     n = g.n
-    order = member.sum(axis=1)
-    index = n // order
     position = row_positions(w)
     # n entries per pair in each label or membership array
     for at in blocks(np.full(len(pairs), n)):
@@ -231,10 +220,8 @@ def _check_pairs(
 
 
 def _check_triples(
-    g: FiniteGroup,
     lattice: Lattice,
     labels: np.ndarray,
-    w: np.ndarray,
     triples: np.ndarray,
     orbits: np.ndarray,
     stats: dict[str, LemmaStats],
@@ -250,6 +237,7 @@ def _check_triples(
     integral fails E3.4 and skips E3.1 and E3.2.  E3.2 needs a common pair
     gcd and an enumerated census with a disjoint coset triple.
     """
+    g, w = lattice.parent, lattice.words
     counts, errors = _orbit_census(labels, w, triples, orbits, census_cap)
     enumerated, n_disjoint = counts["enumerated"], counts["n_disjoint"]
     ineq = triple_inequalities(w, g.n, triples)
@@ -277,11 +265,7 @@ def _check_triples(
 
 
 def _check_nested(
-    g: FiniteGroup,
-    labels: np.ndarray,
-    order: np.ndarray,
-    quadruples: np.ndarray,
-    stats: dict[str, LemmaStats],
+    lattice: Lattice, labels: np.ndarray, quadruples: np.ndarray, stats: dict[str, LemmaStats]
 ) -> None:
     """R3.1 on every row (G1, H1, G2, H2) of ``quadruples``, in order: for
     distinct cosets A and b*H1 inside one G1-coset, A misses b*H2.
@@ -294,6 +278,7 @@ def _check_nested(
     share b's G1- and H2-labels, but b's own, counted per run of one sort
     of each row's (G1, H2, H1) label keys.
     """
+    g, order = lattice.parent, lattice.order
     n = g.n
     # about a dozen arrays of n entries per quadruple are live at once
     for at in blocks(np.full(len(quadruples), 12 * n)):
@@ -323,32 +308,6 @@ def _check_nested(
         stats["R3.1"].tally_counts(checked.sum(axis=1), failed, tag)
 
 
-def _instances(
-    exhaustive: bool,
-    every: Callable[[], np.ndarray],
-    draw: Callable[[], Optional[tuple[int, ...]]],
-    width: int,
-) -> tuple[str, np.ndarray, int]:
-    """The instances one law family runs on, rows of ``width`` subgroup
-    positions, with its mode and draw count.
-
-    Exhaustive families run on ``every()``; the others on ``SAMPLE_TARGET``
-    calls of ``draw``, leaving out those that return None.
-    """
-    if exhaustive:
-        return "exhaustive", every(), 0
-    drawn = [x for x in (draw() for _ in range(SAMPLE_TARGET)) if x is not None]
-    return "sampled", np.array(drawn, dtype=np.intp).reshape(-1, width), SAMPLE_TARGET
-
-
-def _containments(rows: list[list[int]]) -> np.ndarray:
-    """The pairs (i, j) with j in rows[i], in order, as an N x 2 array."""
-    lens = [len(r) for r in rows]
-    return np.stack(
-        [np.repeat(np.arange(len(rows)), lens), np.array([j for r in rows for j in r], dtype=np.intp)],
-        axis=1,
-    ).reshape(-1, 2)
-
 def run_lemma_suite(
     g: FiniteGroup,
     subgroups: Sequence[Subgroup],
@@ -369,21 +328,24 @@ def run_lemma_suite(
     fails L2.1.i and skips L2.1.v.
     """
     lattice = Lattice.of(subgroups)
-    m = len(lattice)
+    m, w, order = len(lattice), lattice.words, lattice.order
     stats = {lid: LemmaStats() for lid in LEMMA_IDS}
     rng = random.Random(seed)
-    member, order, w = lattice.rows, lattice.order, lattice.words
     labels = lattice.coset_labels(np.arange(m))
-    # contained[h]: positions of the subgroups K of H, proper[h]: those below |H|;
-    # one block of rows at a time, m meet orders per row, so no m x m matrix
-    # is kept
-    contained: list[list[int]] = []
-    proper: list[list[int]] = []
-    for at in blocks(np.full(m, m)):
-        inside = meet_orders(w[at], w) == order  # |H & K| = |K|
-        for row, o in zip(inside, order[at]):
-            contained.append(np.flatnonzero(row).tolist())
-            proper.append(np.flatnonzero(row & (order < o)).tolist())
+    # which families run exhaustively: pairs, triples, nested quadruples
+    full = (m * m <= PAIR_LIMIT, math.comb(m + 2, 3) <= TRIPLE_LIMIT, g.n <= NESTED_ORDER_LIMIT)
+    # the pairs (H, K) with K in H (|H & K| = |K|), by H then K, and those
+    # with |K| < |H|; one block of rows at a time, m meet orders per row, so
+    # no m x m matrix is kept
+    contained = np.concatenate(
+        [np.argwhere(meet_orders(w[at], w) == order) + (at.start, 0) for at in blocks(np.full(m, m))]
+    )
+    proper = contained[order[contained[:, 1]] < order[contained[:, 0]]]
+
+    def draws(width: int) -> np.ndarray:
+        """``SAMPLE_TARGET`` rows of ``width`` seeded positions."""
+        drawn = [rng.randrange(m) for _ in range(SAMPLE_TARGET * width)]
+        return np.array(drawn, dtype=np.intp).reshape(-1, width)
 
     def kept(quadruples: np.ndarray) -> np.ndarray:
         """Which rows (G1, H1, G2, H2) have H1 & H2 == G1 & G2 elementwise; as
@@ -391,58 +353,52 @@ def run_lemma_suite(
         g1, h1, g2, h2 = quadruples.T
         return _meet_order(w, h1, h2) == _meet_order(w, g1, g2)
 
-    def every_nested() -> np.ndarray:
-        """Every (G1, H1, G2, H2) with H1 < G1 and H2 <= G2 that ``kept`` keeps,
-        in order, one block of (G1, H1) rows at a time."""
-        outer, inner = _containments(proper), _containments(contained)
-        parts = [np.zeros((0, 4), dtype=np.intp)]
-        # 4 positions per inner pair in each (G1, H1) row's quadruples
-        for at in blocks(np.full(len(outer), 4 * len(inner))):
-            block = outer[at]
-            rows = np.concatenate(
-                [np.repeat(block, len(inner), axis=0), np.tile(inner, (len(block), 1))], axis=1
-            )
-            parts.append(rows[kept(rows)])
-        return np.concatenate(parts)
-
-    def draw_nested() -> Optional[tuple[int, ...]]:
-        i1 = rng.randrange(m)
-        if not proper[i1]:
-            return None
-        j1 = rng.choice(proper[i1])
-        i2 = rng.randrange(m)
-        return i1, j1, i2, rng.choice(contained[i2])
-
     # One rng serves pairs, then triples, then nested quadruples, in that
     # order, so a seed names the same samples in every report.
-    pair_mode, pairs, samples = _instances(
-        m * m <= PAIR_LIMIT,
-        lambda: np.stack(np.divmod(np.arange(m * m), m), axis=1),
-        lambda: (rng.randrange(m), rng.randrange(m)),
-        2,
-    )
-    _check_pairs(g, labels, member, w, pairs, stats)
+    pairs = np.stack(np.divmod(np.arange(m * m), m), axis=1) if full[0] else draws(2)
+    _check_pairs(lattice, labels, pairs, stats)
 
-    triple_mode, triples, drawn = _instances(
-        math.comb(m + 2, 3) <= TRIPLE_LIMIT,
-        lambda: _triples(m),
-        lambda: tuple(sorted(rng.randrange(m) for _ in range(3))),
-        3,
-    )
-    samples += drawn
-    # exhaustive triples are the lattice's, closed under its action
-    exhaustive = triple_mode == "exhaustive"
-    orbits = orbit_labels(lattice.action, triples) if exhaustive else np.arange(len(triples))
-    _check_triples(g, lattice, labels, w, triples, orbits, stats, census_cap)
+    if full[1]:
+        # exhaustive triples are the lattice's, closed under its action
+        triples = _triples(m)
+        orbits = orbit_labels(lattice.action, triples)
+    else:
+        triples = np.sort(draws(3), axis=1)
+        orbits = np.arange(len(triples))
+    _check_triples(lattice, labels, triples, orbits, stats, census_cap)
 
-    nested_mode, quadruples, drawn = _instances(
-        g.n <= NESTED_ORDER_LIMIT, every_nested, draw_nested, 4
-    )
-    if nested_mode == "sampled":
+    if full[2]:
+        # every (G1, H1) of ``proper`` against every (G2, H2) of ``contained``,
+        # 4 positions per inner pair in each (G1, H1) row's quadruples
+        parts = [np.zeros((0, 4), dtype=np.intp)]
+        for at in blocks(np.full(len(proper), 4 * len(contained))):
+            block = proper[at]
+            rows = np.concatenate(
+                [np.repeat(block, len(contained), axis=0), np.tile(contained, (len(block), 1))],
+                axis=1,
+            )
+            parts.append(rows[kept(rows)])
+        quadruples = np.concatenate(parts)
+    else:
+        # row H's pairs are proper[outer[H]:outer[H + 1]] and
+        # contained[inner[H]:inner[H + 1]]; a G1 with no proper subgroup
+        # ends its draw
+        outer, inner = (
+            np.searchsorted(x[:, 0], np.arange(m + 1)).tolist() for x in (proper, contained)
+        )
+        picks = []
+        for _ in range(SAMPLE_TARGET):
+            g1 = rng.randrange(m)
+            if outer[g1] < outer[g1 + 1]:
+                a = outer[g1] + rng.randrange(outer[g1 + 1] - outer[g1])
+                g2 = rng.randrange(m)
+                picks.append((a, inner[g2] + rng.randrange(inner[g2 + 1] - inner[g2])))
+        a, b = np.array(picks, dtype=np.intp).reshape(-1, 2).T
+        quadruples = np.concatenate([proper[a], contained[b]], axis=1)
         quadruples = quadruples[kept(quadruples)]
-    samples += drawn
-    _check_nested(g, labels, order, quadruples, stats)
+    _check_nested(lattice, labels, quadruples, stats)
 
+    pair_mode, triple_mode, nested_mode = ("exhaustive" if f else "sampled" for f in full)
     return LemmaSuiteResult(
         group_label=g.label,
         group_order=g.n,
@@ -453,7 +409,7 @@ def run_lemma_suite(
         pairs_run=len(pairs),
         triples_run=len(triples),
         nested_quadruples_run=len(quadruples),
-        samples=samples,
+        samples=SAMPLE_TARGET * full.count(False),
         seed=seed,
         stats=stats,
     )

@@ -573,22 +573,22 @@ def _check_triple(gi: Subgroup, gj: Subgroup, gk: Subgroup, stats: dict, census_
     try:
         cen = census(gi, gj, gk, max_census=census_cap)
     except ConsistencyError as exc:
-        stats["L3.2"].record(False, f"{tag}: {exc}")
+        _record(stats["L3.2"], False, f"{tag}: {exc}")
         return
     if cen.enumerated:
         # The census already cross-checked the enumerated common-point count
         # against the intersection index, so reaching here means it held.
-        stats["L3.2"].record(True, tag)
+        _record(stats["L3.2"], True, tag)
 
     # check_triple_inequalities raises when an r-value is not integral.
     try:
         diag = check_triple_inequalities(gi, gj, gk)
     except ConsistencyError as exc:
-        stats["E3.4"].record(False, f"{tag}: {exc}")
+        _record(stats["E3.4"], False, f"{tag}: {exc}")
         return
-    stats["E3.1"].record(diag.pivot_bounds_ok, tag)
-    stats["E3.4"].record(
-        diag.divisibility_ok and diag.scaled_divisibility_ok in (None, True), tag
+    _record(stats["E3.1"], diag.pivot_bounds_ok, tag)
+    _record(
+        stats["E3.4"], diag.divisibility_ok and diag.scaled_divisibility_ok in (None, True), tag
     )
     if (
         diag.common_gcd is not None
@@ -598,19 +598,20 @@ def _check_triple(gi: Subgroup, gj: Subgroup, gk: Subgroup, stats: dict, census_
     ):
         rs = [rv.r for rv in diag.r_pair]
         bound = r_strict_upper(diag.common_gcd, rs[0], rs[1], rs[2])
-        stats["E3.2"].record(
+        _record(
+            stats["E3.2"],
             diag.r_triple.r < bound,
             f"{tag}: r={diag.r_triple.r} bound={bound}",
         )
 
 
-def per_triple_family(g, subs, labels, w, triples, orbits, stats, census_cap) -> None:
+def per_triple_family(lattice, labels, triples, orbits, stats, census_cap) -> None:
     """Drop-in for ``cosetlab.lemmas._check_triples``: L3.2, E3.1, E3.2 and
     E3.4 recorded one triple at a time, in order, from ``census`` and
-    ``check_triple_inequalities``; ``labels``, ``w`` and ``orbits`` are not
-    read."""
+    ``check_triple_inequalities`` on the lattice's items; ``labels`` and
+    ``orbits`` are not read."""
     for i, j, k in triples:
-        _check_triple(subs[i], subs[j], subs[k], stats, census_cap)
+        _check_triple(lattice[i], lattice[j], lattice[k], stats, census_cap)
 
 
 def plant_enumeration_fault(monkeypatch, bad) -> None:
@@ -636,19 +637,19 @@ def check_pair(g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict) -> None:
     # product_set raises when its closure test and HK = KH disagree.
     try:
         p = product_set(h, k)
-        stats["L2.1.i"].record(True, tag)
+        _record(stats["L2.1.i"], True, tag)
     except ConsistencyError as exc:
         p = None
-        stats["L2.1.i"].record(False, f"{tag}: {exc}")
+        _record(stats["L2.1.i"], False, f"{tag}: {exc}")
 
-    stats["L2.1.ii"].record(cosets_of_k_in_product(h, k) == h.order // overlap, tag)
+    _record(stats["L2.1.ii"], cosets_of_k_in_product(h, k) == h.order // overlap, tag)
 
     if math.gcd(h.index, k.index) == 1:
         hk = p[0] if p is not None else mask_of(np.flatnonzero(_product_row(h, k)).tolist())
-        stats["L2.1.iii"].record(hk == full_mask(n), tag)
+        _record(stats["L2.1.iii"], hk == full_mask(n), tag)
 
     meets = meeting_matrix(h, k)
-    stats["L2.1.iv"].record(disjointable(h, k) == (not meets.all()), tag)
+    _record(stats["L2.1.iv"], disjointable(h, k) == (not meets.all()), tag)
 
     if p is not None and p[1]:
         # Cosets of M = HK either coincide or are disjoint, so aM and bM are
@@ -659,9 +660,9 @@ def check_pair(g: FiniteGroup, h: Subgroup, k: Subgroup, stats: dict) -> None:
         separated = h_reps[:, None] != k_reps[None, :]
         _tally(stats["L2.1.v"], separated[~meets], tag)
 
-    stats["L3.2"].record(int(np.count_nonzero(meets)) == n // overlap, tag)
+    _record(stats["L3.2"], int(np.count_nonzero(meets)) == n // overlap, tag)
 
-    stats["L3.3"].record(touching_count(h, k) == k.order // overlap, tag)
+    _record(stats["L3.3"], touching_count(h, k) == k.order // overlap, tag)
 
 
 def check_nested(
@@ -685,6 +686,11 @@ def _tally(st, oks: np.ndarray, tag: str) -> None:
     st.tally_at(np.ones(oks.shape, dtype=bool), oks, lambda p: tag)
 
 
+def _record(st, ok: bool, tag: str) -> None:
+    """Record one instance, failed unless ``ok``, under ``tag``."""
+    _tally(st, np.array([ok], dtype=bool), tag)
+
+
 def _subgroups_of(g: FiniteGroup, labels: np.ndarray) -> list[Subgroup]:
     """Fresh Subgroup objects for the rows of a coset-label matrix: each
     subgroup is the coset of the identity."""
@@ -694,18 +700,21 @@ def _subgroups_of(g: FiniteGroup, labels: np.ndarray) -> list[Subgroup]:
     ]
 
 
-def per_pair_family(g, labels, member, w, pairs, stats) -> None:
+def per_pair_family(lattice, labels, pairs, stats) -> None:
     """Drop-in for ``cosetlab.lemmas._check_pairs``: every row (h, k) of
-    ``pairs`` through ``check_pair``, in order; ``member`` and ``w`` are not
-    read."""
+    ``pairs`` through ``check_pair``, in order; of ``lattice`` only the
+    group is read."""
+    g = lattice.parent
     subs = _subgroups_of(g, labels)
     for h, k in pairs:
         check_pair(g, subs[h], subs[k], stats)
 
 
-def per_quadruple_family(g, labels, order, quadruples, stats) -> None:
+def per_quadruple_family(lattice, labels, quadruples, stats) -> None:
     """Drop-in for ``cosetlab.lemmas._check_nested``: every row of
-    ``quadruples`` through ``check_nested``, in order; ``order`` is not read."""
+    ``quadruples`` through ``check_nested``, in order; of ``lattice`` only
+    the group is read."""
+    g = lattice.parent
     subs = _subgroups_of(g, labels)
     for g1, h1, g2, h2 in quadruples:
         check_nested(g, subs[g1], subs[h1], subs[g2], subs[h2], stats)

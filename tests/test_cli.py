@@ -500,6 +500,8 @@ PINNED_REPORTS = {
     "lemmas --group D12 --seed 0": "4a615ee9b51482c9a94d24131001abf46221af1a8602f87f6200cf1cfa6e780a",
     "lemmas --group S5 --seed 0": "90b51eb97e1eda775c08881348304647b6e5c58b9f3b4f2c0f29ddea7fcd64c6",
     "lemmas --group A5 --seed 3": "3958ea3f36d3300bb36ebef1d251164eb5cdf109a5f8ff5b1c7f0745c4fb17fc",
+    # the largest sampled lattice pinned: 501 positions, 1,588 nested quadruples kept
+    "lemmas --group A6 --seed 1": "8b81fb0b8b3d2887cd00de1068e0fb78da95fd53f6897277b2fae877b15431ec",
     # tuples_examined depends on the slot order among subgroups of equal order,
     # and on which clique represents each conjugacy orbit
     "verify --group A4xA4 --k 2..5": "f624473f323cb9ed71776c2b35ce1e5e70a759a06d1f7079d64b10eea70caf0b",

@@ -384,6 +384,39 @@ def test_modes_switch_to_sampled(lattice, monkeypatch):
     assert res.samples > 0
 
 
+@pytest.mark.parametrize("family", range(3))
+def test_each_limit_is_inclusive_and_its_own(lattice, monkeypatch, family):
+    # a family runs exhaustively exactly when its own count is at most its
+    # own limit: here one family sits at its limit, the other two one past
+    g, subs = lattice("S3")
+    m = len(subs)
+    counts = (m * m, math.comb(m + 2, 3), g.n)
+    names = ("PAIR_LIMIT", "TRIPLE_LIMIT", "NESTED_ORDER_LIMIT")
+    _set_limits(monkeypatch, {name: c - (i != family) for i, (name, c) in enumerate(zip(names, counts))})
+    _set_limits(monkeypatch, {"SAMPLE_TARGET": 5})
+    res = cl.run_lemma_suite(g, subs)
+    modes = (res.pair_mode, res.triple_mode, res.nested_mode)
+    assert modes == tuple("exhaustive" if i == family else "sampled" for i in range(3))
+    assert res.pairs_run == (m * m if family == 0 else 5)
+    assert res.triples_run == (counts[1] if family == 1 else 5)
+    assert (res.nested_quadruples_run > 5) == (family == 2)
+    assert res.samples == 10
+
+
+def test_strict_bound_fails_at_equality(lattice, monkeypatch):
+    # E3.2's bound is strict: a bound equal to r fails wherever it is checked
+    real = cosetlab.lemmas.triple_inequalities
+
+    def bound_at_r(w, n, triples):
+        ineq = real(w, n, triples)
+        return replace(ineq, r_bound=ineq.r[3])
+
+    monkeypatch.setattr("cosetlab.lemmas.triple_inequalities", bound_at_r)
+    g, subs = lattice("S4")
+    e32 = cl.run_lemma_suite(g, subs).stats["E3.2"]
+    assert e32.failed == e32.checked == 907
+
+
 def test_sampled_runs_reproducible(lattice, monkeypatch):
     g, subs = lattice("A5")
     _set_limits(monkeypatch, {"SAMPLE_TARGET": 300})
@@ -429,6 +462,7 @@ def test_json_shape(lattice):
     res = cl.run_lemma_suite(g, subs)
     doc = res.to_json_dict()
     assert doc["group_label"] == "C6"
+    assert doc["seed"] == 0  # the library's default seed is the CLI's
     assert set(doc["modes"]) == {"pairs", "triples", "nested"}
     assert set(doc["counts"]) == {"pairs", "triples", "nested_quadruples", "samples"}
     assert doc["failures"] == 0
@@ -438,16 +472,17 @@ def test_json_shape(lattice):
 def test_stats_example_cap():
     st = LemmaStats()
     for i in range(9):
-        st.record(False, f"case {i}")
+        st.tally_at(np.ones(1, dtype=bool), np.zeros(1, dtype=bool), lambda p: f"case {i}")
     assert st.checked == 9
     assert st.failed == 9
     assert len(st.examples) == 5
+    assert st.examples == [f"case {i}" for i in range(5)]
 
 
 def test_stats_tally_counts_whole_array():
     # tally_at records only the checked positions, and names each failure
     st = LemmaStats()
-    st.record(False, "single")
+    st.tally_at(np.ones(1, dtype=bool), np.zeros(1, dtype=bool), lambda p: "single")
     oks = np.array([True, False, False, True, False])
     st.tally_at(np.array([True, True, True, True, False]), oks, lambda p: f"array {p}")
     assert (st.checked, st.failed) == (5, 3)
