@@ -42,7 +42,6 @@ from .lemmas import LEMMA_IDS, LemmaSuiteResult, run_lemma_suite
 from .subgroups import (
     Lattice,
     Subgroup,
-    close_generators,
     enumerate_subgroups,
     subgroup_from_elements,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "catalog_names",
     "catalog_spec",
     "census",
-    "close_generators",
     "coset_labels",
     "direct_product",
     "disjointable",

@@ -3,7 +3,7 @@ of 64-bit words for many."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,10 +34,6 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
 def packed(rows: np.ndarray) -> np.ndarray:
     """Bool rows (r x n) as zero-padded little-endian uint64 words (r x ceil(n / 64)):
     row i read as one little-endian integer is the int mask of row i.  Any
@@ -52,15 +48,6 @@ def packed(rows: np.ndarray) -> np.ndarray:
 def row_positions(words: np.ndarray) -> dict[bytes, int]:
     """The position of every row of ``words`` (r x width), keyed by its bytes."""
     return {row.tobytes(): i for i, row in enumerate(words)}
-
-
-def mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
-    """The bool row (len(masks) x n) of every int mask below 2^n: entry x
-    set where bit x is."""
-    width = -(-n // 8)
-    data = b"".join(m.to_bytes(width, "little") for m in masks)
-    bits = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

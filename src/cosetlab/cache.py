@@ -18,7 +18,7 @@ from .subgroups import Lattice, Subgroup, _sort_keys, enumerate_subgroups
 
 # Names the enumeration algorithm and the file layout too: a file written
 # under another tag is discarded and recomputed, never trusted.
-LATTICE_FORMAT = "cosetlab-lattice-v6"
+LATTICE_FORMAT = "cosetlab-lattice-v7"
 DEFAULT_CACHE_DIR = ".cosetlab-cache"
 
 log = logging.getLogger("cosetlab.cache")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -11,7 +9,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import bitset
-from .bitset import bits_tuple, full_mask, mask_of, mask_rows, packed, row_positions
+from .bitset import bits_tuple, mask_of, packed, row_positions
 from .errors import ConsistencyError, NotAGroup, ParentMismatch, SubgroupCountCapExceeded
 from .groups import FiniteGroup
 
@@ -154,51 +152,6 @@ def _sort_keys(rows: np.ndarray) -> np.ndarray:
     return keys.view(f"S{keys.shape[1]}").ravel()
 
 
-def close_generators(
-    g: FiniteGroup, generators: Iterable[int], start: Optional[int] = None
-) -> int:
-    """Bitmask of the subgroup generated by the given elements and ``start``.
-
-    ``start`` is the mask of a subgroup S already known (default: the trivial
-    subgroup).  The result is grown as a union of left cosets xS: each new
-    coset enters whole, and its elements times each generator give the next
-    coset representatives, beginning from s*q for s in S.  A union of left
-    cosets of S that contains S and is closed under right multiplication by
-    the generators is the subgroup they generate together with S, so S's own
-    generators are never needed.  Once more than half of g is reached the
-    result can only be g itself, which is returned at once.
-    """
-    mask = 1 << g.identity if start is None else start
-    return _close(g, list(generators), mask, bits_tuple(mask))
-
-
-def _close(g: FiniteGroup, gens: Sequence[int], mask: int, base: Sequence[int]) -> int:
-    """``close_generators`` from the subgroup S whose mask is ``mask`` and
-    whose elements are ``base``; the lattice passes the element tuple of a
-    queued subgroup it already holds."""
-    mul = g.mul
-    size = len(base)
-    frontier = [mul[s][q] for s in base for q in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            if mask >> x & 1:
-                continue
-            size += len(base)
-            if 2 * size > g.n:
-                # more than half the group: no proper subgroup is that large
-                return full_mask(g.n)
-            row = mul[x]
-            for s in base:
-                w = row[s]
-                mask |= 1 << w
-                wrow = mul[w]
-                for q in gens:
-                    nxt.append(wrow[q])
-        frontier = nxt
-    return mask
-
-
 def _is_prime_power(k: int) -> bool:
     if k < 2:
         return False
@@ -210,20 +163,20 @@ def _is_prime_power(k: int) -> bool:
     return k == 1
 
 
-def generating_set(g: FiniteGroup, start: Optional[int] = None) -> list[int]:
+def generating_set(g: FiniteGroup, start: Optional[np.ndarray] = None) -> list[int]:
     """A small set of elements that generates g together with the subgroup
-    whose mask is ``start`` (default: the trivial subgroup): element ids
+    whose bool row is ``start`` (default: the trivial subgroup): element ids
     scanned upward, each kept when it lies outside the subgroup generated by
-    ``start`` and those kept before it."""
+    ``start`` and those kept before it, which ``_extend`` closes."""
+    table = g.np_table  # row h is h x over every x
+    row = np.zeros(g.n, dtype=bool) if start is None else start.copy()
+    row[g.identity] = True
     gens: list[int] = []
-    mask = 1 << g.identity if start is None else start
-    full = full_mask(g.n)
-    for x in range(g.n):
-        if mask == full:
-            break
-        if not mask >> x & 1:
-            gens.append(x)
-            mask = close_generators(g, (x,), mask)
+    while not row.all():
+        y = int(np.argmin(row))  # the least element outside
+        gens.append(y)
+        for _, _, moved in _row_gathers(table, g.identity, row[None], row.sum(keepdims=True)):
+            row = _extend(moved.min(axis=1), table[g.inv[y]][None], row[None])[0]
     return gens
 
 
@@ -233,7 +186,7 @@ def conjugators(g: FiniteGroup) -> list[list[int]]:
     so these maps generate the whole conjugation action; an abelian group
     has none."""
     table = g.np_table
-    center = mask_of(np.flatnonzero((table == table.T).all(axis=1)).tolist())
+    center = (table == table.T).all(axis=1)
     return [table[table[g.inv[x]], x].tolist() for x in generating_set(g, center)]
 
 
@@ -357,19 +310,18 @@ def enumerate_subgroups(
     """Every subgroup of g as a Lattice, sorted by (order, element tuple).
 
     Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 9).  Every cyclic subgroup <x>
-    is closed once, from its least generator x: the elements x^k with k
-    prime to |<x>| generate it too, so they are skipped.  The least id of
-    each cyclic subgroup of prime-power order goes on the list L of listed
-    generators, ascending.  Every subgroup K is generated by its elements
-    of prime-power order (x is a product of powers of itself of
-    prime-power order), so by L & K.  Subgroups H are then extended to
-    <H, y> for y in L, not closed from the identity.  Two rules decide
-    which <H, y> are tried:
+    Computational Group Theory*, 2005, ch. 9).  Every cyclic subgroup comes
+    from the powers of all elements at once (``_cyclic_seeds``), keyed by
+    its least generator.  The least generators of the cyclic subgroups of
+    prime-power order form the list L of listed generators, ascending.
+    Every subgroup K is generated by its elements of prime-power order (x
+    is a product of powers of itself of prime-power order), so by L & K.
+    Subgroups H are then extended to <H, y> for y in L, not closed from the
+    identity, all on bool rows.  Two rules decide which <H, y> are tried:
 
     - a non-abelian g goes by conjugacy classes (``_class_lattice``): one
       queued subgroup per class, one y per double coset H y H, each closed
-      from H's mask by ``_close``;
+      by ``_extend``, a level at a time;
     - an abelian g, the one case where ``conjugators(g)`` is empty, goes by
       canonical augmentation (``_canonical_lattice``): each subgroup is
       found once, from its canonical parent, a whole chain length at a
@@ -378,107 +330,171 @@ def enumerate_subgroups(
     More than ``max_subgroups`` subgroups raise SubgroupCountCapExceeded.
     """
     maps = conjugators(g)
-    # each cyclic subgroup's mask -> its least generator; every cyclic
-    # subgroup needs one, also one conjugate to an earlier cyclic subgroup
-    seeds: dict[int, int] = {}
-    known = bytearray(g.n)  # 1 at each generator of a cyclic subgroup seen
-    mul = g.mul
-    for x in range(g.n):
-        if known[x]:
-            continue
-        mask = close_generators(g, (x,))
-        seeds[mask] = x
-        # x^k generates <x> for every k prime to its order
-        d = mask.bit_count()
-        power = x
-        for k in range(1, d):
-            if math.gcd(k, d) == 1:
-                known[power] = 1
-            power = mul[power][x]
-    cyclic = {x: m for m, x in seeds.items() if _is_prime_power(m.bit_count())}
+    gens, seeds = _cyclic_seeds(g)
+    prime = np.array([_is_prime_power(k) for k in seeds.sum(axis=1).tolist()], dtype=bool)
     if maps:
-        rows = mask_rows(list(_class_lattice(g, maps, seeds, list(cyclic), max_subgroups)), g.n)
+        rows = _class_lattice(g, maps, seeds, gens[prime], seeds[prime], max_subgroups)
     else:
-        rows = _canonical_lattice(g, cyclic, max_subgroups)
+        rows = _canonical_lattice(g, gens[prime], seeds[prime], max_subgroups)
     return Lattice(g, rows[np.argsort(_sort_keys(rows), kind="stable")])
+
+
+def _cyclic_seeds(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The least generator x of every cyclic subgroup <x> of g, ascending,
+    and the bool row of <x>, from the powers: column k - 1 holds x^k for
+    every x, one gather from the column before, up to the largest element
+    order.  x^k generates <x> when it has the order of x, and x is the
+    least generator when no such x^k lies below it."""
+    n, e = g.n, g.identity
+    small = np.min_scalar_type(n)
+    x = np.arange(n, dtype=small)
+    cols, met = [x], x == e
+    while not met.all():
+        cols.append(g.np_table[cols[-1], x].astype(small))
+        met |= cols[-1] == e
+    powers = np.stack(cols, axis=1)
+    order = np.argmax(powers == e, axis=1).astype(small)  # each order less one
+    least = np.where(order[powers] == order[:, None], powers, n).min(axis=1)
+    gens = np.flatnonzero(least == x)
+    rows = np.zeros((len(gens), n), dtype=bool)
+    np.put_along_axis(rows, powers[gens], True, axis=1)
+    return gens, rows
 
 
 def _class_lattice(
     g: FiniteGroup,
     maps: Sequence[Sequence[int]],
-    seeds: dict[int, int],
-    listed: Sequence[int],
+    seeds: np.ndarray,
+    listed: np.ndarray,
+    cyclic: np.ndarray,
     max_subgroups: int,
-) -> set[int]:
-    """The masks of every subgroup of g, one subgroup per conjugacy class
-    extended.
+) -> np.ndarray:
+    """The bool rows (m x n) of every subgroup of g, one subgroup per
+    conjugacy class extended.  ``seeds`` holds the row of every cyclic
+    subgroup, ``listed`` the listed generators, ascending, and ``cyclic``
+    the row of the subgroup each generates.
 
-    Seeds with every cyclic subgroup.  Each subgroup found enters with its
-    whole conjugacy class, the closure of its mask under ``maps``
-    (conjugation by the generators of g modulo its center), but only the
-    subgroup itself is queued for extension.  y is skipped when it lies in
-    H, or in the double coset H y' H of an earlier candidate y' for this H,
-    because <H, h y' h'> = <H, y'>; so a queued H costs one closure per
-    double coset that holds a listed generator.
+    Level 0 is the seeds.  Each subgroup found enters with its whole
+    conjugacy class (``_classes``: its row moved along ``maps``,
+    conjugation by the generators of g modulo its center), but only one
+    subgroup of the class is queued, on the next level.  A queued H tries
+    one y per double coset H y H other than H (``_candidates``), the least
+    listed element of it, because <H, h y' h'> = <H, y'>; so it costs one
+    closure (``_extend``) per double coset that holds a listed generator.
+    A level's closures are cut by ``bitset.blocks``, and the new ones
+    among them, keyed by their packed bytes, make the next level's classes.
 
     Complete for three reasons.  K is the end of the chain
     <y_1> <= <y_1, y_2> <= ... <= K over the listed y_1, ..., y_m in K.
-    From a queued H the next group <H, y> is found: y is either inside H,
-    or a candidate for H, or in the double coset of an earlier candidate for
-    H, which gives the same <H, y>.  And from any found H' the next group is
-    found too: H' = x^-1 H x for a queued H, and
+    From a queued H the next group <H, y> is found on the next level: y is
+    either inside H, or a candidate for H, or in the double coset of a
+    candidate for H, which gives the same <H, y>.  And from any found H'
+    the next group is found too: H' = x^-1 H x for a queued H, and
     <H', y> = x^-1 <H, x y x^-1> x, where x y x^-1 generates a cyclic
     subgroup of prime-power order, so the same one as a listed y'; thus
     <H, x y x^-1> = <H, y'> is found from H, and its class with it.  The
     seed <y_1> is found, so by induction along the chain every K is.
+    More than ``max_subgroups`` subgroups raise SubgroupCountCapExceeded.
     """
-    found: set[int] = set()
-    queue: deque[tuple[int, tuple[int, ...]]] = deque()  # (mask, generators)
+    n = g.n
+    inverse = np.array(g.inv)[listed]
+    moves = np.argsort(maps, axis=1)  # a conjugate's row is the row gathered here
+    seen: set[bytes] = set()
+    found: list[np.ndarray] = []
 
-    def add(mask: int, gens: tuple[int, ...]) -> None:
-        if mask in found:
-            return
-        found.add(mask)
-        queue.append((mask, gens))
-        conjugates = [mask]
-        for m in conjugates:  # grows to the conjugacy class of mask
-            if len(found) > max_subgroups:
-                raise SubgroupCountCapExceeded(
-                    f"more than {max_subgroups} subgroups in {g.label}"
-                )
-            elems = bits_tuple(m)
-            for conj in maps:
-                image = mask_of(conj[h] for h in elems)
-                if image not in found:
-                    found.add(image)
-                    conjugates.append(image)
+    def enter(rows: np.ndarray) -> np.ndarray:
+        # the classes of the new rows; one row of each is queued, but not
+        # the trivial subgroup, whose extensions are seeds, nor g
+        found.extend(_classes(moves, rows, seen))
+        if len(seen) > max_subgroups:
+            raise SubgroupCountCapExceeded(f"more than {max_subgroups} subgroups in {g.label}")
+        size = found[-1].sum(axis=1)
+        return found[-1][(1 < size) & (size < n)]
 
-    # a seed conjugate to an earlier one is already in ``found``
-    for m, x in seeds.items():
-        add(m, (x,))
+    level = enter(seeds)
+    while len(level):
+        coset, h, pos = _candidates(g, level, listed)
+        # n entries per candidate in each of its closure's rows
+        level = np.concatenate([level[:0]] + [
+            enter(_extend(coset[h[at]], g.np_table[inverse[pos[at]]], cyclic[pos[at]]))
+            for at in bitset.blocks(np.full(len(h), n))
+        ])
+    return np.concatenate(found)
 
-    mul = g.mul
-    while queue:
-        mask, gens = queue.popleft()
-        base = bits_tuple(mask)
-        covered = mask  # H and the double cosets H y H of earlier candidates
-        for y in listed:
-            if covered >> y & 1:
-                continue
-            # the left cosets x H of H y H, reached by left multiplication
-            # with the generators of H
-            stack = [y]
-            while stack:
-                x = stack.pop()
-                if covered >> x & 1:
-                    continue
-                row = mul[x]
-                for h in base:
-                    covered |= 1 << row[h]
-                for t in gens:
-                    stack.append(mul[t][x])
-            add(_close(g, (y,), mask, base), gens + (y,))
-    return found
+
+def _candidates(
+    g: FiniteGroup, level: np.ndarray, listed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per queued row H of ``level``, the least element of H x for every x,
+    and the candidates of every H: its row index and the position in
+    ``listed`` of y, the least listed element of a double coset H y H
+    other than H.  That coset's least element is the least of those of
+    y h over h in H, and y h is the inverse of h^-1 y^-1, so one gather of
+    the table at H's elements gives both."""
+    n, size, small = g.n, level.sum(axis=1), np.min_scalar_type(g.n)
+    coset, inv = np.empty(level.shape, dtype=small), np.array(g.inv, dtype=small)
+    h, pos = [], []
+    for lo, hi, moved in _row_gathers(g.np_table, g.identity, level, size):
+        coset[lo:hi] = moved.min(axis=1)  # row h of the table is h x over every x
+        right = inv[moved[:, :, inv[listed]]]  # y h, h running over H
+        double = np.take_along_axis(coset[lo:hi, None, :], right, axis=2).min(axis=1)
+        # first occurrences of (H, double coset) among the ascending listed y
+        _, first = np.unique(np.arange(hi - lo)[:, None] * n + double, return_index=True)
+        at, p = np.divmod(first, len(listed))
+        keep = ~level[lo + at, listed[p]]  # y outside H
+        h.append(lo + at[keep])
+        pos.append(p[keep])
+    return coset, np.concatenate(h), np.concatenate(pos)
+
+
+def _classes(moves: np.ndarray, rows: np.ndarray, seen: set[bytes]) -> list[np.ndarray]:
+    """The conjugacy classes of the rows of ``rows`` whose packed bytes are
+    not in ``seen``, every row's bytes added to it, as blocks of rows, the
+    last holding each class's first row in ``rows``.  A row's images under
+    the generators of the action are the row gathered at each of
+    ``moves``."""
+    n, first, members = rows.shape[1], [], []
+
+    def keys(block: np.ndarray) -> list[bytes]:
+        return np.packbits(block, axis=1).view(f"S{-(-n // 8)}").ravel().tolist()
+
+    for row, key in zip(rows, keys(rows)):
+        if key in seen:
+            continue
+        seen.add(key)
+        first.append(row)
+        image = row[moves]
+        while len(image):
+            fresh = []
+            for i, k in enumerate(keys(image)):
+                if k not in seen:
+                    seen.add(k)
+                    fresh.append(i)
+            members.append(image[fresh])
+            image = members[-1][:, moves].reshape(-1, n)
+    return [*members, np.array(first, dtype=bool).reshape(-1, n)]
+
+
+def _extend(coset: np.ndarray, back: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Bool rows of <H, y>, one per row of ``coset`` (H's, per x the least
+    element of H x), of ``back`` (per z, y^-1 z) and of ``start`` (a subset
+    of <H, y> holding the identity, such as the row of <y>): the fixpoint
+    of S -> H (S | y S) (``_join``) from S = H start, which is <H, y> since
+    it holds the identity, lies inside <H, y> and is closed under left
+    multiplication by y and H.  A row past half of g can only be g."""
+    n = coset.shape[1]
+    out = _join(coset, start)
+    live = np.arange(len(out))
+    while len(live):
+        rows = out[live]
+        moved = rows.ravel()[back[live] + (np.arange(len(live)) * n)[:, None]]
+        step = _join(coset[live], rows | moved)
+        size = step.sum(axis=1)
+        full = 2 * size > n
+        step[full] = True
+        out[live] = step
+        live = live[(size > rows.sum(axis=1)) & ~full]
+    return out
 
 
 def _row_gathers(
@@ -506,11 +522,11 @@ def _row_gathers(
 
 
 def _canonical_lattice(
-    g: FiniteGroup, cyclic: dict[int, int], max_subgroups: int
+    g: FiniteGroup, listed: np.ndarray, cyclic: np.ndarray, max_subgroups: int
 ) -> np.ndarray:
     """The bool rows (m x n) of every subgroup of an abelian g, each found
-    once.  ``cyclic`` maps each listed generator, ascending, to the mask of
-    the cyclic subgroup it generates.
+    once.  ``listed`` holds the listed generators, ascending, and ``cyclic``
+    the row of the subgroup each generates.
 
     Canonical augmentation (B. D. McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998).  The canonical chain of a
@@ -549,8 +565,6 @@ def _canonical_lattice(
     """
     n = g.n
     table = g.np_table.astype(np.min_scalar_type(n))
-    listed = np.fromiter(cyclic, dtype=np.int64, count=len(cyclic))
-    seed = mask_rows(list(cyclic.values()), n)
     level = np.zeros((1, n), dtype=bool)
     level[0, g.identity] = True
     last = np.array([-1])
@@ -567,7 +581,7 @@ def _canonical_lattice(
             y = listed[pos]
             keep = (y > last[lo + h]) & ~rows[h, y]
             h, pos, y = h[keep], pos[keep], y[keep]
-            k = _join(coset[h], seed[pos])
+            k = _join(coset[h], cyclic[pos])
             # accepted: no listed element of K outside H below y
             below = np.arange(len(listed)) < pos[:, None]
             ok = ~(k[:, listed] & ~rows[h[:, None], listed] & below).any(axis=1)
@@ -592,11 +606,10 @@ def _canonical_lattice(
 
 
 def _join(coset: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Bool rows of <H, y> in an abelian group, one per row of ``coset``
-    (per x, the least element of x H) and of ``seed`` (the row of <y>):
-    H<y> is the union of the cosets of H that <y> meets."""
-    at, z = np.nonzero(seed)
-    met = np.zeros(seed.shape, dtype=bool)
-    met[at, coset[at, z]] = True
-    return np.take_along_axis(met, coset, axis=1)
-
+    """Bool rows of H T, one per row of ``coset`` (H's, per x the least
+    element of H x) and of ``seed`` (the row of T): the union of the cosets
+    of H that T meets.  In an abelian group, T = <y> gives <H, y>."""
+    flat = coset + (np.arange(len(coset)) * coset.shape[1])[:, None]
+    met = np.zeros(seed.size, dtype=bool)
+    met[flat[seed]] = True
+    return met[flat]

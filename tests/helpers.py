@@ -37,14 +37,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
 import cosetlab.counting
 from cosetlab import FiniteGroup, GroupSpec, RValue, Subgroup
-from cosetlab.bitset import bits_tuple, full_mask, lowest_bit, mask_of
+from cosetlab.bitset import bits_tuple, lowest_bit, mask_of
 from cosetlab.cosets import (
     _pair_parent,
     coset_labels,
@@ -60,7 +60,6 @@ from cosetlab.subgroups import (
     _closed_under_mul,
     _is_prime_power,
     _subgroup_from_mask,
-    close_generators,
 )
 from cosetlab.verifier import MEET_ROWS
 
@@ -258,6 +257,36 @@ def reference_subgroups(g: FiniteGroup) -> list[int]:
     return sorted(found, key=key)
 
 
+def full_mask(n: int) -> int:
+    return (1 << n) - 1
+
+
+def close_mask(g: FiniteGroup, gens: Sequence[int], start: Optional[int] = None) -> int:
+    """Int mask of the subgroup generated by ``gens`` together with the
+    subgroup S whose mask is ``start`` (default: the trivial subgroup).
+
+    Grown as a union of left cosets x S, each entering whole, until closed
+    under right multiplication by the generators; such a union holds the
+    identity, so it is the subgroup.  Past half of g it can only be g.
+    """
+    mask = 1 << g.identity if start is None else start
+    base = bits_tuple(mask)
+    size = len(base)
+    stack = [g.mul[s][q] for s in base for q in gens]
+    while stack:
+        x = stack.pop()
+        if mask >> x & 1:
+            continue
+        size += len(base)
+        if 2 * size > g.n:
+            return full_mask(g.n)
+        for s in base:
+            w = g.mul[x][s]
+            mask |= 1 << w
+            stack.extend(g.mul[w][q] for q in gens)
+    return mask
+
+
 def cyclic_extension_subgroups(g: FiniteGroup) -> list[int]:
     """Every subgroup mask, sorted like ``enumerate_subgroups``'s output.
 
@@ -279,7 +308,7 @@ def cyclic_extension_subgroups(g: FiniteGroup) -> list[int]:
 
     prime_power_gens: list[int] = []
     for x in range(g.n):
-        m = close_generators(g, (x,))
+        m = close_mask(g, (x,))
         if m not in found and _is_prime_power(m.bit_count()):
             prime_power_gens.append(x)
         add(m, (x,))
@@ -305,7 +334,7 @@ def cyclic_extension_subgroups(g: FiniteGroup) -> list[int]:
                     covered |= 1 << row[h]
                 for t in gens:
                     stack.append(mul[t][x])
-            add(close_generators(g, (y,), mask), gens + (y,))
+            add(close_mask(g, (y,), mask), gens + (y,))
 
     return sorted(found, key=lambda m: (m.bit_count(), bits_tuple(m)))
 

@@ -122,8 +122,14 @@ def _write_checksummed(tmp_path, g, fmt, subgroups):
 def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
     g = cl.load_catalog_group("S4")
     subs = cl.enumerate_subgroups(g)
-    # an intact file under an older tag, holding one subgroup too few
-    path = _write_checksummed(tmp_path, g, fmt, [list(s.elements) for s in subs[:-1]])
+    # an intact file under an older tag, holding one subgroup too few, laid
+    # out as that tag's writer did
+    kept = subs[:-1]
+    if fmt == "cosetlab-lattice-v6":
+        orders, elements = [s.order for s in kept], [x for s in kept for x in s.elements]
+        path = _write_flat(tmp_path, g, orders, elements, fmt)
+    else:
+        path = _write_checksummed(tmp_path, g, fmt, [list(s.elements) for s in kept])
 
     with caplog.at_level(logging.INFO, logger="cosetlab.cache"):
         got, status = cached_subgroups(g, tmp_path)
@@ -133,9 +139,9 @@ def _older_lattice_is_recomputed(tmp_path, caplog, fmt):
     [record] = caplog.records
     assert record.levelno == logging.INFO
     assert fmt in record.message
-    assert "cosetlab-lattice-v6" in record.message
+    assert "cosetlab-lattice-v7" in record.message
     assert "corrupt" not in record.message
-    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v6"
+    assert json.loads(path.read_text())["format"] == LATTICE_FORMAT == "cosetlab-lattice-v7"
     assert cached_subgroups(g, tmp_path)[1] == "warm"
 
 
@@ -166,16 +172,23 @@ def test_lattice_from_element_list_file_is_recomputed(tmp_path, caplog):
     _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v5")
 
 
-def _write_v6(tmp_path, g, orders, elements):
-    """A v6 lattice file for g holding ``orders`` and ``elements``, with a
-    valid checksum over them whenever they are lists of ints."""
+def test_lattice_from_int_mask_class_route_is_recomputed(tmp_path, caplog):
+    # v6 closed a non-abelian group's subgroups on int masks, one seed per
+    # element not yet covered, not on bool rows a level at a time
+    _older_lattice_is_recomputed(tmp_path, caplog, "cosetlab-lattice-v6")
+
+
+def _write_flat(tmp_path, g, orders, elements, fmt=LATTICE_FORMAT):
+    """A lattice file for g tagged ``fmt`` in the layout of v6 on, holding
+    ``orders`` and ``elements``, with a valid checksum over them whenever
+    they are lists of ints."""
     path = lattice_path(tmp_path, spec_hash(g.spec))
     try:
         checksum = _checksum(spec_hash(g.spec), g.n, np.array(orders), np.array(elements))
     except (TypeError, ValueError):
         checksum = "none"
     payload = {
-        "format": LATTICE_FORMAT,
+        "format": fmt,
         "spec_hash": spec_hash(g.spec),
         "order": g.n,
         "orders": orders,
@@ -230,7 +243,7 @@ def test_checksummed_file_with_malformed_subgroups_is_recomputed(tmp_path, caplo
         orders, elements = [len(e) for e in subgroups], [x for e in subgroups for x in e]
     else:
         orders = elements = subgroups
-    path = _write_v6(tmp_path, g, orders, elements)
+    path = _write_flat(tmp_path, g, orders, elements)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CacheCorrupt, match="malformed|out of order or repeated"):

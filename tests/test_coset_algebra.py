@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
-from cosetlab.bitset import bits_tuple, full_mask, mask_of
+from cosetlab.bitset import bits_tuple, mask_of
 from cosetlab.cosets import coset_mask
 
 from helpers import (
@@ -15,6 +15,7 @@ from helpers import (
     coset_set,
     cosets_of_k_in_product,
     exists_disjoint_coset_pair,
+    full_mask,
     is_subgroup_set,
     product_elements,
     product_set,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetlab as cl
+import helpers
 from cosetlab import bitset, subgroups
 from cosetlab.cli import _resolve_spec
 from cosetlab.errors import (
@@ -25,7 +26,6 @@ from cosetlab.bitset import (
     blocks,
     iter_bits,
     mask_of,
-    mask_rows,
     meet_orders,
     packed,
     set_bits,
@@ -42,6 +42,7 @@ from cosetlab.subgroups import generating_set
 
 from helpers import (
     brute_subgroups,
+    close_mask,
     composition_table,
     cyclic_extension_subgroups,
     element_order,
@@ -50,6 +51,7 @@ from helpers import (
     reference_subgroups,
     set_closure,
     small_products,
+    word_int,
 )
 
 # Lattice sizes from the literature; these freeze the enumeration output.
@@ -148,6 +150,33 @@ def test_enumeration_matches_cyclic_extension(lattice, name):
     assert [s.mask for s in subs] == cyclic_extension_subgroups(g)
 
 
+@pytest.mark.parametrize("name", ["S4", "A4xC2", "D6", "C2xC4xC4"])
+def test_relabelled_identity(name):
+    # every built-in table puts the identity at element 0; a seeded
+    # relabelling moves it, and the lattice, mapped back, and the verdict
+    # counts must not change
+    g = load_group(_resolve_spec(name))
+    p = np.random.default_rng(0).permutation(g.n)  # element x is renamed p[x]
+    table = np.empty_like(g.np_table)
+    table[np.ix_(p, p)] = p[g.np_table]
+    h = load_group(GroupSpec(kind="cayley", order=g.n, table=tuple(map(tuple, table.tolist()))))
+    assert h.identity == p[g.identity] != 0
+    subs, renamed = cl.enumerate_subgroups(g), cl.enumerate_subgroups(h)
+    back = np.argsort(p)
+    assert {frozenset(back[list(s.elements)].tolist()) for s in renamed} == {
+        frozenset(s.elements) for s in subs
+    }
+    assert len(renamed) == len(subs)
+    for k in range(2, 6):
+        reps = [
+            cl.verify_group(x, k, subgroups=lat, pair_stats=cl.PairRows(x, lat))
+            for x, lat in ((g, subs), (h, renamed))
+        ]
+        counts = {(r.candidate_clique_count, r.clique_orbits, r.tuples_examined) for r in reps}
+        assert len(counts) == 1, (k, counts)
+        assert reps[0].confirmed and reps[1].confirmed
+
+
 # (p, projective) -> subgroup count of PSL(2, p) or SL(2, p)
 LINEAR_GROUP_COUNTS = {(7, True): 179, (11, True): 620, (3, False): 15, (5, False): 76}
 
@@ -174,17 +203,30 @@ def test_lattice_closed_under_conjugation(lattice, name):
 
 
 def _count_closures(monkeypatch) -> list[int]:
-    """Count calls of the closure primitive ``subgroups._close``, which every
-    closure of the library and of the oracles (by ``close_generators``)
-    goes through."""
+    """Count the subgroups that the library closes in its closure step
+    ``subgroups._extend``, one per row of each block it gets; every closure
+    of the lattice and of ``generating_set`` goes through it."""
     calls = [0]
-    real = subgroups._close
+    real = subgroups._extend
+
+    def counted(coset, back, start):
+        calls[0] += len(start)
+        return real(coset, back, start)
+
+    monkeypatch.setattr(subgroups, "_extend", counted)
+    return calls
+
+
+def _count_oracle_closures(monkeypatch) -> list[int]:
+    """Count calls of the oracles' own closure ``helpers.close_mask``."""
+    calls = [0]
+    real = helpers.close_mask
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(subgroups, "_close", counted)
+    monkeypatch.setattr(helpers, "close_mask", counted)
     return calls
 
 
@@ -206,22 +248,29 @@ def test_one_extension_per_conjugacy_class_saves_closures(monkeypatch):
     g = load_group(cl.GroupSpec(kind="named", name="A6"))
     calls = _count_closures(monkeypatch)
     assert len(cl.enumerate_subgroups(g)) == 501
-    # 167 cyclic seeds, one per cyclic subgroup, and 450 class extensions;
-    # 810 when every element was closed, 10,326 when every subgroup was
+    # the cyclic seeds come from the powers, closing nothing; 280 class
+    # extensions and 4 closures of the generating set behind the
+    # conjugators.  617 when the 167 seeds were closed one by one and the
+    # trivial subgroup was extended, 10,326 when every subgroup was
     # extended
-    assert calls[0] == 617
+    assert calls[0] == 284
 
 
-@pytest.mark.parametrize("name", ["C12", "C9xC3", "C2xC4xC4", "C2xC2xC2xC2xC2xC2"])
-def test_each_cyclic_subgroup_closed_once(monkeypatch, name):
-    # x^k with k prime to the order of x generates <x> again, so only the
-    # least generator of each cyclic subgroup is closed; an abelian lattice
-    # closes nothing else through _close
+@pytest.mark.parametrize(
+    "name", ["C12", "C9xC3", "C2xC4xC4", "C2xC2xC2xC2xC2xC2", "S4", "A5", "Q8xS3"]
+)
+def test_each_cyclic_subgroup_seeded_once(name):
+    # one seed per cyclic subgroup, from its least generator, with its
+    # elements; the oracle closes every element on int masks
     g = load_group(_resolve_spec(name))
-    cyclic = {subgroups.close_generators(g, (x,)) for x in range(g.n)}
-    calls = _count_closures(monkeypatch)
-    cl.enumerate_subgroups(g)
-    assert calls[0] == len(cyclic)
+    least: dict[int, int] = {}
+    for x in range(g.n):
+        least.setdefault(close_mask(g, (x,)), x)
+    gens, rows = subgroups._cyclic_seeds(g)
+    assert gens.tolist() == sorted(least.values())
+    assert [mask_of(np.flatnonzero(row).tolist()) for row in rows] == [
+        m for m, _ in sorted(least.items(), key=lambda item: item[1])
+    ]
 
 
 def test_abelian_group_computes_no_conjugates(monkeypatch):
@@ -230,13 +279,12 @@ def test_abelian_group_computes_no_conjugates(monkeypatch):
     calls = _count_closures(monkeypatch)
     joined = _count_joins(monkeypatch)
     subs = cl.enumerate_subgroups(g)
-    ours = calls[0]
-    calls[0] = 0
+    oracle = _count_oracle_closures(monkeypatch)
     cyclic_extension_subgroups(g)
-    assert calls[0] == 23626
-    # 64 cyclic seeds, then each nontrivial subgroup closed once, from its
-    # canonical parent, in the batched closure step
-    assert ours == 64
+    assert oracle[0] == 23626
+    # the seeds come from the powers, and each nontrivial subgroup is
+    # closed once, from its canonical parent, in the batched closure step
+    assert calls[0] == 0
     assert joined[0] == len(subs) - 1 == 2824
 
 
@@ -260,6 +308,21 @@ def test_abelian_lattice_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_class_lattice_memory_bound():
+    # the class route closes one block of a level's candidates at a time
+    # (bitset.blocks), next to the rows found, and never gathers g's own
+    # table rows; S6's lattice traced 4.8 MB, 7.6 MB with g queued for
+    # extension, and 13.4 MB with each level's closures in one block
+    g = load_group(_resolve_spec("S6"))
+    tracemalloc.start()
+    try:
+        cl.enumerate_subgroups(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2**20
 
 
 def test_frozen_counts_beyond_catalog():
@@ -514,7 +577,8 @@ def test_packed_rows_are_the_masks(lattice, name):
     g, subs = lattice(name)
     words = subs.words
     assert words.shape == (len(subs), (g.n + 63) // 64)
-    assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
+    assert [word_int(row) for row in words] == [s.mask for s in subs]
+    assert [mask_of(np.flatnonzero(row).tolist()) for row in subs.rows] == [
         s.mask for s in subs
     ]
     rows, bits = set_bits(words)
@@ -591,8 +655,7 @@ def test_packed_takes_any_layout(width):
         want = [mask_of(np.flatnonzero(row).tolist()) for row in rows]
         words = packed(rows)
         assert words.shape == (len(rows), (rows.shape[1] + 63) // 64), name
-        assert [int.from_bytes(w.tobytes(), "little") for w in words] == want, name
-        assert np.array_equal(mask_rows(want, rows.shape[1]), rows), name
+        assert [word_int(w) for w in words] == want, name
 
 
 def _dihedral_by_involutions(n: int) -> GroupSpec:
