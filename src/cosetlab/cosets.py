@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitset import lowest_bit
+from .bitset import lowest_bit, mask_of
 from .errors import ConsistencyError, ParentMismatch
 from .subgroups import Subgroup
 
 
 def coset_mask(x: int, h: Subgroup) -> int:
-    row = h.parent.mul[x]
-    m = 0
-    for e in h.elements:
-        m |= 1 << row[e]
-    return m
+    return mask_of(h.parent.np_table[x, h.elements].tolist())
 
 
 def coset_labels(h: Subgroup) -> np.ndarray:

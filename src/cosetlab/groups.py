@@ -171,18 +171,19 @@ class GroupSpec:
 class FiniteGroup:
     """Immutable group on elements 0..n-1 with a dense Cayley table.
 
-    ``np_table[a, b]`` and ``mul[a][b]`` are the product a*b, ``inv[a]`` the
-    two-sided inverse.  Identity and inverses are read off the table.
+    ``np_table[a, b]`` is the product a*b and ``inv[a]`` the two-sided
+    inverse, both of the least unsigned dtype that holds n, so also the
+    one-past-the-end sentinel n.  Identity and inverses are read off the
+    table.
     """
 
-    __slots__ = ("n", "np_table", "mul", "identity", "inv", "label", "spec")
+    __slots__ = ("n", "np_table", "identity", "inv", "label", "spec")
 
     def __init__(self, table: np.ndarray, label: str, spec: Optional[GroupSpec] = None):
         self.n = len(table)
-        self.np_table = table
-        self.mul: list[list[int]] = table.tolist()
-        self.identity, inv = _identity_and_inverses(table)
-        self.inv: list[int] = inv.tolist()
+        self.np_table = table.astype(np.min_scalar_type(self.n))
+        self.identity, inv = _identity_and_inverses(self.np_table)
+        self.inv = inv.astype(self.np_table.dtype)
         self.label = label
         self.spec = spec
 
@@ -412,7 +413,8 @@ def direct_product(
         fb = b.spec.factors if b.spec.kind == "product" else (b.spec,)
         spec = GroupSpec(kind="product", factors=fa + fb)
     n = a.n * b.n
-    table = a.np_table[:, None, :, None] * b.n + b.np_table[None, :, None, :]
+    # widened first: a compact factor table times b.n would wrap around
+    table = a.np_table[:, None, :, None].astype(np.int64) * b.n + b.np_table[None, :, None, :]
     return FiniteGroup(table.reshape(n, n), f"{a.label}x{b.label}", spec)
 
 

@@ -131,7 +131,7 @@ class Lattice(Sequence[Subgroup]):
         building and keeping nothing; a coset count off the index raises."""
         g, at = self.parent, np.asarray(at, dtype=np.int64)
         # row h of the transposed table is x h over every x
-        table = g.np_table.T.astype(np.min_scalar_type(g.n), order="C")
+        table = np.ascontiguousarray(g.np_table.T)
         out = np.empty((len(at), g.n), dtype=np.int64)
         for lo, hi, moved in _row_gathers(table, g.identity, self.rows[at], self.order[at]):
             # the least elements of the cosets, flagged where they occur
@@ -345,15 +345,14 @@ def _cyclic_seeds(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     every x, one gather from the column before, up to the largest element
     order.  x^k generates <x> when it has the order of x, and x is the
     least generator when no such x^k lies below it."""
-    n, e = g.n, g.identity
-    small = np.min_scalar_type(n)
-    x = np.arange(n, dtype=small)
+    n, e, table = g.n, g.identity, g.np_table
+    x = np.arange(n, dtype=table.dtype)
     cols, met = [x], x == e
     while not met.all():
-        cols.append(g.np_table[cols[-1], x].astype(small))
+        cols.append(table[cols[-1], x])
         met |= cols[-1] == e
     powers = np.stack(cols, axis=1)
-    order = np.argmax(powers == e, axis=1).astype(small)  # each order less one
+    order = np.argmax(powers == e, axis=1).astype(table.dtype)  # each order less one
     least = np.where(order[powers] == order[:, None], powers, n).min(axis=1)
     gens = np.flatnonzero(least == x)
     rows = np.zeros((len(gens), n), dtype=bool)
@@ -397,7 +396,7 @@ def _class_lattice(
     More than ``max_subgroups`` subgroups raise SubgroupCountCapExceeded.
     """
     n = g.n
-    inverse = np.array(g.inv)[listed]
+    inverse = g.inv[listed]
     moves = np.argsort(maps, axis=1)  # a conjugate's row is the row gathered here
     seen: set[bytes] = set()
     found: list[np.ndarray] = []
@@ -431,8 +430,8 @@ def _candidates(
     other than H.  That coset's least element is the least of those of
     y h over h in H, and y h is the inverse of h^-1 y^-1, so one gather of
     the table at H's elements gives both."""
-    n, size, small = g.n, level.sum(axis=1), np.min_scalar_type(g.n)
-    coset, inv = np.empty(level.shape, dtype=small), np.array(g.inv, dtype=small)
+    n, size, inv = g.n, level.sum(axis=1), g.inv
+    coset = np.empty(level.shape, dtype=g.np_table.dtype)
     h, pos = [], []
     for lo, hi, moved in _row_gathers(g.np_table, g.identity, level, size):
         coset[lo:hi] = moved.min(axis=1)  # row h of the table is h x over every x
@@ -563,8 +562,7 @@ def _canonical_lattice(
     them all at once.  More than ``max_subgroups`` subgroups raise
     SubgroupCountCapExceeded, checked once per block.
     """
-    n = g.n
-    table = g.np_table.astype(np.min_scalar_type(n))
+    n, table = g.n, g.np_table
     level = np.zeros((1, n), dtype=bool)
     level[0, g.identity] = True
     last = np.array([-1])

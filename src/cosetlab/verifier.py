@@ -356,9 +356,8 @@ def _coset_choices(
     at = np.concatenate([pairs % m, tails])  # the second of each pair, then the tails
     labels = lattice.coset_labels(at)
     keep = np.ones(labels.shape, dtype=bool)
-    mul = g.np_table.astype(np.min_scalar_type(g.n))  # row h is h x over every x
-    h0 = pairs // m
-    for lo, hi, moved in _row_gathers(mul, g.identity, lattice.rows[h0], lattice.order[h0]):
+    h0 = pairs // m  # table row h is h x over every x
+    for lo, hi, moved in _row_gathers(g.np_table, g.identity, lattice.rows[h0], lattice.order[h0]):
         own = labels[lo:hi]
         keep[lo:hi] = np.take_along_axis(own[:, None, :], moved, axis=2).min(axis=1) == own
     # one bool row per coset: coset c of row i is c plus the cosets before i

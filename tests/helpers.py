@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
@@ -176,9 +177,10 @@ def linear_perm_spec(p: int, *, projective: bool) -> GroupSpec:
 
 def set_closure(g: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
     """Fixpoint of pairwise products, as a plain set computation."""
+    mul = g.np_table.tolist()
     cur = set(seed) | {g.identity}
     while True:
-        nxt = cur | {g.mul[a][b] for a in cur for b in cur}
+        nxt = cur | {mul[a][b] for a in cur for b in cur}
         if nxt == cur:
             return frozenset(cur)
         cur = nxt
@@ -187,11 +189,12 @@ def set_closure(g: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
 def is_subgroup_set(g: FiniteGroup, elems: frozenset[int]) -> bool:
     if g.identity not in elems:
         return False
+    mul, inv = g.np_table.tolist(), g.inv.tolist()
     for a in elems:
-        if g.inv[a] not in elems:
+        if inv[a] not in elems:
             return False
         for b in elems:
-            if g.mul[a][b] not in elems:
+            if mul[a][b] not in elems:
                 return False
     return True
 
@@ -221,6 +224,8 @@ def reference_subgroups(g: FiniteGroup) -> list[int]:
     until no new element set appears.
     """
 
+    mul = g.np_table.tolist()
+
     def close(gens: tuple[int, ...]) -> int:
         mask = 1 << g.identity
         frontier = [g.identity]
@@ -228,7 +233,7 @@ def reference_subgroups(g: FiniteGroup) -> list[int]:
             nxt = []
             for z in frontier:
                 for q in gens:
-                    w = g.mul[z][q]
+                    w = mul[z][q]
                     if not mask >> w & 1:
                         mask |= 1 << w
                         nxt.append(w)
@@ -261,6 +266,14 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+@lru_cache(maxsize=1)
+def table_lists(g: FiniteGroup) -> list[list[int]]:
+    """g's Cayley table as nested lists, for an oracle that reads it entry
+    by entry; kept for the last group read, since ``close_mask`` runs once
+    per extension."""
+    return g.np_table.tolist()
+
+
 def close_mask(g: FiniteGroup, gens: Sequence[int], start: Optional[int] = None) -> int:
     """Int mask of the subgroup generated by ``gens`` together with the
     subgroup S whose mask is ``start`` (default: the trivial subgroup).
@@ -269,10 +282,11 @@ def close_mask(g: FiniteGroup, gens: Sequence[int], start: Optional[int] = None)
     under right multiplication by the generators; such a union holds the
     identity, so it is the subgroup.  Past half of g it can only be g.
     """
+    mul = table_lists(g)
     mask = 1 << g.identity if start is None else start
     base = bits_tuple(mask)
     size = len(base)
-    stack = [g.mul[s][q] for s in base for q in gens]
+    stack = [mul[s][q] for s in base for q in gens]
     while stack:
         x = stack.pop()
         if mask >> x & 1:
@@ -281,9 +295,9 @@ def close_mask(g: FiniteGroup, gens: Sequence[int], start: Optional[int] = None)
         if 2 * size > g.n:
             return full_mask(g.n)
         for s in base:
-            w = g.mul[x][s]
+            w = mul[x][s]
             mask |= 1 << w
-            stack.extend(g.mul[w][q] for q in gens)
+            stack.extend(mul[w][q] for q in gens)
     return mask
 
 
@@ -313,7 +327,7 @@ def cyclic_extension_subgroups(g: FiniteGroup) -> list[int]:
             prime_power_gens.append(x)
         add(m, (x,))
 
-    mul = g.mul
+    mul = g.np_table.tolist()
     while queue:
         mask = queue.popleft()
         gens = found[mask]
@@ -340,7 +354,8 @@ def cyclic_extension_subgroups(g: FiniteGroup) -> list[int]:
 
 
 def coset_set(g: FiniteGroup, sub: frozenset[int], x: int) -> frozenset[int]:
-    return frozenset(g.mul[x][h] for h in sub)
+    row = g.np_table[x].tolist()
+    return frozenset(row[h] for h in sub)
 
 
 def all_left_cosets(g: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:
@@ -348,7 +363,8 @@ def all_left_cosets(g: FiniteGroup, sub: frozenset[int]) -> set[frozenset[int]]:
 
 
 def product_elements(g: FiniteGroup, h: frozenset[int], k: frozenset[int]) -> frozenset[int]:
-    return frozenset(g.mul[a][b] for a in h for b in k)
+    mul = g.np_table.tolist()
+    return frozenset(mul[a][b] for a in h for b in k)
 
 
 def exists_disjoint_coset_pair(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
@@ -491,9 +507,10 @@ def int_coset_choices(subs, clique) -> list[tuple[int, ...]]:
 
 def element_order(g: FiniteGroup, x: int) -> int:
     """The least k >= 1 with x^k the identity, by repeated multiplication."""
+    mul = g.np_table.tolist()
     k, y = 1, x
     while y != g.identity:
-        y = g.mul[y][x]
+        y = mul[y][x]
         k += 1
     return k
 

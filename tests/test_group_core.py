@@ -81,6 +81,17 @@ NONASSOC_LOOP = [
 ]
 
 
+# Latin square with two-sided identity 0 in which 2*3 = 0 but 3*2 = 1: the
+# right inverse of 2 is not a left one.
+ONE_SIDED_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
 def _cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
@@ -196,7 +207,7 @@ def test_lattice_closed_under_conjugation(lattice, name):
     if g.n <= 120:
         assert set_closure(g, frozenset(gens)) == frozenset(range(g.n))
     masks = {s.mask for s in subs}
-    mul, inv = g.mul, g.inv
+    mul, inv = g.np_table.tolist(), g.inv.tolist()
     for x in gens:
         for s in subs:
             assert mask_of(mul[mul[inv[x]][h]][x] for h in s.elements) in masks
@@ -313,8 +324,9 @@ def test_abelian_lattice_memory_bound():
 def test_class_lattice_memory_bound():
     # the class route closes one block of a level's candidates at a time
     # (bitset.blocks), next to the rows found, and never gathers g's own
-    # table rows; S6's lattice traced 4.8 MB, 7.6 MB with g queued for
-    # extension, and 13.4 MB with each level's closures in one block
+    # table rows; S6's lattice traces 3.3 MB on its uint16 table, 4.8 MB on
+    # an int64 one, 7.6 MB with g queued for extension, and 13.4 MB with
+    # each level's closures in one block
     g = load_group(_resolve_spec("S6"))
     tracemalloc.start()
     try:
@@ -336,6 +348,12 @@ def test_frozen_counts_beyond_catalog():
     assert len(cl.enumerate_subgroups(c2_7, max_subgroups=30_000)) == 29212
 
 
+def test_a7_lattice():
+    # order 2520, past the default order cap: a uint16 table of 12.7 MB
+    a7 = load_group(GroupSpec(kind="named", name="A7"), 2520)
+    assert len(cl.enumerate_subgroups(a7)) == 3786
+
+
 def test_subgroup_cap():
     g = cl.load_catalog_group("S4")
     with pytest.raises(SubgroupCountCapExceeded):
@@ -351,6 +369,12 @@ def test_subgroup_cap():
 def test_nonassociative_loop_rejected():
     spec = cl.GroupSpec(kind="cayley", order=5, table=tuple(map(tuple, NONASSOC_LOOP)))
     with pytest.raises(NotAGroup, match="associat"):
+        load_group(spec)
+
+
+def test_one_sided_inverse_rejected():
+    spec = cl.GroupSpec(kind="cayley", order=5, table=tuple(map(tuple, ONE_SIDED_LOOP)))
+    with pytest.raises(NotAGroup, match="element 2 has no two-sided inverse"):
         load_group(spec)
 
 
@@ -442,7 +466,7 @@ Q8_ROWS = [
 
 
 def test_q8_table_pinned():
-    assert cl.load_catalog_group("Q8").mul == Q8_ROWS
+    assert cl.load_catalog_group("Q8").np_table.tolist() == Q8_ROWS
 
 
 # every catalog group, the lattices past it pinned above, and both routes:
@@ -690,10 +714,12 @@ def test_table_is_the_composition_table_and_a_group(name):
     # axiom check that load_group runs on cayley specs alone
     spec = TABLE_GROUPS[name]
     g = load_group(spec)
-    assert g.mul == composition_table(spec)
+    assert g.np_table.dtype == g.inv.dtype == np.min_scalar_type(g.n)
+    mul, inv = g.np_table.tolist(), g.inv.tolist()
+    assert mul == composition_table(spec)
     _validate_table(g.np_table, g.label, 0)
     assert g.np_table[g.identity].tolist() == list(range(g.n))
-    assert all(g.mul[x][g.inv[x]] == g.identity for x in range(g.n))
+    assert all(mul[x][inv[x]] == g.identity for x in range(g.n))
 
 
 @pytest.mark.parametrize(
@@ -731,9 +757,10 @@ def test_alternating_and_symmetric_orders():
 def test_inverse_law_everywhere():
     for name in ("S4", "Q8", "D7", "C15"):
         g = cl.load_catalog_group(name)
+        mul, inv = g.np_table.tolist(), g.inv.tolist()
         for x in range(g.n):
-            assert g.mul[x][g.inv[x]] == g.identity
-            assert g.mul[g.inv[x]][x] == g.identity
+            assert mul[x][inv[x]] == g.identity
+            assert mul[inv[x]][x] == g.identity
 
 
 def test_perm_spec_closure():
@@ -826,15 +853,44 @@ def test_perm_spec_without_generators_is_trivial_without_building_range():
 
 
 def test_product_table_is_componentwise():
-    # the pair (x, y) is x * |b| + y, multiplied factor by factor
+    # the pair (x, y) is x * |b| + y, multiplied factor by factor.  S5xC3
+    # has order 360 from two uint8 tables: a product taken in the factors'
+    # dtype wraps around past 255
+    for factors in (("S3", "D4"), ("S5", "C3")):
+        a, b = (load_group(GroupSpec(kind="named", name=f)) for f in factors)
+        g = direct_product(a, b)
+        mul, amul, bmul = g.np_table.tolist(), a.np_table.tolist(), b.np_table.tolist()
+        nb = b.n
+        for xa in range(a.n):
+            for xb in range(nb):
+                for ya in range(a.n):
+                    for yb in range(nb):
+                        want = amul[xa][ya] * nb + bmul[xb][yb]
+                        assert mul[xa * nb + xb][ya * nb + yb] == want, factors
+
+
+# C255 is the largest uint8 table, where the sentinel n is the dtype's
+# maximum; D128 the smallest uint16 one; C15xC19, cyclic of order 285, a
+# uint16 product of two uint8 tables.  Lattice sizes from the literature:
+# tau(255) for C255, tau(128) + sigma(128) for D128, tau(285) for C15xC19.
+@pytest.mark.parametrize(
+    "token, dtype, count",
+    [("C255", np.uint8, 8), ("D128", np.uint16, 263), ("C15xC19", np.uint16, 8)],
+)
+def test_compact_table_dtype(token, dtype, count):
+    g = load_group(spec_from_token(token))
+    assert g.np_table.dtype == np.min_scalar_type(g.n) == dtype
+    assert isinstance(g.inv, np.ndarray) and g.inv.dtype == dtype
+    assert not hasattr(g, "mul")
+    _validate_table(g.np_table, token, 0)  # a wrapped product is no group
+    assert len(cl.enumerate_subgroups(g)) == count
+
+
+def test_product_order_cap_admits_the_cap_order():
     a, b = cl.load_catalog_group("S3"), cl.load_catalog_group("D4")
-    g = direct_product(a, b)
-    nb = b.n
-    for xa in range(a.n):
-        for xb in range(nb):
-            for ya in range(a.n):
-                for yb in range(nb):
-                    assert g.mul[xa * nb + xb][ya * nb + yb] == a.mul[xa][ya] * nb + b.mul[xb][yb]
+    assert direct_product(a, b, 48).n == 48
+    with pytest.raises(OrderCapExceeded):
+        direct_product(a, b, 47)
 
 
 def test_cayley_order_cap():

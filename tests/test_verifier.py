@@ -795,7 +795,7 @@ def test_batched_search_find_path(lattice, name):
 def brute_conjugacy_classes(g, subs):
     """Classes of lattice positions, conjugating by every element."""
     position = {frozenset(s.elements): i for i, s in enumerate(subs)}
-    mul, inv = g.mul, g.inv
+    mul, inv = g.np_table.tolist(), g.inv.tolist()
     return {
         frozenset(
             position[frozenset(mul[mul[inv[x]][h]][x] for h in s.elements)]
