@@ -296,15 +296,16 @@ def _meeting_pairs(
     x: np.ndarray, y: np.ndarray, width: np.ndarray, off_x: np.ndarray, off_y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct label pairs (x, y) of every row of the B x n label arrays
-    ``x`` and ``y``, y below the row's ``width``, from one sort of the row's
-    keys x * width + y: the row of each pair, and its x and y numbered
-    through the block, a row's from its ``off_x`` and ``off_y`` on."""
-    keys = np.sort(x * width[:, None] + y, axis=1)
-    new = np.ones(keys.shape, dtype=bool)
-    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    r = np.nonzero(new)[0]
-    u, v = np.divmod(keys[new], width[r])
-    return r, off_x[r] + u, off_y[r] + v
+    ``x`` and ``y``, y below the row's ``width``: the row of each pair, and
+    its x and y numbered through the block, a row's from ``off_x`` and
+    ``off_y`` on, found from keys that pack them x above y, so rows share none."""
+    shift = int(off_y[-1] + width[-1]).bit_length()
+    flat = np.sort((off_x[:, None] + x) << shift | (off_y[:, None] + y), axis=1).ravel()
+    new = np.ones(flat.shape, dtype=bool)
+    new[1:] = flat[1:] != flat[:-1]
+    pairs = np.compress(new, flat)
+    r = np.repeat(np.arange(len(x)), np.count_nonzero(new.reshape(x.shape), axis=1))
+    return r, pairs >> shift, pairs & ((1 << shift) - 1)
 
 
 def _enumerate_rows(labels: np.ndarray, index: np.ndarray, triples: np.ndarray) -> dict:

@@ -318,13 +318,14 @@ def _perm_closure(
     # a*b = (a * parent(b)) * s, so the column is step s read at the parent's
     # column; cols[b] holds column b.
     n = len(elems)
-    right = np.array(steps, dtype=np.int64)
-    cols = np.empty((n, n), dtype=np.int64)
+    ids = np.min_scalar_type(n)  # as FiniteGroup keeps its table
+    right = np.array(steps, dtype=ids)
+    cols = np.empty((n, n), dtype=ids)
     cols[0] = np.arange(n)
     for b in range(1, n):
         cols[b] = right[via[b]][cols[parent[b]]]
     order = sorted(range(n), key=elems.__getitem__)
-    rank = np.empty(n, dtype=np.int64)
+    rank = np.empty(n, dtype=ids)
     rank[order] = np.arange(n)
     return rank[cols.T[np.ix_(order, order)]]
 

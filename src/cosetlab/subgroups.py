@@ -255,10 +255,11 @@ def _find_rows(runs: Sequence[tuple[slice, np.ndarray]], base: int, rows: np.nda
     them raises ConsistencyError."""
     at = np.zeros(len(rows), dtype=np.int64)
     for cols, key in runs:
-        want = at
         for col in rows[:, cols].T:
-            want = want * base + col
-        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+            at *= base
+            at += col
+        want, at = at, np.searchsorted(key, at)
+        np.minimum(at, len(key) - 1, out=at)
         if (key[at] != want).any():
             raise ConsistencyError("a conjugate of a position tuple is not among the rows")
     return at
@@ -283,11 +284,17 @@ def orbit_labels(perms: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
     base = 1 + max(int(rows.max()), *(int(p.max()) for p in perms))
     runs = _prefix_keys(rows, base)
     steps = []
+    # images as one k x N array, sorted in place by compare-exchange of rows
+    image, spare = np.empty((k, n), dtype=np.int64), np.empty(n, dtype=np.int64)
     for p in perms:
-        image = p[rows]
-        image.sort(axis=1)
-        steps.append(_find_rows(runs, base, image))
-    del runs, image
+        image[...] = p[rows].T
+        for top in range(k - 1, 0, -1):
+            for c in range(top):
+                np.minimum(image[c], image[c + 1], out=spare)
+                np.maximum(image[c], image[c + 1], out=image[c + 1])
+                image[c] = spare
+        steps.append(_find_rows(runs, base, image.T))
+    del runs, image, spare
     # min-label propagation along both directions of every generator, then
     # pointer jumping, to a fixpoint: labels end constant on each orbit and
     # equal to an index in it that is its own label, so the least one
@@ -513,9 +520,9 @@ def _row_gathers(
         cost = np.maximum.accumulate(ahead) * np.arange(1, len(ahead) + 1) * n
         hi = lo + max(1, int(np.searchsorted(cost, budget, "right")))
         s = size[lo:hi]
-        at, elems = np.nonzero(rows[lo:hi])
         base = np.full((hi - lo, int(s.max())), identity)
-        base[at, np.arange(len(at)) - np.repeat(np.cumsum(s) - s, s)] = elems
+        # row i holds s[i] elements, so its first s[i] slots take them
+        base[np.arange(base.shape[1]) < s[:, None]] = np.flatnonzero(rows[lo:hi]) % n
         yield lo, hi, table[base]
         lo = hi
 

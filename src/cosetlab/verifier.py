@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bitset import blocks, lowest_bit, meet_orders, packed, popcounts, set_bits
+from .bitset import blocks, empty_rows, lowest_bit, meet_orders, packed, popcounts, set_bits
 from .cosets import coset_mask, double_coset_reps, left_cosets
 from .errors import CliqueCapExceeded, ConsistencyError, ParentMismatch
 from .groups import FiniteGroup
@@ -152,7 +152,7 @@ class PairRows:
             ok[:, lo:] = np.triu(np.outer(self.order[lo:hi], self.order[lo:]) < meet * self.n)
             self._disjoint[lo:hi] = packed(ok)
             self._built[lo // MEET_ROWS] = True
-        return self._disjoint[at]
+        return np.take(self._disjoint, at, axis=0)
 
     def rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The gcd bar at k as words, row c with bit t set when t's index and
@@ -238,18 +238,19 @@ def candidate_cliques(
                 raise CliqueCapExceeded(
                     f"clique search in {g.label} passed {max_cliques} prefixes"
                 )
-            if left == 1:
-                out.append(np.column_stack([prefix[at], picks]))
-                continue
             if not prefix.shape[1]:
                 # a lone first pick's next pick would break the order-sum bar
-                # at once, so it reads no row
+                # at once, so it reads no row (lone is all False at k = 1)
                 live = ~lone[picks]
                 at, picks = at[live], picks[live]
-            nxt = cand[at]
+            grown = np.column_stack([np.take(prefix, at, axis=0), picks])
+            if left == 1:
+                out.append(grown)
+                continue
+            nxt = np.take(cand, at, axis=0)
             nxt &= pair_stats.disjoint_rows(picks)
-            nxt &= gcd_ok[pair_stats.index_class[picks]]
-            grow(np.column_stack([prefix[at], picks]), osum[at] + order[picks], nxt)
+            nxt &= np.take(gcd_ok, pair_stats.index_class[picks], axis=0)
+            grow(grown, osum[at] + order[picks], nxt)
 
     everything = packed(np.ones((1, m), dtype=bool))
     grow(np.empty((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), everything)
@@ -411,10 +412,12 @@ def _search_cliques(
             state = np.repeat(np.arange(block.start, block.stop), t)
             first = start[row[block], slot] - np.cumsum(t) + t
             choice = np.arange(len(state)) + np.repeat(first, t)
-            coset = table[choice]
-            free = ~(used[state] & coset).any(axis=1)
-            state = state[free]
-            place(slot + 1, row[state], used[state] | coset[free])
+            coset = np.take(table, choice, axis=0)
+            held = np.take(used, state, axis=0)
+            free = empty_rows(held & coset)
+            held = np.compress(free, held, axis=0)
+            held |= np.compress(free, coset, axis=0)
+            place(slot + 1, row[np.compress(free, state)], held)
 
     place(0, np.arange(n_rows), np.broadcast_to(np.zeros(width, np.uint64), (n_rows, width)))
     del place  # as grow in candidate_cliques

@@ -15,6 +15,10 @@ The exceptions:
 - ``int_coset_choices`` is the batched coset search's former choice list,
   built from each subgroup's int coset masks, which its word table is
   held to.
+- ``row_sort_orbit_labels`` is ``subgroups.orbit_labels`` by its former
+  route, each image row sorted on its own, where the library sorts the
+  image columns with a compare-exchange network; rows are found in a dict
+  and joined by union-find.
 - ``composition_table`` lists a spec's elements in full and multiplies
   every pair, where the library follows generator steps along a spanning
   tree.
@@ -434,6 +438,27 @@ def exists_disjoint_family(g: FiniteGroup, subs: list[Subgroup]) -> bool:
         return any(not used & c and place(slot + 1, used | c) for c in cosets[slot])
 
     return place(0, 0)
+
+
+def row_sort_orbit_labels(perms: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The least row index in the orbit of each row of ``rows`` (N x k
+    sorted position tuples, closed under ``perms``): every image row sorted
+    by ``np.sort`` along axis 1, looked up in a dict of the rows, and joined
+    to its row by union-find with the least index as root."""
+    position = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+    root = list(range(len(rows)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for p in perms:
+        for i, image in enumerate(map(tuple, np.sort(p[rows], axis=1).tolist())):
+            a, b = find(i), find(position[image])
+            root[max(a, b)] = min(a, b)
+    return np.array([find(i) for i in range(len(rows))], dtype=np.int64)
 
 
 def word_int(words: np.ndarray) -> int:

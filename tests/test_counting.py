@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cosetlab as cl
 from cosetlab import bitset
 from cosetlab.bitset import mask_of
-from cosetlab.counting import DEFAULT_CENSUS_CAP, _checked, triple_inequalities
+from cosetlab.counting import DEFAULT_CENSUS_CAP, _checked, _meeting_pairs, triple_inequalities
 from cosetlab.errors import ConsistencyError, CounterOverflow, ParentMismatch
 
 from helpers import check_triple_inequalities, plant_enumeration_fault, triple_census_brute
@@ -614,3 +614,27 @@ def test_census_blocks_hold_a_small_budget(lattice, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_meeting_pairs_are_each_rows_distinct_label_pairs(data):
+    # rows of label pairs, x below its row's width a and y below b, against
+    # a set of pairs per row; the widths vary from row to row, so the key's
+    # y field must hold the last row's numbering
+    rows, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+    widths = st.lists(st.integers(1, 40), min_size=rows, max_size=rows)
+    a, b = np.array(data.draw(widths)), np.array(data.draw(widths))
+
+    def labels(width):
+        return np.array([data.draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n))
+                         for w in width.tolist()])
+
+    x, y = labels(a), labels(b)
+    off_x, off_y = np.cumsum(a) - a, np.cumsum(b) - b
+    r, u, v = _meeting_pairs(x, y, b, off_x, off_y)
+    assert list(zip(r.tolist(), u.tolist(), v.tolist())) == [
+        (i, int(off_x[i]) + p, int(off_y[i]) + q)
+        for i in range(rows)
+        for p, q in sorted(set(zip(x[i].tolist(), y[i].tolist())))
+    ]

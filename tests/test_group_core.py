@@ -24,10 +24,12 @@ from cosetlab.errors import (
 from cosetlab.bitset import (
     BLOCK_ENTRIES,
     blocks,
+    empty_rows,
     iter_bits,
     mask_of,
     meet_orders,
     packed,
+    popcounts,
     set_bits,
 )
 from cosetlab.cache import spec_hash
@@ -611,6 +613,29 @@ def test_packed_rows_are_the_masks(lattice, name):
     ]
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 47])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_word_row_kernels_match_each_bit(width, data):
+    # set_bits, popcounts and empty_rows against a test of every bit of
+    # every word; words are often zero, and some rows are zero throughout
+    r = data.draw(st.integers(0, 5))
+    word = st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.sampled_from([1, 2**63]))
+    values = data.draw(st.lists(word, min_size=r * width, max_size=r * width))
+    words = np.array(values, dtype=np.uint64).reshape(r, width)
+    words[data.draw(st.lists(st.booleans(), min_size=r, max_size=r))] = 0
+    ones = [
+        [64 * w + b for w in range(width) for b in range(64) if int(words[i, w]) >> b & 1]
+        for i in range(r)
+    ]
+    rows, bits = set_bits(words)
+    assert list(zip(rows.tolist(), bits.tolist())) == [(i, x) for i in range(r) for x in ones[i]]
+    counts = popcounts(words)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [len(x) for x in ones]
+    assert empty_rows(words).tolist() == [not x for x in ones]
+
+
 @pytest.mark.parametrize("name", PACKED_GROUPS)
 def test_meet_orders_are_mask_popcounts(lattice, name):
     g, subs = lattice(name)
@@ -778,6 +803,40 @@ def test_perm_closure_order_cap():
     )
     with pytest.raises(OrderCapExceeded):
         load_group(spec, 10)
+    # S3 under cap 5: no element order passes the cap, the sixth element does
+    s3 = cl.GroupSpec(kind="perm", degree=3, generators=((1, 0, 2), (1, 2, 0)))
+    with pytest.raises(OrderCapExceeded, match="grew past 5 elements"):
+        load_group(s3, 5)
+
+
+@pytest.mark.parametrize(
+    "generators, order",
+    [
+        # one generator of order 5, the cap
+        (((1, 2, 3, 4, 0),), 5),
+        # orders 2 and 3, whose product, of order 6, generates the group
+        (((1, 0, 2, 3, 4), (0, 1, 3, 4, 2)), 6),
+    ],
+)
+def test_perm_closure_admits_element_orders_at_the_cap(generators, order):
+    spec = cl.GroupSpec(kind="perm", degree=5, generators=generators)
+    assert load_group(spec, order).n == order
+    with pytest.raises(OrderCapExceeded):
+        load_group(spec, order - 1)
+
+
+def test_perm_closure_memory_bound():
+    # S6, order 720: the closure builds its columns, ranks and sorted table
+    # in the table's own uint16, about 3.3 MB traced in all; an int64
+    # 720 x 720 array alone is 4.1 MB, and int64 intermediates traced 12.1 MB
+    tracemalloc.start()
+    try:
+        g = load_group(_resolve_spec("S6"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.np_table.dtype) == (720, np.uint16)
+    assert peak < 4 * 2**20
 
 
 def _traced_peak(fn, exc):

@@ -45,6 +45,7 @@ from helpers import (
     int_coset_choices,
     pairwise_disjoint,
     recursive_cliques,
+    row_sort_orbit_labels,
     rows_built,
     small_products,
     word_int,
@@ -928,6 +929,31 @@ def test_orbit_labels_peak_on_s5_triples(lattice):
         tracemalloc.stop()
     assert np.count_nonzero(labels == np.arange(len(rows))) == 8959
     assert peak < 60 * 2**20
+
+
+def test_orbit_labels_match_row_sort_on_catalog_cliques(lattice):
+    # the compare-exchange network against each image row sorted on its
+    # own, on the candidate cliques of every catalog group at k = 2..6
+    tried = 0
+    for name in sorted(cl.CATALOG):
+        g, subs = lattice(name)
+        source = cl.PairRows(g, subs)
+        for k in range(2, 7):
+            cliques = cl.candidate_cliques(g, k, subgroups=subs, pair_stats=source)
+            got = orbit_labels(source.lattice.action, cliques)
+            assert np.array_equal(got, row_sort_orbit_labels(source.lattice.action, cliques))
+            tried += len(cliques) if source.lattice.action else 0
+    assert tried > 60000
+
+
+@pytest.mark.parametrize("name, orbits", [("S4", 592), ("A5", 906)])
+def test_orbit_labels_match_row_sort_on_census_triples(lattice, name, orbits):
+    g, subs = lattice(name)
+    perms = conjugation_action(g, subs)
+    rows = cl.counting._triples(len(subs))
+    labels = orbit_labels(perms, rows)
+    assert np.array_equal(labels, row_sort_orbit_labels(perms, rows))
+    assert np.count_nonzero(labels == np.arange(len(rows))) == orbits
 
 
 @given(data=st.data())
